@@ -10,15 +10,16 @@ import ast
 import logging
 import re
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from . import gateway
 from .model import (
     ExamQuestion,
     Grade,
+    GradeIndex,
     GradePolicy,
     Query,
     QuestionBank,
-    policy_is_correct,
 )
 
 log = logging.getLogger(__name__)
@@ -145,22 +146,15 @@ class BankDiffReport:
                     or self.needs_grading or self.flips)
 
 
-def _binary_label(question_ids: set[str], pair_grades: list[Grade],
-                  policy: GradePolicy) -> int:
-    correct = sum(
-        1 for g in pair_grades
-        if g.question_id in question_ids and g.mode == policy.mode
-        and policy_is_correct(g, policy))
-    return 1 if correct >= policy.min_answers else 0
-
-
-def diff_banks(old: QuestionBank, new: QuestionBank, grades: list[Grade],
+def diff_banks(old: QuestionBank, new: QuestionBank,
+               grades: Iterable[Grade] | GradeIndex,
                policy: GradePolicy) -> BankDiffReport:
     """Report bank edits and the passages whose binary label they flip.
 
     Questions are matched by id; an id present in both banks with changed
     text counts as edited. Added or edited questions without grades yet are
-    flagged needs-grading instead of contributing flips.
+    flagged needs-grading instead of contributing flips. `grades` may be an
+    index already built for the policy mode.
     """
     old_by_id = old.by_question_id()
     new_by_id = new.by_question_id()
@@ -171,27 +165,23 @@ def diff_banks(old: QuestionBank, new: QuestionBank, grades: list[Grade],
         qid for qid in set(old_by_id) & set(new_by_id)
         if old_by_id[qid].text != new_by_id[qid].text)
 
-    graded_question_ids = {g.question_id for g in grades
-                           if g.mode == policy.mode}
+    index = GradeIndex.of(grades, policy.mode)
+    graded_question_ids = index.question_ids()
     report.needs_grading = sorted(
         qid for qid in report.added + report.edited
         if qid not in graded_question_ids)
 
-    by_pair: dict[tuple[str, str], list[Grade]] = {}
-    for g in grades:
-        by_pair.setdefault((g.query_id, g.passage_id), []).append(g)
-
     affected_queries = {
         (old_by_id.get(qid) or new_by_id[qid]).query_id
         for qid in report.added + report.removed + report.edited}
-    for (query_id, passage_id), pair_grades in sorted(by_pair.items()):
+    for query_id, passage_id in index.pairs():
         if query_id not in affected_queries:
             continue
         old_ids = {q.question_id for q in old.questions_for(query_id)}
         new_ids = {q.question_id for q in new.questions_for(query_id)
                    if q.question_id in graded_question_ids}
-        old_label = _binary_label(old_ids, pair_grades, policy)
-        new_label = _binary_label(new_ids, pair_grades, policy)
+        old_label = index.label(query_id, passage_id, old_ids, policy)
+        new_label = index.label(query_id, passage_id, new_ids, policy)
         if old_label != new_label:
             report.flips.append(
                 LabelFlip(query_id, passage_id, old_label, new_label))

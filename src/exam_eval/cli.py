@@ -292,7 +292,7 @@ def qrels(bank_path, grades_path, policy_text, graded, out):
 @click.option("--grades", "grades_path", required=True,
               type=click.Path(exists=True))
 @click.option("--policy", "policy_text", required=True)
-@click.option("--metric", type=click.Choice(["cover", "p20"]),
+@click.option("--metric", type=click.Choice(["cover", "p_at_k"]),
               default="cover", show_default=True)
 @click.option("--depth", default=20, show_default=True)
 @click.option("--official", "official_path", default=None,
@@ -310,7 +310,7 @@ def leaderboard(bank_path, run_paths, grades_path, policy_text, metric,
                 if official_path else None)
     result = metrics.leaderboard(
         runs, bank, grades, policy,
-        metric="cover" if metric == "cover" else "p_at_k",
+        metric=metric,
         cover=CoverConfig(depth), k=depth,
         official_ranks=official)
     lines = ["system\tscore\tstd_error\tofficial_rank\n"]

@@ -9,6 +9,7 @@ import gzip
 import json
 import logging
 import os
+from operator import itemgetter
 from pathlib import Path
 
 from .model import (
@@ -18,7 +19,6 @@ from .model import (
     Judgment,
     QuestionBank,
     Run,
-    RunEntry,
 )
 
 log = logging.getLogger(__name__)
@@ -43,14 +43,15 @@ def parse_run_file(text: str) -> Run:
 
     Column 2 may be "Q0" or "0"; both appear in the wild. The run tag is
     taken from the first line; differing tags on later lines produce a
-    warning, first tag wins. Entries come back sorted by (query_id, rank).
+    warning, first tag wins. Queries come back in sorted order, each with
+    its rows sorted by rank.
     """
-    entries: list[RunEntry] = []
+    by_query: dict[str, list[tuple[str, int, float]]] = {}
     run_tag: str | None = None
     for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         fields = line.split()
+        if not fields:
+            continue
         if len(fields) != 6:
             raise ParseError(
                 f"expected 6 whitespace-separated fields, got {len(fields)}",
@@ -64,18 +65,24 @@ def parse_run_file(text: str) -> Run:
             score = float(score_s)
         except ValueError as exc:
             raise ParseError(str(exc), line_no) from None
-        if run_tag is None:
-            run_tag = tag
-        elif tag != run_tag:
-            log.warning(
-                "line %d: run tag %r differs from %r; keeping the first",
-                line_no, tag, run_tag)
-        try:
-            entries.append(RunEntry(qid, docid, rank, score))
-        except ContractViolation as exc:
-            raise ParseError(str(exc), line_no) from None
-    entries.sort(key=lambda e: (e.query_id, e.rank))
-    return Run(run_tag=run_tag or "", entries=tuple(entries))
+        if rank < 1:
+            raise ParseError(
+                f"rank must be >= 1, got {rank} for ({qid}, {docid})",
+                line_no)
+        if tag != run_tag:
+            if run_tag is None:
+                run_tag = tag
+            else:
+                log.warning(
+                    "line %d: run tag %r differs from %r; keeping the first",
+                    line_no, tag, run_tag)
+        rows = by_query.get(qid)
+        if rows is None:
+            rows = by_query[qid] = []
+        rows.append((docid, rank, score))
+    by_rank = itemgetter(1)
+    return Run(run_tag or "", {qid: sorted(by_query[qid], key=by_rank)
+                               for qid in sorted(by_query)})
 
 
 def load_run_file(path: str | Path) -> Run:

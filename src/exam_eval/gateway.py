@@ -5,6 +5,7 @@ real inference, or a deterministic mock for tests and fixture pipelines.
 """
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -72,6 +73,11 @@ PROMPT_TEMPLATES = {
 }
 
 
+@functools.lru_cache(maxsize=64)
+def _placeholders(body: str) -> frozenset[str]:
+    return frozenset(re.findall(r"\{([a-z_]+)\}", body))
+
+
 @dataclass(frozen=True)
 class PromptTemplate:
     name: str
@@ -86,11 +92,18 @@ class PromptTemplate:
         return cls(name=name, body=PROMPT_TEMPLATES[name])
 
     def render(self, **bindings: str) -> str:
-        rendered = self.body.format(**bindings)
-        if re.search(r"\{[a-z_]+\}", rendered):
+        """Substitute every `{name}` of the body in one pass.
+
+        Only the body is checked for unbound names: `str.format` never
+        rescans what it inserts, so bound values that contain braces
+        (JSON, LaTeX, code) come through verbatim.
+        """
+        unbound = _placeholders(self.body) - bindings.keys()
+        if unbound:
             raise ContractViolation(
-                f"template {self.name!r} left unbound placeholders")
-        return rendered
+                f"template {self.name!r} left unbound placeholders: "
+                f"{', '.join(sorted(unbound))}")
+        return self.body.format(**bindings)
 
 
 def render_question_gen_prompt(query: Query, facet: Facet | None = None) -> str:

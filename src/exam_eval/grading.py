@@ -240,23 +240,19 @@ def build_passage_pool(runs: list[Run], depth: int,
                        ) -> dict[str, list[str]]:
     """Union of every run's top-`depth` passages plus judged passages.
 
-    Returns query_id -> deduplicated passage ids in first-seen order.
+    Returns query_id -> deduplicated passage ids in first-seen order. This
+    is the pool that `grade` grades and the leaderboard's `_overall_` row
+    scores.
     """
-    pool: dict[str, list[str]] = {}
-    seen: set[tuple[str, str]] = set()
-
-    def add(query_id: str, passage_id: str) -> None:
-        if (query_id, passage_id) not in seen:
-            seen.add((query_id, passage_id))
-            pool.setdefault(query_id, []).append(passage_id)
-
+    # Dicts as insertion-ordered sets: re-adding a key keeps its place.
+    pool: dict[str, dict[str, None]] = {}
     for run in runs:
         for query_id in run.query_ids:
-            for entry in run.top_k(query_id, depth):
-                add(query_id, entry.passage_id)
+            for passage_id, _, _ in run.top_k(query_id, depth):
+                pool.setdefault(query_id, {})[passage_id] = None
     for j in judgments or []:
-        add(j.query_id, j.passage_id)
-    return pool
+        pool.setdefault(j.query_id, {})[j.passage_id] = None
+    return {query_id: list(pids) for query_id, pids in pool.items()}
 
 
 def grade_corpus(bank: QuestionBank,

@@ -5,22 +5,21 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
+from . import grading
 from .model import (
     ContractViolation,
     CoverConfig,
     Grade,
+    GradeIndex,
     GradePolicy,
     Judgment,
     QuestionBank,
     Run,
-    SELF_RATED,
-    policy_is_correct,
 )
 
 log = logging.getLogger(__name__)
@@ -30,19 +29,6 @@ OVERALL_SYSTEM = "_overall_"
 
 class UndefinedResult(ValueError):
     """The requested statistic is undefined for this input."""
-
-
-# ---------------------------------------------------------------------------
-# Grade indexing helpers
-
-
-def _grades_by_pair(grades: list[Grade], mode: str
-                    ) -> dict[tuple[str, str], list[Grade]]:
-    index: dict[tuple[str, str], list[Grade]] = defaultdict(list)
-    for g in grades:
-        if g.mode == mode:
-            index[(g.query_id, g.passage_id)].append(g)
-    return index
 
 
 # ---------------------------------------------------------------------------
@@ -56,29 +42,30 @@ class CoverResult:
     ungraded_passages: tuple[tuple[str, str], ...] = ()
 
 
-def _cover_for_passages(passage_ids: list[str], query_id: str,
-                        bank: QuestionBank,
-                        by_pair: dict[tuple[str, str], list[Grade]],
-                        policy: GradePolicy,
-                        gaps: list[tuple[str, str]]) -> float | None:
-    questions = bank.questions_for(query_id)
-    if not questions:
-        return None
-    question_ids = {q.question_id for q in questions}
-    answered: set[str] = set()
-    for pid in passage_ids:
-        pair_grades = by_pair.get((query_id, pid))
-        if not pair_grades:
-            gaps.append((query_id, pid))
+def _cover(passages_by_query: dict[str, list[str]], bank: QuestionBank,
+           index: GradeIndex, policy: GradePolicy,
+           gaps: list[tuple[str, str]]) -> dict[str, float]:
+    """Per-query cover of the given passages, over queries with questions.
+
+    Passages without a grade in the policy mode are appended to `gaps`.
+    """
+    per_query: dict[str, float] = {}
+    for query_id in bank.query_ids:
+        question_ids = {q.question_id for q in bank.questions_for(query_id)}
+        if not question_ids:
             continue
-        for g in pair_grades:
-            if g.question_id in question_ids and policy_is_correct(g, policy):
-                answered.add(g.question_id)
-    return len(answered) / len(question_ids)
+        answered: set[str] = set()
+        for pid in passages_by_query.get(query_id, ()):
+            if (query_id, pid) not in index:
+                gaps.append((query_id, pid))
+                continue
+            answered |= index.correct(query_id, pid, question_ids, policy)
+        per_query[query_id] = len(answered) / len(question_ids)
+    return per_query
 
 
-def exam_cover(run: Run, bank: QuestionBank, grades: list[Grade],
-               policy: GradePolicy,
+def exam_cover(run: Run, bank: QuestionBank,
+               grades: Iterable[Grade] | GradeIndex, policy: GradePolicy,
                cover: CoverConfig = CoverConfig()) -> CoverResult:
     """Fraction of each query's questions answerable by the top-k passages.
 
@@ -86,16 +73,14 @@ def exam_cover(run: Run, bank: QuestionBank, grades: list[Grade],
     questions over the top-`depth` passages, divided by the bank size for
     that query. The system score is the macro-average over queries that
     have at least one question. Pooled passages without any grade count as
-    not-correct and are reported as coverage gaps.
+    not-correct and are reported as coverage gaps. `grades` may be an
+    index already built for the policy mode.
     """
-    by_pair = _grades_by_pair(grades, policy.mode)
+    index = GradeIndex.of(grades, policy.mode)
+    top = {query_id: [pid for pid, _, _ in run.top_k(query_id, cover.depth)]
+           for query_id in bank.query_ids}
     gaps: list[tuple[str, str]] = []
-    per_query: dict[str, float] = {}
-    for query_id in bank.query_ids:
-        pids = [e.passage_id for e in run.top_k(query_id, cover.depth)]
-        score = _cover_for_passages(pids, query_id, bank, by_pair, policy, gaps)
-        if score is not None:
-            per_query[query_id] = score
+    per_query = _cover(top, bank, index, policy, gaps)
     if gaps:
         log.warning("coverage gap: %d pooled passages have no grades",
                     len(gaps))
@@ -119,34 +104,29 @@ def relevance_labels(grades: list[Grade], policy: GradePolicy,
     if len(pairs) > 1:
         raise ContractViolation(
             f"grades span multiple (query, passage) pairs: {sorted(pairs)}")
-    relevant = [g for g in grades if g.mode == policy.mode]
-    if graded:
-        if policy.mode != SELF_RATED:
-            raise ContractViolation(
-                "graded labels require a self_rated policy")
-        return max((g.rating for g in relevant), default=0)
-    correct = sum(1 for g in relevant if policy_is_correct(g, policy))
-    return 1 if correct >= policy.min_answers else 0
+    # Without grades there is no pair, and any key labels 0.
+    query_id, passage_id = next(iter(pairs), ("", ""))
+    return GradeIndex(grades, policy.mode).label(
+        query_id, passage_id, {g.question_id for g in grades}, policy,
+        graded=graded)
 
 
-def build_qrels(grades: list[Grade], bank: QuestionBank, policy: GradePolicy,
-                graded: bool = False) -> list[Judgment]:
-    """One judgment per graded (query, passage), from relevance_labels.
+def build_qrels(grades: Iterable[Grade] | GradeIndex, bank: QuestionBank,
+                policy: GradePolicy, graded: bool = False) -> list[Judgment]:
+    """One judgment per (query, passage) with a graded bank question.
 
     Covers every pooled passage that has grades, so systems whose passages
-    went through the grading pipeline never hit unjudged holes.
+    went through the grading pipeline never hit unjudged holes. Rows come
+    sorted by pair. `grades` may be an index already built for the policy
+    mode.
     """
+    index = GradeIndex.of(grades, policy.mode)
     question_ids = set(bank.by_question_id())
-    by_pair: dict[tuple[str, str], list[Grade]] = defaultdict(list)
-    for g in grades:
-        if g.mode == policy.mode and g.question_id in question_ids:
-            by_pair[(g.query_id, g.passage_id)].append(g)
-    out = []
-    for (query_id, passage_id) in sorted(by_pair):
-        label = relevance_labels(by_pair[(query_id, passage_id)],
-                                 policy, graded=graded)
-        out.append(Judgment(query_id, passage_id, label))
-    return out
+    return [Judgment(query_id, passage_id,
+                     index.label(query_id, passage_id, question_ids, policy,
+                                 graded=graded))
+            for query_id, passage_id in index.pairs()
+            if index.grades(query_id, passage_id, question_ids)]
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +139,13 @@ class PrecisionResult:
     mean: float
 
 
+def _relevance(qrels: list[Judgment]
+               ) -> tuple[dict[tuple[str, str], int], set[str]]:
+    """Relevance by (query, passage), and the queries with any judgment."""
+    rel = {(j.query_id, j.passage_id): j.relevance for j in qrels}
+    return rel, {j.query_id for j in qrels}
+
+
 def precision_at_k(run: Run, qrels: list[Judgment], k: int,
                    level_for_rel: int = 1) -> PrecisionResult:
     """Fraction of the top-k passages judged at or above level_for_rel.
@@ -168,18 +155,14 @@ def precision_at_k(run: Run, qrels: list[Judgment], k: int,
     """
     if k < 1:
         raise ContractViolation(f"k must be >= 1, got {k}")
-    rel: dict[tuple[str, str], int] = {}
-    judged_queries: set[str] = set()
-    for j in qrels:
-        rel[(j.query_id, j.passage_id)] = j.relevance
-        judged_queries.add(j.query_id)
+    rel, judged_queries = _relevance(qrels)
     per_query: dict[str, float] = {}
     for query_id in run.query_ids:
         if query_id not in judged_queries:
             continue
         hits = sum(
-            1 for e in run.top_k(query_id, k)
-            if rel.get((query_id, e.passage_id), 0) >= level_for_rel)
+            1 for pid, _, _ in run.top_k(query_id, k)
+            if rel.get((query_id, pid), 0) >= level_for_rel)
         per_query[query_id] = hits / k
     mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
     return PrecisionResult(per_query=per_query, mean=mean)
@@ -200,15 +183,19 @@ def _common_vectors(scores_a: dict[str, float], scores_b: dict[str, float]
 
 def spearman(scores_a: dict[str, float], scores_b: dict[str, float]) -> float:
     """Spearman rank correlation with average ranks for ties."""
+    from scipy import stats  # imported here: it costs most of the CLI's start-up
+
     a, b = _common_vectors(scores_a, scores_b)
-    return float(_scipy_stats.spearmanr(a, b).statistic)
+    return float(stats.spearmanr(a, b).statistic)
 
 
 def kendall_tau(scores_a: dict[str, float], scores_b: dict[str, float]
                 ) -> float:
     """Kendall's tau-b (tie-corrected) rank correlation."""
+    from scipy import stats
+
     a, b = _common_vectors(scores_a, scores_b)
-    return float(_scipy_stats.kendalltau(a, b).statistic)
+    return float(stats.kendalltau(a, b).statistic)
 
 
 @dataclass(frozen=True)
@@ -255,38 +242,10 @@ def _std_error(per_query: dict[str, float]) -> float:
     return math.sqrt(var) / math.sqrt(n)
 
 
-def _pooled_cover(runs: list[Run], bank: QuestionBank,
-                  by_pair: dict[tuple[str, str], list[Grade]],
-                  policy: GradePolicy, depth: int) -> dict[str, float]:
-    pool: dict[str, list[str]] = defaultdict(list)
-    seen: set[tuple[str, str]] = set()
-    for run in runs:
-        for query_id in run.query_ids:
-            for e in run.top_k(query_id, depth):
-                if (query_id, e.passage_id) not in seen:
-                    seen.add((query_id, e.passage_id))
-                    pool[query_id].append(e.passage_id)
-    gaps: list[tuple[str, str]] = []
-    per_query: dict[str, float] = {}
-    for query_id in bank.query_ids:
-        score = _cover_for_passages(pool.get(query_id, []), query_id,
-                                    bank, by_pair, policy, gaps)
-        if score is not None:
-            per_query[query_id] = score
-    return per_query
-
-
-def _pooled_precision(runs: list[Run], qrels: list[Judgment], k: int,
-                      level_for_rel: int, depth: int) -> dict[str, float]:
+def _pooled_precision(pool: dict[str, list[str]], qrels: list[Judgment],
+                      k: int, level_for_rel: int) -> dict[str, float]:
     # Best achievable P@k over the pooled passages: rank relevant ones first.
-    rel: dict[tuple[str, str], int] = {
-        (j.query_id, j.passage_id): j.relevance for j in qrels}
-    pool: dict[str, set[str]] = defaultdict(set)
-    for run in runs:
-        for query_id in run.query_ids:
-            for e in run.top_k(query_id, depth):
-                pool[query_id].add(e.passage_id)
-    judged_queries = {j.query_id for j in qrels}
+    rel, judged_queries = _relevance(qrels)
     per_query: dict[str, float] = {}
     for query_id, pids in pool.items():
         if query_id not in judged_queries:
@@ -298,7 +257,8 @@ def _pooled_precision(runs: list[Run], qrels: list[Judgment], k: int,
     return per_query
 
 
-def leaderboard(runs: list[Run], bank: QuestionBank, grades: list[Grade],
+def leaderboard(runs: list[Run], bank: QuestionBank,
+                grades: Iterable[Grade] | GradeIndex,
                 policy: GradePolicy, metric: str = "cover",
                 cover: CoverConfig = CoverConfig(), k: int = 20,
                 official_ranks: dict[str, int] | None = None
@@ -313,24 +273,21 @@ def leaderboard(runs: list[Run], bank: QuestionBank, grades: list[Grade],
     """
     if metric not in ("cover", "p_at_k"):
         raise ContractViolation(f"unknown leaderboard metric {metric!r}")
-    by_pair = _grades_by_pair(grades, policy.mode)
-    qrels = build_qrels(grades, bank, policy) if metric == "p_at_k" else []
+    index = GradeIndex.of(grades, policy.mode)
+    pool = grading.build_passage_pool(runs, cover.depth)
 
     per_system: dict[str, dict[str, float]] = {}
-    for run in runs:
-        if metric == "cover":
-            result = exam_cover(run, bank, grades, policy, cover)
-            per_system[run.run_tag] = result.per_query
-        else:
+    if metric == "cover":
+        for run in runs:
+            per_system[run.run_tag] = exam_cover(
+                run, bank, index, policy, cover).per_query
+        per_system[OVERALL_SYSTEM] = _cover(pool, bank, index, policy, [])
+    else:
+        qrels = build_qrels(index, bank, policy)
+        for run in runs:
             per_system[run.run_tag] = precision_at_k(
                 run, qrels, k, level_for_rel=1).per_query
-
-    if metric == "cover":
-        per_system[OVERALL_SYSTEM] = _pooled_cover(
-            runs, bank, by_pair, policy, cover.depth)
-    else:
-        per_system[OVERALL_SYSTEM] = _pooled_precision(
-            runs, qrels, k, 1, cover.depth)
+        per_system[OVERALL_SYSTEM] = _pooled_precision(pool, qrels, k, 1)
 
     rows = []
     for system, per_query in per_system.items():
@@ -555,18 +512,20 @@ def agreement_tables(exam_labels: list[Judgment],
             for spec in collapses]
 
 
-def min_answers_sweep(grades: list[Grade], bank: QuestionBank,
-                      policy: GradePolicy, official: list[Judgment],
+def min_answers_sweep(grades: Iterable[Grade] | GradeIndex,
+                      bank: QuestionBank, policy: GradePolicy,
+                      official: list[Judgment],
                       values: tuple[int, ...] = (1, 2, 5),
                       judgment_rel_min: int = 1
                       ) -> list[tuple[int, ConfusionTable]]:
     """Binary agreement tables for a sweep of min_answers thresholds."""
+    index = GradeIndex.of(grades, policy.mode)
     observed_judgments = {j.relevance for j in official}
     out = []
     for n in values:
         swept = GradePolicy(mode=policy.mode, min_rating=policy.min_rating,
                             min_answers=n)
-        labels = build_qrels(grades, bank, swept, graded=False)
+        labels = build_qrels(index, bank, swept, graded=False)
         spec = collapse_for("binary", {j.relevance for j in labels} | {0, 1},
                             observed_judgments, judgment_rel_min)
         table = confusion_table(labels, official, spec)

@@ -6,6 +6,7 @@ construction time; no I/O and no inference happens in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Container, Iterable
 
 
 QA_VERIFIED = "qa_verified"
@@ -127,40 +128,58 @@ class RunEntry:
 
 @dataclass(frozen=True)
 class Run:
-    """A system's ranked passage lists, one per query (TREC run semantics)."""
+    """A system's ranked passage lists, one per query (TREC run semantics).
+
+    `by_query` maps each query id to its (passage_id, rank, score) rows in
+    strictly increasing rank order; queries keep the mapping's order.
+    """
     run_tag: str
-    entries: tuple[RunEntry, ...]
+    by_query: dict[str, list[tuple[str, int, float]]]
 
     def __post_init__(self):
-        seen: set[tuple[str, str]] = set()
-        last_rank: dict[str, int] = {}
-        for e in self.entries:
-            key = (e.query_id, e.passage_id)
-            if key in seen:
-                raise ContractViolation(
-                    f"duplicate (query, passage) pair {key} in run "
-                    f"{self.run_tag!r}")
-            seen.add(key)
-            prev = last_rank.get(e.query_id)
-            if prev is not None and e.rank <= prev:
-                raise ContractViolation(
-                    f"ranks not strictly increasing for query "
-                    f"{e.query_id!r} in run {self.run_tag!r}")
-            last_rank[e.query_id] = e.rank
+        for query_id, rows in self.by_query.items():
+            seen: set[str] = set()
+            last_rank = 0
+            for passage_id, rank, _ in rows:
+                if passage_id in seen:
+                    raise ContractViolation(
+                        f"duplicate (query, passage) pair "
+                        f"{(query_id, passage_id)} in run {self.run_tag!r}")
+                seen.add(passage_id)
+                if rank <= last_rank:
+                    if rank < 1:
+                        raise ContractViolation(
+                            f"rank must be >= 1, got {rank} "
+                            f"for ({query_id}, {passage_id})")
+                    raise ContractViolation(
+                        f"ranks not strictly increasing for query "
+                        f"{query_id!r} in run {self.run_tag!r}")
+                last_rank = rank
+
+    @classmethod
+    def from_entries(cls, run_tag: str, entries: Iterable[RunEntry]) -> Run:
+        """A run from entries given in rank order within each query;
+        queries keep the order they are first seen in."""
+        by_query: dict[str, list[tuple[str, int, float]]] = {}
+        for e in entries:
+            by_query.setdefault(e.query_id, []).append(
+                (e.passage_id, e.rank, e.score))
+        return cls(run_tag, by_query)
+
+    @property
+    def entries(self) -> tuple[RunEntry, ...]:
+        """Every row as a RunEntry, by query then rank; built on each call."""
+        return tuple(RunEntry(query_id, passage_id, rank, score)
+                     for query_id, rows in self.by_query.items()
+                     for passage_id, rank, score in rows)
 
     @property
     def query_ids(self) -> list[str]:
-        out: list[str] = []
-        for e in self.entries:
-            if not out or out[-1] != e.query_id:
-                if e.query_id not in out:
-                    out.append(e.query_id)
-        return out
+        return list(self.by_query)
 
-    def top_k(self, query_id: str, k: int) -> list[RunEntry]:
-        entries = [e for e in self.entries if e.query_id == query_id]
-        entries.sort(key=lambda e: e.rank)
-        return entries[:k]
+    def top_k(self, query_id: str, k: int) -> list[tuple[str, int, float]]:
+        """The query's first k (passage_id, rank, score) rows."""
+        return self.by_query.get(query_id, [])[:k]
 
 
 @dataclass(frozen=True)
@@ -261,3 +280,76 @@ def policy_is_correct(grade: Grade, policy: GradePolicy) -> bool:
     if grade.mode == QA_VERIFIED:
         return bool(grade.verified)
     return grade.rating >= policy.min_rating
+
+
+class GradeIndex:
+    """Grades of one mode, by (query, passage) pair and then question id.
+
+    Metrics read grades through an index built once per command. A pair is
+    in the index when it has a grade in the mode; a question graded twice
+    for the same pair keeps its last grade. Lookups take the question ids
+    that count, so grades of questions outside a bank are ignored.
+    """
+
+    def __init__(self, grades: Iterable[Grade], mode: str):
+        self.mode = mode
+        self._by_pair: dict[tuple[str, str], dict[str, Grade]] = {}
+        for g in grades:
+            if g.mode == mode:
+                pair = (g.query_id, g.passage_id)
+                by_question = self._by_pair.get(pair)
+                if by_question is None:
+                    by_question = self._by_pair[pair] = {}
+                by_question[g.question_id] = g
+
+    @classmethod
+    def of(cls, grades: Iterable[Grade] | GradeIndex, mode: str
+           ) -> GradeIndex:
+        """`grades` itself when it already is an index for `mode`."""
+        if isinstance(grades, GradeIndex):
+            if grades.mode != mode:
+                raise ContractViolation(
+                    f"grade index mode {grades.mode!r} does not match "
+                    f"policy mode {mode!r}")
+            return grades
+        return cls(grades, mode)
+
+    def __contains__(self, pair: tuple[str, str]) -> bool:
+        return pair in self._by_pair
+
+    def pairs(self) -> list[tuple[str, str]]:
+        """Every graded (query, passage) pair, sorted."""
+        return sorted(self._by_pair)
+
+    def question_ids(self) -> set[str]:
+        """Every question with a grade for some pair."""
+        return {qid for by_question in self._by_pair.values()
+                for qid in by_question}
+
+    def grades(self, query_id: str, passage_id: str,
+               question_ids: Container[str]) -> list[Grade]:
+        by_question = self._by_pair.get((query_id, passage_id), {})
+        return [g for qid, g in by_question.items() if qid in question_ids]
+
+    def correct(self, query_id: str, passage_id: str,
+                question_ids: Container[str], policy: GradePolicy
+                ) -> set[str]:
+        """The questions the passage answers correctly under the policy."""
+        return {g.question_id
+                for g in self.grades(query_id, passage_id, question_ids)
+                if policy_is_correct(g, policy)}
+
+    def label(self, query_id: str, passage_id: str,
+              question_ids: Container[str], policy: GradePolicy,
+              graded: bool = False) -> int:
+        """Binary: 1 iff at least `min_answers` questions are correct.
+        Graded: the highest self-rating on any question, 0 without one."""
+        if graded:
+            if policy.mode != SELF_RATED:
+                raise ContractViolation(
+                    "graded labels require a self_rated policy")
+            return max((g.rating for g in
+                        self.grades(query_id, passage_id, question_ids)),
+                       default=0)
+        correct = self.correct(query_id, passage_id, question_ids, policy)
+        return 1 if len(correct) >= policy.min_answers else 0

@@ -74,4 +74,4 @@ def make_run(tag, entries):
         counters[query_id] = rank
         run_entries.append(
             RunEntry(query_id, passage_id, rank, float(1000 - rank)))
-    return Run(run_tag=tag, entries=tuple(run_entries))
+    return Run.from_entries(tag, run_entries)

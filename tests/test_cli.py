@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -48,6 +51,21 @@ def test_missing_required_flag_exits_one(capsys):
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is only needed for rank correlations; importing it up front
+    # costs most of the CLI's start-up time.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["exam_eval"].__file__)))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, exam_eval.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert probe.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +189,22 @@ class TestPipeline:
             "--policy", "rate:4"]) == 0
         text = capsys.readouterr().out
         assert "mean\t1.0000" in text
+
+    def test_leaderboard_p_at_k(self, tmp_path):
+        write_pipeline_inputs(tmp_path)
+        out = tmp_path / "out"
+        run_pipeline(tmp_path, out)
+        assert main([
+            "leaderboard", "--bank", str(out / "bank.json"),
+            "--runs", str(tmp_path / "runs"),
+            "--grades", str(out / "grades.jsonl.gz"),
+            "--policy", "rate:4", "--metric", "p_at_k", "--depth", "2",
+            "--out", str(out / "lb_p.tsv")]) == 0
+        rows = {line.split("\t")[0]: line.split("\t")[1] for line in
+                (out / "lb_p.tsv").read_text().splitlines()[1:]}
+        # Only pA1 is relevant: sysA ranks it first for both queries.
+        assert rows == {"sysA": "0.5000", "_overall_": "0.5000",
+                        "sysB": "0.0000"}
 
     def test_correlate_subcommand(self, tmp_path, capsys):
         write_pipeline_inputs(tmp_path)

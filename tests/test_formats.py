@@ -49,6 +49,30 @@ class TestRunParsing:
             parse_run_file("q1 Q0 pA 1 1.0 sys\nq1 Q0 pB oops 1.0 sys\n")
         assert excinfo.value.line_no == 2
 
+    def test_duplicate_pair_rejected(self):
+        with pytest.raises(ContractViolation,
+                           match=r"duplicate \(query, passage\) pair"):
+            parse_run_file("q1 Q0 pA 1 2.0 sys\nq1 Q0 pA 2 1.0 sys\n")
+
+    def test_duplicate_rank_rejected(self):
+        with pytest.raises(ContractViolation,
+                           match="ranks not strictly increasing for query 'q1'"):
+            parse_run_file("q1 Q0 pA 3 2.0 sys\nq2 Q0 pA 3 2.0 sys\n"
+                           "q1 Q0 pB 3 1.0 sys\n")
+
+    def test_rank_zero_carries_line_number(self):
+        with pytest.raises(ParseError, match="rank must be >= 1") as excinfo:
+            parse_run_file("q1 Q0 pA 1 2.0 sys\nq1 Q0 pB 0 1.0 sys\n")
+        assert excinfo.value.line_no == 2
+
+    def test_rows_grouped_per_query_in_rank_order(self):
+        run = parse_run_file("q2 Q0 pC 1 3.0 sys\nq1 Q0 pB 7 1.0 sys\n"
+                             "q1 Q0 pA 2 2.0 sys\n")
+        assert run.query_ids == ["q1", "q2"]
+        assert run.top_k("q1", 5) == [("pA", 2, 2.0), ("pB", 7, 1.0)]
+        assert run.top_k("q1", 1) == [("pA", 2, 2.0)]
+        assert run.top_k("q3", 5) == []
+
     def test_inconsistent_tag_keeps_first(self, caplog):
         run = parse_run_file("q1 Q0 pA 1 2.0 one\nq1 Q0 pB 2 1.0 two\n")
         assert run.run_tag == "one"

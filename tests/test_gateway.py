@@ -65,6 +65,35 @@ class TestPromptRendering:
         with pytest.raises(ContractViolation):
             PromptTemplate("freestyle", "whatever")
 
+    def test_unbound_body_placeholder_rejected(self):
+        with pytest.raises(ContractViolation, match="context"):
+            PromptTemplate.named("qa").render(question="A?")
+
+
+BRACES_TEXT = ('config: {config} then {"key": [1, 2]} and '
+               '\\frac{a}{b} {question} {context}')
+
+
+@pytest.mark.parametrize("template_name, render", [
+    ("qa", render_qa_prompt), ("self_rating", render_self_rating_prompt)])
+class TestBracesRenderVerbatim:
+    def test_short_context(self, template_name, render):
+        question = "What does {config} hold?"
+        out = truncate_context(question, BRACES_TEXT, 512,
+                               template_name=template_name)
+        assert out == BRACES_TEXT
+        prompt = render(question, out)
+        assert prompt.endswith(f"Question: {question}\nContext: {BRACES_TEXT}")
+
+    def test_truncated_context(self, template_name, render):
+        context = " ".join([BRACES_TEXT] * 100)
+        out = truncate_context("A?", context, 128,
+                               template_name=template_name)
+        assert context.startswith(out) and len(out) < len(context)
+        prompt = render("A?", out)
+        assert prompt.endswith(f"Context: {out}")
+        assert token_count(prompt) <= 128
+
 
 class TestTruncation:
     def test_short_context_untouched(self):

@@ -236,6 +236,33 @@ class TestGradeCorpus:
             == sorted(parallel_store.read(), key=key)
 
 
+@pytest.mark.parametrize("mode", [QA_VERIFIED, SELF_RATED])
+def test_braces_passage_is_graded(tmp_path, mode):
+    # Braces in a passage or question are text, not template placeholders.
+    bank = QuestionBank({"q1": (
+        ExamQuestion("q1/q/0", "q1", "What does {config} set?",
+                     gold_answer="the {config} block"),)})
+    passages = {"q1": [
+        Passage("p-braces", 'It sets {config} = {"depth": 20} here.'),
+        Passage("p-plain", "plain text")]}
+    backend = MockBackend({"q1/q/0/p-braces": "5: the {config} block",
+                           "default": "0"})
+    store = GradeStore(tmp_path / "g.jsonl.gz")
+    summary = grade_corpus(bank, passages, mode, config(), store, backend)
+    assert summary.graded == 2 and not summary.failures
+    prompts = {r.meta("passage_id"): r.prompt for r in backend.request_log}
+    assert prompts["p-braces"].endswith(
+        'Question: What does {config} set?\n'
+        'Context: It sets {config} = {"depth": 20} here.')
+    by_pid = {g.passage_id: g for g in store.read()}
+    if mode == QA_VERIFIED:
+        assert by_pid["p-braces"].verified is True
+        assert by_pid["p-plain"].verified is False
+    else:
+        assert by_pid["p-braces"].rating == 5
+        assert by_pid["p-plain"].rating == 0
+
+
 class TestPassagePool:
     def test_union_of_runs_and_judgments(self):
         run_a = make_run("a", [("q1", "p1"), ("q1", "p2")])

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exam_eval.formats import parse_run_file
 from exam_eval.metrics import (
     CollapseSpec,
     UndefinedResult,
@@ -35,6 +36,7 @@ from exam_eval.model import (
     Grade,
     GradePolicy,
     Judgment,
+    QA_VERIFIED,
     QuestionBank,
     SELF_RATED,
 )
@@ -94,6 +96,62 @@ def brute_force_precision(run, qrels, k, level):
     return scores
 
 
+def brute_force_pool(runs, depth):
+    """Query -> set of passages some run ranks within its top depth."""
+    pooled = {}
+    for run in runs:
+        for e in run.entries:
+            ranks = sorted(f.rank for f in run.entries
+                           if f.query_id == e.query_id)
+            if e.rank in ranks[:depth]:
+                pooled.setdefault(e.query_id, set()).add(e.passage_id)
+    return pooled
+
+
+def brute_force_pooled_cover(runs, bank, grades, policy, depth):
+    pooled = brute_force_pool(runs, depth)
+    scores = {}
+    for query_id, questions in bank.questions_by_query.items():
+        if not questions:
+            continue
+        qids = {q.question_id for q in questions}
+        answered = {g.question_id for g in grades
+                    if g.mode == policy.mode and g.query_id == query_id
+                    and g.passage_id in pooled.get(query_id, set())
+                    and g.question_id in qids
+                    and g.rating >= policy.min_rating}
+        scores[query_id] = len(answered) / len(qids)
+    return scores
+
+
+def brute_force_qrels(grades, bank, policy):
+    """Binary labels: a row per pair with a graded bank question."""
+    bank_ids = {q.question_id for qs in bank.questions_by_query.values()
+                for q in qs}
+    correct, graded = {}, set()
+    for g in grades:
+        if g.mode == policy.mode and g.question_id in bank_ids:
+            pair = (g.query_id, g.passage_id)
+            graded.add(pair)
+            if g.rating >= policy.min_rating:
+                correct.setdefault(pair, set()).add(g.question_id)
+    return [Judgment(q, p, int(len(correct.get((q, p), ()))
+                           >= policy.min_answers)) for q, p in graded]
+
+
+def brute_force_pooled_precision(runs, qrels, k, level, depth):
+    """Best P@k an ideal ranking of the pooled passages reaches."""
+    rel = {(j.query_id, j.passage_id): max(j.grade, 0) for j in qrels}
+    judged = {j.query_id for j in qrels}
+    return {q: min(sum(1 for p in pids if rel.get((q, p), 0) >= level), k) / k
+            for q, pids in brute_force_pool(runs, depth).items()
+            if q in judged}
+
+
+def mean(scores):
+    return sum(scores.values()) / len(scores) if scores else 0.0
+
+
 def average_ranks(values):
     order = sorted(range(len(values)), key=lambda i: values[i])
     ranks = [0.0] * len(values)
@@ -137,6 +195,102 @@ def oracle_kendall_tau_b(a, b):
     denom = math.sqrt((concordant + discordant + ties_a)
                       * (concordant + discordant + ties_b))
     return (concordant - discordant) / denom
+
+
+# ---------------------------------------------------------------------------
+# Random scoring inputs for the oracle checks
+
+QUERIES = ("q0", "q1", "q2")
+PASSAGES = tuple(f"p{i}" for i in range(8))
+
+
+@st.composite
+def run_files(draw, tag):
+    """A run file as text: random passages and gapped ranks per query,
+    lines in random order."""
+    lines = []
+    for query_id in QUERIES:
+        pids = draw(st.lists(st.sampled_from(PASSAGES), min_size=1,
+                             unique=True))
+        ranks = draw(st.lists(st.integers(1, 99), min_size=len(pids),
+                              max_size=len(pids), unique=True))
+        lines += [f"{query_id} Q0 {p} {r} {1.0 / r:.4f} {tag}\n"
+                  for p, r in zip(pids, ranks)]
+    return "".join(draw(st.permutations(lines)))
+
+
+@st.composite
+def scoring_inputs(draw):
+    # q2 may end up with no questions; question index 4 is never in the
+    # bank, so its grades must be ignored.
+    bank = QuestionBank({q: tuple(
+        ExamQuestion(f"{q}/q/{i}", q, f"Q{i}?")
+        for i in range(draw(st.integers(0, 4)))) for q in QUERIES})
+    pair_keys = st.tuples(st.sampled_from(QUERIES), st.sampled_from(PASSAGES),
+                          st.integers(0, 4))
+    ratings = draw(st.dictionaries(pair_keys, st.integers(0, 5), max_size=60))
+    verdicts = draw(st.dictionaries(pair_keys, st.booleans(), max_size=10))
+    grades = [rated(q, p, f"{q}/q/{i}", r) for (q, p, i), r in ratings.items()]
+    grades += [Grade(q, p, f"{q}/q/{i}", QA_VERIFIED, verified=v)
+               for (q, p, i), v in verdicts.items()]
+    runs = [parse_run_file(draw(run_files(f"sys{i}")))
+            for i in range(draw(st.integers(1, 3)))]
+    policy = GradePolicy(SELF_RATED, min_rating=draw(st.integers(1, 5)),
+                         min_answers=draw(st.integers(1, 2)))
+    return bank, grades, runs, policy, draw(st.integers(1, 6))
+
+
+class TestAgainstOracles:
+    @given(scoring_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_exam_cover(self, inputs):
+        bank, grades, runs, policy, depth = inputs
+        for run in runs:
+            result = exam_cover(run, bank, grades, policy, CoverConfig(depth))
+            assert result.per_query == pytest.approx(
+                brute_force_cover(run, bank, grades, policy, depth))
+
+    @given(st.data(), st.integers(1, 8), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_precision_at_k(self, data, k, level):
+        run = parse_run_file(data.draw(run_files("sys")))
+        judged = data.draw(st.dictionaries(
+            st.tuples(st.sampled_from(QUERIES[:2]), st.sampled_from(PASSAGES)),
+            st.integers(-2, 3)))
+        qrels = [Judgment(q, p, g) for (q, p), g in judged.items()]
+        result = precision_at_k(run, qrels, k, level_for_rel=level)
+        assert result.per_query == pytest.approx(
+            brute_force_precision(run, qrels, k, level))
+
+    @given(scoring_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_leaderboard_cover_rows(self, inputs):
+        bank, grades, runs, policy, depth = inputs
+        result = leaderboard(runs, bank, grades, policy, metric="cover",
+                             cover=CoverConfig(depth))
+        rows = {r.system: r.score for r in result.rows}
+        assert rows[OVERALL_SYSTEM] == pytest.approx(mean(
+            brute_force_pooled_cover(runs, bank, grades, policy, depth)))
+        for run in runs:
+            assert rows[run.run_tag] == pytest.approx(mean(
+                brute_force_cover(run, bank, grades, policy, depth)))
+
+    @given(scoring_inputs(), st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_leaderboard_p_at_k_rows(self, inputs, k):
+        bank, grades, runs, policy, depth = inputs
+        result = leaderboard(runs, bank, grades, policy, metric="p_at_k",
+                             cover=CoverConfig(depth), k=k)
+        rows = {r.system: r.score for r in result.rows}
+        qrels = brute_force_qrels(grades, bank, policy)
+        assert sorted(build_qrels(grades, bank, policy),
+                      key=lambda j: (j.query_id, j.passage_id)) \
+            == sorted(qrels, key=lambda j: (j.query_id, j.passage_id))
+        assert rows[OVERALL_SYSTEM] == pytest.approx(mean(
+            brute_force_pooled_precision(runs, qrels, k, 1, depth)))
+        for run in runs:
+            assert rows[run.run_tag] == pytest.approx(mean(
+                brute_force_precision(run, qrels, k, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -101,9 +101,25 @@ def test_run_rank_and_duplicate_validation():
     with pytest.raises(ContractViolation):
         RunEntry("q1", "p1", 0, 1.0)
     with pytest.raises(ContractViolation):
-        Run("t", (RunEntry("q1", "p1", 1, 2.0), RunEntry("q1", "p1", 2, 1.0)))
+        Run.from_entries(
+            "t", (RunEntry("q1", "p1", 1, 2.0), RunEntry("q1", "p1", 2, 1.0)))
     with pytest.raises(ContractViolation):
-        Run("t", (RunEntry("q1", "p1", 2, 2.0), RunEntry("q1", "p2", 1, 1.0)))
+        Run.from_entries(
+            "t", (RunEntry("q1", "p1", 2, 2.0), RunEntry("q1", "p2", 1, 1.0)))
+
+
+def test_run_from_entries_keeps_first_seen_query_order():
+    entries = (RunEntry("q2", "p1", 1, 2.0), RunEntry("q1", "p2", 4, 1.0),
+               RunEntry("q2", "p3", 2, 0.5))
+    run = Run.from_entries("t", entries)
+    assert run.query_ids == ["q2", "q1"]
+    assert run.top_k("q2", 20) == [("p1", 1, 2.0), ("p3", 2, 0.5)]
+    assert run.entries == (entries[0], entries[2], entries[1])
+
+
+def test_run_rejects_rank_below_one():
+    with pytest.raises(ContractViolation, match="rank must be >= 1"):
+        Run("t", {"q1": [("p1", 0, 1.0)]})
 
 
 def test_judgment_negative_grades_clamped():
