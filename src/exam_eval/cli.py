@@ -21,6 +21,7 @@ from .model import (
     ContractViolation,
     CoverConfig,
     Facet,
+    GradeIndex,
     GradePolicy,
     Passage,
     QA_VERIFIED,
@@ -51,6 +52,11 @@ def parse_policy(text: str) -> GradePolicy:
                            min_answers=min_answers)
     raise ContractViolation(
         f"bad policy {text!r}; expected 'qa' or 'rate:<min_rating>'")
+
+
+def _grade_index(grades_path: str, policy: GradePolicy) -> GradeIndex:
+    """The store's grades of the policy mode, read once for a command."""
+    return GradeIndex(formats.GradeStore(grades_path).read(), policy.mode)
 
 
 def atomic_write(path: str | Path, text: str) -> None:
@@ -258,9 +264,9 @@ def cover(bank_path, run_path, grades_path, policy_text, depth, out):
     """Per-query coverage scores and their mean for one run."""
     bank = formats.load_question_bank(Path(bank_path).read_text())
     run = formats.load_run_file(run_path)
-    grades = formats.GradeStore(grades_path).read()
     policy = parse_policy(policy_text)
-    result = metrics.exam_cover(run, bank, grades, policy, CoverConfig(depth))
+    result = metrics.exam_cover(run, bank, _grade_index(grades_path, policy),
+                                policy, CoverConfig(depth))
     lines = ["query\tcover\n"]
     for query_id in sorted(result.per_query):
         lines.append(f"{query_id}\t{result.per_query[query_id]:.4f}\n")
@@ -279,9 +285,9 @@ def cover(bank_path, run_path, grades_path, policy_text, depth, out):
 def qrels(bank_path, grades_path, policy_text, graded, out):
     """Derive a qrels file from stored grades."""
     bank = formats.load_question_bank(Path(bank_path).read_text())
-    grades = formats.GradeStore(grades_path).read()
     policy = parse_policy(policy_text)
-    labels = metrics.build_qrels(grades, bank, policy, graded=graded)
+    labels = metrics.build_qrels(_grade_index(grades_path, policy), bank,
+                                 policy, graded=graded)
     _emit(formats.write_qrels(labels), out)
 
 
@@ -304,12 +310,11 @@ def leaderboard(bank_path, run_paths, grades_path, policy_text, metric,
     """Score all runs, including the pooled _overall_ row."""
     bank = formats.load_question_bank(Path(bank_path).read_text())
     runs = _load_runs(run_paths)
-    grades = formats.GradeStore(grades_path).read()
     policy = parse_policy(policy_text)
     official = (json.loads(Path(official_path).read_text())
                 if official_path else None)
     result = metrics.leaderboard(
-        runs, bank, grades, policy,
+        runs, bank, _grade_index(grades_path, policy), policy,
         metric=metric,
         cover=CoverConfig(depth), k=depth,
         official_ranks=official)
@@ -423,11 +428,11 @@ def agreement(labels_path, judgments_path, collapse_names, judgment_rel_min,
             raise ContractViolation(
                 "--min-answers requires --grades, --bank, and --policy")
         values = tuple(int(v) for v in min_answers.split(","))
-        grades = formats.GradeStore(grades_path).read()
-        bank = formats.load_question_bank(Path(bank_path).read_text())
         policy = parse_policy(policy_text)
+        bank = formats.load_question_bank(Path(bank_path).read_text())
         for _, table in metrics.min_answers_sweep(
-                grades, bank, policy, official, values, judgment_rel_min):
+                _grade_index(grades_path, policy), bank, policy, official,
+                values, judgment_rel_min):
             chunks.append(render(table))
 
     if not chunks:
@@ -447,9 +452,9 @@ def diff(old_path, new_path, grades_path, policy_text, out):
     """Show bank edits and the passages whose labels they flip."""
     old = formats.load_question_bank(Path(old_path).read_text())
     new = formats.load_question_bank(Path(new_path).read_text())
-    grades = formats.GradeStore(grades_path).read()
     policy = parse_policy(policy_text)
-    report = bank_mod.diff_banks(old, new, grades, policy)
+    report = bank_mod.diff_banks(old, new, _grade_index(grades_path, policy),
+                                 policy)
     lines = []
     for title, items in (("added", report.added), ("removed", report.removed),
                          ("edited", report.edited),

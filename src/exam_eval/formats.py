@@ -9,6 +9,7 @@ import gzip
 import json
 import logging
 import os
+import zlib
 from operator import itemgetter
 from pathlib import Path
 
@@ -16,9 +17,12 @@ from .model import (
     ContractViolation,
     ExamQuestion,
     Grade,
+    GradeKey,
+    GradeRow,
     Judgment,
     QuestionBank,
     Run,
+    check_grade,
 )
 
 log = logging.getLogger(__name__)
@@ -171,6 +175,8 @@ def load_question_bank(text: str) -> QuestionBank:
         query_id = entry.get("query_id")
         if not query_id:
             raise ParseError("query entry missing 'query_id'")
+        if type(query_id) is not str:
+            raise ParseError(f"query_id {query_id!r} must be a string")
         if query_id in by_query:
             raise ParseError(f"duplicate query_id {query_id!r}")
         questions = []
@@ -224,18 +230,44 @@ def _grade_to_json(grade: Grade) -> str:
     return json.dumps(record, ensure_ascii=False, sort_keys=True)
 
 
-def _grade_from_json(line: str, line_no: int) -> Grade:
+_DECODER = json.JSONDecoder()
+_REQUIRED_FIELDS = _GRADE_FIELDS[:4]
+_ALL_FIELDS = frozenset(_GRADE_FIELDS)
+_get_fields = itemgetter(*_GRADE_FIELDS)
+
+
+def _decode_grade(line: str, line_no: int) -> tuple[GradeKey, GradeRow]:
+    """One store line as its key and row.
+
+    The record's shape is checked here, its fields by `check_grade`, the
+    rule `Grade` itself applies.
+    """
     try:
-        record = json.loads(line)
+        record = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", line_no) from None
-    unknown = set(record) - set(_GRADE_FIELDS)
-    if unknown:
-        raise ParseError(f"unknown grade fields {sorted(unknown)}", line_no)
+    if type(record) is not dict:
+        raise ParseError(
+            f"grade record must be a JSON object, got "
+            f"{type(record).__name__}", line_no)
+    if record.keys() != _ALL_FIELDS:
+        unknown = record.keys() - _ALL_FIELDS
+        if unknown:
+            raise ParseError(
+                f"unknown grade fields {sorted(unknown)}", line_no)
+        missing = [f for f in _REQUIRED_FIELDS if f not in record]
+        if missing:
+            raise ParseError(f"missing grade fields {missing}", line_no)
+        record = {"answer_text": None, "verified": None, "rating": None,
+                  **record}
+    query_id, passage_id, question_id, mode, answer_text, verified, rating \
+        = _get_fields(record)
     try:
-        return Grade(**record)
+        check_grade(query_id, passage_id, question_id, mode, verified, rating)
     except (ContractViolation, TypeError) as exc:
         raise ParseError(str(exc), line_no) from None
+    return ((query_id, passage_id, question_id, mode),
+            (answer_text, verified, rating))
 
 
 class GradeStore:
@@ -282,29 +314,31 @@ class GradeStore:
         finally:
             self._release_lock()
 
-    def read(self) -> list[Grade]:
-        """All grades, deduplicated last-writer-wins, in first-seen key order."""
+    def read(self) -> dict[GradeKey, GradeRow]:
+        """Every stored grade as key -> (answer_text, verified, rating),
+        deduplicated last-writer-wins, in first-seen key order.
+
+        Lines are decoded one at a time as the gzip stream is read; a bad
+        line raises `ParseError` with its line number, and a damaged file
+        raises `ParseError` naming the store as corrupt.
+        """
+        rows: dict[GradeKey, GradeRow] = {}
         if not self.path.exists():
-            return []
-        by_key: dict[tuple, Grade] = {}
+            return rows
         try:
             with gzip.open(self.path, "rt", encoding="utf-8") as fh:
                 for line_no, line in enumerate(fh, start=1):
-                    if not line.strip():
+                    if line.isspace():
                         continue
-                    grade = _grade_from_json(line, line_no)
-                    by_key[grade.key] = grade
-        except (OSError, EOFError) as exc:
+                    key, row = _decode_grade(line, line_no)
+                    rows[key] = row
+        except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
             raise ParseError(f"corrupt grade store {self.path}: {exc}") from None
-        return list(by_key.values())
+        return rows
 
-    def keys(self) -> set[tuple[str, str, str, str]]:
-        return {g.key for g in self.read()}
+    def grades(self) -> list[Grade]:
+        """`read` as `Grade` objects."""
+        return [Grade(*key, *row) for key, row in self.read().items()]
 
-
-def append_grades(store: GradeStore, grades: list[Grade]) -> None:
-    store.append(grades)
-
-
-def read_grades(store: GradeStore) -> list[Grade]:
-    return store.read()
+    def keys(self) -> set[GradeKey]:
+        return set(self.read())

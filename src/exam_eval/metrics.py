@@ -20,6 +20,8 @@ from .model import (
     Judgment,
     QuestionBank,
     Run,
+    label_of,
+    n_passing,
 )
 
 log = logging.getLogger(__name__)
@@ -106,7 +108,7 @@ def relevance_labels(grades: list[Grade], policy: GradePolicy,
             f"grades span multiple (query, passage) pairs: {sorted(pairs)}")
     # Without grades there is no pair, and any key labels 0.
     query_id, passage_id = next(iter(pairs), ("", ""))
-    return GradeIndex(grades, policy.mode).label(
+    return GradeIndex.of(grades, policy.mode).label(
         query_id, passage_id, {g.question_id for g in grades}, policy,
         graded=graded)
 
@@ -121,12 +123,9 @@ def build_qrels(grades: Iterable[Grade] | GradeIndex, bank: QuestionBank,
     mode.
     """
     index = GradeIndex.of(grades, policy.mode)
-    question_ids = set(bank.by_question_id())
-    return [Judgment(query_id, passage_id,
-                     index.label(query_id, passage_id, question_ids, policy,
-                                 graded=graded))
-            for query_id, passage_id in index.pairs()
-            if index.grades(query_id, passage_id, question_ids)]
+    return [Judgment(query_id, passage_id, label_of(outcomes, policy, graded))
+            for query_id, passage_id, outcomes
+            in index.graded_pairs(set(bank.by_question_id()))]
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +519,18 @@ def min_answers_sweep(grades: Iterable[Grade] | GradeIndex,
                       ) -> list[tuple[int, ConfusionTable]]:
     """Binary agreement tables for a sweep of min_answers thresholds."""
     index = GradeIndex.of(grades, policy.mode)
+    # Each pair's correct bank questions are counted once for all values.
+    n_correct = [(query_id, passage_id, n_passing(outcomes, policy))
+                 for query_id, passage_id, outcomes
+                 in index.graded_pairs(set(bank.by_question_id()))]
     observed_judgments = {j.relevance for j in official}
     out = []
     for n in values:
         swept = GradePolicy(mode=policy.mode, min_rating=policy.min_rating,
                             min_answers=n)
-        labels = build_qrels(index, bank, swept, graded=False)
+        labels = [Judgment(query_id, passage_id,
+                           1 if count >= swept.min_answers else 0)
+                  for query_id, passage_id, count in n_correct]
         spec = collapse_for("binary", {j.relevance for j in labels} | {0, 1},
                             observed_judgments, judgment_rel_min)
         table = confusion_table(labels, official, spec)

@@ -6,12 +6,18 @@ construction time; no I/O and no inference happens in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable
+from typing import Container, Iterable, Mapping
 
 
 QA_VERIFIED = "qa_verified"
 SELF_RATED = "self_rated"
 GRADE_MODES = (QA_VERIFIED, SELF_RATED)
+
+# A stored grade as the store decodes it: the key
+# (query_id, passage_id, question_id, mode) maps to the row
+# (answer_text, verified, rating).
+GradeKey = tuple[str, str, str, str]
+GradeRow = tuple[str | None, bool | None, int | None]
 
 
 class ContractViolation(ValueError):
@@ -52,6 +58,10 @@ class ExamQuestion:
     gold_answer: str | None = None
 
     def __post_init__(self):
+        if not (type(self.question_id) is type(self.query_id) is str):
+            raise ContractViolation(
+                f"question {self.question_id!r}: question_id and query_id "
+                f"must be strings")
         if not self.question_id:
             raise ContractViolation("question_id must be non-empty")
         if not self.text:
@@ -182,6 +192,33 @@ class Run:
         return self.by_query.get(query_id, [])[:k]
 
 
+def check_grade(query_id: str, passage_id: str, question_id: str,
+                mode: str, verified: bool | None, rating: int | None) -> None:
+    """The rule for a grade's fields.
+
+    The three ids are strings. A qa_verified grade carries a verdict and no
+    rating; a self_rated grade carries a rating in [0, 5] and no verdict.
+    Grades built in memory and grades decoded from the store are both
+    checked here, so the store never holds a grade that reading rejects.
+    """
+    if not type(query_id) is type(passage_id) is type(question_id) is str:
+        raise ContractViolation(
+            "query_id, passage_id and question_id must be strings")
+    if mode == QA_VERIFIED:
+        if verified is None or rating is not None:
+            raise ContractViolation(
+                "qa_verified grade needs `verified` and no `rating`")
+    elif mode == SELF_RATED:
+        if rating is None or verified is not None:
+            raise ContractViolation(
+                "self_rated grade needs `rating` and no `verified`")
+        if not 0 <= rating <= 5:
+            raise ContractViolation(
+                f"rating must be in [0, 5], got {rating}")
+    else:
+        raise ContractViolation(f"unknown grade mode {mode!r}")
+
+
 @dataclass(frozen=True)
 class Grade:
     """One grading outcome for a (query, passage, question) triple.
@@ -199,22 +236,11 @@ class Grade:
     rating: int | None = None
 
     def __post_init__(self):
-        if self.mode not in GRADE_MODES:
-            raise ContractViolation(f"unknown grade mode {self.mode!r}")
-        if self.mode == QA_VERIFIED:
-            if self.verified is None or self.rating is not None:
-                raise ContractViolation(
-                    "qa_verified grade needs `verified` and no `rating`")
-        else:
-            if self.rating is None or self.verified is not None:
-                raise ContractViolation(
-                    "self_rated grade needs `rating` and no `verified`")
-            if not 0 <= self.rating <= 5:
-                raise ContractViolation(
-                    f"rating must be in [0, 5], got {self.rating}")
+        check_grade(self.query_id, self.passage_id, self.question_id,
+                    self.mode, self.verified, self.rating)
 
     @property
-    def key(self) -> tuple[str, str, str, str]:
+    def key(self) -> GradeKey:
         return (self.query_id, self.passage_id, self.question_id, self.mode)
 
 
@@ -267,52 +293,82 @@ class CoverConfig:
             raise ContractViolation(f"depth must be >= 1, got {self.depth}")
 
 
-def policy_is_correct(grade: Grade, policy: GradePolicy) -> bool:
-    """Decide whether a grade counts as a correctly answered question.
+def passes(outcome: bool | int, policy: GradePolicy) -> bool:
+    """The pass rule: a qa_verified verdict passes when true, a self_rated
+    rating when it reaches the policy's `min_rating`."""
+    if policy.mode == QA_VERIFIED:
+        return bool(outcome)
+    return outcome >= policy.min_rating
 
-    qa_verified grades pass through their verification verdict; self_rated
-    grades pass when the rating meets the policy threshold.
-    """
+
+def policy_is_correct(grade: Grade, policy: GradePolicy) -> bool:
+    """Decide whether a grade counts as a correctly answered question."""
     if grade.mode != policy.mode:
         raise ContractViolation(
             f"grade mode {grade.mode!r} does not match "
             f"policy mode {policy.mode!r}")
-    if grade.mode == QA_VERIFIED:
-        return bool(grade.verified)
-    return grade.rating >= policy.min_rating
+    return passes(grade.verified if grade.mode == QA_VERIFIED
+                  else grade.rating, policy)
+
+
+def label_of(outcomes: Iterable[bool | int], policy: GradePolicy,
+             graded: bool = False) -> int:
+    """A passage's label from the outcomes of its counted questions.
+
+    Binary: 1 iff at least `min_answers` outcomes pass. Graded: the highest
+    self-rating, 0 without one.
+    """
+    if graded:
+        if policy.mode != SELF_RATED:
+            raise ContractViolation(
+                "graded labels require a self_rated policy")
+        return max(outcomes, default=0)
+    return 1 if n_passing(outcomes, policy) >= policy.min_answers else 0
+
+
+def n_passing(outcomes: Iterable[bool | int], policy: GradePolicy) -> int:
+    """How many outcomes pass; a binary label is 1 iff this reaches
+    `min_answers`."""
+    return sum(1 for o in outcomes if passes(o, policy))
 
 
 class GradeIndex:
-    """Grades of one mode, by (query, passage) pair and then question id.
+    """Grade outcomes of one mode, by (query, passage) pair and question id.
 
-    Metrics read grades through an index built once per command. A pair is
-    in the index when it has a grade in the mode; a question graded twice
-    for the same pair keeps its last grade. Lookups take the question ids
-    that count, so grades of questions outside a bank are ignored.
+    Metrics read grades through an index built once per command from
+    decoded store rows (see `GradeRow`). Only each grade's outcome is kept:
+    the verdict in qa_verified mode, the rating in self_rated mode. A pair
+    is in the index when it has a grade in the mode. Lookups take the
+    question ids that count, so grades of questions outside a bank are
+    ignored.
     """
 
-    def __init__(self, grades: Iterable[Grade], mode: str):
+    def __init__(self, rows: Mapping[GradeKey, GradeRow], mode: str):
         self.mode = mode
-        self._by_pair: dict[tuple[str, str], dict[str, Grade]] = {}
-        for g in grades:
-            if g.mode == mode:
-                pair = (g.query_id, g.passage_id)
-                by_question = self._by_pair.get(pair)
+        slot = 1 if mode == QA_VERIFIED else 2
+        by_pair: dict[tuple[str, str], dict[str, bool | int]] = {}
+        for (query_id, passage_id, question_id, row_mode), row in rows.items():
+            if row_mode == mode:
+                by_question = by_pair.get((query_id, passage_id))
                 if by_question is None:
-                    by_question = self._by_pair[pair] = {}
-                by_question[g.question_id] = g
+                    by_question = by_pair[query_id, passage_id] = {}
+                by_question[question_id] = row[slot]
+        self._by_pair = by_pair
 
     @classmethod
     def of(cls, grades: Iterable[Grade] | GradeIndex, mode: str
            ) -> GradeIndex:
-        """`grades` itself when it already is an index for `mode`."""
+        """An index of `grades` for `mode`; a question graded twice for the
+        same pair keeps its last grade. `grades` itself when it already is
+        an index for `mode`."""
         if isinstance(grades, GradeIndex):
             if grades.mode != mode:
                 raise ContractViolation(
                     f"grade index mode {grades.mode!r} does not match "
                     f"policy mode {mode!r}")
             return grades
-        return cls(grades, mode)
+        return cls({g.key: (g.answer_text, g.verified, g.rating)
+                    for g in grades}, mode)
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
         return pair in self._by_pair
@@ -326,30 +382,33 @@ class GradeIndex:
         return {qid for by_question in self._by_pair.values()
                 for qid in by_question}
 
-    def grades(self, query_id: str, passage_id: str,
-               question_ids: Container[str]) -> list[Grade]:
+    def outcomes(self, query_id: str, passage_id: str,
+                 question_ids: Container[str]) -> list[bool | int]:
         by_question = self._by_pair.get((query_id, passage_id), {})
-        return [g for qid, g in by_question.items() if qid in question_ids]
+        return [o for qid, o in by_question.items() if qid in question_ids]
+
+    def graded_pairs(self, question_ids: Container[str]
+                     ) -> list[tuple[str, str, list[bool | int]]]:
+        """Each pair with a grade for one of the questions, sorted, with
+        the outcomes of those questions."""
+        out = []
+        for query_id, passage_id in self.pairs():
+            outcomes = self.outcomes(query_id, passage_id, question_ids)
+            if outcomes:
+                out.append((query_id, passage_id, outcomes))
+        return out
 
     def correct(self, query_id: str, passage_id: str,
                 question_ids: Container[str], policy: GradePolicy
                 ) -> set[str]:
         """The questions the passage answers correctly under the policy."""
-        return {g.question_id
-                for g in self.grades(query_id, passage_id, question_ids)
-                if policy_is_correct(g, policy)}
+        by_question = self._by_pair.get((query_id, passage_id), {})
+        return {qid for qid, o in by_question.items()
+                if qid in question_ids and passes(o, policy)}
 
     def label(self, query_id: str, passage_id: str,
               question_ids: Container[str], policy: GradePolicy,
               graded: bool = False) -> int:
-        """Binary: 1 iff at least `min_answers` questions are correct.
-        Graded: the highest self-rating on any question, 0 without one."""
-        if graded:
-            if policy.mode != SELF_RATED:
-                raise ContractViolation(
-                    "graded labels require a self_rated policy")
-            return max((g.rating for g in
-                        self.grades(query_id, passage_id, question_ids)),
-                       default=0)
-        correct = self.correct(query_id, passage_id, question_ids, policy)
-        return 1 if len(correct) >= policy.min_answers else 0
+        """The pair's label over the given questions (see `label_of`)."""
+        return label_of(self.outcomes(query_id, passage_id, question_ids),
+                        policy, graded)

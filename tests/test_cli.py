@@ -1,3 +1,4 @@
+import gzip
 import json
 import os
 import subprocess
@@ -6,10 +7,12 @@ import sys
 import pytest
 
 from exam_eval.cli import main, parse_policy, read_config_file
+from exam_eval.formats import GradeStore, ParseError, save_question_bank
 from exam_eval.model import (
     ContractViolation,
     GradePolicy,
     QA_VERIFIED,
+    QuestionBank,
     SELF_RATED,
 )
 
@@ -66,6 +69,24 @@ def test_cli_import_leaves_scipy_unloaded():
          "import sys, exam_eval.cli; print('scipy' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60, check=True)
     assert probe.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("data", [
+    # A gzip header, then a deflate block of the reserved type 3.
+    b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff\x07",
+    gzip.compress(b'{"query_id": "\xff"}\n'),
+], ids=["bad-deflate-block", "invalid-utf8"])
+def test_corrupt_store_reported(tmp_path, capsys, data):
+    store_path = tmp_path / "grades.jsonl.gz"
+    store_path.write_bytes(data)
+    with pytest.raises(ParseError, match="corrupt grade store"):
+        GradeStore(store_path).read()
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_text(save_question_bank(QuestionBank({})))
+    assert main(["qrels", "--bank", str(bank_path), "--grades",
+                 str(store_path), "--policy", "rate:4"]) == 1
+    assert f"error: corrupt grade store {store_path}" \
+        in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +160,21 @@ ARTIFACTS = ["bank.json", "grades.jsonl.gz", "exam.qrels",
 
 
 class TestPipeline:
+    def test_bank_with_int_ids_writes_no_store(self, tmp_path, capsys):
+        # Reading rejects non-string ids, so grading must not store them.
+        write_pipeline_inputs(tmp_path)
+        bank = tmp_path / "bank.json"
+        bank.write_text(json.dumps({"queries": [{"query_id": "q1", "questions": [
+            {"question_id": 7, "text": "First question?"}]}]}))
+        store = tmp_path / "grades.jsonl.gz"
+        assert main([
+            "grade", "--bank", str(bank), "--runs", str(tmp_path / "runs"),
+            "--passages", str(tmp_path / "passages.json"),
+            "--mode", "rate", "--mock", str(tmp_path / "grade_mock.json"),
+            "--store", str(store)]) == 1
+        assert "must be strings" in capsys.readouterr().err
+        assert not store.exists()
+
     def test_end_to_end_and_determinism(self, tmp_path):
         write_pipeline_inputs(tmp_path)
         run_pipeline(tmp_path, tmp_path / "out1")

@@ -1,7 +1,10 @@
 import gzip
+import json
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from exam_eval.formats import (
     GradeStore,
@@ -12,14 +15,19 @@ from exam_eval.formats import (
     save_question_bank,
     write_qrels,
 )
+from exam_eval.metrics import build_qrels, exam_cover
 from exam_eval.model import (
     ContractViolation,
     ExamQuestion,
     Grade,
+    GradeIndex,
+    GradePolicy,
     Judgment,
+    QA_VERIFIED,
     QuestionBank,
     SELF_RATED,
 )
+from conftest import make_run
 
 
 class TestRunParsing:
@@ -151,6 +159,14 @@ class TestQuestionBank:
         with pytest.raises(ContractViolation):
             load_question_bank(text)
 
+    def test_non_string_ids_rejected(self):
+        text = """{"queries": [{"query_id": "q1", "questions": [
+            {"question_id": 7, "text": "A?"}]}]}"""
+        with pytest.raises(ContractViolation, match="must be strings"):
+            load_question_bank(text)
+        with pytest.raises(ParseError, match="must be a string"):
+            load_question_bank('{"queries": [{"query_id": 1}]}')
+
     def test_missing_text_rejected(self):
         text = '{"queries": [{"query_id": "q1", "questions": [{"question_id": "x"}]}]}'
         with pytest.raises(ParseError):
@@ -165,17 +181,17 @@ class TestGradeStore:
     def test_append_read(self, tmp_path):
         store = GradeStore(tmp_path / "g.jsonl.gz")
         store.append([rated("q1", "p1", "qq1", 3), rated("q1", "p2", "qq1", 0)])
-        assert len(store.read()) == 2
+        assert len(store.grades()) == 2
 
     def test_last_writer_wins(self, tmp_path):
         store = GradeStore(tmp_path / "g.jsonl.gz")
         store.append([rated("q1", "p1", "qq1", 2)])
         store.append([rated("q1", "p1", "qq1", 4)])
-        [grade] = store.read()
+        [grade] = store.grades()
         assert grade.rating == 4
 
     def test_missing_file_reads_empty(self, tmp_path):
-        assert GradeStore(tmp_path / "nope.jsonl.gz").read() == []
+        assert GradeStore(tmp_path / "nope.jsonl.gz").grades() == []
 
     def test_lock_excludes_second_writer(self, tmp_path):
         store = GradeStore(tmp_path / "g.jsonl.gz")
@@ -186,14 +202,14 @@ class TestGradeStore:
         finally:
             store._release_lock()
         store.append([rated("q1", "p1", "qq1", 1)])
-        assert len(store.read()) == 1
+        assert len(store.grades()) == 1
 
     def test_corrupt_line_reports_position(self, tmp_path):
         path = tmp_path / "g.jsonl.gz"
         with gzip.open(path, "wt") as fh:
             fh.write('{"query_id": "q1"\n')
         with pytest.raises(ParseError):
-            GradeStore(path).read()
+            GradeStore(path).grades()
 
     def test_bulk_round_trip(self, tmp_path):
         # 10,000 synthetic grades survive a write/read cycle losslessly
@@ -205,5 +221,156 @@ class TestGradeStore:
         expected = {}
         for g in grades:
             expected[g.key] = g
-        assert sorted(store.read(), key=lambda g: g.key) \
+        assert sorted(store.grades(), key=lambda g: g.key) \
             == sorted(expected.values(), key=lambda g: g.key)
+
+
+# ---------------------------------------------------------------------------
+# Grade store decode
+
+def store_line(**record):
+    base = {"query_id": "q1", "passage_id": "p1", "question_id": "qq1",
+            "mode": SELF_RATED, "answer_text": "4", "verified": None,
+            "rating": 4}
+    return json.dumps({**base, **record})
+
+
+def write_store_lines(path, lines):
+    with gzip.open(path, "wt", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+
+
+GOOD_LINES = [store_line(passage_id=f"p{i}") for i in range(4)]
+
+
+class TestGradeStoreDecode:
+    @pytest.mark.parametrize("bad, message", [
+        ('{"query_id": "q1"', "invalid JSON"),
+        (GOOD_LINES[0] + "," + GOOD_LINES[1], "invalid JSON"),
+        ('{"query_id": "q1", "passage_id": "p9",', "invalid JSON"),
+        ("[1]", "must be a JSON object"),
+        (store_line(extra=1), r"unknown grade fields \['extra'\]"),
+        (json.dumps({"passage_id": "p1", "question_id": "qq1",
+                     "mode": SELF_RATED, "rating": 4}),
+         r"missing grade fields \['query_id'\]"),
+        (store_line(query_id=["q1"]), "must be strings"),
+        (store_line(question_id=7), "must be strings"),
+        (store_line(mode="vibes"), "unknown grade mode 'vibes'"),
+        (store_line(rating=6), r"rating must be in \[0, 5\], got 6"),
+        (store_line(verified=True), "self_rated grade needs `rating`"),
+        (store_line(mode=QA_VERIFIED, rating=None),
+         "qa_verified grade needs `verified`"),
+    ], ids=["invalid-json", "two-objects", "split-object", "array",
+            "unknown-field", "missing-query-id", "list-query-id",
+            "int-question-id",
+            "unknown-mode",
+            "rating-6", "rating-and-verified", "qa-without-verified"])
+    def test_bad_line_reports_its_number(self, tmp_path, bad, message):
+        path = tmp_path / "g.jsonl.gz"
+        # The split object's second half is line 6, after the bad line 5.
+        write_store_lines(path, GOOD_LINES + [bad, '"rating": 4}',
+                                              GOOD_LINES[0]])
+        with pytest.raises(ParseError, match=message) as excinfo:
+            GradeStore(path).read()
+        assert excinfo.value.line_no == 5
+
+    def test_blank_and_padded_lines(self, tmp_path):
+        path = tmp_path / "g.jsonl.gz"
+        write_store_lines(path, ["", GOOD_LINES[0], "   ", "\t \r",
+                                 "  " + GOOD_LINES[1] + " \t", ""])
+        assert [g.passage_id for g in GradeStore(path).grades()] \
+            == ["p0", "p1"]
+        write_store_lines(path, ["", "  ", GOOD_LINES[0], "\t", "[1]"])
+        with pytest.raises(ParseError) as excinfo:
+            GradeStore(path).read()
+        assert excinfo.value.line_no == 5
+
+    def test_last_line_without_newline(self, tmp_path):
+        path = tmp_path / "g.jsonl.gz"
+        path.write_bytes(gzip.compress(GOOD_LINES[0].encode()))
+        assert [g.passage_id for g in GradeStore(path).grades()] == ["p0"]
+        path.write_bytes(gzip.compress((GOOD_LINES[0] + "x").encode()))
+        with pytest.raises(ParseError, match="invalid JSON"):
+            GradeStore(path).read()
+
+    @pytest.mark.parametrize("fields", [
+        {"query_id": ["q1"]}, {"passage_id": None}, {"question_id": 7},
+        {"mode": "vibes"}, {"rating": 6}, {"verified": True},
+        {"mode": QA_VERIFIED, "rating": None},
+    ], ids=["list-query-id", "null-passage-id", "int-question-id",
+            "unknown-mode", "rating-6", "rating-and-verified",
+            "qa-without-verified"])
+    def test_grade_rejects_what_reading_rejects(self, tmp_path, fields):
+        # `append` takes only `Grade`s, so no store can hold a line that
+        # reading rejects for its fields.
+        record = json.loads(store_line(**fields))
+        with pytest.raises(ContractViolation):
+            Grade(**record)
+        path = tmp_path / "g.jsonl.gz"
+        write_store_lines(path, [json.dumps(record)])
+        with pytest.raises(ParseError):
+            GradeStore(path).read()
+
+    def test_rows_and_keys(self, tmp_path):
+        store = GradeStore(tmp_path / "g.jsonl.gz")
+        store.append([Grade("q1", "p1", "qq1", SELF_RATED, "3", rating=3),
+                      Grade("q1", "p1", "qq1", QA_VERIFIED, "x",
+                            verified=True)])
+        assert store.read() == {
+            ("q1", "p1", "qq1", SELF_RATED): ("3", None, 3),
+            ("q1", "p1", "qq1", QA_VERIFIED): ("x", True, None)}
+        assert store.keys() == set(store.read())
+
+
+ANSWER_TEXTS = st.none() | st.lists(st.sampled_from(
+    ["a", " ", " ", "\x85", "\r", "\n", "{braces}", '"', "'", "\\",
+     "é", "日本"]), max_size=6).map("".join)
+
+
+@st.composite
+def grades(draw):
+    key = (draw(st.sampled_from(["q1", "q2"])),
+           draw(st.sampled_from(["p1", "p2", "p3"])),
+           draw(st.sampled_from(["q1/a", "q1/b", "q2/a", "off-bank"])))
+    mode = draw(st.sampled_from([QA_VERIFIED, SELF_RATED]))
+    if mode == QA_VERIFIED:
+        return Grade(*key, mode, draw(ANSWER_TEXTS),
+                     verified=draw(st.booleans()))
+    return Grade(*key, mode, draw(ANSWER_TEXTS), rating=draw(st.integers(0, 5)))
+
+
+ROUND_TRIP_BANK = QuestionBank({
+    "q1": (ExamQuestion("q1/a", "q1", "A?"), ExamQuestion("q1/b", "q1", "B?")),
+    "q2": (ExamQuestion("q2/a", "q2", "C?"),)})
+
+
+@settings(deadline=None)
+@given(batches=st.lists(st.lists(grades(), max_size=8), min_size=1,
+                        max_size=4))
+def test_store_round_trip_matches_oracle(batches):
+    all_grades = [g for batch in batches for g in batch]
+    first_seen: list = []
+    for g in all_grades:
+        if g.key not in first_seen:
+            first_seen.append(g.key)
+    expected = [[g for g in all_grades if g.key == key][-1]
+                for key in first_seen]
+    with tempfile.TemporaryDirectory() as tmp:
+        store = GradeStore(Path(tmp) / "g.jsonl.gz")
+        for batch in batches:       # one gzip member per append
+            store.append(batch)
+        assert store.grades() == expected
+        rows = store.read()
+    run = make_run("sys", [(q, p) for q in ("q1", "q2")
+                           for p in ("p1", "p2", "p3")])
+    for policy in (GradePolicy(QA_VERIFIED), GradePolicy(SELF_RATED, 3),
+                   GradePolicy(SELF_RATED, 1, min_answers=2)):
+        index = GradeIndex(rows, policy.mode)
+        assert vars(index) == vars(GradeIndex.of(all_grades, policy.mode))
+        assert build_qrels(index, ROUND_TRIP_BANK, policy) \
+            == build_qrels(expected, ROUND_TRIP_BANK, policy)
+        if policy.mode == SELF_RATED:
+            assert build_qrels(index, ROUND_TRIP_BANK, policy, graded=True) \
+                == build_qrels(expected, ROUND_TRIP_BANK, policy, graded=True)
+        assert exam_cover(run, ROUND_TRIP_BANK, index, policy) \
+            == exam_cover(run, ROUND_TRIP_BANK, expected, policy)

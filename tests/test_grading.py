@@ -189,7 +189,7 @@ class TestGradeCorpus:
         summary = grade_corpus(bank, passages, SELF_RATED, config(),
                                store, backend)
         assert summary.graded == 24
-        assert len(store.read()) == 24
+        assert len(store.grades()) == 24
         assert len(backend.request_log) == 24
 
     def test_resume_skips_complete_store(self, tmp_path):
@@ -232,8 +232,8 @@ class TestGradeCorpus:
                      BackendConfig(parallelism=4), parallel_store,
                      MockBackend({"default": "2"}))
         key = lambda g: g.key
-        assert sorted(serial_store.read(), key=key) \
-            == sorted(parallel_store.read(), key=key)
+        assert sorted(serial_store.grades(), key=key) \
+            == sorted(parallel_store.grades(), key=key)
 
 
 @pytest.mark.parametrize("mode", [QA_VERIFIED, SELF_RATED])
@@ -254,7 +254,7 @@ def test_braces_passage_is_graded(tmp_path, mode):
     assert prompts["p-braces"].endswith(
         'Question: What does {config} set?\n'
         'Context: It sets {config} = {"depth": 20} here.')
-    by_pid = {g.passage_id: g for g in store.read()}
+    by_pid = {g.passage_id: g for g in store.grades()}
     if mode == QA_VERIFIED:
         assert by_pid["p-braces"].verified is True
         assert by_pid["p-plain"].verified is False
