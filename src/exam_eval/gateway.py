@@ -6,6 +6,7 @@ real inference, or a deterministic mock for tests and fixture pipelines.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import logging
 import os
@@ -150,40 +151,47 @@ def token_count(text: str, tokenizer: Tokenizer = whitespace_tokenize) -> int:
     return len(tokenizer(text))
 
 
+_TOKEN = re.compile(r"\S+")
+# Templates whose last field is `{context}`, after whitespace.
+_TRUNCATABLE = frozenset(name for name, body in PROMPT_TEMPLATES.items()
+                         if re.search(r"\s\{context\}\Z", body))
+
+
 class BudgetExceeded(ValueError):
     """Template plus question alone exceed the token budget."""
 
 
 def truncate_context(question: str, context: str, budget: int,
-                     template_name: str = "qa",
-                     tokenizer: Tokenizer = whitespace_tokenize) -> str:
+                     template_name: str = "qa") -> str:
     """Shorten the context so the rendered prompt fits the token budget.
 
-    The returned context is a character prefix of the input; the question
-    and template text are never touched. Raises BudgetExceeded when the
-    prompt cannot fit even with an empty context.
+    The context keeps its longest whitespace-token prefix for which the
+    whole prompt fits; the returned context is that character prefix,
+    ending at the last kept token, and the question and template text are
+    never touched. Raises BudgetExceeded when the prompt cannot fit even
+    with an empty context.
+
+    The cut is computed, not searched for: in the grading templates
+    `{context}` is the last field and follows whitespace, so no token
+    spans the boundary and the prompt's whitespace-token count is the
+    empty-context count plus the context's own.
     """
     template = PromptTemplate.named(template_name)
-    empty = template.render(question=question, context="")
-    if token_count(empty, tokenizer) > budget:
+    if template_name not in _TRUNCATABLE:
+        raise ContractViolation(
+            f"template {template_name!r} does not end in a context field")
+    fixed = token_count(template.render(question=question, context=""))
+    if fixed > budget:
         raise BudgetExceeded(
-            f"question and template alone need "
-            f"{token_count(empty, tokenizer)} tokens, budget is {budget}")
-    if token_count(template.render(question=question, context=context),
-                   tokenizer) <= budget:
+            f"question and template alone need {fixed} tokens, "
+            f"budget is {budget}")
+    keep = budget - fixed
+    # One match past the budget tells whether anything must go; the scan
+    # stops there instead of running through a long context.
+    tokens = list(itertools.islice(_TOKEN.finditer(context), keep + 1))
+    if len(tokens) <= keep:
         return context
-    # Binary-search the longest whitespace-token prefix that fits.
-    spans = [m.end() for m in re.finditer(r"\S+", context)]
-    lo, hi = 0, len(spans)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        candidate = context[:spans[mid - 1]]
-        prompt = template.render(question=question, context=candidate)
-        if token_count(prompt, tokenizer) <= budget:
-            lo = mid
-        else:
-            hi = mid - 1
-    return context[:spans[lo - 1]] if lo else ""
+    return context[:tokens[keep - 1].end()] if keep else ""
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +287,17 @@ class HttpBackend:
                 last_error = exc
                 continue
             if resp.status_code == 200:
-                body = resp.json()
-                text = body["choices"][0]["text"]
+                # The server answered; asking again would not change a
+                # malformed body, so it fails this request at once.
+                try:
+                    text = resp.json()["choices"][0]["text"]
+                    if not isinstance(text, str):
+                        raise TypeError(
+                            f"completion text is {type(text).__name__}")
+                except (ValueError, LookupError, TypeError) as exc:
+                    raise BackendError(
+                        f"malformed completion body from "
+                        f"{self.config.endpoint_url}: {exc!r}") from exc
                 return CompletionResponse(
                     text=text,
                     latency=time.monotonic() - start,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -102,19 +103,42 @@ def normalize_answer(text: str) -> str:
     return " ".join(stem(t) for t in tokens if t not in STOPWORDS)
 
 
-def levenshtein(a: str, b: str) -> int:
+def edit_distance_below(a: str, b: str, limit: float) -> bool:
+    """Whether the character-level edit distance of a and b is below limit.
+
+    A distance below limit is at most k = ceil(limit) - 1, and the cheapest
+    edit path of cost k or less never leaves the band |i - j| <= k of the
+    edit-distance table. So only the band is filled, a length gap over k
+    fails at once, and the check stops at the first row whose band holds
+    nothing at or below k: no later row can go lower.
+    """
+    k = math.ceil(limit) - 1
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
+    n, m = len(a), len(b)
+    if n - m > k:
+        return False
+    far = k + 1                 # any cell outside the band is at least this
+    previous = [j if j <= k else far for j in range(m + 1)]
     for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + (ca != cb)))
+        current = [far] * (m + 1)
+        if i <= k:
+            current[0] = i
+        lo, hi = max(i - k, 1), min(i + k, m)
+        best = left = current[lo - 1]
+        for j in range(lo, hi + 1):
+            cost = previous[j - 1] + (ca != b[j - 1])
+            if previous[j] + 1 < cost:
+                cost = previous[j] + 1
+            if left + 1 < cost:
+                cost = left + 1
+            current[j] = left = cost
+            if cost < best:
+                best = cost
+        if best > k:
+            return False
         previous = current
-    return previous[-1]
+    return previous[m] <= k
 
 
 def verify_answer(predicted: str, gold: str) -> bool:
@@ -132,7 +156,7 @@ def verify_answer(predicted: str, gold: str) -> bool:
     longer = max(len(a), len(b))
     if longer == 0:
         return True
-    return levenshtein(a, b) < 0.2 * longer
+    return edit_distance_below(a, b, 0.2 * longer)
 
 
 # ---------------------------------------------------------------------------

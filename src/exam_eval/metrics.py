@@ -465,9 +465,20 @@ def confusion_table(labels: list[Judgment], judgments: list[Judgment],
     judgment grades collapse to 0 before grouping. Kappa values are filled
     in only when the collapsed table is square.
     """
-    label_map = {(j.query_id, j.passage_id): j.relevance for j in labels}
-    judgment_map = {(j.query_id, j.passage_id): j.relevance for j in judgments}
-    common = set(label_map) & set(judgment_map)
+    return _cross_tabulate(spec.name, _relevance_by_pair(labels),
+                           _relevance_by_pair(judgments), spec)
+
+
+def _relevance_by_pair(judgments: list[Judgment]
+                       ) -> dict[tuple[str, str], int]:
+    return {(j.query_id, j.passage_id): j.relevance for j in judgments}
+
+
+def _cross_tabulate(name: str, label_map: dict[tuple[str, str], int],
+                    judgment_map: dict[tuple[str, str], int],
+                    spec: CollapseSpec) -> ConfusionTable:
+    """`confusion_table` over {(query_id, passage_id): value} maps."""
+    common = label_map.keys() & judgment_map.keys()
     if not common:
         raise ContractViolation("no (query, passage) pairs in common")
     dropped = (len(label_map) - len(common)) + (len(judgment_map) - len(common))
@@ -495,7 +506,7 @@ def confusion_table(labels: list[Judgment], judgments: list[Judgment],
         except UndefinedResult:
             pass
     return ConfusionTable(
-        name=spec.name,
+        name=name,
         row_labels=tuple(_group_name(g) for g in spec.label_groups),
         col_labels=tuple(_group_name(g) for g in spec.judgment_groups),
         counts=tuple(tuple(int(v) for v in row) for row in counts),
@@ -523,23 +534,15 @@ def min_answers_sweep(grades: Iterable[Grade] | GradeIndex,
     n_correct = [(query_id, passage_id, n_passing(outcomes, policy))
                  for query_id, passage_id, outcomes
                  in index.graded_pairs(set(bank.by_question_id()))]
-    observed_judgments = {j.relevance for j in official}
+    official_map = _relevance_by_pair(official)
+    spec = collapse_for("binary", {0, 1}, {j.relevance for j in official},
+                        judgment_rel_min)
     out = []
     for n in values:
         swept = GradePolicy(mode=policy.mode, min_rating=policy.min_rating,
                             min_answers=n)
-        labels = [Judgment(query_id, passage_id,
-                           1 if count >= swept.min_answers else 0)
-                  for query_id, passage_id, count in n_correct]
-        spec = collapse_for("binary", {j.relevance for j in labels} | {0, 1},
-                            observed_judgments, judgment_rel_min)
-        table = confusion_table(labels, official, spec)
-        out.append((n, ConfusionTable(
-            name=f"binary-min-answers-{n}",
-            row_labels=table.row_labels,
-            col_labels=table.col_labels,
-            counts=table.counts,
-            kappa_overall=table.kappa_overall,
-            kappa_per_row=table.kappa_per_row,
-            dropped_pairs=table.dropped_pairs)))
+        labels = {(query_id, passage_id): int(count >= swept.min_answers)
+                  for query_id, passage_id, count in n_correct}
+        out.append((n, _cross_tabulate(f"binary-min-answers-{n}", labels,
+                                       official_map, spec)))
     return out

@@ -1,7 +1,10 @@
 import json
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
+from exam_eval.formats import GradeStore
 from exam_eval.gateway import (
     BackendConfig,
     BackendError,
@@ -9,6 +12,7 @@ from exam_eval.gateway import (
     CompletionRequest,
     HttpBackend,
     MockBackend,
+    PROMPT_TEMPLATES,
     PromptTemplate,
     render_qa_prompt,
     render_question_gen_prompt,
@@ -16,7 +20,15 @@ from exam_eval.gateway import (
     token_count,
     truncate_context,
 )
-from exam_eval.model import ContractViolation, Query
+from exam_eval.grading import grade_corpus
+from exam_eval.model import (
+    ContractViolation,
+    ExamQuestion,
+    Passage,
+    Query,
+    QuestionBank,
+    SELF_RATED,
+)
 
 
 class TestPromptRendering:
@@ -120,14 +132,74 @@ class TestTruncation:
             truncate_context(question, "ctx", 512)
 
 
+def test_context_field_is_last_and_follows_whitespace():
+    # truncate_context counts the prompt's tokens as the empty-context
+    # count plus the context's own, which holds only for such templates.
+    bodies = [b for b in PROMPT_TEMPLATES.values() if "{context}" in b]
+    assert len(bodies) == 2
+    for body in bodies:
+        head, field, tail = body.rpartition("{context}")
+        assert field and tail == "" and "{context}" not in head
+        assert head[-1].isspace()
+
+
+def test_truncation_needs_a_trailing_context_field():
+    with pytest.raises(ContractViolation, match="context field"):
+        truncate_context("A?", "ctx", 512, template_name="question_gen_dl")
+
+
+def longest_fitting_prefix(question, context, budget, template_name):
+    """Brute force: render and count the prompt for every token prefix."""
+    template = PromptTemplate.named(template_name)
+    fits = lambda c: token_count(
+        template.render(question=question, context=c)) <= budget
+    if not fits(""):
+        raise BudgetExceeded(budget)
+    if fits(context):
+        return context
+    best = ""
+    for match in re.finditer(r"\S+", context):
+        if fits(context[:match.end()]):
+            best = context[:match.end()]
+    return best
+
+
+WHITESPACE = ["\t", "\n", "\r", "\x1c", "\x85", "\xa0", "\u2009",
+              "\u2028", "\u3000", " ", "  "]
+WORDS = ["tok", "{braces}", "{context}", "{question}", "{}", "a{b}c",
+         "\\frac{a}{b}", "café", "x"]
+contexts = st.lists(st.sampled_from(WORDS + WHITESPACE), max_size=60).map(
+    "".join)
+questions = st.lists(st.sampled_from(WORDS + WHITESPACE), min_size=1,
+                     max_size=8).map("".join)
+
+
+@pytest.mark.parametrize("template_name", ["qa", "self_rating"])
+@given(question=questions, context=contexts, data=st.data())
+def test_truncation_matches_brute_force(template_name, question, context,
+                                        data):
+    fixed = token_count(PromptTemplate.named(template_name).render(
+        question=question, context=""))
+    budget = fixed - 1 + data.draw(
+        st.integers(0, len(context.split()) + 2), label="slack")
+    try:
+        expected = longest_fitting_prefix(question, context, budget,
+                                          template_name)
+    except BudgetExceeded:
+        with pytest.raises(BudgetExceeded):
+            truncate_context(question, context, budget, template_name)
+        return
+    assert truncate_context(question, context, budget,
+                            template_name) == expected
+
+
 class FakeResponse:
-    def __init__(self, status_code, body=None, text=""):
+    def __init__(self, status_code, text=""):
         self.status_code = status_code
-        self._body = body
         self.text = text
 
     def json(self):
-        return self._body
+        return json.loads(self.text)
 
 
 class FakeSession:
@@ -141,7 +213,11 @@ class FakeSession:
 
 
 def ok(text):
-    return FakeResponse(200, {"choices": [{"text": text}]})
+    return FakeResponse(200, json.dumps({"choices": [{"text": text}]}))
+
+
+MALFORMED_BODIES = ["not json", "{}", '{"choices": []}',
+                    '{"choices": [{"text": null}]}']
 
 
 class TestHttpBackend:
@@ -173,6 +249,34 @@ class TestHttpBackend:
         with pytest.raises(BackendError):
             backend.complete(CompletionRequest.of("p"))
         assert session.calls == 1
+
+    @pytest.mark.parametrize("body", MALFORMED_BODIES)
+    def test_malformed_reply_fails_fast(self, body):
+        session = FakeSession([FakeResponse(200, body), ok("late")])
+        backend = HttpBackend(self.config(), session=session,
+                              sleep=lambda s: None)
+        with pytest.raises(BackendError, match="http://backend"):
+            backend.complete(CompletionRequest.of("p"))
+        assert session.calls == 1
+
+    def test_malformed_reply_skips_only_its_pair(self, tmp_path):
+        bank = QuestionBank({"q1": (ExamQuestion("q1/q/0", "q1", "A?"),)})
+        passages = {"q1": [Passage(f"p{i}", f"text {i}") for i in range(6)]}
+        # Serial grading sends the pairs in passage order.
+        replies = [ok("4"), *(FakeResponse(200, body)
+                              for body in MALFORMED_BODIES), ok("5")]
+        session = FakeSession(replies)
+        backend = HttpBackend(self.config(), session=session,
+                              sleep=lambda s: None)
+        store = GradeStore(tmp_path / "g.jsonl.gz")
+        summary = grade_corpus(bank, passages, SELF_RATED, self.config(),
+                               store, backend)
+        assert session.calls == 6
+        assert summary.graded == 2
+        assert [f.passage_id for f in summary.failures] \
+            == ["p1", "p2", "p3", "p4"]
+        assert {g.passage_id: g.rating for g in store.grades()} \
+            == {"p0": 4, "p5": 5}
 
     def test_endpoint_required(self):
         with pytest.raises(ContractViolation):

@@ -1,14 +1,16 @@
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from exam_eval.formats import GradeStore
 from exam_eval.gateway import BackendConfig, BackendError, MockBackend
 from exam_eval.grading import (
     SegmentationConfig,
     build_passage_pool,
+    edit_distance_below,
     grade_corpus,
     grade_pair,
-    levenshtein,
     normalize_answer,
     parse_self_rating,
     segment_response,
@@ -83,6 +85,40 @@ class TestNormalizeAnswer:
         assert normalize_answer("a the of") == ""
 
 
+def levenshtein(a: str, b: str) -> int:
+    """Full-table edit distance: the reference for the banded check."""
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(min(
+                previous[j] + 1,
+                current[j - 1] + 1,
+                previous[j - 1] + (ca != cb)))
+        previous = current
+    return previous[-1]
+
+
+def reference_verify(predicted: str, gold: str) -> bool:
+    """`verify_answer` with the full-table distance."""
+    a, b = normalize_answer(predicted), normalize_answer(gold)
+    if not b:
+        a, b = predicted, gold
+    longer = max(len(a), len(b))
+    return longer == 0 or levenshtein(a, b) < 0.2 * longer
+
+
+# Small alphabets make near matches common; words make stems and stopwords.
+near_text = st.text(alphabet="abcde", max_size=25)
+answer_text = st.lists(
+    st.sampled_from(["the", "a", "of", "layer", "layers", "Layer", "skin",
+                     "epidermis", "dermis", "outer", "cells", "cell", "x1",
+                     "don't", "ABC", "abd", "-", ",", " "]),
+    max_size=8).map(" ".join)
+
+
 class TestVerifyAnswer:
     def test_exact_match(self):
         assert verify_answer("epidermis", "epidermis")
@@ -110,6 +146,36 @@ class TestVerifyAnswer:
     def test_levenshtein_matches_symmetric(self, a, b):
         assert levenshtein(a, b) == levenshtein(b, a)
         assert levenshtein(a, b) <= max(len(a), len(b))
+
+    @pytest.mark.parametrize("scale", [1, 2, 5])
+    @settings(max_examples=300)
+    @given(a=near_text, b=near_text)
+    def test_banded_check_matches_full_table(self, scale, a, b):
+        # The 20 % rule's limit and wider ones, whose bands reach further.
+        limit = scale * 0.2 * max(len(a), len(b))
+        expected = levenshtein(a, b) < limit
+        assert edit_distance_below(a, b, limit) == expected
+        assert edit_distance_below(b, a, limit) == expected
+
+    @pytest.mark.parametrize("a, b, distance", [
+        ("", "", 0), ("abc", "", 3), ("kitten", "sitting", 3),
+        ("flaw", "lawn", 2), ("epidermi", "dermi", 3), ("abcd", "dcba", 4)])
+    def test_banded_check_at_integer_limits(self, a, b, distance):
+        assert levenshtein(a, b) == distance
+        assert not edit_distance_below(a, b, distance)
+        assert edit_distance_below(a, b, distance + 1)
+        assert edit_distance_below(a, b, math.nextafter(distance, math.inf))
+        assert not edit_distance_below(a, b, math.nextafter(distance, 0))
+
+    @given(answer_text, answer_text.filter(bool))
+    def test_matches_full_table_reference(self, predicted, gold):
+        assert verify_answer(predicted, gold) == reference_verify(
+            predicted, gold)
+
+    @given(near_text, near_text.filter(bool))
+    def test_near_strings_match_full_table_reference(self, predicted, gold):
+        assert verify_answer(predicted, gold) == reference_verify(
+            predicted, gold)
 
 
 class TestParseSelfRating:
