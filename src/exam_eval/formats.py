@@ -302,6 +302,10 @@ class GradeStore:
             pass
 
     def append(self, grades: list[Grade]) -> None:
+        # The batch goes to the compressor in one write; the bytes are
+        # those of writing its lines one at a time.
+        data = "".join(_grade_to_json(grade) + "\n"
+                       for grade in grades).encode("utf-8")
         self._acquire_lock()
         try:
             # mtime=0 and no embedded filename keep the bytes deterministic
@@ -309,8 +313,7 @@ class GradeStore:
             with open(self.path, "ab") as raw:
                 with gzip.GzipFile(filename="", mode="ab", fileobj=raw,
                                    mtime=0) as fh:
-                    for grade in grades:
-                        fh.write((_grade_to_json(grade) + "\n").encode("utf-8"))
+                    fh.write(data)
         finally:
             self._release_lock()
 

@@ -6,7 +6,6 @@ real inference, or a deterministic mock for tests and fixture pipelines.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import logging
 import os
@@ -151,7 +150,6 @@ def token_count(text: str, tokenizer: Tokenizer = whitespace_tokenize) -> int:
     return len(tokenizer(text))
 
 
-_TOKEN = re.compile(r"\S+")
 # Templates whose last field is `{context}`, after whitespace.
 _TRUNCATABLE = frozenset(name for name, body in PROMPT_TEMPLATES.items()
                          if re.search(r"\s\{context\}\Z", body))
@@ -159,6 +157,13 @@ _TRUNCATABLE = frozenset(name for name, body in PROMPT_TEMPLATES.items()
 
 class BudgetExceeded(ValueError):
     """Template plus question alone exceed the token budget."""
+
+
+@functools.lru_cache(maxsize=1024)
+def _fixed_tokens(template_name: str, question: str) -> int:
+    """Token count of the prompt with an empty context: one per question."""
+    return token_count(PromptTemplate.named(template_name).render(
+        question=question, context=""))
 
 
 def truncate_context(question: str, context: str, budget: int,
@@ -176,22 +181,21 @@ def truncate_context(question: str, context: str, budget: int,
     spans the boundary and the prompt's whitespace-token count is the
     empty-context count plus the context's own.
     """
-    template = PromptTemplate.named(template_name)
     if template_name not in _TRUNCATABLE:
         raise ContractViolation(
             f"template {template_name!r} does not end in a context field")
-    fixed = token_count(template.render(question=question, context=""))
+    fixed = _fixed_tokens(template_name, question)
     if fixed > budget:
         raise BudgetExceeded(
             f"question and template alone need {fixed} tokens, "
             f"budget is {budget}")
     keep = budget - fixed
-    # One match past the budget tells whether anything must go; the scan
-    # stops there instead of running through a long context.
-    tokens = list(itertools.islice(_TOKEN.finditer(context), keep + 1))
-    if len(tokens) <= keep:
+    # Splitting stops after the kept tokens; the rest of the context, from
+    # the first token that must go, comes back whole as the last part.
+    parts = context.split(None, keep)
+    if len(parts) <= keep:
         return context
-    return context[:tokens[keep - 1].end()] if keep else ""
+    return context[:len(context) - len(parts[-1])].rstrip()
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +367,3 @@ def make_backend(config: BackendConfig) -> Backend:
         return MockBackend.from_fixture(config.mock_fixture)
     return HttpBackend(config)
 
-
-def complete(request: CompletionRequest, config: BackendConfig,
-             backend: Backend | None = None) -> CompletionResponse:
-    backend = backend or make_backend(config)
-    return backend.complete(request)

@@ -6,6 +6,7 @@ as Grade records.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import math
@@ -103,6 +104,12 @@ def normalize_answer(text: str) -> str:
     return " ".join(stem(t) for t in tokens if t not in STOPWORDS)
 
 
+@functools.lru_cache(maxsize=1024)
+def _gold_form(gold: str) -> str:
+    """`normalize_answer` of a gold answer: one per question, not per pair."""
+    return normalize_answer(gold)
+
+
 def edit_distance_below(a: str, b: str, limit: float) -> bool:
     """Whether the character-level edit distance of a and b is below limit.
 
@@ -150,7 +157,7 @@ def verify_answer(predicted: str, gold: str) -> bool:
     """
     if not gold:
         raise ContractViolation("gold answer must be non-empty")
-    a, b = normalize_answer(predicted), normalize_answer(gold)
+    a, b = normalize_answer(predicted), _gold_form(gold)
     if not b:
         a, b = predicted, gold
     longer = max(len(a), len(b))
@@ -288,8 +295,9 @@ def grade_corpus(bank: QuestionBank,
     """Grade every (question, passage) pair and append results to the store.
 
     Resumable: pairs already present in the store are not re-requested.
-    Backend failures land in the summary's skip list instead of aborting
-    the whole corpus.
+    Backend failures, and the pairs of a question too long for the input
+    budget, land in the summary's skip list instead of aborting the whole
+    corpus.
     """
     import time as _time
 
@@ -317,7 +325,7 @@ def grade_corpus(bank: QuestionBank,
         question, passage = item
         try:
             return grade_pair(question, passage, mode, config, backend)
-        except gateway.BackendError as exc:
+        except (gateway.BackendError, gateway.BudgetExceeded) as exc:
             return SkipEntry(question.query_id, passage.passage_id,
                              question.question_id, str(exc))
 

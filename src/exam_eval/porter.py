@@ -19,20 +19,21 @@ def _is_consonant(word: str, i: int) -> bool:
 
 def _measure(stem: str) -> int:
     """Number of VC sequences in the stem (the m of the algorithm)."""
-    forms = ""
-    for i in range(len(stem)):
-        forms += "c" if _is_consonant(stem, i) else "v"
     m = 0
-    prev = "c"
-    for f in forms:
-        if f == "c" and prev == "v":
+    vowel = False               # whether the previous letter is a vowel
+    for i, ch in enumerate(stem):
+        # "y" is a vowel right after a consonant, else a consonant.
+        now = ch in _VOWELS or (ch == "y" and i > 0 and not vowel)
+        if vowel and not now:
             m += 1
-        prev = f
+        vowel = now
     return m
 
 
 def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    # With no a, e, i, o or u, a "y" past the first letter follows a
+    # consonant or another "y", and either it or that "y" is a vowel.
+    return any(v in stem for v in _VOWELS) or "y" in stem[1:]
 
 
 def _ends_double_consonant(word: str) -> bool:
@@ -56,6 +57,24 @@ def _replace(word: str, suffix: str, repl: str, min_measure: int) -> str | None:
     if _measure(stem) > min_measure - 1:
         return stem + repl
     return word
+
+
+# Suffix rules of steps 2-4, in the order they are tried.
+_STEP2 = (
+    ("ational", "ate"), ("tional", "tion"), ("enci", "ence"),
+    ("anci", "ance"), ("izer", "ize"), ("abli", "able"), ("alli", "al"),
+    ("entli", "ent"), ("eli", "e"), ("ousli", "ous"), ("ization", "ize"),
+    ("ation", "ate"), ("ator", "ate"), ("alism", "al"), ("iveness", "ive"),
+    ("fulness", "ful"), ("ousness", "ous"), ("aliti", "al"),
+    ("iviti", "ive"), ("biliti", "ble"))
+_STEP3 = (
+    ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
+    ("ical", "ic"), ("ful", ""), ("ness", ""))
+_STEP4 = ("al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+          "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive",
+          "ize")
+_STEP2_SUFFIXES = tuple(suffix for suffix, _ in _STEP2)
+_STEP3_SUFFIXES = tuple(suffix for suffix, _ in _STEP3)
 
 
 def stem(word: str) -> str:
@@ -97,40 +116,30 @@ def stem(word: str) -> str:
     if word.endswith("y") and _has_vowel(word[:-1]):
         word = word[:-1] + "i"
 
-    # Step 2
-    for suffix, repl in (
-            ("ational", "ate"), ("tional", "tion"), ("enci", "ence"),
-            ("anci", "ance"), ("izer", "ize"), ("abli", "able"),
-            ("alli", "al"), ("entli", "ent"), ("eli", "e"), ("ousli", "ous"),
-            ("ization", "ize"), ("ation", "ate"), ("ator", "ate"),
-            ("alism", "al"), ("iveness", "ive"), ("fulness", "ful"),
-            ("ousness", "ous"), ("aliti", "al"), ("iviti", "ive"),
-            ("biliti", "ble")):
-        out = _replace(word, suffix, repl, 1)
-        if out is not None:
-            word = out
-            break
+    # Steps 2-4: a word with none of a step's suffixes skips its loop.
+    if word.endswith(_STEP2_SUFFIXES):
+        for suffix, repl in _STEP2:
+            out = _replace(word, suffix, repl, 1)
+            if out is not None:
+                word = out
+                break
 
-    # Step 3
-    for suffix, repl in (
-            ("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
-            ("ical", "ic"), ("ful", ""), ("ness", "")):
-        out = _replace(word, suffix, repl, 1)
-        if out is not None:
-            word = out
-            break
+    if word.endswith(_STEP3_SUFFIXES):
+        for suffix, repl in _STEP3:
+            out = _replace(word, suffix, repl, 1)
+            if out is not None:
+                word = out
+                break
 
-    # Step 4
-    for suffix in ("al", "ance", "ence", "er", "ic", "able", "ible", "ant",
-                   "ement", "ment", "ent", "ion", "ou", "ism", "ate", "iti",
-                   "ous", "ive", "ize"):
-        if word.endswith(suffix):
-            stem_part = word[: len(word) - len(suffix)]
-            if suffix == "ion" and not stem_part.endswith(("s", "t")):
-                continue
-            if _measure(stem_part) > 1:
-                word = stem_part
-            break
+    if word.endswith(_STEP4):
+        for suffix in _STEP4:
+            if word.endswith(suffix):
+                stem_part = word[: len(word) - len(suffix)]
+                if suffix == "ion" and not stem_part.endswith(("s", "t")):
+                    continue
+                if _measure(stem_part) > 1:
+                    word = stem_part
+                break
 
     # Step 5a
     if word.endswith("e"):
@@ -140,7 +149,7 @@ def stem(word: str) -> str:
             word = stem_part
 
     # Step 5b
-    if _measure(word) > 1 and _ends_double_consonant(word) and word.endswith("l"):
+    if word.endswith("ll") and _measure(word) > 1:
         word = word[:-1]
 
     return word

@@ -10,6 +10,7 @@ from exam_eval.cli import main, parse_policy, read_config_file
 from exam_eval.formats import GradeStore, ParseError, save_question_bank
 from exam_eval.model import (
     ContractViolation,
+    ExamQuestion,
     GradePolicy,
     QA_VERIFIED,
     QuestionBank,
@@ -303,3 +304,34 @@ class TestPipeline:
                      "--run", str(tmp_path / "nope.run"),
                      "--grades", str(tmp_path / "nope.gz"),
                      "--policy", "rate:4"]) == 1
+
+    def test_question_over_budget_is_skip_logged(self, tmp_path, capsys):
+        write_pipeline_inputs(tmp_path)
+        long_text = " ".join(["why"] * 80) + " now?"
+        bank = QuestionBank({q: (
+            ExamQuestion(f"{q}/q/0", q, "What is it?", gold_answer="alpha"),
+            ExamQuestion(f"{q}/q/1", q,
+                         long_text if q == "q1" else "And this?",
+                         gold_answer="beta"))
+            for q in ("q1", "q2")})
+        (tmp_path / "bank.json").write_text(save_question_bank(bank))
+        store = tmp_path / "grades.jsonl.gz"
+        assert main([
+            "grade", "--bank", str(tmp_path / "bank.json"),
+            "--runs", str(tmp_path / "runs"),
+            "--passages", str(tmp_path / "passages.json"),
+            "--mode", "qa", "--mock", str(tmp_path / "grade_mock.json"),
+            "--max-input-tokens", "64", "--store", str(store)]) == 0
+        assert "graded 9 pairs (0 already in store, 3 failed)" \
+            in capsys.readouterr().out
+        pool = ["pA1", "pA2", "pB1"]
+        skipped = [json.loads(line) for line in
+                   (tmp_path / "grades.jsonl.skipped.jsonl").open()]
+        assert skipped == [
+            {"query_id": "q1", "passage_id": pid, "question_id": "q1/q/1",
+             "reason": "question and template alone need 96 tokens, "
+                       "budget is 64"} for pid in pool]
+        assert set(GradeStore(store).read()) == {
+            (q, pid, qid, QA_VERIFIED) for q in ("q1", "q2") for pid in pool
+            for qid in (f"{q}/q/0", f"{q}/q/1")} - {
+            ("q1", pid, "q1/q/1", QA_VERIFIED) for pid in pool}

@@ -1,4 +1,5 @@
 import gzip
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -223,6 +224,29 @@ class TestGradeStore:
             expected[g.key] = g
         assert sorted(store.grades(), key=lambda g: g.key) \
             == sorted(expected.values(), key=lambda g: g.key)
+
+    def test_append_bytes_match_line_by_line_writes(self, tmp_path):
+        # One write per batch compresses to the bytes that writing each
+        # line on its own gives, over several deflate blocks too.
+        texts = ["café", "日本語", "line\u2028break", "{braces} {}",
+                 "é{x}\u2028", None, ""]
+        batches = [
+            [Grade("q1", f"p{i}", "qq1", QA_VERIFIED, texts[i % len(texts)],
+                   verified=i % 3 == 0) for i in range(7)],
+            [Grade(f"q{i % 5}", f"p{i}", f"qq{i % 13}", SELF_RATED,
+                   f"{texts[i % 5]} {i * 7919 % 104729}", rating=i % 6)
+             for i in range(20_000)],
+        ]
+        store = GradeStore(tmp_path / "g.jsonl.gz")
+        expected = io.BytesIO()
+        for batch in batches:
+            store.append(batch)
+            with gzip.GzipFile(filename="", mode="ab", fileobj=expected,
+                               mtime=0) as fh:
+                for g in batch:
+                    fh.write((json.dumps(vars(g), ensure_ascii=False,
+                                         sort_keys=True) + "\n").encode())
+        assert store.path.read_bytes() == expected.getvalue()
 
 
 # ---------------------------------------------------------------------------

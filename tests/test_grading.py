@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exam_eval import grading
 from exam_eval.formats import GradeStore
 from exam_eval.gateway import BackendConfig, BackendError, MockBackend
 from exam_eval.grading import (
@@ -300,6 +302,66 @@ class TestGradeCorpus:
         key = lambda g: g.key
         assert sorted(serial_store.grades(), key=key) \
             == sorted(parallel_store.grades(), key=key)
+
+    def test_gold_answer_normalized_once_per_question(self, tmp_path,
+                                                      monkeypatch):
+        golds = {f"q{q}/q/{i}": f"the outer layers of cell wall {q}{i}"
+                 for q in (1, 2) for i in range(3)}
+        bank = QuestionBank({
+            f"q{q}": tuple(ExamQuestion(f"q{q}/q/{i}", f"q{q}", f"Q{i}?",
+                                        gold_answer=golds[f"q{q}/q/{i}"])
+                           for i in range(3))
+            for q in (1, 2)})
+        passages = {f"q{q}": [Passage(f"p{q}{j}", f"text {j}")
+                              for j in range(4)] for q in (1, 2)}
+        # Exact (in capitals, so it is not the gold text), near,
+        # stopword-only and unrelated answers.
+        answers = ["{gold}", "Outer Layer of the cells wall {tag}", "the",
+                   "zebra {tag}"]
+        responses = {f"{qid}/p{qid[1]}{j}": answer.format(
+                         gold=gold.upper(), tag=qid[1] + qid[-1])
+                     for qid, gold in golds.items()
+                     for j, answer in enumerate(answers)}
+        calls = Counter()
+        normalize = grading.normalize_answer
+
+        def counting(text):
+            calls[text] += 1
+            return normalize(text)
+
+        monkeypatch.setattr(grading, "normalize_answer", counting)
+        grading._gold_form.cache_clear()
+        store = GradeStore(tmp_path / "g.jsonl.gz")
+        summary = grade_corpus(bank, passages, QA_VERIFIED, config(), store,
+                               MockBackend(responses))
+        assert summary.graded == 24
+        assert {gold: calls[gold] for gold in golds.values()} \
+            == dict.fromkeys(golds.values(), 1)
+        expected = {
+            (qid[:2], pid, qid, QA_VERIFIED): (
+                responses[f"{qid}/{pid}"],
+                reference_verify(responses[f"{qid}/{pid}"], gold), None)
+            for qid, gold in golds.items()
+            for pid in (f"p{qid[1]}{j}" for j in range(4))}
+        assert store.read() == expected
+        assert any(row[1] for row in expected.values())
+        assert not all(row[1] for row in expected.values())
+
+    def test_question_over_budget_is_skip_logged(self, tmp_path):
+        bank, passages = self.bank_and_passages()
+        long_question = ExamQuestion(
+            "q1/q/long", "q1", " ".join(["word"] * 600))
+        bank = QuestionBank({"q1": bank.questions_for("q1") + (long_question,),
+                             "q2": bank.questions_for("q2")})
+        store = GradeStore(tmp_path / "g.jsonl.gz")
+        summary = grade_corpus(bank, passages, SELF_RATED, config(), store,
+                               MockBackend({"default": "3"}))
+        assert summary.graded == 24
+        assert [(f.passage_id, f.question_id) for f in summary.failures] \
+            == [(f"p{i}", "q1/q/long") for i in range(4)]
+        assert {f.reason for f in summary.failures} == {
+            "question and template alone need 691 tokens, budget is 512"}
+        assert len(store.read()) == 24
 
 
 @pytest.mark.parametrize("mode", [QA_VERIFIED, SELF_RATED])
