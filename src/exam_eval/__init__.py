@@ -3,72 +3,6 @@
 Question banks define what relevant information looks like; a grading
 backend decides which questions each passage can answer; coverage scores,
 derived qrels, leaderboards, and agreement tables fall out of the grades.
+The `exam-eval` command (`exam_eval.cli`) runs each stage; the library
+lives in the submodules.
 """
-
-from .model import (
-    ContractViolation,
-    CoverConfig,
-    ExamQuestion,
-    Facet,
-    Grade,
-    GradePolicy,
-    Judgment,
-    Passage,
-    QA_VERIFIED,
-    Query,
-    QuestionBank,
-    Run,
-    RunEntry,
-    SELF_RATED,
-    policy_is_correct,
-)
-from .formats import (
-    GradeStore,
-    ParseError,
-    load_question_bank,
-    parse_qrels,
-    parse_run_file,
-    save_question_bank,
-    write_qrels,
-)
-from .gateway import (
-    BackendConfig,
-    BackendError,
-    CompletionRequest,
-    CompletionResponse,
-    HttpBackend,
-    MockBackend,
-    PromptTemplate,
-    render_qa_prompt,
-    render_question_gen_prompt,
-    render_self_rating_prompt,
-    truncate_context,
-)
-from .bank import diff_banks, generate_bank, parse_question_list
-from .grading import (
-    SegmentationConfig,
-    grade_corpus,
-    grade_pair,
-    normalize_answer,
-    parse_self_rating,
-    segment_response,
-    verify_answer,
-)
-from .metrics import (
-    CollapseSpec,
-    ConfusionTable,
-    CorrelationStats,
-    LeaderboardRow,
-    UndefinedResult,
-    agreement_tables,
-    build_qrels,
-    cohens_kappa,
-    confusion_table,
-    exam_cover,
-    kendall_tau,
-    leaderboard,
-    precision_at_k,
-    relevance_labels,
-    se_overlap_test,
-    spearman,
-)

@@ -15,6 +15,7 @@ from typing import Iterable
 from . import gateway
 from .model import (
     ExamQuestion,
+    Facet,
     Grade,
     GradeIndex,
     GradePolicy,
@@ -69,7 +70,7 @@ def _question_id(query_id: str, facet_id: str | None, ordinal: int) -> str:
     return f"{query_id}/{facet_id or 'q'}/{ordinal}"
 
 
-def generate_bank(queries: list[Query], template: gateway.PromptTemplate,
+def generate_bank(queries: list[Query], template_name: str,
                   config: gateway.BackendConfig,
                   backend: gateway.Backend | None = None) -> QuestionBank:
     """Generate a question bank by prompting the backend once per query,
@@ -78,46 +79,49 @@ def generate_bank(queries: list[Query], template: gateway.PromptTemplate,
     Question ids are assigned deterministically as
     `<query_id>/<facet_id or "q">/<ordinal>`. An unparseable completion is
     retried once; a query whose completions never parse ends up with zero
-    questions and a warning.
+    questions and a warning. Prompts go out on `config.parallelism`
+    workers; the bank is the same for every worker count.
     """
-    if template.name not in ("question_gen_dl", "question_gen_car"):
+    if template_name not in ("question_gen_dl", "question_gen_car"):
         raise gateway.ContractViolation(
-            f"{template.name!r} is not a question-generation template")
-    per_facet = template.name == "question_gen_car"
+            f"{template_name!r} is not a question-generation template")
+    per_facet = template_name == "question_gen_car"
     backend = backend or gateway.make_backend(config)
 
-    by_query: dict[str, tuple[ExamQuestion, ...]] = {}
-    for query in queries:
-        targets = query.facets if per_facet else (None,)
+    targets: list[tuple[int, Query, Facet | None]] = []
+    for position, query in enumerate(queries):
         if per_facet and not query.facets:
             log.warning("query %s has no facets; skipped under the "
                         "facet-focused template", query.query_id)
-        questions: list[ExamQuestion] = []
-        for facet in targets:
-            prompt = gateway.render_question_gen_prompt(query, facet)
-            request = gateway.CompletionRequest.of(
-                prompt, query_id=query.query_id,
-                **({"facet_id": facet.facet_id} if facet else {}))
-            texts: list[str] = []
-            for _ in range(2):
-                response = backend.complete(request)
-                texts = parse_question_list(response.text)
-                if texts:
-                    break
-            if not texts:
-                log.warning("no questions parsed for query %s%s",
-                            query.query_id,
-                            f" facet {facet.facet_id}" if facet else "")
-                continue
-            facet_id = facet.facet_id if facet else None
-            for i, text in enumerate(texts):
-                questions.append(ExamQuestion(
-                    question_id=_question_id(query.query_id, facet_id, i),
-                    query_id=query.query_id,
-                    facet_id=facet_id,
-                    text=text))
-        by_query[query.query_id] = tuple(questions)
-    return QuestionBank(by_query)
+        for facet in query.facets if per_facet else (None,):
+            targets.append((position, query, facet))
+
+    def ask(target: tuple[int, Query, Facet | None]) -> list[str]:
+        _, query, facet = target
+        prompt = gateway.render_question_gen_prompt(query, facet)
+        request = gateway.CompletionRequest.of(
+            prompt, query_id=query.query_id,
+            **({"facet_id": facet.facet_id} if facet else {}))
+        for _ in range(2):
+            texts = parse_question_list(backend.complete(request).text)
+            if texts:
+                return texts
+        log.warning("no questions parsed for query %s%s", query.query_id,
+                    f" facet {facet.facet_id}" if facet else "")
+        return []
+
+    questions: list[list[ExamQuestion]] = [[] for _ in queries]
+    for (position, query, facet), texts in zip(
+            targets, gateway.map_ordered(ask, targets, config.parallelism)):
+        facet_id = facet.facet_id if facet else None
+        questions[position] += [
+            ExamQuestion(question_id=_question_id(query.query_id, facet_id, i),
+                         query_id=query.query_id, facet_id=facet_id,
+                         text=text)
+            for i, text in enumerate(texts)]
+    # A query id listed twice keeps its first place and its last questions.
+    return QuestionBank({query.query_id: tuple(qs)
+                         for query, qs in zip(queries, questions)})
 
 
 # ---------------------------------------------------------------------------

@@ -119,29 +119,43 @@ def _backend_config(endpoint: str, model: str, max_input_tokens: int,
         mock_fixture=mock)
 
 
+# The options of every command that talks to a backend, in help order.
+_BACKEND_OPTIONS = (
+    ("--endpoint", dict(default="", help="Inference endpoint URL.")),
+    ("--model", dict(default="", help="Model name for the backend.")),
+    ("--max-input-tokens", dict(default=512, show_default=True,
+                                help="Prompt token budget.")),
+    ("--parallelism", dict(default=1, show_default=True,
+                           help="Concurrent completion workers.")),
+    ("--mock", dict(default=None, type=click.Path(exists=True),
+                    help="Scripted-response fixture; skips the HTTP "
+                         "backend.")),
+)
+
+
 def backend_options(fn):
-    fn = click.option("--endpoint", default="", help="Inference endpoint URL.")(fn)
-    fn = click.option("--model", default="", help="Model name for the backend.")(fn)
-    fn = click.option("--max-input-tokens", default=512, show_default=True,
-                      help="Prompt token budget.")(fn)
-    fn = click.option("--parallelism", default=1, show_default=True,
-                      help="Concurrent completion workers.")(fn)
-    fn = click.option("--mock", default=None, type=click.Path(exists=True),
-                      help="Scripted-response fixture; skips the HTTP backend.")(fn)
+    for flag, settings in _BACKEND_OPTIONS:
+        fn = click.option(flag, **settings)(fn)
     return fn
 
 
-# Config keys use the flag spelling; click's default_map wants the
-# underlying parameter names.
-_CONFIG_ALIASES = {
-    "bank": "bank_path", "run": "run_path", "runs": "run_paths",
-    "grades": "grades_path", "policy": "policy_text",
-    "queries": "queries_path", "passages": "passages_path",
-    "qrels": "qrels_path", "official": "official_path",
-    "labels": "labels_path", "judgments": "judgments_path",
-    "old": "old_path", "new": "new_path", "a": "path_a", "b": "path_b",
-    "store": "store_path",
-}
+def _default_map(values: dict[str, str]) -> dict[str, dict]:
+    """click's default_map from config values, per command.
+
+    A config key is a long option name, with `_` for `-`; the parameter's
+    own name is accepted too. Each command takes the keys of its own
+    options; a repeatable option takes a whitespace-separated list.
+    """
+    default_map = {}
+    for name, command in cli.commands.items():
+        params = {key: param for param in command.params
+                  for key in (param.name, *(opt.lstrip("-").replace("-", "_")
+                                            for opt in param.opts))}
+        default_map[name] = {
+            params[key].name: (tuple(value.split()) if params[key].multiple
+                               else value)
+            for key, value in values.items() if key in params}
+    return default_map
 
 
 @click.group()
@@ -155,13 +169,7 @@ def cli(ctx, config_path, verbose):
         level=logging.DEBUG if verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s")
     if config_path:
-        defaults = {_CONFIG_ALIASES.get(k, k): v
-                    for k, v in read_config_file(config_path).items()}
-        if "run_paths" in defaults:
-            defaults["run_paths"] = tuple(defaults["run_paths"].split())
-        ctx.default_map = {cmd: dict(defaults) for cmd in
-                           ("generate", "grade", "cover", "qrels",
-                            "leaderboard", "correlate", "agreement", "diff")}
+        ctx.default_map = _default_map(read_config_file(config_path))
     log.debug("resolved defaults: %s", ctx.default_map)
 
 
@@ -179,11 +187,10 @@ def generate(queries_path, template, out, endpoint, model, max_input_tokens,
     queries = load_queries(queries_path)
     config = _backend_config(endpoint, model, max_input_tokens,
                              parallelism, mock)
-    tpl = gateway.PromptTemplate.named(
-        "question_gen_dl" if template == "dl" else "question_gen_car")
     log.info("generating bank for %d queries (%s template)",
              len(queries), template)
-    result = bank_mod.generate_bank(queries, tpl, config)
+    result = bank_mod.generate_bank(queries, f"question_gen_{template}",
+                                    config)
     atomic_write(out, formats.save_question_bank(result))
     click.echo(f"wrote {len(result.all_questions())} questions to {out}")
 

@@ -11,7 +11,8 @@ import logging
 import os
 import re
 import time
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Protocol
 
@@ -73,37 +74,25 @@ PROMPT_TEMPLATES = {
 }
 
 
-@functools.lru_cache(maxsize=64)
-def _placeholders(body: str) -> frozenset[str]:
-    return frozenset(re.findall(r"\{([a-z_]+)\}", body))
+_PLACEHOLDERS = {name: frozenset(re.findall(r"\{([a-z_]+)\}", body))
+                 for name, body in PROMPT_TEMPLATES.items()}
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    name: str
-    body: str
+def render(name: str, **bindings: str) -> str:
+    """Substitute every `{name}` of the named template in one pass.
 
-    def __post_init__(self):
-        if self.name not in PROMPT_TEMPLATES:
-            raise ContractViolation(f"unknown prompt template {self.name!r}")
-
-    @classmethod
-    def named(cls, name: str) -> "PromptTemplate":
-        return cls(name=name, body=PROMPT_TEMPLATES[name])
-
-    def render(self, **bindings: str) -> str:
-        """Substitute every `{name}` of the body in one pass.
-
-        Only the body is checked for unbound names: `str.format` never
-        rescans what it inserts, so bound values that contain braces
-        (JSON, LaTeX, code) come through verbatim.
-        """
-        unbound = _placeholders(self.body) - bindings.keys()
-        if unbound:
-            raise ContractViolation(
-                f"template {self.name!r} left unbound placeholders: "
-                f"{', '.join(sorted(unbound))}")
-        return self.body.format(**bindings)
+    Only the template is checked for unbound names: `str.format` never
+    rescans what it inserts, so bound values that contain braces (JSON,
+    LaTeX, code) come through verbatim.
+    """
+    if name not in PROMPT_TEMPLATES:
+        raise ContractViolation(f"unknown prompt template {name!r}")
+    unbound = _PLACEHOLDERS[name] - bindings.keys()
+    if unbound:
+        raise ContractViolation(
+            f"template {name!r} left unbound placeholders: "
+            f"{', '.join(sorted(unbound))}")
+    return PROMPT_TEMPLATES[name].format(**bindings)
 
 
 def render_question_gen_prompt(query: Query, facet: Facet | None = None) -> str:
@@ -115,39 +104,31 @@ def render_question_gen_prompt(query: Query, facet: Facet | None = None) -> str:
     if not query.title:
         raise ContractViolation("query title must be non-empty")
     if facet is None:
-        return PromptTemplate.named("question_gen_dl").render(
-            query_title=query.title)
+        return render("question_gen_dl", query_title=query.title)
     if not facet.title:
         raise ContractViolation("facet title must be non-empty")
-    return PromptTemplate.named("question_gen_car").render(
-        query_title=query.title, query_subtopic=facet.title)
+    return render("question_gen_car", query_title=query.title,
+                  query_subtopic=facet.title)
 
 
 def render_qa_prompt(question: str, context: str) -> str:
     if not question:
         raise ContractViolation("question must be non-empty")
-    return PromptTemplate.named("qa").render(question=question, context=context)
+    return render("qa", question=question, context=context)
 
 
 def render_self_rating_prompt(question: str, context: str) -> str:
     if not question:
         raise ContractViolation("question must be non-empty")
-    return PromptTemplate.named("self_rating").render(
-        question=question, context=context)
+    return render("self_rating", question=question, context=context)
 
 
 # ---------------------------------------------------------------------------
 # Token budgeting
 
-Tokenizer = Callable[[str], list[str]]
-
-
-def whitespace_tokenize(text: str) -> list[str]:
-    return text.split()
-
-
-def token_count(text: str, tokenizer: Tokenizer = whitespace_tokenize) -> int:
-    return len(tokenizer(text))
+def token_count(text: str) -> int:
+    """Whitespace-token count, the unit of every token budget."""
+    return len(text.split())
 
 
 # Templates whose last field is `{context}`, after whitespace.
@@ -162,8 +143,7 @@ class BudgetExceeded(ValueError):
 @functools.lru_cache(maxsize=1024)
 def _fixed_tokens(template_name: str, question: str) -> int:
     """Token count of the prompt with an empty context: one per question."""
-    return token_count(PromptTemplate.named(template_name).render(
-        question=question, context=""))
+    return token_count(render(template_name, question=question, context=""))
 
 
 def truncate_context(question: str, context: str, budget: int,
@@ -225,14 +205,11 @@ class BackendConfig:
 @dataclass(frozen=True)
 class CompletionRequest:
     prompt: str
-    metadata: tuple[tuple[str, str], ...] = ()
+    metadata: dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def of(cls, prompt: str, **metadata: str) -> "CompletionRequest":
-        return cls(prompt=prompt, metadata=tuple(sorted(metadata.items())))
-
-    def meta(self, key: str) -> str | None:
-        return dict(self.metadata).get(key)
+        return cls(prompt=prompt, metadata=metadata)
 
 
 @dataclass(frozen=True)
@@ -341,10 +318,11 @@ class MockBackend:
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         self.request_log.append(request)
-        qid = request.meta("question_id")
-        pid = request.meta("passage_id")
-        query_id = request.meta("query_id")
-        facet_id = request.meta("facet_id")
+        meta = request.metadata
+        qid = meta.get("question_id")
+        pid = meta.get("passage_id")
+        query_id = meta.get("query_id")
+        facet_id = meta.get("facet_id")
         candidates = []
         if qid and pid:
             candidates.append(f"{qid}/{pid}")
@@ -360,6 +338,15 @@ class MockBackend:
                 return CompletionResponse(
                     text=self.responses[key], latency=0.0, backend_id="mock")
         return CompletionResponse(text="", latency=0.0, backend_id="mock")
+
+
+def map_ordered(fn: Callable, items: list, parallelism: int) -> list:
+    """`fn` of every item, in item order; on `parallelism` worker threads
+    when that is above 1."""
+    if parallelism > 1 and items:
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def make_backend(config: BackendConfig) -> Backend:

@@ -1,4 +1,4 @@
-"""Response grading: segmentation, answer checking, and self-rating.
+"""Response grading: answer checking and self-rating.
 
 Takes a question bank and a pool of passages, asks every exam question
 against every pooled passage through the gateway, and records the outcome
@@ -7,11 +7,9 @@ as Grade records.
 from __future__ import annotations
 
 import functools
-import hashlib
 import logging
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import gateway
@@ -31,67 +29,6 @@ from .porter import stem
 from .stopwords import STOPWORDS
 
 log = logging.getLogger(__name__)
-
-
-# ---------------------------------------------------------------------------
-# Segmentation
-
-
-@dataclass(frozen=True)
-class SegmentationConfig:
-    target_tokens: int = 400
-    tokenizer: gateway.Tokenizer = gateway.whitespace_tokenize
-
-    def __post_init__(self):
-        if self.target_tokens < 32:
-            raise ContractViolation("target_tokens must be >= 32")
-
-
-_SENTENCE_END = re.compile(r"(?<=[.!?])\s+")
-
-
-def segment_response(text: str,
-                     config: SegmentationConfig = SegmentationConfig()
-                     ) -> list[Passage]:
-    """Split a long response into paragraph-sized passages.
-
-    Passages stay under target_tokens and prefer sentence boundaries; a
-    single sentence over the budget is hard-split on token boundaries.
-    Joining the passage texts recovers the input modulo boundary whitespace.
-    Passage ids are `<sha1(text)>/<ordinal>`.
-    """
-    if not text.strip():
-        raise ContractViolation("response text must be non-empty")
-    budget = config.target_tokens
-    count = lambda s: len(config.tokenizer(s))
-
-    pieces: list[str] = []
-    for sentence in _SENTENCE_END.split(text.strip()):
-        if not sentence:
-            continue
-        if count(sentence) <= budget:
-            pieces.append(sentence)
-        else:
-            tokens = config.tokenizer(sentence)
-            for i in range(0, len(tokens), budget):
-                pieces.append(" ".join(tokens[i:i + budget]))
-
-    chunks: list[str] = []
-    current: list[str] = []
-    current_tokens = 0
-    for piece in pieces:
-        n = count(piece)
-        if current and current_tokens + n > budget:
-            chunks.append(" ".join(current))
-            current, current_tokens = [], 0
-        current.append(piece)
-        current_tokens += n
-    if current:
-        chunks.append(" ".join(current))
-
-    digest = hashlib.sha1(text.encode("utf-8")).hexdigest()
-    return [Passage(passage_id=f"{digest}/{i}", text=chunk)
-            for i, chunk in enumerate(chunks)]
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +232,9 @@ def grade_corpus(bank: QuestionBank,
     """Grade every (question, passage) pair and append results to the store.
 
     Resumable: pairs already present in the store are not re-requested.
-    Backend failures, and the pairs of a question too long for the input
-    budget, land in the summary's skip list instead of aborting the whole
+    Backend failures, the pairs of a question too long for the input
+    budget, and in qa_verified mode the pairs of a question without a gold
+    answer land in the summary's skip list instead of aborting the whole
     corpus.
     """
     import time as _time
@@ -321,20 +259,18 @@ def grade_corpus(bank: QuestionBank,
                 else:
                     work.append((question, passage))
 
-    def run_one(item: tuple[ExamQuestion, Passage]):
+    def run_one(item: tuple[ExamQuestion, Passage]) -> Grade | SkipEntry:
         question, passage = item
+        if mode == QA_VERIFIED and not question.supports_verification:
+            return SkipEntry(question.query_id, passage.passage_id,
+                             question.question_id, "no gold answer")
         try:
             return grade_pair(question, passage, mode, config, backend)
         except (gateway.BackendError, gateway.BudgetExceeded) as exc:
             return SkipEntry(question.query_id, passage.passage_id,
                              question.question_id, str(exc))
 
-    results: list[Grade | SkipEntry]
-    if config.parallelism > 1 and work:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            results = list(pool.map(run_one, work))
-    else:
-        results = [run_one(item) for item in work]
+    results = gateway.map_ordered(run_one, work, config.parallelism)
 
     grades = [r for r in results if isinstance(r, Grade)]
     summary.failures = [r for r in results if isinstance(r, SkipEntry)]

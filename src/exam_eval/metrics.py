@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from . import grading
 from .model import (
     ContractViolation,
@@ -92,25 +90,7 @@ def exam_cover(run: Run, bank: QuestionBank,
 
 
 # ---------------------------------------------------------------------------
-# Relevance labels and derived qrels
-
-
-def relevance_labels(grades: list[Grade], policy: GradePolicy,
-                     graded: bool = False) -> int:
-    """Label for one (query, passage) from its grades.
-
-    Binary: 1 iff at least `min_answers` questions are correct under the
-    policy. Graded: the highest self-rating obtained on any question.
-    """
-    pairs = {(g.query_id, g.passage_id) for g in grades}
-    if len(pairs) > 1:
-        raise ContractViolation(
-            f"grades span multiple (query, passage) pairs: {sorted(pairs)}")
-    # Without grades there is no pair, and any key labels 0.
-    query_id, passage_id = next(iter(pairs), ("", ""))
-    return GradeIndex.of(grades, policy.mode).label(
-        query_id, passage_id, {g.question_id for g in grades}, policy,
-        graded=graded)
+# Derived qrels
 
 
 def build_qrels(grades: Iterable[Grade] | GradeIndex, bank: QuestionBank,
@@ -180,21 +160,62 @@ def _common_vectors(scores_a: dict[str, float], scores_b: dict[str, float]
     return ([scores_a[s] for s in common], [scores_b[s] for s in common])
 
 
-def spearman(scores_a: dict[str, float], scores_b: dict[str, float]) -> float:
-    """Spearman rank correlation with average ranks for ties."""
-    from scipy import stats  # imported here: it costs most of the CLI's start-up
+def _undefined(a: list[float], b: list[float]) -> bool:
+    """No correlation exists when a side holds a NaN or is constant."""
+    return (any(math.isnan(v) for v in a + b)
+            or len(set(a)) == 1 or len(set(b)) == 1)
 
+
+def _average_ranks(values: list[float]) -> list[float]:
+    """1-based ranks; tied values share the mean of their positions."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    start = 0
+    while start < len(order):
+        end = start
+        while (end + 1 < len(order)
+               and values[order[end + 1]] == values[order[start]]):
+            end += 1
+        for i in order[start:end + 1]:
+            ranks[i] = (start + end) / 2 + 1
+        start = end + 1
+    return ranks
+
+
+def spearman(scores_a: dict[str, float], scores_b: dict[str, float]) -> float:
+    """Spearman rank correlation with average ranks for ties: the Pearson
+    correlation of the ranks. NaN when a side is constant or holds a NaN."""
     a, b = _common_vectors(scores_a, scores_b)
-    return float(stats.spearmanr(a, b).statistic)
+    if _undefined(a, b):
+        return math.nan
+    ra, rb = _average_ranks(a), _average_ranks(b)
+    mean = (len(ra) + 1) / 2       # of 1..n, with or without ties
+    da = [r - mean for r in ra]
+    db = [r - mean for r in rb]
+    return sum(x * y for x, y in zip(da, db)) / math.sqrt(
+        sum(x * x for x in da) * sum(y * y for y in db))
 
 
 def kendall_tau(scores_a: dict[str, float], scores_b: dict[str, float]
                 ) -> float:
-    """Kendall's tau-b (tie-corrected) rank correlation."""
-    from scipy import stats
-
+    """Kendall's tau-b (tie-corrected) rank correlation. NaN when a side is
+    constant or holds a NaN."""
     a, b = _common_vectors(scores_a, scores_b)
-    return float(stats.kendalltau(a, b).statistic)
+    if _undefined(a, b):
+        return math.nan
+    n = len(a)
+    # Per pair, the signs of the differences; a pair tied on one side
+    # counts in that side's ties, joint ties in both.
+    score = tied_a = tied_b = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            sign_a = (a[i] > a[j]) - (a[i] < a[j])
+            sign_b = (b[i] > b[j]) - (b[i] < b[j])
+            score += sign_a * sign_b
+            tied_a += not sign_a
+            tied_b += not sign_b
+    pairs = n * (n - 1) // 2
+    return score / math.sqrt((pairs - tied_a) * (pairs - tied_b))
 
 
 @dataclass(frozen=True)
@@ -312,13 +333,6 @@ def leaderboard(runs: list[Run], bank: QuestionBank,
     return LeaderboardResult(rows=tuple(rows), correlation=correlation)
 
 
-def se_overlap_test(row_a: LeaderboardRow, row_b: LeaderboardRow) -> str:
-    """Distinct iff the two score +/- std_error intervals do not touch."""
-    lo_a, hi_a = row_a.score - row_a.std_error, row_a.score + row_a.std_error
-    lo_b, hi_b = row_b.score - row_b.std_error, row_b.score + row_b.std_error
-    return "distinct" if (hi_a < lo_b or hi_b < lo_a) else "overlapping"
-
-
 # ---------------------------------------------------------------------------
 # Cohen's kappa and agreement tables
 
@@ -329,36 +343,39 @@ class KappaResult:
     per_row: tuple[float, ...]
 
 
+def _kappa(matrix: list[list[int]]) -> float:
+    n = sum(map(sum, matrix))
+    p_observed = sum(row[i] for i, row in enumerate(matrix)) / n
+    p_expected = sum(sum(row) * sum(col) for row, col
+                     in zip(matrix, zip(*matrix))) / (n * n)
+    if p_expected == 1.0:
+        raise UndefinedResult("degenerate marginals: expected agreement 1")
+    return (p_observed - p_expected) / (1.0 - p_expected)
+
+
 def cohens_kappa(counts) -> KappaResult:
     """Cohen's kappa of a square confusion matrix, plus the per-category
     (one-vs-rest) kappa for each row label.
     """
-    data = np.asarray(counts, dtype=np.int64)
-    if data.ndim != 2 or data.shape[0] != data.shape[1]:
+    data = [list(row) for row in counts]
+    size = len(data)
+    if any(len(row) != size for row in data):
         raise ContractViolation(
-            f"confusion matrix must be square, got shape {data.shape}")
-    if (data < 0).any():
+            f"confusion matrix must be square, got row lengths "
+            f"{[len(row) for row in data]}")
+    if any(v < 0 for row in data for v in row):
         raise ContractViolation("counts must be non-negative")
-    total = int(data.sum())
+    total = sum(map(sum, data))
     if total <= 0:
         raise ContractViolation("confusion matrix must have positive total")
 
-    def _kappa(matrix: np.ndarray) -> float:
-        n = matrix.sum()
-        p_observed = matrix.trace() / n
-        p_expected = float(
-            np.dot(matrix.sum(axis=1), matrix.sum(axis=0))) / (n * n)
-        if p_expected == 1.0:
-            raise UndefinedResult("degenerate marginals: expected agreement 1")
-        return float((p_observed - p_expected) / (1.0 - p_expected))
-
     per_row = []
-    for i in range(data.shape[0]):
-        tp = data[i, i]
-        row = data[i].sum() - tp
-        col = data[:, i].sum() - tp
+    for i in range(size):
+        tp = data[i][i]
+        row = sum(data[i]) - tp
+        col = sum(r[i] for r in data) - tp
         rest = total - tp - row - col
-        per_row.append(_kappa(np.array([[tp, row], [col, rest]])))
+        per_row.append(_kappa([[tp, row], [col, rest]]))
     return KappaResult(overall=_kappa(data), per_row=tuple(per_row))
 
 
@@ -379,34 +396,6 @@ class CollapseSpec:
 
 def _group_name(group: tuple[int, ...]) -> str:
     return "+".join(str(v) for v in sorted(group, reverse=True))
-
-
-def lenient_spec(judgment_rel: tuple[int, ...] = (1, 2, 3),
-                 judgment_nonrel: tuple[int, ...] = (0,)) -> CollapseSpec:
-    return CollapseSpec("lenient",
-                        label_groups=((1, 2, 3, 4, 5), (0,)),
-                        judgment_groups=(judgment_rel, judgment_nonrel))
-
-
-def strict_spec(judgment_rel: tuple[int, ...] = (1, 2, 3),
-                judgment_nonrel: tuple[int, ...] = (0,)) -> CollapseSpec:
-    return CollapseSpec("strict",
-                        label_groups=((4, 5), (0, 1, 2, 3)),
-                        judgment_groups=(judgment_rel, judgment_nonrel))
-
-
-def binary_spec(judgment_rel: tuple[int, ...] = (1, 2, 3),
-                judgment_nonrel: tuple[int, ...] = (0,)) -> CollapseSpec:
-    return CollapseSpec("binary",
-                        label_groups=((1,), (0,)),
-                        judgment_groups=(judgment_rel, judgment_nonrel))
-
-
-def graded_spec(max_judgment: int = 3) -> CollapseSpec:
-    return CollapseSpec(
-        "graded",
-        label_groups=tuple((v,) for v in range(5, -1, -1)),
-        judgment_groups=tuple((v,) for v in range(max_judgment, -1, -1)))
 
 
 def _split_at(values: set[int], threshold: int
@@ -485,8 +474,7 @@ def _cross_tabulate(name: str, label_map: dict[tuple[str, str], int],
 
     row_of = {v: i for i, g in enumerate(spec.label_groups) for v in g}
     col_of = {v: i for i, g in enumerate(spec.judgment_groups) for v in g}
-    counts = np.zeros((len(spec.label_groups), len(spec.judgment_groups)),
-                      dtype=np.int64)
+    counts = [[0] * len(spec.judgment_groups) for _ in spec.label_groups]
     for key in common:
         label, judgment = label_map[key], judgment_map[key]
         if label not in row_of:
@@ -496,10 +484,10 @@ def _cross_tabulate(name: str, label_map: dict[tuple[str, str], int],
             raise ContractViolation(
                 f"judgment value {judgment} not covered by collapse "
                 f"{spec.name!r}")
-        counts[row_of[label], col_of[judgment]] += 1
+        counts[row_of[label]][col_of[judgment]] += 1
 
     kappa_overall = kappa_per_row = None
-    if counts.shape[0] == counts.shape[1]:
+    if len(spec.label_groups) == len(spec.judgment_groups):
         try:
             result = cohens_kappa(counts)
             kappa_overall, kappa_per_row = result.overall, result.per_row
@@ -509,17 +497,10 @@ def _cross_tabulate(name: str, label_map: dict[tuple[str, str], int],
         name=name,
         row_labels=tuple(_group_name(g) for g in spec.label_groups),
         col_labels=tuple(_group_name(g) for g in spec.judgment_groups),
-        counts=tuple(tuple(int(v) for v in row) for row in counts),
+        counts=tuple(map(tuple, counts)),
         kappa_overall=kappa_overall,
         kappa_per_row=kappa_per_row,
         dropped_pairs=dropped)
-
-
-def agreement_tables(exam_labels: list[Judgment],
-                     official: list[Judgment],
-                     collapses: list[CollapseSpec]) -> list[ConfusionTable]:
-    return [confusion_table(exam_labels, official, spec)
-            for spec in collapses]
 
 
 def min_answers_sweep(grades: Iterable[Grade] | GradeIndex,

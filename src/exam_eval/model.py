@@ -301,16 +301,6 @@ def passes(outcome: bool | int, policy: GradePolicy) -> bool:
     return outcome >= policy.min_rating
 
 
-def policy_is_correct(grade: Grade, policy: GradePolicy) -> bool:
-    """Decide whether a grade counts as a correctly answered question."""
-    if grade.mode != policy.mode:
-        raise ContractViolation(
-            f"grade mode {grade.mode!r} does not match "
-            f"policy mode {policy.mode!r}")
-    return passes(grade.verified if grade.mode == QA_VERIFIED
-                  else grade.rating, policy)
-
-
 def label_of(outcomes: Iterable[bool | int], policy: GradePolicy,
              graded: bool = False) -> int:
     """A passage's label from the outcomes of its counted questions.

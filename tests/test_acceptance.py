@@ -14,11 +14,11 @@ from exam_eval.formats import parse_qrels, write_qrels
 from exam_eval.gateway import BackendConfig, MockBackend
 from exam_eval.grading import grade_pair
 from exam_eval.metrics import (
+    build_qrels,
     cohens_kappa,
     exam_cover,
     kendall_tau,
     precision_at_k,
-    relevance_labels,
     spearman,
 )
 from exam_eval.model import (
@@ -30,6 +30,7 @@ from exam_eval.model import (
     QA_VERIFIED,
     QuestionBank,
     SELF_RATED,
+    label_of,
 )
 from conftest import make_run
 from test_cli import ARTIFACTS, run_pipeline, write_pipeline_inputs
@@ -82,8 +83,10 @@ def test_criterion_2_worked_example(tqa_question, generated_question,
     assert all(g.rating == 4 for g in rated_grades)
 
     policy = GradePolicy(SELF_RATED, min_rating=4)
-    assert relevance_labels(rated_grades, policy, graded=True) == 4
-    assert relevance_labels(rated_grades, policy) == 1
+    [graded] = build_qrels(rated_grades, skin_bank, policy, graded=True)
+    [binary] = build_qrels(rated_grades, skin_bank, policy)
+    assert graded.grade == 4
+    assert binary.grade == 1
     report(2, "skin-anatomy passage verifies 'epidermis', self-rates 4, "
               "graded label 4, binary label 1")
 
@@ -190,12 +193,10 @@ def test_criterion_4_invariant_suite():
     # Binary/graded label consistency.
     for _ in range(200):
         ratings = [rng.randint(0, 5) for _ in range(rng.randint(1, 6))]
-        grades = [Grade("q1", "p1", f"q{i}", SELF_RATED, rating=r)
-                  for i, r in enumerate(ratings)]
         threshold = rng.randint(1, 5)
         policy = GradePolicy(SELF_RATED, min_rating=threshold)
-        assert (relevance_labels(grades, policy) == 1) \
-            == (relevance_labels(grades, policy, graded=True) >= threshold)
+        assert (label_of(ratings, policy) == 1) \
+            == (label_of(ratings, policy, graded=True) >= threshold)
 
     # Qrels round-trip byte stability.
     for _ in range(50):

@@ -1,10 +1,14 @@
+import threading
+import time
+
 import pytest
 
 from exam_eval.bank import diff_banks, generate_bank, parse_question_list
-from exam_eval.gateway import BackendConfig, MockBackend, PromptTemplate
+from exam_eval.gateway import BackendConfig, CompletionResponse, MockBackend
 from exam_eval.model import (
     ContractViolation,
     ExamQuestion,
+    Facet,
     Grade,
     GradePolicy,
     Query,
@@ -48,7 +52,7 @@ class TestGenerateBank:
     def test_fixed_list_yields_ten_per_query(self):
         queries = [Query("q1", "topic one"), Query("q2", "topic two")]
         backend = MockBackend({"default": ten_questions()})
-        bank = generate_bank(queries, PromptTemplate.named("question_gen_dl"),
+        bank = generate_bank(queries, "question_gen_dl",
                              self.config(), backend)
         assert len(bank.questions_for("q1")) == 10
         assert len(bank.questions_for("q2")) == 10
@@ -56,7 +60,7 @@ class TestGenerateBank:
 
     def test_deterministic_question_ids(self):
         queries = [Query("q1", "topic")]
-        template = PromptTemplate.named("question_gen_dl")
+        template = "question_gen_dl"
         bank_a = generate_bank(queries, template, self.config(),
                                MockBackend({"default": ten_questions()}))
         bank_b = generate_bank(queries, template, self.config(),
@@ -67,8 +71,7 @@ class TestGenerateBank:
 
     def test_facet_template_fans_out_per_facet(self, skin_query):
         backend = MockBackend({"default": '["F?"]'})
-        bank = generate_bank([skin_query],
-                             PromptTemplate.named("question_gen_car"),
+        bank = generate_bank([skin_query], "question_gen_car",
                              self.config(), backend)
         [question] = bank.questions_for(skin_query.query_id)
         assert question.facet_id == "structure-of-the-skin"
@@ -77,8 +80,7 @@ class TestGenerateBank:
 
     def test_garbage_retries_once_then_warns(self, caplog):
         backend = MockBackend({"default": "garbage"})
-        bank = generate_bank([Query("q1", "t")],
-                             PromptTemplate.named("question_gen_dl"),
+        bank = generate_bank([Query("q1", "t")], "question_gen_dl",
                              self.config(), backend)
         assert bank.questions_for("q1") == ()
         assert len(backend.request_log) == 2
@@ -86,8 +88,45 @@ class TestGenerateBank:
 
     def test_grading_template_rejected(self):
         with pytest.raises(ContractViolation):
-            generate_bank([], PromptTemplate.named("qa"), self.config(),
-                          MockBackend({}))
+            generate_bank([], "qa", self.config(), MockBackend({}))
+
+    def test_bank_same_for_every_parallelism(self):
+        # Facets answer differently, some only on the retry, some never.
+        queries = [Query(f"q{i}", f"topic {i}", tuple(
+            Facet(f"f{j}", f"facet {j}") for j in range(i % 4)))
+            for i in range(8)]
+        responses = {f"q{i}/f{j}": str([f"Q{i}.{j}.{k}?" for k in range(j + 1)])
+                     for i in range(8) for j in range(3)}
+        responses["q3/f1"] = "garbage"
+        flaky = {"q5/f0"}
+        threads = set()
+
+        class Backend(MockBackend):
+            def complete(self, request):
+                threads.add(threading.get_ident())
+                time.sleep(0.005)
+                key = "{query_id}/{facet_id}".format(**request.metadata)
+                if key in flaky:
+                    flaky.discard(key)      # the retry parses
+                    return CompletionResponse("garbage", 0.0, "flaky")
+                return super().complete(request)
+
+        banks, thread_counts = [], []
+        for parallelism in (1, 4):
+            flaky.add("q5/f0")
+            threads.clear()
+            banks.append(generate_bank(
+                queries, "question_gen_car",
+                BackendConfig(parallelism=parallelism), Backend(responses)))
+            thread_counts.append(len(threads))
+        assert thread_counts[0] == 1 and thread_counts[1] > 1
+        serial, parallel = banks
+        assert parallel == serial
+        assert serial.query_ids == [f"q{i}" for i in range(8)]
+        assert [q.question_id for q in serial.questions_for("q3")] \
+            == ["q3/f0/0", "q3/f2/0", "q3/f2/1", "q3/f2/2"]
+        assert [q.text for q in serial.questions_for("q5")] == ["Q5.0.0?"]
+        assert serial.questions_for("q4") == ()
 
 
 def rated(qid, pid, qqid, rating):

@@ -57,19 +57,51 @@ def test_help_exits_zero():
     assert main(["--help"]) == 0
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is only needed for rank correlations; importing it up front
-    # costs most of the CLI's start-up time.
+# Imports the CLI, runs each command given as JSON argv lists, and prints
+# the heavy modules loaded after the import and after each command.
+HEAVY_MODULES_PROBE = """
+import json, sys
+from exam_eval.cli import main
+heavy = lambda: [m for m in ("numpy", "scipy") if m in sys.modules]
+seen = [heavy()]
+for argv in json.loads(sys.argv[1]):
+    seen.append([main(argv)] + heavy())
+print(json.dumps(seen))
+"""
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # Statistics are plain Python: numpy and scipy are test-only, and
+    # importing either would cost most of the CLI's start-up time.
+    write_pipeline_inputs(tmp_path)
+    out = tmp_path / "out"
+    run_pipeline(tmp_path, out)
+    (tmp_path / "runs" / "sysC.run").write_text(
+        "q1 Q0 pA2 1 9.0 sysC\nq2 Q0 pA2 1 9.0 sysC\n")
+    (tmp_path / "official.json").write_text(
+        json.dumps({"sysA": 1, "sysB": 3, "sysC": 2}))
+    commands = [
+        ["leaderboard", "--bank", str(out / "bank.json"),
+         "--runs", str(tmp_path / "runs"),
+         "--grades", str(out / "grades.jsonl.gz"), "--policy", "rate:4",
+         "--official", str(tmp_path / "official.json"),
+         "--out", str(out / "lb3.tsv")],
+        ["correlate", "--a", str(out / "lb3.tsv"), "--b", str(out / "lb3.tsv")],
+        ["agreement", "--labels", str(out / "exam.qrels"),
+         "--judgments", str(out / "exam.qrels"),
+         "--collapse", "graded,lenient,strict,binary"],
+    ]
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         sys.modules["exam_eval"].__file__)))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, exam_eval.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", HEAVY_MODULES_PROBE, json.dumps(commands)],
         capture_output=True, text=True, env=env, timeout=60, check=True)
-    assert probe.stdout.strip() == "False"
+    assert json.loads(probe.stdout.splitlines()[-1]) == [[], [0], [0], [0]]
+    # sysB and sysC tie on score: tau-b and average ranks at work.
+    assert probe.stderr == "spearman=0.8660 kendall=0.8165 n=3\n"
 
 
 @pytest.mark.parametrize("data", [
@@ -284,6 +316,31 @@ class TestPipeline:
             "--run", str(tmp_path / "runs" / "sysA.run")]) == 0
         assert "mean\t1.0000" in capsys.readouterr().out
 
+    def test_config_keys_reach_every_option(self, tmp_path, capsys):
+        write_pipeline_inputs(tmp_path)
+        out = tmp_path / "out"
+        run_pipeline(tmp_path, out)
+        runs = tmp_path / "runs"
+        conf = tmp_path / "exam.conf"
+        # Long option names, with - or _, or the parameter's own name.
+        conf.write_text(f"judgments = {out / 'exam.qrels'}\n"
+                        f"collapse = binary\nfmt = table\n"
+                        f"judgment-rel-min = 1\n"
+                        f"runs = {runs / 'sysA.run'} {runs / 'sysB.run'}\n"
+                        f"bank = {out / 'bank.json'}\n"
+                        f"grades = {out / 'grades.jsonl.gz'}\n"
+                        f"policy = rate:4\n")
+        capsys.readouterr()
+        assert main(["--config", str(conf), "agreement",
+                     "--labels", str(out / "exam.qrels")]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith("BINARY\n")
+        assert "LENIENT" not in text and "GRADED" not in text
+        assert main(["--config", str(conf), "leaderboard"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert sorted(row.split("\t")[0] for row in rows) \
+            == ["_overall_", "sysA", "sysB"]
+
     def test_agreement_min_answers_sweep(self, tmp_path):
         write_pipeline_inputs(tmp_path)
         out = tmp_path / "out"
@@ -304,6 +361,32 @@ class TestPipeline:
                      "--run", str(tmp_path / "nope.run"),
                      "--grades", str(tmp_path / "nope.gz"),
                      "--policy", "rate:4"]) == 1
+
+    def test_question_without_gold_answer_is_skip_logged(self, tmp_path,
+                                                         capsys):
+        write_pipeline_inputs(tmp_path)
+        bank = QuestionBank({"q1": (
+            ExamQuestion("q1/q/0", "q1", "What is it?", gold_answer="alpha"),
+            ExamQuestion("q1/q/1", "q1", "And this?"))})
+        (tmp_path / "bank.json").write_text(save_question_bank(bank))
+        store = tmp_path / "grades.jsonl.gz"
+        assert main([
+            "grade", "--bank", str(tmp_path / "bank.json"),
+            "--runs", str(tmp_path / "runs"),
+            "--passages", str(tmp_path / "passages.json"),
+            "--mode", "qa", "--mock", str(tmp_path / "grade_mock.json"),
+            "--store", str(store)]) == 0
+        assert "graded 3 pairs (0 already in store, 3 failed)" \
+            in capsys.readouterr().out
+        pool = ["pA1", "pA2", "pB1"]
+        skip_log = tmp_path / "grades.jsonl.skipped.jsonl"
+        skipped = [json.loads(line)
+                   for line in skip_log.read_text().splitlines()]
+        assert skipped == [
+            {"query_id": "q1", "passage_id": pid, "question_id": "q1/q/1",
+             "reason": "no gold answer"} for pid in pool]
+        assert set(GradeStore(store).read()) == {
+            ("q1", pid, "q1/q/0", QA_VERIFIED) for pid in pool}
 
     def test_question_over_budget_is_skip_logged(self, tmp_path, capsys):
         write_pipeline_inputs(tmp_path)

@@ -13,7 +13,7 @@ from exam_eval.gateway import (
     HttpBackend,
     MockBackend,
     PROMPT_TEMPLATES,
-    PromptTemplate,
+    render,
     render_qa_prompt,
     render_question_gen_prompt,
     render_self_rating_prompt,
@@ -75,11 +75,11 @@ class TestPromptRendering:
 
     def test_unknown_template_name(self):
         with pytest.raises(ContractViolation):
-            PromptTemplate("freestyle", "whatever")
+            render("freestyle")
 
     def test_unbound_body_placeholder_rejected(self):
         with pytest.raises(ContractViolation, match="context"):
-            PromptTemplate.named("qa").render(question="A?")
+            render("qa", question="A?")
 
 
 BRACES_TEXT = ('config: {config} then {"key": [1, 2]} and '
@@ -150,9 +150,8 @@ def test_truncation_needs_a_trailing_context_field():
 
 def longest_fitting_prefix(question, context, budget, template_name):
     """Brute force: render and count the prompt for every token prefix."""
-    template = PromptTemplate.named(template_name)
     fits = lambda c: token_count(
-        template.render(question=question, context=c)) <= budget
+        render(template_name, question=question, context=c)) <= budget
     if not fits(""):
         raise BudgetExceeded(budget)
     if fits(context):
@@ -178,8 +177,7 @@ questions = st.lists(st.sampled_from(WORDS + WHITESPACE), min_size=1,
 @given(question=questions, context=contexts, data=st.data())
 def test_truncation_matches_brute_force(template_name, question, context,
                                         data):
-    fixed = token_count(PromptTemplate.named(template_name).render(
-        question=question, context=""))
+    fixed = token_count(render(template_name, question=question, context=""))
     budget = fixed - 1 + data.draw(
         st.integers(0, len(context.split()) + 2), label="slack")
     try:

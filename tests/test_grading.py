@@ -8,14 +8,12 @@ from exam_eval import grading
 from exam_eval.formats import GradeStore
 from exam_eval.gateway import BackendConfig, BackendError, MockBackend
 from exam_eval.grading import (
-    SegmentationConfig,
     build_passage_pool,
     edit_distance_below,
     grade_corpus,
     grade_pair,
     normalize_answer,
     parse_self_rating,
-    segment_response,
     verify_answer,
 )
 from exam_eval.model import (
@@ -28,51 +26,6 @@ from exam_eval.model import (
     SELF_RATED,
 )
 from conftest import make_run
-
-
-class TestSegmentation:
-    def test_short_text_single_passage(self):
-        text = " ".join(f"w{i}" for i in range(100))
-        [passage] = segment_response(text)
-        assert passage.text == text
-
-    def test_sentence_boundary_splits(self):
-        sentences = [
-            " ".join(f"s{i}w{j}" for j in range(9)) + "."
-            for i in range(90)
-        ]
-        text = " ".join(sentences)  # 90 sentences x 10 tokens
-        passages = segment_response(text)
-        assert len(passages) == 3
-        for p in passages:
-            assert len(p.text.split()) <= 400
-            assert p.text.endswith(".")
-
-    def test_oversized_sentence_hard_split(self):
-        text = " ".join(f"w{i}" for i in range(600))  # no sentence ends
-        passages = segment_response(text)
-        assert len(passages) == 2
-        assert len(passages[0].text.split()) == 400
-        assert len(passages[1].text.split()) == 200
-
-    def test_reconstruction_modulo_whitespace(self):
-        text = ("First sentence here. Second one follows!  Third asks? "
-                "Fourth ends.") * 50
-        passages = segment_response(text)
-        joined = " ".join(p.text for p in passages)
-        assert joined.split() == text.split()
-
-    def test_ids_are_hash_slash_ordinal(self):
-        text = " ".join(f"w{i}" for i in range(900))
-        passages = segment_response(text)
-        prefixes = {p.passage_id.split("/")[0] for p in passages}
-        assert len(prefixes) == 1
-        assert [p.passage_id.split("/")[1] for p in passages] \
-            == [str(i) for i in range(len(passages))]
-
-    def test_config_bounds(self):
-        with pytest.raises(ContractViolation):
-            SegmentationConfig(target_tokens=16)
 
 
 class TestNormalizeAnswer:
@@ -290,6 +243,16 @@ class TestGradeCorpus:
         # Request accounting: grades + skip-log covers every pair.
         assert summary.graded + len(summary.failures) == 24
 
+    def test_question_without_gold_answer_sends_no_request(self, tmp_path):
+        bank, passages = self.bank_and_passages()
+        backend = MockBackend({"default": "alpha"})
+        summary = grade_corpus(bank, passages, QA_VERIFIED, config(),
+                               GradeStore(tmp_path / "g.jsonl.gz"), backend)
+        assert backend.request_log == []
+        assert summary.graded == 0
+        assert len(summary.failures) == 24
+        assert {f.reason for f in summary.failures} == {"no gold answer"}
+
     def test_parallel_matches_serial(self, tmp_path):
         bank, passages = self.bank_and_passages()
         serial_store = GradeStore(tmp_path / "serial.jsonl.gz")
@@ -378,7 +341,8 @@ def test_braces_passage_is_graded(tmp_path, mode):
     store = GradeStore(tmp_path / "g.jsonl.gz")
     summary = grade_corpus(bank, passages, mode, config(), store, backend)
     assert summary.graded == 2 and not summary.failures
-    prompts = {r.meta("passage_id"): r.prompt for r in backend.request_log}
+    prompts = {r.metadata["passage_id"]: r.prompt
+               for r in backend.request_log}
     assert prompts["p-braces"].endswith(
         'Question: What does {config} set?\n'
         'Context: It sets {config} = {"depth": 20} here.')

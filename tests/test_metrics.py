@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,24 +10,17 @@ from exam_eval.formats import parse_run_file
 from exam_eval.metrics import (
     CollapseSpec,
     UndefinedResult,
-    binary_spec,
     build_qrels,
     cohens_kappa,
     collapse_for,
     confusion_table,
     correlation_stats,
     exam_cover,
-    graded_spec,
     kendall_tau,
     leaderboard,
-    lenient_spec,
     min_answers_sweep,
     precision_at_k,
-    relevance_labels,
-    se_overlap_test,
     spearman,
-    strict_spec,
-    LeaderboardRow,
     OVERALL_SYSTEM,
 )
 from exam_eval.model import (
@@ -39,6 +33,7 @@ from exam_eval.model import (
     QA_VERIFIED,
     QuestionBank,
     SELF_RATED,
+    label_of,
 )
 from conftest import make_run
 
@@ -374,35 +369,25 @@ class TestExamCover:
 
 class TestRelevanceLabels:
     def test_graded_is_max_rating(self):
-        grades = [rated("q1", "p1", "qa", 4), rated("q1", "p1", "qb", 2)]
-        assert relevance_labels(grades, LENIENT, graded=True) == 4
+        assert label_of([4, 2], LENIENT, graded=True) == 4
 
     def test_min_answers_two_needs_two(self):
-        grades = [rated("q1", "p1", "qa", 5)]
         policy = GradePolicy(SELF_RATED, min_rating=1, min_answers=2)
-        assert relevance_labels(grades, policy) == 0
+        assert label_of([5], policy) == 0
 
     def test_one_correct_suffices_by_default(self):
-        grades = [rated("q1", "p1", "qa", 5), rated("q1", "p1", "qb", 0)]
-        assert relevance_labels(grades, LENIENT) == 1
+        assert label_of([5, 0], LENIENT) == 1
 
     def test_no_grades_graded_zero(self):
-        assert relevance_labels([], LENIENT, graded=True) == 0
-
-    def test_mixed_pairs_rejected(self):
-        with pytest.raises(ContractViolation):
-            relevance_labels([rated("q1", "p1", "qa", 1),
-                              rated("q1", "p2", "qa", 1)], LENIENT)
+        assert label_of([], LENIENT, graded=True) == 0
 
     @given(ratings=st.lists(st.integers(0, 5), min_size=1, max_size=6),
            threshold=st.integers(1, 5))
     def test_binary_graded_consistency(self, ratings, threshold):
         # Binary label 1 under min_rating=r iff graded label >= r.
-        grades = [rated("q1", "p1", f"q{i}", r)
-                  for i, r in enumerate(ratings)]
         policy = GradePolicy(SELF_RATED, min_rating=threshold)
-        binary = relevance_labels(grades, policy)
-        graded = relevance_labels(grades, policy, graded=True)
+        binary = label_of(ratings, policy)
+        graded = label_of(ratings, policy, graded=True)
         assert (binary == 1) == (graded >= threshold)
 
 
@@ -540,6 +525,43 @@ class TestCorrelation:
             kendall_tau(transformed, b), abs=1e-12)
 
 
+def score_vectors(n):
+    """n scores: drawn from a few values (ties), distinct, all equal, or
+    with a NaN (a leaderboard may read "nan")."""
+    tied = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n,
+                    max_size=n)
+    untied = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n,
+                      unique=True)
+    constant = st.floats(-1e3, 1e3).map(lambda v: [v] * n)
+    with_nan = untied.map(lambda v: v[1:] + [math.nan][:len(v)])
+    return tied | untied | constant | with_nan
+
+
+@given(st.integers(0, 8).flatmap(
+    lambda n: st.tuples(score_vectors(n), score_vectors(n))))
+@settings(max_examples=400, deadline=None)
+def test_correlations_match_scipy(vectors):
+    stats = pytest.importorskip("scipy.stats")
+    a, b = vectors
+    scores_a, scores_b = scores_from(a), scores_from(b)
+    if len(a) < 3:
+        with pytest.raises(UndefinedResult):
+            spearman(scores_a, scores_b)
+        with pytest.raises(UndefinedResult):
+            kendall_tau(scores_a, scores_b)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # scipy warns on a constant side
+        expected = (float(stats.spearmanr(a, b).statistic),
+                    float(stats.kendalltau(a, b).statistic))
+    ours = (spearman(scores_a, scores_b), kendall_tau(scores_a, scores_b))
+    for value, reference in zip(ours, expected):
+        if math.isnan(reference):
+            assert math.isnan(value)
+        else:
+            assert value == pytest.approx(reference, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Kappa and agreement tables
 
@@ -574,6 +596,58 @@ class TestCohensKappa:
             cohens_kappa([[1, 2, 3], [4, 5, 6]])
 
 
+def numpy_kappa(counts):
+    """Reference kappa over numpy arrays: (overall, per_row), or None
+    where the marginals make a kappa undefined."""
+    np = pytest.importorskip("numpy")
+    data = np.asarray(counts, dtype=np.int64)
+
+    def kappa(matrix):
+        n = matrix.sum()
+        p_observed = matrix.trace() / n
+        p_expected = float(
+            np.dot(matrix.sum(axis=1), matrix.sum(axis=0))) / (n * n)
+        if p_expected == 1.0:
+            return None
+        return float((p_observed - p_expected) / (1.0 - p_expected))
+
+    total = int(data.sum())
+    per_row = []
+    for i in range(data.shape[0]):
+        tp = data[i, i]
+        row = data[i].sum() - tp
+        col = data[:, i].sum() - tp
+        rest = total - tp - row - col
+        per_row.append(kappa(np.array([[tp, row], [col, rest]])))
+    return kappa(data), tuple(per_row)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 60), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+@settings(max_examples=400, deadline=None)
+def test_kappa_matches_numpy_formula(counts):
+    if not any(map(any, counts)):
+        return
+    overall, per_row = numpy_kappa(counts)
+    if overall is None or None in per_row:
+        with pytest.raises(UndefinedResult):
+            cohens_kappa(counts)
+        return
+    result = cohens_kappa(counts)
+    assert result.overall == overall
+    assert result.per_row == per_row
+
+
+# Collapses over the full label (0-5) and judgment (0-3) scales.
+JUDGMENT_SPLIT = ((1, 2, 3), (0,))
+LENIENT_SPEC = CollapseSpec("lenient", ((1, 2, 3, 4, 5), (0,)), JUDGMENT_SPLIT)
+STRICT_SPEC = CollapseSpec("strict", ((4, 5), (0, 1, 2, 3)), JUDGMENT_SPLIT)
+BINARY_SPEC = CollapseSpec("binary", ((1,), (0,)), JUDGMENT_SPLIT)
+GRADED_SPEC = CollapseSpec("graded", tuple((v,) for v in range(5, -1, -1)),
+                           tuple((v,) for v in range(3, -1, -1)))
+
+
 class TestAgreementTables:
     def labels_and_judgments(self):
         # 20 pairs, hand-tallied below.
@@ -593,13 +667,14 @@ class TestAgreementTables:
 
     def test_diagonal_identity(self):
         labels = [Judgment("q1", f"p{i}", i % 2) for i in range(10)]
-        table = confusion_table(labels, labels, binary_spec((1,), (0,)))
+        table = confusion_table(labels, labels,
+                                collapse_for("binary", {0, 1}, {0, 1}))
         assert table.kappa_overall == pytest.approx(1.0)
         assert table.counts[0][1] == table.counts[1][0] == 0
 
     def test_lenient_hand_tally(self):
         labels, judgments = self.labels_and_judgments()
-        table = confusion_table(labels, judgments, lenient_spec())
+        table = confusion_table(labels, judgments, LENIENT_SPEC)
         # Relevant labels (1-5): 12 pairs, 8 with judgment >= 1;
         # label 0: 8 pairs, 2 with judgment >= 1.
         assert table.counts == ((8, 4), (2, 6))
@@ -607,13 +682,13 @@ class TestAgreementTables:
 
     def test_strict_structure(self):
         labels, judgments = self.labels_and_judgments()
-        table = confusion_table(labels, judgments, strict_spec())
+        table = confusion_table(labels, judgments, STRICT_SPEC)
         assert table.row_labels == ("5+4", "3+2+1+0")
         assert table.counts == ((5, 2), (5, 8))
 
     def test_graded_table_has_no_overall_kappa(self):
         labels, judgments = self.labels_and_judgments()
-        table = confusion_table(labels, judgments, graded_spec())
+        table = confusion_table(labels, judgments, GRADED_SPEC)
         assert table.kappa_overall is None
         assert len(table.row_labels) == 6
         assert len(table.col_labels) == 4
@@ -622,14 +697,14 @@ class TestAgreementTables:
     def test_unjoined_pairs_dropped_and_counted(self):
         labels = [Judgment("q1", "p1", 1), Judgment("q1", "p-only-label", 1)]
         judgments = [Judgment("q1", "p1", 2), Judgment("q1", "p-only-j", 0)]
-        table = confusion_table(labels, judgments, binary_spec())
+        table = confusion_table(labels, judgments, BINARY_SPEC)
         assert table.total == 1
         assert table.dropped_pairs == 2
 
     def test_empty_join_rejected(self):
         with pytest.raises(ContractViolation):
             confusion_table([Judgment("q1", "p1", 1)],
-                            [Judgment("q2", "p2", 1)], binary_spec())
+                            [Judgment("q2", "p2", 1)], BINARY_SPEC)
 
     def test_overlapping_groups_rejected(self):
         with pytest.raises(ContractViolation):
@@ -662,7 +737,7 @@ class TestAgreementTables:
 
 
 # ---------------------------------------------------------------------------
-# Leaderboard and SE overlap
+# Leaderboard
 
 
 class TestLeaderboard:
@@ -730,19 +805,3 @@ class TestLeaderboard:
                                              "sysC": 3, "sysD": 2})
         assert result.correlation is not None
         assert result.correlation.n == 4
-
-
-class TestSeOverlap:
-    def test_disjoint(self):
-        a = LeaderboardRow("a", 0.70, 0.01)
-        b = LeaderboardRow("b", 0.60, 0.01)
-        assert se_overlap_test(a, b) == "distinct"
-
-    def test_overlapping(self):
-        a = LeaderboardRow("a", 0.70, 0.01)
-        b = LeaderboardRow("b", 0.695, 0.01)
-        assert se_overlap_test(a, b) == "overlapping"
-
-    def test_equal_scores(self):
-        a = LeaderboardRow("a", 0.5, 0.0)
-        assert se_overlap_test(a, a) == "overlapping"

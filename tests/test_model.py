@@ -16,38 +16,28 @@ from exam_eval.model import (
     Run,
     RunEntry,
     SELF_RATED,
-    policy_is_correct,
+    passes,
 )
 
 
 class TestPolicyIsCorrect:
     def test_strict_rating_at_threshold(self):
-        grade = Grade("q1", "p1", "qq1", SELF_RATED, rating=4)
-        assert policy_is_correct(grade, GradePolicy(SELF_RATED, min_rating=4))
+        assert passes(4, GradePolicy(SELF_RATED, min_rating=4))
 
     def test_zero_rating_below_any_threshold(self):
-        grade = Grade("q1", "p1", "qq1", SELF_RATED, rating=0)
-        assert not policy_is_correct(grade, GradePolicy(SELF_RATED, min_rating=1))
+        assert not passes(0, GradePolicy(SELF_RATED, min_rating=1))
 
     def test_verified_passthrough(self):
-        grade = Grade("q1", "p1", "qq1", QA_VERIFIED, verified=True)
-        assert policy_is_correct(grade, GradePolicy(QA_VERIFIED))
-        grade = Grade("q1", "p1", "qq1", QA_VERIFIED, verified=False)
-        assert not policy_is_correct(grade, GradePolicy(QA_VERIFIED))
-
-    def test_mode_mismatch_rejected(self):
-        grade = Grade("q1", "p1", "qq1", SELF_RATED, rating=3)
-        with pytest.raises(ContractViolation):
-            policy_is_correct(grade, GradePolicy(QA_VERIFIED))
+        assert passes(True, GradePolicy(QA_VERIFIED))
+        assert not passes(False, GradePolicy(QA_VERIFIED))
 
     @given(rating=st.integers(0, 5), lo=st.integers(1, 5), hi=st.integers(1, 5))
     def test_monotone_in_min_rating(self, rating, lo, hi):
         # Lowering min_rating never turns a true into a false.
         if lo > hi:
             lo, hi = hi, lo
-        grade = Grade("q1", "p1", "qq1", SELF_RATED, rating=rating)
-        strict = policy_is_correct(grade, GradePolicy(SELF_RATED, min_rating=hi))
-        lenient = policy_is_correct(grade, GradePolicy(SELF_RATED, min_rating=lo))
+        strict = passes(rating, GradePolicy(SELF_RATED, min_rating=hi))
+        lenient = passes(rating, GradePolicy(SELF_RATED, min_rating=lo))
         assert not strict or lenient
 
 
