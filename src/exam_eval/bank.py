@@ -10,15 +10,12 @@ import ast
 import logging
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from . import gateway
 from .model import (
     ExamQuestion,
     Facet,
-    Grade,
     GradeIndex,
-    GradePolicy,
     Query,
     QuestionBank,
 )
@@ -151,14 +148,13 @@ class BankDiffReport:
 
 
 def diff_banks(old: QuestionBank, new: QuestionBank,
-               grades: Iterable[Grade] | GradeIndex,
-               policy: GradePolicy) -> BankDiffReport:
+               index: GradeIndex) -> BankDiffReport:
     """Report bank edits and the passages whose binary label they flip.
 
     Questions are matched by id; an id present in both banks with changed
     text counts as edited. Added or edited questions without grades yet are
-    flagged needs-grading instead of contributing flips. `grades` may be an
-    index already built for the policy mode.
+    flagged needs-grading instead of contributing flips. Labels follow the
+    index's policy.
     """
     old_by_id = old.by_question_id()
     new_by_id = new.by_question_id()
@@ -169,7 +165,6 @@ def diff_banks(old: QuestionBank, new: QuestionBank,
         qid for qid in set(old_by_id) & set(new_by_id)
         if old_by_id[qid].text != new_by_id[qid].text)
 
-    index = GradeIndex.of(grades, policy.mode)
     graded_question_ids = index.question_ids()
     report.needs_grading = sorted(
         qid for qid in report.added + report.edited
@@ -184,8 +179,8 @@ def diff_banks(old: QuestionBank, new: QuestionBank,
         old_ids = {q.question_id for q in old.questions_for(query_id)}
         new_ids = {q.question_id for q in new.questions_for(query_id)
                    if q.question_id in graded_question_ids}
-        old_label = index.label(query_id, passage_id, old_ids, policy)
-        new_label = index.label(query_id, passage_id, new_ids, policy)
+        old_label = index.label(query_id, passage_id, old_ids)
+        new_label = index.label(query_id, passage_id, new_ids)
         if old_label != new_label:
             report.flips.append(
                 LabelFlip(query_id, passage_id, old_label, new_label))

@@ -19,7 +19,6 @@ from . import bank as bank_mod
 from . import formats, gateway, grading, metrics
 from .model import (
     ContractViolation,
-    CoverConfig,
     Facet,
     GradeIndex,
     GradePolicy,
@@ -55,8 +54,9 @@ def parse_policy(text: str) -> GradePolicy:
 
 
 def _grade_index(grades_path: str, policy: GradePolicy) -> GradeIndex:
-    """The store's grades of the policy mode, read once for a command."""
-    return GradeIndex(formats.GradeStore(grades_path).read(), policy.mode)
+    """The store's grades of the policy mode under the policy, read once
+    for a command."""
+    return GradeIndex(formats.GradeStore(grades_path).read(), policy)
 
 
 def atomic_write(path: str | Path, text: str) -> None:
@@ -92,13 +92,21 @@ def read_config_file(path: str) -> dict[str, str]:
 
 def load_queries(path: str) -> list[Query]:
     doc = json.loads(Path(path).read_text())
+    if not formats.objects_with(doc, ("query_id", "title")):
+        raise ContractViolation(
+            f"{path}: expected a JSON list of objects with 'query_id' and "
+            f"'title'")
     queries = []
     for entry in doc:
+        facets = entry.get("facets", [])
+        if not formats.objects_with(facets, ("facet_id", "title")):
+            raise ContractViolation(
+                f"{path}: facets of query {entry['query_id']!r} must be a "
+                f"list of objects with 'facet_id' and 'title'")
         queries.append(Query(
             query_id=entry["query_id"],
             title=entry["title"],
-            facets=tuple(Facet(f["facet_id"], f["title"])
-                         for f in entry.get("facets", []))))
+            facets=tuple(Facet(f["facet_id"], f["title"]) for f in facets)))
     return queries
 
 
@@ -139,14 +147,17 @@ def backend_options(fn):
     return fn
 
 
-def _default_map(values: dict[str, str]) -> dict[str, dict]:
-    """click's default_map from config values, per command.
+def _default_map(config_path: str) -> dict[str, dict]:
+    """click's default_map from a config file's values, per command.
 
     A config key is a long option name, with `_` for `-`; the parameter's
     own name is accepted too. Each command takes the keys of its own
-    options; a repeatable option takes a whitespace-separated list.
+    options; a repeatable option takes a whitespace-separated list. A key
+    that names no option of any command is an error.
     """
+    values = read_config_file(config_path)
     default_map = {}
+    unused = set(values)
     for name, command in cli.commands.items():
         params = {key: param for param in command.params
                   for key in (param.name, *(opt.lstrip("-").replace("-", "_")
@@ -155,6 +166,12 @@ def _default_map(values: dict[str, str]) -> dict[str, dict]:
             params[key].name: (tuple(value.split()) if params[key].multiple
                                else value)
             for key, value in values.items() if key in params}
+        unused -= params.keys()
+    if unused:
+        keys = ", ".join(map(repr, sorted(unused)))
+        raise ContractViolation(
+            f"{config_path}: unknown config key {keys}: it names no option "
+            f"of any command")
     return default_map
 
 
@@ -169,7 +186,7 @@ def cli(ctx, config_path, verbose):
         level=logging.DEBUG if verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s")
     if config_path:
-        ctx.default_map = _default_map(read_config_file(config_path))
+        ctx.default_map = _default_map(config_path)
     log.debug("resolved defaults: %s", ctx.default_map)
 
 
@@ -218,7 +235,8 @@ def _load_runs(run_paths: tuple[str, ...]) -> list:
               help="Official judgments whose passages join the pool.")
 @click.option("--mode", type=click.Choice(["qa", "rate"]), required=True)
 @click.option("--store", "store_path", required=True, type=click.Path())
-@click.option("--depth", default=20, show_default=True)
+@click.option("--depth", default=20, show_default=True,
+              type=click.IntRange(min=1))
 @backend_options
 def grade(bank_path, run_paths, passages_path, qrels_path, mode, store_path,
           depth, endpoint, model, max_input_tokens, parallelism, mock):
@@ -247,12 +265,15 @@ def grade(bank_path, run_paths, passages_path, qrels_path, mode, store_path,
     store = formats.GradeStore(store_path)
     summary = grading.grade_corpus(bank, passages_by_query, grade_mode,
                                    config, store)
+    # The skip-log holds the failures of the latest run only.
+    skip_log = Path(store_path).with_suffix(".skipped.jsonl")
     if summary.failures:
-        skip_log = Path(store_path).with_suffix(".skipped.jsonl")
         atomic_write(skip_log, "".join(
             json.dumps(entry.__dict__, sort_keys=True) + "\n"
             for entry in summary.failures))
         log.warning("skip-log written to %s", skip_log)
+    else:
+        skip_log.unlink(missing_ok=True)
     click.echo(f"graded {summary.graded} pairs "
                f"({summary.skipped_existing} already in store, "
                f"{len(summary.failures)} failed) in {summary.duration:.1f}s")
@@ -264,7 +285,8 @@ def grade(bank_path, run_paths, passages_path, qrels_path, mode, store_path,
 @click.option("--grades", "grades_path", required=True,
               type=click.Path(exists=True))
 @click.option("--policy", "policy_text", required=True)
-@click.option("--depth", default=20, show_default=True)
+@click.option("--depth", default=20, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--out", default=None, type=click.Path(),
               help="Output TSV; stdout when omitted.")
 def cover(bank_path, run_path, grades_path, policy_text, depth, out):
@@ -273,7 +295,7 @@ def cover(bank_path, run_path, grades_path, policy_text, depth, out):
     run = formats.load_run_file(run_path)
     policy = parse_policy(policy_text)
     result = metrics.exam_cover(run, bank, _grade_index(grades_path, policy),
-                                policy, CoverConfig(depth))
+                                depth)
     lines = ["query\tcover\n"]
     for query_id in sorted(result.per_query):
         lines.append(f"{query_id}\t{result.per_query[query_id]:.4f}\n")
@@ -294,7 +316,7 @@ def qrels(bank_path, grades_path, policy_text, graded, out):
     bank = formats.load_question_bank(Path(bank_path).read_text())
     policy = parse_policy(policy_text)
     labels = metrics.build_qrels(_grade_index(grades_path, policy), bank,
-                                 policy, graded=graded)
+                                 graded=graded)
     _emit(formats.write_qrels(labels), out)
 
 
@@ -307,7 +329,8 @@ def qrels(bank_path, grades_path, policy_text, graded, out):
 @click.option("--policy", "policy_text", required=True)
 @click.option("--metric", type=click.Choice(["cover", "p_at_k"]),
               default="cover", show_default=True)
-@click.option("--depth", default=20, show_default=True)
+@click.option("--depth", default=20, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--official", "official_path", default=None,
               type=click.Path(exists=True),
               help="JSON object mapping system name to official rank.")
@@ -320,11 +343,13 @@ def leaderboard(bank_path, run_paths, grades_path, policy_text, metric,
     policy = parse_policy(policy_text)
     official = (json.loads(Path(official_path).read_text())
                 if official_path else None)
+    if official is not None and not isinstance(official, dict):
+        raise ContractViolation(
+            f"{official_path}: expected a JSON object mapping system name "
+            f"to official rank")
     result = metrics.leaderboard(
-        runs, bank, _grade_index(grades_path, policy), policy,
-        metric=metric,
-        cover=CoverConfig(depth), k=depth,
-        official_ranks=official)
+        runs, bank, _grade_index(grades_path, policy), metric=metric,
+        depth=depth, official_ranks=official)
     lines = ["system\tscore\tstd_error\tofficial_rank\n"]
     for row in result.rows:
         rank = "" if row.official_rank is None else str(row.official_rank)
@@ -422,8 +447,8 @@ def agreement(labels_path, judgments_path, collapse_names, judgment_rel_min,
 
     if labels_path:
         labels = formats.load_qrels(labels_path)
-        observed_labels = {j.relevance for j in labels}
-        observed_judgments = {j.relevance for j in official}
+        observed_labels = set(labels.values())
+        observed_judgments = set(official.values())
         for name in [n.strip() for n in collapse_names.split(",") if n.strip()]:
             spec = metrics.collapse_for(name, observed_labels,
                                         observed_judgments, judgment_rel_min)
@@ -438,8 +463,8 @@ def agreement(labels_path, judgments_path, collapse_names, judgment_rel_min,
         policy = parse_policy(policy_text)
         bank = formats.load_question_bank(Path(bank_path).read_text())
         for _, table in metrics.min_answers_sweep(
-                _grade_index(grades_path, policy), bank, policy, official,
-                values, judgment_rel_min):
+                _grade_index(grades_path, policy), bank, official, values,
+                judgment_rel_min):
             chunks.append(render(table))
 
     if not chunks:
@@ -460,8 +485,7 @@ def diff(old_path, new_path, grades_path, policy_text, out):
     old = formats.load_question_bank(Path(old_path).read_text())
     new = formats.load_question_bank(Path(new_path).read_text())
     policy = parse_policy(policy_text)
-    report = bank_mod.diff_banks(old, new, _grade_index(grades_path, policy),
-                                 policy)
+    report = bank_mod.diff_banks(old, new, _grade_index(grades_path, policy))
     lines = []
     for title, items in (("added", report.added), ("removed", report.removed),
                          ("edited", report.edited),

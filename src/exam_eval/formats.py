@@ -19,7 +19,7 @@ from .model import (
     Grade,
     GradeKey,
     GradeRow,
-    Judgment,
+    Qrels,
     QuestionBank,
     Run,
     check_grade,
@@ -36,6 +36,13 @@ class ParseError(ValueError):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
+
+
+def objects_with(value, keys: tuple[str, ...] = ()) -> bool:
+    """Whether a decoded JSON value is a list of objects that each hold
+    `keys`."""
+    return isinstance(value, list) and all(
+        isinstance(v, dict) and all(k in v for k in keys) for v in value)
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +104,12 @@ def load_run_file(path: str | Path) -> Run:
 # Qrels
 
 
-def parse_qrels(text: str) -> list[Judgment]:
-    """Parse a qrels file: qid 0 docid grade, one judgment per line."""
-    judgments: list[Judgment] = []
-    seen: set[tuple[str, str]] = set()
+def parse_qrels(text: str) -> Qrels:
+    """Parse a qrels file: qid 0 docid grade, one judgment per line.
+
+    A negative grade (down to -2) reads as relevance 0.
+    """
+    qrels: Qrels = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -116,31 +125,27 @@ def parse_qrels(text: str) -> list[Judgment]:
             raise ParseError(
                 f"non-integer grade {grade_s!r}", line_no) from None
         key = (qid, docid)
-        if key in seen:
+        if key in qrels:
             raise ParseError(f"duplicate judgment for {key}", line_no)
-        seen.add(key)
-        judgments.append(Judgment(qid, docid, grade))
-    return judgments
+        if grade < -2:
+            raise ParseError(
+                f"judgment grade must be >= -2, got {grade}", line_no)
+        qrels[key] = max(grade, 0)
+    return qrels
 
 
-def write_qrels(labels: list[Judgment]) -> str:
-    """Serialize judgments byte-deterministically.
+def write_qrels(qrels: Qrels) -> str:
+    """Serialize qrels byte-deterministically.
 
-    Rows are `<query_id> 0 <passage_id> <grade>` sorted by
+    Rows are `<query_id> 0 <passage_id> <relevance>` sorted by
     (query_id, passage_id), so identical label sets always diff clean.
     """
-    seen: set[tuple[str, str]] = set()
-    for j in labels:
-        key = (j.query_id, j.passage_id)
-        if key in seen:
-            raise ContractViolation(f"duplicate judgment for {key}")
-        seen.add(key)
-    rows = sorted(labels, key=lambda j: (j.query_id, j.passage_id))
-    return "".join(
-        f"{j.query_id} 0 {j.passage_id} {j.grade}\n" for j in rows)
+    return "".join(f"{query_id} 0 {passage_id} {relevance}\n"
+                   for (query_id, passage_id), relevance
+                   in sorted(qrels.items()))
 
 
-def load_qrels(path: str | Path) -> list[Judgment]:
+def load_qrels(path: str | Path) -> Qrels:
     return parse_qrels(Path(path).read_text())
 
 
@@ -170,6 +175,8 @@ def load_question_bank(text: str) -> QuestionBank:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "queries" not in doc:
         raise ParseError("question bank must be an object with a 'queries' key")
+    if not objects_with(doc["queries"]):
+        raise ParseError("question bank 'queries' must be a list of objects")
     by_query: dict[str, tuple[ExamQuestion, ...]] = {}
     for entry in doc["queries"]:
         query_id = entry.get("query_id")
@@ -179,6 +186,9 @@ def load_question_bank(text: str) -> QuestionBank:
             raise ParseError(f"query_id {query_id!r} must be a string")
         if query_id in by_query:
             raise ParseError(f"duplicate query_id {query_id!r}")
+        if not objects_with(entry.get("questions", [])):
+            raise ParseError(
+                f"questions of query {query_id!r} must be a list of objects")
         questions = []
         for q in entry.get("questions", []):
             text_field = q.get("text")
@@ -338,10 +348,6 @@ class GradeStore:
         except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
             raise ParseError(f"corrupt grade store {self.path}: {exc}") from None
         return rows
-
-    def grades(self) -> list[Grade]:
-        """`read` as `Grade` objects."""
-        return [Grade(*key, *row) for key, row in self.read().items()]
 
     def keys(self) -> set[GradeKey]:
         return set(self.read())

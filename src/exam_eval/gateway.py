@@ -216,7 +216,6 @@ class CompletionRequest:
 class CompletionResponse:
     text: str
     latency: float
-    backend_id: str
 
 
 class BackendError(RuntimeError):
@@ -280,9 +279,7 @@ class HttpBackend:
                         f"malformed completion body from "
                         f"{self.config.endpoint_url}: {exc!r}") from exc
                 return CompletionResponse(
-                    text=text,
-                    latency=time.monotonic() - start,
-                    backend_id=self.config.model_name or "http")
+                    text=text, latency=time.monotonic() - start)
             if resp.status_code in (429, 500, 502, 503, 504):
                 last_error = BackendError(
                     f"HTTP {resp.status_code} from {self.config.endpoint_url}")
@@ -306,7 +303,6 @@ class MockBackend:
 
     def __init__(self, responses: dict[str, str]):
         self.responses = dict(responses)
-        self.request_log: list[CompletionRequest] = []
 
     @classmethod
     def from_fixture(cls, path: str | Path) -> "MockBackend":
@@ -317,7 +313,6 @@ class MockBackend:
         return cls({str(k): str(v) for k, v in doc.items()})
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        self.request_log.append(request)
         meta = request.metadata
         qid = meta.get("question_id")
         pid = meta.get("passage_id")
@@ -335,9 +330,9 @@ class MockBackend:
         candidates.append("default")
         for key in candidates:
             if key in self.responses:
-                return CompletionResponse(
-                    text=self.responses[key], latency=0.0, backend_id="mock")
-        return CompletionResponse(text="", latency=0.0, backend_id="mock")
+                return CompletionResponse(text=self.responses[key],
+                                          latency=0.0)
+        return CompletionResponse(text="", latency=0.0)
 
 
 def map_ordered(fn: Callable, items: list, parallelism: int) -> list:

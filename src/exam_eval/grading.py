@@ -18,9 +18,9 @@ from .model import (
     ContractViolation,
     ExamQuestion,
     Grade,
-    Judgment,
     Passage,
     QA_VERIFIED,
+    Qrels,
     QuestionBank,
     Run,
     SELF_RATED,
@@ -204,7 +204,7 @@ def grade_pair(question: ExamQuestion, passage: Passage, mode: str,
 
 
 def build_passage_pool(runs: list[Run], depth: int,
-                       judgments: list[Judgment] | None = None
+                       judgments: Qrels | None = None
                        ) -> dict[str, list[str]]:
     """Union of every run's top-`depth` passages plus judged passages.
 
@@ -218,8 +218,8 @@ def build_passage_pool(runs: list[Run], depth: int,
         for query_id in run.query_ids:
             for passage_id, _, _ in run.top_k(query_id, depth):
                 pool.setdefault(query_id, {})[passage_id] = None
-    for j in judgments or []:
-        pool.setdefault(j.query_id, {})[j.passage_id] = None
+    for query_id, passage_id in judgments or ():
+        pool.setdefault(query_id, {})[passage_id] = None
     return {query_id: list(pids) for query_id, pids in pool.items()}
 
 

@@ -5,17 +5,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, replace
 
 from . import grading
 from .model import (
     ContractViolation,
-    CoverConfig,
-    Grade,
     GradeIndex,
-    GradePolicy,
-    Judgment,
+    Qrels,
     QuestionBank,
     Run,
     label_of,
@@ -43,8 +39,8 @@ class CoverResult:
 
 
 def _cover(passages_by_query: dict[str, list[str]], bank: QuestionBank,
-           index: GradeIndex, policy: GradePolicy,
-           gaps: list[tuple[str, str]]) -> dict[str, float]:
+           index: GradeIndex, gaps: list[tuple[str, str]]
+           ) -> dict[str, float]:
     """Per-query cover of the given passages, over queries with questions.
 
     Passages without a grade in the policy mode are appended to `gaps`.
@@ -59,28 +55,25 @@ def _cover(passages_by_query: dict[str, list[str]], bank: QuestionBank,
             if (query_id, pid) not in index:
                 gaps.append((query_id, pid))
                 continue
-            answered |= index.correct(query_id, pid, question_ids, policy)
+            answered |= index.correct(query_id, pid, question_ids)
         per_query[query_id] = len(answered) / len(question_ids)
     return per_query
 
 
-def exam_cover(run: Run, bank: QuestionBank,
-               grades: Iterable[Grade] | GradeIndex, policy: GradePolicy,
-               cover: CoverConfig = CoverConfig()) -> CoverResult:
+def exam_cover(run: Run, bank: QuestionBank, index: GradeIndex,
+               depth: int = 20) -> CoverResult:
     """Fraction of each query's questions answerable by the top-k passages.
 
     Per query, the score is the size of the union of correctly answered
     questions over the top-`depth` passages, divided by the bank size for
     that query. The system score is the macro-average over queries that
     have at least one question. Pooled passages without any grade count as
-    not-correct and are reported as coverage gaps. `grades` may be an
-    index already built for the policy mode.
+    not-correct and are reported as coverage gaps.
     """
-    index = GradeIndex.of(grades, policy.mode)
-    top = {query_id: [pid for pid, _, _ in run.top_k(query_id, cover.depth)]
+    top = {query_id: [pid for pid, _, _ in run.top_k(query_id, depth)]
            for query_id in bank.query_ids}
     gaps: list[tuple[str, str]] = []
-    per_query = _cover(top, bank, index, policy, gaps)
+    per_query = _cover(top, bank, index, gaps)
     if gaps:
         log.warning("coverage gap: %d pooled passages have no grades",
                     len(gaps))
@@ -93,19 +86,18 @@ def exam_cover(run: Run, bank: QuestionBank,
 # Derived qrels
 
 
-def build_qrels(grades: Iterable[Grade] | GradeIndex, bank: QuestionBank,
-                policy: GradePolicy, graded: bool = False) -> list[Judgment]:
-    """One judgment per (query, passage) with a graded bank question.
+def build_qrels(index: GradeIndex, bank: QuestionBank,
+                graded: bool = False) -> Qrels:
+    """A label per (query, passage) with a graded bank question.
 
     Covers every pooled passage that has grades, so systems whose passages
-    went through the grading pipeline never hit unjudged holes. Rows come
-    sorted by pair. `grades` may be an index already built for the policy
-    mode.
+    went through the grading pipeline never hit unjudged holes. Pairs come
+    sorted.
     """
-    index = GradeIndex.of(grades, policy.mode)
-    return [Judgment(query_id, passage_id, label_of(outcomes, policy, graded))
+    policy = index.policy
+    return {(query_id, passage_id): label_of(outcomes, policy, graded)
             for query_id, passage_id, outcomes
-            in index.graded_pairs(set(bank.by_question_id()))]
+            in index.graded_pairs(set(bank.by_question_id()))}
 
 
 # ---------------------------------------------------------------------------
@@ -118,30 +110,23 @@ class PrecisionResult:
     mean: float
 
 
-def _relevance(qrels: list[Judgment]
-               ) -> tuple[dict[tuple[str, str], int], set[str]]:
-    """Relevance by (query, passage), and the queries with any judgment."""
-    rel = {(j.query_id, j.passage_id): j.relevance for j in qrels}
-    return rel, {j.query_id for j in qrels}
-
-
-def precision_at_k(run: Run, qrels: list[Judgment], k: int,
+def precision_at_k(run: Run, qrels: Qrels, k: int,
                    level_for_rel: int = 1) -> PrecisionResult:
     """Fraction of the top-k passages judged at or above level_for_rel.
 
     Unjudged passages count as non-relevant; queries with no qrels rows at
-    all are skipped. Negative judgment grades never count as relevant.
+    all are skipped.
     """
     if k < 1:
         raise ContractViolation(f"k must be >= 1, got {k}")
-    rel, judged_queries = _relevance(qrels)
+    judged_queries = {query_id for query_id, _ in qrels}
     per_query: dict[str, float] = {}
     for query_id in run.query_ids:
         if query_id not in judged_queries:
             continue
         hits = sum(
             1 for pid, _, _ in run.top_k(query_id, k)
-            if rel.get((query_id, pid), 0) >= level_for_rel)
+            if qrels.get((query_id, pid), 0) >= level_for_rel)
         per_query[query_id] = hits / k
     mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
     return PrecisionResult(per_query=per_query, mean=mean)
@@ -262,52 +247,50 @@ def _std_error(per_query: dict[str, float]) -> float:
     return math.sqrt(var) / math.sqrt(n)
 
 
-def _pooled_precision(pool: dict[str, list[str]], qrels: list[Judgment],
+def _pooled_precision(pool: dict[str, list[str]], qrels: Qrels,
                       k: int, level_for_rel: int) -> dict[str, float]:
     # Best achievable P@k over the pooled passages: rank relevant ones first.
-    rel, judged_queries = _relevance(qrels)
+    judged_queries = {query_id for query_id, _ in qrels}
     per_query: dict[str, float] = {}
     for query_id, pids in pool.items():
         if query_id not in judged_queries:
             continue
         relevant = sum(
             1 for pid in pids
-            if rel.get((query_id, pid), 0) >= level_for_rel)
+            if qrels.get((query_id, pid), 0) >= level_for_rel)
         per_query[query_id] = min(relevant, k) / k
     return per_query
 
 
-def leaderboard(runs: list[Run], bank: QuestionBank,
-                grades: Iterable[Grade] | GradeIndex,
-                policy: GradePolicy, metric: str = "cover",
-                cover: CoverConfig = CoverConfig(), k: int = 20,
+def leaderboard(runs: list[Run], bank: QuestionBank, index: GradeIndex,
+                metric: str = "cover", depth: int = 20,
                 official_ranks: dict[str, int] | None = None
                 ) -> LeaderboardResult:
     """Score every run, add the pooled `_overall_` row, and correlate
     against the official ranking when one is supplied.
 
-    `_overall_` scores the union of all systems' top-depth passages: the
-    pooled coverage for the cover metric, the best achievable P@k for the
-    qrels metric. It is excluded from the correlation, as are systems
-    without an official rank.
+    Both metrics read each run's top `depth` passages: cover over them,
+    P@k with k = `depth`. `_overall_` scores the union of all systems' top
+    `depth` passages: the pooled coverage for the cover metric, the best
+    achievable P@k for the qrels metric. It is excluded from the
+    correlation, as are systems without an official rank.
     """
     if metric not in ("cover", "p_at_k"):
         raise ContractViolation(f"unknown leaderboard metric {metric!r}")
-    index = GradeIndex.of(grades, policy.mode)
-    pool = grading.build_passage_pool(runs, cover.depth)
+    pool = grading.build_passage_pool(runs, depth)
 
     per_system: dict[str, dict[str, float]] = {}
     if metric == "cover":
         for run in runs:
             per_system[run.run_tag] = exam_cover(
-                run, bank, index, policy, cover).per_query
-        per_system[OVERALL_SYSTEM] = _cover(pool, bank, index, policy, [])
+                run, bank, index, depth).per_query
+        per_system[OVERALL_SYSTEM] = _cover(pool, bank, index, [])
     else:
-        qrels = build_qrels(index, bank, policy)
+        qrels = build_qrels(index, bank)
         for run in runs:
             per_system[run.run_tag] = precision_at_k(
-                run, qrels, k, level_for_rel=1).per_query
-        per_system[OVERALL_SYSTEM] = _pooled_precision(pool, qrels, k, 1)
+                run, qrels, depth, level_for_rel=1).per_query
+        per_system[OVERALL_SYSTEM] = _pooled_precision(pool, qrels, depth, 1)
 
     rows = []
     for system, per_query in per_system.items():
@@ -446,37 +429,24 @@ class ConfusionTable:
         return sum(sum(row) for row in self.counts)
 
 
-def confusion_table(labels: list[Judgment], judgments: list[Judgment],
+def confusion_table(labels: Qrels, judgments: Qrels,
                     spec: CollapseSpec) -> ConfusionTable:
-    """Cross-tabulate predicted labels against official judgments.
+    """Cross-tabulate predicted labels against official judgments; the
+    table takes the collapse's name.
 
-    Pairs present on only one side are dropped and counted. Negative
-    judgment grades collapse to 0 before grouping. Kappa values are filled
-    in only when the collapsed table is square.
+    Pairs present on only one side are dropped and counted. Kappa values
+    are filled in only when the collapsed table is square.
     """
-    return _cross_tabulate(spec.name, _relevance_by_pair(labels),
-                           _relevance_by_pair(judgments), spec)
-
-
-def _relevance_by_pair(judgments: list[Judgment]
-                       ) -> dict[tuple[str, str], int]:
-    return {(j.query_id, j.passage_id): j.relevance for j in judgments}
-
-
-def _cross_tabulate(name: str, label_map: dict[tuple[str, str], int],
-                    judgment_map: dict[tuple[str, str], int],
-                    spec: CollapseSpec) -> ConfusionTable:
-    """`confusion_table` over {(query_id, passage_id): value} maps."""
-    common = label_map.keys() & judgment_map.keys()
+    common = labels.keys() & judgments.keys()
     if not common:
         raise ContractViolation("no (query, passage) pairs in common")
-    dropped = (len(label_map) - len(common)) + (len(judgment_map) - len(common))
+    dropped = (len(labels) - len(common)) + (len(judgments) - len(common))
 
     row_of = {v: i for i, g in enumerate(spec.label_groups) for v in g}
     col_of = {v: i for i, g in enumerate(spec.judgment_groups) for v in g}
     counts = [[0] * len(spec.judgment_groups) for _ in spec.label_groups]
     for key in common:
-        label, judgment = label_map[key], judgment_map[key]
+        label, judgment = labels[key], judgments[key]
         if label not in row_of:
             raise ContractViolation(
                 f"label value {label} not covered by collapse {spec.name!r}")
@@ -494,7 +464,7 @@ def _cross_tabulate(name: str, label_map: dict[tuple[str, str], int],
         except UndefinedResult:
             pass
     return ConfusionTable(
-        name=name,
+        name=spec.name,
         row_labels=tuple(_group_name(g) for g in spec.label_groups),
         col_labels=tuple(_group_name(g) for g in spec.judgment_groups),
         counts=tuple(map(tuple, counts)),
@@ -503,27 +473,25 @@ def _cross_tabulate(name: str, label_map: dict[tuple[str, str], int],
         dropped_pairs=dropped)
 
 
-def min_answers_sweep(grades: Iterable[Grade] | GradeIndex,
-                      bank: QuestionBank, policy: GradePolicy,
-                      official: list[Judgment],
-                      values: tuple[int, ...] = (1, 2, 5),
+def min_answers_sweep(index: GradeIndex, bank: QuestionBank,
+                      official: Qrels, values: tuple[int, ...] = (1, 2, 5),
                       judgment_rel_min: int = 1
                       ) -> list[tuple[int, ConfusionTable]]:
-    """Binary agreement tables for a sweep of min_answers thresholds."""
-    index = GradeIndex.of(grades, policy.mode)
+    """Binary agreement tables for a sweep of min_answers thresholds; the
+    index's own min_answers is not used."""
+    policy = index.policy
     # Each pair's correct bank questions are counted once for all values.
     n_correct = [(query_id, passage_id, n_passing(outcomes, policy))
                  for query_id, passage_id, outcomes
                  in index.graded_pairs(set(bank.by_question_id()))]
-    official_map = _relevance_by_pair(official)
-    spec = collapse_for("binary", {0, 1}, {j.relevance for j in official},
+    spec = collapse_for("binary", {0, 1}, set(official.values()),
                         judgment_rel_min)
     out = []
     for n in values:
-        swept = GradePolicy(mode=policy.mode, min_rating=policy.min_rating,
-                            min_answers=n)
+        swept = replace(policy, min_answers=n)
         labels = {(query_id, passage_id): int(count >= swept.min_answers)
                   for query_id, passage_id, count in n_correct}
-        out.append((n, _cross_tabulate(f"binary-min-answers-{n}", labels,
-                                       official_map, spec)))
+        out.append((n, confusion_table(
+            labels, official,
+            replace(spec, name=f"binary-min-answers-{n}"))))
     return out

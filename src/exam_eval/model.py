@@ -19,6 +19,9 @@ GRADE_MODES = (QA_VERIFIED, SELF_RATED)
 GradeKey = tuple[str, str, str, str]
 GradeRow = tuple[str | None, bool | None, int | None]
 
+# Qrels: (query_id, passage_id) -> relevance, the trec_eval judgment map.
+Qrels = dict[tuple[str, str], int]
+
 
 class ContractViolation(ValueError):
     """An operation was called with arguments that break its contract."""
@@ -123,20 +126,6 @@ class Passage:
 
 
 @dataclass(frozen=True)
-class RunEntry:
-    query_id: str
-    passage_id: str
-    rank: int
-    score: float
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ContractViolation(
-                f"rank must be >= 1, got {self.rank} "
-                f"for ({self.query_id}, {self.passage_id})")
-
-
-@dataclass(frozen=True)
 class Run:
     """A system's ranked passage lists, one per query (TREC run semantics).
 
@@ -165,23 +154,6 @@ class Run:
                         f"ranks not strictly increasing for query "
                         f"{query_id!r} in run {self.run_tag!r}")
                 last_rank = rank
-
-    @classmethod
-    def from_entries(cls, run_tag: str, entries: Iterable[RunEntry]) -> Run:
-        """A run from entries given in rank order within each query;
-        queries keep the order they are first seen in."""
-        by_query: dict[str, list[tuple[str, int, float]]] = {}
-        for e in entries:
-            by_query.setdefault(e.query_id, []).append(
-                (e.passage_id, e.rank, e.score))
-        return cls(run_tag, by_query)
-
-    @property
-    def entries(self) -> tuple[RunEntry, ...]:
-        """Every row as a RunEntry, by query then rank; built on each call."""
-        return tuple(RunEntry(query_id, passage_id, rank, score)
-                     for query_id, rows in self.by_query.items()
-                     for passage_id, rank, score in rows)
 
     @property
     def query_ids(self) -> list[str]:
@@ -266,33 +238,6 @@ class GradePolicy:
                 f"min_answers must be >= 1, got {self.min_answers}")
 
 
-@dataclass(frozen=True)
-class Judgment:
-    """A passage-level relevance judgment (qrels row)."""
-    query_id: str
-    passage_id: str
-    grade: int
-
-    def __post_init__(self):
-        if self.grade < -2:
-            raise ContractViolation(
-                f"judgment grade must be >= -2, got {self.grade}")
-
-    @property
-    def relevance(self) -> int:
-        """Grade with negative values clamped to 0."""
-        return max(self.grade, 0)
-
-
-@dataclass(frozen=True)
-class CoverConfig:
-    depth: int = 20
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ContractViolation(f"depth must be >= 1, got {self.depth}")
-
-
 def passes(outcome: bool | int, policy: GradePolicy) -> bool:
     """The pass rule: a qa_verified verdict passes when true, a self_rated
     rating when it reaches the policy's `min_rating`."""
@@ -323,7 +268,8 @@ def n_passing(outcomes: Iterable[bool | int], policy: GradePolicy) -> int:
 
 
 class GradeIndex:
-    """Grade outcomes of one mode, by (query, passage) pair and question id.
+    """Grade outcomes of the policy's mode, by (query, passage) pair and
+    question id, read under that policy.
 
     Metrics read grades through an index built once per command from
     decoded store rows (see `GradeRow`). Only each grade's outcome is kept:
@@ -333,8 +279,9 @@ class GradeIndex:
     ignored.
     """
 
-    def __init__(self, rows: Mapping[GradeKey, GradeRow], mode: str):
-        self.mode = mode
+    def __init__(self, rows: Mapping[GradeKey, GradeRow], policy: GradePolicy):
+        self.policy = policy
+        mode = policy.mode
         slot = 1 if mode == QA_VERIFIED else 2
         by_pair: dict[tuple[str, str], dict[str, bool | int]] = {}
         for (query_id, passage_id, question_id, row_mode), row in rows.items():
@@ -344,21 +291,6 @@ class GradeIndex:
                     by_question = by_pair[query_id, passage_id] = {}
                 by_question[question_id] = row[slot]
         self._by_pair = by_pair
-
-    @classmethod
-    def of(cls, grades: Iterable[Grade] | GradeIndex, mode: str
-           ) -> GradeIndex:
-        """An index of `grades` for `mode`; a question graded twice for the
-        same pair keeps its last grade. `grades` itself when it already is
-        an index for `mode`."""
-        if isinstance(grades, GradeIndex):
-            if grades.mode != mode:
-                raise ContractViolation(
-                    f"grade index mode {grades.mode!r} does not match "
-                    f"policy mode {mode!r}")
-            return grades
-        return cls({g.key: (g.answer_text, g.verified, g.rating)
-                    for g in grades}, mode)
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
         return pair in self._by_pair
@@ -389,16 +321,16 @@ class GradeIndex:
         return out
 
     def correct(self, query_id: str, passage_id: str,
-                question_ids: Container[str], policy: GradePolicy
-                ) -> set[str]:
+                question_ids: Container[str]) -> set[str]:
         """The questions the passage answers correctly under the policy."""
         by_question = self._by_pair.get((query_id, passage_id), {})
+        policy = self.policy
         return {qid for qid, o in by_question.items()
                 if qid in question_ids and passes(o, policy)}
 
     def label(self, query_id: str, passage_id: str,
-              question_ids: Container[str], policy: GradePolicy,
-              graded: bool = False) -> int:
-        """The pair's label over the given questions (see `label_of`)."""
+              question_ids: Container[str]) -> int:
+        """The pair's binary label over the given questions (see
+        `label_of`)."""
         return label_of(self.outcomes(query_id, passage_id, question_ids),
-                        policy, graded)
+                        self.policy)

@@ -1,13 +1,20 @@
 import pytest
 
+from exam_eval.formats import GradeStore
+from exam_eval.gateway import (
+    CompletionRequest,
+    CompletionResponse,
+    MockBackend,
+)
 from exam_eval.model import (
     ExamQuestion,
     Facet,
+    Grade,
+    GradeIndex,
     Passage,
     Query,
     QuestionBank,
     Run,
-    RunEntry,
 )
 
 # The skin-anatomy worked example used throughout the suite: one judged
@@ -66,12 +73,35 @@ def skin_bank(tqa_question, generated_question):
 
 
 def make_run(tag, entries):
-    """entries: list of (query_id, passage_id); ranks assigned in order."""
-    counters = {}
-    run_entries = []
+    """entries: list of (query_id, passage_id); ranks assigned in order,
+    queries kept in first-seen order."""
+    by_query = {}
     for query_id, passage_id in entries:
-        rank = counters.get(query_id, 0) + 1
-        counters[query_id] = rank
-        run_entries.append(
-            RunEntry(query_id, passage_id, rank, float(1000 - rank)))
-    return Run.from_entries(tag, run_entries)
+        rows = by_query.setdefault(query_id, [])
+        rank = len(rows) + 1
+        rows.append((passage_id, rank, float(1000 - rank)))
+    return Run(tag, by_query)
+
+
+def grade_index(grades, policy):
+    """An index of in-memory grades under the policy; a question graded
+    twice for the same pair keeps its last grade."""
+    return GradeIndex({g.key: (g.answer_text, g.verified, g.rating)
+                       for g in grades}, policy)
+
+
+def stored_grades(store: GradeStore) -> list[Grade]:
+    """Every grade the store reads back, as `Grade` records."""
+    return [Grade(*key, *row) for key, row in store.read().items()]
+
+
+class RecordingBackend(MockBackend):
+    """A mock backend that keeps every request it is sent."""
+
+    def __init__(self, responses):
+        super().__init__(responses)
+        self.request_log: list[CompletionRequest] = []
+
+    def complete(self, request: CompletionRequest) -> CompletionResponse:
+        self.request_log.append(request)
+        return super().complete(request)

@@ -22,17 +22,15 @@ from exam_eval.metrics import (
     spearman,
 )
 from exam_eval.model import (
-    CoverConfig,
     ExamQuestion,
     Grade,
     GradePolicy,
-    Judgment,
     QA_VERIFIED,
     QuestionBank,
     SELF_RATED,
     label_of,
 )
-from conftest import make_run
+from conftest import grade_index, make_run
 from test_cli import ARTIFACTS, run_pipeline, write_pipeline_inputs
 from test_metrics import (
     brute_force_cover,
@@ -83,10 +81,11 @@ def test_criterion_2_worked_example(tqa_question, generated_question,
     assert all(g.rating == 4 for g in rated_grades)
 
     policy = GradePolicy(SELF_RATED, min_rating=4)
-    [graded] = build_qrels(rated_grades, skin_bank, policy, graded=True)
-    [binary] = build_qrels(rated_grades, skin_bank, policy)
-    assert graded.grade == 4
-    assert binary.grade == 1
+    index = grade_index(rated_grades, policy)
+    [graded] = build_qrels(index, skin_bank, graded=True).values()
+    [binary] = build_qrels(index, skin_bank).values()
+    assert graded == 4
+    assert binary == 1
     report(2, "skin-anatomy passage verifies 'epidermis', self-rates 4, "
               "graded label 4, binary label 1")
 
@@ -119,7 +118,7 @@ def test_criterion_3_metric_oracles():
             for pi in rng.sample(range(n_passages), rng.randint(1, n_passages))])
         policy = GradePolicy(SELF_RATED, min_rating=min_rating)
         expected = brute_force_cover(run, bank, grades, policy, depth)
-        actual = exam_cover(run, bank, grades, policy, CoverConfig(depth))
+        actual = exam_cover(run, bank, grade_index(grades, policy), depth)
         assert actual.per_query == pytest.approx(expected)
 
     for trial in range(400):
@@ -127,16 +126,17 @@ def test_criterion_3_metric_oracles():
         n_passages = rng.randint(1, 15)
         k = rng.randint(1, 10)
         level = rng.randint(1, 4)
-        qrels = [
-            Judgment(f"q{qi}", f"p{pi}", rng.randint(-2, 4))
+        judged = {
+            (f"q{qi}", f"p{pi}"): rng.randint(-2, 4)
             for qi in range(n_queries)
             for pi in range(n_passages)
-            if rng.random() < 0.7]
+            if rng.random() < 0.7}
+        qrels = parse_qrels(write_qrels(judged))
         run = make_run("sys", [
             (f"q{qi}", f"p{pi}")
             for qi in range(n_queries)
             for pi in rng.sample(range(n_passages), rng.randint(1, n_passages))])
-        expected = brute_force_precision(run, qrels, k, level)
+        expected = brute_force_precision(run, judged, k, level)
         actual = precision_at_k(run, qrels, k, level_for_rel=level)
         assert actual.per_query == pytest.approx(expected)
 
@@ -178,17 +178,16 @@ def test_criterion_4_invariant_suite():
         shorter = make_run("s", [("q1", f"p{i}") for i in range(prefix)])
         longer = make_run("s", [("q1", f"p{i}") for i in range(10)])
         for min_rating in (1, 4):
-            policy = GradePolicy(SELF_RATED, min_rating=min_rating)
-            assert exam_cover(longer, bank, grades, policy).mean \
-                >= exam_cover(shorter, bank, grades, policy).mean
-            assert exam_cover(longer, bank, grades, policy,
-                              CoverConfig(20)).mean \
-                >= exam_cover(longer, bank, grades, policy,
-                              CoverConfig(rng.randint(1, 10))).mean
-        strict = GradePolicy(SELF_RATED, min_rating=4)
-        lenient = GradePolicy(SELF_RATED, min_rating=1)
-        assert exam_cover(longer, bank, grades, strict).mean \
-            <= exam_cover(longer, bank, grades, lenient).mean
+            index = grade_index(
+                grades, GradePolicy(SELF_RATED, min_rating=min_rating))
+            assert exam_cover(longer, bank, index).mean \
+                >= exam_cover(shorter, bank, index).mean
+            assert exam_cover(longer, bank, index, 20).mean \
+                >= exam_cover(longer, bank, index, rng.randint(1, 10)).mean
+        strict = grade_index(grades, GradePolicy(SELF_RATED, min_rating=4))
+        lenient = grade_index(grades, GradePolicy(SELF_RATED, min_rating=1))
+        assert exam_cover(longer, bank, strict).mean \
+            <= exam_cover(longer, bank, lenient).mean
 
     # Binary/graded label consistency.
     for _ in range(200):
@@ -200,12 +199,13 @@ def test_criterion_4_invariant_suite():
 
     # Qrels round-trip byte stability.
     for _ in range(50):
-        labels = [Judgment(f"q{rng.randint(0, 5)}", f"p{i}", rng.randint(0, 5))
-                  for i in range(rng.randint(0, 30))]
+        labels = {(f"q{rng.randint(0, 5)}", f"p{i}"): rng.randint(0, 5)
+                  for i in range(rng.randint(0, 30))}
         text = write_qrels(labels)
         assert write_qrels(parse_qrels(text)) == text
-        rng.shuffle(labels)
-        assert write_qrels(labels) == text
+        items = list(labels.items())
+        rng.shuffle(items)
+        assert write_qrels(dict(items)) == text
 
     # Kappa invariance under simultaneous row+column permutation.
     for _ in range(20):

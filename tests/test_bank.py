@@ -15,6 +15,7 @@ from exam_eval.model import (
     QuestionBank,
     SELF_RATED,
 )
+from conftest import RecordingBackend, grade_index
 
 
 class TestParseQuestionList:
@@ -51,7 +52,7 @@ class TestGenerateBank:
 
     def test_fixed_list_yields_ten_per_query(self):
         queries = [Query("q1", "topic one"), Query("q2", "topic two")]
-        backend = MockBackend({"default": ten_questions()})
+        backend = RecordingBackend({"default": ten_questions()})
         bank = generate_bank(queries, "question_gen_dl",
                              self.config(), backend)
         assert len(bank.questions_for("q1")) == 10
@@ -79,7 +80,7 @@ class TestGenerateBank:
         assert question.gold_answer is None
 
     def test_garbage_retries_once_then_warns(self, caplog):
-        backend = MockBackend({"default": "garbage"})
+        backend = RecordingBackend({"default": "garbage"})
         bank = generate_bank([Query("q1", "t")], "question_gen_dl",
                              self.config(), backend)
         assert bank.questions_for("q1") == ()
@@ -108,7 +109,7 @@ class TestGenerateBank:
                 key = "{query_id}/{facet_id}".format(**request.metadata)
                 if key in flaky:
                     flaky.discard(key)      # the retry parses
-                    return CompletionResponse("garbage", 0.0, "flaky")
+                    return CompletionResponse("garbage", 0.0)
                 return super().complete(request)
 
         banks, thread_counts = [], []
@@ -140,13 +141,13 @@ class TestDiffBanks:
             ExamQuestion("q1/q/1", "q1", "B?"),
         )})
 
-    def policy(self):
-        return GradePolicy(SELF_RATED, min_rating=4)
+    def index(self, grades):
+        return grade_index(grades, GradePolicy(SELF_RATED, min_rating=4))
 
     def test_identical_banks_empty_diff(self):
         bank = self.two_question_bank()
         grades = [rated("q1", "p1", "q1/q/0", 5)]
-        report = diff_banks(bank, bank, grades, self.policy())
+        report = diff_banks(bank, bank, self.index(grades))
         assert report.empty
 
     def test_removing_sole_answering_question_flips(self):
@@ -154,7 +155,7 @@ class TestDiffBanks:
         new = QuestionBank({"q1": (ExamQuestion("q1/q/1", "q1", "B?"),)})
         grades = [rated("q1", "p1", "q1/q/0", 5),
                   rated("q1", "p1", "q1/q/1", 0)]
-        report = diff_banks(old, new, grades, self.policy())
+        report = diff_banks(old, new, self.index(grades))
         assert report.removed == ["q1/q/0"]
         [flip] = report.flips
         assert (flip.passage_id, flip.old_label, flip.new_label) == ("p1", 1, 0)
@@ -164,7 +165,7 @@ class TestDiffBanks:
         new = QuestionBank({"q1": old.questions_for("q1")
                             + (ExamQuestion("q1/q/2", "q1", "C?"),)})
         grades = [rated("q1", "p1", "q1/q/0", 5)]
-        report = diff_banks(old, new, grades, self.policy())
+        report = diff_banks(old, new, self.index(grades))
         assert report.added == ["q1/q/2"]
         assert report.needs_grading == ["q1/q/2"]
         assert report.flips == []
@@ -175,7 +176,7 @@ class TestDiffBanks:
         new = QuestionBank({"q1": (ExamQuestion("q1/q/0", "q1", "A?"),)})
         grades = [rated("q1", f"p{i}", f"q1/q/{j}", r)
                   for i, (j, r) in enumerate([(0, 5), (1, 5), (0, 0), (1, 4)])]
-        report = diff_banks(old, new, grades, self.policy())
+        report = diff_banks(old, new, self.index(grades))
         for flip in report.flips:
             assert (flip.old_label, flip.new_label) == (1, 0)
 
@@ -185,7 +186,7 @@ class TestDiffBanks:
             ExamQuestion("q1/q/0", "q1", "A, but sharper?"),
             ExamQuestion("q1/q/1", "q1", "B?"),
         )})
-        report = diff_banks(old, new, [rated("q1", "p1", "q1/q/0", 5)],
-                            self.policy())
+        report = diff_banks(old, new,
+                            self.index([rated("q1", "p1", "q1/q/0", 5)]))
         assert report.edited == ["q1/q/0"]
         assert report.needs_grading == []

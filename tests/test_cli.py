@@ -57,6 +57,92 @@ def test_help_exits_zero():
     assert main(["--help"]) == 0
 
 
+@pytest.mark.parametrize("depth", ["0", "-1"])
+@pytest.mark.parametrize("command", ["grade", "cover", "leaderboard"])
+def test_depth_below_one_rejected(tmp_path, capsys, command, depth):
+    write_pipeline_inputs(tmp_path)
+    out = tmp_path / "out"
+    run_pipeline(tmp_path, out)
+    store = tmp_path / "new.jsonl.gz"
+    inputs = {
+        "grade": ["--runs", str(tmp_path / "runs"),
+                  "--passages", str(tmp_path / "passages.json"),
+                  "--mode", "rate", "--store", str(store),
+                  "--mock", str(tmp_path / "grade_mock.json")],
+        "cover": ["--run", str(tmp_path / "runs" / "sysA.run"),
+                  "--grades", str(out / "grades.jsonl.gz"),
+                  "--policy", "rate:4"],
+        "leaderboard": ["--runs", str(tmp_path / "runs"),
+                        "--grades", str(out / "grades.jsonl.gz"),
+                        "--policy", "rate:4"],
+    }[command]
+    capsys.readouterr()
+    assert main([command, "--bank", str(out / "bank.json"), *inputs,
+                 "--depth", depth]) == 1
+    assert "--depth" in capsys.readouterr().err
+    assert not store.exists()
+
+
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    write_pipeline_inputs(tmp_path)
+    out = tmp_path / "out"
+    run_pipeline(tmp_path, out)
+    conf = tmp_path / "exam.conf"
+    conf.write_text("colapse = binary\n")
+    capsys.readouterr()
+    assert main(["--config", str(conf), "agreement",
+                 "--labels", str(out / "exam.qrels"),
+                 "--judgments", str(out / "exam.qrels")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {conf}: unknown config key 'colapse': "
+                            f"it names no option of any command\n")
+
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("bank", {"queries": [["q1"]]}, "'queries' must be a list of objects"),
+    ("bank", {"queries": {"query_id": "q1"}},
+     "'queries' must be a list of objects"),
+    ("bank", {"queries": [{"query_id": "q1", "questions": ["What?"]}]},
+     "questions of query 'q1' must be a list of objects"),
+    ("queries", [{"title": "topic one"}], "with 'query_id' and 'title'"),
+    ("queries", [{"query_id": "q1"}], "with 'query_id' and 'title'"),
+    ("queries", {"query_id": "q1", "title": "t"},
+     "with 'query_id' and 'title'"),
+    ("queries", [{"query_id": "q1", "title": "t", "facets": [{"title": "f"}]}],
+     "facets of query 'q1' must be a list of objects"),
+    ("official", ["sysA", "sysB"],
+     "expected a JSON object mapping system name to official rank"),
+], ids=["queries-of-lists", "queries-object", "question-string",
+        "query-without-id", "query-without-title", "queries-object-file",
+        "facet-without-id", "official-list"])
+def test_malformed_json_input_exits_one(tmp_path, capsys, name, content,
+                                        message):
+    write_pipeline_inputs(tmp_path)
+    out = tmp_path / "out"
+    run_pipeline(tmp_path, out)
+    bad = tmp_path / f"bad_{name}.json"
+    bad.write_text(json.dumps(content))
+    argv = {
+        "bank": ["cover", "--bank", str(bad),
+                 "--run", str(tmp_path / "runs" / "sysA.run"),
+                 "--grades", str(out / "grades.jsonl.gz"),
+                 "--policy", "rate:4"],
+        "queries": ["generate", "--queries", str(bad), "--template", "car",
+                    "--mock", str(tmp_path / "gen_mock.json"),
+                    "--out", str(out / "bank2.json")],
+        "official": ["leaderboard", "--bank", str(out / "bank.json"),
+                     "--runs", str(tmp_path / "runs"),
+                     "--grades", str(out / "grades.jsonl.gz"),
+                     "--policy", "rate:4", "--official", str(bad)],
+    }[name]
+    capsys.readouterr()
+    assert main(argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
 # Imports the CLI, runs each command given as JSON argv lists, and prints
 # the heavy modules loaded after the import and after each command.
 HEAVY_MODULES_PROBE = """
@@ -228,8 +314,7 @@ class TestPipeline:
         write_pipeline_inputs(tmp_path)
         run_pipeline(tmp_path, tmp_path / "out")
         from exam_eval.formats import parse_qrels
-        labels = parse_qrels((tmp_path / "out" / "exam.qrels").read_text())
-        by_pid = {(j.query_id, j.passage_id): j.grade for j in labels}
+        by_pid = parse_qrels((tmp_path / "out" / "exam.qrels").read_text())
         assert by_pid[("q1", "pA1")] == 1
         assert by_pid[("q1", "pB1")] == 0
 
@@ -387,6 +472,28 @@ class TestPipeline:
              "reason": "no gold answer"} for pid in pool]
         assert set(GradeStore(store).read()) == {
             ("q1", pid, "q1/q/0", QA_VERIFIED) for pid in pool}
+
+    def test_clean_rerun_removes_stale_skip_log(self, tmp_path, capsys):
+        write_pipeline_inputs(tmp_path)
+        bank_path, store = tmp_path / "bank.json", tmp_path / "grades.jsonl.gz"
+        skip_log = tmp_path / "grades.jsonl.skipped.jsonl"
+        grade = ["grade", "--bank", str(bank_path),
+                 "--runs", str(tmp_path / "runs" / "sysA.run"),
+                 "--passages", str(tmp_path / "passages.json"),
+                 "--mode", "qa", "--mock", str(tmp_path / "grade_mock.json"),
+                 "--store", str(store)]
+        for gold_answer in (None, "alpha"):
+            bank = QuestionBank({"q1": (ExamQuestion(
+                "q1/q/0", "q1", "What is it?", gold_answer=gold_answer),)})
+            bank_path.write_text(save_question_bank(bank))
+            assert main(grade) == 0
+            if gold_answer is None:
+                assert "graded 0 pairs (0 already in store, 2 failed)" \
+                    in capsys.readouterr().out
+                assert len(skip_log.read_text().splitlines()) == 2
+        assert "graded 2 pairs (0 already in store, 0 failed)" \
+            in capsys.readouterr().out
+        assert not skip_log.exists()
 
     def test_question_over_budget_is_skip_logged(self, tmp_path, capsys):
         write_pipeline_inputs(tmp_path)

@@ -23,35 +23,32 @@ from exam_eval.model import (
     Grade,
     GradeIndex,
     GradePolicy,
-    Judgment,
     QA_VERIFIED,
     QuestionBank,
     SELF_RATED,
 )
-from conftest import make_run
+from conftest import grade_index, make_run, stored_grades
 
 
 class TestRunParsing:
     def test_single_row(self):
         run = parse_run_file("q1 Q0 pA 1 12.5 sysX\n")
         assert run.run_tag == "sysX"
-        assert len(run.entries) == 1
-        e = run.entries[0]
-        assert (e.query_id, e.passage_id, e.rank, e.score) == ("q1", "pA", 1, 12.5)
+        assert run.by_query == {"q1": [("pA", 1, 12.5)]}
 
     def test_empty_file(self):
         run = parse_run_file("")
-        assert run.entries == ()
+        assert run.by_query == {}
 
     def test_out_of_order_ranks_sorted(self):
         run = parse_run_file(
             "q1 Q0 pB 2 1.0 sys\nq1 Q0 pA 1 2.0 sys\n")
-        assert [e.passage_id for e in run.entries] == ["pA", "pB"]
-        assert [e.rank for e in run.entries] == [1, 2]
+        assert [pid for pid, _, _ in run.by_query["q1"]] == ["pA", "pB"]
+        assert [rank for _, rank, _ in run.by_query["q1"]] == [1, 2]
 
     def test_zero_literal_accepted(self):
         run = parse_run_file("q1 0 pA 1 1.0 sys\n")
-        assert run.entries[0].passage_id == "pA"
+        assert run.by_query["q1"][0][0] == "pA"
 
     def test_malformed_line_carries_number(self):
         with pytest.raises(ParseError) as excinfo:
@@ -90,31 +87,31 @@ class TestRunParsing:
 
 class TestQrels:
     def test_single_row(self):
-        [j] = parse_qrels("q1 0 pA 3\n")
-        assert (j.query_id, j.passage_id, j.grade) == ("q1", "pA", 3)
+        assert parse_qrels("q1 0 pA 3\n") == {("q1", "pA"): 3}
 
     def test_negative_grade_parses_and_collapses(self):
-        [j] = parse_qrels("q1 0 pA -2\n")
-        assert j.grade == -2
-        assert j.relevance == 0
+        assert parse_qrels("q1 0 pA -2\nq1 0 pB -1\n") \
+            == {("q1", "pA"): 0, ("q1", "pB"): 0}
 
     def test_duplicate_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as excinfo:
             parse_qrels("q1 0 pA 3\nq1 0 pA 3\n")
+        assert excinfo.value.line_no == 2
+
+    def test_grade_below_minus_two_carries_line_number(self):
+        with pytest.raises(ParseError, match=">= -2, got -3") as excinfo:
+            parse_qrels("q1 0 pA 1\n\nq1 0 pB -3\n")
+        assert excinfo.value.line_no == 3
 
     def test_non_integer_grade(self):
         with pytest.raises(ParseError):
             parse_qrels("q1 0 pA high\n")
 
     def test_single_row_emission(self):
-        assert write_qrels([Judgment("q1", "pA", 4)]) == "q1 0 pA 4\n"
+        assert write_qrels({("q1", "pA"): 4}) == "q1 0 pA 4\n"
 
     def test_empty(self):
-        assert write_qrels([]) == ""
-
-    def test_duplicate_write_rejected(self):
-        with pytest.raises(ContractViolation):
-            write_qrels([Judgment("q1", "pA", 1), Judgment("q1", "pA", 2)])
+        assert write_qrels({}) == ""
 
     @given(st.lists(
         st.tuples(st.text(alphabet="abcq", min_size=1, max_size=4),
@@ -122,12 +119,12 @@ class TestQrels:
                   st.integers(-2, 5)),
         unique_by=lambda t: (t[0], t[1]), max_size=20))
     def test_round_trip_and_determinism(self, rows):
-        labels = [Judgment(q, p, g) for q, p, g in rows]
+        labels = {(q, p): g for q, p, g in rows}
         text = write_qrels(labels)
-        assert sorted(parse_qrels(text), key=lambda j: (j.query_id, j.passage_id)) \
-            == sorted(labels, key=lambda j: (j.query_id, j.passage_id))
+        assert parse_qrels(text) == {key: max(g, 0)
+                                     for key, g in labels.items()}
         # Byte-determinism: shuffled input serializes identically.
-        assert write_qrels(list(reversed(labels))) == text
+        assert write_qrels(dict(reversed(labels.items()))) == text
 
 
 class TestQuestionBank:
@@ -182,17 +179,17 @@ class TestGradeStore:
     def test_append_read(self, tmp_path):
         store = GradeStore(tmp_path / "g.jsonl.gz")
         store.append([rated("q1", "p1", "qq1", 3), rated("q1", "p2", "qq1", 0)])
-        assert len(store.grades()) == 2
+        assert len(stored_grades(store)) == 2
 
     def test_last_writer_wins(self, tmp_path):
         store = GradeStore(tmp_path / "g.jsonl.gz")
         store.append([rated("q1", "p1", "qq1", 2)])
         store.append([rated("q1", "p1", "qq1", 4)])
-        [grade] = store.grades()
+        [grade] = stored_grades(store)
         assert grade.rating == 4
 
     def test_missing_file_reads_empty(self, tmp_path):
-        assert GradeStore(tmp_path / "nope.jsonl.gz").grades() == []
+        assert stored_grades(GradeStore(tmp_path / "nope.jsonl.gz")) == []
 
     def test_lock_excludes_second_writer(self, tmp_path):
         store = GradeStore(tmp_path / "g.jsonl.gz")
@@ -203,14 +200,14 @@ class TestGradeStore:
         finally:
             store._release_lock()
         store.append([rated("q1", "p1", "qq1", 1)])
-        assert len(store.grades()) == 1
+        assert len(stored_grades(store)) == 1
 
     def test_corrupt_line_reports_position(self, tmp_path):
         path = tmp_path / "g.jsonl.gz"
         with gzip.open(path, "wt") as fh:
             fh.write('{"query_id": "q1"\n')
         with pytest.raises(ParseError):
-            GradeStore(path).grades()
+            stored_grades(GradeStore(path))
 
     def test_bulk_round_trip(self, tmp_path):
         # 10,000 synthetic grades survive a write/read cycle losslessly
@@ -222,7 +219,7 @@ class TestGradeStore:
         expected = {}
         for g in grades:
             expected[g.key] = g
-        assert sorted(store.grades(), key=lambda g: g.key) \
+        assert sorted(stored_grades(store), key=lambda g: g.key) \
             == sorted(expected.values(), key=lambda g: g.key)
 
     def test_append_bytes_match_line_by_line_writes(self, tmp_path):
@@ -302,7 +299,7 @@ class TestGradeStoreDecode:
         path = tmp_path / "g.jsonl.gz"
         write_store_lines(path, ["", GOOD_LINES[0], "   ", "\t \r",
                                  "  " + GOOD_LINES[1] + " \t", ""])
-        assert [g.passage_id for g in GradeStore(path).grades()] \
+        assert [g.passage_id for g in stored_grades(GradeStore(path))] \
             == ["p0", "p1"]
         write_store_lines(path, ["", "  ", GOOD_LINES[0], "\t", "[1]"])
         with pytest.raises(ParseError) as excinfo:
@@ -312,7 +309,7 @@ class TestGradeStoreDecode:
     def test_last_line_without_newline(self, tmp_path):
         path = tmp_path / "g.jsonl.gz"
         path.write_bytes(gzip.compress(GOOD_LINES[0].encode()))
-        assert [g.passage_id for g in GradeStore(path).grades()] == ["p0"]
+        assert [g.passage_id for g in stored_grades(GradeStore(path))] == ["p0"]
         path.write_bytes(gzip.compress((GOOD_LINES[0] + "x").encode()))
         with pytest.raises(ParseError, match="invalid JSON"):
             GradeStore(path).read()
@@ -383,18 +380,19 @@ def test_store_round_trip_matches_oracle(batches):
         store = GradeStore(Path(tmp) / "g.jsonl.gz")
         for batch in batches:       # one gzip member per append
             store.append(batch)
-        assert store.grades() == expected
+        assert stored_grades(store) == expected
         rows = store.read()
     run = make_run("sys", [(q, p) for q in ("q1", "q2")
                            for p in ("p1", "p2", "p3")])
     for policy in (GradePolicy(QA_VERIFIED), GradePolicy(SELF_RATED, 3),
                    GradePolicy(SELF_RATED, 1, min_answers=2)):
-        index = GradeIndex(rows, policy.mode)
-        assert vars(index) == vars(GradeIndex.of(all_grades, policy.mode))
-        assert build_qrels(index, ROUND_TRIP_BANK, policy) \
-            == build_qrels(expected, ROUND_TRIP_BANK, policy)
+        index = GradeIndex(rows, policy)
+        assert vars(index) == vars(grade_index(all_grades, policy))
+        oracle = grade_index(expected, policy)
+        assert build_qrels(index, ROUND_TRIP_BANK) \
+            == build_qrels(oracle, ROUND_TRIP_BANK)
         if policy.mode == SELF_RATED:
-            assert build_qrels(index, ROUND_TRIP_BANK, policy, graded=True) \
-                == build_qrels(expected, ROUND_TRIP_BANK, policy, graded=True)
-        assert exam_cover(run, ROUND_TRIP_BANK, index, policy) \
-            == exam_cover(run, ROUND_TRIP_BANK, expected, policy)
+            assert build_qrels(index, ROUND_TRIP_BANK, graded=True) \
+                == build_qrels(oracle, ROUND_TRIP_BANK, graded=True)
+        assert exam_cover(run, ROUND_TRIP_BANK, index) \
+            == exam_cover(run, ROUND_TRIP_BANK, oracle)

@@ -29,6 +29,7 @@ from exam_eval.model import (
     QuestionBank,
     SELF_RATED,
 )
+from conftest import stored_grades
 
 
 class TestPromptRendering:
@@ -273,7 +274,7 @@ class TestHttpBackend:
         assert summary.graded == 2
         assert [f.passage_id for f in summary.failures] \
             == ["p1", "p2", "p3", "p4"]
-        assert {g.passage_id: g.rating for g in store.grades()} \
+        assert {g.passage_id: g.rating for g in stored_grades(store)} \
             == {"p0": 4, "p5": 5}
 
     def test_endpoint_required(self):

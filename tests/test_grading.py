@@ -19,13 +19,12 @@ from exam_eval.grading import (
 from exam_eval.model import (
     ContractViolation,
     ExamQuestion,
-    Judgment,
     Passage,
     QA_VERIFIED,
     QuestionBank,
     SELF_RATED,
 )
-from conftest import make_run
+from conftest import RecordingBackend, make_run, stored_grades
 
 
 class TestNormalizeAnswer:
@@ -206,11 +205,11 @@ class TestGradeCorpus:
     def test_cardinality(self, tmp_path):
         bank, passages = self.bank_and_passages()
         store = GradeStore(tmp_path / "g.jsonl.gz")
-        backend = MockBackend({"default": "3"})
+        backend = RecordingBackend({"default": "3"})
         summary = grade_corpus(bank, passages, SELF_RATED, config(),
                                store, backend)
         assert summary.graded == 24
-        assert len(store.grades()) == 24
+        assert len(stored_grades(store)) == 24
         assert len(backend.request_log) == 24
 
     def test_resume_skips_complete_store(self, tmp_path):
@@ -218,7 +217,7 @@ class TestGradeCorpus:
         store = GradeStore(tmp_path / "g.jsonl.gz")
         grade_corpus(bank, passages, SELF_RATED, config(), store,
                      MockBackend({"default": "3"}))
-        backend = MockBackend({"default": "3"})
+        backend = RecordingBackend({"default": "3"})
         summary = grade_corpus(bank, passages, SELF_RATED, config(),
                                store, backend)
         assert summary.graded == 0
@@ -229,7 +228,7 @@ class TestGradeCorpus:
         bank, passages = self.bank_and_passages()
         passages["q1"] = passages["q1"] + [Passage("p0", "text 0")]
         store = GradeStore(tmp_path / "g.jsonl.gz")
-        backend = MockBackend({"default": "3"})
+        backend = RecordingBackend({"default": "3"})
         grade_corpus(bank, passages, SELF_RATED, config(), store, backend)
         assert len(backend.request_log) == 24
 
@@ -245,7 +244,7 @@ class TestGradeCorpus:
 
     def test_question_without_gold_answer_sends_no_request(self, tmp_path):
         bank, passages = self.bank_and_passages()
-        backend = MockBackend({"default": "alpha"})
+        backend = RecordingBackend({"default": "alpha"})
         summary = grade_corpus(bank, passages, QA_VERIFIED, config(),
                                GradeStore(tmp_path / "g.jsonl.gz"), backend)
         assert backend.request_log == []
@@ -263,8 +262,8 @@ class TestGradeCorpus:
                      BackendConfig(parallelism=4), parallel_store,
                      MockBackend({"default": "2"}))
         key = lambda g: g.key
-        assert sorted(serial_store.grades(), key=key) \
-            == sorted(parallel_store.grades(), key=key)
+        assert sorted(stored_grades(serial_store), key=key) \
+            == sorted(stored_grades(parallel_store), key=key)
 
     def test_gold_answer_normalized_once_per_question(self, tmp_path,
                                                       monkeypatch):
@@ -336,8 +335,8 @@ def test_braces_passage_is_graded(tmp_path, mode):
     passages = {"q1": [
         Passage("p-braces", 'It sets {config} = {"depth": 20} here.'),
         Passage("p-plain", "plain text")]}
-    backend = MockBackend({"q1/q/0/p-braces": "5: the {config} block",
-                           "default": "0"})
+    backend = RecordingBackend({"q1/q/0/p-braces": "5: the {config} block",
+                                "default": "0"})
     store = GradeStore(tmp_path / "g.jsonl.gz")
     summary = grade_corpus(bank, passages, mode, config(), store, backend)
     assert summary.graded == 2 and not summary.failures
@@ -346,7 +345,7 @@ def test_braces_passage_is_graded(tmp_path, mode):
     assert prompts["p-braces"].endswith(
         'Question: What does {config} set?\n'
         'Context: It sets {config} = {"depth": 20} here.')
-    by_pid = {g.passage_id: g for g in store.grades()}
+    by_pid = {g.passage_id: g for g in stored_grades(store)}
     if mode == QA_VERIFIED:
         assert by_pid["p-braces"].verified is True
         assert by_pid["p-plain"].verified is False
@@ -359,7 +358,7 @@ class TestPassagePool:
     def test_union_of_runs_and_judgments(self):
         run_a = make_run("a", [("q1", "p1"), ("q1", "p2")])
         run_b = make_run("b", [("q1", "p2"), ("q1", "p3")])
-        judgments = [Judgment("q1", "p9", 2), Judgment("q2", "p1", 0)]
+        judgments = {("q1", "p9"): 2, ("q2", "p1"): 0}
         pool = build_passage_pool([run_a, run_b], depth=20,
                                   judgments=judgments)
         assert pool["q1"] == ["p1", "p2", "p3", "p9"]

@@ -6,7 +6,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exam_eval.formats import parse_run_file
+from exam_eval.formats import parse_qrels, parse_run_file
 from exam_eval.metrics import (
     CollapseSpec,
     UndefinedResult,
@@ -25,17 +25,15 @@ from exam_eval.metrics import (
 )
 from exam_eval.model import (
     ContractViolation,
-    CoverConfig,
     ExamQuestion,
     Grade,
     GradePolicy,
-    Judgment,
     QA_VERIFIED,
     QuestionBank,
     SELF_RATED,
     label_of,
 )
-from conftest import make_run
+from conftest import grade_index, make_run
 
 
 def rated(qid, pid, qqid, rating):
@@ -67,27 +65,28 @@ def brute_force_cover(run, bank, grades, policy, depth):
         if not questions:
             continue
         qids = {q.question_id for q in questions}
-        top = sorted([e for e in run.entries if e.query_id == query_id],
-                     key=lambda e: e.rank)[:depth]
+        top = sorted(run.by_query.get(query_id, []),
+                     key=lambda row: row[1])[:depth]
         answered = set()
-        for e in top:
-            answered |= correct.get((query_id, e.passage_id), set()) & qids
+        for passage_id, _, _ in top:
+            answered |= correct.get((query_id, passage_id), set()) & qids
         scores[query_id] = len(answered) / len(qids)
     return scores
 
 
-def brute_force_precision(run, qrels, k, level):
-    rel = {(j.query_id, j.passage_id): max(j.grade, 0) for j in qrels}
-    queries = {j.query_id for j in qrels}
+def brute_force_precision(run, judged, k, level):
+    """`judged` maps (query, passage) to a trec_eval grade, negative ones
+    included."""
+    rel = {pair: max(grade, 0) for pair, grade in judged.items()}
+    queries = {query_id for query_id, _ in judged}
     scores = {}
-    for query_id in {e.query_id for e in run.entries}:
+    for query_id, rows in run.by_query.items():
         if query_id not in queries:
             continue
-        top = sorted([e for e in run.entries if e.query_id == query_id],
-                     key=lambda e: e.rank)[:k]
+        top = sorted(rows, key=lambda row: row[1])[:k]
         scores[query_id] = sum(
-            1 for e in top
-            if rel.get((query_id, e.passage_id), 0) >= level) / k
+            1 for passage_id, _, _ in top
+            if rel.get((query_id, passage_id), 0) >= level) / k
     return scores
 
 
@@ -95,11 +94,11 @@ def brute_force_pool(runs, depth):
     """Query -> set of passages some run ranks within its top depth."""
     pooled = {}
     for run in runs:
-        for e in run.entries:
-            ranks = sorted(f.rank for f in run.entries
-                           if f.query_id == e.query_id)
-            if e.rank in ranks[:depth]:
-                pooled.setdefault(e.query_id, set()).add(e.passage_id)
+        for query_id, rows in run.by_query.items():
+            ranks = sorted(rank for _, rank, _ in rows)
+            for passage_id, rank, _ in rows:
+                if rank in ranks[:depth]:
+                    pooled.setdefault(query_id, set()).add(passage_id)
     return pooled
 
 
@@ -130,14 +129,14 @@ def brute_force_qrels(grades, bank, policy):
             graded.add(pair)
             if g.rating >= policy.min_rating:
                 correct.setdefault(pair, set()).add(g.question_id)
-    return [Judgment(q, p, int(len(correct.get((q, p), ()))
-                           >= policy.min_answers)) for q, p in graded]
+    return {(q, p): int(len(correct.get((q, p), ())) >= policy.min_answers)
+            for q, p in graded}
 
 
 def brute_force_pooled_precision(runs, qrels, k, level, depth):
     """Best P@k an ideal ranking of the pooled passages reaches."""
-    rel = {(j.query_id, j.passage_id): max(j.grade, 0) for j in qrels}
-    judged = {j.query_id for j in qrels}
+    rel = {pair: max(grade, 0) for pair, grade in qrels.items()}
+    judged = {query_id for query_id, _ in qrels}
     return {q: min(sum(1 for p in pids if rel.get((q, p), 0) >= level), k) / k
             for q, pids in brute_force_pool(runs, depth).items()
             if q in judged}
@@ -240,8 +239,9 @@ class TestAgainstOracles:
     @settings(max_examples=150, deadline=None)
     def test_exam_cover(self, inputs):
         bank, grades, runs, policy, depth = inputs
+        index = grade_index(grades, policy)
         for run in runs:
-            result = exam_cover(run, bank, grades, policy, CoverConfig(depth))
+            result = exam_cover(run, bank, index, depth)
             assert result.per_query == pytest.approx(
                 brute_force_cover(run, bank, grades, policy, depth))
 
@@ -252,17 +252,18 @@ class TestAgainstOracles:
         judged = data.draw(st.dictionaries(
             st.tuples(st.sampled_from(QUERIES[:2]), st.sampled_from(PASSAGES)),
             st.integers(-2, 3)))
-        qrels = [Judgment(q, p, g) for (q, p), g in judged.items()]
+        qrels = parse_qrels("".join(f"{q} 0 {p} {g}\n"
+                                    for (q, p), g in judged.items()))
         result = precision_at_k(run, qrels, k, level_for_rel=level)
         assert result.per_query == pytest.approx(
-            brute_force_precision(run, qrels, k, level))
+            brute_force_precision(run, judged, k, level))
 
     @given(scoring_inputs())
     @settings(max_examples=100, deadline=None)
     def test_leaderboard_cover_rows(self, inputs):
         bank, grades, runs, policy, depth = inputs
-        result = leaderboard(runs, bank, grades, policy, metric="cover",
-                             cover=CoverConfig(depth))
+        result = leaderboard(runs, bank, grade_index(grades, policy),
+                             metric="cover", depth=depth)
         rows = {r.system: r.score for r in result.rows}
         assert rows[OVERALL_SYSTEM] == pytest.approx(mean(
             brute_force_pooled_cover(runs, bank, grades, policy, depth)))
@@ -270,22 +271,21 @@ class TestAgainstOracles:
             assert rows[run.run_tag] == pytest.approx(mean(
                 brute_force_cover(run, bank, grades, policy, depth)))
 
-    @given(scoring_inputs(), st.integers(1, 8))
+    @given(scoring_inputs())
     @settings(max_examples=100, deadline=None)
-    def test_leaderboard_p_at_k_rows(self, inputs, k):
+    def test_leaderboard_p_at_k_rows(self, inputs):
+        # P@k with k = depth, over the pool of every top-depth passage.
         bank, grades, runs, policy, depth = inputs
-        result = leaderboard(runs, bank, grades, policy, metric="p_at_k",
-                             cover=CoverConfig(depth), k=k)
+        index = grade_index(grades, policy)
+        result = leaderboard(runs, bank, index, metric="p_at_k", depth=depth)
         rows = {r.system: r.score for r in result.rows}
         qrels = brute_force_qrels(grades, bank, policy)
-        assert sorted(build_qrels(grades, bank, policy),
-                      key=lambda j: (j.query_id, j.passage_id)) \
-            == sorted(qrels, key=lambda j: (j.query_id, j.passage_id))
+        assert build_qrels(index, bank) == qrels
         assert rows[OVERALL_SYSTEM] == pytest.approx(mean(
-            brute_force_pooled_precision(runs, qrels, k, 1, depth)))
+            brute_force_pooled_precision(runs, qrels, depth, 1, depth)))
         for run in runs:
             assert rows[run.run_tag] == pytest.approx(mean(
-                brute_force_precision(run, qrels, k, 1)))
+                brute_force_precision(run, qrels, depth, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,7 @@ class TestExamCover:
                   rated("q1", "p2", "q1/q/1", 5),
                   rated("q1", "p2", "q1/q/2", 5)]
         run = make_run("sys", [("q1", "p1"), ("q1", "p2")])
-        result = exam_cover(run, bank, grades, LENIENT)
+        result = exam_cover(run, bank, grade_index(grades, LENIENT))
         assert result.per_query["q1"] == pytest.approx(0.6)
         assert result.mean == pytest.approx(0.6)
 
@@ -309,21 +309,21 @@ class TestExamCover:
         bank = simple_bank()
         run = make_run("sys", [("q1", "p1")])
         grades = [rated("q1", "p1", "q1/q/0", 0)]
-        result = exam_cover(run, bank, grades, LENIENT)
+        result = exam_cover(run, bank, grade_index(grades, LENIENT))
         assert result.per_query["q1"] == 0.0
 
     def test_everything_answerable(self):
         bank = simple_bank()
         run = make_run("sys", [("q1", "p1")])
         grades = [rated("q1", "p1", f"q1/q/{i}", 5) for i in range(5)]
-        result = exam_cover(run, bank, grades, LENIENT)
+        result = exam_cover(run, bank, grade_index(grades, LENIENT))
         assert result.per_query["q1"] == 1.0
 
     def test_missing_grades_counted_not_correct(self):
         bank = simple_bank()
         run = make_run("sys", [("q1", "p1"), ("q1", "p-ungraded")])
         grades = [rated("q1", "p1", "q1/q/0", 5)]
-        result = exam_cover(run, bank, grades, LENIENT)
+        result = exam_cover(run, bank, grade_index(grades, LENIENT))
         assert result.per_query["q1"] == pytest.approx(0.2)
         assert ("q1", "p-ungraded") in result.ungraded_passages
 
@@ -332,7 +332,7 @@ class TestExamCover:
                              "q2": ()})
         run = make_run("sys", [("q1", "p1"), ("q2", "p2")])
         grades = [rated("q1", "p1", f"q1/q/{i}", 5) for i in range(5)]
-        result = exam_cover(run, bank, grades, LENIENT)
+        result = exam_cover(run, bank, grade_index(grades, LENIENT))
         assert "q2" not in result.per_query
         assert result.mean == 1.0
 
@@ -344,11 +344,11 @@ class TestExamCover:
         short = make_run("sys", [("q1", f"p{i}") for i in range(5)])
         longer = make_run("sys", [("q1", f"p{i}") for i in range(10)])
         for policy in (LENIENT, GradePolicy(SELF_RATED, min_rating=4)):
-            a = exam_cover(short, bank, grades, policy).mean
-            b = exam_cover(longer, bank, grades, policy).mean
+            a = exam_cover(short, bank, grade_index(grades, policy)).mean
+            b = exam_cover(longer, bank, grade_index(grades, policy)).mean
             assert b >= a
-            shallow = exam_cover(longer, bank, grades, policy,
-                                 CoverConfig(3)).mean
+            shallow = exam_cover(longer, bank, grade_index(grades, policy),
+                                 3).mean
             assert b >= shallow
 
     def test_threshold_monotonicity(self):
@@ -357,9 +357,9 @@ class TestExamCover:
         grades = [rated("q1", f"p{i}", f"q1/q/{j}", rng.randint(0, 5))
                   for i in range(8) for j in range(6)]
         run = make_run("sys", [("q1", f"p{i}") for i in range(8)])
-        strict = exam_cover(run, bank, grades,
-                            GradePolicy(SELF_RATED, min_rating=4)).mean
-        lenient = exam_cover(run, bank, grades, LENIENT).mean
+        strict = exam_cover(run, bank, grade_index(grades,
+                            GradePolicy(SELF_RATED, min_rating=4))).mean
+        lenient = exam_cover(run, bank, grade_index(grades, LENIENT)).mean
         assert strict <= lenient
 
 
@@ -396,29 +396,29 @@ class TestBuildQrels:
         bank = simple_bank()
         grades = [rated("q1", "p1", "q1/q/0", 5),
                   rated("q1", "p2", "q1/q/0", 0)]
-        labels = build_qrels(grades, bank, LENIENT)
-        assert labels == [Judgment("q1", "p1", 1), Judgment("q1", "p2", 0)]
+        labels = build_qrels(grade_index(grades, LENIENT), bank)
+        assert labels == {("q1", "p1"): 1, ("q1", "p2"): 0}
 
     def test_graded_carries_ratings(self):
         bank = simple_bank()
         grades = [rated("q1", "p1", "q1/q/0", 3)]
-        [label] = build_qrels(grades, bank, LENIENT, graded=True)
-        assert label.grade == 3
+        labels = build_qrels(grade_index(grades, LENIENT), bank, graded=True)
+        assert labels == {("q1", "p1"): 3}
 
     def test_new_question_changes_only_affected_rows(self):
         bank = simple_bank()
         grades = [rated("q1", "p1", "q1/q/0", 0),
                   rated("q1", "p2", "q1/q/0", 0)]
-        before = build_qrels(grades, bank, LENIENT)
+        before = build_qrels(grade_index(grades, LENIENT), bank)
         grades.append(rated("q1", "p1", "q1/q/1", 5))
-        after = build_qrels(grades, bank, LENIENT)
-        changed = set(after) - set(before)
-        assert changed == {Judgment("q1", "p1", 1)}
+        after = build_qrels(grade_index(grades, LENIENT), bank)
+        changed = set(after.items()) - set(before.items())
+        assert changed == {(("q1", "p1"), 1)}
 
     def test_unknown_questions_ignored(self):
         bank = simple_bank()
         grades = [rated("q1", "p1", "other-bank/q/0", 5)]
-        assert build_qrels(grades, bank, LENIENT) == []
+        assert build_qrels(grade_index(grades, LENIENT), bank) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -427,30 +427,28 @@ class TestBuildQrels:
 
 class TestPrecisionAtK:
     def test_all_relevant(self):
-        qrels = [Judgment("q1", f"p{i}", 1) for i in range(20)]
+        qrels = {("q1", f"p{i}"): 1 for i in range(20)}
         run = make_run("sys", [("q1", f"p{i}") for i in range(20)])
         assert precision_at_k(run, qrels, 20).mean == 1.0
 
     def test_half_relevant(self):
-        qrels = [Judgment("q1", f"p{i}", 1 if i < 10 else 0)
-                 for i in range(20)]
+        qrels = {("q1", f"p{i}"): 1 if i < 10 else 0 for i in range(20)}
         run = make_run("sys", [("q1", f"p{i}") for i in range(20)])
         assert precision_at_k(run, qrels, 20).mean == 0.5
 
     def test_level_for_rel_threshold(self):
-        qrels = [Judgment("q1", "p0", 4), Judgment("q1", "p1", 3),
-                 Judgment("q1", "p2", 0)]
+        qrels = {("q1", "p0"): 4, ("q1", "p1"): 3, ("q1", "p2"): 0}
         run = make_run("sys", [("q1", "p0"), ("q1", "p1"), ("q1", "p2")])
         assert precision_at_k(run, qrels, 3, level_for_rel=4).mean \
             == pytest.approx(1 / 3)
 
     def test_unjudged_counts_nonrelevant(self):
-        qrels = [Judgment("q1", "p0", 1)]
+        qrels = {("q1", "p0"): 1}
         run = make_run("sys", [("q1", "p0"), ("q1", "p-unjudged")])
         assert precision_at_k(run, qrels, 2).mean == 0.5
 
     def test_unjudged_query_skipped(self):
-        qrels = [Judgment("q1", "p0", 1)]
+        qrels = {("q1", "p0"): 1}
         run = make_run("sys", [("q1", "p0"), ("q2", "p0")])
         result = precision_at_k(run, qrels, 1)
         assert set(result.per_query) == {"q1"}
@@ -651,7 +649,7 @@ GRADED_SPEC = CollapseSpec("graded", tuple((v,) for v in range(5, -1, -1)),
 class TestAgreementTables:
     def labels_and_judgments(self):
         # 20 pairs, hand-tallied below.
-        labels, judgments = [], []
+        labels, judgments = {}, {}
         rows = [
             # (label 0-5, judgment 0-3, count)
             (5, 3, 2), (4, 2, 3), (4, 0, 2), (1, 1, 3),
@@ -660,13 +658,13 @@ class TestAgreementTables:
         i = 0
         for label, judgment, count in rows:
             for _ in range(count):
-                labels.append(Judgment("q1", f"p{i}", label))
-                judgments.append(Judgment("q1", f"p{i}", judgment))
+                labels["q1", f"p{i}"] = label
+                judgments["q1", f"p{i}"] = judgment
                 i += 1
         return labels, judgments
 
     def test_diagonal_identity(self):
-        labels = [Judgment("q1", f"p{i}", i % 2) for i in range(10)]
+        labels = {("q1", f"p{i}"): i % 2 for i in range(10)}
         table = confusion_table(labels, labels,
                                 collapse_for("binary", {0, 1}, {0, 1}))
         assert table.kappa_overall == pytest.approx(1.0)
@@ -695,16 +693,16 @@ class TestAgreementTables:
         assert table.total == 20
 
     def test_unjoined_pairs_dropped_and_counted(self):
-        labels = [Judgment("q1", "p1", 1), Judgment("q1", "p-only-label", 1)]
-        judgments = [Judgment("q1", "p1", 2), Judgment("q1", "p-only-j", 0)]
+        labels = {("q1", "p1"): 1, ("q1", "p-only-label"): 1}
+        judgments = {("q1", "p1"): 2, ("q1", "p-only-j"): 0}
         table = confusion_table(labels, judgments, BINARY_SPEC)
         assert table.total == 1
         assert table.dropped_pairs == 2
 
     def test_empty_join_rejected(self):
         with pytest.raises(ContractViolation):
-            confusion_table([Judgment("q1", "p1", 1)],
-                            [Judgment("q2", "p2", 1)], BINARY_SPEC)
+            confusion_table({("q1", "p1"): 1}, {("q2", "p2"): 1},
+                            BINARY_SPEC)
 
     def test_overlapping_groups_rejected(self):
         with pytest.raises(ContractViolation):
@@ -722,10 +720,9 @@ class TestAgreementTables:
                   rated("q1", "p1", "q1/q/1", 5),
                   rated("q1", "p2", "q1/q/0", 5),
                   rated("q1", "p3", "q1/q/0", 0)]
-        official = [Judgment("q1", "p1", 2), Judgment("q1", "p2", 0),
-                    Judgment("q1", "p3", 0)]
-        sweep = min_answers_sweep(grades, bank, LENIENT, official,
-                                  values=(1, 2, 5))
+        official = {("q1", "p1"): 2, ("q1", "p2"): 0, ("q1", "p3"): 0}
+        sweep = min_answers_sweep(grade_index(grades, LENIENT), bank,
+                                  official, values=(1, 2, 5))
         assert [n for n, _ in sweep] == [1, 2, 5]
         by_n = {n: t for n, t in sweep}
         # min_answers=1: p1 and p2 labeled 1; p2 judged 0.
@@ -757,50 +754,50 @@ class TestLeaderboard:
                                   for p in ("pA", "pB")])
         run_b = make_run("sysB", [(q, p) for q in ("q1", "q2")
                                   for p in ("pC", "pB")])
-        return bank, grades, [run_a, run_b]
+        return bank, grade_index(grades, LENIENT), [run_a, run_b]
 
     def test_dominant_system_ranks_first(self):
-        bank, grades, runs = self.fixture()
-        result = leaderboard(runs, bank, grades, LENIENT)
+        bank, index, runs = self.fixture()
+        result = leaderboard(runs, bank, index)
         order = [r.system for r in result.rows]
         assert order.index("sysA") < order.index("sysB")
 
     def test_overall_dominates_cover(self):
-        bank, grades, runs = self.fixture()
-        result = leaderboard(runs, bank, grades, LENIENT)
+        bank, index, runs = self.fixture()
+        result = leaderboard(runs, bank, index)
         overall = next(r for r in result.rows if r.system == OVERALL_SYSTEM)
         for row in result.rows:
             assert overall.score >= row.score
 
     def test_overall_dominates_p_at_k(self):
-        bank, grades, runs = self.fixture()
-        result = leaderboard(runs, bank, grades, LENIENT, metric="p_at_k",
-                             k=2)
+        bank, index, runs = self.fixture()
+        result = leaderboard(runs, bank, index, metric="p_at_k", depth=2)
         overall = next(r for r in result.rows if r.system == OVERALL_SYSTEM)
         for row in result.rows:
             assert overall.score >= row.score
 
     def test_tied_systems_ordered_by_name(self):
-        bank, grades, runs = self.fixture()
-        twin = make_run("sysA2", [(e.query_id, e.passage_id)
-                                  for e in runs[0].entries])
-        result = leaderboard(runs + [twin], bank, grades, LENIENT)
+        bank, index, runs = self.fixture()
+        twin = make_run("sysA2", [(query_id, passage_id) for query_id, rows
+                                  in runs[0].by_query.items()
+                                  for passage_id, _, _ in rows])
+        result = leaderboard(runs + [twin], bank, index)
         rows = {r.system: r for r in result.rows}
         assert rows["sysA"].score == rows["sysA2"].score
         order = [r.system for r in result.rows]
         assert order.index("sysA") < order.index("sysA2")
 
     def test_correlation_undefined_below_three(self):
-        bank, grades, runs = self.fixture()
-        result = leaderboard(runs, bank, grades, LENIENT,
+        bank, index, runs = self.fixture()
+        result = leaderboard(runs, bank, index,
                              official_ranks={"sysA": 1, "sysB": 2})
         assert result.correlation is None
 
     def test_correlation_excludes_overall_and_unranked(self):
-        bank, grades, runs = self.fixture()
+        bank, index, runs = self.fixture()
         third = make_run("sysC", [(q, "pC") for q in ("q1", "q2")])
         fourth = make_run("sysD", [(q, "pB") for q in ("q1", "q2")])
-        result = leaderboard(runs + [third, fourth], bank, grades, LENIENT,
+        result = leaderboard(runs + [third, fourth], bank, index,
                              official_ranks={"sysA": 1, "sysB": 4,
                                              "sysC": 3, "sysD": 2})
         assert result.correlation is not None

@@ -3,18 +3,15 @@ from hypothesis import given, strategies as st
 
 from exam_eval.model import (
     ContractViolation,
-    CoverConfig,
     ExamQuestion,
     Facet,
     Grade,
     GradePolicy,
-    Judgment,
     Passage,
     QA_VERIFIED,
     Query,
     QuestionBank,
     Run,
-    RunEntry,
     SELF_RATED,
     passes,
 )
@@ -89,22 +86,11 @@ def test_question_bank_rejects_duplicates_and_mismatched_keys():
 
 def test_run_rank_and_duplicate_validation():
     with pytest.raises(ContractViolation):
-        RunEntry("q1", "p1", 0, 1.0)
+        Run("t", {"q1": [("p1", 0, 1.0)]})
     with pytest.raises(ContractViolation):
-        Run.from_entries(
-            "t", (RunEntry("q1", "p1", 1, 2.0), RunEntry("q1", "p1", 2, 1.0)))
+        Run("t", {"q1": [("p1", 1, 2.0), ("p1", 2, 1.0)]})
     with pytest.raises(ContractViolation):
-        Run.from_entries(
-            "t", (RunEntry("q1", "p1", 2, 2.0), RunEntry("q1", "p2", 1, 1.0)))
-
-
-def test_run_from_entries_keeps_first_seen_query_order():
-    entries = (RunEntry("q2", "p1", 1, 2.0), RunEntry("q1", "p2", 4, 1.0),
-               RunEntry("q2", "p3", 2, 0.5))
-    run = Run.from_entries("t", entries)
-    assert run.query_ids == ["q2", "q1"]
-    assert run.top_k("q2", 20) == [("p1", 1, 2.0), ("p3", 2, 0.5)]
-    assert run.entries == (entries[0], entries[2], entries[1])
+        Run("t", {"q1": [("p1", 2, 2.0), ("p2", 1, 1.0)]})
 
 
 def test_run_rejects_rank_below_one():
@@ -112,17 +98,8 @@ def test_run_rejects_rank_below_one():
         Run("t", {"q1": [("p1", 0, 1.0)]})
 
 
-def test_judgment_negative_grades_clamped():
-    assert Judgment("q", "p", -2).relevance == 0
-    assert Judgment("q", "p", 3).relevance == 3
-    with pytest.raises(ContractViolation):
-        Judgment("q", "p", -3)
-
-
 def test_policy_and_cover_config_bounds():
     with pytest.raises(ContractViolation):
         GradePolicy(SELF_RATED, min_rating=0)
     with pytest.raises(ContractViolation):
         GradePolicy(SELF_RATED, min_answers=0)
-    with pytest.raises(ContractViolation):
-        CoverConfig(depth=0)
