@@ -68,22 +68,20 @@ def _question_id(query_id: str, facet_id: str | None, ordinal: int) -> str:
 
 
 def generate_bank(queries: list[Query], template_name: str,
-                  config: gateway.BackendConfig,
-                  backend: gateway.Backend | None = None) -> QuestionBank:
+                  backend: gateway.Backend, parallelism: int) -> QuestionBank:
     """Generate a question bank by prompting the backend once per query,
     or once per query-facet for the facet-focused template.
 
     Question ids are assigned deterministically as
     `<query_id>/<facet_id or "q">/<ordinal>`. An unparseable completion is
     retried once; a query whose completions never parse ends up with zero
-    questions and a warning. Prompts go out on `config.parallelism`
-    workers; the bank is the same for every worker count.
+    questions and a warning. Prompts go out on `parallelism` workers; the
+    bank is the same for every worker count.
     """
     if template_name not in ("question_gen_dl", "question_gen_car"):
         raise gateway.ContractViolation(
             f"{template_name!r} is not a question-generation template")
     per_facet = template_name == "question_gen_car"
-    backend = backend or gateway.make_backend(config)
 
     targets: list[tuple[int, Query, Facet | None]] = []
     for position, query in enumerate(queries):
@@ -109,7 +107,7 @@ def generate_bank(queries: list[Query], template_name: str,
 
     questions: list[list[ExamQuestion]] = [[] for _ in queries]
     for (position, query, facet), texts in zip(
-            targets, gateway.map_ordered(ask, targets, config.parallelism)):
+            targets, gateway.map_ordered(ask, targets, parallelism)):
         facet_id = facet.facet_id if facet else None
         questions[position] += [
             ExamQuestion(question_id=_question_id(query.query_id, facet_id, i),

@@ -22,7 +22,6 @@ from .model import (
     Facet,
     GradeIndex,
     GradePolicy,
-    Passage,
     QA_VERIFIED,
     Query,
     SELF_RATED,
@@ -119,21 +118,15 @@ def load_passages(path: str) -> dict[str, str]:
     return {str(k): str(v) for k, v in doc.items()}
 
 
-def _backend_config(endpoint: str, model: str, max_input_tokens: int,
-                    parallelism: int, mock: str | None) -> gateway.BackendConfig:
-    return gateway.BackendConfig(
-        endpoint_url=endpoint, model_name=model,
-        max_input_tokens=max_input_tokens, parallelism=parallelism,
-        mock_fixture=mock)
-
-
 # The options of every command that talks to a backend, in help order.
 _BACKEND_OPTIONS = (
     ("--endpoint", dict(default="", help="Inference endpoint URL.")),
     ("--model", dict(default="", help="Model name for the backend.")),
     ("--max-input-tokens", dict(default=512, show_default=True,
+                                type=click.IntRange(min=64),
                                 help="Prompt token budget.")),
     ("--parallelism", dict(default=1, show_default=True,
+                           type=click.IntRange(min=1),
                            help="Concurrent completion workers.")),
     ("--mock", dict(default=None, type=click.Path(exists=True),
                     help="Scripted-response fixture; skips the HTTP "
@@ -202,12 +195,11 @@ def generate(queries_path, template, out, endpoint, model, max_input_tokens,
              parallelism, mock):
     """Generate a question bank from queries."""
     queries = load_queries(queries_path)
-    config = _backend_config(endpoint, model, max_input_tokens,
-                             parallelism, mock)
     log.info("generating bank for %d queries (%s template)",
              len(queries), template)
+    backend = gateway.make_backend(endpoint, model, mock)
     result = bank_mod.generate_bank(queries, f"question_gen_{template}",
-                                    config)
+                                    backend, parallelism)
     atomic_write(out, formats.save_question_bank(result))
     click.echo(f"wrote {len(result.all_questions())} questions to {out}")
 
@@ -246,25 +238,22 @@ def grade(bank_path, run_paths, passages_path, qrels_path, mode, store_path,
     texts = load_passages(passages_path)
     judgments = formats.load_qrels(qrels_path) if qrels_path else None
     pool = grading.build_passage_pool(runs, depth, judgments)
-    passages_by_query: dict[str, list[Passage]] = {}
-    missing = 0
-    for query_id, pids in pool.items():
-        passages = []
-        for pid in pids:
-            if pid in texts:
-                passages.append(Passage(pid, texts[pid]))
-            else:
-                missing += 1
-        passages_by_query[query_id] = passages
+    # The pool is deduplicated; a passage without text, or with empty
+    # text, cannot be graded.
+    passages_by_query = {
+        query_id: {pid: texts[pid] for pid in pids if texts.get(pid)}
+        for query_id, pids in pool.items()}
+    missing = (sum(map(len, pool.values()))
+               - sum(map(len, passages_by_query.values())))
     if missing:
         log.warning("%d pooled passages have no text and were dropped",
                     missing)
-    config = _backend_config(endpoint, model, max_input_tokens,
-                             parallelism, mock)
+    backend = gateway.make_backend(endpoint, model, mock)
     grade_mode = QA_VERIFIED if mode == "qa" else SELF_RATED
     store = formats.GradeStore(store_path)
     summary = grading.grade_corpus(bank, passages_by_query, grade_mode,
-                                   config, store)
+                                   store, backend, max_input_tokens,
+                                   parallelism)
     # The skip-log holds the failures of the latest run only.
     skip_log = Path(store_path).with_suffix(".skipped.jsonl")
     if summary.failures:
@@ -347,6 +336,15 @@ def leaderboard(bank_path, run_paths, grades_path, policy_text, metric,
         raise ContractViolation(
             f"{official_path}: expected a JSON object mapping system name "
             f"to official rank")
+    for system, rank in (official or {}).items():
+        if rank is None:        # unranked
+            continue
+        try:
+            float(rank)
+        except (TypeError, ValueError):
+            raise ContractViolation(
+                f"{official_path}: official rank of {system!r} must be a "
+                f"number or null, got {rank!r}") from None
     result = metrics.leaderboard(
         runs, bank, _grade_index(grades_path, policy), metric=metric,
         depth=depth, official_ranks=official)
@@ -389,29 +387,24 @@ def correlate(path_a, path_b):
     click.echo(f"n\t{stats.n}")
 
 
+def _body_rows(table: metrics.ConfusionTable) -> list[list[str]]:
+    """Each row's label, counts, total and kappa, as cells."""
+    return [[row_label, *map(str, row), str(sum(row)),
+             f"{table.kappa_per_row[i]:.3f}" if table.kappa_per_row else ""]
+            for i, (row_label, row) in enumerate(zip(table.row_labels,
+                                                     table.counts))]
+
+
 def _format_table_tsv(table: metrics.ConfusionTable) -> str:
-    lines = [f"# {table.name}"]
-    lines.append("label\t" + "\t".join(table.col_labels)
-                 + "\ttotal\tkappa")
-    for i, row_label in enumerate(table.row_labels):
-        row = table.counts[i]
-        kappa = (f"{table.kappa_per_row[i]:.3f}"
-                 if table.kappa_per_row else "")
-        lines.append(f"{row_label}\t" + "\t".join(str(v) for v in row)
-                     + f"\t{sum(row)}\t{kappa}")
-    return "\n".join(lines) + "\n"
+    rows = [["label", *table.col_labels, "total", "kappa"],
+            *_body_rows(table)]
+    return f"# {table.name}\n" + "".join("\t".join(r) + "\n" for r in rows)
 
 
 def _format_table_text(table: metrics.ConfusionTable) -> str:
     """Plain-text layout with judgment columns and per-row totals."""
     header = ["Label"] + list(table.col_labels) + ["Total", "kappa"]
-    rows = [header]
-    for i, row_label in enumerate(table.row_labels):
-        row = table.counts[i]
-        kappa = (f"{table.kappa_per_row[i]:.3f}"
-                 if table.kappa_per_row else "")
-        rows.append([row_label] + [str(v) for v in row]
-                    + [str(sum(row)), kappa])
+    rows = [header, *_body_rows(table)]
     widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
     lines = [table.name.upper()]
     for r in rows:

@@ -16,7 +16,6 @@ from pathlib import Path
 from .model import (
     ContractViolation,
     ExamQuestion,
-    Grade,
     GradeKey,
     GradeRow,
     Qrels,
@@ -235,8 +234,8 @@ _GRADE_FIELDS = ("query_id", "passage_id", "question_id", "mode",
                  "answer_text", "verified", "rating")
 
 
-def _grade_to_json(grade: Grade) -> str:
-    record = {f: getattr(grade, f) for f in _GRADE_FIELDS}
+def _grade_to_json(key: GradeKey, row: GradeRow) -> str:
+    record = dict(zip(_GRADE_FIELDS, key + row))
     return json.dumps(record, ensure_ascii=False, sort_keys=True)
 
 
@@ -250,7 +249,7 @@ def _decode_grade(line: str, line_no: int) -> tuple[GradeKey, GradeRow]:
     """One store line as its key and row.
 
     The record's shape is checked here, its fields by `check_grade`, the
-    rule `Grade` itself applies.
+    rule `append` applies too.
     """
     try:
         record = _DECODER.decode(line)
@@ -311,11 +310,17 @@ class GradeStore:
         except FileNotFoundError:
             pass
 
-    def append(self, grades: list[Grade]) -> None:
+    def append(self, rows: dict[GradeKey, GradeRow]) -> None:
+        """Write the rows, in order, after checking each with `check_grade`;
+        a bad row raises `ContractViolation` and nothing is written."""
+        for (query_id, passage_id, question_id, mode), (_, verified, rating) \
+                in rows.items():
+            check_grade(query_id, passage_id, question_id, mode, verified,
+                        rating)
         # The batch goes to the compressor in one write; the bytes are
         # those of writing its lines one at a time.
-        data = "".join(_grade_to_json(grade) + "\n"
-                       for grade in grades).encode("utf-8")
+        data = "".join(_grade_to_json(key, row) + "\n"
+                       for key, row in rows.items()).encode("utf-8")
         self._acquire_lock()
         try:
             # mtime=0 and no embedded filename keep the bytes deterministic
@@ -348,6 +353,3 @@ class GradeStore:
         except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
             raise ParseError(f"corrupt grade store {self.path}: {exc}") from None
         return rows
-
-    def keys(self) -> set[GradeKey]:
-        return set(self.read())

@@ -182,24 +182,12 @@ def truncate_context(question: str, context: str, budget: int,
 # Completion backends
 
 
-@dataclass(frozen=True)
-class BackendConfig:
-    endpoint_url: str = ""
-    model_name: str = ""
-    max_input_tokens: int = 512
-    timeout: float = 60.0
-    max_retries: int = 3
-    parallelism: int = 1
-    # Decoding defaults recorded for reproducibility: greedy, short answers.
-    temperature: float = 0.0
-    max_new_tokens: int = 128
-    mock_fixture: str | None = None
-
-    def __post_init__(self):
-        if self.parallelism < 1:
-            raise ContractViolation("parallelism must be >= 1")
-        if self.max_input_tokens < 64:
-            raise ContractViolation("max_input_tokens must be >= 64")
+# Fixed request settings: greedy decoding and short answers, recorded for
+# reproducibility.
+TIMEOUT_S = 60.0
+MAX_RETRIES = 3
+TEMPERATURE = 0.0
+MAX_NEW_TOKENS = 128
 
 
 @dataclass(frozen=True)
@@ -233,12 +221,13 @@ class HttpBackend:
     variable. One prompt per request; batching is intentionally unsupported.
     """
 
-    def __init__(self, config: BackendConfig,
+    def __init__(self, endpoint_url: str, model_name: str,
                  session: requests.Session | None = None,
                  sleep: Callable[[float], None] = time.sleep):
-        if not config.endpoint_url:
+        if not endpoint_url:
             raise ContractViolation("endpoint_url is required")
-        self.config = config
+        self.endpoint_url = endpoint_url
+        self.model_name = model_name
         self.session = session or requests.Session()
         self._sleep = sleep
 
@@ -248,12 +237,12 @@ class HttpBackend:
         if token:
             headers["Authorization"] = f"Bearer {token}"
         payload = {
-            "model": self.config.model_name,
+            "model": self.model_name,
             "prompt": request.prompt,
-            "temperature": self.config.temperature,
-            "max_tokens": self.config.max_new_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_NEW_TOKENS,
         }
-        attempts = self.config.max_retries + 1
+        attempts = MAX_RETRIES + 1
         last_error: Exception | None = None
         start = time.monotonic()
         for attempt in range(attempts):
@@ -261,8 +250,8 @@ class HttpBackend:
                 self._sleep(min(2.0 ** (attempt - 1), 30.0))
             try:
                 resp = self.session.post(
-                    self.config.endpoint_url, json=payload, headers=headers,
-                    timeout=self.config.timeout)
+                    self.endpoint_url, json=payload, headers=headers,
+                    timeout=TIMEOUT_S)
             except requests.RequestException as exc:
                 last_error = exc
                 continue
@@ -277,15 +266,15 @@ class HttpBackend:
                 except (ValueError, LookupError, TypeError) as exc:
                     raise BackendError(
                         f"malformed completion body from "
-                        f"{self.config.endpoint_url}: {exc!r}") from exc
+                        f"{self.endpoint_url}: {exc!r}") from exc
                 return CompletionResponse(
                     text=text, latency=time.monotonic() - start)
             if resp.status_code in (429, 500, 502, 503, 504):
                 last_error = BackendError(
-                    f"HTTP {resp.status_code} from {self.config.endpoint_url}")
+                    f"HTTP {resp.status_code} from {self.endpoint_url}")
                 continue
             raise BackendError(
-                f"HTTP {resp.status_code} from {self.config.endpoint_url}: "
+                f"HTTP {resp.status_code} from {self.endpoint_url}: "
                 f"{resp.text[:200]}")
         raise BackendError(
             f"completion failed after {attempts} attempts "
@@ -344,8 +333,11 @@ def map_ordered(fn: Callable, items: list, parallelism: int) -> list:
     return [fn(item) for item in items]
 
 
-def make_backend(config: BackendConfig) -> Backend:
-    if config.mock_fixture:
-        return MockBackend.from_fixture(config.mock_fixture)
-    return HttpBackend(config)
+def make_backend(endpoint_url: str, model_name: str,
+                 mock_fixture: str | None = None) -> Backend:
+    """The scripted backend when a mock fixture is given, else the HTTP
+    client for the endpoint."""
+    if mock_fixture:
+        return MockBackend.from_fixture(mock_fixture)
+    return HttpBackend(endpoint_url, model_name)
 

@@ -1,8 +1,8 @@
 """Response grading: answer checking and self-rating.
 
 Takes a question bank and a pool of passages, asks every exam question
-against every pooled passage through the gateway, and records the outcome
-as Grade records.
+against every pooled passage through the gateway, and records each outcome
+as a grade-store row.
 """
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ from .formats import GradeStore
 from .model import (
     ContractViolation,
     ExamQuestion,
-    Grade,
-    Passage,
+    GradeKey,
+    GradeRow,
     QA_VERIFIED,
     Qrels,
     QuestionBank,
@@ -158,15 +158,12 @@ class GradingSummary:
     duration: float = 0.0
 
 
-def grade_pair(question: ExamQuestion, passage: Passage, mode: str,
-               config: gateway.BackendConfig,
-               backend: gateway.Backend) -> Grade:
-    """Grade one (question, passage) pair with a single completion request."""
+def grade_pair(question: ExamQuestion, passage_id: str, text: str,
+               mode: str, budget: int,
+               backend: gateway.Backend) -> tuple[GradeKey, GradeRow]:
+    """Grade one (question, passage) pair with a single completion request,
+    as the store's key and row."""
     if mode == QA_VERIFIED:
-        if question.gold_answer is None:
-            raise ContractViolation(
-                f"question {question.question_id!r} has no gold answer; "
-                "cannot grade in qa_verified mode")
         template_name = "qa"
         render = gateway.render_qa_prompt
     elif mode == SELF_RATED:
@@ -176,31 +173,19 @@ def grade_pair(question: ExamQuestion, passage: Passage, mode: str,
         raise ContractViolation(f"unknown grading mode {mode!r}")
 
     context = gateway.truncate_context(
-        question.text, passage.text, config.max_input_tokens,
-        template_name=template_name)
+        question.text, text, budget, template_name=template_name)
     prompt = render(question.text, context)
     request = gateway.CompletionRequest.of(
         prompt,
         query_id=question.query_id,
         question_id=question.question_id,
-        passage_id=passage.passage_id)
-    response = backend.complete(request)
+        passage_id=passage_id)
+    answer = backend.complete(request).text
 
+    key = (question.query_id, passage_id, question.question_id, mode)
     if mode == QA_VERIFIED:
-        return Grade(
-            query_id=question.query_id,
-            passage_id=passage.passage_id,
-            question_id=question.question_id,
-            mode=QA_VERIFIED,
-            answer_text=response.text,
-            verified=verify_answer(response.text, question.gold_answer))
-    return Grade(
-        query_id=question.query_id,
-        passage_id=passage.passage_id,
-        question_id=question.question_id,
-        mode=SELF_RATED,
-        answer_text=response.text,
-        rating=parse_self_rating(response.text))
+        return key, (answer, verify_answer(answer, question.gold_answer), None)
+    return key, (answer, None, parse_self_rating(answer))
 
 
 def build_passage_pool(runs: list[Run], depth: int,
@@ -224,13 +209,15 @@ def build_passage_pool(runs: list[Run], depth: int,
 
 
 def grade_corpus(bank: QuestionBank,
-                 passages_by_query: dict[str, list[Passage]],
+                 passages_by_query: dict[str, dict[str, str]],
                  mode: str,
-                 config: gateway.BackendConfig,
                  store: GradeStore,
-                 backend: gateway.Backend | None = None) -> GradingSummary:
+                 backend: gateway.Backend,
+                 budget: int,
+                 parallelism: int) -> GradingSummary:
     """Grade every (question, passage) pair and append results to the store.
 
+    `passages_by_query` maps each query id to its passages' texts by id.
     Resumable: pairs already present in the store are not re-requested.
     Backend failures, the pairs of a question too long for the input
     budget, and in qa_verified mode the pairs of a question without a gold
@@ -239,44 +226,40 @@ def grade_corpus(bank: QuestionBank,
     """
     import time as _time
 
-    backend = backend or gateway.make_backend(config)
-    existing = store.keys()
+    existing = store.read()
     summary = GradingSummary()
     start = _time.monotonic()
 
-    work: list[tuple[ExamQuestion, Passage]] = []
-    for query_id, passages in passages_by_query.items():
-        questions = bank.questions_for(query_id)
-        unique: dict[str, Passage] = {}
-        for p in passages:
-            unique.setdefault(p.passage_id, p)
-        for question in questions:
-            for passage in unique.values():
-                key = (query_id, passage.passage_id,
-                       question.question_id, mode)
-                if key in existing:
+    work: list[tuple[ExamQuestion, str, str]] = []
+    for query_id, texts in passages_by_query.items():
+        for question in bank.questions_for(query_id):
+            for passage_id, text in texts.items():
+                if (query_id, passage_id, question.question_id,
+                        mode) in existing:
                     summary.skipped_existing += 1
                 else:
-                    work.append((question, passage))
+                    work.append((question, passage_id, text))
 
-    def run_one(item: tuple[ExamQuestion, Passage]) -> Grade | SkipEntry:
-        question, passage = item
+    def run_one(item: tuple[ExamQuestion, str, str]
+                ) -> tuple[GradeKey, GradeRow] | SkipEntry:
+        question, passage_id, text = item
         if mode == QA_VERIFIED and not question.supports_verification:
-            return SkipEntry(question.query_id, passage.passage_id,
+            return SkipEntry(question.query_id, passage_id,
                              question.question_id, "no gold answer")
         try:
-            return grade_pair(question, passage, mode, config, backend)
+            return grade_pair(question, passage_id, text, mode, budget,
+                              backend)
         except (gateway.BackendError, gateway.BudgetExceeded) as exc:
-            return SkipEntry(question.query_id, passage.passage_id,
+            return SkipEntry(question.query_id, passage_id,
                              question.question_id, str(exc))
 
-    results = gateway.map_ordered(run_one, work, config.parallelism)
+    results = gateway.map_ordered(run_one, work, parallelism)
 
-    grades = [r for r in results if isinstance(r, Grade)]
+    rows = dict(r for r in results if not isinstance(r, SkipEntry))
     summary.failures = [r for r in results if isinstance(r, SkipEntry)]
-    if grades:
-        store.append(grades)
-    summary.graded = len(grades)
+    if rows:
+        store.append(rows)
+    summary.graded = len(rows)
     summary.duration = _time.monotonic() - start
     if summary.failures:
         log.warning("%d grading pairs failed and were skip-logged",

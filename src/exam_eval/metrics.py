@@ -77,8 +77,7 @@ def exam_cover(run: Run, bank: QuestionBank, index: GradeIndex,
     if gaps:
         log.warning("coverage gap: %d pooled passages have no grades",
                     len(gaps))
-    mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
-    return CoverResult(per_query=per_query, mean=mean,
+    return CoverResult(per_query=per_query, mean=_mean(per_query),
                        ungraded_passages=tuple(gaps))
 
 
@@ -128,8 +127,7 @@ def precision_at_k(run: Run, qrels: Qrels, k: int,
             1 for pid, _, _ in run.top_k(query_id, k)
             if qrels.get((query_id, pid), 0) >= level_for_rel)
         per_query[query_id] = hits / k
-    mean = sum(per_query.values()) / len(per_query) if per_query else 0.0
-    return PrecisionResult(per_query=per_query, mean=mean)
+    return PrecisionResult(per_query=per_query, mean=_mean(per_query))
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +235,17 @@ class LeaderboardResult:
     correlation: CorrelationStats | None
 
 
+def _mean(per_query: dict[str, float]) -> float:
+    """Macro-average over queries; 0 without any."""
+    return sum(per_query.values()) / len(per_query) if per_query else 0.0
+
+
 def _std_error(per_query: dict[str, float]) -> float:
     n = len(per_query)
     if n < 2:
         return 0.0
-    values = list(per_query.values())
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    mean = _mean(per_query)
+    var = sum((v - mean) ** 2 for v in per_query.values()) / (n - 1)
     return math.sqrt(var) / math.sqrt(n)
 
 
@@ -294,11 +296,9 @@ def leaderboard(runs: list[Run], bank: QuestionBank, index: GradeIndex,
 
     rows = []
     for system, per_query in per_system.items():
-        score = (sum(per_query.values()) / len(per_query)
-                 if per_query else 0.0)
         rows.append(LeaderboardRow(
             system=system,
-            score=score,
+            score=_mean(per_query),
             std_error=_std_error(per_query),
             official_rank=(official_ranks or {}).get(system)))
     rows.sort(key=lambda r: (-r.score, r.system))

@@ -113,19 +113,6 @@ class QuestionBank:
 
 
 @dataclass(frozen=True)
-class Passage:
-    passage_id: str
-    text: str
-
-    def __post_init__(self):
-        if not self.passage_id:
-            raise ContractViolation("passage_id must be non-empty")
-        if not self.text:
-            raise ContractViolation(
-                f"passage {self.passage_id!r} has empty text")
-
-
-@dataclass(frozen=True)
 class Run:
     """A system's ranked passage lists, one per query (TREC run semantics).
 
@@ -170,8 +157,8 @@ def check_grade(query_id: str, passage_id: str, question_id: str,
 
     The three ids are strings. A qa_verified grade carries a verdict and no
     rating; a self_rated grade carries a rating in [0, 5] and no verdict.
-    Grades built in memory and grades decoded from the store are both
-    checked here, so the store never holds a grade that reading rejects.
+    Rows appended to the store and lines decoded from it are both checked
+    here, so the store never holds a grade that reading rejects.
     """
     if not type(query_id) is type(passage_id) is type(question_id) is str:
         raise ContractViolation(
@@ -189,31 +176,6 @@ def check_grade(query_id: str, passage_id: str, question_id: str,
                 f"rating must be in [0, 5], got {rating}")
     else:
         raise ContractViolation(f"unknown grade mode {mode!r}")
-
-
-@dataclass(frozen=True)
-class Grade:
-    """One grading outcome for a (query, passage, question) triple.
-
-    In qa_verified mode the record carries the verification verdict; in
-    self_rated mode it carries the 0-5 answerability rating. The raw model
-    completion is kept in answer_text for auditing.
-    """
-    query_id: str
-    passage_id: str
-    question_id: str
-    mode: str
-    answer_text: str | None = None
-    verified: bool | None = None
-    rating: int | None = None
-
-    def __post_init__(self):
-        check_grade(self.query_id, self.passage_id, self.question_id,
-                    self.mode, self.verified, self.rating)
-
-    @property
-    def key(self) -> GradeKey:
-        return (self.query_id, self.passage_id, self.question_id, self.mode)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,12 @@ from exam_eval.gateway import (
 from exam_eval.model import (
     ExamQuestion,
     Facet,
-    Grade,
     GradeIndex,
-    Passage,
+    QA_VERIFIED,
     Query,
     QuestionBank,
     Run,
+    SELF_RATED,
 )
 
 # The skin-anatomy worked example used throughout the suite: one judged
@@ -45,7 +45,8 @@ def skin_query():
 
 @pytest.fixture
 def skin_passage():
-    return Passage(SKIN_PASSAGE_ID, SKIN_PASSAGE_TEXT)
+    """The passage's id and text."""
+    return SKIN_PASSAGE_ID, SKIN_PASSAGE_TEXT
 
 
 @pytest.fixture
@@ -83,16 +84,27 @@ def make_run(tag, entries):
     return Run(tag, by_query)
 
 
+def rated(query_id, passage_id, question_id, rating, answer_text=None):
+    """A self_rated grade as the store's (key, row)."""
+    return ((query_id, passage_id, question_id, SELF_RATED),
+            (answer_text, None, rating))
+
+
+def verified(query_id, passage_id, question_id, verdict, answer_text=None):
+    """A qa_verified grade as the store's (key, row)."""
+    return ((query_id, passage_id, question_id, QA_VERIFIED),
+            (answer_text, verdict, None))
+
+
 def grade_index(grades, policy):
-    """An index of in-memory grades under the policy; a question graded
-    twice for the same pair keeps its last grade."""
-    return GradeIndex({g.key: (g.answer_text, g.verified, g.rating)
-                       for g in grades}, policy)
+    """An index of in-memory (key, row) grades under the policy; a question
+    graded twice for the same pair keeps its last grade."""
+    return GradeIndex(dict(grades), policy)
 
 
-def stored_grades(store: GradeStore) -> list[Grade]:
-    """Every grade the store reads back, as `Grade` records."""
-    return [Grade(*key, *row) for key, row in store.read().items()]
+def stored_grades(store: GradeStore) -> list:
+    """Every grade the store reads back, as (key, row) pairs."""
+    return list(store.read().items())
 
 
 class RecordingBackend(MockBackend):

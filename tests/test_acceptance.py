@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from exam_eval.formats import parse_qrels, write_qrels
-from exam_eval.gateway import BackendConfig, MockBackend
+from exam_eval.gateway import MockBackend
 from exam_eval.grading import grade_pair
 from exam_eval.metrics import (
     build_qrels,
@@ -23,14 +23,13 @@ from exam_eval.metrics import (
 )
 from exam_eval.model import (
     ExamQuestion,
-    Grade,
     GradePolicy,
     QA_VERIFIED,
     QuestionBank,
     SELF_RATED,
     label_of,
 )
-from conftest import grade_index, make_run
+from conftest import grade_index, make_run, rated
 from test_cli import ARTIFACTS, run_pipeline, write_pipeline_inputs
 from test_metrics import (
     brute_force_cover,
@@ -66,19 +65,18 @@ def test_criterion_1_kappa_reproduction():
 
 def test_criterion_2_worked_example(tqa_question, generated_question,
                                     skin_passage, skin_bank):
-    config = BackendConfig()
     qa_backend = MockBackend({"default": "epidermis"})
-    verified = grade_pair(tqa_question, skin_passage, QA_VERIFIED,
-                          config, qa_backend)
-    assert verified.verified is True
+    _, (_, verdict, _) = grade_pair(tqa_question, *skin_passage, QA_VERIFIED,
+                                    512, qa_backend)
+    assert verdict is True
 
     rating_backend = MockBackend({"default": (
         "4: The answer is mostly relevant and complete but may have minor "
         "gaps or inaccuracies.")})
     rated_grades = [
-        grade_pair(q, skin_passage, SELF_RATED, config, rating_backend)
+        grade_pair(q, *skin_passage, SELF_RATED, 512, rating_backend)
         for q in (tqa_question, generated_question)]
-    assert all(g.rating == 4 for g in rated_grades)
+    assert all(rating == 4 for _, (_, _, rating) in rated_grades)
 
     policy = GradePolicy(SELF_RATED, min_rating=4)
     index = grade_index(rated_grades, policy)
@@ -106,8 +104,7 @@ def test_criterion_3_metric_oracles():
                 for i in range(n_questions))
             for qi in range(n_queries)})
         grades = [
-            Grade(f"q{qi}", f"p{pi}", f"q{qi}/q/{i}", SELF_RATED,
-                  rating=rng.randint(0, 5))
+            rated(f"q{qi}", f"p{pi}", f"q{qi}/q/{i}", rng.randint(0, 5))
             for qi in range(n_queries)
             for pi in range(n_passages)
             for i in range(n_questions)
@@ -171,8 +168,7 @@ def test_criterion_4_invariant_suite():
         bank = QuestionBank({"q1": tuple(
             ExamQuestion(f"q1/q/{i}", "q1", f"Q{i}?")
             for i in range(n_questions))})
-        grades = [Grade("q1", f"p{pi}", f"q1/q/{i}", SELF_RATED,
-                        rating=rng.randint(0, 5))
+        grades = [rated("q1", f"p{pi}", f"q1/q/{i}", rng.randint(0, 5))
                   for pi in range(10) for i in range(n_questions)]
         prefix = rng.randint(1, 9)
         shorter = make_run("s", [("q1", f"p{i}") for i in range(prefix)])

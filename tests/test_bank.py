@@ -4,18 +4,17 @@ import time
 import pytest
 
 from exam_eval.bank import diff_banks, generate_bank, parse_question_list
-from exam_eval.gateway import BackendConfig, CompletionResponse, MockBackend
+from exam_eval.gateway import CompletionResponse, MockBackend
 from exam_eval.model import (
     ContractViolation,
     ExamQuestion,
     Facet,
-    Grade,
     GradePolicy,
     Query,
     QuestionBank,
     SELF_RATED,
 )
-from conftest import RecordingBackend, grade_index
+from conftest import RecordingBackend, grade_index, rated
 
 
 class TestParseQuestionList:
@@ -47,14 +46,10 @@ def ten_questions():
 
 
 class TestGenerateBank:
-    def config(self):
-        return BackendConfig()
-
     def test_fixed_list_yields_ten_per_query(self):
         queries = [Query("q1", "topic one"), Query("q2", "topic two")]
         backend = RecordingBackend({"default": ten_questions()})
-        bank = generate_bank(queries, "question_gen_dl",
-                             self.config(), backend)
+        bank = generate_bank(queries, "question_gen_dl", backend, 1)
         assert len(bank.questions_for("q1")) == 10
         assert len(bank.questions_for("q2")) == 10
         assert len(backend.request_log) == 2
@@ -62,18 +57,17 @@ class TestGenerateBank:
     def test_deterministic_question_ids(self):
         queries = [Query("q1", "topic")]
         template = "question_gen_dl"
-        bank_a = generate_bank(queries, template, self.config(),
-                               MockBackend({"default": ten_questions()}))
-        bank_b = generate_bank(queries, template, self.config(),
-                               MockBackend({"default": ten_questions()}))
+        bank_a = generate_bank(queries, template,
+                               MockBackend({"default": ten_questions()}), 1)
+        bank_b = generate_bank(queries, template,
+                               MockBackend({"default": ten_questions()}), 1)
         assert [q.question_id for q in bank_a.questions_for("q1")] \
             == [q.question_id for q in bank_b.questions_for("q1")] \
             == [f"q1/q/{i}" for i in range(10)]
 
     def test_facet_template_fans_out_per_facet(self, skin_query):
         backend = MockBackend({"default": '["F?"]'})
-        bank = generate_bank([skin_query], "question_gen_car",
-                             self.config(), backend)
+        bank = generate_bank([skin_query], "question_gen_car", backend, 1)
         [question] = bank.questions_for(skin_query.query_id)
         assert question.facet_id == "structure-of-the-skin"
         assert question.question_id.endswith("/structure-of-the-skin/0")
@@ -82,14 +76,14 @@ class TestGenerateBank:
     def test_garbage_retries_once_then_warns(self, caplog):
         backend = RecordingBackend({"default": "garbage"})
         bank = generate_bank([Query("q1", "t")], "question_gen_dl",
-                             self.config(), backend)
+                             backend, 1)
         assert bank.questions_for("q1") == ()
         assert len(backend.request_log) == 2
         assert any("no questions parsed" in r.message for r in caplog.records)
 
     def test_grading_template_rejected(self):
         with pytest.raises(ContractViolation):
-            generate_bank([], "qa", self.config(), MockBackend({}))
+            generate_bank([], "qa", MockBackend({}), 1)
 
     def test_bank_same_for_every_parallelism(self):
         # Facets answer differently, some only on the retry, some never.
@@ -117,8 +111,7 @@ class TestGenerateBank:
             flaky.add("q5/f0")
             threads.clear()
             banks.append(generate_bank(
-                queries, "question_gen_car",
-                BackendConfig(parallelism=parallelism), Backend(responses)))
+                queries, "question_gen_car", Backend(responses), parallelism))
             thread_counts.append(len(threads))
         assert thread_counts[0] == 1 and thread_counts[1] > 1
         serial, parallel = banks
@@ -128,10 +121,6 @@ class TestGenerateBank:
             == ["q3/f0/0", "q3/f2/0", "q3/f2/1", "q3/f2/2"]
         assert [q.text for q in serial.questions_for("q5")] == ["Q5.0.0?"]
         assert serial.questions_for("q4") == ()
-
-
-def rated(qid, pid, qqid, rating):
-    return Grade(qid, pid, qqid, SELF_RATED, rating=rating)
 
 
 class TestDiffBanks:

@@ -114,9 +114,16 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
      "facets of query 'q1' must be a list of objects"),
     ("official", ["sysA", "sysB"],
      "expected a JSON object mapping system name to official rank"),
+    ("official", {"sysA": 1, "sysB": [2]},
+     "official rank of 'sysB' must be a number or null, got [2]"),
+    ("official", {"sysA": 1, "sysB": {"rank": 2}},
+     "official rank of 'sysB' must be a number or null"),
+    ("official", {"sysA": 1, "sysB": "second"},
+     "official rank of 'sysB' must be a number or null, got 'second'"),
 ], ids=["queries-of-lists", "queries-object", "question-string",
         "query-without-id", "query-without-title", "queries-object-file",
-        "facet-without-id", "official-list"])
+        "facet-without-id", "official-list", "official-rank-list",
+        "official-rank-object", "official-rank-word"])
 def test_malformed_json_input_exits_one(tmp_path, capsys, name, content,
                                         message):
     write_pipeline_inputs(tmp_path)
@@ -141,6 +148,49 @@ def test_malformed_json_input_exits_one(tmp_path, capsys, name, content,
     assert main(argv) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and message in line
+
+
+def test_official_ranks_numeric_strings_and_null_accepted(tmp_path):
+    write_pipeline_inputs(tmp_path)
+    out = tmp_path / "out"
+    run_pipeline(tmp_path, out)
+    official = tmp_path / "official_mixed.json"
+    official.write_text(json.dumps({"sysA": "1", "sysB": None}))
+    assert main(["leaderboard", "--bank", str(out / "bank.json"),
+                 "--runs", str(tmp_path / "runs"),
+                 "--grades", str(out / "grades.jsonl.gz"),
+                 "--policy", "rate:4", "--official", str(official),
+                 "--out", str(out / "mixed.tsv")]) == 0
+    ranks = {fields[0]: fields[3] for fields in (
+        line.split("\t") for line in
+        (out / "mixed.tsv").read_text().splitlines()[1:])}
+    assert ranks == {"sysA": "1", "sysB": "", "_overall_": ""}
+
+
+@pytest.mark.parametrize("flag, value, bound", [
+    ("--parallelism", "0", "x>=1"), ("--max-input-tokens", "32", "x>=64")])
+@pytest.mark.parametrize("command", ["generate", "grade"])
+def test_backend_flag_ranges_rejected(tmp_path, capsys, command, flag,
+                                      value, bound):
+    write_pipeline_inputs(tmp_path)
+    out = tmp_path / "out"
+    run_pipeline(tmp_path, out)
+    target = tmp_path / "new_output"
+    argv = {
+        "generate": ["generate", "--queries", str(tmp_path / "queries.json"),
+                     "--template", "dl", "--mock",
+                     str(tmp_path / "gen_mock.json"), "--out", str(target)],
+        "grade": ["grade", "--bank", str(out / "bank.json"),
+                  "--runs", str(tmp_path / "runs"),
+                  "--passages", str(tmp_path / "passages.json"),
+                  "--mode", "rate", "--mock", str(tmp_path / "grade_mock.json"),
+                  "--store", str(target)],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, flag, value]) == 1
+    assert (f"Invalid value for '{flag}': {value} is not in the range "
+            f"{bound}.") in capsys.readouterr().err
+    assert not target.exists()
 
 
 # Imports the CLI, runs each command given as JSON argv lists, and prints
@@ -494,6 +544,28 @@ class TestPipeline:
         assert "graded 2 pairs (0 already in store, 0 failed)" \
             in capsys.readouterr().out
         assert not skip_log.exists()
+
+    def test_empty_passage_text_dropped(self, tmp_path, capsys, caplog):
+        # An empty text cannot be graded; the other passages still are.
+        write_pipeline_inputs(tmp_path)
+        out = tmp_path / "out"
+        run_pipeline(tmp_path, out)
+        passages = tmp_path / "passages_empty.json"
+        passages.write_text(json.dumps({**PASSAGES, "pB1": ""}))
+        store = tmp_path / "grades.jsonl.gz"
+        capsys.readouterr()
+        assert main([
+            "grade", "--bank", str(out / "bank.json"),
+            "--runs", str(tmp_path / "runs"), "--passages", str(passages),
+            "--mode", "rate", "--mock", str(tmp_path / "grade_mock.json"),
+            "--store", str(store)]) == 0
+        assert "graded 8 pairs (0 already in store, 0 failed)" \
+            in capsys.readouterr().out
+        assert "2 pooled passages have no text and were dropped" \
+            in caplog.messages
+        assert set(GradeStore(store).read()) == {
+            (q, pid, f"{q}/q/{i}", SELF_RATED) for q in ("q1", "q2")
+            for pid in ("pA1", "pA2") for i in range(2)}
 
     def test_question_over_budget_is_skip_logged(self, tmp_path, capsys):
         write_pipeline_inputs(tmp_path)

@@ -20,14 +20,13 @@ from exam_eval.metrics import build_qrels, exam_cover
 from exam_eval.model import (
     ContractViolation,
     ExamQuestion,
-    Grade,
     GradeIndex,
     GradePolicy,
     QA_VERIFIED,
     QuestionBank,
     SELF_RATED,
 )
-from conftest import grade_index, make_run, stored_grades
+from conftest import grade_index, make_run, rated, stored_grades, verified
 
 
 class TestRunParsing:
@@ -171,22 +170,19 @@ class TestQuestionBank:
             load_question_bank(text)
 
 
-def rated(qid, pid, qqid, rating):
-    return Grade(qid, pid, qqid, SELF_RATED, rating=rating)
-
-
 class TestGradeStore:
     def test_append_read(self, tmp_path):
         store = GradeStore(tmp_path / "g.jsonl.gz")
-        store.append([rated("q1", "p1", "qq1", 3), rated("q1", "p2", "qq1", 0)])
+        store.append(dict([rated("q1", "p1", "qq1", 3),
+                           rated("q1", "p2", "qq1", 0)]))
         assert len(stored_grades(store)) == 2
 
     def test_last_writer_wins(self, tmp_path):
         store = GradeStore(tmp_path / "g.jsonl.gz")
-        store.append([rated("q1", "p1", "qq1", 2)])
-        store.append([rated("q1", "p1", "qq1", 4)])
-        [grade] = stored_grades(store)
-        assert grade.rating == 4
+        store.append(dict([rated("q1", "p1", "qq1", 2)]))
+        store.append(dict([rated("q1", "p1", "qq1", 4)]))
+        [(_, (_, _, rating))] = stored_grades(store)
+        assert rating == 4
 
     def test_missing_file_reads_empty(self, tmp_path):
         assert stored_grades(GradeStore(tmp_path / "nope.jsonl.gz")) == []
@@ -196,10 +192,10 @@ class TestGradeStore:
         store._acquire_lock()
         try:
             with pytest.raises(ContractViolation):
-                store.append([rated("q1", "p1", "qq1", 1)])
+                store.append(dict([rated("q1", "p1", "qq1", 1)]))
         finally:
             store._release_lock()
-        store.append([rated("q1", "p1", "qq1", 1)])
+        store.append(dict([rated("q1", "p1", "qq1", 1)]))
         assert len(stored_grades(store)) == 1
 
     def test_corrupt_line_reports_position(self, tmp_path):
@@ -215,12 +211,8 @@ class TestGradeStore:
         store = GradeStore(tmp_path / "g.jsonl.gz")
         grades = [rated(f"q{i % 17}", f"p{i % 211}", f"qq{i}", i % 6)
                   for i in range(10_000)]
-        store.append(grades)
-        expected = {}
-        for g in grades:
-            expected[g.key] = g
-        assert sorted(stored_grades(store), key=lambda g: g.key) \
-            == sorted(expected.values(), key=lambda g: g.key)
+        store.append(dict(grades))
+        assert sorted(stored_grades(store)) == sorted(dict(grades).items())
 
     def test_append_bytes_match_line_by_line_writes(self, tmp_path):
         # One write per batch compresses to the bytes that writing each
@@ -228,11 +220,11 @@ class TestGradeStore:
         texts = ["café", "日本語", "line\u2028break", "{braces} {}",
                  "é{x}\u2028", None, ""]
         batches = [
-            [Grade("q1", f"p{i}", "qq1", QA_VERIFIED, texts[i % len(texts)],
-                   verified=i % 3 == 0) for i in range(7)],
-            [Grade(f"q{i % 5}", f"p{i}", f"qq{i % 13}", SELF_RATED,
-                   f"{texts[i % 5]} {i * 7919 % 104729}", rating=i % 6)
-             for i in range(20_000)],
+            dict(verified("q1", f"p{i}", "qq1", i % 3 == 0,
+                          texts[i % len(texts)]) for i in range(7)),
+            dict(rated(f"q{i % 5}", f"p{i}", f"qq{i % 13}", i % 6,
+                       f"{texts[i % 5]} {i * 7919 % 104729}")
+                 for i in range(20_000)),
         ]
         store = GradeStore(tmp_path / "g.jsonl.gz")
         expected = io.BytesIO()
@@ -240,14 +232,19 @@ class TestGradeStore:
             store.append(batch)
             with gzip.GzipFile(filename="", mode="ab", fileobj=expected,
                                mtime=0) as fh:
-                for g in batch:
-                    fh.write((json.dumps(vars(g), ensure_ascii=False,
+                for key, row in batch.items():
+                    record = dict(zip(GRADE_FIELDS, key + row))
+                    fh.write((json.dumps(record, ensure_ascii=False,
                                          sort_keys=True) + "\n").encode())
         assert store.path.read_bytes() == expected.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # Grade store decode
+
+GRADE_FIELDS = ("query_id", "passage_id", "question_id", "mode",
+                "answer_text", "verified", "rating")
+
 
 def store_line(**record):
     base = {"query_id": "q1", "passage_id": "p1", "question_id": "qq1",
@@ -299,7 +296,7 @@ class TestGradeStoreDecode:
         path = tmp_path / "g.jsonl.gz"
         write_store_lines(path, ["", GOOD_LINES[0], "   ", "\t \r",
                                  "  " + GOOD_LINES[1] + " \t", ""])
-        assert [g.passage_id for g in stored_grades(GradeStore(path))] \
+        assert [key[1] for key in GradeStore(path).read()] \
             == ["p0", "p1"]
         write_store_lines(path, ["", "  ", GOOD_LINES[0], "\t", "[1]"])
         with pytest.raises(ParseError) as excinfo:
@@ -309,7 +306,7 @@ class TestGradeStoreDecode:
     def test_last_line_without_newline(self, tmp_path):
         path = tmp_path / "g.jsonl.gz"
         path.write_bytes(gzip.compress(GOOD_LINES[0].encode()))
-        assert [g.passage_id for g in stored_grades(GradeStore(path))] == ["p0"]
+        assert [key[1] for key in GradeStore(path).read()] == ["p0"]
         path.write_bytes(gzip.compress((GOOD_LINES[0] + "x").encode()))
         with pytest.raises(ParseError, match="invalid JSON"):
             GradeStore(path).read()
@@ -322,11 +319,19 @@ class TestGradeStoreDecode:
             "unknown-mode", "rating-6", "rating-and-verified",
             "qa-without-verified"])
     def test_grade_rejects_what_reading_rejects(self, tmp_path, fields):
-        # `append` takes only `Grade`s, so no store can hold a line that
-        # reading rejects for its fields.
+        # `append` checks every row first, so no store can hold a line that
+        # reading rejects for its fields, and a bad batch writes nothing.
         record = json.loads(store_line(**fields))
+        # A dict key cannot hold a list; a tuple is the hashable non-string.
+        values = [tuple(v) if isinstance(v, list) else v
+                  for v in map(record.get, GRADE_FIELDS)]
+        store = GradeStore(tmp_path / "store.jsonl.gz")
+        store.append(dict([rated("q1", "p0", "qq1", 4)]))
+        before = store.path.read_bytes()
         with pytest.raises(ContractViolation):
-            Grade(**record)
+            store.append(dict([rated("q1", "p1", "qq1", 3),
+                               (tuple(values[:4]), tuple(values[4:]))]))
+        assert store.path.read_bytes() == before
         path = tmp_path / "g.jsonl.gz"
         write_store_lines(path, [json.dumps(record)])
         with pytest.raises(ParseError):
@@ -334,13 +339,13 @@ class TestGradeStoreDecode:
 
     def test_rows_and_keys(self, tmp_path):
         store = GradeStore(tmp_path / "g.jsonl.gz")
-        store.append([Grade("q1", "p1", "qq1", SELF_RATED, "3", rating=3),
-                      Grade("q1", "p1", "qq1", QA_VERIFIED, "x",
-                            verified=True)])
+        store.append(dict([rated("q1", "p1", "qq1", 3, "3"),
+                           verified("q1", "p1", "qq1", True, "x")]))
         assert store.read() == {
             ("q1", "p1", "qq1", SELF_RATED): ("3", None, 3),
             ("q1", "p1", "qq1", QA_VERIFIED): ("x", True, None)}
-        assert store.keys() == set(store.read())
+        assert ("q1", "p1", "qq1", QA_VERIFIED) in store.read()
+        assert ("q1", "p2", "qq1", QA_VERIFIED) not in store.read()
 
 
 ANSWER_TEXTS = st.none() | st.lists(st.sampled_from(
@@ -355,9 +360,8 @@ def grades(draw):
            draw(st.sampled_from(["q1/a", "q1/b", "q2/a", "off-bank"])))
     mode = draw(st.sampled_from([QA_VERIFIED, SELF_RATED]))
     if mode == QA_VERIFIED:
-        return Grade(*key, mode, draw(ANSWER_TEXTS),
-                     verified=draw(st.booleans()))
-    return Grade(*key, mode, draw(ANSWER_TEXTS), rating=draw(st.integers(0, 5)))
+        return verified(*key, draw(st.booleans()), draw(ANSWER_TEXTS))
+    return rated(*key, draw(st.integers(0, 5)), draw(ANSWER_TEXTS))
 
 
 ROUND_TRIP_BANK = QuestionBank({
@@ -371,15 +375,15 @@ ROUND_TRIP_BANK = QuestionBank({
 def test_store_round_trip_matches_oracle(batches):
     all_grades = [g for batch in batches for g in batch]
     first_seen: list = []
-    for g in all_grades:
-        if g.key not in first_seen:
-            first_seen.append(g.key)
-    expected = [[g for g in all_grades if g.key == key][-1]
+    for key, _ in all_grades:
+        if key not in first_seen:
+            first_seen.append(key)
+    expected = [[g for g in all_grades if g[0] == key][-1]
                 for key in first_seen]
     with tempfile.TemporaryDirectory() as tmp:
         store = GradeStore(Path(tmp) / "g.jsonl.gz")
         for batch in batches:       # one gzip member per append
-            store.append(batch)
+            store.append(dict(batch))
         assert stored_grades(store) == expected
         rows = store.read()
     run = make_run("sys", [(q, p) for q in ("q1", "q2")

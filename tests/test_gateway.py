@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from exam_eval.formats import GradeStore
 from exam_eval.gateway import (
-    BackendConfig,
     BackendError,
     BudgetExceeded,
     CompletionRequest,
@@ -24,7 +23,6 @@ from exam_eval.grading import grade_corpus
 from exam_eval.model import (
     ContractViolation,
     ExamQuestion,
-    Passage,
     Query,
     QuestionBank,
     SELF_RATED,
@@ -219,14 +217,14 @@ MALFORMED_BODIES = ["not json", "{}", '{"choices": []}',
                     '{"choices": [{"text": null}]}']
 
 
+ENDPOINT = "http://backend/v1/completions"
+
+
 class TestHttpBackend:
-    def config(self, retries=3):
-        return BackendConfig(endpoint_url="http://backend/v1/completions",
-                             model_name="m", max_retries=retries)
 
     def test_success_after_rate_limiting(self):
         session = FakeSession([FakeResponse(429), FakeResponse(429), ok("hi")])
-        backend = HttpBackend(self.config(), session=session,
+        backend = HttpBackend(ENDPOINT, "m", session=session,
                               sleep=lambda s: None)
         response = backend.complete(CompletionRequest.of("prompt"))
         assert response.text == "hi"
@@ -234,7 +232,7 @@ class TestHttpBackend:
 
     def test_exhausted_retries_surface_error(self):
         session = FakeSession([FakeResponse(503)] * 4)
-        backend = HttpBackend(self.config(retries=3), session=session,
+        backend = HttpBackend(ENDPOINT, "m", session=session,
                               sleep=lambda s: None)
         with pytest.raises(BackendError) as excinfo:
             backend.complete(CompletionRequest.of("some prompt text"))
@@ -243,7 +241,7 @@ class TestHttpBackend:
 
     def test_client_error_fails_fast(self):
         session = FakeSession([FakeResponse(400, text="bad request")])
-        backend = HttpBackend(self.config(), session=session,
+        backend = HttpBackend(ENDPOINT, "m", session=session,
                               sleep=lambda s: None)
         with pytest.raises(BackendError):
             backend.complete(CompletionRequest.of("p"))
@@ -252,7 +250,7 @@ class TestHttpBackend:
     @pytest.mark.parametrize("body", MALFORMED_BODIES)
     def test_malformed_reply_fails_fast(self, body):
         session = FakeSession([FakeResponse(200, body), ok("late")])
-        backend = HttpBackend(self.config(), session=session,
+        backend = HttpBackend(ENDPOINT, "m", session=session,
                               sleep=lambda s: None)
         with pytest.raises(BackendError, match="http://backend"):
             backend.complete(CompletionRequest.of("p"))
@@ -260,26 +258,26 @@ class TestHttpBackend:
 
     def test_malformed_reply_skips_only_its_pair(self, tmp_path):
         bank = QuestionBank({"q1": (ExamQuestion("q1/q/0", "q1", "A?"),)})
-        passages = {"q1": [Passage(f"p{i}", f"text {i}") for i in range(6)]}
+        passages = {"q1": {f"p{i}": f"text {i}" for i in range(6)}}
         # Serial grading sends the pairs in passage order.
         replies = [ok("4"), *(FakeResponse(200, body)
                               for body in MALFORMED_BODIES), ok("5")]
         session = FakeSession(replies)
-        backend = HttpBackend(self.config(), session=session,
+        backend = HttpBackend(ENDPOINT, "m", session=session,
                               sleep=lambda s: None)
         store = GradeStore(tmp_path / "g.jsonl.gz")
-        summary = grade_corpus(bank, passages, SELF_RATED, self.config(),
-                               store, backend)
+        summary = grade_corpus(bank, passages, SELF_RATED, store, backend,
+                               512, 1)
         assert session.calls == 6
         assert summary.graded == 2
         assert [f.passage_id for f in summary.failures] \
             == ["p1", "p2", "p3", "p4"]
-        assert {g.passage_id: g.rating for g in stored_grades(store)} \
+        assert {key[1]: row[2] for key, row in stored_grades(store)} \
             == {"p0": 4, "p5": 5}
 
     def test_endpoint_required(self):
         with pytest.raises(ContractViolation):
-            HttpBackend(BackendConfig())
+            HttpBackend("", "m")
 
 
 class TestMockBackend:
@@ -306,9 +304,3 @@ class TestMockBackend:
         backend = MockBackend({})
         assert backend.complete(CompletionRequest.of("p")).text == ""
 
-
-def test_backend_config_bounds():
-    with pytest.raises(ContractViolation):
-        BackendConfig(parallelism=0)
-    with pytest.raises(ContractViolation):
-        BackendConfig(max_input_tokens=32)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from exam_eval import grading
 from exam_eval.formats import GradeStore
-from exam_eval.gateway import BackendConfig, BackendError, MockBackend
+from exam_eval.gateway import BackendError, MockBackend
 from exam_eval.grading import (
     build_passage_pool,
     edit_distance_below,
@@ -19,7 +19,6 @@ from exam_eval.grading import (
 from exam_eval.model import (
     ContractViolation,
     ExamQuestion,
-    Passage,
     QA_VERIFIED,
     QuestionBank,
     SELF_RATED,
@@ -156,31 +155,27 @@ class TestParseSelfRating:
         assert parse_self_rating(completion) in range(6)
 
 
-def config():
-    return BackendConfig()
-
-
 class TestGradePair:
     def test_verified_worked_example(self, tqa_question, skin_passage):
         backend = MockBackend({"default": "epidermis"})
-        grade = grade_pair(tqa_question, skin_passage, QA_VERIFIED,
-                           config(), backend)
-        assert grade.verified is True
-        assert grade.answer_text == "epidermis"
-        assert grade.mode == QA_VERIFIED
+        key, row = grade_pair(tqa_question, *skin_passage, QA_VERIFIED, 512,
+                              backend)
+        assert row == ("epidermis", True, None)
+        assert key == (tqa_question.query_id, skin_passage[0],
+                       tqa_question.question_id, QA_VERIFIED)
 
     def test_self_rating_worked_example(self, generated_question, skin_passage):
         backend = MockBackend({"default": (
             "4: The answer is mostly relevant and complete but may have "
             "minor gaps or inaccuracies.")})
-        grade = grade_pair(generated_question, skin_passage, SELF_RATED,
-                           config(), backend)
-        assert grade.rating == 4
+        _, (_, _, rating) = grade_pair(generated_question, *skin_passage,
+                                       SELF_RATED, 512, backend)
+        assert rating == 4
 
     def test_qa_requires_gold_answer(self, generated_question, skin_passage):
         with pytest.raises(ContractViolation):
-            grade_pair(generated_question, skin_passage, QA_VERIFIED,
-                       config(), MockBackend({}))
+            grade_pair(generated_question, *skin_passage, QA_VERIFIED, 512,
+                       MockBackend({}))
 
 
 class FailingBackend:
@@ -197,8 +192,8 @@ class TestGradeCorpus:
                         for i in range(3)),
         })
         passages = {
-            "q1": [Passage(f"p{i}", f"text {i}") for i in range(4)],
-            "q2": [Passage(f"r{i}", f"text {i}") for i in range(4)],
+            "q1": {f"p{i}": f"text {i}" for i in range(4)},
+            "q2": {f"r{i}": f"text {i}" for i in range(4)},
         }
         return bank, passages
 
@@ -206,8 +201,8 @@ class TestGradeCorpus:
         bank, passages = self.bank_and_passages()
         store = GradeStore(tmp_path / "g.jsonl.gz")
         backend = RecordingBackend({"default": "3"})
-        summary = grade_corpus(bank, passages, SELF_RATED, config(),
-                               store, backend)
+        summary = grade_corpus(bank, passages, SELF_RATED, store, backend,
+                               512, 1)
         assert summary.graded == 24
         assert len(stored_grades(store)) == 24
         assert len(backend.request_log) == 24
@@ -215,28 +210,20 @@ class TestGradeCorpus:
     def test_resume_skips_complete_store(self, tmp_path):
         bank, passages = self.bank_and_passages()
         store = GradeStore(tmp_path / "g.jsonl.gz")
-        grade_corpus(bank, passages, SELF_RATED, config(), store,
-                     MockBackend({"default": "3"}))
+        grade_corpus(bank, passages, SELF_RATED, store,
+                     MockBackend({"default": "3"}), 512, 1)
         backend = RecordingBackend({"default": "3"})
-        summary = grade_corpus(bank, passages, SELF_RATED, config(),
-                               store, backend)
+        summary = grade_corpus(bank, passages, SELF_RATED, store, backend,
+                               512, 1)
         assert summary.graded == 0
         assert summary.skipped_existing == 24
         assert backend.request_log == []
 
-    def test_duplicate_passages_graded_once(self, tmp_path):
-        bank, passages = self.bank_and_passages()
-        passages["q1"] = passages["q1"] + [Passage("p0", "text 0")]
-        store = GradeStore(tmp_path / "g.jsonl.gz")
-        backend = RecordingBackend({"default": "3"})
-        grade_corpus(bank, passages, SELF_RATED, config(), store, backend)
-        assert len(backend.request_log) == 24
-
     def test_failures_go_to_skip_log(self, tmp_path):
         bank, passages = self.bank_and_passages()
         store = GradeStore(tmp_path / "g.jsonl.gz")
-        summary = grade_corpus(bank, passages, SELF_RATED, config(),
-                               store, FailingBackend())
+        summary = grade_corpus(bank, passages, SELF_RATED, store,
+                               FailingBackend(), 512, 1)
         assert summary.graded == 0
         assert len(summary.failures) == 24
         # Request accounting: grades + skip-log covers every pair.
@@ -245,8 +232,9 @@ class TestGradeCorpus:
     def test_question_without_gold_answer_sends_no_request(self, tmp_path):
         bank, passages = self.bank_and_passages()
         backend = RecordingBackend({"default": "alpha"})
-        summary = grade_corpus(bank, passages, QA_VERIFIED, config(),
-                               GradeStore(tmp_path / "g.jsonl.gz"), backend)
+        summary = grade_corpus(bank, passages, QA_VERIFIED,
+                               GradeStore(tmp_path / "g.jsonl.gz"), backend,
+                               512, 1)
         assert backend.request_log == []
         assert summary.graded == 0
         assert len(summary.failures) == 24
@@ -255,15 +243,13 @@ class TestGradeCorpus:
     def test_parallel_matches_serial(self, tmp_path):
         bank, passages = self.bank_and_passages()
         serial_store = GradeStore(tmp_path / "serial.jsonl.gz")
-        grade_corpus(bank, passages, SELF_RATED, config(), serial_store,
-                     MockBackend({"default": "2"}))
+        grade_corpus(bank, passages, SELF_RATED, serial_store,
+                     MockBackend({"default": "2"}), 512, 1)
         parallel_store = GradeStore(tmp_path / "parallel.jsonl.gz")
-        grade_corpus(bank, passages, SELF_RATED,
-                     BackendConfig(parallelism=4), parallel_store,
-                     MockBackend({"default": "2"}))
-        key = lambda g: g.key
-        assert sorted(stored_grades(serial_store), key=key) \
-            == sorted(stored_grades(parallel_store), key=key)
+        grade_corpus(bank, passages, SELF_RATED, parallel_store,
+                     MockBackend({"default": "2"}), 512, 4)
+        assert sorted(stored_grades(serial_store)) \
+            == sorted(stored_grades(parallel_store))
 
     def test_gold_answer_normalized_once_per_question(self, tmp_path,
                                                       monkeypatch):
@@ -274,8 +260,8 @@ class TestGradeCorpus:
                                         gold_answer=golds[f"q{q}/q/{i}"])
                            for i in range(3))
             for q in (1, 2)})
-        passages = {f"q{q}": [Passage(f"p{q}{j}", f"text {j}")
-                              for j in range(4)] for q in (1, 2)}
+        passages = {f"q{q}": {f"p{q}{j}": f"text {j}" for j in range(4)}
+                    for q in (1, 2)}
         # Exact (in capitals, so it is not the gold text), near,
         # stopword-only and unrelated answers.
         answers = ["{gold}", "Outer Layer of the cells wall {tag}", "the",
@@ -294,8 +280,8 @@ class TestGradeCorpus:
         monkeypatch.setattr(grading, "normalize_answer", counting)
         grading._gold_form.cache_clear()
         store = GradeStore(tmp_path / "g.jsonl.gz")
-        summary = grade_corpus(bank, passages, QA_VERIFIED, config(), store,
-                               MockBackend(responses))
+        summary = grade_corpus(bank, passages, QA_VERIFIED, store,
+                               MockBackend(responses), 512, 1)
         assert summary.graded == 24
         assert {gold: calls[gold] for gold in golds.values()} \
             == dict.fromkeys(golds.values(), 1)
@@ -316,8 +302,8 @@ class TestGradeCorpus:
         bank = QuestionBank({"q1": bank.questions_for("q1") + (long_question,),
                              "q2": bank.questions_for("q2")})
         store = GradeStore(tmp_path / "g.jsonl.gz")
-        summary = grade_corpus(bank, passages, SELF_RATED, config(), store,
-                               MockBackend({"default": "3"}))
+        summary = grade_corpus(bank, passages, SELF_RATED, store,
+                               MockBackend({"default": "3"}), 512, 1)
         assert summary.graded == 24
         assert [(f.passage_id, f.question_id) for f in summary.failures] \
             == [(f"p{i}", "q1/q/long") for i in range(4)]
@@ -332,26 +318,26 @@ def test_braces_passage_is_graded(tmp_path, mode):
     bank = QuestionBank({"q1": (
         ExamQuestion("q1/q/0", "q1", "What does {config} set?",
                      gold_answer="the {config} block"),)})
-    passages = {"q1": [
-        Passage("p-braces", 'It sets {config} = {"depth": 20} here.'),
-        Passage("p-plain", "plain text")]}
+    passages = {"q1": {
+        "p-braces": 'It sets {config} = {"depth": 20} here.',
+        "p-plain": "plain text"}}
     backend = RecordingBackend({"q1/q/0/p-braces": "5: the {config} block",
                                 "default": "0"})
     store = GradeStore(tmp_path / "g.jsonl.gz")
-    summary = grade_corpus(bank, passages, mode, config(), store, backend)
+    summary = grade_corpus(bank, passages, mode, store, backend, 512, 1)
     assert summary.graded == 2 and not summary.failures
     prompts = {r.metadata["passage_id"]: r.prompt
                for r in backend.request_log}
     assert prompts["p-braces"].endswith(
         'Question: What does {config} set?\n'
         'Context: It sets {config} = {"depth": 20} here.')
-    by_pid = {g.passage_id: g for g in stored_grades(store)}
+    by_pid = {key[1]: row for key, row in stored_grades(store)}
     if mode == QA_VERIFIED:
-        assert by_pid["p-braces"].verified is True
-        assert by_pid["p-plain"].verified is False
+        assert by_pid["p-braces"][1] is True
+        assert by_pid["p-plain"][1] is False
     else:
-        assert by_pid["p-braces"].rating == 5
-        assert by_pid["p-plain"].rating == 0
+        assert by_pid["p-braces"][2] == 5
+        assert by_pid["p-plain"][2] == 0
 
 
 class TestPassagePool:

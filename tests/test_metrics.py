@@ -26,18 +26,12 @@ from exam_eval.metrics import (
 from exam_eval.model import (
     ContractViolation,
     ExamQuestion,
-    Grade,
     GradePolicy,
-    QA_VERIFIED,
     QuestionBank,
     SELF_RATED,
     label_of,
 )
-from conftest import grade_index, make_run
-
-
-def rated(qid, pid, qqid, rating):
-    return Grade(qid, pid, qqid, SELF_RATED, rating=rating)
+from conftest import grade_index, make_run, rated, verified
 
 
 def simple_bank(query_id="q1", n=5):
@@ -56,10 +50,10 @@ LENIENT = GradePolicy(SELF_RATED, min_rating=1)
 def brute_force_cover(run, bank, grades, policy, depth):
     """Set-union enumeration, no shared code with exam_cover."""
     correct = {}
-    for g in grades:
-        if g.mode == policy.mode and g.rating >= policy.min_rating:
-            correct.setdefault((g.query_id, g.passage_id), set()).add(
-                g.question_id)
+    for (query_id, passage_id, question_id, mode), (_, _, rating) in grades:
+        if mode == policy.mode and rating >= policy.min_rating:
+            correct.setdefault((query_id, passage_id), set()).add(
+                question_id)
     scores = {}
     for query_id, questions in bank.questions_by_query.items():
         if not questions:
@@ -109,11 +103,11 @@ def brute_force_pooled_cover(runs, bank, grades, policy, depth):
         if not questions:
             continue
         qids = {q.question_id for q in questions}
-        answered = {g.question_id for g in grades
-                    if g.mode == policy.mode and g.query_id == query_id
-                    and g.passage_id in pooled.get(query_id, set())
-                    and g.question_id in qids
-                    and g.rating >= policy.min_rating}
+        answered = {qid for (q, p, qid, mode), (_, _, rating) in grades
+                    if mode == policy.mode and q == query_id
+                    and p in pooled.get(query_id, set())
+                    and qid in qids
+                    and rating >= policy.min_rating}
         scores[query_id] = len(answered) / len(qids)
     return scores
 
@@ -123,12 +117,12 @@ def brute_force_qrels(grades, bank, policy):
     bank_ids = {q.question_id for qs in bank.questions_by_query.values()
                 for q in qs}
     correct, graded = {}, set()
-    for g in grades:
-        if g.mode == policy.mode and g.question_id in bank_ids:
-            pair = (g.query_id, g.passage_id)
+    for (query_id, passage_id, question_id, mode), (_, _, rating) in grades:
+        if mode == policy.mode and question_id in bank_ids:
+            pair = (query_id, passage_id)
             graded.add(pair)
-            if g.rating >= policy.min_rating:
-                correct.setdefault(pair, set()).add(g.question_id)
+            if rating >= policy.min_rating:
+                correct.setdefault(pair, set()).add(question_id)
     return {(q, p): int(len(correct.get((q, p), ())) >= policy.min_answers)
             for q, p in graded}
 
@@ -225,7 +219,7 @@ def scoring_inputs(draw):
     ratings = draw(st.dictionaries(pair_keys, st.integers(0, 5), max_size=60))
     verdicts = draw(st.dictionaries(pair_keys, st.booleans(), max_size=10))
     grades = [rated(q, p, f"{q}/q/{i}", r) for (q, p, i), r in ratings.items()]
-    grades += [Grade(q, p, f"{q}/q/{i}", QA_VERIFIED, verified=v)
+    grades += [verified(q, p, f"{q}/q/{i}", v)
                for (q, p, i), v in verdicts.items()]
     runs = [parse_run_file(draw(run_files(f"sys{i}")))
             for i in range(draw(st.integers(1, 3)))]

@@ -5,14 +5,13 @@ from exam_eval.model import (
     ContractViolation,
     ExamQuestion,
     Facet,
-    Grade,
     GradePolicy,
-    Passage,
     QA_VERIFIED,
     Query,
     QuestionBank,
     Run,
     SELF_RATED,
+    check_grade,
     passes,
 )
 
@@ -50,14 +49,14 @@ class TestGradeInvariant:
             or (mode == SELF_RATED and rating is not None
                 and 0 <= rating <= 5 and verified is None))
         if valid:
-            Grade("q", "p", "qq", mode, verified=verified, rating=rating)
+            check_grade("q", "p", "qq", mode, verified, rating)
         else:
             with pytest.raises(ContractViolation):
-                Grade("q", "p", "qq", mode, verified=verified, rating=rating)
+                check_grade("q", "p", "qq", mode, verified, rating)
 
     def test_unknown_mode(self):
         with pytest.raises(ContractViolation):
-            Grade("q", "p", "qq", "vibes", rating=3)
+            check_grade("q", "p", "qq", "vibes", None, 3)
 
 
 def test_query_rejects_duplicate_facets():
@@ -68,10 +67,6 @@ def test_query_rejects_duplicate_facets():
 def test_empty_ids_rejected():
     with pytest.raises(ContractViolation):
         Query("", "t")
-    with pytest.raises(ContractViolation):
-        Passage("", "text")
-    with pytest.raises(ContractViolation):
-        Passage("p", "")
     with pytest.raises(ContractViolation):
         ExamQuestion("qq", "q", "")
 
