@@ -78,9 +78,6 @@ def generate_bank(queries: list[Query], template_name: str,
     questions and a warning. Prompts go out on `parallelism` workers; the
     bank is the same for every worker count.
     """
-    if template_name not in ("question_gen_dl", "question_gen_car"):
-        raise gateway.ContractViolation(
-            f"{template_name!r} is not a question-generation template")
     per_facet = template_name == "question_gen_car"
 
     targets: list[tuple[int, Query, Facet | None]] = []

@@ -19,11 +19,9 @@ from . import bank as bank_mod
 from . import formats, gateway, grading, metrics
 from .model import (
     ContractViolation,
-    Facet,
     GradeIndex,
     GradePolicy,
     QA_VERIFIED,
-    Query,
     SELF_RATED,
 )
 
@@ -35,21 +33,33 @@ EXIT_BACKEND_IO = 2
 
 
 def parse_policy(text: str) -> GradePolicy:
-    """Policy grammar: `qa` | `rate:<min_rating>`, optional `+min-answers=<n>`."""
+    """Policy grammar: `qa` | `rate:<min_rating>`, optional `+min-answers=<n>`,
+    with min_rating in [1, 5] and min_answers at least 1."""
     min_answers = 1
     if "+" in text:
         text, _, extra = text.partition("+")
         key, _, value = extra.partition("=")
         if key != "min-answers":
             raise ContractViolation(f"unknown policy modifier {key!r}")
-        min_answers = int(value)
+        min_answers = _min_answers(value)
     if text == "qa":
         return GradePolicy(mode=QA_VERIFIED, min_answers=min_answers)
     if text.startswith("rate:"):
-        return GradePolicy(mode=SELF_RATED, min_rating=int(text[5:]),
+        min_rating = int(text[5:])
+        if not 1 <= min_rating <= 5:
+            raise ContractViolation(
+                f"min_rating must be in [1, 5], got {min_rating}")
+        return GradePolicy(mode=SELF_RATED, min_rating=min_rating,
                            min_answers=min_answers)
     raise ContractViolation(
         f"bad policy {text!r}; expected 'qa' or 'rate:<min_rating>'")
+
+
+def _min_answers(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise ContractViolation(f"min_answers must be >= 1, got {n}")
+    return n
 
 
 def _grade_index(grades_path: str, policy: GradePolicy) -> GradeIndex:
@@ -87,35 +97,6 @@ def read_config_file(path: str) -> dict[str, str]:
         key, _, value = line.partition("=")
         values[key.strip().replace("-", "_")] = value.strip()
     return values
-
-
-def load_queries(path: str) -> list[Query]:
-    doc = json.loads(Path(path).read_text())
-    if not formats.objects_with(doc, ("query_id", "title")):
-        raise ContractViolation(
-            f"{path}: expected a JSON list of objects with 'query_id' and "
-            f"'title'")
-    queries = []
-    for entry in doc:
-        facets = entry.get("facets", [])
-        if not formats.objects_with(facets, ("facet_id", "title")):
-            raise ContractViolation(
-                f"{path}: facets of query {entry['query_id']!r} must be a "
-                f"list of objects with 'facet_id' and 'title'")
-        queries.append(Query(
-            query_id=entry["query_id"],
-            title=entry["title"],
-            facets=tuple(Facet(f["facet_id"], f["title"]) for f in facets)))
-    return queries
-
-
-def load_passages(path: str) -> dict[str, str]:
-    """Passage texts as a JSON object {passage_id: text}."""
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ContractViolation(
-            f"{path}: expected a JSON object mapping passage_id to text")
-    return {str(k): str(v) for k, v in doc.items()}
 
 
 # The options of every command that talks to a backend, in help order.
@@ -194,7 +175,7 @@ def cli(ctx, config_path, verbose):
 def generate(queries_path, template, out, endpoint, model, max_input_tokens,
              parallelism, mock):
     """Generate a question bank from queries."""
-    queries = load_queries(queries_path)
+    queries = formats.load_queries(queries_path)
     log.info("generating bank for %d queries (%s template)",
              len(queries), template)
     backend = gateway.make_backend(endpoint, model, mock)
@@ -233,9 +214,9 @@ def _load_runs(run_paths: tuple[str, ...]) -> list:
 def grade(bank_path, run_paths, passages_path, qrels_path, mode, store_path,
           depth, endpoint, model, max_input_tokens, parallelism, mock):
     """Grade pooled passages against the question bank."""
-    bank = formats.load_question_bank(Path(bank_path).read_text())
+    bank = formats.load_question_bank(bank_path)
     runs = _load_runs(run_paths)
-    texts = load_passages(passages_path)
+    texts = formats.load_passages(passages_path)
     judgments = formats.load_qrels(qrels_path) if qrels_path else None
     pool = grading.build_passage_pool(runs, depth, judgments)
     # The pool is deduplicated; a passage without text, or with empty
@@ -280,7 +261,7 @@ def grade(bank_path, run_paths, passages_path, qrels_path, mode, store_path,
               help="Output TSV; stdout when omitted.")
 def cover(bank_path, run_path, grades_path, policy_text, depth, out):
     """Per-query coverage scores and their mean for one run."""
-    bank = formats.load_question_bank(Path(bank_path).read_text())
+    bank = formats.load_question_bank(bank_path)
     run = formats.load_run_file(run_path)
     policy = parse_policy(policy_text)
     result = metrics.exam_cover(run, bank, _grade_index(grades_path, policy),
@@ -302,8 +283,10 @@ def cover(bank_path, run_path, grades_path, policy_text, depth, out):
 @click.option("--out", default=None, type=click.Path())
 def qrels(bank_path, grades_path, policy_text, graded, out):
     """Derive a qrels file from stored grades."""
-    bank = formats.load_question_bank(Path(bank_path).read_text())
+    bank = formats.load_question_bank(bank_path)
     policy = parse_policy(policy_text)
+    if graded and policy.mode != SELF_RATED:
+        raise ContractViolation("--graded needs a rate:<min_rating> policy")
     labels = metrics.build_qrels(_grade_index(grades_path, policy), bank,
                                  graded=graded)
     _emit(formats.write_qrels(labels), out)
@@ -327,24 +310,11 @@ def qrels(bank_path, grades_path, policy_text, graded, out):
 def leaderboard(bank_path, run_paths, grades_path, policy_text, metric,
                 depth, official_path, out):
     """Score all runs, including the pooled _overall_ row."""
-    bank = formats.load_question_bank(Path(bank_path).read_text())
+    bank = formats.load_question_bank(bank_path)
     runs = _load_runs(run_paths)
     policy = parse_policy(policy_text)
-    official = (json.loads(Path(official_path).read_text())
+    official = (formats.load_official_ranks(official_path)
                 if official_path else None)
-    if official is not None and not isinstance(official, dict):
-        raise ContractViolation(
-            f"{official_path}: expected a JSON object mapping system name "
-            f"to official rank")
-    for system, rank in (official or {}).items():
-        if rank is None:        # unranked
-            continue
-        try:
-            float(rank)
-        except (TypeError, ValueError):
-            raise ContractViolation(
-                f"{official_path}: official rank of {system!r} must be a "
-                f"number or null, got {rank!r}") from None
     result = metrics.leaderboard(
         runs, bank, _grade_index(grades_path, policy), metric=metric,
         depth=depth, official_ranks=official)
@@ -360,28 +330,13 @@ def leaderboard(bank_path, run_paths, grades_path, policy_text, metric,
                    f"n={result.correlation.n}", err=True)
 
 
-def _read_leaderboard_scores(path: str) -> dict[str, float]:
-    scores: dict[str, float] = {}
-    for line in Path(path).read_text().splitlines():
-        fields = line.split("\t")
-        if len(fields) < 2 or fields[0] in ("system", metrics.OVERALL_SYSTEM):
-            continue
-        try:
-            scores[fields[0]] = float(fields[1])
-        except ValueError:
-            raise ContractViolation(
-                f"{path}: bad score {fields[1]!r} for {fields[0]!r}")
-    return scores
-
-
 @cli.command()
 @click.option("--a", "path_a", required=True, type=click.Path(exists=True))
 @click.option("--b", "path_b", required=True, type=click.Path(exists=True))
 def correlate(path_a, path_b):
     """Rank correlation between two leaderboard TSVs."""
-    scores_a = _read_leaderboard_scores(path_a)
-    scores_b = _read_leaderboard_scores(path_b)
-    stats = metrics.correlation_stats(scores_a, scores_b)
+    stats = metrics.correlation_stats(formats.load_leaderboard_scores(path_a),
+                                      formats.load_leaderboard_scores(path_b))
     click.echo(f"spearman\t{stats.spearman:.4f}")
     click.echo(f"kendall\t{stats.kendall:.4f}")
     click.echo(f"n\t{stats.n}")
@@ -452,9 +407,9 @@ def agreement(labels_path, judgments_path, collapse_names, judgment_rel_min,
         if not (grades_path and bank_path and policy_text):
             raise ContractViolation(
                 "--min-answers requires --grades, --bank, and --policy")
-        values = tuple(int(v) for v in min_answers.split(","))
+        values = tuple(map(_min_answers, min_answers.split(",")))
         policy = parse_policy(policy_text)
-        bank = formats.load_question_bank(Path(bank_path).read_text())
+        bank = formats.load_question_bank(bank_path)
         for _, table in metrics.min_answers_sweep(
                 _grade_index(grades_path, policy), bank, official, values,
                 judgment_rel_min):
@@ -475,8 +430,8 @@ def agreement(labels_path, judgments_path, collapse_names, judgment_rel_min,
 @click.option("--out", default=None, type=click.Path())
 def diff(old_path, new_path, grades_path, policy_text, out):
     """Show bank edits and the passages whose labels they flip."""
-    old = formats.load_question_bank(Path(old_path).read_text())
-    new = formats.load_question_bank(Path(new_path).read_text())
+    old = formats.load_question_bank(old_path)
+    new = formats.load_question_bank(new_path)
     policy = parse_policy(policy_text)
     report = bank_mod.diff_banks(old, new, _grade_index(grades_path, policy))
     lines = []

@@ -1,10 +1,11 @@
-"""Parsers and writers for every on-disk artifact.
+"""Readers and writers for every on-disk artifact.
 
-Covers TREC run files, qrels files, the JSON question-bank document, and the
-gzip-compressed JSON-lines grade store.
+Each input file has one reader here, which applies every rule for what a
+valid input is: the model types it builds check nothing again.
 """
 from __future__ import annotations
 
+import functools
 import gzip
 import json
 import logging
@@ -16,9 +17,12 @@ from pathlib import Path
 from .model import (
     ContractViolation,
     ExamQuestion,
+    Facet,
     GradeKey,
     GradeRow,
+    OVERALL_SYSTEM,
     Qrels,
+    Query,
     QuestionBank,
     Run,
     check_grade,
@@ -28,7 +32,7 @@ log = logging.getLogger(__name__)
 
 
 class ParseError(ValueError):
-    """A malformed input line; carries the 1-based line number."""
+    """A malformed input; carries the 1-based line number when it has one."""
 
     def __init__(self, message: str, line_no: int | None = None):
         self.line_no = line_no
@@ -37,11 +41,31 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-def objects_with(value, keys: tuple[str, ...] = ()) -> bool:
+def _reader(load):
+    """`load(path)`, with every error in the file's content naming the file."""
+    @functools.wraps(load)
+    def named(path: str | Path):
+        try:
+            return load(path)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc}") from None
+        except (ParseError, UnicodeDecodeError) as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    return named
+
+
+def _objects_with(value, keys: tuple[str, ...] = ()) -> bool:
     """Whether a decoded JSON value is a list of objects that each hold
     `keys`."""
     return isinstance(value, list) and all(
         isinstance(v, dict) and all(k in v for k in keys) for v in value)
+
+
+def _text(value, what: str) -> str:
+    """A field that must be a non-empty string."""
+    if type(value) is not str or not value:
+        raise ParseError(f"{what} must be a non-empty string, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +78,8 @@ def parse_run_file(text: str) -> Run:
     Column 2 may be "Q0" or "0"; both appear in the wild. The run tag is
     taken from the first line; differing tags on later lines produce a
     warning, first tag wins. Queries come back in sorted order, each with
-    its rows sorted by rank.
+    its rows sorted by rank. A passage listed twice for a query, or two
+    passages sharing a rank, are rejected at the line that repeats it.
     """
     by_query: dict[str, list[tuple[str, int, float]]] = {}
     run_tag: str | None = None
@@ -90,11 +115,32 @@ def parse_run_file(text: str) -> Run:
         if rows is None:
             rows = by_query[qid] = []
         rows.append((docid, rank, score))
-    by_rank = itemgetter(1)
-    return Run(run_tag or "", {qid: sorted(by_query[qid], key=by_rank)
-                               for qid in sorted(by_query)})
+    run_tag = run_tag or ""
+    passage_of, rank_of = itemgetter(0), itemgetter(1)
+    for qid, rows in by_query.items():
+        rows.sort(key=rank_of)
+        if (len(set(map(passage_of, rows))) != len(rows)
+                or len(set(map(rank_of, rows))) != len(rows)):
+            raise _repeated_row(text, qid, run_tag)
+    return Run(run_tag, {qid: by_query[qid] for qid in sorted(by_query)})
 
 
+def _repeated_row(text: str, qid: str, run_tag: str) -> ParseError:
+    """The error for the first line that repeats a passage or a rank of
+    the query; looked up only once the file is known to hold one."""
+    seen: set[tuple[str, str | int]] = set()
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if fields and fields[0] == qid:
+            for key in (("passage", fields[2]), ("rank", int(fields[3]))):
+                if key in seen:
+                    return ParseError(
+                        f"{key[0]} {key[1]!r} listed twice for query "
+                        f"{qid!r} in run {run_tag!r}", line_no)
+                seen.add(key)
+
+
+@_reader
 def load_run_file(path: str | Path) -> Run:
     return parse_run_file(Path(path).read_text())
 
@@ -144,6 +190,7 @@ def write_qrels(qrels: Qrels) -> str:
                    in sorted(qrels.items()))
 
 
+@_reader
 def load_qrels(path: str | Path) -> Qrels:
     return parse_qrels(Path(path).read_text())
 
@@ -167,42 +214,48 @@ def load_qrels(path: str | Path) -> Qrels:
 # }
 
 
-def load_question_bank(text: str) -> QuestionBank:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+def parse_question_bank(text: str) -> QuestionBank:
+    """Parse a question-bank document.
+
+    Query ids are non-empty strings, unique in the bank; question ids are
+    non-empty strings, unique across the bank. A question's text is a
+    non-empty string, and its gold answer a non-empty string or null.
+    """
+    doc = json.loads(text)
     if not isinstance(doc, dict) or "queries" not in doc:
         raise ParseError("question bank must be an object with a 'queries' key")
-    if not objects_with(doc["queries"]):
+    if not _objects_with(doc["queries"]):
         raise ParseError("question bank 'queries' must be a list of objects")
     by_query: dict[str, tuple[ExamQuestion, ...]] = {}
+    question_ids: set[str] = set()
     for entry in doc["queries"]:
-        query_id = entry.get("query_id")
-        if not query_id:
-            raise ParseError("query entry missing 'query_id'")
-        if type(query_id) is not str:
-            raise ParseError(f"query_id {query_id!r} must be a string")
+        query_id = _text(entry.get("query_id"), "query_id")
         if query_id in by_query:
             raise ParseError(f"duplicate query_id {query_id!r}")
-        if not objects_with(entry.get("questions", [])):
+        if not _objects_with(entry.get("questions", [])):
             raise ParseError(
                 f"questions of query {query_id!r} must be a list of objects")
         questions = []
         for q in entry.get("questions", []):
-            text_field = q.get("text")
-            if not text_field:
-                raise ParseError(
-                    f"question in query {query_id!r} missing 'text'")
+            question_id = _text(q.get("question_id"),
+                                f"question_id in query {query_id!r}")
+            if question_id in question_ids:
+                raise ParseError(f"duplicate question_id {question_id!r}")
+            question_ids.add(question_id)
+            gold_answer = q.get("gold_answer")
+            if gold_answer is not None:
+                _text(gold_answer, f"gold_answer of question {question_id!r}")
             questions.append(ExamQuestion(
-                question_id=q.get("question_id", ""),
-                query_id=query_id,
-                text=text_field,
-                facet_id=q.get("facet_id"),
-                gold_answer=q.get("gold_answer"),
-            ))
+                question_id, query_id,
+                _text(q.get("text"), f"text of question {question_id!r}"),
+                q.get("facet_id"), gold_answer))
         by_query[query_id] = tuple(questions)
     return QuestionBank(by_query)
+
+
+@_reader
+def load_question_bank(path: str | Path) -> QuestionBank:
+    return parse_question_bank(Path(path).read_text())
 
 
 def save_question_bank(bank: QuestionBank) -> str:
@@ -224,6 +277,101 @@ def save_question_bank(bank: QuestionBank) -> str:
         ]
     }
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Queries, passages and official ranks (JSON)
+
+
+@_reader
+def load_queries(path: str | Path) -> list[Query]:
+    """A JSON list of {"query_id", "title", "facets": [{"facet_id",
+    "title"}]} objects, facets optional.
+
+    Query ids and titles, and facet ids and titles, are non-empty strings;
+    a query's facet ids are unique.
+    """
+    doc = json.loads(Path(path).read_text())
+    if not _objects_with(doc, ("query_id", "title")):
+        raise ParseError(
+            "expected a JSON list of objects with 'query_id' and 'title'")
+    queries = []
+    for entry in doc:
+        query_id = _text(entry["query_id"], "query_id")
+        facets = entry.get("facets", [])
+        if not _objects_with(facets, ("facet_id", "title")):
+            raise ParseError(
+                f"facets of query {query_id!r} must be a list of objects "
+                f"with 'facet_id' and 'title'")
+        facet_ids = [_text(f["facet_id"], f"facet_id in query {query_id!r}")
+                     for f in facets]
+        if len(set(facet_ids)) != len(facet_ids):
+            raise ParseError(f"duplicate facet ids in query {query_id!r}")
+        title = _text(entry["title"], f"title of query {query_id!r}")
+        queries.append(Query(query_id, title, tuple(
+            Facet(facet_id, _text(f["title"], f"title of facet {facet_id!r}"))
+            for facet_id, f in zip(facet_ids, facets))))
+    return queries
+
+
+@_reader
+def load_passages(path: str | Path) -> dict[str, str]:
+    """Passage texts from a JSON object {passage_id: text}.
+
+    A text is a string or null; a null text reads as no text, so the
+    passage is left out.
+    """
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ParseError("expected a JSON object mapping passage_id to text")
+    for passage_id, text in doc.items():
+        if text is not None and type(text) is not str:
+            raise ParseError(
+                f"text of passage {passage_id!r} must be a string or null, "
+                f"got {type(text).__name__}")
+    return {pid: text for pid, text in doc.items() if text is not None}
+
+
+@_reader
+def load_official_ranks(path: str | Path) -> dict[str, float | str | None]:
+    """A JSON object mapping system name to official rank: a number, a
+    numeric string, or null for an unranked system."""
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ParseError(
+            "expected a JSON object mapping system name to official rank")
+    for system, rank in doc.items():
+        if rank is None:        # unranked
+            continue
+        try:
+            float(rank)
+        except (TypeError, ValueError):
+            raise ParseError(
+                f"official rank of {system!r} must be a number or null, "
+                f"got {rank!r}") from None
+    return doc
+
+
+# ---------------------------------------------------------------------------
+# Leaderboard TSVs
+
+
+@_reader
+def load_leaderboard_scores(path: str | Path) -> dict[str, float]:
+    """Each system's score from a leaderboard TSV, as `leaderboard` writes
+    it; the header and the `_overall_` row are skipped."""
+    scores: dict[str, float] = {}
+    for line_no, line in enumerate(Path(path).read_text().splitlines(),
+                                   start=1):
+        fields = line.split("\t")
+        if len(fields) < 2 or fields[0] in ("system", OVERALL_SYSTEM):
+            continue
+        try:
+            scores[fields[0]] = float(fields[1])
+        except ValueError:
+            raise ParseError(f"bad score {fields[1]!r} for {fields[0]!r}",
+                             line_no) from None
+    return scores
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import logging
 import os
 import re
 import time
+import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -101,25 +102,17 @@ def render_question_gen_prompt(query: Query, facet: Facet | None = None) -> str:
     The facet-focused template requires a facet; the plain query template
     must be called without one.
     """
-    if not query.title:
-        raise ContractViolation("query title must be non-empty")
     if facet is None:
         return render("question_gen_dl", query_title=query.title)
-    if not facet.title:
-        raise ContractViolation("facet title must be non-empty")
     return render("question_gen_car", query_title=query.title,
                   query_subtopic=facet.title)
 
 
 def render_qa_prompt(question: str, context: str) -> str:
-    if not question:
-        raise ContractViolation("question must be non-empty")
     return render("qa", question=question, context=context)
 
 
 def render_self_rating_prompt(question: str, context: str) -> str:
-    if not question:
-        raise ContractViolation("question must be non-empty")
     return render("self_rating", question=question, context=context)
 
 
@@ -219,13 +212,19 @@ class HttpBackend:
 
     Auth token, if needed, comes from the EXAM_EVAL_API_KEY environment
     variable. One prompt per request; batching is intentionally unsupported.
+    The endpoint must be an http:// or https:// URL that names a host, so
+    a malformed one fails before any request instead of being retried.
     """
 
     def __init__(self, endpoint_url: str, model_name: str,
                  session: requests.Session | None = None,
                  sleep: Callable[[float], None] = time.sleep):
-        if not endpoint_url:
-            raise ContractViolation("endpoint_url is required")
+        url = urllib.parse.urlsplit(endpoint_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ContractViolation(
+                f"endpoint {endpoint_url!r} is not an http:// or https:// URL "
+                f"naming a host" if endpoint_url
+                else "no backend: give --endpoint or --mock")
         self.endpoint_url = endpoint_url
         self.model_name = model_name
         self.session = session or requests.Session()

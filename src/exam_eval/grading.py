@@ -10,6 +10,7 @@ import functools
 import logging
 import math
 import re
+import time
 from dataclasses import dataclass, field
 
 from . import gateway
@@ -23,7 +24,6 @@ from .model import (
     Qrels,
     QuestionBank,
     Run,
-    SELF_RATED,
 )
 from .porter import stem
 from .stopwords import STOPWORDS
@@ -164,13 +164,10 @@ def grade_pair(question: ExamQuestion, passage_id: str, text: str,
     """Grade one (question, passage) pair with a single completion request,
     as the store's key and row."""
     if mode == QA_VERIFIED:
-        template_name = "qa"
-        render = gateway.render_qa_prompt
-    elif mode == SELF_RATED:
+        template_name, render = "qa", gateway.render_qa_prompt
+    else:
         template_name = "self_rating"
         render = gateway.render_self_rating_prompt
-    else:
-        raise ContractViolation(f"unknown grading mode {mode!r}")
 
     context = gateway.truncate_context(
         question.text, text, budget, template_name=template_name)
@@ -224,11 +221,9 @@ def grade_corpus(bank: QuestionBank,
     answer land in the summary's skip list instead of aborting the whole
     corpus.
     """
-    import time as _time
-
     existing = store.read()
     summary = GradingSummary()
-    start = _time.monotonic()
+    start = time.monotonic()
 
     work: list[tuple[ExamQuestion, str, str]] = []
     for query_id, texts in passages_by_query.items():
@@ -260,7 +255,7 @@ def grade_corpus(bank: QuestionBank,
     if rows:
         store.append(rows)
     summary.graded = len(rows)
-    summary.duration = _time.monotonic() - start
+    summary.duration = time.monotonic() - start
     if summary.failures:
         log.warning("%d grading pairs failed and were skip-logged",
                     len(summary.failures))

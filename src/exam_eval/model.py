@@ -1,7 +1,7 @@
 """Core domain types shared across the toolkit.
 
-Everything here is an immutable value type with its invariants enforced at
-construction time; no I/O and no inference happens in this module.
+Everything here is a plain immutable value type, built from input that a
+reader in `formats` has checked; no I/O and no inference happens here.
 """
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from typing import Container, Iterable, Mapping
 
 QA_VERIFIED = "qa_verified"
 SELF_RATED = "self_rated"
-GRADE_MODES = (QA_VERIFIED, SELF_RATED)
 
 # A stored grade as the store decodes it: the key
 # (query_id, passage_id, question_id, mode) maps to the row
@@ -21,6 +20,9 @@ GradeRow = tuple[str | None, bool | None, int | None]
 
 # Qrels: (query_id, passage_id) -> relevance, the trec_eval judgment map.
 Qrels = dict[tuple[str, str], int]
+
+# The leaderboard row that scores the pool of every system's passages.
+OVERALL_SYSTEM = "_overall_"
 
 
 class ContractViolation(ValueError):
@@ -32,24 +34,12 @@ class Facet:
     facet_id: str
     title: str
 
-    def __post_init__(self):
-        if not self.facet_id:
-            raise ContractViolation("facet_id must be non-empty")
-
 
 @dataclass(frozen=True)
 class Query:
     query_id: str
     title: str
     facets: tuple[Facet, ...] = ()
-
-    def __post_init__(self):
-        if not self.query_id:
-            raise ContractViolation("query_id must be non-empty")
-        facet_ids = [f.facet_id for f in self.facets]
-        if len(facet_ids) != len(set(facet_ids)):
-            raise ContractViolation(
-                f"duplicate facet ids in query {self.query_id!r}")
 
 
 @dataclass(frozen=True)
@@ -59,17 +49,6 @@ class ExamQuestion:
     text: str
     facet_id: str | None = None
     gold_answer: str | None = None
-
-    def __post_init__(self):
-        if not (type(self.question_id) is type(self.query_id) is str):
-            raise ContractViolation(
-                f"question {self.question_id!r}: question_id and query_id "
-                f"must be strings")
-        if not self.question_id:
-            raise ContractViolation("question_id must be non-empty")
-        if not self.text:
-            raise ContractViolation(
-                f"question {self.question_id!r} has empty text")
 
     @property
     def supports_verification(self) -> bool:
@@ -84,19 +63,6 @@ class QuestionBank:
     query_id matches the key it is filed under.
     """
     questions_by_query: dict[str, tuple[ExamQuestion, ...]]
-
-    def __post_init__(self):
-        seen: set[str] = set()
-        for query_id, questions in self.questions_by_query.items():
-            for q in questions:
-                if q.query_id != query_id:
-                    raise ContractViolation(
-                        f"question {q.question_id!r} filed under "
-                        f"{query_id!r} but belongs to {q.query_id!r}")
-                if q.question_id in seen:
-                    raise ContractViolation(
-                        f"duplicate question_id {q.question_id!r}")
-                seen.add(q.question_id)
 
     def questions_for(self, query_id: str) -> tuple[ExamQuestion, ...]:
         return self.questions_by_query.get(query_id, ())
@@ -121,26 +87,6 @@ class Run:
     """
     run_tag: str
     by_query: dict[str, list[tuple[str, int, float]]]
-
-    def __post_init__(self):
-        for query_id, rows in self.by_query.items():
-            seen: set[str] = set()
-            last_rank = 0
-            for passage_id, rank, _ in rows:
-                if passage_id in seen:
-                    raise ContractViolation(
-                        f"duplicate (query, passage) pair "
-                        f"{(query_id, passage_id)} in run {self.run_tag!r}")
-                seen.add(passage_id)
-                if rank <= last_rank:
-                    if rank < 1:
-                        raise ContractViolation(
-                            f"rank must be >= 1, got {rank} "
-                            f"for ({query_id}, {passage_id})")
-                    raise ContractViolation(
-                        f"ranks not strictly increasing for query "
-                        f"{query_id!r} in run {self.run_tag!r}")
-                last_rank = rank
 
     @property
     def query_ids(self) -> list[str]:
@@ -189,16 +135,6 @@ class GradePolicy:
     min_rating: int = 4
     min_answers: int = 1
 
-    def __post_init__(self):
-        if self.mode not in GRADE_MODES:
-            raise ContractViolation(f"unknown policy mode {self.mode!r}")
-        if not 1 <= self.min_rating <= 5:
-            raise ContractViolation(
-                f"min_rating must be in [1, 5], got {self.min_rating}")
-        if self.min_answers < 1:
-            raise ContractViolation(
-                f"min_answers must be >= 1, got {self.min_answers}")
-
 
 def passes(outcome: bool | int, policy: GradePolicy) -> bool:
     """The pass rule: a qa_verified verdict passes when true, a self_rated
@@ -212,13 +148,10 @@ def label_of(outcomes: Iterable[bool | int], policy: GradePolicy,
              graded: bool = False) -> int:
     """A passage's label from the outcomes of its counted questions.
 
-    Binary: 1 iff at least `min_answers` outcomes pass. Graded: the highest
-    self-rating, 0 without one.
+    Binary: 1 iff at least `min_answers` outcomes pass. Graded, under a
+    self_rated policy: the highest self-rating, 0 without one.
     """
     if graded:
-        if policy.mode != SELF_RATED:
-            raise ContractViolation(
-                "graded labels require a self_rated policy")
         return max(outcomes, default=0)
     return 1 if n_passing(outcomes, policy) >= policy.min_answers else 0
 

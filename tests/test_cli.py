@@ -5,9 +5,11 @@ import subprocess
 import sys
 
 import pytest
+import requests
 
 from exam_eval.cli import main, parse_policy, read_config_file
 from exam_eval.formats import GradeStore, ParseError, save_question_bank
+from exam_eval.gateway import MockBackend
 from exam_eval.model import (
     ContractViolation,
     ExamQuestion,
@@ -341,7 +343,9 @@ class TestPipeline:
             "--passages", str(tmp_path / "passages.json"),
             "--mode", "rate", "--mock", str(tmp_path / "grade_mock.json"),
             "--store", str(store)]) == 1
-        assert "must be strings" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {bank}: question_id in query 'q1' must be a non-empty "
+            f"string, got 7\n")
         assert not store.exists()
 
     def test_end_to_end_and_determinism(self, tmp_path):
@@ -597,3 +601,200 @@ class TestPipeline:
             (q, pid, qid, QA_VERIFIED) for q in ("q1", "q2") for pid in pool
             for qid in (f"{q}/q/0", f"{q}/q/1")} - {
             ("q1", pid, "q1/q/1", QA_VERIFIED) for pid in pool}
+
+
+# ---------------------------------------------------------------------------
+# Each input is checked where it is read: a bad file exits 1 with its name,
+# before any completion is requested.
+
+
+@pytest.fixture
+def completions(monkeypatch):
+    """Every request the mock backend answers, in order."""
+    sent = []
+    answer = MockBackend.complete
+
+    def complete(self, request):
+        sent.append(request)
+        return answer(self, request)
+
+    monkeypatch.setattr(MockBackend, "complete", complete)
+    return sent
+
+
+def grade_argv(root, bank, store, *extra):
+    return ["grade", "--bank", str(bank), "--runs", str(root / "runs"),
+            "--passages", str(root / "passages.json"), *extra,
+            "--store", str(store)]
+
+
+def test_null_passage_text_is_dropped(tmp_path, capsys, caplog):
+    write_pipeline_inputs(tmp_path)
+    bank = tmp_path / "bank.json"
+    bank.write_text(save_question_bank(QuestionBank({"q1": (
+        ExamQuestion("q1/q/0", "q1", "What is it?"),)})))
+    (tmp_path / "passages.json").write_text(
+        json.dumps({**PASSAGES, "pA1": None}))
+    store = tmp_path / "grades.jsonl.gz"
+    assert main(grade_argv(tmp_path, bank, store, "--mode", "rate", "--mock",
+                           str(tmp_path / "grade_mock.json"))) == 0
+    assert "graded 2 pairs (0 already in store, 0 failed)" \
+        in capsys.readouterr().out
+    assert "2 pooled passages have no text and were dropped" \
+        in caplog.messages
+    assert {key[1] for key in GradeStore(store).read()} == {"pA2", "pB1"}
+
+
+@pytest.mark.parametrize("text, kind", [(7, "int"), (["alpha"], "list"),
+                                        ({"t": "alpha"}, "dict")])
+def test_non_string_passage_text_exits_one(tmp_path, capsys, completions,
+                                           text, kind):
+    write_pipeline_inputs(tmp_path)
+    out = tmp_path / "out"
+    run_pipeline(tmp_path, out)
+    passages = tmp_path / "passages.json"
+    passages.write_text(json.dumps({**PASSAGES, "pB1": text}))
+    store = tmp_path / "new.jsonl.gz"
+    capsys.readouterr()
+    completions.clear()
+    assert main(grade_argv(tmp_path, out / "bank.json", store, "--mode",
+                           "rate", "--mock",
+                           str(tmp_path / "grade_mock.json"))) == 1
+    assert capsys.readouterr().err == (
+        f"error: {passages}: text of passage 'pB1' must be a string or "
+        f"null, got {kind}\n")
+    assert completions == [] and not store.exists()
+
+
+def test_endpoint_without_scheme_exits_one(tmp_path, capsys, monkeypatch):
+    write_pipeline_inputs(tmp_path)
+    out = tmp_path / "out"
+    run_pipeline(tmp_path, out)
+
+    def post(*args, **kwargs):
+        raise AssertionError("no request may be sent")
+
+    monkeypatch.setattr(requests.Session, "post", post)
+    store = tmp_path / "new.jsonl.gz"
+    capsys.readouterr()
+    for endpoint, message in (
+            ("localhost:1/v1/completions",
+             "endpoint 'localhost:1/v1/completions' is not an http:// or "
+             "https:// URL naming a host"),
+            ("", "no backend: give --endpoint or --mock")):
+        assert main(grade_argv(tmp_path, out / "bank.json", store, "--mode",
+                               "rate", "--endpoint", endpoint)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not store.exists()
+
+
+@pytest.mark.parametrize("gold_answer", ["", 42],
+                         ids=["empty-gold", "numeric-gold"])
+def test_bad_gold_answer_exits_one_before_grading(tmp_path, capsys,
+                                                   completions, gold_answer):
+    write_pipeline_inputs(tmp_path)
+    bank = tmp_path / "bank.json"
+    bank.write_text(json.dumps({"queries": [{"query_id": "q1", "questions": [
+        {"question_id": "q1/q/0", "text": "What is it?",
+         "gold_answer": "alpha"},
+        {"question_id": "q1/q/1", "text": "And this?",
+         "gold_answer": gold_answer}]}]}))
+    store = tmp_path / "grades.jsonl.gz"
+    assert main(grade_argv(tmp_path, bank, store, "--mode", "qa", "--mock",
+                           str(tmp_path / "grade_mock.json"))) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bank}: gold_answer of question 'q1/q/1' must be a "
+        f"non-empty string, got {gold_answer!r}\n")
+    assert completions == [] and not store.exists()
+
+
+@pytest.mark.parametrize("queries, message", [
+    ([{"query_id": "q1", "title": "topic one"},
+      {"query_id": "q2", "title": ""}],
+     "title of query 'q2' must be a non-empty string, got ''"),
+    ([{"query_id": 1, "title": "topic one"}],
+     "query_id must be a non-empty string, got 1"),
+], ids=["empty-title", "int-query-id"])
+def test_generate_rejects_bad_queries_before_any_request(
+        tmp_path, capsys, completions, queries, message):
+    write_pipeline_inputs(tmp_path)
+    path = tmp_path / "queries.json"
+    path.write_text(json.dumps(queries))
+    bank = tmp_path / "bank.json"
+    assert main(["generate", "--queries", str(path), "--template", "dl",
+                 "--mock", str(tmp_path / "gen_mock.json"),
+                 "--out", str(bank)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert completions == [] and not bank.exists()
+
+
+def test_bad_input_error_names_its_file(tmp_path, capsys):
+    write_pipeline_inputs(tmp_path)
+    out = tmp_path / "out"
+    run_pipeline(tmp_path, out)
+    runs = tmp_path / "runs"
+    (runs / "sysB.run").write_text("q1 Q0 pB1 1 9.0 sysB\nq1 Q0 pA2 two 8.0 "
+                                   "sysB\n")
+    bad_qrels = tmp_path / "bad.qrels"
+    bad_qrels.write_text("q1 0 pA1 1\nq1 0 pA2\n")
+    bad_bank = tmp_path / "bad_bank.json"
+    bad_bank.write_text(json.dumps({"queries": [{"query_id": "q1",
+                                                 "questions": [{}]}]}))
+    grades = str(out / "grades.jsonl.gz")
+    cases = [
+        (["leaderboard", "--bank", str(out / "bank.json"),
+          "--runs", str(runs), "--grades", grades, "--policy", "rate:4"],
+         f"{runs / 'sysB.run'}: line 2: invalid literal for int() with "
+         f"base 10: 'two'"),
+        (["agreement", "--labels", str(out / "exam.qrels"),
+          "--judgments", str(bad_qrels)],
+         f"{bad_qrels}: line 2: expected 4 whitespace-separated fields, "
+         f"got 3"),
+        (["qrels", "--bank", str(bad_bank), "--grades", grades,
+          "--policy", "rate:4"],
+         f"{bad_bank}: question_id in query 'q1' must be a non-empty "
+         f"string, got None"),
+    ]
+    capsys.readouterr()
+    for argv, message in cases:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--template", "qa"], "'--template': 'qa' is not one of"),
+    (["leaderboard", "--metric", "p20"], "'--metric': 'p20' is not one of"),
+    (["agreement", "--min-answers", "1,0"], "min_answers must be >= 1, got 0"),
+    (["qrels", "--graded", "--policy", "qa"],
+     "--graded needs a rate:<min_rating> policy"),
+    (["cover", "--policy", "rate:6"], "min_rating must be in [1, 5], got 6"),
+], ids=["template", "metric", "min-answers-sweep", "graded-qa",
+        "min-rating"])
+def test_bad_flag_value_exits_one(tmp_path, capsys, argv, message):
+    write_pipeline_inputs(tmp_path)
+    out = tmp_path / "out"
+    run_pipeline(tmp_path, out)
+    inputs = {
+        "generate": ["--queries", str(tmp_path / "queries.json"),
+                     "--mock", str(tmp_path / "gen_mock.json"),
+                     "--out", str(out / "bank2.json")],
+        "leaderboard": ["--bank", str(out / "bank.json"),
+                        "--runs", str(tmp_path / "runs"),
+                        "--grades", str(out / "grades.jsonl.gz"),
+                        "--policy", "rate:4"],
+        "agreement": ["--judgments", str(out / "exam.qrels"),
+                      "--grades", str(out / "grades.jsonl.gz"),
+                      "--bank", str(out / "bank.json"),
+                      "--policy", "rate:4"],
+        "qrels": ["--bank", str(out / "bank.json"),
+                  "--grades", str(out / "grades.jsonl.gz")],
+        "cover": ["--bank", str(out / "bank.json"),
+                  "--run", str(tmp_path / "runs" / "sysA.run"),
+                  "--grades", str(out / "grades.jsonl.gz")],
+    }[argv[0]]
+    capsys.readouterr()
+    assert main([*argv, *inputs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert not (out / "bank2.json").exists()

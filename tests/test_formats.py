@@ -1,6 +1,7 @@
 import gzip
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,8 +11,12 @@ from hypothesis import given, settings, strategies as st
 from exam_eval.formats import (
     GradeStore,
     ParseError,
-    load_question_bank,
+    load_leaderboard_scores,
+    load_official_ranks,
+    load_passages,
+    load_queries,
     parse_qrels,
+    parse_question_bank,
     parse_run_file,
     save_question_bank,
     write_qrels,
@@ -20,9 +25,11 @@ from exam_eval.metrics import build_qrels, exam_cover
 from exam_eval.model import (
     ContractViolation,
     ExamQuestion,
+    Facet,
     GradeIndex,
     GradePolicy,
     QA_VERIFIED,
+    Query,
     QuestionBank,
     SELF_RATED,
 )
@@ -55,15 +62,26 @@ class TestRunParsing:
         assert excinfo.value.line_no == 2
 
     def test_duplicate_pair_rejected(self):
-        with pytest.raises(ContractViolation,
-                           match=r"duplicate \(query, passage\) pair"):
-            parse_run_file("q1 Q0 pA 1 2.0 sys\nq1 Q0 pA 2 1.0 sys\n")
+        with pytest.raises(ParseError, match="line 3: passage 'pA' listed "
+                           "twice for query 'q1' in run 'sys'") as excinfo:
+            parse_run_file("q1 Q0 pA 1 2.0 sys\nq2 Q0 pA 2 1.0 sys\n"
+                           "q1 Q0 pA 2 1.0 sys\n")
+        assert excinfo.value.line_no == 3
 
     def test_duplicate_rank_rejected(self):
-        with pytest.raises(ContractViolation,
-                           match="ranks not strictly increasing for query 'q1'"):
+        with pytest.raises(ParseError, match="line 3: rank 3 listed twice "
+                           "for query 'q1' in run 'sys'") as excinfo:
             parse_run_file("q1 Q0 pA 3 2.0 sys\nq2 Q0 pA 3 2.0 sys\n"
                            "q1 Q0 pB 3 1.0 sys\n")
+        assert excinfo.value.line_no == 3
+
+    def test_repeat_reported_at_its_first_line(self):
+        # Rows are sorted by rank before the check; the error still names
+        # the first line, in file order, that repeats a passage or a rank.
+        with pytest.raises(ParseError, match="rank 2 listed") as excinfo:
+            parse_run_file("q1 Q0 pC 5 1.0 s\nq1 Q0 pA 2 2.0 s\n"
+                           "q1 Q0 pB 2 1.0 s\nq1 Q0 pC 1 1.0 s\n")
+        assert excinfo.value.line_no == 3
 
     def test_rank_zero_carries_line_number(self):
         with pytest.raises(ParseError, match="rank must be >= 1") as excinfo:
@@ -135,17 +153,17 @@ class TestQuestionBank:
 
     def test_round_trip_byte_identical(self):
         text = save_question_bank(self.bank())
-        assert save_question_bank(load_question_bank(text)) == text
+        assert save_question_bank(parse_question_bank(text)) == text
 
     def test_gold_answer_survives(self):
-        loaded = load_question_bank(save_question_bank(self.bank()))
+        loaded = parse_question_bank(save_question_bank(self.bank()))
         questions = loaded.questions_for("q1")
         assert questions[0].gold_answer is None
         assert questions[1].gold_answer == "b"
         assert questions[1].supports_verification
 
     def test_order_preserved(self):
-        loaded = load_question_bank(save_question_bank(self.bank()))
+        loaded = parse_question_bank(save_question_bank(self.bank()))
         assert [q.question_id for q in loaded.questions_for("q1")] \
             == ["q1/q/0", "q1/q/1"]
 
@@ -153,21 +171,126 @@ class TestQuestionBank:
         text = """{"queries": [{"query_id": "q1", "questions": [
             {"question_id": "d", "text": "A?"},
             {"question_id": "d", "text": "B?"}]}]}"""
-        with pytest.raises(ContractViolation):
-            load_question_bank(text)
+        with pytest.raises(ParseError, match="duplicate question_id 'd'"):
+            parse_question_bank(text)
 
     def test_non_string_ids_rejected(self):
         text = """{"queries": [{"query_id": "q1", "questions": [
             {"question_id": 7, "text": "A?"}]}]}"""
-        with pytest.raises(ContractViolation, match="must be strings"):
-            load_question_bank(text)
-        with pytest.raises(ParseError, match="must be a string"):
-            load_question_bank('{"queries": [{"query_id": 1}]}')
+        with pytest.raises(ParseError, match="question_id in query 'q1' "
+                           "must be a non-empty string, got 7"):
+            parse_question_bank(text)
+        with pytest.raises(ParseError,
+                           match="query_id must be a non-empty string, got 1"):
+            parse_question_bank('{"queries": [{"query_id": 1}]}')
 
     def test_missing_text_rejected(self):
         text = '{"queries": [{"query_id": "q1", "questions": [{"question_id": "x"}]}]}'
-        with pytest.raises(ParseError):
-            load_question_bank(text)
+        with pytest.raises(ParseError, match="text of question 'x'"):
+            parse_question_bank(text)
+
+    @pytest.mark.parametrize("field, value", [
+        ("text", 5), ("text", ["A?"]), ("gold_answer", ""),
+        ("gold_answer", 42), ("gold_answer", ["a"]), ("question_id", ""),
+    ])
+    def test_question_fields_must_be_non_empty_strings(self, field, value):
+        question = {"question_id": "x", "text": "A?", "gold_answer": "a",
+                    field: value}
+        with pytest.raises(ParseError,
+                           match=f"{field} .*must be a non-empty string"):
+            parse_question_bank(json.dumps(
+                {"queries": [{"query_id": "q1", "questions": [question]}]}))
+
+    def test_null_gold_answer_accepted(self):
+        bank = parse_question_bank(json.dumps({"queries": [{
+            "query_id": "q1", "questions": [
+                {"question_id": "x", "text": "A?", "gold_answer": None}]}]}))
+        assert bank.questions_for("q1")[0].gold_answer is None
+
+
+def write_json(tmp_path, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestQueries:
+    def test_facets_read(self, tmp_path):
+        path = write_json(tmp_path, [
+            {"query_id": "q1", "title": "one",
+             "facets": [{"facet_id": "f1", "title": "F one"}]},
+            {"query_id": "q2", "title": "two"}])
+        assert load_queries(path) == [
+            Query("q1", "one", (Facet("f1", "F one"),)), Query("q2", "two")]
+
+    @pytest.mark.parametrize("query, message", [
+        ({"query_id": 1, "title": "t"}, "query_id must be a non-empty string"),
+        ({"query_id": "q1", "title": ""},
+         "title of query 'q1' must be a non-empty string"),
+        ({"query_id": "q1", "title": None},
+         "title of query 'q1' must be a non-empty string, got None"),
+        ({"query_id": "q1", "title": "t",
+          "facets": [{"facet_id": "", "title": "a"}]},
+         "facet_id in query 'q1' must be a non-empty string"),
+        ({"query_id": "q1", "title": "t",
+          "facets": [{"facet_id": "f", "title": 3}]},
+         "title of facet 'f' must be a non-empty string, got 3"),
+    ], ids=["int-id", "empty-title", "null-title", "empty-facet-id",
+            "int-facet-title"])
+    def test_bad_field_names_the_file(self, tmp_path, query, message):
+        path = write_json(tmp_path, [query])
+        with pytest.raises(ParseError, match=re.escape(f"{path}: {message}")):
+            load_queries(path)
+
+    def test_invalid_json_names_the_file(self, tmp_path):
+        path = tmp_path / "queries.json"
+        path.write_text("[{")
+        with pytest.raises(ParseError,
+                           match=re.escape(f"{path}: invalid JSON")):
+            load_queries(path)
+
+
+class TestPassages:
+    def test_null_text_reads_as_no_text(self, tmp_path):
+        path = write_json(tmp_path, {"p1": None, "p2": "alpha", "p3": ""})
+        assert load_passages(path) == {"p2": "alpha", "p3": ""}
+
+    @pytest.mark.parametrize("text, kind", [
+        (7, "int"), (["a"], "list"), ({"t": "a"}, "dict"), (True, "bool")])
+    def test_non_string_text_rejected(self, tmp_path, text, kind):
+        path = write_json(tmp_path, {"p1": "alpha", "p2": text})
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: text of passage 'p2' must be a string or null, "
+                f"got {kind}")):
+            load_passages(path)
+
+
+class TestOfficialRanks:
+    def test_numbers_numeric_strings_and_null(self, tmp_path):
+        doc = {"a": 1, "b": 2.5, "c": "3", "d": None}
+        assert load_official_ranks(write_json(tmp_path, doc)) == doc
+
+    def test_word_rank_rejected(self, tmp_path):
+        path = write_json(tmp_path, {"a": "first"})
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: official rank of 'a' must be a number or null, "
+                f"got 'first'")):
+            load_official_ranks(path)
+
+
+class TestLeaderboardScores:
+    def test_header_and_overall_skipped(self, tmp_path):
+        path = tmp_path / "lb.tsv"
+        path.write_text("system\tscore\tstd_error\tofficial_rank\n"
+                        "_overall_\t1.0\t0.0\t\nsysA\t0.5\t0.1\t1\n\n")
+        assert load_leaderboard_scores(path) == {"sysA": 0.5}
+
+    def test_bad_score_names_file_and_line(self, tmp_path):
+        path = tmp_path / "lb.tsv"
+        path.write_text("system\tscore\nsysA\t0.5\nsysB\thigh\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: line 3: bad score 'high' for 'sysB'")):
+            load_leaderboard_scores(path)
 
 
 class TestGradeStore:

@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from exam_eval.formats import GradeStore
+from exam_eval.formats import GradeStore, ParseError, load_queries
 from exam_eval.gateway import (
     BackendError,
     BudgetExceeded,
@@ -45,9 +45,14 @@ class TestPromptRendering:
         assert "Structure of the Skin" in prompt
         assert prompt.startswith("Explore the connection between")
 
-    def test_empty_title_rejected(self):
-        with pytest.raises(ContractViolation):
-            render_question_gen_prompt(Query("q1", ""))
+    def test_empty_title_rejected(self, tmp_path):
+        # Rendering trusts the query: the queries reader rejects an empty
+        # title, so no prompt is ever rendered for one.
+        path = tmp_path / "queries.json"
+        path.write_text(json.dumps([{"query_id": "q1", "title": ""}]))
+        with pytest.raises(ParseError, match="title of query 'q1' must be "
+                                             "a non-empty string"):
+            load_queries(path)
 
     def test_qa_prompt_question_before_context(self):
         prompt = render_qa_prompt("Outer layer of the skin?", "some passage")
@@ -276,8 +281,33 @@ class TestHttpBackend:
             == {"p0": 4, "p5": 5}
 
     def test_endpoint_required(self):
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ContractViolation,
+                           match="no backend: give --endpoint or --mock"):
             HttpBackend("", "m")
+
+    @pytest.mark.parametrize("url", [
+        "localhost:1/v1/completions", "backend/v1/completions",
+        "ftp://backend/v1", "http:///v1/completions", "https://:8000/v1"])
+    def test_endpoint_without_scheme_or_host_rejected(self, url):
+        # Requests would fail at once and be retried like network errors;
+        # the URL is rejected before the first one.
+        def no_retry(seconds):
+            raise AssertionError(f"retried after {seconds} s")
+
+        session = FakeSession([])
+        with pytest.raises(ContractViolation, match=re.escape(
+                f"endpoint {url!r} is not an http:// or https:// URL "
+                f"naming a host")):
+            HttpBackend(url, "m", session=session,
+                        sleep=no_retry).complete(CompletionRequest.of("p"))
+        assert session.calls == 0
+
+    @pytest.mark.parametrize("url", [
+        ENDPOINT, "https://127.0.0.1:8000/v1/completions", "http://[::1]/v1"])
+    def test_endpoint_with_scheme_and_host_accepted(self, url):
+        session = FakeSession([ok("hi")])
+        backend = HttpBackend(url, "m", session=session, sleep=lambda s: None)
+        assert backend.complete(CompletionRequest.of("p")).text == "hi"
 
 
 class TestMockBackend:

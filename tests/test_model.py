@@ -1,15 +1,20 @@
+import json
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
+from exam_eval.cli import parse_policy
+from exam_eval.formats import (
+    ParseError,
+    load_queries,
+    parse_question_bank,
+    parse_run_file,
+)
 from exam_eval.model import (
     ContractViolation,
-    ExamQuestion,
-    Facet,
     GradePolicy,
     QA_VERIFIED,
-    Query,
-    QuestionBank,
-    Run,
     SELF_RATED,
     check_grade,
     passes,
@@ -59,42 +64,69 @@ class TestGradeInvariant:
             check_grade("q", "p", "qq", "vibes", None, 3)
 
 
-def test_query_rejects_duplicate_facets():
-    with pytest.raises(ContractViolation):
-        Query("q1", "t", facets=(Facet("f", "a"), Facet("f", "b")))
+# The model types are plain values and check nothing themselves. Their
+# rules hold for every value built from input because the readers in
+# `formats`, and `parse_policy` for the --policy flag, apply them; each
+# test below gives a reader the input shape that breaks one rule.
 
 
-def test_empty_ids_rejected():
-    with pytest.raises(ContractViolation):
-        Query("", "t")
-    with pytest.raises(ContractViolation):
-        ExamQuestion("qq", "q", "")
+def write_queries(tmp_path, queries):
+    path = tmp_path / "queries.json"
+    path.write_text(json.dumps(queries))
+    return path
+
+
+def test_query_rejects_duplicate_facets(tmp_path):
+    path = write_queries(tmp_path, [{
+        "query_id": "q1", "title": "t",
+        "facets": [{"facet_id": "f", "title": "a"},
+                   {"facet_id": "f", "title": "b"}]}])
+    with pytest.raises(ParseError, match="duplicate facet ids in query 'q1'"):
+        load_queries(path)
+
+
+def test_empty_ids_rejected(tmp_path):
+    path = write_queries(tmp_path, [{"query_id": "", "title": "t"}])
+    with pytest.raises(ParseError, match="query_id must be a non-empty"):
+        load_queries(path)
+    with pytest.raises(ParseError,
+                       match="text of question 'qq' must be a non-empty"):
+        parse_question_bank(json.dumps({"queries": [{
+            "query_id": "q", "questions": [{"question_id": "qq",
+                                            "text": ""}]}]}))
 
 
 def test_question_bank_rejects_duplicates_and_mismatched_keys():
-    q = ExamQuestion("qq1", "q1", "A?")
-    with pytest.raises(ContractViolation):
-        QuestionBank({"q1": (q,), "q2": (ExamQuestion("qq1", "q2", "B?"),)})
-    with pytest.raises(ContractViolation):
-        QuestionBank({"q2": (q,)})
+    # A question is filed under the query whose entry lists it, so only the
+    # duplicate id, here across two queries, can be written down.
+    with pytest.raises(ParseError, match="duplicate question_id 'qq1'"):
+        parse_question_bank(json.dumps({"queries": [
+            {"query_id": "q1", "questions": [{"question_id": "qq1",
+                                              "text": "A?"}]},
+            {"query_id": "q2", "questions": [{"question_id": "qq1",
+                                              "text": "B?"}]}]}))
 
 
 def test_run_rank_and_duplicate_validation():
-    with pytest.raises(ContractViolation):
-        Run("t", {"q1": [("p1", 0, 1.0)]})
-    with pytest.raises(ContractViolation):
-        Run("t", {"q1": [("p1", 1, 2.0), ("p1", 2, 1.0)]})
-    with pytest.raises(ContractViolation):
-        Run("t", {"q1": [("p1", 2, 2.0), ("p2", 1, 1.0)]})
+    with pytest.raises(ParseError, match="rank must be >= 1"):
+        parse_run_file("q1 Q0 p1 0 1.0 t\n")
+    with pytest.raises(ParseError, match="passage 'p1' listed twice"):
+        parse_run_file("q1 Q0 p1 1 2.0 t\nq1 Q0 p1 2 1.0 t\n")
+    # Rows out of rank order are sorted, not rejected.
+    run = parse_run_file("q1 Q0 p1 2 2.0 t\nq1 Q0 p2 1 1.0 t\n")
+    assert run.by_query == {"q1": [("p2", 1, 1.0), ("p1", 2, 2.0)]}
 
 
 def test_run_rejects_rank_below_one():
-    with pytest.raises(ContractViolation, match="rank must be >= 1"):
-        Run("t", {"q1": [("p1", 0, 1.0)]})
+    with pytest.raises(ParseError, match="rank must be >= 1") as excinfo:
+        parse_run_file("q1 Q0 p1 0 1.0 t\n")
+    assert excinfo.value.line_no == 1
 
 
 def test_policy_and_cover_config_bounds():
-    with pytest.raises(ContractViolation):
-        GradePolicy(SELF_RATED, min_rating=0)
-    with pytest.raises(ContractViolation):
-        GradePolicy(SELF_RATED, min_answers=0)
+    with pytest.raises(ContractViolation,
+                       match=re.escape("min_rating must be in [1, 5], got 0")):
+        parse_policy("rate:0")
+    with pytest.raises(ContractViolation,
+                       match="min_answers must be >= 1, got 0"):
+        parse_policy("qa+min-answers=0")
