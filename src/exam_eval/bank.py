@@ -111,7 +111,6 @@ def generate_bank(queries: list[Query], template_name: str,
                          query_id=query.query_id, facet_id=facet_id,
                          text=text)
             for i, text in enumerate(texts)]
-    # A query id listed twice keeps its first place and its last questions.
     return QuestionBank({query.query_id: tuple(qs)
                          for query, qs in zip(queries, questions)})
 

@@ -6,6 +6,7 @@ unchanged inputs are byte-identical and never leave partial artifacts.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
@@ -178,9 +179,10 @@ def generate(queries_path, template, out, endpoint, model, max_input_tokens,
     queries = formats.load_queries(queries_path)
     log.info("generating bank for %d queries (%s template)",
              len(queries), template)
-    backend = gateway.make_backend(endpoint, model, mock)
-    result = bank_mod.generate_bank(queries, f"question_gen_{template}",
-                                    backend, parallelism)
+    with contextlib.closing(
+            gateway.make_backend(endpoint, model, mock)) as backend:
+        result = bank_mod.generate_bank(queries, f"question_gen_{template}",
+                                        backend, parallelism)
     atomic_write(out, formats.save_question_bank(result))
     click.echo(f"wrote {len(result.all_questions())} questions to {out}")
 
@@ -229,12 +231,13 @@ def grade(bank_path, run_paths, passages_path, qrels_path, mode, store_path,
     if missing:
         log.warning("%d pooled passages have no text and were dropped",
                     missing)
-    backend = gateway.make_backend(endpoint, model, mock)
     grade_mode = QA_VERIFIED if mode == "qa" else SELF_RATED
     store = formats.GradeStore(store_path)
-    summary = grading.grade_corpus(bank, passages_by_query, grade_mode,
-                                   store, backend, max_input_tokens,
-                                   parallelism)
+    with contextlib.closing(
+            gateway.make_backend(endpoint, model, mock)) as backend:
+        summary = grading.grade_corpus(bank, passages_by_query, grade_mode,
+                                       store, backend, max_input_tokens,
+                                       parallelism)
     # The skip-log holds the failures of the latest run only.
     skip_log = Path(store_path).with_suffix(".skipped.jsonl")
     if summary.failures:

@@ -280,7 +280,7 @@ def save_question_bank(bank: QuestionBank) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Queries, passages and official ranks (JSON)
+# Queries, passages, mock fixtures and official ranks (JSON)
 
 
 @_reader
@@ -289,15 +289,19 @@ def load_queries(path: str | Path) -> list[Query]:
     "title"}]} objects, facets optional.
 
     Query ids and titles, and facet ids and titles, are non-empty strings;
-    a query's facet ids are unique.
+    query ids are unique, and so are a query's facet ids.
     """
     doc = json.loads(Path(path).read_text())
     if not _objects_with(doc, ("query_id", "title")):
         raise ParseError(
             "expected a JSON list of objects with 'query_id' and 'title'")
     queries = []
+    query_ids: set[str] = set()
     for entry in doc:
         query_id = _text(entry["query_id"], "query_id")
+        if query_id in query_ids:
+            raise ParseError(f"duplicate query_id {query_id!r}")
+        query_ids.add(query_id)
         facets = entry.get("facets", [])
         if not _objects_with(facets, ("facet_id", "title")):
             raise ParseError(
@@ -330,6 +334,22 @@ def load_passages(path: str | Path) -> dict[str, str]:
                 f"text of passage {passage_id!r} must be a string or null, "
                 f"got {type(text).__name__}")
     return {pid: text for pid, text in doc.items() if text is not None}
+
+
+@_reader
+def load_mock_fixture(path: str | Path) -> dict[str, str]:
+    """Canned completions from a JSON object {request key: completion};
+    every completion is a string."""
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ParseError(
+            "expected a JSON object mapping request keys to completions")
+    for key, text in doc.items():
+        if type(text) is not str:
+            raise ParseError(
+                f"mock response {key!r} must be a string, got "
+                f"{'null' if text is None else type(text).__name__}")
+    return doc
 
 
 @_reader

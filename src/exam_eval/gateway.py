@@ -6,19 +6,20 @@ real inference, or a deterministic mock for tests and fixture pipelines.
 from __future__ import annotations
 
 import functools
+import http.client
 import json
 import logging
 import os
 import re
+import threading
 import time
 import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Protocol
 
-import requests
-
+from . import formats
 from .model import ContractViolation, Facet, Query
 
 log = logging.getLogger(__name__)
@@ -206,6 +207,8 @@ class BackendError(RuntimeError):
 class Backend(Protocol):
     def complete(self, request: CompletionRequest) -> CompletionResponse: ...
 
+    def close(self) -> None: ...
+
 
 class HttpBackend:
     """OpenAI-compatible completions client with retry and backoff.
@@ -214,10 +217,14 @@ class HttpBackend:
     variable. One prompt per request; batching is intentionally unsupported.
     The endpoint must be an http:// or https:// URL that names a host, so
     a malformed one fails before any request instead of being retried.
+
+    Each thread that sends requests keeps one keep-alive connection;
+    `close` closes them all. The proxy, if any, comes from HTTP_PROXY or
+    HTTPS_PROXY, unless NO_PROXY covers the endpoint's host. Redirects
+    are not followed.
     """
 
     def __init__(self, endpoint_url: str, model_name: str,
-                 session: requests.Session | None = None,
                  sleep: Callable[[float], None] = time.sleep):
         url = urllib.parse.urlsplit(endpoint_url)
         if url.scheme not in ("http", "https") or not url.hostname:
@@ -227,20 +234,84 @@ class HttpBackend:
                 else "no backend: give --endpoint or --mock")
         self.endpoint_url = endpoint_url
         self.model_name = model_name
-        self.session = session or requests.Session()
         self._sleep = sleep
+        self._connection_class = (
+            http.client.HTTPSConnection if url.scheme == "https"
+            else http.client.HTTPConnection)
+        self._local = threading.local()
+        self._opened: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+
+    @functools.cached_property
+    def _route(self) -> tuple[tuple[str, int], tuple[str, int] | None, str]:
+        """(address to connect to, host and port to tunnel to or None,
+        request target): the endpoint itself, or the proxy that the
+        environment names for it. Read at the first request, so that a
+        command that sends none does not scan the environment."""
+        url = urllib.parse.urlsplit(self.endpoint_url)
+        https = url.scheme == "https"
+        origin = (url.hostname, url.port or (443 if https else 80))
+        path = urllib.parse.urlunsplit(
+            ("", "", url.path or "/", url.query, ""))
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if not proxy or urllib.request.proxy_bypass(url.hostname):
+            return origin, None, path
+        proxy_url = urllib.parse.urlsplit(
+            proxy if "://" in proxy else f"http://{proxy}")
+        if not proxy_url.hostname:
+            raise ContractViolation(
+                f"{url.scheme} proxy {proxy!r} names no host")
+        address = (proxy_url.hostname, proxy_url.port or 80)
+        # https tunnels through the proxy; plain http sends it the
+        # absolute URI.
+        return ((address, origin, path) if https
+                else (address, None, self.endpoint_url))
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection; it connects on its first request."""
+        conn = getattr(self._local, "connection", None)
+        if conn is None:
+            address, tunnel, _ = self._route
+            conn = self._local.connection = self._connection_class(
+                *address, timeout=TIMEOUT_S)
+            if tunnel:
+                conn.set_tunnel(*tunnel)
+            with self._lock:
+                self._opened.append(conn)
+        return conn
+
+    def _post(self, body: bytes, headers: dict[str, str]
+              ) -> tuple[http.client.HTTPResponse, bytes]:
+        """One POST of the body: the response and its body, read in full."""
+        conn = self._connection()
+        reused = conn.sock is not None
+        try:
+            conn.request("POST", self._route[2], body, headers)
+            response = conn.getresponse()
+            return response, response.read()
+        # RemoteDisconnected is a ConnectionResetError.
+        except (BrokenPipeError, ConnectionResetError):
+            conn.close()
+            if not reused:
+                raise
+        except (OSError, http.client.HTTPException):
+            conn.close()
+            raise
+        # The server closed the idle keep-alive connection: sending once
+        # more, on a fresh connection, spends no retry.
+        return self._post(body, headers)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(AUTH_TOKEN_ENV)
         if token:
             headers["Authorization"] = f"Bearer {token}"
-        payload = {
+        body = json.dumps({
             "model": self.model_name,
             "prompt": request.prompt,
             "temperature": TEMPERATURE,
             "max_tokens": MAX_NEW_TOKENS,
-        }
+        }).encode()
         attempts = MAX_RETRIES + 1
         last_error: Exception | None = None
         start = time.monotonic()
@@ -248,17 +319,15 @@ class HttpBackend:
             if attempt:
                 self._sleep(min(2.0 ** (attempt - 1), 30.0))
             try:
-                resp = self.session.post(
-                    self.endpoint_url, json=payload, headers=headers,
-                    timeout=TIMEOUT_S)
-            except requests.RequestException as exc:
+                resp, reply = self._post(body, headers)
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            if resp.status_code == 200:
+            if resp.status == 200:
                 # The server answered; asking again would not change a
                 # malformed body, so it fails this request at once.
                 try:
-                    text = resp.json()["choices"][0]["text"]
+                    text = json.loads(reply)["choices"][0]["text"]
                     if not isinstance(text, str):
                         raise TypeError(
                             f"completion text is {type(text).__name__}")
@@ -268,16 +337,26 @@ class HttpBackend:
                         f"{self.endpoint_url}: {exc!r}") from exc
                 return CompletionResponse(
                     text=text, latency=time.monotonic() - start)
-            if resp.status_code in (429, 500, 502, 503, 504):
+            if resp.status in (429, 500, 502, 503, 504):
                 last_error = BackendError(
-                    f"HTTP {resp.status_code} from {self.endpoint_url}")
+                    f"HTTP {resp.status} from {self.endpoint_url}")
                 continue
+            if 300 <= resp.status < 400:
+                raise BackendError(
+                    f"HTTP {resp.status} from {self.endpoint_url}: redirect "
+                    f"to {resp.getheader('Location')!r} not followed")
             raise BackendError(
-                f"HTTP {resp.status_code} from {self.endpoint_url}: "
-                f"{resp.text[:200]}")
+                f"HTTP {resp.status} from {self.endpoint_url}: "
+                f"{reply.decode('utf-8', 'replace')[:200]}")
         raise BackendError(
             f"completion failed after {attempts} attempts "
             f"(prompt starts {request.prompt[:60]!r}): {last_error}")
+
+    def close(self) -> None:
+        """Close every thread's connection."""
+        with self._lock:
+            for conn in self._opened:
+                conn.close()
 
 
 class MockBackend:
@@ -291,14 +370,6 @@ class MockBackend:
 
     def __init__(self, responses: dict[str, str]):
         self.responses = dict(responses)
-
-    @classmethod
-    def from_fixture(cls, path: str | Path) -> "MockBackend":
-        doc = json.loads(Path(path).read_text())
-        if not isinstance(doc, dict):
-            raise ContractViolation(
-                f"mock fixture {path} must be a JSON object")
-        return cls({str(k): str(v) for k, v in doc.items()})
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         meta = request.metadata
@@ -322,6 +393,9 @@ class MockBackend:
                                           latency=0.0)
         return CompletionResponse(text="", latency=0.0)
 
+    def close(self) -> None:
+        """Nothing to release."""
+
 
 def map_ordered(fn: Callable, items: list, parallelism: int) -> list:
     """`fn` of every item, in item order; on `parallelism` worker threads
@@ -337,6 +411,6 @@ def make_backend(endpoint_url: str, model_name: str,
     """The scripted backend when a mock fixture is given, else the HTTP
     client for the endpoint."""
     if mock_fixture:
-        return MockBackend.from_fixture(mock_fixture)
+        return MockBackend(formats.load_mock_fixture(mock_fixture))
     return HttpBackend(endpoint_url, model_name)
 

@@ -1,11 +1,11 @@
 import gzip
+import http.client
 import json
 import os
 import subprocess
 import sys
 
 import pytest
-import requests
 
 from exam_eval.cli import main, parse_policy, read_config_file
 from exam_eval.formats import GradeStore, ParseError, save_question_bank
@@ -671,10 +671,10 @@ def test_endpoint_without_scheme_exits_one(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     run_pipeline(tmp_path, out)
 
-    def post(*args, **kwargs):
+    def request(*args, **kwargs):
         raise AssertionError("no request may be sent")
 
-    monkeypatch.setattr(requests.Session, "post", post)
+    monkeypatch.setattr(http.client.HTTPConnection, "request", request)
     store = tmp_path / "new.jsonl.gz"
     capsys.readouterr()
     for endpoint, message in (
@@ -714,7 +714,10 @@ def test_bad_gold_answer_exits_one_before_grading(tmp_path, capsys,
      "title of query 'q2' must be a non-empty string, got ''"),
     ([{"query_id": 1, "title": "topic one"}],
      "query_id must be a non-empty string, got 1"),
-], ids=["empty-title", "int-query-id"])
+    ([{"query_id": "q1", "title": "first"},
+      {"query_id": "q1", "title": "second"}],
+     "duplicate query_id 'q1'"),
+], ids=["empty-title", "int-query-id", "repeated-query-id"])
 def test_generate_rejects_bad_queries_before_any_request(
         tmp_path, capsys, completions, queries, message):
     write_pipeline_inputs(tmp_path)
@@ -725,6 +728,23 @@ def test_generate_rejects_bad_queries_before_any_request(
                  "--mock", str(tmp_path / "gen_mock.json"),
                  "--out", str(bank)]) == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert completions == [] and not bank.exists()
+
+
+@pytest.mark.parametrize("value, kind", [(None, "null"), (4, "int")],
+                         ids=["null", "int"])
+def test_non_string_mock_response_exits_one(tmp_path, capsys, completions,
+                                            value, kind):
+    write_pipeline_inputs(tmp_path)
+    fixture = tmp_path / "fix.json"
+    fixture.write_text(json.dumps({"q1": "['Q?']", "default": value}))
+    bank = tmp_path / "bank.json"
+    assert main(["generate", "--queries", str(tmp_path / "queries.json"),
+                 "--template", "dl", "--mock", str(fixture),
+                 "--out", str(bank)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {fixture}: mock response 'default' must be a string, "
+        f"got {kind}\n")
     assert completions == [] and not bank.exists()
 
 

@@ -1,17 +1,23 @@
+import http.client
 import json
 import re
+import socket
+import sys
+import urllib.parse
 
 import pytest
 from hypothesis import given, strategies as st
 
 from exam_eval.formats import GradeStore, ParseError, load_queries
 from exam_eval.gateway import (
+    AUTH_TOKEN_ENV,
     BackendError,
     BudgetExceeded,
     CompletionRequest,
     HttpBackend,
     MockBackend,
     PROMPT_TEMPLATES,
+    make_backend,
     render,
     render_qa_prompt,
     render_question_gen_prompt,
@@ -27,7 +33,7 @@ from exam_eval.model import (
     QuestionBank,
     SELF_RATED,
 )
-from conftest import stored_grades
+from conftest import ok_reply, stored_grades
 
 
 class TestPromptRendering:
@@ -195,29 +201,6 @@ def test_truncation_matches_brute_force(template_name, question, context,
                             template_name) == expected
 
 
-class FakeResponse:
-    def __init__(self, status_code, text=""):
-        self.status_code = status_code
-        self.text = text
-
-    def json(self):
-        return json.loads(self.text)
-
-
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.calls = 0
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls += 1
-        return self.responses.pop(0)
-
-
-def ok(text):
-    return FakeResponse(200, json.dumps({"choices": [{"text": text}]}))
-
-
 MALFORMED_BODIES = ["not json", "{}", '{"choices": []}',
                     '{"choices": [{"text": null}]}']
 
@@ -225,55 +208,61 @@ MALFORMED_BODIES = ["not json", "{}", '{"choices": []}',
 ENDPOINT = "http://backend/v1/completions"
 
 
+def never_sleep(seconds):
+    raise AssertionError(f"retried after {seconds} s")
+
+
 class TestHttpBackend:
 
-    def test_success_after_rate_limiting(self):
-        session = FakeSession([FakeResponse(429), FakeResponse(429), ok("hi")])
-        backend = HttpBackend(ENDPOINT, "m", session=session,
-                              sleep=lambda s: None)
+    def test_success_after_rate_limiting(self, completion_server,
+                                         http_backend):
+        completion_server.replies += [(429, "", {}), (429, "", {}),
+                                      ok_reply("hi")]
+        backend = http_backend()
         response = backend.complete(CompletionRequest.of("prompt"))
         assert response.text == "hi"
-        assert session.calls == 3
+        assert len(completion_server.received) == 3
 
-    def test_exhausted_retries_surface_error(self):
-        session = FakeSession([FakeResponse(503)] * 4)
-        backend = HttpBackend(ENDPOINT, "m", session=session,
-                              sleep=lambda s: None)
+    def test_exhausted_retries_surface_error(self, completion_server,
+                                             http_backend):
+        completion_server.replies += [(503, "", {})] * 4
+        backend = http_backend()
         with pytest.raises(BackendError) as excinfo:
             backend.complete(CompletionRequest.of("some prompt text"))
         assert "some prompt" in str(excinfo.value)
-        assert session.calls == 4
+        assert len(completion_server.received) == 4
 
-    def test_client_error_fails_fast(self):
-        session = FakeSession([FakeResponse(400, text="bad request")])
-        backend = HttpBackend(ENDPOINT, "m", session=session,
-                              sleep=lambda s: None)
+    def test_client_error_fails_fast(self, completion_server, http_backend):
+        completion_server.replies.append((400, "bad request", {}))
+        backend = http_backend()
         with pytest.raises(BackendError):
             backend.complete(CompletionRequest.of("p"))
-        assert session.calls == 1
+        assert len(completion_server.received) == 1
 
     @pytest.mark.parametrize("body", MALFORMED_BODIES)
-    def test_malformed_reply_fails_fast(self, body):
-        session = FakeSession([FakeResponse(200, body), ok("late")])
-        backend = HttpBackend(ENDPOINT, "m", session=session,
-                              sleep=lambda s: None)
-        with pytest.raises(BackendError, match="http://backend"):
+    def test_malformed_reply_fails_fast(self, completion_server,
+                                        http_backend, body):
+        completion_server.replies += [(200, body, {}), ok_reply("late")]
+        backend = http_backend()
+        with pytest.raises(BackendError,
+                           match=re.escape(completion_server.url)):
             backend.complete(CompletionRequest.of("p"))
-        assert session.calls == 1
+        assert len(completion_server.received) == 1
 
-    def test_malformed_reply_skips_only_its_pair(self, tmp_path):
+    def test_malformed_reply_skips_only_its_pair(self, tmp_path,
+                                                 completion_server,
+                                                 http_backend):
         bank = QuestionBank({"q1": (ExamQuestion("q1/q/0", "q1", "A?"),)})
         passages = {"q1": {f"p{i}": f"text {i}" for i in range(6)}}
         # Serial grading sends the pairs in passage order.
-        replies = [ok("4"), *(FakeResponse(200, body)
-                              for body in MALFORMED_BODIES), ok("5")]
-        session = FakeSession(replies)
-        backend = HttpBackend(ENDPOINT, "m", session=session,
-                              sleep=lambda s: None)
+        completion_server.replies += [
+            ok_reply("4"), *((200, body, {}) for body in MALFORMED_BODIES),
+            ok_reply("5")]
+        backend = http_backend()
         store = GradeStore(tmp_path / "g.jsonl.gz")
         summary = grade_corpus(bank, passages, SELF_RATED, store, backend,
                                512, 1)
-        assert session.calls == 6
+        assert len(completion_server.received) == 6
         assert summary.graded == 2
         assert [f.passage_id for f in summary.failures] \
             == ["p1", "p2", "p3", "p4"]
@@ -288,26 +277,154 @@ class TestHttpBackend:
     @pytest.mark.parametrize("url", [
         "localhost:1/v1/completions", "backend/v1/completions",
         "ftp://backend/v1", "http:///v1/completions", "https://:8000/v1"])
-    def test_endpoint_without_scheme_or_host_rejected(self, url):
+    def test_endpoint_without_scheme_or_host_rejected(self, completion_server,
+                                                      url):
         # Requests would fail at once and be retried like network errors;
         # the URL is rejected before the first one.
-        def no_retry(seconds):
-            raise AssertionError(f"retried after {seconds} s")
-
-        session = FakeSession([])
         with pytest.raises(ContractViolation, match=re.escape(
                 f"endpoint {url!r} is not an http:// or https:// URL "
                 f"naming a host")):
-            HttpBackend(url, "m", session=session,
-                        sleep=no_retry).complete(CompletionRequest.of("p"))
-        assert session.calls == 0
+            HttpBackend(url, "m",
+                        sleep=never_sleep).complete(CompletionRequest.of("p"))
+        assert len(completion_server.received) == 0
 
     @pytest.mark.parametrize("url", [
         ENDPOINT, "https://127.0.0.1:8000/v1/completions", "http://[::1]/v1"])
-    def test_endpoint_with_scheme_and_host_accepted(self, url):
-        session = FakeSession([ok("hi")])
-        backend = HttpBackend(url, "m", session=session, sleep=lambda s: None)
+    def test_endpoint_with_scheme_and_host_accepted(
+            self, completion_server, http_backend, monkeypatch, url):
+        # The loopback server stands in for every host as their proxy; an
+        # https endpoint is reached through a plain tunnel.
+        proxy = f"http://127.0.0.1:{completion_server.server_port}"
+        monkeypatch.setenv("http_proxy", proxy)
+        monkeypatch.setenv("https_proxy", proxy)
+        monkeypatch.setattr(http.client, "HTTPSConnection",
+                            http.client.HTTPConnection)
+        completion_server.replies.append(ok_reply("hi"))
+        backend = http_backend(url)
         assert backend.complete(CompletionRequest.of("p")).text == "hi"
+        target = urllib.parse.urlsplit(url)
+        assert [(r.method, r.path) for r in completion_server.received] == (
+            [("CONNECT", target.netloc), ("POST", target.path)]
+            if target.scheme == "https" else [("POST", url)])
+
+    def test_sequential_requests_share_one_connection(self, completion_server,
+                                                      http_backend):
+        completion_server.replies += [ok_reply(str(i)) for i in range(5)]
+        backend = http_backend(sleep=never_sleep)
+        assert [backend.complete(CompletionRequest.of("p")).text
+                for _ in range(5)] == ["0", "1", "2", "3", "4"]
+        assert completion_server.connections == 1
+        assert {r.connection for r in completion_server.received} == {1}
+
+    @pytest.mark.parametrize("parallelism", [2, 8])
+    def test_parallel_grading_opens_one_connection_per_worker(
+            self, tmp_path, completion_server, http_backend, parallelism):
+        bank = QuestionBank({"q1": tuple(
+            ExamQuestion(f"q1/q/{i}", "q1", f"Q{i}?") for i in range(4))})
+        passages = {"q1": {f"p{i}": f"text {i}" for i in range(5)}}
+        completion_server.replies += [ok_reply("3")] * 20
+        backend = http_backend(sleep=never_sleep)
+        # Frequent thread switches, to expose a lost update of the
+        # connections that `close` must close.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            summary = grade_corpus(bank, passages, SELF_RATED,
+                                   GradeStore(tmp_path / "g.jsonl.gz"),
+                                   backend, 512, parallelism)
+        finally:
+            sys.setswitchinterval(interval)
+        assert summary.graded == 20 and not summary.failures
+        assert 1 <= completion_server.connections <= parallelism
+        assert len(backend._opened) == completion_server.connections
+
+    def test_dropped_keep_alive_is_resent_without_a_retry(
+            self, completion_server, http_backend):
+        completion_server.close_after_reply = True
+        completion_server.replies += [ok_reply("first"), ok_reply("second")]
+        backend = http_backend(sleep=never_sleep)
+        assert backend.complete(CompletionRequest.of("p")).text == "first"
+        assert backend.complete(CompletionRequest.of("p")).text == "second"
+        assert completion_server.connections == 2
+        assert [r.connection for r in completion_server.received] == [1, 2]
+
+    def test_dropped_fresh_connection_is_retried(self, completion_server,
+                                                 http_backend):
+        completion_server.replies += [None] * 4
+        slept = []
+        with pytest.raises(BackendError, match="after 4 attempts"):
+            http_backend(sleep=slept.append).complete(
+                CompletionRequest.of("p"))
+        assert slept == [1.0, 2.0, 4.0]
+        assert [r.connection for r in completion_server.received] \
+            == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("token", [None, "s3cret"])
+    def test_bearer_token_only_when_set(self, completion_server,
+                                        http_backend, monkeypatch, token):
+        if token is None:
+            monkeypatch.delenv(AUTH_TOKEN_ENV, raising=False)
+        else:
+            monkeypatch.setenv(AUTH_TOKEN_ENV, token)
+        completion_server.replies.append(ok_reply("hi"))
+        http_backend().complete(CompletionRequest.of("p"))
+        (received,) = completion_server.received
+        assert received.headers.get("Authorization") == (
+            token and f"Bearer {token}")
+        assert json.loads(received.body)["prompt"] == "p"
+
+    def test_redirect_is_not_followed(self, completion_server, http_backend):
+        completion_server.replies += [
+            (302, "", {"Location": "http://elsewhere/v1/completions"}),
+            ok_reply("late")]
+        with pytest.raises(BackendError, match=re.escape(
+                "HTTP 302 from ")) as excinfo:
+            http_backend(sleep=never_sleep).complete(
+                CompletionRequest.of("p"))
+        assert "http://elsewhere/v1/completions" in str(excinfo.value)
+        assert len(completion_server.received) == 1
+
+    @pytest.mark.parametrize("scheme", ["http://", ""])
+    def test_http_proxy_gets_the_absolute_uri(self, completion_server,
+                                              http_backend, monkeypatch,
+                                              scheme):
+        monkeypatch.setenv(
+            "http_proxy",
+            f"{scheme}127.0.0.1:{completion_server.server_port}")
+        completion_server.replies.append(ok_reply("via proxy"))
+        url = "http://unresolvable.invalid/v1/completions"
+        backend = http_backend(url, sleep=never_sleep)
+        assert backend.complete(CompletionRequest.of("p")).text == "via proxy"
+        (received,) = completion_server.received
+        assert received.path == url
+        assert received.headers["Host"] == "unresolvable.invalid"
+
+    def test_proxy_without_host_rejected(self, monkeypatch):
+        monkeypatch.delenv("no_proxy", raising=False)
+        monkeypatch.delenv("NO_PROXY", raising=False)
+        monkeypatch.setenv("http_proxy", "http://:3128")
+        with pytest.raises(ContractViolation, match=re.escape(
+                "http proxy 'http://:3128' names no host")):
+            HttpBackend(ENDPOINT, "m").complete(CompletionRequest.of("p"))
+
+    def test_no_proxy_host_is_reached_directly(self, completion_server,
+                                               http_backend, monkeypatch):
+        monkeypatch.setenv(
+            "http_proxy", f"http://127.0.0.1:{completion_server.server_port}")
+        monkeypatch.setenv("no_proxy", "localhost,.invalid")
+        dialled = []
+
+        def refuse(address, *args, **kwargs):
+            # Stands in for the connect, so that no name is looked up.
+            dialled.append(address)
+            raise ConnectionRefusedError("refused")
+
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        backend = http_backend("http://unresolvable.invalid/v1/completions")
+        with pytest.raises(BackendError, match="refused"):
+            backend.complete(CompletionRequest.of("p"))
+        assert set(dialled) == {("unresolvable.invalid", 80)}
+        assert completion_server.received == []
 
 
 class TestMockBackend:
@@ -327,7 +444,7 @@ class TestMockBackend:
     def test_fixture_loading(self, tmp_path):
         path = tmp_path / "fixture.json"
         path.write_text(json.dumps({"default": "0"}))
-        backend = MockBackend.from_fixture(path)
+        backend = make_backend("", "m", str(path))
         assert backend.complete(CompletionRequest.of("p")).text == "0"
 
     def test_empty_completion_when_unscripted(self):
