@@ -80,16 +80,16 @@ def generate_bank(queries: list[Query], template_name: str,
     """
     per_facet = template_name == "question_gen_car"
 
-    targets: list[tuple[int, Query, Facet | None]] = []
-    for position, query in enumerate(queries):
+    targets: list[tuple[Query, Facet | None]] = []
+    for query in queries:
         if per_facet and not query.facets:
             log.warning("query %s has no facets; skipped under the "
                         "facet-focused template", query.query_id)
         for facet in query.facets if per_facet else (None,):
-            targets.append((position, query, facet))
+            targets.append((query, facet))
 
-    def ask(target: tuple[int, Query, Facet | None]) -> list[str]:
-        _, query, facet = target
+    def ask(target: tuple[Query, Facet | None]) -> list[str]:
+        query, facet = target
         prompt = gateway.render_question_gen_prompt(query, facet)
         request = gateway.CompletionRequest.of(
             prompt, query_id=query.query_id,
@@ -102,17 +102,18 @@ def generate_bank(queries: list[Query], template_name: str,
                     f" facet {facet.facet_id}" if facet else "")
         return []
 
-    questions: list[list[ExamQuestion]] = [[] for _ in queries]
-    for (position, query, facet), texts in zip(
+    questions: dict[str, list[ExamQuestion]] = {
+        query.query_id: [] for query in queries}
+    for (query, facet), texts in zip(
             targets, gateway.map_ordered(ask, targets, parallelism)):
         facet_id = facet.facet_id if facet else None
-        questions[position] += [
+        questions[query.query_id] += [
             ExamQuestion(question_id=_question_id(query.query_id, facet_id, i),
                          query_id=query.query_id, facet_id=facet_id,
                          text=text)
             for i, text in enumerate(texts)]
-    return QuestionBank({query.query_id: tuple(qs)
-                         for query, qs in zip(queries, questions)})
+    return QuestionBank({query_id: tuple(qs)
+                         for query_id, qs in questions.items()})
 
 
 # ---------------------------------------------------------------------------

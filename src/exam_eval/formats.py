@@ -77,11 +77,13 @@ def parse_run_file(text: str) -> Run:
 
     Column 2 may be "Q0" or "0"; both appear in the wild. The run tag is
     taken from the first line; differing tags on later lines produce a
-    warning, first tag wins. Queries come back in sorted order, each with
-    its rows sorted by rank. A passage listed twice for a query, or two
-    passages sharing a rank, are rejected at the line that repeats it.
+    warning, first tag wins. The score must be a number but is not kept:
+    the rank column orders the run. Queries come back in sorted order,
+    each with its passage ids in rank order. A passage listed twice for a
+    query, or two passages sharing a rank, are rejected at the first line
+    that repeats one.
     """
-    by_query: dict[str, list[tuple[str, int, float]]] = {}
+    by_query: dict[str, list[tuple[str, int]]] = {}
     run_tag: str | None = None
     for line_no, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
@@ -97,7 +99,7 @@ def parse_run_file(text: str) -> Run:
                 f"expected 'Q0' or '0' in column 2, got {literal!r}", line_no)
         try:
             rank = int(rank_s)
-            score = float(score_s)
+            float(score_s)
         except ValueError as exc:
             raise ParseError(str(exc), line_no) from None
         if rank < 1:
@@ -114,30 +116,35 @@ def parse_run_file(text: str) -> Run:
         rows = by_query.get(qid)
         if rows is None:
             rows = by_query[qid] = []
-        rows.append((docid, rank, score))
+        rows.append((docid, rank))
     run_tag = run_tag or ""
     passage_of, rank_of = itemgetter(0), itemgetter(1)
+    ranked: dict[str, list[str]] = {}
     for qid, rows in by_query.items():
         rows.sort(key=rank_of)
-        if (len(set(map(passage_of, rows))) != len(rows)
+        passage_ids = ranked[qid] = list(map(passage_of, rows))
+        if (len(set(passage_ids)) != len(rows)
                 or len(set(map(rank_of, rows))) != len(rows)):
-            raise _repeated_row(text, qid, run_tag)
-    return Run(run_tag, {qid: by_query[qid] for qid in sorted(by_query)})
+            raise _repeated_row(text, run_tag)
+    return Run(run_tag, {qid: ranked[qid] for qid in sorted(ranked)})
 
 
-def _repeated_row(text: str, qid: str, run_tag: str) -> ParseError:
-    """The error for the first line that repeats a passage or a rank of
-    the query; looked up only once the file is known to hold one."""
-    seen: set[tuple[str, str | int]] = set()
+def _repeated_row(text: str, run_tag: str) -> ParseError:
+    """The error for the first line in the file that repeats a passage or
+    a rank of its own query; looked up only once the file is known to
+    hold one."""
+    seen: set[tuple[str, str, str | int]] = set()
     for line_no, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
-        if fields and fields[0] == qid:
-            for key in (("passage", fields[2]), ("rank", int(fields[3]))):
-                if key in seen:
-                    return ParseError(
-                        f"{key[0]} {key[1]!r} listed twice for query "
-                        f"{qid!r} in run {run_tag!r}", line_no)
-                seen.add(key)
+        if not fields:
+            continue
+        qid = fields[0]
+        for what, value in (("passage", fields[2]), ("rank", int(fields[3]))):
+            if (qid, what, value) in seen:
+                return ParseError(
+                    f"{what} {value!r} listed twice for query {qid!r} "
+                    f"in run {run_tag!r}", line_no)
+            seen.add((qid, what, value))
 
 
 @_reader

@@ -10,7 +10,6 @@ import http.client
 import json
 import logging
 import os
-import re
 import threading
 import time
 import urllib.parse
@@ -76,24 +75,12 @@ PROMPT_TEMPLATES = {
 }
 
 
-_PLACEHOLDERS = {name: frozenset(re.findall(r"\{([a-z_]+)\}", body))
-                 for name, body in PROMPT_TEMPLATES.items()}
-
-
 def render(name: str, **bindings: str) -> str:
     """Substitute every `{name}` of the named template in one pass.
 
-    Only the template is checked for unbound names: `str.format` never
-    rescans what it inserts, so bound values that contain braces (JSON,
-    LaTeX, code) come through verbatim.
+    `str.format` never rescans what it inserts, so bound values that
+    contain braces (JSON, LaTeX, code) come through verbatim.
     """
-    if name not in PROMPT_TEMPLATES:
-        raise ContractViolation(f"unknown prompt template {name!r}")
-    unbound = _PLACEHOLDERS[name] - bindings.keys()
-    if unbound:
-        raise ContractViolation(
-            f"template {name!r} left unbound placeholders: "
-            f"{', '.join(sorted(unbound))}")
     return PROMPT_TEMPLATES[name].format(**bindings)
 
 
@@ -125,11 +112,6 @@ def token_count(text: str) -> int:
     return len(text.split())
 
 
-# Templates whose last field is `{context}`, after whitespace.
-_TRUNCATABLE = frozenset(name for name, body in PROMPT_TEMPLATES.items()
-                         if re.search(r"\s\{context\}\Z", body))
-
-
 class BudgetExceeded(ValueError):
     """Template plus question alone exceed the token budget."""
 
@@ -155,9 +137,6 @@ def truncate_context(question: str, context: str, budget: int,
     spans the boundary and the prompt's whitespace-token count is the
     empty-context count plus the context's own.
     """
-    if template_name not in _TRUNCATABLE:
-        raise ContractViolation(
-            f"template {template_name!r} does not end in a context field")
     fixed = _fixed_tokens(template_name, question)
     if fixed > budget:
         raise BudgetExceeded(

@@ -198,7 +198,7 @@ def build_passage_pool(runs: list[Run], depth: int,
     pool: dict[str, dict[str, None]] = {}
     for run in runs:
         for query_id in run.query_ids:
-            for passage_id, _, _ in run.top_k(query_id, depth):
+            for passage_id in run.top_k(query_id, depth):
                 pool.setdefault(query_id, {})[passage_id] = None
     for query_id, passage_id in judgments or ():
         pool.setdefault(query_id, {})[passage_id] = None

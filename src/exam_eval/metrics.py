@@ -69,7 +69,7 @@ def exam_cover(run: Run, bank: QuestionBank, index: GradeIndex,
     have at least one question. Pooled passages without any grade count as
     not-correct and are reported as coverage gaps.
     """
-    top = {query_id: [pid for pid, _, _ in run.top_k(query_id, depth)]
+    top = {query_id: run.top_k(query_id, depth)
            for query_id in bank.query_ids}
     gaps: list[tuple[str, str]] = []
     per_query = _cover(top, bank, index, gaps)
@@ -108,22 +108,26 @@ class PrecisionResult:
     mean: float
 
 
-def precision_at_k(run: Run, qrels: Qrels, k: int,
-                   level_for_rel: int = 1) -> PrecisionResult:
-    """Fraction of the top-k passages judged at or above level_for_rel.
+def _precision(passages_by_query: dict[str, list[str]], qrels: Qrels,
+               k: int) -> dict[str, float]:
+    """Per judged query, min(k, relevant passages) / k over the given
+    passages: P@k of a run's top k, and for a pool the best P@k that any
+    ranking of it reaches.
 
     Unjudged passages count as non-relevant; queries with no qrels rows at
     all are skipped.
     """
     judged_queries = {query_id for query_id, _ in qrels}
-    per_query: dict[str, float] = {}
-    for query_id in run.query_ids:
-        if query_id not in judged_queries:
-            continue
-        hits = sum(
-            1 for pid, _, _ in run.top_k(query_id, k)
-            if qrels.get((query_id, pid), 0) >= level_for_rel)
-        per_query[query_id] = hits / k
+    return {query_id: min(k, sum(1 for pid in pids
+                                 if qrels.get((query_id, pid), 0) >= 1)) / k
+            for query_id, pids in passages_by_query.items()
+            if query_id in judged_queries}
+
+
+def precision_at_k(run: Run, qrels: Qrels, k: int) -> PrecisionResult:
+    """Fraction of the top-k passages judged relevant, per judged query."""
+    per_query = _precision({query_id: run.top_k(query_id, k)
+                            for query_id in run.query_ids}, qrels, k)
     return PrecisionResult(per_query=per_query, mean=_mean(per_query))
 
 
@@ -246,21 +250,6 @@ def _std_error(per_query: dict[str, float]) -> float:
     return math.sqrt(var) / math.sqrt(n)
 
 
-def _pooled_precision(pool: dict[str, list[str]], qrels: Qrels,
-                      k: int, level_for_rel: int) -> dict[str, float]:
-    # Best achievable P@k over the pooled passages: rank relevant ones first.
-    judged_queries = {query_id for query_id, _ in qrels}
-    per_query: dict[str, float] = {}
-    for query_id, pids in pool.items():
-        if query_id not in judged_queries:
-            continue
-        relevant = sum(
-            1 for pid in pids
-            if qrels.get((query_id, pid), 0) >= level_for_rel)
-        per_query[query_id] = min(relevant, k) / k
-    return per_query
-
-
 def leaderboard(runs: list[Run], bank: QuestionBank, index: GradeIndex,
                 metric: str = "cover", depth: int = 20,
                 official_ranks: dict[str, int] | None = None
@@ -286,8 +275,8 @@ def leaderboard(runs: list[Run], bank: QuestionBank, index: GradeIndex,
         qrels = build_qrels(index, bank)
         for run in runs:
             per_system[run.run_tag] = precision_at_k(
-                run, qrels, depth, level_for_rel=1).per_query
-        per_system[OVERALL_SYSTEM] = _pooled_precision(pool, qrels, depth, 1)
+                run, qrels, depth).per_query
+        per_system[OVERALL_SYSTEM] = _precision(pool, qrels, depth)
 
     rows = []
     for system, per_query in per_system.items():

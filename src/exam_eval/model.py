@@ -82,18 +82,18 @@ class QuestionBank:
 class Run:
     """A system's ranked passage lists, one per query (TREC run semantics).
 
-    `by_query` maps each query id to its (passage_id, rank, score) rows in
-    strictly increasing rank order; queries keep the mapping's order.
+    `by_query` maps each query id to its passage ids in rank order; queries
+    keep the mapping's order.
     """
     run_tag: str
-    by_query: dict[str, list[tuple[str, int, float]]]
+    by_query: dict[str, list[str]]
 
     @property
     def query_ids(self) -> list[str]:
         return list(self.by_query)
 
-    def top_k(self, query_id: str, k: int) -> list[tuple[str, int, float]]:
-        """The query's first k (passage_id, rank, score) rows."""
+    def top_k(self, query_id: str, k: int) -> list[str]:
+        """The query's first k passage ids."""
         return self.by_query.get(query_id, [])[:k]
 
 

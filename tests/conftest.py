@@ -81,13 +81,11 @@ def skin_bank(tqa_question, generated_question):
 
 
 def make_run(tag, entries):
-    """entries: list of (query_id, passage_id); ranks assigned in order,
-    queries kept in first-seen order."""
+    """entries: list of (query_id, passage_id) in rank order, queries kept
+    in first-seen order."""
     by_query = {}
     for query_id, passage_id in entries:
-        rows = by_query.setdefault(query_id, [])
-        rank = len(rows) + 1
-        rows.append((passage_id, rank, float(1000 - rank)))
+        by_query.setdefault(query_id, []).append(passage_id)
     return Run(tag, by_query)
 
 

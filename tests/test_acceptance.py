@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from exam_eval.formats import parse_qrels, write_qrels
+from exam_eval.formats import parse_qrels, parse_run_file, write_qrels
 from exam_eval.gateway import MockBackend
 from exam_eval.grading import grade_pair
 from exam_eval.metrics import (
@@ -36,11 +36,24 @@ from test_metrics import (
     brute_force_precision,
     oracle_kendall_tau_b,
     oracle_spearman,
+    run_rows,
 )
 
 
 def report(n, text):
     print(f"\nACCEPTANCE {n}: PASS - {text}")
+
+
+def random_run(rng, n_queries, n_passages):
+    """A run of random passages per query with its lines shuffled: the
+    parsed run, and its rows as the oracles read them."""
+    lines = [f"q{qi} Q0 p{pi} {rank} 0 sys\n"
+             for qi in range(n_queries)
+             for rank, pi in enumerate(rng.sample(
+                 range(n_passages), rng.randint(1, n_passages)), start=1)]
+    rng.shuffle(lines)
+    text = "".join(lines)
+    return parse_run_file(text), run_rows(text)
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +122,9 @@ def test_criterion_3_metric_oracles():
             for pi in range(n_passages)
             for i in range(n_questions)
             if rng.random() < 0.8]
-        run = make_run("sys", [
-            (f"q{qi}", f"p{pi}")
-            for qi in range(n_queries)
-            for pi in rng.sample(range(n_passages), rng.randint(1, n_passages))])
+        run, rows = random_run(rng, n_queries, n_passages)
         policy = GradePolicy(SELF_RATED, min_rating=min_rating)
-        expected = brute_force_cover(run, bank, grades, policy, depth)
+        expected = brute_force_cover(rows, bank, grades, policy, depth)
         actual = exam_cover(run, bank, grade_index(grades, policy), depth)
         assert actual.per_query == pytest.approx(expected)
 
@@ -122,19 +132,15 @@ def test_criterion_3_metric_oracles():
         n_queries = rng.randint(1, 10)
         n_passages = rng.randint(1, 15)
         k = rng.randint(1, 10)
-        level = rng.randint(1, 4)
         judged = {
             (f"q{qi}", f"p{pi}"): rng.randint(-2, 4)
             for qi in range(n_queries)
             for pi in range(n_passages)
             if rng.random() < 0.7}
         qrels = parse_qrels(write_qrels(judged))
-        run = make_run("sys", [
-            (f"q{qi}", f"p{pi}")
-            for qi in range(n_queries)
-            for pi in rng.sample(range(n_passages), rng.randint(1, n_passages))])
-        expected = brute_force_precision(run, judged, k, level)
-        actual = precision_at_k(run, qrels, k, level_for_rel=level)
+        run, rows = random_run(rng, n_queries, n_passages)
+        expected = brute_force_precision(rows, judged, k)
+        actual = precision_at_k(run, qrels, k)
         assert actual.per_query == pytest.approx(expected)
 
     for trial in range(300):

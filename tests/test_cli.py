@@ -1,11 +1,15 @@
 import gzip
 import http.client
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exam_eval.cli import main, parse_policy, read_config_file
 from exam_eval.formats import GradeStore, ParseError, save_question_bank
@@ -17,6 +21,20 @@ from exam_eval.model import (
     QA_VERIFIED,
     QuestionBank,
     SELF_RATED,
+)
+from conftest import rated
+from test_metrics import (
+    PASSAGES as RUN_PASSAGES,
+    QUERIES as RUN_QUERIES,
+    brute_force_cover,
+    brute_force_pool,
+    brute_force_pooled_cover,
+    brute_force_pooled_precision,
+    brute_force_precision,
+    brute_force_qrels,
+    mean,
+    run_files,
+    run_rows,
 )
 
 
@@ -591,8 +609,8 @@ class TestPipeline:
         assert "graded 9 pairs (0 already in store, 3 failed)" \
             in capsys.readouterr().out
         pool = ["pA1", "pA2", "pB1"]
-        skipped = [json.loads(line) for line in
-                   (tmp_path / "grades.jsonl.skipped.jsonl").open()]
+        skipped = [json.loads(line) for line in (
+            tmp_path / "grades.jsonl.skipped.jsonl").read_text().splitlines()]
         assert skipped == [
             {"query_id": "q1", "passage_id": pid, "question_id": "q1/q/1",
              "reason": "question and template alone need 96 tokens, "
@@ -818,3 +836,124 @@ def test_bad_flag_value_exits_one(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
     assert not (out / "bank2.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# The pipeline through `main` on drawn inputs, every output checked against
+# the brute-force oracles to the 4 decimals it prints.
+
+
+@st.composite
+def pipeline_inputs(draw):
+    """Run files, a bank, passage texts, a rating fixture, a policy and a
+    depth, over the queries and passages of the oracles' run files."""
+    runs = {f"sys{i}": draw(run_files(f"sys{i}"))
+            for i in range(draw(st.integers(1, 3)))}
+    # The first query has questions; the others may have none.
+    bank = QuestionBank({q: tuple(
+        ExamQuestion(f"{q}/q/{i}", q, f"Question {i} of {q}?")
+        for i in range(draw(st.integers(q == RUN_QUERIES[0], 3))))
+        for q in RUN_QUERIES})
+    untexted = draw(st.sets(st.sampled_from(RUN_PASSAGES), max_size=2))
+    texts = {p: f"text of {p}" for p in RUN_PASSAGES if p not in untexted}
+    ratings = draw(st.dictionaries(
+        st.builds("{}/q/{}/{}".format, st.sampled_from(RUN_QUERIES),
+                  st.integers(0, 2), st.sampled_from(RUN_PASSAGES)),
+        st.sampled_from("012345")))
+    policy_text = (f"rate:{draw(st.integers(1, 5))}"
+                   + draw(st.sampled_from(["", "+min-answers=2"])))
+    return (runs, bank, texts, {"default": "0", **ratings}, policy_text,
+            draw(st.integers(1, 6)))
+
+
+def std_error(scores):
+    n = len(scores)
+    if n < 2:
+        return 0.0
+    m = mean(scores)
+    return math.sqrt(sum((v - m) ** 2 for v in scores.values())
+                     / (n - 1) / n)
+
+
+def cover_tsv(scores):
+    return ("query\tcover\n"
+            + "".join(f"{q}\t{scores[q]:.4f}\n" for q in sorted(scores))
+            + f"mean\t{mean(scores):.4f}\n")
+
+
+@given(pipeline_inputs())
+@settings(max_examples=25, deadline=None)
+def test_pipeline_outputs_match_oracles(inputs):
+    runs, bank, texts, fixture, policy_text, depth = inputs
+    policy = parse_policy(policy_text)
+    rows = {tag: run_rows(text) for tag, text in runs.items()}
+    # Every pooled passage with text, against each question of its query.
+    grades = [rated(q, p, question.question_id, int(answer), answer)
+              for q, pids in brute_force_pool(rows.values(), depth).items()
+              for p in pids if p in texts
+              for question in bank.questions_for(q)
+              for answer in [fixture.get(f"{question.question_id}/{p}",
+                                         fixture["default"])]]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "runs").mkdir()
+        for tag, text in runs.items():
+            (root / "runs" / f"{tag}.run").write_text(text)
+        bank_path, passages, mock = (root / "bank.json",
+                                     root / "passages.json", root / "mock.json")
+        bank_path.write_text(save_question_bank(bank))
+        passages.write_text(json.dumps(texts))
+        mock.write_text(json.dumps(fixture))
+        stores = [root / f"grades_{n}.jsonl.gz" for n in (1, 4)]
+        for parallelism, store in zip((1, 4), stores):
+            assert main([
+                "grade", "--bank", str(bank_path),
+                "--runs", str(root / "runs"), "--passages", str(passages),
+                "--mode", "rate", "--mock", str(mock), "--store", str(store),
+                "--depth", str(depth),
+                "--parallelism", str(parallelism)]) == 0
+        if not grades:
+            assert not any(store.exists() for store in stores)
+            return
+        assert stores[0].read_bytes() == stores[1].read_bytes()
+        assert sorted(GradeStore(stores[0]).read().items()) == sorted(grades)
+        scoring = ["--bank", str(bank_path), "--grades", str(stores[0]),
+                   "--policy", policy_text]
+        depth_flag = ["--depth", str(depth)]
+        out = root / "out.tsv"
+
+        covers = {tag: brute_force_cover(ranked, bank, grades, policy, depth)
+                  for tag, ranked in rows.items()}
+        for tag, scores in covers.items():
+            assert main(["cover", *scoring, *depth_flag, "--run",
+                         str(root / "runs" / f"{tag}.run"),
+                         "--out", str(out)]) == 0
+            assert out.read_text() == cover_tsv(scores)
+
+        assert main(["qrels", *scoring, "--out", str(out)]) == 0
+        labels = brute_force_qrels(grades, bank, policy)
+        assert out.read_text() == "".join(
+            f"{q} 0 {p} {label}\n" for (q, p), label in sorted(labels.items()))
+
+        expected = {
+            "cover": {**covers, "_overall_": brute_force_pooled_cover(
+                rows.values(), bank, grades, policy, depth)},
+            "p_at_k": {
+                **{tag: brute_force_precision(ranked, labels, depth)
+                   for tag, ranked in rows.items()},
+                "_overall_": brute_force_pooled_precision(
+                    rows.values(), labels, depth, depth)},
+        }
+        for metric, per_system in expected.items():
+            assert main(["leaderboard", *scoring, *depth_flag,
+                         "--runs", str(root / "runs"), "--metric", metric,
+                         "--out", str(out)]) == 0
+            header, *body = out.read_text().splitlines(keepends=True)
+            assert header == "system\tscore\tstd_error\tofficial_rank\n"
+            # Two systems that tie in exact arithmetic may differ in the
+            # last bit of a float, so only the printed order is checked.
+            assert sorted(body) == sorted(
+                f"{system}\t{mean(s):.4f}\t{std_error(s):.4f}\t\n"
+                for system, s in per_system.items())
+            printed = [float(line.split("\t")[1]) for line in body]
+            assert printed == sorted(printed, reverse=True)

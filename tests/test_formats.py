@@ -40,7 +40,7 @@ class TestRunParsing:
     def test_single_row(self):
         run = parse_run_file("q1 Q0 pA 1 12.5 sysX\n")
         assert run.run_tag == "sysX"
-        assert run.by_query == {"q1": [("pA", 1, 12.5)]}
+        assert run.by_query == {"q1": ["pA"]}
 
     def test_empty_file(self):
         run = parse_run_file("")
@@ -49,17 +49,20 @@ class TestRunParsing:
     def test_out_of_order_ranks_sorted(self):
         run = parse_run_file(
             "q1 Q0 pB 2 1.0 sys\nq1 Q0 pA 1 2.0 sys\n")
-        assert [pid for pid, _, _ in run.by_query["q1"]] == ["pA", "pB"]
-        assert [rank for _, rank, _ in run.by_query["q1"]] == [1, 2]
+        assert run.by_query == {"q1": ["pA", "pB"]}
 
     def test_zero_literal_accepted(self):
         run = parse_run_file("q1 0 pA 1 1.0 sys\n")
-        assert run.by_query["q1"][0][0] == "pA"
+        assert run.by_query == {"q1": ["pA"]}
 
     def test_malformed_line_carries_number(self):
         with pytest.raises(ParseError) as excinfo:
             parse_run_file("q1 Q0 pA 1 1.0 sys\nq1 Q0 pB oops 1.0 sys\n")
         assert excinfo.value.line_no == 2
+        # The score orders nothing, but a word there is still malformed.
+        with pytest.raises(ParseError, match="line 2: could not convert "
+                           "string to float: 'high'"):
+            parse_run_file("q1 Q0 pA 1 1.0 sys\nq1 Q0 pB 2 high sys\n")
 
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ParseError, match="line 3: passage 'pA' listed "
@@ -83,6 +86,14 @@ class TestRunParsing:
                            "q1 Q0 pB 2 1.0 s\nq1 Q0 pC 1 1.0 s\n")
         assert excinfo.value.line_no == 3
 
+    def test_repeat_reported_at_first_line_across_queries(self):
+        # q2 comes first in the file, but q1 repeats itself first.
+        with pytest.raises(ParseError, match="line 3: passage 'pB' listed "
+                           "twice for query 'q1' in run 's'") as excinfo:
+            parse_run_file("q2 Q0 pA 1 1.0 s\nq1 Q0 pB 1 1.0 s\n"
+                           "q1 Q0 pB 2 1.0 s\nq2 Q0 pA 2 1.0 s\n")
+        assert excinfo.value.line_no == 3
+
     def test_rank_zero_carries_line_number(self):
         with pytest.raises(ParseError, match="rank must be >= 1") as excinfo:
             parse_run_file("q1 Q0 pA 1 2.0 sys\nq1 Q0 pB 0 1.0 sys\n")
@@ -92,8 +103,8 @@ class TestRunParsing:
         run = parse_run_file("q2 Q0 pC 1 3.0 sys\nq1 Q0 pB 7 1.0 sys\n"
                              "q1 Q0 pA 2 2.0 sys\n")
         assert run.query_ids == ["q1", "q2"]
-        assert run.top_k("q1", 5) == [("pA", 2, 2.0), ("pB", 7, 1.0)]
-        assert run.top_k("q1", 1) == [("pA", 2, 2.0)]
+        assert run.top_k("q1", 5) == ["pA", "pB"]
+        assert run.top_k("q1", 1) == ["pA"]
         assert run.top_k("q3", 5) == []
 
     def test_inconsistent_tag_keeps_first(self, caplog):

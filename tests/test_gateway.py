@@ -83,14 +83,6 @@ class TestPromptRendering:
         b = render_self_rating_prompt("A?", "ctx")
         assert a == b
 
-    def test_unknown_template_name(self):
-        with pytest.raises(ContractViolation):
-            render("freestyle")
-
-    def test_unbound_body_placeholder_rejected(self):
-        with pytest.raises(ContractViolation, match="context"):
-            render("qa", question="A?")
-
 
 BRACES_TEXT = ('config: {config} then {"key": [1, 2]} and '
                '\\frac{a}{b} {question} {context}')
@@ -151,11 +143,6 @@ def test_context_field_is_last_and_follows_whitespace():
         head, field, tail = body.rpartition("{context}")
         assert field and tail == "" and "{context}" not in head
         assert head[-1].isspace()
-
-
-def test_truncation_needs_a_trailing_context_field():
-    with pytest.raises(ContractViolation, match="context field"):
-        truncate_context("A?", "ctx", 512, template_name="question_gen_dl")
 
 
 def longest_fitting_prefix(question, context, budget, template_name):

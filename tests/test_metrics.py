@@ -47,8 +47,19 @@ LENIENT = GradePolicy(SELF_RATED, min_rating=1)
 # Independent oracles
 
 
-def brute_force_cover(run, bank, grades, policy, depth):
-    """Set-union enumeration, no shared code with exam_cover."""
+def run_rows(text):
+    """Each query's (passage, rank) rows of a run file, in file order: the
+    oracles rank them themselves instead of reading the parsed `Run`."""
+    rows = {}
+    for line in text.splitlines():
+        query_id, _, passage_id, rank, _, _ = line.split()
+        rows.setdefault(query_id, []).append((passage_id, int(rank)))
+    return rows
+
+
+def brute_force_cover(rows, bank, grades, policy, depth):
+    """Set-union enumeration, no shared code with exam_cover; `rows` are
+    the run's rows as `run_rows` splits them."""
     correct = {}
     for (query_id, passage_id, question_id, mode), (_, _, rating) in grades:
         if mode == policy.mode and rating >= policy.min_rating:
@@ -59,45 +70,44 @@ def brute_force_cover(run, bank, grades, policy, depth):
         if not questions:
             continue
         qids = {q.question_id for q in questions}
-        top = sorted(run.by_query.get(query_id, []),
-                     key=lambda row: row[1])[:depth]
+        top = sorted(rows.get(query_id, []), key=lambda row: row[1])[:depth]
         answered = set()
-        for passage_id, _, _ in top:
+        for passage_id, _ in top:
             answered |= correct.get((query_id, passage_id), set()) & qids
         scores[query_id] = len(answered) / len(qids)
     return scores
 
 
-def brute_force_precision(run, judged, k, level):
+def brute_force_precision(rows, judged, k):
     """`judged` maps (query, passage) to a trec_eval grade, negative ones
-    included."""
+    included; `rows` are the run's rows as `run_rows` splits them."""
     rel = {pair: max(grade, 0) for pair, grade in judged.items()}
     queries = {query_id for query_id, _ in judged}
     scores = {}
-    for query_id, rows in run.by_query.items():
+    for query_id, ranked in rows.items():
         if query_id not in queries:
             continue
-        top = sorted(rows, key=lambda row: row[1])[:k]
+        top = sorted(ranked, key=lambda row: row[1])[:k]
         scores[query_id] = sum(
-            1 for passage_id, _, _ in top
-            if rel.get((query_id, passage_id), 0) >= level) / k
+            1 for passage_id, _ in top
+            if rel.get((query_id, passage_id), 0) >= 1) / k
     return scores
 
 
-def brute_force_pool(runs, depth):
+def brute_force_pool(rows_of_runs, depth):
     """Query -> set of passages some run ranks within its top depth."""
     pooled = {}
-    for run in runs:
-        for query_id, rows in run.by_query.items():
-            ranks = sorted(rank for _, rank, _ in rows)
-            for passage_id, rank, _ in rows:
+    for rows in rows_of_runs:
+        for query_id, ranked in rows.items():
+            ranks = sorted(rank for _, rank in ranked)
+            for passage_id, rank in ranked:
                 if rank in ranks[:depth]:
                     pooled.setdefault(query_id, set()).add(passage_id)
     return pooled
 
 
-def brute_force_pooled_cover(runs, bank, grades, policy, depth):
-    pooled = brute_force_pool(runs, depth)
+def brute_force_pooled_cover(rows_of_runs, bank, grades, policy, depth):
+    pooled = brute_force_pool(rows_of_runs, depth)
     scores = {}
     for query_id, questions in bank.questions_by_query.items():
         if not questions:
@@ -127,12 +137,12 @@ def brute_force_qrels(grades, bank, policy):
             for q, p in graded}
 
 
-def brute_force_pooled_precision(runs, qrels, k, level, depth):
+def brute_force_pooled_precision(rows_of_runs, qrels, k, depth):
     """Best P@k an ideal ranking of the pooled passages reaches."""
     rel = {pair: max(grade, 0) for pair, grade in qrels.items()}
     judged = {query_id for query_id, _ in qrels}
-    return {q: min(sum(1 for p in pids if rel.get((q, p), 0) >= level), k) / k
-            for q, pids in brute_force_pool(runs, depth).items()
+    return {q: min(sum(1 for p in pids if rel.get((q, p), 0) >= 1), k) / k
+            for q, pids in brute_force_pool(rows_of_runs, depth).items()
             if q in judged}
 
 
@@ -221,65 +231,66 @@ def scoring_inputs(draw):
     grades = [rated(q, p, f"{q}/q/{i}", r) for (q, p, i), r in ratings.items()]
     grades += [verified(q, p, f"{q}/q/{i}", v)
                for (q, p, i), v in verdicts.items()]
-    runs = [parse_run_file(draw(run_files(f"sys{i}")))
-            for i in range(draw(st.integers(1, 3)))]
+    texts = [draw(run_files(f"sys{i}"))
+             for i in range(draw(st.integers(1, 3)))]
     policy = GradePolicy(SELF_RATED, min_rating=draw(st.integers(1, 5)),
                          min_answers=draw(st.integers(1, 2)))
-    return bank, grades, runs, policy, draw(st.integers(1, 6))
+    return (bank, grades, list(map(parse_run_file, texts)),
+            list(map(run_rows, texts)), policy, draw(st.integers(1, 6)))
 
 
 class TestAgainstOracles:
     @given(scoring_inputs())
     @settings(max_examples=150, deadline=None)
     def test_exam_cover(self, inputs):
-        bank, grades, runs, policy, depth = inputs
+        bank, grades, runs, rows, policy, depth = inputs
         index = grade_index(grades, policy)
-        for run in runs:
+        for run, ranked in zip(runs, rows):
             result = exam_cover(run, bank, index, depth)
             assert result.per_query == pytest.approx(
-                brute_force_cover(run, bank, grades, policy, depth))
+                brute_force_cover(ranked, bank, grades, policy, depth))
 
-    @given(st.data(), st.integers(1, 8), st.integers(1, 3))
+    @given(st.data(), st.integers(1, 8))
     @settings(max_examples=150, deadline=None)
-    def test_precision_at_k(self, data, k, level):
-        run = parse_run_file(data.draw(run_files("sys")))
+    def test_precision_at_k(self, data, k):
+        text = data.draw(run_files("sys"))
         judged = data.draw(st.dictionaries(
             st.tuples(st.sampled_from(QUERIES[:2]), st.sampled_from(PASSAGES)),
             st.integers(-2, 3)))
         qrels = parse_qrels("".join(f"{q} 0 {p} {g}\n"
                                     for (q, p), g in judged.items()))
-        result = precision_at_k(run, qrels, k, level_for_rel=level)
+        result = precision_at_k(parse_run_file(text), qrels, k)
         assert result.per_query == pytest.approx(
-            brute_force_precision(run, judged, k, level))
+            brute_force_precision(run_rows(text), judged, k))
 
     @given(scoring_inputs())
     @settings(max_examples=100, deadline=None)
     def test_leaderboard_cover_rows(self, inputs):
-        bank, grades, runs, policy, depth = inputs
+        bank, grades, runs, rows, policy, depth = inputs
         result = leaderboard(runs, bank, grade_index(grades, policy),
                              metric="cover", depth=depth)
-        rows = {r.system: r.score for r in result.rows}
-        assert rows[OVERALL_SYSTEM] == pytest.approx(mean(
-            brute_force_pooled_cover(runs, bank, grades, policy, depth)))
-        for run in runs:
-            assert rows[run.run_tag] == pytest.approx(mean(
-                brute_force_cover(run, bank, grades, policy, depth)))
+        scores = {r.system: r.score for r in result.rows}
+        assert scores[OVERALL_SYSTEM] == pytest.approx(mean(
+            brute_force_pooled_cover(rows, bank, grades, policy, depth)))
+        for run, ranked in zip(runs, rows):
+            assert scores[run.run_tag] == pytest.approx(mean(
+                brute_force_cover(ranked, bank, grades, policy, depth)))
 
     @given(scoring_inputs())
     @settings(max_examples=100, deadline=None)
     def test_leaderboard_p_at_k_rows(self, inputs):
         # P@k with k = depth, over the pool of every top-depth passage.
-        bank, grades, runs, policy, depth = inputs
+        bank, grades, runs, rows, policy, depth = inputs
         index = grade_index(grades, policy)
         result = leaderboard(runs, bank, index, metric="p_at_k", depth=depth)
-        rows = {r.system: r.score for r in result.rows}
+        scores = {r.system: r.score for r in result.rows}
         qrels = brute_force_qrels(grades, bank, policy)
         assert build_qrels(index, bank) == qrels
-        assert rows[OVERALL_SYSTEM] == pytest.approx(mean(
-            brute_force_pooled_precision(runs, qrels, depth, 1, depth)))
-        for run in runs:
-            assert rows[run.run_tag] == pytest.approx(mean(
-                brute_force_precision(run, qrels, depth, 1)))
+        assert scores[OVERALL_SYSTEM] == pytest.approx(mean(
+            brute_force_pooled_precision(rows, qrels, depth, depth)))
+        for run, ranked in zip(runs, rows):
+            assert scores[run.run_tag] == pytest.approx(mean(
+                brute_force_precision(ranked, qrels, depth)))
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +440,6 @@ class TestPrecisionAtK:
         qrels = {("q1", f"p{i}"): 1 if i < 10 else 0 for i in range(20)}
         run = make_run("sys", [("q1", f"p{i}") for i in range(20)])
         assert precision_at_k(run, qrels, 20).mean == 0.5
-
-    def test_level_for_rel_threshold(self):
-        qrels = {("q1", "p0"): 4, ("q1", "p1"): 3, ("q1", "p2"): 0}
-        run = make_run("sys", [("q1", "p0"), ("q1", "p1"), ("q1", "p2")])
-        assert precision_at_k(run, qrels, 3, level_for_rel=4).mean \
-            == pytest.approx(1 / 3)
 
     def test_unjudged_counts_nonrelevant(self):
         qrels = {("q1", "p0"): 1}
@@ -764,9 +769,10 @@ class TestLeaderboard:
 
     def test_tied_systems_ordered_by_name(self):
         bank, index, runs = self.fixture()
-        twin = make_run("sysA2", [(query_id, passage_id) for query_id, rows
+        twin = make_run("sysA2", [(query_id, passage_id)
+                                  for query_id, passage_ids
                                   in runs[0].by_query.items()
-                                  for passage_id, _, _ in rows])
+                                  for passage_id in passage_ids])
         result = leaderboard(runs + [twin], bank, index)
         rows = {r.system: r for r in result.rows}
         assert rows["sysA"].score == rows["sysA2"].score

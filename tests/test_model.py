@@ -114,7 +114,7 @@ def test_run_rank_and_duplicate_validation():
         parse_run_file("q1 Q0 p1 1 2.0 t\nq1 Q0 p1 2 1.0 t\n")
     # Rows out of rank order are sorted, not rejected.
     run = parse_run_file("q1 Q0 p1 2 2.0 t\nq1 Q0 p2 1 1.0 t\n")
-    assert run.by_query == {"q1": [("p2", 1, 1.0), ("p1", 2, 2.0)]}
+    assert run.by_query == {"q1": ["p2", "p1"]}
 
 
 def test_run_rejects_rank_below_one():
