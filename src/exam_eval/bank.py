@@ -136,20 +136,16 @@ class BankDiffReport:
     needs_grading: list[str] = field(default_factory=list)
     flips: list[LabelFlip] = field(default_factory=list)
 
-    @property
-    def empty(self) -> bool:
-        return not (self.added or self.removed or self.edited
-                    or self.needs_grading or self.flips)
 
-
-def diff_banks(old: QuestionBank, new: QuestionBank,
-               index: GradeIndex) -> BankDiffReport:
+def diff_banks(old: QuestionBank, new: QuestionBank, old_index: GradeIndex,
+               new_index: GradeIndex) -> BankDiffReport:
     """Report bank edits and the passages whose binary label they flip.
 
     Questions are matched by id; an id present in both banks with changed
-    text counts as edited. Added or edited questions without grades yet are
-    flagged needs-grading instead of contributing flips. Labels follow the
-    index's policy.
+    text counts as edited. Added or edited questions without a counted
+    grade in the new bank are flagged needs-grading. A pair's old label
+    comes from the old bank's index and its new label from the new bank's;
+    both indexes hold the same grades under the same policy.
     """
     old_by_id = old.by_question_id()
     new_by_id = new.by_question_id()
@@ -160,22 +156,21 @@ def diff_banks(old: QuestionBank, new: QuestionBank,
         qid for qid in set(old_by_id) & set(new_by_id)
         if old_by_id[qid].text != new_by_id[qid].text)
 
-    graded_question_ids = index.question_ids()
+    graded_question_ids = new_index.question_ids()
     report.needs_grading = sorted(
         qid for qid in report.added + report.edited
         if qid not in graded_question_ids)
 
+    # A label can change only where a query's questions did.
     affected_queries = {
-        (old_by_id.get(qid) or new_by_id[qid]).query_id
-        for qid in report.added + report.removed + report.edited}
-    for query_id, passage_id in index.pairs():
+        query_id for query_id in {*old.query_ids, *new.query_ids}
+        if old.questions_for(query_id) != new.questions_for(query_id)}
+    for query_id, passage_id in sorted({*old_index.pairs(),
+                                        *new_index.pairs()}):
         if query_id not in affected_queries:
             continue
-        old_ids = {q.question_id for q in old.questions_for(query_id)}
-        new_ids = {q.question_id for q in new.questions_for(query_id)
-                   if q.question_id in graded_question_ids}
-        old_label = index.label(query_id, passage_id, old_ids)
-        new_label = index.label(query_id, passage_id, new_ids)
+        old_label = old_index.label(query_id, passage_id)
+        new_label = new_index.label(query_id, passage_id)
         if old_label != new_label:
             report.flips.append(
                 LabelFlip(query_id, passage_id, old_label, new_label))

@@ -23,6 +23,7 @@ from .model import (
     GradeIndex,
     GradePolicy,
     QA_VERIFIED,
+    QuestionBank,
     SELF_RATED,
 )
 
@@ -63,10 +64,11 @@ def _min_answers(value: str) -> int:
     return n
 
 
-def _grade_index(grades_path: str, policy: GradePolicy) -> GradeIndex:
-    """The store's grades of the policy mode under the policy, read once
-    for a command."""
-    return GradeIndex(formats.GradeStore(grades_path).read(), policy)
+def _grade_index(grades_path: str, policy: GradePolicy,
+                 bank: QuestionBank) -> GradeIndex:
+    """The store's grades that count for the bank under the policy, read
+    once for a command."""
+    return GradeIndex(formats.GradeStore(grades_path).read(), policy, bank)
 
 
 def atomic_write(path: str | Path, text: str) -> None:
@@ -104,9 +106,6 @@ def read_config_file(path: str) -> dict[str, str]:
 _BACKEND_OPTIONS = (
     ("--endpoint", dict(default="", help="Inference endpoint URL.")),
     ("--model", dict(default="", help="Model name for the backend.")),
-    ("--max-input-tokens", dict(default=512, show_default=True,
-                                type=click.IntRange(min=64),
-                                help="Prompt token budget.")),
     ("--parallelism", dict(default=1, show_default=True,
                            type=click.IntRange(min=1),
                            help="Concurrent completion workers.")),
@@ -173,8 +172,8 @@ def cli(ctx, config_path, verbose):
 @click.option("--out", required=True, type=click.Path(),
               help="Output bank JSON.")
 @backend_options
-def generate(queries_path, template, out, endpoint, model, max_input_tokens,
-             parallelism, mock):
+def generate(queries_path, template, out, endpoint, model, parallelism,
+             mock):
     """Generate a question bank from queries."""
     queries = formats.load_queries(queries_path)
     log.info("generating bank for %d queries (%s template)",
@@ -212,6 +211,8 @@ def _load_runs(run_paths: tuple[str, ...]) -> list:
 @click.option("--store", "store_path", required=True, type=click.Path())
 @click.option("--depth", default=20, show_default=True,
               type=click.IntRange(min=1))
+@click.option("--max-input-tokens", default=512, show_default=True,
+              type=click.IntRange(min=64), help="Prompt token budget.")
 @backend_options
 def grade(bank_path, run_paths, passages_path, qrels_path, mode, store_path,
           depth, endpoint, model, max_input_tokens, parallelism, mock):
@@ -267,8 +268,8 @@ def cover(bank_path, run_path, grades_path, policy_text, depth, out):
     bank = formats.load_question_bank(bank_path)
     run = formats.load_run_file(run_path)
     policy = parse_policy(policy_text)
-    result = metrics.exam_cover(run, bank, _grade_index(grades_path, policy),
-                                depth)
+    result = metrics.exam_cover(run, bank,
+                                _grade_index(grades_path, policy, bank), depth)
     lines = ["query\tcover\n"]
     for query_id in sorted(result.per_query):
         lines.append(f"{query_id}\t{result.per_query[query_id]:.4f}\n")
@@ -290,7 +291,7 @@ def qrels(bank_path, grades_path, policy_text, graded, out):
     policy = parse_policy(policy_text)
     if graded and policy.mode != SELF_RATED:
         raise ContractViolation("--graded needs a rate:<min_rating> policy")
-    labels = metrics.build_qrels(_grade_index(grades_path, policy), bank,
+    labels = metrics.build_qrels(_grade_index(grades_path, policy, bank),
                                  graded=graded)
     _emit(formats.write_qrels(labels), out)
 
@@ -319,7 +320,7 @@ def leaderboard(bank_path, run_paths, grades_path, policy_text, metric,
     official = (formats.load_official_ranks(official_path)
                 if official_path else None)
     result = metrics.leaderboard(
-        runs, bank, _grade_index(grades_path, policy), metric=metric,
+        runs, bank, _grade_index(grades_path, policy, bank), metric=metric,
         depth=depth, official_ranks=official)
     lines = ["system\tscore\tstd_error\tofficial_rank\n"]
     for row in result.rows:
@@ -414,7 +415,7 @@ def agreement(labels_path, judgments_path, collapse_names, judgment_rel_min,
         policy = parse_policy(policy_text)
         bank = formats.load_question_bank(bank_path)
         for _, table in metrics.min_answers_sweep(
-                _grade_index(grades_path, policy), bank, official, values,
+                _grade_index(grades_path, policy, bank), official, values,
                 judgment_rel_min):
             chunks.append(render(table))
 
@@ -436,7 +437,9 @@ def diff(old_path, new_path, grades_path, policy_text, out):
     old = formats.load_question_bank(old_path)
     new = formats.load_question_bank(new_path)
     policy = parse_policy(policy_text)
-    report = bank_mod.diff_banks(old, new, _grade_index(grades_path, policy))
+    rows = formats.GradeStore(grades_path).read()
+    report = bank_mod.diff_banks(old, new, GradeIndex(rows, policy, old),
+                                 GradeIndex(rows, policy, new))
     lines = []
     for title, items in (("added", report.added), ("removed", report.removed),
                          ("edited", report.edited),

@@ -487,11 +487,16 @@ class GradeStore:
 
     def append(self, rows: dict[GradeKey, GradeRow]) -> None:
         """Write the rows, in order, after checking each with `check_grade`;
-        a bad row raises `ContractViolation` and nothing is written."""
+        a bad row raises `ContractViolation` and nothing is written. No rows
+        leave an existing store's bytes as they are and create an empty
+        store where there was none, one that `read` returns as empty."""
         for (query_id, passage_id, question_id, mode), (_, verified, rating) \
                 in rows.items():
             check_grade(query_id, passage_id, question_id, mode, verified,
                         rating)
+        if not rows:
+            self.path.open("ab").close()
+            return
         # The batch goes to the compressor in one write; the bytes are
         # those of writing its lines one at a time.
         data = "".join(_grade_to_json(key, row) + "\n"

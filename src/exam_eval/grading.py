@@ -252,8 +252,7 @@ def grade_corpus(bank: QuestionBank,
 
     rows = dict(r for r in results if not isinstance(r, SkipEntry))
     summary.failures = [r for r in results if isinstance(r, SkipEntry)]
-    if rows:
-        store.append(rows)
+    store.append(rows)
     summary.graded = len(rows)
     summary.duration = time.monotonic() - start
     if summary.failures:

@@ -15,8 +15,6 @@ from .model import (
     Qrels,
     QuestionBank,
     Run,
-    label_of,
-    n_passing,
 )
 
 log = logging.getLogger(__name__)
@@ -42,20 +40,20 @@ def _cover(passages_by_query: dict[str, list[str]], bank: QuestionBank,
            ) -> dict[str, float]:
     """Per-query cover of the given passages, over queries with questions.
 
-    Passages without a grade in the policy mode are appended to `gaps`.
+    Passages without a counted grade are appended to `gaps`.
     """
     per_query: dict[str, float] = {}
     for query_id in bank.query_ids:
-        question_ids = {q.question_id for q in bank.questions_for(query_id)}
-        if not question_ids:
+        n_questions = len(bank.questions_for(query_id))
+        if not n_questions:
             continue
         answered: set[str] = set()
         for pid in passages_by_query.get(query_id, ()):
             if (query_id, pid) not in index:
                 gaps.append((query_id, pid))
                 continue
-            answered |= index.correct(query_id, pid, question_ids)
-        per_query[query_id] = len(answered) / len(question_ids)
+            answered |= index.correct(query_id, pid)
+        per_query[query_id] = len(answered) / n_questions
     return per_query
 
 
@@ -66,8 +64,8 @@ def exam_cover(run: Run, bank: QuestionBank, index: GradeIndex,
     Per query, the score is the size of the union of correctly answered
     questions over the top-`depth` passages, divided by the bank size for
     that query. The system score is the macro-average over queries that
-    have at least one question. Pooled passages without any grade count as
-    not-correct and are reported as coverage gaps.
+    have at least one question. Pooled passages without a counted grade
+    count as not-correct and are reported as coverage gaps.
     """
     top = {query_id: run.top_k(query_id, depth)
            for query_id in bank.query_ids}
@@ -84,18 +82,14 @@ def exam_cover(run: Run, bank: QuestionBank, index: GradeIndex,
 # Derived qrels
 
 
-def build_qrels(index: GradeIndex, bank: QuestionBank,
-                graded: bool = False) -> Qrels:
-    """A label per (query, passage) with a graded bank question.
+def build_qrels(index: GradeIndex, graded: bool = False) -> Qrels:
+    """A label per (query, passage) pair with a counted grade.
 
     Covers every pooled passage that has grades, so systems whose passages
     went through the grading pipeline never hit unjudged holes. Pairs come
     sorted.
     """
-    policy = index.policy
-    return {(query_id, passage_id): label_of(outcomes, policy, graded)
-            for query_id, passage_id, outcomes
-            in index.graded_pairs(set(bank.by_question_id()))}
+    return {pair: index.label(*pair, graded) for pair in index.pairs()}
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +266,7 @@ def leaderboard(runs: list[Run], bank: QuestionBank, index: GradeIndex,
                 run, bank, index, depth).per_query
         per_system[OVERALL_SYSTEM] = _cover(pool, bank, index, [])
     else:
-        qrels = build_qrels(index, bank)
+        qrels = build_qrels(index)
         for run in runs:
             per_system[run.run_tag] = precision_at_k(
                 run, qrels, depth).per_query
@@ -391,10 +385,6 @@ class ConfusionTable:
     kappa_per_row: tuple[float, ...] | None
     dropped_pairs: int = 0
 
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
 
 def confusion_table(labels: Qrels, judgments: Qrels,
                     spec: CollapseSpec) -> ConfusionTable:
@@ -433,16 +423,16 @@ def confusion_table(labels: Qrels, judgments: Qrels,
         dropped_pairs=dropped)
 
 
-def min_answers_sweep(index: GradeIndex, bank: QuestionBank,
-                      official: Qrels, values: tuple[int, ...] = (1, 2, 5),
+def min_answers_sweep(index: GradeIndex, official: Qrels,
+                      values: tuple[int, ...] = (1, 2, 5),
                       judgment_rel_min: int = 1
                       ) -> list[tuple[int, ConfusionTable]]:
     """Binary agreement tables for a sweep of min_answers thresholds; the
     index's own min_answers is not used."""
-    # Each pair's correct bank questions are counted once for all values.
-    n_correct = [(query_id, passage_id, n_passing(outcomes, index.policy))
-                 for query_id, passage_id, outcomes
-                 in index.graded_pairs(set(bank.by_question_id()))]
+    # Each pair's correct questions are counted once for all values.
+    n_correct = [(query_id, passage_id,
+                  len(index.correct(query_id, passage_id)))
+                 for query_id, passage_id in index.pairs()]
     spec = collapse_for("binary", {0, 1}, set(official.values()),
                         judgment_rel_min)
     out = []

@@ -6,7 +6,7 @@ reader in `formats` has checked; no I/O and no inference happens here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping
+from typing import Mapping
 
 
 QA_VERIFIED = "qa_verified"
@@ -144,43 +144,28 @@ def passes(outcome: bool | int, policy: GradePolicy) -> bool:
     return outcome >= policy.min_rating
 
 
-def label_of(outcomes: Iterable[bool | int], policy: GradePolicy,
-             graded: bool = False) -> int:
-    """A passage's label from the outcomes of its counted questions.
-
-    Binary: 1 iff at least `min_answers` outcomes pass. Graded, under a
-    self_rated policy: the highest self-rating, 0 without one.
-    """
-    if graded:
-        return max(outcomes, default=0)
-    return 1 if n_passing(outcomes, policy) >= policy.min_answers else 0
-
-
-def n_passing(outcomes: Iterable[bool | int], policy: GradePolicy) -> int:
-    """How many outcomes pass; a binary label is 1 iff this reaches
-    `min_answers`."""
-    return sum(1 for o in outcomes if passes(o, policy))
-
-
 class GradeIndex:
-    """Grade outcomes of the policy's mode, by (query, passage) pair and
-    question id, read under that policy.
+    """The grades that count under a policy, by (query, passage) pair and
+    question id.
 
     Metrics read grades through an index built once per command from
-    decoded store rows (see `GradeRow`). Only each grade's outcome is kept:
-    the verdict in qa_verified mode, the rating in self_rated mode. A pair
-    is in the index when it has a grade in the mode. Lookups take the
-    question ids that count, so grades of questions outside a bank are
-    ignored.
+    decoded store rows (see `GradeRow`) and the bank being scored. A grade
+    counts when it is of the policy's mode and its question is in the bank
+    under the grade's own query; every other grade counts nowhere. Only a
+    counted grade's outcome is kept: the verdict in qa_verified mode, the
+    rating in self_rated mode. A pair is in the index when it has a counted
+    grade.
     """
 
-    def __init__(self, rows: Mapping[GradeKey, GradeRow], policy: GradePolicy):
+    def __init__(self, rows: Mapping[GradeKey, GradeRow], policy: GradePolicy,
+                 bank: QuestionBank):
         self.policy = policy
         mode = policy.mode
         slot = 1 if mode == QA_VERIFIED else 2
+        query_of = {q.question_id: q.query_id for q in bank.all_questions()}
         by_pair: dict[tuple[str, str], dict[str, bool | int]] = {}
         for (query_id, passage_id, question_id, row_mode), row in rows.items():
-            if row_mode == mode:
+            if row_mode == mode and query_of.get(question_id) == query_id:
                 by_question = by_pair.get((query_id, passage_id))
                 if by_question is None:
                     by_question = by_pair[query_id, passage_id] = {}
@@ -191,41 +176,27 @@ class GradeIndex:
         return pair in self._by_pair
 
     def pairs(self) -> list[tuple[str, str]]:
-        """Every graded (query, passage) pair, sorted."""
+        """Every pair with a counted grade, sorted."""
         return sorted(self._by_pair)
 
     def question_ids(self) -> set[str]:
-        """Every question with a grade for some pair."""
+        """Every question with a counted grade for some pair."""
         return {qid for by_question in self._by_pair.values()
                 for qid in by_question}
 
-    def outcomes(self, query_id: str, passage_id: str,
-                 question_ids: Container[str]) -> list[bool | int]:
-        by_question = self._by_pair.get((query_id, passage_id), {})
-        return [o for qid, o in by_question.items() if qid in question_ids]
-
-    def graded_pairs(self, question_ids: Container[str]
-                     ) -> list[tuple[str, str, list[bool | int]]]:
-        """Each pair with a grade for one of the questions, sorted, with
-        the outcomes of those questions."""
-        out = []
-        for query_id, passage_id in self.pairs():
-            outcomes = self.outcomes(query_id, passage_id, question_ids)
-            if outcomes:
-                out.append((query_id, passage_id, outcomes))
-        return out
-
-    def correct(self, query_id: str, passage_id: str,
-                question_ids: Container[str]) -> set[str]:
+    def correct(self, query_id: str, passage_id: str) -> set[str]:
         """The questions the passage answers correctly under the policy."""
         by_question = self._by_pair.get((query_id, passage_id), {})
         policy = self.policy
-        return {qid for qid, o in by_question.items()
-                if qid in question_ids and passes(o, policy)}
+        return {qid for qid, o in by_question.items() if passes(o, policy)}
 
     def label(self, query_id: str, passage_id: str,
-              question_ids: Container[str]) -> int:
-        """The pair's binary label over the given questions (see
-        `label_of`)."""
-        return label_of(self.outcomes(query_id, passage_id, question_ids),
-                        self.policy)
+              graded: bool = False) -> int:
+        """The pair's label. Binary: 1 iff it answers at least the policy's
+        `min_answers` questions correctly. Graded, under a self_rated
+        policy: the highest self-rating, 0 without one."""
+        if graded:
+            return max(self._by_pair.get((query_id, passage_id), {}).values(),
+                       default=0)
+        return int(len(self.correct(query_id, passage_id))
+                   >= self.policy.min_answers)

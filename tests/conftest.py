@@ -101,10 +101,11 @@ def verified(query_id, passage_id, question_id, verdict, answer_text=None):
             (answer_text, verdict, None))
 
 
-def grade_index(grades, policy):
-    """An index of in-memory (key, row) grades under the policy; a question
-    graded twice for the same pair keeps its last grade."""
-    return GradeIndex(dict(grades), policy)
+def grade_index(grades, policy, bank):
+    """An index of in-memory (key, row) grades for the bank under the
+    policy; a question graded twice for the same pair keeps its last
+    grade."""
+    return GradeIndex(dict(grades), policy, bank)
 
 
 def stored_grades(store: GradeStore) -> list:

@@ -27,7 +27,6 @@ from exam_eval.model import (
     QA_VERIFIED,
     QuestionBank,
     SELF_RATED,
-    label_of,
 )
 from conftest import grade_index, make_run, rated
 from test_cli import ARTIFACTS, run_pipeline, write_pipeline_inputs
@@ -36,6 +35,7 @@ from test_metrics import (
     brute_force_precision,
     oracle_kendall_tau_b,
     oracle_spearman,
+    pair_label,
     run_rows,
 )
 
@@ -92,9 +92,9 @@ def test_criterion_2_worked_example(tqa_question, generated_question,
     assert all(rating == 4 for _, (_, _, rating) in rated_grades)
 
     policy = GradePolicy(SELF_RATED, min_rating=4)
-    index = grade_index(rated_grades, policy)
-    [graded] = build_qrels(index, skin_bank, graded=True).values()
-    [binary] = build_qrels(index, skin_bank).values()
+    index = grade_index(rated_grades, policy, skin_bank)
+    [graded] = build_qrels(index, graded=True).values()
+    [binary] = build_qrels(index).values()
     assert graded == 4
     assert binary == 1
     report(2, "skin-anatomy passage verifies 'epidermis', self-rates 4, "
@@ -125,7 +125,8 @@ def test_criterion_3_metric_oracles():
         run, rows = random_run(rng, n_queries, n_passages)
         policy = GradePolicy(SELF_RATED, min_rating=min_rating)
         expected = brute_force_cover(rows, bank, grades, policy, depth)
-        actual = exam_cover(run, bank, grade_index(grades, policy), depth)
+        actual = exam_cover(run, bank, grade_index(grades, policy, bank),
+                            depth)
         assert actual.per_query == pytest.approx(expected)
 
     for trial in range(400):
@@ -181,13 +182,15 @@ def test_criterion_4_invariant_suite():
         longer = make_run("s", [("q1", f"p{i}") for i in range(10)])
         for min_rating in (1, 4):
             index = grade_index(
-                grades, GradePolicy(SELF_RATED, min_rating=min_rating))
+                grades, GradePolicy(SELF_RATED, min_rating=min_rating), bank)
             assert exam_cover(longer, bank, index).mean \
                 >= exam_cover(shorter, bank, index).mean
             assert exam_cover(longer, bank, index, 20).mean \
                 >= exam_cover(longer, bank, index, rng.randint(1, 10)).mean
-        strict = grade_index(grades, GradePolicy(SELF_RATED, min_rating=4))
-        lenient = grade_index(grades, GradePolicy(SELF_RATED, min_rating=1))
+        strict = grade_index(grades, GradePolicy(SELF_RATED, min_rating=4),
+                             bank)
+        lenient = grade_index(grades, GradePolicy(SELF_RATED, min_rating=1),
+                              bank)
         assert exam_cover(longer, bank, strict).mean \
             <= exam_cover(longer, bank, lenient).mean
 
@@ -196,8 +199,8 @@ def test_criterion_4_invariant_suite():
         ratings = [rng.randint(0, 5) for _ in range(rng.randint(1, 6))]
         threshold = rng.randint(1, 5)
         policy = GradePolicy(SELF_RATED, min_rating=threshold)
-        assert (label_of(ratings, policy) == 1) \
-            == (label_of(ratings, policy, graded=True) >= threshold)
+        assert (pair_label(ratings, policy) == 1) \
+            == (pair_label(ratings, policy, graded=True) >= threshold)
 
     # Qrels round-trip byte stability.
     for _ in range(50):

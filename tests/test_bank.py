@@ -1,7 +1,13 @@
 import threading
 import time
 
-from exam_eval.bank import diff_banks, generate_bank, parse_question_list
+from exam_eval.bank import (
+    BankDiffReport,
+    LabelFlip,
+    diff_banks,
+    generate_bank,
+    parse_question_list,
+)
 from exam_eval.gateway import CompletionResponse, MockBackend
 from exam_eval.model import (
     ExamQuestion,
@@ -123,21 +129,22 @@ class TestDiffBanks:
             ExamQuestion("q1/q/1", "q1", "B?"),
         )})
 
-    def index(self, grades):
-        return grade_index(grades, GradePolicy(SELF_RATED, min_rating=4))
+    def diff(self, old, new, grades):
+        policy = GradePolicy(SELF_RATED, min_rating=4)
+        return diff_banks(old, new, grade_index(grades, policy, old),
+                          grade_index(grades, policy, new))
 
     def test_identical_banks_empty_diff(self):
         bank = self.two_question_bank()
         grades = [rated("q1", "p1", "q1/q/0", 5)]
-        report = diff_banks(bank, bank, self.index(grades))
-        assert report.empty
+        assert self.diff(bank, bank, grades) == BankDiffReport()
 
     def test_removing_sole_answering_question_flips(self):
         old = self.two_question_bank()
         new = QuestionBank({"q1": (ExamQuestion("q1/q/1", "q1", "B?"),)})
         grades = [rated("q1", "p1", "q1/q/0", 5),
                   rated("q1", "p1", "q1/q/1", 0)]
-        report = diff_banks(old, new, self.index(grades))
+        report = self.diff(old, new, grades)
         assert report.removed == ["q1/q/0"]
         [flip] = report.flips
         assert (flip.passage_id, flip.old_label, flip.new_label) == ("p1", 1, 0)
@@ -147,7 +154,7 @@ class TestDiffBanks:
         new = QuestionBank({"q1": old.questions_for("q1")
                             + (ExamQuestion("q1/q/2", "q1", "C?"),)})
         grades = [rated("q1", "p1", "q1/q/0", 5)]
-        report = diff_banks(old, new, self.index(grades))
+        report = self.diff(old, new, grades)
         assert report.added == ["q1/q/2"]
         assert report.needs_grading == ["q1/q/2"]
         assert report.flips == []
@@ -158,7 +165,7 @@ class TestDiffBanks:
         new = QuestionBank({"q1": (ExamQuestion("q1/q/0", "q1", "A?"),)})
         grades = [rated("q1", f"p{i}", f"q1/q/{j}", r)
                   for i, (j, r) in enumerate([(0, 5), (1, 5), (0, 0), (1, 4)])]
-        report = diff_banks(old, new, self.index(grades))
+        report = self.diff(old, new, grades)
         for flip in report.flips:
             assert (flip.old_label, flip.new_label) == (1, 0)
 
@@ -168,7 +175,18 @@ class TestDiffBanks:
             ExamQuestion("q1/q/0", "q1", "A, but sharper?"),
             ExamQuestion("q1/q/1", "q1", "B?"),
         )})
-        report = diff_banks(old, new,
-                            self.index([rated("q1", "p1", "q1/q/0", 5)]))
+        report = self.diff(old, new, [rated("q1", "p1", "q1/q/0", 5)])
         assert report.edited == ["q1/q/0"]
         assert report.needs_grading == []
+
+    def test_moved_question_flips_the_labels_it_changes(self):
+        # Same id and text, filed under another query: no edit is listed,
+        # but the grade it now counts for flips its pair's label.
+        old = QuestionBank({"q1": (ExamQuestion("q1/q/0", "q1", "A?"),),
+                            "q2": (ExamQuestion("b", "q2", "B?"),)})
+        new = QuestionBank({"q1": (*old.questions_for("q1"),
+                                   ExamQuestion("b", "q1", "B?")),
+                            "q2": ()})
+        report = self.diff(old, new, [rated("q1", "p1", "b", 5)])
+        assert (report.added, report.removed, report.edited) == ([], [], [])
+        assert report.flips == [LabelFlip("q1", "p1", 0, 1)]

@@ -26,7 +26,9 @@ from conftest import rated
 from test_metrics import (
     PASSAGES as RUN_PASSAGES,
     QUERIES as RUN_QUERIES,
+    bank_edits,
     brute_force_cover,
+    brute_force_diff,
     brute_force_pool,
     brute_force_pooled_cover,
     brute_force_pooled_precision,
@@ -187,9 +189,10 @@ def test_official_ranks_numeric_strings_and_null_accepted(tmp_path):
     assert ranks == {"sysA": "1", "sysB": "", "_overall_": ""}
 
 
-@pytest.mark.parametrize("flag, value, bound", [
-    ("--parallelism", "0", "x>=1"), ("--max-input-tokens", "32", "x>=64")])
-@pytest.mark.parametrize("command", ["generate", "grade"])
+@pytest.mark.parametrize("command, flag, value, bound", [
+    ("generate", "--parallelism", "0", "x>=1"),
+    ("grade", "--parallelism", "0", "x>=1"),
+    ("grade", "--max-input-tokens", "32", "x>=64")])
 def test_backend_flag_ranges_rejected(tmp_path, capsys, command, flag,
                                       value, bound):
     write_pipeline_inputs(tmp_path)
@@ -807,8 +810,10 @@ def test_bad_input_error_names_its_file(tmp_path, capsys):
     (["qrels", "--graded", "--policy", "qa"],
      "--graded needs a rate:<min_rating> policy"),
     (["cover", "--policy", "rate:6"], "min_rating must be in [1, 5], got 6"),
+    (["generate", "--template", "dl", "--max-input-tokens", "100"],
+     "No such option"),
 ], ids=["template", "metric", "min-answers-sweep", "graded-qa",
-        "min-rating"])
+        "min-rating", "generate-max-input-tokens"])
 def test_bad_flag_value_exits_one(tmp_path, capsys, argv, message):
     write_pipeline_inputs(tmp_path)
     out = tmp_path / "out"
@@ -838,6 +843,70 @@ def test_bad_flag_value_exits_one(tmp_path, capsys, argv, message):
     assert not (out / "bank2.json").exists()
 
 
+def test_grade_with_nothing_to_grade_leaves_an_empty_store(tmp_path, capsys):
+    write_pipeline_inputs(tmp_path)
+    bank = tmp_path / "bank.json"
+    bank.write_text(save_question_bank(QuestionBank({"q1": ()})))
+    store = tmp_path / "grades.jsonl.gz"
+    assert main(["grade", "--bank", str(bank),
+                 "--runs", str(tmp_path / "runs"),
+                 "--passages", str(tmp_path / "passages.json"),
+                 "--mode", "rate", "--mock", str(tmp_path / "grade_mock.json"),
+                 "--store", str(store)]) == 0
+    assert GradeStore(store).read() == {}
+    capsys.readouterr()
+    assert main(["cover", "--bank", str(bank),
+                 "--run", str(tmp_path / "runs" / "sysA.run"),
+                 "--grades", str(store), "--policy", "rate:4"]) == 0
+    assert capsys.readouterr().out == "query\tcover\nmean\t0.0000\n"
+
+
+def test_grades_count_only_for_questions_of_their_own_query(tmp_path, capsys,
+                                                           caplog):
+    # p1's grade is of q2's question, p2's of a question outside the bank:
+    # neither counts in any command, so p1 and p2 are ungraded.
+    bank = QuestionBank({"q1": (ExamQuestion("q1/a", "q1", "A?"),),
+                         "q2": (ExamQuestion("q2/b", "q2", "B?"),)})
+    # The new bank files the outside question under q2, not under q1.
+    new = QuestionBank({"q1": bank.questions_for("q1"),
+                        "q2": (*bank.questions_for("q2"),
+                               ExamQuestion("off-bank", "q2", "D?"))})
+    paths = {name: tmp_path / name for name in (
+        "bank.json", "new.json", "grades.jsonl.gz", "sys.run",
+        "official.qrels")}
+    paths["bank.json"].write_text(save_question_bank(bank))
+    paths["new.json"].write_text(save_question_bank(new))
+    GradeStore(paths["grades.jsonl.gz"]).append(dict([
+        rated("q1", "p1", "q2/b", 5), rated("q1", "p2", "off-bank", 5),
+        rated("q1", "p3", "q1/a", 0), rated("q1", "p4", "q1/a", 5)]))
+    paths["sys.run"].write_text("".join(
+        f"q1 Q0 p{i} {i} {1 / i:.2f} sys\n" for i in range(1, 5)))
+    paths["official.qrels"].write_text(
+        "q1 0 p1 1\nq1 0 p2 1\nq1 0 p3 0\nq1 0 p4 1\n")
+    scoring = ["--bank", str(paths["bank.json"]),
+               "--grades", str(paths["grades.jsonl.gz"]),
+               "--policy", "rate:4"]
+    commands = [
+        (["cover", *scoring, "--run", str(paths["sys.run"])],
+         "query\tcover\nq1\t1.0000\nq2\t0.0000\nmean\t0.5000\n"),
+        (["qrels", *scoring], "q1 0 p3 0\nq1 0 p4 1\n"),
+        (["qrels", *scoring, "--graded"], "q1 0 p3 0\nq1 0 p4 5\n"),
+        (["agreement", *scoring, "--judgments", str(paths["official.qrels"]),
+          "--min-answers", "1"],
+         "# binary-min-answers-1\nlabel\t1\t0\ttotal\tkappa\n"
+         "1\t1\t0\t1\t1.000\n0\t0\t1\t1\t1.000\n"),
+        (["diff", "--old", str(paths["bank.json"]),
+          "--new", str(paths["new.json"]),
+          "--grades", str(paths["grades.jsonl.gz"]), "--policy", "rate:4"],
+         "added\toff-bank\nneeds_grading\toff-bank\n"),
+    ]
+    for argv, expected in commands:
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected, argv[0]
+    assert "coverage gap: 2 pooled passages have no grades" in caplog.messages
+
+
 # ---------------------------------------------------------------------------
 # The pipeline through `main` on drawn inputs, every output checked against
 # the brute-force oracles to the 4 decimals it prints.
@@ -845,8 +914,9 @@ def test_bad_flag_value_exits_one(tmp_path, capsys, argv, message):
 
 @st.composite
 def pipeline_inputs(draw):
-    """Run files, a bank, passage texts, a rating fixture, a policy and a
-    depth, over the queries and passages of the oracles' run files."""
+    """Run files, a bank and an edit of it, passage texts, a rating
+    fixture, a policy and a depth, over the queries and passages of the
+    oracles' run files."""
     runs = {f"sys{i}": draw(run_files(f"sys{i}"))
             for i in range(draw(st.integers(1, 3)))}
     # The first query has questions; the others may have none.
@@ -862,8 +932,8 @@ def pipeline_inputs(draw):
         st.sampled_from("012345")))
     policy_text = (f"rate:{draw(st.integers(1, 5))}"
                    + draw(st.sampled_from(["", "+min-answers=2"])))
-    return (runs, bank, texts, {"default": "0", **ratings}, policy_text,
-            draw(st.integers(1, 6)))
+    return (runs, bank, draw(bank_edits(bank)), texts,
+            {"default": "0", **ratings}, policy_text, draw(st.integers(1, 6)))
 
 
 def std_error(scores):
@@ -884,7 +954,7 @@ def cover_tsv(scores):
 @given(pipeline_inputs())
 @settings(max_examples=25, deadline=None)
 def test_pipeline_outputs_match_oracles(inputs):
-    runs, bank, texts, fixture, policy_text, depth = inputs
+    runs, bank, new_bank, texts, fixture, policy_text, depth = inputs
     policy = parse_policy(policy_text)
     rows = {tag: run_rows(text) for tag, text in runs.items()}
     # Every pooled passage with text, against each question of its query.
@@ -902,6 +972,7 @@ def test_pipeline_outputs_match_oracles(inputs):
         bank_path, passages, mock = (root / "bank.json",
                                      root / "passages.json", root / "mock.json")
         bank_path.write_text(save_question_bank(bank))
+        (root / "new_bank.json").write_text(save_question_bank(new_bank))
         passages.write_text(json.dumps(texts))
         mock.write_text(json.dumps(fixture))
         stores = [root / f"grades_{n}.jsonl.gz" for n in (1, 4)]
@@ -912,9 +983,6 @@ def test_pipeline_outputs_match_oracles(inputs):
                 "--mode", "rate", "--mock", str(mock), "--store", str(store),
                 "--depth", str(depth),
                 "--parallelism", str(parallelism)]) == 0
-        if not grades:
-            assert not any(store.exists() for store in stores)
-            return
         assert stores[0].read_bytes() == stores[1].read_bytes()
         assert sorted(GradeStore(stores[0]).read().items()) == sorted(grades)
         scoring = ["--bank", str(bank_path), "--grades", str(stores[0]),
@@ -930,10 +998,21 @@ def test_pipeline_outputs_match_oracles(inputs):
                          "--out", str(out)]) == 0
             assert out.read_text() == cover_tsv(scores)
 
-        assert main(["qrels", *scoring, "--out", str(out)]) == 0
+        for graded in (False, True):
+            assert main(["qrels", *scoring, *["--graded"] * graded,
+                         "--out", str(out)]) == 0
+            assert out.read_text() == "".join(
+                f"{q} 0 {p} {label}\n" for (q, p), label in sorted(
+                    brute_force_qrels(grades, bank, policy, graded).items()))
         labels = brute_force_qrels(grades, bank, policy)
+
+        assert main(["diff", "--old", str(bank_path),
+                     "--new", str(root / "new_bank.json"),
+                     "--grades", str(stores[0]), "--policy", policy_text,
+                     "--out", str(out)]) == 0
         assert out.read_text() == "".join(
-            f"{q} 0 {p} {label}\n" for (q, p), label in sorted(labels.items()))
+            brute_force_diff(bank, new_bank, grades, policy)
+            or ["no differences\n"])
 
         expected = {
             "cover": {**covers, "_overall_": brute_force_pooled_cover(

@@ -524,13 +524,13 @@ def test_store_round_trip_matches_oracle(batches):
                            for p in ("p1", "p2", "p3")])
     for policy in (GradePolicy(QA_VERIFIED), GradePolicy(SELF_RATED, 3),
                    GradePolicy(SELF_RATED, 1, min_answers=2)):
-        index = GradeIndex(rows, policy)
-        assert vars(index) == vars(grade_index(all_grades, policy))
-        oracle = grade_index(expected, policy)
-        assert build_qrels(index, ROUND_TRIP_BANK) \
-            == build_qrels(oracle, ROUND_TRIP_BANK)
+        index = GradeIndex(rows, policy, ROUND_TRIP_BANK)
+        assert vars(index) == vars(
+            grade_index(all_grades, policy, ROUND_TRIP_BANK))
+        oracle = grade_index(expected, policy, ROUND_TRIP_BANK)
+        assert build_qrels(index) == build_qrels(oracle)
         if policy.mode == SELF_RATED:
-            assert build_qrels(index, ROUND_TRIP_BANK, graded=True) \
-                == build_qrels(oracle, ROUND_TRIP_BANK, graded=True)
+            assert build_qrels(index, graded=True) \
+                == build_qrels(oracle, graded=True)
         assert exam_cover(run, ROUND_TRIP_BANK, index) \
             == exam_cover(run, ROUND_TRIP_BANK, oracle)

@@ -2,10 +2,12 @@ import itertools
 import math
 import random
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exam_eval.bank import diff_banks
 from exam_eval.formats import parse_qrels, parse_run_file
 from exam_eval.metrics import (
     CollapseSpec,
@@ -29,7 +31,6 @@ from exam_eval.model import (
     GradePolicy,
     QuestionBank,
     SELF_RATED,
-    label_of,
 )
 from conftest import grade_index, make_run, rated, verified
 
@@ -122,19 +123,47 @@ def brute_force_pooled_cover(rows_of_runs, bank, grades, policy, depth):
     return scores
 
 
-def brute_force_qrels(grades, bank, policy):
-    """Binary labels: a row per pair with a graded bank question."""
-    bank_ids = {q.question_id for qs in bank.questions_by_query.values()
-                for q in qs}
-    correct, graded = {}, set()
+def brute_force_qrels(grades, bank, policy, graded=False):
+    """A label per pair with a counted grade: one of the policy's mode whose
+    question the bank files under the grade's own query. Binary, or the
+    highest rating when `graded`."""
+    ratings = {}
     for (query_id, passage_id, question_id, mode), (_, _, rating) in grades:
-        if mode == policy.mode and question_id in bank_ids:
-            pair = (query_id, passage_id)
-            graded.add(pair)
-            if rating >= policy.min_rating:
-                correct.setdefault(pair, set()).add(question_id)
-    return {(q, p): int(len(correct.get((q, p), ())) >= policy.min_answers)
-            for q, p in graded}
+        if mode == policy.mode and question_id in {
+                q.question_id for q in bank.questions_for(query_id)}:
+            ratings.setdefault((query_id, passage_id), []).append(rating)
+    if graded:
+        return {pair: max(rs) for pair, rs in ratings.items()}
+    return {pair: int(sum(r >= policy.min_rating for r in rs)
+                      >= policy.min_answers)
+            for pair, rs in ratings.items()}
+
+
+def brute_force_diff(old, new, grades, policy):
+    """`diff`'s report as its output lines: the edits by question id, then
+    each pair whose binary label differs between the two banks."""
+    old_text = {q.question_id: q.text for q in old.all_questions()}
+    new_text = {q.question_id: q.text for q in new.all_questions()}
+    added = sorted(set(new_text) - set(old_text))
+    edited = sorted(qid for qid in set(old_text) & set(new_text)
+                    if old_text[qid] != new_text[qid])
+    graded = {(query_id, question_id) for (query_id, _, question_id, mode), _
+              in grades if mode == policy.mode}
+    needs_grading = sorted(
+        q.question_id for q in new.all_questions()
+        if q.question_id in added + edited
+        and (q.query_id, q.question_id) not in graded)
+    lines = [f"{title}\t{qid}\n" for title, qids in (
+        ("added", added), ("removed", sorted(set(old_text) - set(new_text))),
+        ("edited", edited), ("needs_grading", needs_grading))
+        for qid in qids]
+    before = brute_force_qrels(grades, old, policy)
+    after = brute_force_qrels(grades, new, policy)
+    for q, p in sorted(before.keys() | after.keys()):
+        a, b = before.get((q, p), 0), after.get((q, p), 0)
+        if a != b:
+            lines.append(f"flip\t{q}\t{p}\t{a}->{b}\n")
+    return lines
 
 
 def brute_force_pooled_precision(rows_of_runs, qrels, k, depth):
@@ -219,8 +248,9 @@ def run_files(draw, tag):
 
 @st.composite
 def scoring_inputs(draw):
-    # q2 may end up with no questions; question index 4 is never in the
-    # bank, so its grades must be ignored.
+    # A query may end up with no questions. Question index 4 is never in
+    # the bank, and a misfiled grade is of another query's question: both
+    # must count nowhere.
     bank = QuestionBank({q: tuple(
         ExamQuestion(f"{q}/q/{i}", q, f"Q{i}?")
         for i in range(draw(st.integers(0, 4)))) for q in QUERIES})
@@ -228,9 +258,14 @@ def scoring_inputs(draw):
                           st.integers(0, 4))
     ratings = draw(st.dictionaries(pair_keys, st.integers(0, 5), max_size=60))
     verdicts = draw(st.dictionaries(pair_keys, st.booleans(), max_size=10))
+    misfiled = draw(st.dictionaries(
+        st.tuples(pair_keys, st.sampled_from(QUERIES)), st.integers(0, 5),
+        max_size=10))
     grades = [rated(q, p, f"{q}/q/{i}", r) for (q, p, i), r in ratings.items()]
     grades += [verified(q, p, f"{q}/q/{i}", v)
                for (q, p, i), v in verdicts.items()]
+    grades += [rated(q, p, f"{other}/q/{i}", r)
+               for ((q, p, i), other), r in misfiled.items() if other != q]
     texts = [draw(run_files(f"sys{i}"))
              for i in range(draw(st.integers(1, 3)))]
     policy = GradePolicy(SELF_RATED, min_rating=draw(st.integers(1, 5)),
@@ -239,12 +274,29 @@ def scoring_inputs(draw):
             list(map(run_rows, texts)), policy, draw(st.integers(1, 6)))
 
 
+@st.composite
+def bank_edits(draw, bank):
+    """The bank with one question removed, one reworded and one added, as
+    far as its questions allow. The added question has index 4, which
+    `scoring_inputs` grades but never puts in a bank."""
+    questions = draw(st.permutations(bank.all_questions()))
+    removed, reworded = questions[:1], questions[1:2]
+    query_id = draw(st.sampled_from(bank.query_ids))
+    added = ExamQuestion(f"{query_id}/q/4", query_id, "An added question?")
+    return QuestionBank({q: tuple(
+        replace(question, text=f"{question.text} Reworded.")
+        if question in reworded else question
+        for question in qs if question not in removed)
+        + ((added,) if q == query_id else ())
+        for q, qs in bank.questions_by_query.items()})
+
+
 class TestAgainstOracles:
     @given(scoring_inputs())
     @settings(max_examples=150, deadline=None)
     def test_exam_cover(self, inputs):
         bank, grades, runs, rows, policy, depth = inputs
-        index = grade_index(grades, policy)
+        index = grade_index(grades, policy, bank)
         for run, ranked in zip(runs, rows):
             result = exam_cover(run, bank, index, depth)
             assert result.per_query == pytest.approx(
@@ -267,7 +319,7 @@ class TestAgainstOracles:
     @settings(max_examples=100, deadline=None)
     def test_leaderboard_cover_rows(self, inputs):
         bank, grades, runs, rows, policy, depth = inputs
-        result = leaderboard(runs, bank, grade_index(grades, policy),
+        result = leaderboard(runs, bank, grade_index(grades, policy, bank),
                              metric="cover", depth=depth)
         scores = {r.system: r.score for r in result.rows}
         assert scores[OVERALL_SYSTEM] == pytest.approx(mean(
@@ -281,16 +333,32 @@ class TestAgainstOracles:
     def test_leaderboard_p_at_k_rows(self, inputs):
         # P@k with k = depth, over the pool of every top-depth passage.
         bank, grades, runs, rows, policy, depth = inputs
-        index = grade_index(grades, policy)
+        index = grade_index(grades, policy, bank)
         result = leaderboard(runs, bank, index, metric="p_at_k", depth=depth)
         scores = {r.system: r.score for r in result.rows}
         qrels = brute_force_qrels(grades, bank, policy)
-        assert build_qrels(index, bank) == qrels
+        assert build_qrels(index) == qrels
+        assert build_qrels(index, graded=True) \
+            == brute_force_qrels(grades, bank, policy, graded=True)
         assert scores[OVERALL_SYSTEM] == pytest.approx(mean(
             brute_force_pooled_precision(rows, qrels, depth, depth)))
         for run, ranked in zip(runs, rows):
             assert scores[run.run_tag] == pytest.approx(mean(
                 brute_force_precision(ranked, qrels, depth)))
+
+    @given(st.data(), scoring_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_diff_banks(self, data, inputs):
+        bank, grades, _, _, policy, _ = inputs
+        new = data.draw(bank_edits(bank))
+        report = diff_banks(bank, new, grade_index(grades, policy, bank),
+                            grade_index(grades, policy, new))
+        lines = [f"{title}\t{qid}\n" for title in (
+            "added", "removed", "edited", "needs_grading")
+            for qid in getattr(report, title)]
+        lines += [f"flip\t{f.query_id}\t{f.passage_id}\t"
+                  f"{f.old_label}->{f.new_label}\n" for f in report.flips]
+        assert lines == brute_force_diff(bank, new, grades, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +374,7 @@ class TestExamCover:
                   rated("q1", "p2", "q1/q/1", 5),
                   rated("q1", "p2", "q1/q/2", 5)]
         run = make_run("sys", [("q1", "p1"), ("q1", "p2")])
-        result = exam_cover(run, bank, grade_index(grades, LENIENT))
+        result = exam_cover(run, bank, grade_index(grades, LENIENT, bank))
         assert result.per_query["q1"] == pytest.approx(0.6)
         assert result.mean == pytest.approx(0.6)
 
@@ -314,21 +382,21 @@ class TestExamCover:
         bank = simple_bank()
         run = make_run("sys", [("q1", "p1")])
         grades = [rated("q1", "p1", "q1/q/0", 0)]
-        result = exam_cover(run, bank, grade_index(grades, LENIENT))
+        result = exam_cover(run, bank, grade_index(grades, LENIENT, bank))
         assert result.per_query["q1"] == 0.0
 
     def test_everything_answerable(self):
         bank = simple_bank()
         run = make_run("sys", [("q1", "p1")])
         grades = [rated("q1", "p1", f"q1/q/{i}", 5) for i in range(5)]
-        result = exam_cover(run, bank, grade_index(grades, LENIENT))
+        result = exam_cover(run, bank, grade_index(grades, LENIENT, bank))
         assert result.per_query["q1"] == 1.0
 
     def test_missing_grades_counted_not_correct(self):
         bank = simple_bank()
         run = make_run("sys", [("q1", "p1"), ("q1", "p-ungraded")])
         grades = [rated("q1", "p1", "q1/q/0", 5)]
-        result = exam_cover(run, bank, grade_index(grades, LENIENT))
+        result = exam_cover(run, bank, grade_index(grades, LENIENT, bank))
         assert result.per_query["q1"] == pytest.approx(0.2)
         assert ("q1", "p-ungraded") in result.ungraded_passages
 
@@ -337,7 +405,7 @@ class TestExamCover:
                              "q2": ()})
         run = make_run("sys", [("q1", "p1"), ("q2", "p2")])
         grades = [rated("q1", "p1", f"q1/q/{i}", 5) for i in range(5)]
-        result = exam_cover(run, bank, grade_index(grades, LENIENT))
+        result = exam_cover(run, bank, grade_index(grades, LENIENT, bank))
         assert "q2" not in result.per_query
         assert result.mean == 1.0
 
@@ -349,11 +417,11 @@ class TestExamCover:
         short = make_run("sys", [("q1", f"p{i}") for i in range(5)])
         longer = make_run("sys", [("q1", f"p{i}") for i in range(10)])
         for policy in (LENIENT, GradePolicy(SELF_RATED, min_rating=4)):
-            a = exam_cover(short, bank, grade_index(grades, policy)).mean
-            b = exam_cover(longer, bank, grade_index(grades, policy)).mean
+            index = grade_index(grades, policy, bank)
+            a = exam_cover(short, bank, index).mean
+            b = exam_cover(longer, bank, index).mean
             assert b >= a
-            shallow = exam_cover(longer, bank, grade_index(grades, policy),
-                                 3).mean
+            shallow = exam_cover(longer, bank, index, 3).mean
             assert b >= shallow
 
     def test_threshold_monotonicity(self):
@@ -362,9 +430,10 @@ class TestExamCover:
         grades = [rated("q1", f"p{i}", f"q1/q/{j}", rng.randint(0, 5))
                   for i in range(8) for j in range(6)]
         run = make_run("sys", [("q1", f"p{i}") for i in range(8)])
-        strict = exam_cover(run, bank, grade_index(grades,
-                            GradePolicy(SELF_RATED, min_rating=4))).mean
-        lenient = exam_cover(run, bank, grade_index(grades, LENIENT)).mean
+        strict = exam_cover(run, bank, grade_index(
+            grades, GradePolicy(SELF_RATED, min_rating=4), bank)).mean
+        lenient = exam_cover(run, bank,
+                             grade_index(grades, LENIENT, bank)).mean
         assert strict <= lenient
 
 
@@ -372,27 +441,36 @@ class TestExamCover:
 # Relevance labels and qrels
 
 
+def pair_label(ratings, policy, graded=False):
+    """The label of one pair whose grades give question i rating
+    ratings[i]."""
+    bank = simple_bank(n=len(ratings))
+    grades = [rated("q1", "p1", f"q1/q/{i}", r)
+              for i, r in enumerate(ratings)]
+    return grade_index(grades, policy, bank).label("q1", "p1", graded)
+
+
 class TestRelevanceLabels:
     def test_graded_is_max_rating(self):
-        assert label_of([4, 2], LENIENT, graded=True) == 4
+        assert pair_label([4, 2], LENIENT, graded=True) == 4
 
     def test_min_answers_two_needs_two(self):
         policy = GradePolicy(SELF_RATED, min_rating=1, min_answers=2)
-        assert label_of([5], policy) == 0
+        assert pair_label([5], policy) == 0
 
     def test_one_correct_suffices_by_default(self):
-        assert label_of([5, 0], LENIENT) == 1
+        assert pair_label([5, 0], LENIENT) == 1
 
     def test_no_grades_graded_zero(self):
-        assert label_of([], LENIENT, graded=True) == 0
+        assert pair_label([], LENIENT, graded=True) == 0
 
     @given(ratings=st.lists(st.integers(0, 5), min_size=1, max_size=6),
            threshold=st.integers(1, 5))
     def test_binary_graded_consistency(self, ratings, threshold):
         # Binary label 1 under min_rating=r iff graded label >= r.
         policy = GradePolicy(SELF_RATED, min_rating=threshold)
-        binary = label_of(ratings, policy)
-        graded = label_of(ratings, policy, graded=True)
+        binary = pair_label(ratings, policy)
+        graded = pair_label(ratings, policy, graded=True)
         assert (binary == 1) == (graded >= threshold)
 
 
@@ -401,29 +479,29 @@ class TestBuildQrels:
         bank = simple_bank()
         grades = [rated("q1", "p1", "q1/q/0", 5),
                   rated("q1", "p2", "q1/q/0", 0)]
-        labels = build_qrels(grade_index(grades, LENIENT), bank)
+        labels = build_qrels(grade_index(grades, LENIENT, bank))
         assert labels == {("q1", "p1"): 1, ("q1", "p2"): 0}
 
     def test_graded_carries_ratings(self):
         bank = simple_bank()
         grades = [rated("q1", "p1", "q1/q/0", 3)]
-        labels = build_qrels(grade_index(grades, LENIENT), bank, graded=True)
+        labels = build_qrels(grade_index(grades, LENIENT, bank), graded=True)
         assert labels == {("q1", "p1"): 3}
 
     def test_new_question_changes_only_affected_rows(self):
         bank = simple_bank()
         grades = [rated("q1", "p1", "q1/q/0", 0),
                   rated("q1", "p2", "q1/q/0", 0)]
-        before = build_qrels(grade_index(grades, LENIENT), bank)
+        before = build_qrels(grade_index(grades, LENIENT, bank))
         grades.append(rated("q1", "p1", "q1/q/1", 5))
-        after = build_qrels(grade_index(grades, LENIENT), bank)
+        after = build_qrels(grade_index(grades, LENIENT, bank))
         changed = set(after.items()) - set(before.items())
         assert changed == {(("q1", "p1"), 1)}
 
     def test_unknown_questions_ignored(self):
         bank = simple_bank()
         grades = [rated("q1", "p1", "other-bank/q/0", 5)]
-        assert build_qrels(grade_index(grades, LENIENT), bank) == {}
+        assert build_qrels(grade_index(grades, LENIENT, bank)) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -685,13 +763,13 @@ class TestAgreementTables:
         assert table.kappa_overall is None
         assert len(table.row_labels) == 6
         assert len(table.col_labels) == 4
-        assert table.total == 20
+        assert sum(map(sum, table.counts)) == 20
 
     def test_unjoined_pairs_dropped_and_counted(self):
         labels = {("q1", "p1"): 1, ("q1", "p-only-label"): 1}
         judgments = {("q1", "p1"): 2, ("q1", "p-only-j"): 0}
         table = confusion_table(labels, judgments, BINARY_SPEC)
-        assert table.total == 1
+        assert sum(map(sum, table.counts)) == 1
         assert table.dropped_pairs == 2
 
     def test_empty_join_rejected(self):
@@ -712,7 +790,7 @@ class TestAgreementTables:
                   rated("q1", "p2", "q1/q/0", 5),
                   rated("q1", "p3", "q1/q/0", 0)]
         official = {("q1", "p1"): 2, ("q1", "p2"): 0, ("q1", "p3"): 0}
-        sweep = min_answers_sweep(grade_index(grades, LENIENT), bank,
+        sweep = min_answers_sweep(grade_index(grades, LENIENT, bank),
                                   official, values=(1, 2, 5))
         assert [n for n, _ in sweep] == [1, 2, 5]
         by_n = {n: t for n, t in sweep}
@@ -745,7 +823,7 @@ class TestLeaderboard:
                                   for p in ("pA", "pB")])
         run_b = make_run("sysB", [(q, p) for q in ("q1", "q2")
                                   for p in ("pC", "pB")])
-        return bank, grade_index(grades, LENIENT), [run_a, run_b]
+        return bank, grade_index(grades, LENIENT, bank), [run_a, run_b]
 
     def test_dominant_system_ranks_first(self):
         bank, index, runs = self.fixture()
