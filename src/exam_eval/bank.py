@@ -141,8 +141,8 @@ def diff_banks(old: QuestionBank, new: QuestionBank, old_index: GradeIndex,
                new_index: GradeIndex) -> BankDiffReport:
     """Report bank edits and the passages whose binary label they flip.
 
-    Questions are matched by id; an id present in both banks with changed
-    text counts as edited. Added or edited questions without a counted
+    Questions are matched by id; an id in both banks with another query
+    or text counts as edited. Added or edited questions without a counted
     grade in the new bank are flagged needs-grading. A pair's old label
     comes from the old bank's index and its new label from the new bank's;
     both indexes hold the same grades under the same policy.
@@ -154,7 +154,8 @@ def diff_banks(old: QuestionBank, new: QuestionBank, old_index: GradeIndex,
     report.removed = sorted(set(old_by_id) - set(new_by_id))
     report.edited = sorted(
         qid for qid in set(old_by_id) & set(new_by_id)
-        if old_by_id[qid].text != new_by_id[qid].text)
+        if (old_by_id[qid].query_id, old_by_id[qid].text)
+        != (new_by_id[qid].query_id, new_by_id[qid].text))
 
     graded_question_ids = new_index.question_ids()
     report.needs_grading = sorted(

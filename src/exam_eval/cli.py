@@ -1,8 +1,8 @@
 """Command-line interface: one subcommand per pipeline stage.
 
-Orchestration only; every computation lives in the library modules. All
-file outputs are written atomically (temp file + rename) so reruns with
-unchanged inputs are byte-identical and never leave partial artifacts.
+Orchestration only; every computation lives in the library modules.
+Output files other than the grade store, which is appended in place, are
+written atomically (temp file + rename), so none is ever left partial.
 """
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import contextlib
 import json
 import logging
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -34,31 +35,29 @@ EXIT_VALIDATION = 1
 EXIT_BACKEND_IO = 2
 
 
+_POLICY = re.compile(r"(?:qa|rate:([0-9]+))(?:\+min-answers=([0-9]+))?")
+
+
 def parse_policy(text: str) -> GradePolicy:
     """Policy grammar: `qa` | `rate:<min_rating>`, optional `+min-answers=<n>`,
     with min_rating in [1, 5] and min_answers at least 1."""
-    min_answers = 1
-    if "+" in text:
-        text, _, extra = text.partition("+")
-        key, _, value = extra.partition("=")
-        if key != "min-answers":
-            raise ContractViolation(f"unknown policy modifier {key!r}")
-        min_answers = _min_answers(value)
-    if text == "qa":
+    match = _POLICY.fullmatch(text)
+    if match is None:
+        raise ContractViolation(
+            f"bad policy {text!r}; expected 'qa' or 'rate:<min_rating>', "
+            f"optionally followed by '+min-answers=<n>'")
+    min_rating, min_answers = match.groups()
+    min_answers = _min_answers(int(min_answers or 1))
+    if min_rating is None:
         return GradePolicy(mode=QA_VERIFIED, min_answers=min_answers)
-    if text.startswith("rate:"):
-        min_rating = int(text[5:])
-        if not 1 <= min_rating <= 5:
-            raise ContractViolation(
-                f"min_rating must be in [1, 5], got {min_rating}")
-        return GradePolicy(mode=SELF_RATED, min_rating=min_rating,
-                           min_answers=min_answers)
-    raise ContractViolation(
-        f"bad policy {text!r}; expected 'qa' or 'rate:<min_rating>'")
+    if not 1 <= int(min_rating) <= 5:
+        raise ContractViolation(
+            f"min_rating must be in [1, 5], got {int(min_rating)}")
+    return GradePolicy(mode=SELF_RATED, min_rating=int(min_rating),
+                       min_answers=min_answers)
 
 
-def _min_answers(value: str) -> int:
-    n = int(value)
+def _min_answers(n: int) -> int:
     if n < 1:
         raise ContractViolation(f"min_answers must be >= 1, got {n}")
     return n
@@ -411,7 +410,14 @@ def agreement(labels_path, judgments_path, collapse_names, judgment_rel_min,
         if not (grades_path and bank_path and policy_text):
             raise ContractViolation(
                 "--min-answers requires --grades, --bank, and --policy")
-        values = tuple(map(_min_answers, min_answers.split(",")))
+        try:
+            values = tuple(map(int, min_answers.split(",")))
+        except ValueError:
+            raise ContractViolation(
+                f"bad --min-answers {min_answers!r}; expected "
+                f"comma-separated integers, such as 1,2,5") from None
+        for n in values:
+            _min_answers(n)
         policy = parse_policy(policy_text)
         bank = formats.load_question_bank(bank_path)
         for _, table in metrics.min_answers_sweep(

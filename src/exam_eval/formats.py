@@ -5,12 +5,14 @@ valid input is: the model types it builds check nothing again.
 """
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import functools
 import gzip
 import json
 import logging
-import os
 import zlib
+from collections.abc import Iterator
 from operator import itemgetter
 from pathlib import Path
 
@@ -457,33 +459,28 @@ def _decode_grade(line: str, line_no: int) -> tuple[GradeKey, GradeRow]:
 class GradeStore:
     """Path-backed append-only grade log, one JSON object per gzip line.
 
-    A single writer owns the store at a time (advisory `.lock` file);
-    readers are always safe. Duplicate (query, passage, question, mode)
-    keys resolve last-writer-wins on read.
+    A writer holds `locked()`; a reader takes no lock, and during an
+    append it can report the store as corrupt. Duplicate (query, passage,
+    question, mode) keys resolve last-writer-wins on read.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
 
-    @property
-    def lock_path(self) -> Path:
-        return self.path.with_name(self.path.name + ".lock")
-
-    def _acquire_lock(self) -> None:
-        try:
-            fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise ContractViolation(
-                f"grade store {self.path} is locked by another writer "
-                f"(remove {self.lock_path} if stale)") from None
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
-
-    def _release_lock(self) -> None:
-        try:
-            self.lock_path.unlink()
-        except FileNotFoundError:
-            pass
+    @contextlib.contextmanager
+    def locked(self) -> Iterator[None]:
+        """Hold an exclusive lock on the store file, which is created empty
+        where there was none. A lock held elsewhere raises
+        `ContractViolation`. The OS releases the lock when the process
+        ends, however it ends."""
+        with open(self.path, "ab") as fh:
+            try:
+                fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                raise ContractViolation(
+                    f"grade store {self.path} is being written by another "
+                    f"process") from None
+            yield
 
     def append(self, rows: dict[GradeKey, GradeRow]) -> None:
         """Write the rows, in order, after checking each with `check_grade`;
@@ -494,23 +491,17 @@ class GradeStore:
                 in rows.items():
             check_grade(query_id, passage_id, question_id, mode, verified,
                         rating)
-        if not rows:
-            self.path.open("ab").close()
-            return
         # The batch goes to the compressor in one write; the bytes are
         # those of writing its lines one at a time.
         data = "".join(_grade_to_json(key, row) + "\n"
                        for key, row in rows.items()).encode("utf-8")
-        self._acquire_lock()
-        try:
-            # mtime=0 and no embedded filename keep the bytes deterministic
-            # for identical grade sequences.
-            with open(self.path, "ab") as raw:
+        with open(self.path, "ab") as raw:
+            if data:
+                # mtime=0 and no embedded filename keep the bytes
+                # deterministic for identical grade sequences.
                 with gzip.GzipFile(filename="", mode="ab", fileobj=raw,
                                    mtime=0) as fh:
                     fh.write(data)
-        finally:
-            self._release_lock()
 
     def read(self) -> dict[GradeKey, GradeRow]:
         """Every stored grade as key -> (answer_text, verified, rating),

@@ -219,22 +219,9 @@ def grade_corpus(bank: QuestionBank,
     Backend failures, the pairs of a question too long for the input
     budget, and in qa_verified mode the pairs of a question without a gold
     answer land in the summary's skip list instead of aborting the whole
-    corpus.
+    corpus. The store is locked (`GradeStore.locked`) before it is read, so
+    a store that cannot be written fails before any completion is requested.
     """
-    existing = store.read()
-    summary = GradingSummary()
-    start = time.monotonic()
-
-    work: list[tuple[ExamQuestion, str, str]] = []
-    for query_id, texts in passages_by_query.items():
-        for question in bank.questions_for(query_id):
-            for passage_id, text in texts.items():
-                if (query_id, passage_id, question.question_id,
-                        mode) in existing:
-                    summary.skipped_existing += 1
-                else:
-                    work.append((question, passage_id, text))
-
     def run_one(item: tuple[ExamQuestion, str, str]
                 ) -> tuple[GradeKey, GradeRow] | SkipEntry:
         question, passage_id, text = item
@@ -248,11 +235,26 @@ def grade_corpus(bank: QuestionBank,
             return SkipEntry(question.query_id, passage_id,
                              question.question_id, str(exc))
 
-    results = gateway.map_ordered(run_one, work, parallelism)
+    with store.locked():
+        existing = store.read()
+        summary = GradingSummary()
+        start = time.monotonic()
 
-    rows = dict(r for r in results if not isinstance(r, SkipEntry))
-    summary.failures = [r for r in results if isinstance(r, SkipEntry)]
-    store.append(rows)
+        work: list[tuple[ExamQuestion, str, str]] = []
+        for query_id, texts in passages_by_query.items():
+            for question in bank.questions_for(query_id):
+                for passage_id, text in texts.items():
+                    if (query_id, passage_id, question.question_id,
+                            mode) in existing:
+                        summary.skipped_existing += 1
+                    else:
+                        work.append((question, passage_id, text))
+
+        results = gateway.map_ordered(run_one, work, parallelism)
+
+        rows = dict(r for r in results if not isinstance(r, SkipEntry))
+        summary.failures = [r for r in results if isinstance(r, SkipEntry)]
+        store.append(rows)
     summary.graded = len(rows)
     summary.duration = time.monotonic() - start
     if summary.failures:

@@ -383,7 +383,6 @@ class ConfusionTable:
     counts: tuple[tuple[int, ...], ...]
     kappa_overall: float | None
     kappa_per_row: tuple[float, ...] | None
-    dropped_pairs: int = 0
 
 
 def confusion_table(labels: Qrels, judgments: Qrels,
@@ -391,14 +390,13 @@ def confusion_table(labels: Qrels, judgments: Qrels,
     """Cross-tabulate predicted labels against official judgments; the
     table takes the collapse's name.
 
-    Pairs present on only one side are dropped and counted; the collapse
+    Pairs present on only one side are dropped; the collapse
     covers every value present (see `collapse_for`). Kappa values are
     filled in only when the collapsed table is square.
     """
     common = labels.keys() & judgments.keys()
     if not common:
         raise ContractViolation("no (query, passage) pairs in common")
-    dropped = (len(labels) - len(common)) + (len(judgments) - len(common))
 
     row_of = {v: i for i, g in enumerate(spec.label_groups) for v in g}
     col_of = {v: i for i, g in enumerate(spec.judgment_groups) for v in g}
@@ -419,8 +417,7 @@ def confusion_table(labels: Qrels, judgments: Qrels,
         col_labels=tuple(_group_name(g) for g in spec.judgment_groups),
         counts=tuple(map(tuple, counts)),
         kappa_overall=kappa_overall,
-        kappa_per_row=kappa_per_row,
-        dropped_pairs=dropped)
+        kappa_per_row=kappa_per_row)
 
 
 def min_answers_sweep(index: GradeIndex, official: Qrels,

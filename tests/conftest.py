@@ -1,5 +1,9 @@
+import contextlib
 import http.server
 import json
+import os
+import subprocess
+import sys
 import threading
 from dataclasses import dataclass
 from email.message import Message
@@ -111,6 +115,39 @@ def grade_index(grades, policy, bank):
 def stored_grades(store: GradeStore) -> list:
     """Every grade the store reads back, as (key, row) pairs."""
     return list(store.read().items())
+
+
+LOCK_HOLDER = """
+import sys
+from exam_eval.formats import GradeStore
+with GradeStore(sys.argv[1]).locked():
+    print("locked", flush=True)
+    sys.stdin.read()
+"""
+
+
+def child_env():
+    """The environment of a child Python that imports the exam_eval these
+    tests import."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["exam_eval"].__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@contextlib.contextmanager
+def lock_holder(path):
+    """A child process that holds the store's lock until it is killed,
+    which happens at the latest when the block ends."""
+    with subprocess.Popen([sys.executable, "-c", LOCK_HOLDER, str(path)],
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          text=True, env=child_env()) as holder:
+        try:
+            assert holder.stdout.readline() == "locked\n"
+            yield holder
+        finally:
+            holder.kill()
+            holder.wait(timeout=10)
 
 
 class RecordingBackend(MockBackend):

@@ -180,13 +180,18 @@ class TestDiffBanks:
         assert report.needs_grading == []
 
     def test_moved_question_flips_the_labels_it_changes(self):
-        # Same id and text, filed under another query: no edit is listed,
-        # but the grade it now counts for flips its pair's label.
+        # Same id and text, filed under another query: an edit, whose
+        # grade under its new query counts and flips that pair's label.
         old = QuestionBank({"q1": (ExamQuestion("q1/q/0", "q1", "A?"),),
                             "q2": (ExamQuestion("b", "q2", "B?"),)})
         new = QuestionBank({"q1": (*old.questions_for("q1"),
                                    ExamQuestion("b", "q1", "B?")),
                             "q2": ()})
         report = self.diff(old, new, [rated("q1", "p1", "b", 5)])
-        assert (report.added, report.removed, report.edited) == ([], [], [])
+        assert (report.added, report.removed, report.edited) \
+            == ([], [], ["b"])
+        assert report.needs_grading == []
         assert report.flips == [LabelFlip("q1", "p1", 0, 1)]
+        # Without a grade under its new query, it needs grading.
+        report = self.diff(old, new, [rated("q2", "p1", "b", 5)])
+        assert (report.edited, report.needs_grading) == (["b"], ["b"])

@@ -2,10 +2,10 @@ import gzip
 import http.client
 import json
 import math
-import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,7 +22,7 @@ from exam_eval.model import (
     QuestionBank,
     SELF_RATED,
 )
-from conftest import rated
+from conftest import child_env, lock_holder, rated
 from test_metrics import (
     PASSAGES as RUN_PASSAGES,
     QUERIES as RUN_QUERIES,
@@ -35,6 +35,7 @@ from test_metrics import (
     brute_force_precision,
     brute_force_qrels,
     mean,
+    numpy_kappa,
     run_files,
     run_rows,
 )
@@ -250,14 +251,10 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
          "--judgments", str(out / "exam.qrels"),
          "--collapse", "graded,lenient,strict,binary"],
     ]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(
-        sys.modules["exam_eval"].__file__)))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = subprocess.run(
         [sys.executable, "-c", HEAVY_MODULES_PROBE, json.dumps(commands)],
-        capture_output=True, text=True, env=env, timeout=60, check=True)
+        capture_output=True, text=True, env=child_env(), timeout=60,
+        check=True)
     assert json.loads(probe.stdout.splitlines()[-1]) == [[], [0], [0], [0]]
     # sysB and sysC tie on score: tau-b and average ranks at work.
     assert probe.stderr == "spearman=0.8660 kendall=0.8165 n=3\n"
@@ -377,6 +374,9 @@ class TestPipeline:
             a = (tmp_path / "out1" / name).read_bytes()
             b = (tmp_path / "out2" / name).read_bytes()
             assert a == b, f"{name} differs between runs"
+        # No lock or temporary file is left behind.
+        assert sorted(p.name for p in (tmp_path / "out1").iterdir()) \
+            == sorted(ARTIFACTS)
 
     def test_dominant_system_ranked_first(self, tmp_path):
         write_pipeline_inputs(tmp_path)
@@ -809,11 +809,21 @@ def test_bad_input_error_names_its_file(tmp_path, capsys):
     (["agreement", "--min-answers", "1,0"], "min_answers must be >= 1, got 0"),
     (["qrels", "--graded", "--policy", "qa"],
      "--graded needs a rate:<min_rating> policy"),
+    (["agreement", "--min-answers", "1,x"],
+     "bad --min-answers '1,x'; expected comma-separated integers, such as "
+     "1,2,5"),
     (["cover", "--policy", "rate:6"], "min_rating must be in [1, 5], got 6"),
+    (["cover", "--policy", "rate:x"],
+     "bad policy 'rate:x'; expected 'qa' or 'rate:<min_rating>', "
+     "optionally followed by '+min-answers=<n>'"),
+    (["cover", "--policy", "rate:4+min-answers=two"],
+     "bad policy 'rate:4+min-answers=two'; expected 'qa' or "
+     "'rate:<min_rating>'"),
     (["generate", "--template", "dl", "--max-input-tokens", "100"],
      "No such option"),
 ], ids=["template", "metric", "min-answers-sweep", "graded-qa",
-        "min-rating", "generate-max-input-tokens"])
+        "min-answers-sweep-not-int", "min-rating", "min-rating-not-int",
+        "min-answers-not-int", "generate-max-input-tokens"])
 def test_bad_flag_value_exits_one(tmp_path, capsys, argv, message):
     write_pipeline_inputs(tmp_path)
     out = tmp_path / "out"
@@ -859,6 +869,53 @@ def test_grade_with_nothing_to_grade_leaves_an_empty_store(tmp_path, capsys):
                  "--run", str(tmp_path / "runs" / "sysA.run"),
                  "--grades", str(store), "--policy", "rate:4"]) == 0
     assert capsys.readouterr().out == "query\tcover\nmean\t0.0000\n"
+
+
+def one_question_argv(root, store):
+    """`grade` of one question of q1 against its three pooled passages."""
+    bank = root / "bank.json"
+    bank.write_text(save_question_bank(QuestionBank({"q1": (
+        ExamQuestion("q1/q/0", "q1", "What is it?"),)})))
+    return grade_argv(root, bank, store, "--mode", "rate", "--mock",
+                      str(root / "grade_mock.json"))
+
+
+def test_locked_store_fails_before_any_request(tmp_path, capsys,
+                                               completions):
+    write_pipeline_inputs(tmp_path)
+    store = GradeStore(tmp_path / "grades.jsonl.gz")
+    store.append(dict([rated("q1", "pA1", "q1/q/9", 5)]))
+    before = store.path.read_bytes()
+    argv = one_question_argv(tmp_path, store.path)
+    with lock_holder(store.path):
+        assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: grade store {store.path} is being written by another "
+        f"process\n")
+    assert completions == []
+    assert store.path.read_bytes() == before
+    # The holder is gone, and its lock with it.
+    assert main(argv) == 0
+    assert len(completions) == 3
+
+
+def test_store_in_missing_directory_fails_before_any_request(
+        tmp_path, capsys, completions):
+    write_pipeline_inputs(tmp_path)
+    store = tmp_path / "nodir" / "grades.jsonl.gz"
+    assert main(one_question_argv(tmp_path, store)) == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert completions == [] and not store.parent.exists()
+
+
+def test_leftover_lock_file_does_not_block_grade(tmp_path, completions):
+    # Earlier versions guarded the store with a `<store>.lock` side file,
+    # which a killed run left behind.
+    write_pipeline_inputs(tmp_path)
+    store = tmp_path / "grades.jsonl.gz"
+    store.with_name(store.name + ".lock").write_text("12345")
+    assert main(one_question_argv(tmp_path, store)) == 0
+    assert len(completions) == 3 and len(GradeStore(store).read()) == 3
 
 
 def test_grades_count_only_for_questions_of_their_own_query(tmp_path, capsys,
@@ -915,7 +972,8 @@ def test_grades_count_only_for_questions_of_their_own_query(tmp_path, capsys,
 @st.composite
 def pipeline_inputs(draw):
     """Run files, a bank and an edit of it, passage texts, a rating
-    fixture, a policy and a depth, over the queries and passages of the
+    fixture, a policy, a depth, and official judgments with the lowest
+    grade that counts as relevant, over the queries and passages of the
     oracles' run files."""
     runs = {f"sys{i}": draw(run_files(f"sys{i}"))
             for i in range(draw(st.integers(1, 3)))}
@@ -932,8 +990,13 @@ def pipeline_inputs(draw):
         st.sampled_from("012345")))
     policy_text = (f"rate:{draw(st.integers(1, 5))}"
                    + draw(st.sampled_from(["", "+min-answers=2"])))
+    pairs = [(q, p) for q in RUN_QUERIES for p in RUN_PASSAGES]
+    official = {pair: grade for pair, grade in zip(pairs, draw(st.lists(
+        st.sampled_from([None, -2, 0, 1, 2, 3]), min_size=len(pairs),
+        max_size=len(pairs)))) if grade is not None}
     return (runs, bank, draw(bank_edits(bank)), texts,
-            {"default": "0", **ratings}, policy_text, draw(st.integers(1, 6)))
+            {"default": "0", **ratings}, policy_text, draw(st.integers(1, 6)),
+            official, draw(st.integers(1, 3)))
 
 
 def std_error(scores):
@@ -951,10 +1014,44 @@ def cover_tsv(scores):
             + f"mean\t{mean(scores):.4f}\n")
 
 
+def agreement_tsv(name, labels, judgments, label_min, judgment_rel_min,
+                  label_values=None):
+    """One `agreement` table: labels (rows) against judgments (columns)
+    over the pairs both hold. A side keeps each of its values apart
+    without a threshold, and splits them at the threshold with one. The
+    label values are those the labels hold unless given."""
+    def groups(values, threshold):
+        ordered = sorted(set(values), reverse=True)
+        if threshold is None:
+            return [[v] for v in ordered]
+        return [g for g in ([v for v in ordered if v >= threshold],
+                            [v for v in ordered if v < threshold]) if g]
+
+    rows = groups(labels.values() if label_values is None else label_values,
+                  label_min)
+    cols = groups(judgments.values(),
+                  None if label_min is None else judgment_rel_min)
+    common = labels.keys() & judgments.keys()
+    counts = [[sum(labels[k] in row and judgments[k] in col for k in common)
+               for col in cols] for row in rows]
+    kappas = [""] * len(rows)
+    if len(rows) == len(cols):
+        overall, per_row = numpy_kappa(counts)
+        if overall is not None and None not in per_row:
+            kappas = [f"{k:.3f}" for k in per_row]
+    name_of = "+".join
+    lines = [["label", *(name_of(map(str, col)) for col in cols), "total",
+              "kappa"]]
+    lines += [[name_of(map(str, row)), *map(str, counts[i]),
+               str(sum(counts[i])), kappas[i]] for i, row in enumerate(rows)]
+    return f"# {name}\n" + "".join("\t".join(line) + "\n" for line in lines)
+
+
 @given(pipeline_inputs())
 @settings(max_examples=25, deadline=None)
 def test_pipeline_outputs_match_oracles(inputs):
-    runs, bank, new_bank, texts, fixture, policy_text, depth = inputs
+    (runs, bank, new_bank, texts, fixture, policy_text, depth, official,
+     rel_min) = inputs
     policy = parse_policy(policy_text)
     rows = {tag: run_rows(text) for tag, text in runs.items()}
     # Every pooled passage with text, against each question of its query.
@@ -1000,11 +1097,36 @@ def test_pipeline_outputs_match_oracles(inputs):
 
         for graded in (False, True):
             assert main(["qrels", *scoring, *["--graded"] * graded,
-                         "--out", str(out)]) == 0
-            assert out.read_text() == "".join(
+                         "--out", str(root / "exam.qrels")]) == 0
+            assert (root / "exam.qrels").read_text() == "".join(
                 f"{q} 0 {p} {label}\n" for (q, p), label in sorted(
                     brute_force_qrels(grades, bank, policy, graded).items()))
         labels = brute_force_qrels(grades, bank, policy)
+
+        # exam.qrels holds the graded labels now.
+        (root / "official.qrels").write_text("".join(
+            f"{q} 0 {p} {g}\n" for (q, p), g in official.items()))
+        judgments = {pair: max(g, 0) for pair, g in official.items()}
+        exit_code = main([
+            "agreement", *scoring, "--labels", str(root / "exam.qrels"),
+            "--judgments", str(root / "official.qrels"),
+            "--collapse", "graded,lenient,strict",
+            "--judgment-rel-min", str(rel_min), "--min-answers", "1,2",
+            "--out", str(out)])
+        if not labels.keys() & judgments.keys():
+            assert exit_code == 1
+        else:
+            assert exit_code == 0
+            graded_labels = brute_force_qrels(grades, bank, policy, True)
+            tables = [agreement_tsv(name, graded_labels, judgments,
+                                    label_min, rel_min)
+                      for name, label_min in (("graded", None),
+                                              ("lenient", 1), ("strict", 4))]
+            tables += [agreement_tsv(
+                f"binary-min-answers-{n}", brute_force_qrels(
+                    grades, bank, replace(policy, min_answers=n)),
+                judgments, 1, rel_min, label_values={0, 1}) for n in (1, 2)]
+            assert out.read_text() == "\n".join(tables)
 
         assert main(["diff", "--old", str(bank_path),
                      "--new", str(root / "new_bank.json"),

@@ -2,6 +2,7 @@ import gzip
 import io
 import json
 import re
+import signal
 import tempfile
 from pathlib import Path
 
@@ -33,7 +34,14 @@ from exam_eval.model import (
     QuestionBank,
     SELF_RATED,
 )
-from conftest import grade_index, make_run, rated, stored_grades, verified
+from conftest import (
+    grade_index,
+    lock_holder,
+    make_run,
+    rated,
+    stored_grades,
+    verified,
+)
 
 
 class TestRunParsing:
@@ -322,14 +330,31 @@ class TestGradeStore:
         assert stored_grades(GradeStore(tmp_path / "nope.jsonl.gz")) == []
 
     def test_lock_excludes_second_writer(self, tmp_path):
+        # A lock belongs to an open file, so a second `locked()` is refused
+        # in the same process too; no side file is made.
         store = GradeStore(tmp_path / "g.jsonl.gz")
-        store._acquire_lock()
-        try:
+        with store.locked():
+            with pytest.raises(ContractViolation, match=re.escape(
+                    f"grade store {store.path} is being written by another "
+                    f"process")):
+                with GradeStore(store.path).locked():
+                    pass
+            store.append(dict([rated("q1", "p1", "qq1", 1)]))
+        with store.locked():
+            pass
+        assert len(stored_grades(store)) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["g.jsonl.gz"]
+
+    def test_lock_of_a_killed_holder_is_released(self, tmp_path):
+        store = GradeStore(tmp_path / "g.jsonl.gz")
+        with lock_holder(store.path) as holder:
             with pytest.raises(ContractViolation):
-                store.append(dict([rated("q1", "p1", "qq1", 1)]))
-        finally:
-            store._release_lock()
-        store.append(dict([rated("q1", "p1", "qq1", 1)]))
+                with store.locked():
+                    pass
+            holder.kill()
+            assert holder.wait(timeout=10) == -signal.SIGKILL
+        with store.locked():
+            store.append(dict([rated("q1", "p1", "qq1", 1)]))
         assert len(stored_grades(store)) == 1
 
     def test_corrupt_line_reports_position(self, tmp_path):
