@@ -23,6 +23,7 @@ from .model import (
     ContractViolation,
     GradeIndex,
     GradePolicy,
+    OVERALL_SYSTEM,
     QA_VERIFIED,
     QuestionBank,
     SELF_RATED,
@@ -186,13 +187,23 @@ def generate(queries_path, template, out, endpoint, model, parallelism,
 
 
 def _load_runs(run_paths: tuple[str, ...]) -> list:
-    runs = []
+    """The run files named, and those in the directories named. A run tag
+    names the run's leaderboard row, so no two runs share one and none
+    takes the pooled row's."""
+    runs, file_of = [], {OVERALL_SYSTEM: "the pooled row"}
     for path in run_paths:
         p = Path(path)
         files = sorted(p.iterdir()) if p.is_dir() else [p]
         for f in files:
-            if f.is_file():
-                runs.append(formats.load_run_file(f))
+            if not f.is_file():
+                continue
+            run = formats.load_run_file(f)
+            if run.run_tag in file_of:
+                raise ContractViolation(
+                    f"{f}: run tag {run.run_tag!r} is already the tag of "
+                    f"{file_of[run.run_tag]}")
+            file_of[run.run_tag] = f
+            runs.append(run)
     return runs
 
 
@@ -345,6 +356,11 @@ def correlate(path_a, path_b):
     click.echo(f"n\t{stats.n}")
 
 
+# Each collapse's lowest label counted as relevant; graded keeps every
+# label and judgment value apart.
+_COLLAPSES = {"graded": None, "lenient": 1, "binary": 1, "strict": 4}
+
+
 def _body_rows(table: metrics.ConfusionTable) -> list[list[str]]:
     """Each row's label, counts, total and kappa, as cells."""
     return [[row_label, *map(str, row), str(sum(row)),
@@ -393,18 +409,15 @@ def agreement(labels_path, judgments_path, collapse_names, judgment_rel_min,
               min_answers, grades_path, bank_path, policy_text, fmt, out):
     """Inter-annotator agreement tables between labels and judgments."""
     official = formats.load_qrels(judgments_path)
-    render = _format_table_tsv if fmt == "tsv" else _format_table_text
-    chunks: list[str] = []
+    tables: list[metrics.ConfusionTable] = []
 
     if labels_path:
         labels = formats.load_qrels(labels_path)
-        observed_labels = set(labels.values())
-        observed_judgments = set(official.values())
         for name in [n.strip() for n in collapse_names.split(",") if n.strip()]:
-            spec = metrics.collapse_for(name, observed_labels,
-                                        observed_judgments, judgment_rel_min)
-            chunks.append(render(metrics.confusion_table(
-                labels, official, spec)))
+            if name not in _COLLAPSES:
+                raise ContractViolation(f"unknown collapse name {name!r}")
+            tables.append(metrics.confusion_table(
+                name, labels, official, _COLLAPSES[name], judgment_rel_min))
 
     if min_answers:
         if not (grades_path and bank_path and policy_text):
@@ -420,15 +433,19 @@ def agreement(labels_path, judgments_path, collapse_names, judgment_rel_min,
             _min_answers(n)
         policy = parse_policy(policy_text)
         bank = formats.load_question_bank(bank_path)
-        for _, table in metrics.min_answers_sweep(
-                _grade_index(grades_path, policy, bank), official, values,
-                judgment_rel_min):
-            chunks.append(render(table))
+        tables += metrics.min_answers_sweep(
+            _grade_index(grades_path, policy, bank), official, values,
+            judgment_rel_min)
 
-    if not chunks:
+    if not tables:
         raise ContractViolation(
             "nothing to do: supply --labels and/or --min-answers")
-    _emit("\n".join(chunks), out)
+    render = _format_table_tsv if fmt == "tsv" else _format_table_text
+    _emit("\n".join(map(render, tables)), out)
+    for table in tables:
+        if table.kappa_overall is not None:
+            click.echo(f"{table.name}: kappa={table.kappa_overall:.3f}",
+                       err=True)
 
 
 @cli.command()

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import grading
 from .model import (
@@ -330,49 +330,18 @@ def cohens_kappa(counts) -> KappaResult:
     return KappaResult(overall=_kappa(data), per_row=tuple(per_row))
 
 
-@dataclass(frozen=True)
-class CollapseSpec:
-    """How to group label values (rows) and judgment values (columns)."""
-    name: str
-    label_groups: tuple[tuple[int, ...], ...]
-    judgment_groups: tuple[tuple[int, ...], ...]
+def _groups(values, split: int | None) -> tuple[tuple[int, ...], ...]:
+    """The distinct values, highest first: each on its own without a
+    split, else the non-empty groups at or above the split and below it."""
+    ordered = sorted(set(values), reverse=True)
+    if split is None:
+        return tuple((v,) for v in ordered)
+    return tuple(g for g in (tuple(v for v in ordered if v >= split),
+                             tuple(v for v in ordered if v < split)) if g)
 
 
 def _group_name(group: tuple[int, ...]) -> str:
-    return "+".join(str(v) for v in sorted(group, reverse=True))
-
-
-def _split_at(values: set[int], threshold: int
-              ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    hi = tuple(sorted((v for v in values if v >= threshold), reverse=True))
-    lo = tuple(sorted((v for v in values if v < threshold), reverse=True))
-    return hi, lo
-
-
-def collapse_for(name: str, observed_labels: set[int],
-                 observed_judgments: set[int],
-                 judgment_rel_min: int = 1) -> CollapseSpec:
-    """Build a collapse over the value sets actually present in the data.
-
-    graded keeps every value distinct; lenient groups labels >= 1 as
-    relevant, strict labels >= 4, binary expects 0/1 labels. Judgment
-    columns split at judgment_rel_min except for graded.
-    """
-    labels = tuple(sorted(observed_labels, reverse=True))
-    judgments = tuple(sorted(observed_judgments, reverse=True))
-    if name == "graded":
-        return CollapseSpec(name,
-                            label_groups=tuple((v,) for v in labels),
-                            judgment_groups=tuple((v,) for v in judgments))
-    label_min = {"lenient": 1, "binary": 1, "strict": 4}.get(name)
-    if label_min is None:
-        raise ContractViolation(f"unknown collapse name {name!r}")
-    label_groups = tuple(
-        g for g in _split_at(observed_labels, label_min) if g)
-    judgment_groups = tuple(
-        g for g in _split_at(observed_judgments, judgment_rel_min) if g)
-    return CollapseSpec(name, label_groups=label_groups,
-                        judgment_groups=judgment_groups)
+    return "+".join(map(str, group))
 
 
 @dataclass(frozen=True)
@@ -385,36 +354,43 @@ class ConfusionTable:
     kappa_per_row: tuple[float, ...] | None
 
 
-def confusion_table(labels: Qrels, judgments: Qrels,
-                    spec: CollapseSpec) -> ConfusionTable:
-    """Cross-tabulate predicted labels against official judgments; the
-    table takes the collapse's name.
+def confusion_table(name: str, labels: Qrels, judgments: Qrels,
+                    label_min: int | None, judgment_rel_min: int = 1,
+                    label_values: frozenset[int] = frozenset()
+                    ) -> ConfusionTable:
+    """Cross-tabulate predicted labels (rows) against official judgments
+    (columns) over the pairs both hold.
 
-    Pairs present on only one side are dropped; the collapse
-    covers every value present (see `collapse_for`). Kappa values are
-    filled in only when the collapsed table is square.
+    Rows are the label values present plus `label_values`, split at
+    `label_min`; columns are the judgment values present, split at
+    `judgment_rel_min`. Without a `label_min`, every value of either side
+    has its own row or column. Kappa values are filled in only when the
+    table is square.
     """
     common = labels.keys() & judgments.keys()
     if not common:
         raise ContractViolation("no (query, passage) pairs in common")
 
-    row_of = {v: i for i, g in enumerate(spec.label_groups) for v in g}
-    col_of = {v: i for i, g in enumerate(spec.judgment_groups) for v in g}
-    counts = [[0] * len(spec.judgment_groups) for _ in spec.label_groups]
+    label_groups = _groups({*labels.values(), *label_values}, label_min)
+    judgment_groups = _groups(
+        judgments.values(), None if label_min is None else judgment_rel_min)
+    row_of = {v: i for i, g in enumerate(label_groups) for v in g}
+    col_of = {v: i for i, g in enumerate(judgment_groups) for v in g}
+    counts = [[0] * len(judgment_groups) for _ in label_groups]
     for key in common:
         counts[row_of[labels[key]]][col_of[judgments[key]]] += 1
 
     kappa_overall = kappa_per_row = None
-    if len(spec.label_groups) == len(spec.judgment_groups):
+    if len(label_groups) == len(judgment_groups):
         try:
             result = cohens_kappa(counts)
             kappa_overall, kappa_per_row = result.overall, result.per_row
         except UndefinedResult:
             pass
     return ConfusionTable(
-        name=spec.name,
-        row_labels=tuple(_group_name(g) for g in spec.label_groups),
-        col_labels=tuple(_group_name(g) for g in spec.judgment_groups),
+        name=name,
+        row_labels=tuple(map(_group_name, label_groups)),
+        col_labels=tuple(map(_group_name, judgment_groups)),
         counts=tuple(map(tuple, counts)),
         kappa_overall=kappa_overall,
         kappa_per_row=kappa_per_row)
@@ -422,21 +398,16 @@ def confusion_table(labels: Qrels, judgments: Qrels,
 
 def min_answers_sweep(index: GradeIndex, official: Qrels,
                       values: tuple[int, ...] = (1, 2, 5),
-                      judgment_rel_min: int = 1
-                      ) -> list[tuple[int, ConfusionTable]]:
-    """Binary agreement tables for a sweep of min_answers thresholds; the
-    index's own min_answers is not used."""
+                      judgment_rel_min: int = 1) -> list[ConfusionTable]:
+    """Binary agreement tables, `binary-min-answers-<n>`, for a sweep of
+    min_answers thresholds; the index's own min_answers is not used."""
     # Each pair's correct questions are counted once for all values.
     n_correct = [(query_id, passage_id,
                   len(index.correct(query_id, passage_id)))
                  for query_id, passage_id in index.pairs()]
-    spec = collapse_for("binary", {0, 1}, set(official.values()),
-                        judgment_rel_min)
-    out = []
-    for n in values:
-        labels = {(query_id, passage_id): int(count >= n)
-                  for query_id, passage_id, count in n_correct}
-        out.append((n, confusion_table(
-            labels, official,
-            replace(spec, name=f"binary-min-answers-{n}"))))
-    return out
+    return [confusion_table(
+        f"binary-min-answers-{n}",
+        {(query_id, passage_id): int(count >= n)
+         for query_id, passage_id, count in n_correct},
+        official, 1, judgment_rel_min, label_values=frozenset({0, 1}))
+        for n in values]

@@ -1,5 +1,7 @@
+import contextlib
 import gzip
 import http.client
+import io
 import json
 import math
 import subprocess
@@ -256,8 +258,11 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         capture_output=True, text=True, env=child_env(), timeout=60,
         check=True)
     assert json.loads(probe.stdout.splitlines()[-1]) == [[], [0], [0], [0]]
-    # sysB and sysC tie on score: tau-b and average ranks at work.
-    assert probe.stderr == "spearman=0.8660 kendall=0.8165 n=3\n"
+    # sysB and sysC tie on score: tau-b and average ranks at work. The
+    # strict table has one row (no label reaches 4), so it has no kappa.
+    assert probe.stderr == ("spearman=0.8660 kendall=0.8165 n=3\n"
+                            "graded: kappa=1.000\nlenient: kappa=1.000\n"
+                            "binary: kappa=1.000\n")
 
 
 @pytest.mark.parametrize("data", [
@@ -821,9 +826,11 @@ def test_bad_input_error_names_its_file(tmp_path, capsys):
      "'rate:<min_rating>'"),
     (["generate", "--template", "dl", "--max-input-tokens", "100"],
      "No such option"),
+    (["agreement", "--collapse", "lenient,bogus"],
+     "unknown collapse name 'bogus'"),
 ], ids=["template", "metric", "min-answers-sweep", "graded-qa",
         "min-answers-sweep-not-int", "min-rating", "min-rating-not-int",
-        "min-answers-not-int", "generate-max-input-tokens"])
+        "min-answers-not-int", "generate-max-input-tokens", "collapse"])
 def test_bad_flag_value_exits_one(tmp_path, capsys, argv, message):
     write_pipeline_inputs(tmp_path)
     out = tmp_path / "out"
@@ -836,7 +843,8 @@ def test_bad_flag_value_exits_one(tmp_path, capsys, argv, message):
                         "--runs", str(tmp_path / "runs"),
                         "--grades", str(out / "grades.jsonl.gz"),
                         "--policy", "rate:4"],
-        "agreement": ["--judgments", str(out / "exam.qrels"),
+        "agreement": ["--labels", str(out / "exam.qrels"),
+                      "--judgments", str(out / "exam.qrels"),
                       "--grades", str(out / "grades.jsonl.gz"),
                       "--bank", str(out / "bank.json"),
                       "--policy", "rate:4"],
@@ -878,6 +886,34 @@ def one_question_argv(root, store):
         ExamQuestion("q1/q/0", "q1", "What is it?"),)})))
     return grade_argv(root, bank, store, "--mode", "rate", "--mock",
                       str(root / "grade_mock.json"))
+
+
+@pytest.mark.parametrize("tag, message", [
+    ("sysA", "run tag 'sysA' is already the tag of {runs}/sysA.run"),
+    ("_overall_", "run tag '_overall_' is already the tag of the pooled "
+                  "row"),
+], ids=["repeated", "pooled-row"])
+def test_run_tag_names_one_leaderboard_row(tmp_path, capsys, completions,
+                                           tag, message):
+    write_pipeline_inputs(tmp_path)
+    out = tmp_path / "out"
+    run_pipeline(tmp_path, out)
+    runs = tmp_path / "runs"
+    (runs / "sysC.run").write_text(RUN_B.replace("sysB", tag))
+    sent = len(completions)
+    capsys.readouterr()
+    for argv in (grade_argv(tmp_path, out / "bank.json", tmp_path / "g.gz",
+                            "--mode", "rate",
+                            "--mock", str(tmp_path / "grade_mock.json")),
+                 ["leaderboard", "--bank", str(out / "bank.json"),
+                  "--runs", str(runs),
+                  "--grades", str(out / "grades.jsonl.gz"),
+                  "--policy", "rate:4"]):
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr().err == (
+            f"error: {runs}/sysC.run: {message.format(runs=runs)}\n")
+    assert len(completions) == sent
+    assert not (tmp_path / "g.gz").exists()
 
 
 def test_locked_store_fails_before_any_request(tmp_path, capsys,
@@ -1016,10 +1052,11 @@ def cover_tsv(scores):
 
 def agreement_tsv(name, labels, judgments, label_min, judgment_rel_min,
                   label_values=None):
-    """One `agreement` table: labels (rows) against judgments (columns)
-    over the pairs both hold. A side keeps each of its values apart
-    without a threshold, and splits them at the threshold with one. The
-    label values are those the labels hold unless given."""
+    """One `agreement` table, labels (rows) against judgments (columns)
+    over the pairs both hold, and its stderr line with the overall kappa
+    ("" without one). A side keeps each of its values apart without a
+    threshold, and splits them at the threshold with one. The label
+    values are those the labels hold unless given."""
     def groups(values, threshold):
         ordered = sorted(set(values), reverse=True)
         if threshold is None:
@@ -1034,17 +1071,38 @@ def agreement_tsv(name, labels, judgments, label_min, judgment_rel_min,
     common = labels.keys() & judgments.keys()
     counts = [[sum(labels[k] in row and judgments[k] in col for k in common)
                for col in cols] for row in rows]
-    kappas = [""] * len(rows)
+    kappas, kappa_line = [""] * len(rows), ""
     if len(rows) == len(cols):
         overall, per_row = numpy_kappa(counts)
         if overall is not None and None not in per_row:
             kappas = [f"{k:.3f}" for k in per_row]
+            kappa_line = f"{name}: kappa={overall:.3f}\n"
     name_of = "+".join
     lines = [["label", *(name_of(map(str, col)) for col in cols), "total",
               "kappa"]]
     lines += [[name_of(map(str, row)), *map(str, counts[i]),
                str(sum(counts[i])), kappas[i]] for i, row in enumerate(rows)]
-    return f"# {name}\n" + "".join("\t".join(line) + "\n" for line in lines)
+    table = "".join("\t".join(line) + "\n" for line in lines)
+    return f"# {name}\n{table}", kappa_line
+
+
+def test_agreement_prints_each_overall_kappa(tmp_path, capsys):
+    # A 3x3 graded table: its overall kappa differs from every row's.
+    counts = [[5, 1, 0], [1, 4, 2], [0, 1, 6]]
+    pairs = [(label, judgment) for i, label in enumerate((2, 1, 0))
+             for j, judgment in enumerate((2, 1, 0))
+             for _ in range(counts[i][j])]
+    for name, side in (("labels", 0), ("judgments", 1)):
+        (tmp_path / f"{name}.qrels").write_text("".join(
+            f"q1 0 p{k} {pair[side]}\n" for k, pair in enumerate(pairs)))
+    assert main(["agreement", "--labels", str(tmp_path / "labels.qrels"),
+                 "--judgments", str(tmp_path / "judgments.qrels"),
+                 "--collapse", "graded,strict,lenient"]) == 0
+    graded, _ = numpy_kappa(counts)
+    lenient, _ = numpy_kappa([[11, 2], [1, 6]])
+    # No label reaches 4, so the strict table has one row and no kappa.
+    assert capsys.readouterr().err == (f"graded: kappa={graded:.3f}\n"
+                                       f"lenient: kappa={lenient:.3f}\n")
 
 
 @given(pipeline_inputs())
@@ -1107,12 +1165,13 @@ def test_pipeline_outputs_match_oracles(inputs):
         (root / "official.qrels").write_text("".join(
             f"{q} 0 {p} {g}\n" for (q, p), g in official.items()))
         judgments = {pair: max(g, 0) for pair, g in official.items()}
-        exit_code = main([
-            "agreement", *scoring, "--labels", str(root / "exam.qrels"),
-            "--judgments", str(root / "official.qrels"),
-            "--collapse", "graded,lenient,strict",
-            "--judgment-rel-min", str(rel_min), "--min-answers", "1,2",
-            "--out", str(out)])
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            exit_code = main([
+                "agreement", *scoring, "--labels", str(root / "exam.qrels"),
+                "--judgments", str(root / "official.qrels"),
+                "--collapse", "graded,lenient,strict",
+                "--judgment-rel-min", str(rel_min), "--min-answers", "1,2",
+                "--out", str(out)])
         if not labels.keys() & judgments.keys():
             assert exit_code == 1
         else:
@@ -1126,7 +1185,8 @@ def test_pipeline_outputs_match_oracles(inputs):
                 f"binary-min-answers-{n}", brute_force_qrels(
                     grades, bank, replace(policy, min_answers=n)),
                 judgments, 1, rel_min, label_values={0, 1}) for n in (1, 2)]
-            assert out.read_text() == "\n".join(tables)
+            assert out.read_text() == "\n".join(t for t, _ in tables)
+            assert err.getvalue() == "".join(k for _, k in tables)
 
         assert main(["diff", "--old", str(bank_path),
                      "--new", str(root / "new_bank.json"),

@@ -10,11 +10,9 @@ from hypothesis import given, settings, strategies as st
 from exam_eval.bank import diff_banks
 from exam_eval.formats import parse_qrels, parse_run_file
 from exam_eval.metrics import (
-    CollapseSpec,
     UndefinedResult,
     build_qrels,
     cohens_kappa,
-    collapse_for,
     confusion_table,
     correlation_stats,
     exam_cover,
@@ -718,13 +716,8 @@ def test_kappa_matches_numpy_formula(counts):
     assert result.per_row == per_row
 
 
-# Collapses over the full label (0-5) and judgment (0-3) scales.
-JUDGMENT_SPLIT = ((1, 2, 3), (0,))
-LENIENT_SPEC = CollapseSpec("lenient", ((1, 2, 3, 4, 5), (0,)), JUDGMENT_SPLIT)
-STRICT_SPEC = CollapseSpec("strict", ((4, 5), (0, 1, 2, 3)), JUDGMENT_SPLIT)
-BINARY_SPEC = CollapseSpec("binary", ((1,), (0,)), JUDGMENT_SPLIT)
-GRADED_SPEC = CollapseSpec("graded", tuple((v,) for v in range(5, -1, -1)),
-                           tuple((v,) for v in range(3, -1, -1)))
+# The full label scale, 0-5, whatever values a test's labels hold.
+SCALE = frozenset(range(6))
 
 
 class TestAgreementTables:
@@ -746,14 +739,14 @@ class TestAgreementTables:
 
     def test_diagonal_identity(self):
         labels = {("q1", f"p{i}"): i % 2 for i in range(10)}
-        table = confusion_table(labels, labels,
-                                collapse_for("binary", {0, 1}, {0, 1}))
+        table = confusion_table("binary", labels, labels, 1)
         assert table.kappa_overall == pytest.approx(1.0)
         assert table.counts[0][1] == table.counts[1][0] == 0
 
     def test_lenient_hand_tally(self):
         labels, judgments = self.labels_and_judgments()
-        table = confusion_table(labels, judgments, LENIENT_SPEC)
+        table = confusion_table("lenient", labels, judgments, 1,
+                                label_values=SCALE)
         # Relevant labels (1-5): 12 pairs, 8 with judgment >= 1;
         # label 0: 8 pairs, 2 with judgment >= 1.
         assert table.counts == ((8, 4), (2, 6))
@@ -761,13 +754,15 @@ class TestAgreementTables:
 
     def test_strict_structure(self):
         labels, judgments = self.labels_and_judgments()
-        table = confusion_table(labels, judgments, STRICT_SPEC)
+        table = confusion_table("strict", labels, judgments, 4,
+                                label_values=SCALE)
         assert table.row_labels == ("5+4", "3+2+1+0")
         assert table.counts == ((5, 2), (5, 8))
 
     def test_graded_table_has_no_overall_kappa(self):
         labels, judgments = self.labels_and_judgments()
-        table = confusion_table(labels, judgments, GRADED_SPEC)
+        table = confusion_table("graded", labels, judgments, None,
+                                label_values=SCALE)
         assert table.kappa_overall is None
         assert len(table.row_labels) == 6
         assert len(table.col_labels) == 4
@@ -776,19 +771,27 @@ class TestAgreementTables:
     def test_unjoined_pairs_dropped_and_counted(self):
         labels = {("q1", "p1"): 1, ("q1", "p-only-label"): 1}
         judgments = {("q1", "p1"): 2, ("q1", "p-only-j"): 0}
-        table = confusion_table(labels, judgments, BINARY_SPEC)
+        table = confusion_table("binary", labels, judgments, 1)
         assert sum(map(sum, table.counts)) == 1
 
     def test_empty_join_rejected(self):
         with pytest.raises(ContractViolation):
-            confusion_table({("q1", "p1"): 1}, {("q2", "p2"): 1},
-                            BINARY_SPEC)
+            confusion_table("binary", {("q1", "p1"): 1},
+                            {("q2", "p2"): 1}, 1)
 
-    def test_collapse_for_respects_judgment_threshold(self):
-        spec = collapse_for("lenient", {0, 1, 4}, {0, 1, 2, 3},
-                            judgment_rel_min=2)
-        assert spec.judgment_groups == ((3, 2), (1, 0))
-        assert spec.label_groups == ((4, 1), (0,))
+    def test_judgment_rel_min_splits_columns_unless_graded(self):
+        labels = {("q1", f"p{j}"): label
+                  for j, label in enumerate([0, 1, 4, 0])}
+        judgments = {("q1", f"p{j}"): j for j in range(4)}
+        table = confusion_table("lenient", labels, judgments, 1,
+                                judgment_rel_min=2)
+        assert table.col_labels == ("3+2", "1+0")
+        assert table.row_labels == ("4+1", "0")
+        assert table.counts == ((1, 1), (1, 1))
+        graded = confusion_table("graded", labels, judgments, None,
+                                 judgment_rel_min=2)
+        assert graded.col_labels == ("3", "2", "1", "0")
+        assert graded.row_labels == ("4", "1", "0")
 
     def test_min_answers_sweep_shapes(self):
         bank = simple_bank()
@@ -799,8 +802,10 @@ class TestAgreementTables:
         official = {("q1", "p1"): 2, ("q1", "p2"): 0, ("q1", "p3"): 0}
         sweep = min_answers_sweep(grade_index(grades, LENIENT, bank),
                                   official, values=(1, 2, 5))
-        assert [n for n, _ in sweep] == [1, 2, 5]
-        by_n = {n: t for n, t in sweep}
+        assert [t.name for t in sweep] == [
+            "binary-min-answers-1", "binary-min-answers-2",
+            "binary-min-answers-5"]
+        by_n = dict(zip((1, 2, 5), sweep))
         # min_answers=1: p1 and p2 labeled 1; p2 judged 0.
         assert by_n[1].counts == ((1, 1), (0, 1))
         # min_answers=2: only p1 keeps its label.
