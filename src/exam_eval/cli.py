@@ -278,12 +278,12 @@ def cover(bank_path, run_path, grades_path, policy_text, depth, out):
     bank = formats.load_question_bank(bank_path)
     run = formats.load_run_file(run_path)
     policy = parse_policy(policy_text)
-    result = metrics.exam_cover(run, bank,
-                                _grade_index(grades_path, policy, bank), depth)
+    per_query = metrics.exam_cover(grading.build_passage_pool([run], depth),
+                                   bank, _grade_index(grades_path, policy, bank))
     lines = ["query\tcover\n"]
-    for query_id in sorted(result.per_query):
-        lines.append(f"{query_id}\t{result.per_query[query_id]:.4f}\n")
-    lines.append(f"mean\t{result.mean:.4f}\n")
+    for query_id in sorted(per_query):
+        lines.append(f"{query_id}\t{per_query[query_id]:.4f}\n")
+    lines.append(f"mean\t{metrics.mean(per_query):.4f}\n")
     _emit("".join(lines), out)
 
 
@@ -408,14 +408,16 @@ def _format_table_text(table: metrics.ConfusionTable) -> str:
 def agreement(labels_path, judgments_path, collapse_names, judgment_rel_min,
               min_answers, grades_path, bank_path, policy_text, fmt, out):
     """Inter-annotator agreement tables between labels and judgments."""
+    names = [n.strip() for n in collapse_names.split(",") if n.strip()]
+    for name in names:
+        if name not in _COLLAPSES:
+            raise ContractViolation(f"unknown collapse name {name!r}")
     official = formats.load_qrels(judgments_path)
     tables: list[metrics.ConfusionTable] = []
 
     if labels_path:
         labels = formats.load_qrels(labels_path)
-        for name in [n.strip() for n in collapse_names.split(",") if n.strip()]:
-            if name not in _COLLAPSES:
-                raise ContractViolation(f"unknown collapse name {name!r}")
+        for name in names:
             tables.append(metrics.confusion_table(
                 name, labels, official, _COLLAPSES[name], judgment_rel_min))
 
@@ -493,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except click.Abort:
         return EXIT_VALIDATION
-    except (ContractViolation, formats.ParseError, ValueError) as exc:
+    except ValueError as exc:   # ContractViolation, formats.ParseError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (gateway.BackendError, OSError) as exc:

@@ -11,6 +11,7 @@ import functools
 import gzip
 import json
 import logging
+import math
 import zlib
 from collections.abc import Iterator
 from operator import itemgetter
@@ -363,8 +364,8 @@ def load_mock_fixture(path: str | Path) -> dict[str, str]:
 
 @_reader
 def load_official_ranks(path: str | Path) -> dict[str, float | str | None]:
-    """A JSON object mapping system name to official rank: a number, a
-    numeric string, or null for an unranked system."""
+    """A JSON object mapping system name to official rank: a finite number,
+    a numeric string, or null for an unranked system."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ParseError(
@@ -373,7 +374,8 @@ def load_official_ranks(path: str | Path) -> dict[str, float | str | None]:
         if rank is None:        # unranked
             continue
         try:
-            float(rank)
+            if type(rank) is bool or not math.isfinite(float(rank)):
+                raise ValueError
         except (TypeError, ValueError):
             raise ParseError(
                 f"official rank of {system!r} must be a number or null, "

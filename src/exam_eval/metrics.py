@@ -28,21 +28,16 @@ class UndefinedResult(ValueError):
 # Coverage score
 
 
-@dataclass(frozen=True)
-class CoverResult:
-    per_query: dict[str, float]
-    mean: float
-    ungraded_passages: tuple[tuple[str, str], ...] = ()
+def exam_cover(passages_by_query: dict[str, list[str]], bank: QuestionBank,
+               index: GradeIndex) -> dict[str, float]:
+    """Per query with questions, the share of them that its pooled passages
+    (a run's top k, or the union of several runs') answer correctly.
 
-
-def _cover(passages_by_query: dict[str, list[str]], bank: QuestionBank,
-           index: GradeIndex, gaps: list[tuple[str, str]]
-           ) -> dict[str, float]:
-    """Per-query cover of the given passages, over queries with questions.
-
-    Passages without a counted grade are appended to `gaps`.
+    A passage without a counted grade answers nothing; their number is
+    logged as a coverage gap.
     """
     per_query: dict[str, float] = {}
+    gaps = 0
     for query_id in bank.query_ids:
         n_questions = len(bank.questions_for(query_id))
         if not n_questions:
@@ -50,32 +45,13 @@ def _cover(passages_by_query: dict[str, list[str]], bank: QuestionBank,
         answered: set[str] = set()
         for pid in passages_by_query.get(query_id, ()):
             if (query_id, pid) not in index:
-                gaps.append((query_id, pid))
+                gaps += 1
                 continue
             answered |= index.correct(query_id, pid)
         per_query[query_id] = len(answered) / n_questions
-    return per_query
-
-
-def exam_cover(run: Run, bank: QuestionBank, index: GradeIndex,
-               depth: int = 20) -> CoverResult:
-    """Fraction of each query's questions answerable by the top-k passages.
-
-    Per query, the score is the size of the union of correctly answered
-    questions over the top-`depth` passages, divided by the bank size for
-    that query. The system score is the macro-average over queries that
-    have at least one question. Pooled passages without a counted grade
-    count as not-correct and are reported as coverage gaps.
-    """
-    top = {query_id: run.top_k(query_id, depth)
-           for query_id in bank.query_ids}
-    gaps: list[tuple[str, str]] = []
-    per_query = _cover(top, bank, index, gaps)
     if gaps:
-        log.warning("coverage gap: %d pooled passages have no grades",
-                    len(gaps))
-    return CoverResult(per_query=per_query, mean=_mean(per_query),
-                       ungraded_passages=tuple(gaps))
+        log.warning("coverage gap: %d pooled passages have no grades", gaps)
+    return per_query
 
 
 # ---------------------------------------------------------------------------
@@ -96,17 +72,11 @@ def build_qrels(index: GradeIndex, graded: bool = False) -> Qrels:
 # Precision@k
 
 
-@dataclass(frozen=True)
-class PrecisionResult:
-    per_query: dict[str, float]
-    mean: float
-
-
-def _precision(passages_by_query: dict[str, list[str]], qrels: Qrels,
-               k: int) -> dict[str, float]:
-    """Per judged query, min(k, relevant passages) / k over the given
-    passages: P@k of a run's top k, and for a pool the best P@k that any
-    ranking of it reaches.
+def precision_at_k(passages_by_query: dict[str, list[str]], qrels: Qrels,
+                   k: int) -> dict[str, float]:
+    """Per judged query, min(k, relevant passages) / k over its passages:
+    P@k of a run's top k, and for a pool the best P@k that any ranking of
+    it reaches.
 
     Unjudged passages count as non-relevant; queries with no qrels rows at
     all are skipped.
@@ -116,13 +86,6 @@ def _precision(passages_by_query: dict[str, list[str]], qrels: Qrels,
                                  if qrels.get((query_id, pid), 0) >= 1)) / k
             for query_id, pids in passages_by_query.items()
             if query_id in judged_queries}
-
-
-def precision_at_k(run: Run, qrels: Qrels, k: int) -> PrecisionResult:
-    """Fraction of the top-k passages judged relevant, per judged query."""
-    per_query = _precision({query_id: run.top_k(query_id, k)
-                            for query_id in run.query_ids}, qrels, k)
-    return PrecisionResult(per_query=per_query, mean=_mean(per_query))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +193,7 @@ class LeaderboardResult:
     correlation: CorrelationStats | None
 
 
-def _mean(per_query: dict[str, float]) -> float:
+def mean(per_query: dict[str, float]) -> float:
     """Macro-average over queries; 0 without any."""
     return sum(per_query.values()) / len(per_query) if per_query else 0.0
 
@@ -239,8 +202,8 @@ def _std_error(per_query: dict[str, float]) -> float:
     n = len(per_query)
     if n < 2:
         return 0.0
-    mean = _mean(per_query)
-    var = sum((v - mean) ** 2 for v in per_query.values()) / (n - 1)
+    average = mean(per_query)
+    var = sum((v - average) ** 2 for v in per_query.values()) / (n - 1)
     return math.sqrt(var) / math.sqrt(n)
 
 
@@ -251,32 +214,22 @@ def leaderboard(runs: list[Run], bank: QuestionBank, index: GradeIndex,
     """Score every run, add the pooled `_overall_` row, and correlate
     against the official ranking when one is supplied.
 
-    Both metrics read each run's top `depth` passages: cover over them,
-    P@k with k = `depth`. `_overall_` scores the union of all systems' top
-    `depth` passages: the pooled coverage for the cover metric, the best
-    achievable P@k for the qrels metric. It is excluded from the
+    Each row scores a pool of top `depth` passages: a run's row its own,
+    `_overall_` the union of every run's. The metric picks the scorer:
+    cover, or P@k with k = `depth`, which for `_overall_` is the best P@k
+    any ranking of the pool reaches. `_overall_` is excluded from the
     correlation, as are systems without an official rank.
     """
-    pool = grading.build_passage_pool(runs, depth)
-
-    per_system: dict[str, dict[str, float]] = {}
-    if metric == "cover":
-        for run in runs:
-            per_system[run.run_tag] = exam_cover(
-                run, bank, index, depth).per_query
-        per_system[OVERALL_SYSTEM] = _cover(pool, bank, index, [])
-    else:
-        qrels = build_qrels(index)
-        for run in runs:
-            per_system[run.run_tag] = precision_at_k(
-                run, qrels, depth).per_query
-        per_system[OVERALL_SYSTEM] = _precision(pool, qrels, depth)
-
+    qrels = None if metric == "cover" else build_qrels(index)
     rows = []
-    for system, per_query in per_system.items():
+    for system, pooled in [*((run.run_tag, [run]) for run in runs),
+                           (OVERALL_SYSTEM, runs)]:
+        pool = grading.build_passage_pool(pooled, depth)
+        per_query = (exam_cover(pool, bank, index) if metric == "cover"
+                     else precision_at_k(pool, qrels, depth))
         rows.append(LeaderboardRow(
             system=system,
-            score=_mean(per_query),
+            score=mean(per_query),
             std_error=_std_error(per_query),
             official_rank=(official_ranks or {}).get(system)))
     rows.sort(key=lambda r: (-r.score, r.system))

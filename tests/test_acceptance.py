@@ -12,7 +12,7 @@ import pytest
 
 from exam_eval.formats import parse_qrels, parse_run_file, write_qrels
 from exam_eval.gateway import MockBackend
-from exam_eval.grading import grade_pair
+from exam_eval.grading import build_passage_pool, grade_pair
 from exam_eval.metrics import (
     build_qrels,
     cohens_kappa,
@@ -125,9 +125,9 @@ def test_criterion_3_metric_oracles():
         run, rows = random_run(rng, n_queries, n_passages)
         policy = GradePolicy(SELF_RATED, min_rating=min_rating)
         expected = brute_force_cover(rows, bank, grades, policy, depth)
-        actual = exam_cover(run, bank, grade_index(grades, policy, bank),
-                            depth)
-        assert actual.per_query == pytest.approx(expected)
+        actual = exam_cover(build_passage_pool([run], depth), bank,
+                            grade_index(grades, policy, bank))
+        assert actual == pytest.approx(expected)
 
     for trial in range(400):
         n_queries = rng.randint(1, 10)
@@ -141,8 +141,8 @@ def test_criterion_3_metric_oracles():
         qrels = parse_qrels(write_qrels(judged))
         run, rows = random_run(rng, n_queries, n_passages)
         expected = brute_force_precision(rows, judged, k)
-        actual = precision_at_k(run, qrels, k)
-        assert actual.per_query == pytest.approx(expected)
+        actual = precision_at_k(build_passage_pool([run], k), qrels, k)
+        assert actual == pytest.approx(expected)
 
     for trial in range(300):
         n = rng.randint(3, 8)
@@ -178,21 +178,23 @@ def test_criterion_4_invariant_suite():
         grades = [rated("q1", f"p{pi}", f"q1/q/{i}", rng.randint(0, 5))
                   for pi in range(10) for i in range(n_questions)]
         prefix = rng.randint(1, 9)
-        shorter = make_run("s", [("q1", f"p{i}") for i in range(prefix)])
+        shorter = {"q1": [f"p{i}" for i in range(prefix)]}
         longer = make_run("s", [("q1", f"p{i}") for i in range(10)])
+        pool = build_passage_pool([longer], 20)
         for min_rating in (1, 4):
             index = grade_index(
                 grades, GradePolicy(SELF_RATED, min_rating=min_rating), bank)
-            assert exam_cover(longer, bank, index).mean \
-                >= exam_cover(shorter, bank, index).mean
-            assert exam_cover(longer, bank, index, 20).mean \
-                >= exam_cover(longer, bank, index, rng.randint(1, 10)).mean
+            assert exam_cover(pool, bank, index)["q1"] \
+                >= exam_cover(shorter, bank, index)["q1"]
+            assert exam_cover(pool, bank, index)["q1"] >= exam_cover(
+                build_passage_pool([longer], rng.randint(1, 10)), bank,
+                index)["q1"]
         strict = grade_index(grades, GradePolicy(SELF_RATED, min_rating=4),
                              bank)
         lenient = grade_index(grades, GradePolicy(SELF_RATED, min_rating=1),
                               bank)
-        assert exam_cover(longer, bank, strict).mean \
-            <= exam_cover(longer, bank, lenient).mean
+        assert exam_cover(pool, bank, strict)["q1"] \
+            <= exam_cover(pool, bank, lenient)["q1"]
 
     # Binary/graded label consistency.
     for _ in range(200):

@@ -4,6 +4,7 @@ import http.client
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exam_eval.cli import main, parse_policy, read_config_file
+from exam_eval.cli import cli, main, parse_policy, read_config_file
 from exam_eval.formats import GradeStore, ParseError, save_question_bank
 from exam_eval.gateway import MockBackend
 from exam_eval.model import (
@@ -124,6 +125,17 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
                             f"it names no option of any command\n")
 
 
+def test_readme_names_exactly_the_cli_options():
+    # pip's flag is the only other long option the README shows.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme))
+    params = [*cli.params, *(param for command in cli.commands.values()
+                             for param in command.params)]
+    options = {opt for param in params for opt in param.opts
+               if opt.startswith("--")}
+    assert documented - {"--no-build-isolation"} == options
+
+
 
 @pytest.mark.parametrize("name, content, message", [
     ("bank", {"queries": [["q1"]]}, "'queries' must be a list of objects"),
@@ -145,10 +157,22 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
      "official rank of 'sysB' must be a number or null"),
     ("official", {"sysA": 1, "sysB": "second"},
      "official rank of 'sysB' must be a number or null, got 'second'"),
+    ("official", {"sysA": 1, "sysB": True},
+     "official rank of 'sysB' must be a number or null, got True"),
+    ("official", {"sysA": False, "sysB": 2},
+     "official rank of 'sysA' must be a number or null, got False"),
+    ("official", {"sysA": 1, "sysB": "NaN"},
+     "official rank of 'sysB' must be a number or null, got 'NaN'"),
+    ("official", {"sysA": 1, "sysB": math.nan},
+     "official rank of 'sysB' must be a number or null, got nan"),
+    ("official", {"sysA": "inf", "sysB": 2},
+     "official rank of 'sysA' must be a number or null, got 'inf'"),
 ], ids=["queries-of-lists", "queries-object", "question-string",
         "query-without-id", "query-without-title", "queries-object-file",
         "facet-without-id", "official-list", "official-rank-list",
-        "official-rank-object", "official-rank-word"])
+        "official-rank-object", "official-rank-word", "official-rank-true",
+        "official-rank-false", "official-rank-nan-string",
+        "official-rank-nan", "official-rank-inf-string"])
 def test_malformed_json_input_exits_one(tmp_path, capsys, name, content,
                                         message):
     write_pipeline_inputs(tmp_path)
@@ -826,15 +850,19 @@ def test_bad_input_error_names_its_file(tmp_path, capsys):
      "'rate:<min_rating>'"),
     (["generate", "--template", "dl", "--max-input-tokens", "100"],
      "No such option"),
-    (["agreement", "--collapse", "lenient,bogus"],
+    (["agreement", "--labels", "{out}/exam.qrels",
+      "--collapse", "lenient,bogus"], "unknown collapse name 'bogus'"),
+    (["agreement", "--collapse", "bogus", "--min-answers", "1"],
      "unknown collapse name 'bogus'"),
 ], ids=["template", "metric", "min-answers-sweep", "graded-qa",
         "min-answers-sweep-not-int", "min-rating", "min-rating-not-int",
-        "min-answers-not-int", "generate-max-input-tokens", "collapse"])
+        "min-answers-not-int", "generate-max-input-tokens", "collapse",
+        "collapse-without-labels"])
 def test_bad_flag_value_exits_one(tmp_path, capsys, argv, message):
     write_pipeline_inputs(tmp_path)
     out = tmp_path / "out"
     run_pipeline(tmp_path, out)
+    argv = [arg.format(out=out) for arg in argv]
     inputs = {
         "generate": ["--queries", str(tmp_path / "queries.json"),
                      "--mock", str(tmp_path / "gen_mock.json"),
@@ -843,8 +871,7 @@ def test_bad_flag_value_exits_one(tmp_path, capsys, argv, message):
                         "--runs", str(tmp_path / "runs"),
                         "--grades", str(out / "grades.jsonl.gz"),
                         "--policy", "rate:4"],
-        "agreement": ["--labels", str(out / "exam.qrels"),
-                      "--judgments", str(out / "exam.qrels"),
+        "agreement": ["--judgments", str(out / "exam.qrels"),
                       "--grades", str(out / "grades.jsonl.gz"),
                       "--bank", str(out / "bank.json"),
                       "--policy", "rate:4"],
@@ -998,6 +1025,46 @@ def test_grades_count_only_for_questions_of_their_own_query(tmp_path, capsys,
         assert main(argv) == 0
         assert capsys.readouterr().out == expected, argv[0]
     assert "coverage gap: 2 pooled passages have no grades" in caplog.messages
+
+
+def test_coverage_gaps_logged_per_scored_pool(tmp_path, capsys, caplog):
+    # p2, p3 and p5 have no grades: sysA pools one of them, sysB two, and
+    # the union of both runs all three.
+    bank = QuestionBank({"q1": (ExamQuestion("q1/a", "q1", "A?"),
+                                ExamQuestion("q1/b", "q1", "B?"))})
+    (tmp_path / "bank.json").write_text(save_question_bank(bank))
+    GradeStore(tmp_path / "grades.jsonl.gz").append(dict([
+        rated("q1", "p1", "q1/a", 5), rated("q1", "p4", "q1/b", 5)]))
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    for tag, pids in (("sysA", ["p1", "p2"]), ("sysB", ["p3", "p4", "p5"])):
+        (runs / f"{tag}.run").write_text("".join(
+            f"q1 Q0 {pid} {rank} {1 / rank:.2f} {tag}\n"
+            for rank, pid in enumerate(pids, 1)))
+    scoring = ["--bank", str(tmp_path / "bank.json"),
+               "--grades", str(tmp_path / "grades.jsonl.gz"),
+               "--policy", "rate:4"]
+    gap = "coverage gap: {} pooled passages have no grades".format
+    commands = [
+        (["cover", *scoring, "--run", str(runs / "sysA.run")],
+         "query\tcover\nq1\t0.5000\nmean\t0.5000\n", [gap(1)]),
+        (["leaderboard", *scoring, "--runs", str(runs)],
+         "system\tscore\tstd_error\tofficial_rank\n"
+         "_overall_\t1.0000\t0.0000\t\nsysA\t0.5000\t0.0000\t\n"
+         "sysB\t0.5000\t0.0000\t\n", [gap(1), gap(2), gap(3)]),
+        (["leaderboard", *scoring, "--runs", str(runs), "--metric", "p_at_k",
+          "--depth", "2"],
+         "system\tscore\tstd_error\tofficial_rank\n"
+         "_overall_\t1.0000\t0.0000\t\nsysA\t0.5000\t0.0000\t\n"
+         "sysB\t0.5000\t0.0000\t\n", []),
+    ]
+    for argv, expected, gaps in commands:
+        capsys.readouterr()
+        caplog.clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected, argv
+        assert [m for m in caplog.messages
+                if m.startswith("coverage gap")] == gaps, argv
 
 
 # ---------------------------------------------------------------------------

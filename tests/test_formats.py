@@ -37,7 +37,6 @@ from exam_eval.model import (
 from conftest import (
     grade_index,
     lock_holder,
-    make_run,
     rated,
     stored_grades,
     verified,
@@ -545,8 +544,7 @@ def test_store_round_trip_matches_oracle(batches):
             store.append(dict(batch))
         assert stored_grades(store) == expected
         rows = store.read()
-    run = make_run("sys", [(q, p) for q in ("q1", "q2")
-                           for p in ("p1", "p2", "p3")])
+    passages = {q: ["p1", "p2", "p3"] for q in ("q1", "q2")}
     for policy in (GradePolicy(QA_VERIFIED), GradePolicy(SELF_RATED, 3),
                    GradePolicy(SELF_RATED, 1, min_answers=2)):
         index = GradeIndex(rows, policy, ROUND_TRIP_BANK)
@@ -557,5 +555,5 @@ def test_store_round_trip_matches_oracle(batches):
         if policy.mode == SELF_RATED:
             assert build_qrels(index, graded=True) \
                 == build_qrels(oracle, graded=True)
-        assert exam_cover(run, ROUND_TRIP_BANK, index) \
-            == exam_cover(run, ROUND_TRIP_BANK, oracle)
+        assert exam_cover(passages, ROUND_TRIP_BANK, index) \
+            == exam_cover(passages, ROUND_TRIP_BANK, oracle)

@@ -7,8 +7,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exam_eval import metrics
 from exam_eval.bank import diff_banks
 from exam_eval.formats import parse_qrels, parse_run_file
+from exam_eval.grading import build_passage_pool
 from exam_eval.metrics import (
     UndefinedResult,
     build_qrels,
@@ -304,8 +306,8 @@ class TestAgainstOracles:
         bank, grades, runs, rows, policy, depth = inputs
         index = grade_index(grades, policy, bank)
         for run, ranked in zip(runs, rows):
-            result = exam_cover(run, bank, index, depth)
-            assert result.per_query == pytest.approx(
+            result = exam_cover(build_passage_pool([run], depth), bank, index)
+            assert result == pytest.approx(
                 brute_force_cover(ranked, bank, grades, policy, depth))
 
     @given(st.data(), st.integers(1, 8))
@@ -317,8 +319,9 @@ class TestAgainstOracles:
             st.integers(-2, 3)))
         qrels = parse_qrels("".join(f"{q} 0 {p} {g}\n"
                                     for (q, p), g in judged.items()))
-        result = precision_at_k(parse_run_file(text), qrels, k)
-        assert result.per_query == pytest.approx(
+        result = precision_at_k(build_passage_pool([parse_run_file(text)], k),
+                                qrels, k)
+        assert result == pytest.approx(
             brute_force_precision(run_rows(text), judged, k))
 
     @given(scoring_inputs())
@@ -379,68 +382,68 @@ class TestExamCover:
                   rated("q1", "p1", "q1/q/1", 4),
                   rated("q1", "p2", "q1/q/1", 5),
                   rated("q1", "p2", "q1/q/2", 5)]
-        run = make_run("sys", [("q1", "p1"), ("q1", "p2")])
-        result = exam_cover(run, bank, grade_index(grades, LENIENT, bank))
-        assert result.per_query["q1"] == pytest.approx(0.6)
-        assert result.mean == pytest.approx(0.6)
+        result = exam_cover({"q1": ["p1", "p2"]}, bank,
+                            grade_index(grades, LENIENT, bank))
+        assert result == pytest.approx({"q1": 0.6})
+        assert metrics.mean(result) == pytest.approx(0.6)
 
     def test_nothing_answerable(self):
         bank = simple_bank()
-        run = make_run("sys", [("q1", "p1")])
         grades = [rated("q1", "p1", "q1/q/0", 0)]
-        result = exam_cover(run, bank, grade_index(grades, LENIENT, bank))
-        assert result.per_query["q1"] == 0.0
+        result = exam_cover({"q1": ["p1"]}, bank,
+                            grade_index(grades, LENIENT, bank))
+        assert result == {"q1": 0.0}
 
     def test_everything_answerable(self):
         bank = simple_bank()
-        run = make_run("sys", [("q1", "p1")])
         grades = [rated("q1", "p1", f"q1/q/{i}", 5) for i in range(5)]
-        result = exam_cover(run, bank, grade_index(grades, LENIENT, bank))
-        assert result.per_query["q1"] == 1.0
+        result = exam_cover({"q1": ["p1"]}, bank,
+                            grade_index(grades, LENIENT, bank))
+        assert result == {"q1": 1.0}
 
-    def test_missing_grades_counted_not_correct(self):
+    def test_missing_grades_counted_not_correct(self, caplog):
         bank = simple_bank()
-        run = make_run("sys", [("q1", "p1"), ("q1", "p-ungraded")])
         grades = [rated("q1", "p1", "q1/q/0", 5)]
-        result = exam_cover(run, bank, grade_index(grades, LENIENT, bank))
-        assert result.per_query["q1"] == pytest.approx(0.2)
-        assert ("q1", "p-ungraded") in result.ungraded_passages
+        result = exam_cover({"q1": ["p1", "p-ungraded"]}, bank,
+                            grade_index(grades, LENIENT, bank))
+        assert result == pytest.approx({"q1": 0.2})
+        assert caplog.messages == [
+            "coverage gap: 1 pooled passages have no grades"]
 
     def test_empty_bank_query_excluded_from_mean(self):
         bank = QuestionBank({"q1": simple_bank().questions_for("q1"),
                              "q2": ()})
-        run = make_run("sys", [("q1", "p1"), ("q2", "p2")])
         grades = [rated("q1", "p1", f"q1/q/{i}", 5) for i in range(5)]
-        result = exam_cover(run, bank, grade_index(grades, LENIENT, bank))
-        assert "q2" not in result.per_query
-        assert result.mean == 1.0
+        result = exam_cover({"q1": ["p1"], "q2": ["p2"]}, bank,
+                            grade_index(grades, LENIENT, bank))
+        assert result == {"q1": 1.0}
+        assert metrics.mean(result) == 1.0
 
     def test_monotone_in_passages_and_depth(self):
         rng = random.Random(7)
         bank = simple_bank(n=6)
         grades = [rated("q1", f"p{i}", f"q1/q/{j}", rng.randint(0, 5))
                   for i in range(10) for j in range(6)]
-        short = make_run("sys", [("q1", f"p{i}") for i in range(5)])
         longer = make_run("sys", [("q1", f"p{i}") for i in range(10)])
         for policy in (LENIENT, GradePolicy(SELF_RATED, min_rating=4)):
             index = grade_index(grades, policy, bank)
-            a = exam_cover(short, bank, index).mean
-            b = exam_cover(longer, bank, index).mean
-            assert b >= a
-            shallow = exam_cover(longer, bank, index, 3).mean
-            assert b >= shallow
+            a = exam_cover(build_passage_pool([longer], 5), bank, index)
+            b = exam_cover(build_passage_pool([longer], 10), bank, index)
+            assert b["q1"] >= a["q1"]
+            shallow = exam_cover(build_passage_pool([longer], 3), bank, index)
+            assert a["q1"] >= shallow["q1"]
 
     def test_threshold_monotonicity(self):
         rng = random.Random(13)
         bank = simple_bank(n=6)
         grades = [rated("q1", f"p{i}", f"q1/q/{j}", rng.randint(0, 5))
                   for i in range(8) for j in range(6)]
-        run = make_run("sys", [("q1", f"p{i}") for i in range(8)])
-        strict = exam_cover(run, bank, grade_index(
-            grades, GradePolicy(SELF_RATED, min_rating=4), bank)).mean
-        lenient = exam_cover(run, bank,
-                             grade_index(grades, LENIENT, bank)).mean
-        assert strict <= lenient
+        passages = {"q1": [f"p{i}" for i in range(8)]}
+        strict = exam_cover(passages, bank, grade_index(
+            grades, GradePolicy(SELF_RATED, min_rating=4), bank))
+        lenient = exam_cover(passages, bank,
+                             grade_index(grades, LENIENT, bank))
+        assert strict["q1"] <= lenient["q1"]
 
 
 # ---------------------------------------------------------------------------
@@ -517,24 +520,23 @@ class TestBuildQrels:
 class TestPrecisionAtK:
     def test_all_relevant(self):
         qrels = {("q1", f"p{i}"): 1 for i in range(20)}
-        run = make_run("sys", [("q1", f"p{i}") for i in range(20)])
-        assert precision_at_k(run, qrels, 20).mean == 1.0
+        passages = {"q1": [f"p{i}" for i in range(20)]}
+        assert precision_at_k(passages, qrels, 20) == {"q1": 1.0}
 
     def test_half_relevant(self):
         qrels = {("q1", f"p{i}"): 1 if i < 10 else 0 for i in range(20)}
-        run = make_run("sys", [("q1", f"p{i}") for i in range(20)])
-        assert precision_at_k(run, qrels, 20).mean == 0.5
+        passages = {"q1": [f"p{i}" for i in range(20)]}
+        assert precision_at_k(passages, qrels, 20) == {"q1": 0.5}
 
     def test_unjudged_counts_nonrelevant(self):
         qrels = {("q1", "p0"): 1}
-        run = make_run("sys", [("q1", "p0"), ("q1", "p-unjudged")])
-        assert precision_at_k(run, qrels, 2).mean == 0.5
+        assert precision_at_k({"q1": ["p0", "p-unjudged"]}, qrels, 2) \
+            == {"q1": 0.5}
 
     def test_unjudged_query_skipped(self):
         qrels = {("q1", "p0"): 1}
-        run = make_run("sys", [("q1", "p0"), ("q2", "p0")])
-        result = precision_at_k(run, qrels, 1)
-        assert set(result.per_query) == {"q1"}
+        assert precision_at_k({"q1": ["p0"], "q2": ["p0"]}, qrels, 1) \
+            == {"q1": 1.0}
 
 
 # ---------------------------------------------------------------------------
