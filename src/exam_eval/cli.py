@@ -12,7 +12,6 @@ import logging
 import os
 import re
 import sys
-import tempfile
 from pathlib import Path
 
 import click
@@ -72,11 +71,21 @@ def _grade_index(grades_path: str, policy: GradePolicy,
 
 
 def atomic_write(path: str | Path, text: str) -> None:
+    """Write text to path through a rename, so no reader sees it half
+    written. The file keeps the mode `open(path, "w")` would leave: an
+    existing file's own, or 0o666 less the umask for a new one."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
-                               prefix=f".{path.name}.")
+    try:
+        mode = os.stat(path).st_mode & 0o777
+    except FileNotFoundError:
+        mode = None
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    # The kernel applies the umask to a new file's 0o666, as open() does.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -306,6 +315,14 @@ def qrels(bank_path, grades_path, policy_text, graded, out):
     _emit(formats.write_qrels(labels), out)
 
 
+def _rank_text(rank: float | None) -> str:
+    """An official rank as the leaderboard prints it: an integral rank as
+    an integer, any other in its shortest form, none as empty."""
+    if rank is None:
+        return ""
+    return str(int(rank)) if rank.is_integer() else str(rank)
+
+
 @cli.command()
 @click.option("--bank", "bank_path", required=True, type=click.Path(exists=True))
 @click.option("--runs", "run_paths", multiple=True, required=True,
@@ -334,7 +351,7 @@ def leaderboard(bank_path, run_paths, grades_path, policy_text, metric,
         depth=depth, official_ranks=official)
     lines = ["system\tscore\tstd_error\tofficial_rank\n"]
     for row in result.rows:
-        rank = "" if row.official_rank is None else str(row.official_rank)
+        rank = _rank_text(row.official_rank)
         lines.append(f"{row.system}\t{row.score:.4f}\t"
                      f"{row.std_error:.4f}\t{rank}\n")
     _emit("".join(lines), out)

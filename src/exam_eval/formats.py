@@ -363,24 +363,28 @@ def load_mock_fixture(path: str | Path) -> dict[str, str]:
 
 
 @_reader
-def load_official_ranks(path: str | Path) -> dict[str, float | str | None]:
+def load_official_ranks(path: str | Path) -> dict[str, float | None]:
     """A JSON object mapping system name to official rank: a finite number,
-    a numeric string, or null for an unranked system."""
+    a numeric string, or null for an unranked system. Each rank is read as
+    a float, whichever way the file spells it."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ParseError(
             "expected a JSON object mapping system name to official rank")
+    ranks: dict[str, float | None] = {}
     for system, rank in doc.items():
         if rank is None:        # unranked
+            ranks[system] = None
             continue
         try:
-            if type(rank) is bool or not math.isfinite(float(rank)):
+            ranks[system] = float(rank)
+            if type(rank) is bool or not math.isfinite(ranks[system]):
                 raise ValueError
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError(
                 f"official rank of {system!r} must be a number or null, "
                 f"got {rank!r}") from None
-    return doc
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +394,15 @@ def load_official_ranks(path: str | Path) -> dict[str, float | str | None]:
 @_reader
 def load_leaderboard_scores(path: str | Path) -> dict[str, float]:
     """Each system's score from a leaderboard TSV, as `leaderboard` writes
-    it; the header and the `_overall_` row are skipped."""
+    it; a first line whose first field is `system` is the header, and it
+    and the `_overall_` row are skipped. A later `system` row is a system
+    of that name."""
     scores: dict[str, float] = {}
     for line_no, line in enumerate(Path(path).read_text().splitlines(),
                                    start=1):
         fields = line.split("\t")
-        if len(fields) < 2 or fields[0] in ("system", OVERALL_SYSTEM):
+        if (len(fields) < 2 or fields[0] == OVERALL_SYSTEM
+                or (line_no == 1 and fields[0] == "system")):
             continue
         try:
             scores[fields[0]] = float(fields[1])
@@ -413,9 +420,16 @@ _GRADE_FIELDS = ("query_id", "passage_id", "question_id", "mode",
                  "answer_text", "verified", "rating")
 
 
+# One encoder for every line: `json.dumps` with these options builds a new
+# one per call.
+_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+# zlib's and gzip(1)'s default level: Python's gzip defaults to 9, which
+# costs several times the CPU per append for a store about 2 % smaller.
+_COMPRESSLEVEL = 6
+
+
 def _grade_to_json(key: GradeKey, row: GradeRow) -> str:
-    record = dict(zip(_GRADE_FIELDS, key + row))
-    return json.dumps(record, ensure_ascii=False, sort_keys=True)
+    return _encode(dict(zip(_GRADE_FIELDS, key + row)))
 
 
 _DECODER = json.JSONDecoder()
@@ -502,6 +516,7 @@ class GradeStore:
                 # mtime=0 and no embedded filename keep the bytes
                 # deterministic for identical grade sequences.
                 with gzip.GzipFile(filename="", mode="ab", fileobj=raw,
+                                   compresslevel=_COMPRESSLEVEL,
                                    mtime=0) as fh:
                     fh.write(data)
 

@@ -55,12 +55,27 @@ def edit_distance_below(a: str, b: str, limit: float) -> bool:
     edit-distance table. So only the band is filled, a length gap over k
     fails at once, and the check stops at the first row whose band holds
     nothing at or below k: no later row can go lower.
+
+    Before the table, the bag distance max(|A - B|, |B - A|) of the two
+    strings' character multisets A and B settles most pairs: an insertion,
+    deletion or substitution changes each side of the multiset difference
+    by at most one, so the bag distance never exceeds the edit distance,
+    and a bag distance over k fails at once (Bartolini, Ciaccia & Patella,
+    SPIRE 2002). With a the longer string, |A - B| - |B - A| = |a| - |b|
+    >= 0, so the bag distance is |A - B|.
     """
     k = math.ceil(limit) - 1
     if len(a) < len(b):
         a, b = b, a
     n, m = len(a), len(b)
     if n - m > k:
+        return False
+    bag_distance = 0
+    for c in set(a):
+        extra = a.count(c) - b.count(c)
+        if extra > 0:
+            bag_distance += extra
+    if bag_distance > k:
         return False
     far = k + 1                 # any cell outside the band is at least this
     previous = [j if j <= k else far for j in range(m + 1)]

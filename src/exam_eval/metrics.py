@@ -184,7 +184,7 @@ class LeaderboardRow:
     system: str
     score: float
     std_error: float
-    official_rank: int | None = None
+    official_rank: float | None = None
 
 
 @dataclass(frozen=True)
@@ -209,7 +209,7 @@ def _std_error(per_query: dict[str, float]) -> float:
 
 def leaderboard(runs: list[Run], bank: QuestionBank, index: GradeIndex,
                 metric: str = "cover", depth: int = 20,
-                official_ranks: dict[str, int] | None = None
+                official_ranks: dict[str, float | None] | None = None
                 ) -> LeaderboardResult:
     """Score every run, add the pooled `_overall_` row, and correlate
     against the official ranking when one is supplied.
@@ -239,7 +239,7 @@ def leaderboard(runs: list[Run], bank: QuestionBank, index: GradeIndex,
         ours = {r.system: r.score for r in rows
                 if r.system != OVERALL_SYSTEM and r.official_rank is not None}
         # Lower official rank is better, so negate for correlation.
-        theirs = {s: -float(official_ranks[s]) for s in ours}
+        theirs = {s: -official_ranks[s] for s in ours}
         try:
             correlation = correlation_stats(ours, theirs)
         except UndefinedResult:

@@ -4,7 +4,9 @@ import http.client
 import io
 import json
 import math
+import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -14,7 +16,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exam_eval.cli import cli, main, parse_policy, read_config_file
+from exam_eval.cli import (
+    atomic_write, cli, main, parse_policy, read_config_file)
 from exam_eval.formats import GradeStore, ParseError, save_question_bank
 from exam_eval.gateway import MockBackend
 from exam_eval.model import (
@@ -214,6 +217,76 @@ def test_official_ranks_numeric_strings_and_null_accepted(tmp_path):
         line.split("\t") for line in
         (out / "mixed.tsv").read_text().splitlines()[1:])}
     assert ranks == {"sysA": "1", "sysB": "", "_overall_": ""}
+
+
+@pytest.mark.parametrize("content, printed", [
+    ({"sysA": 1.0, "sysB": "2"}, ("1", "2")),
+    ({"sysA": "1.0", "sysB": 2}, ("1", "2")),
+    ({"sysA": 2.5, "sysB": "1e0"}, ("2.5", "1")),
+    ({"sysA": "0.25", "sysB": 3e1}, ("0.25", "30"))])
+def test_official_ranks_print_in_one_form(tmp_path, content, printed):
+    # An integral rank prints as an integer, any other in its shortest
+    # form, however the JSON file spells it.
+    write_pipeline_inputs(tmp_path)
+    out = tmp_path / "out"
+    run_pipeline(tmp_path, out)
+    official = tmp_path / "official_forms.json"
+    official.write_text(json.dumps(content))
+    assert main(["leaderboard", "--bank", str(out / "bank.json"),
+                 "--runs", str(tmp_path / "runs"),
+                 "--grades", str(out / "grades.jsonl.gz"),
+                 "--policy", "rate:4", "--official", str(official),
+                 "--out", str(out / "forms.tsv")]) == 0
+    ranks = {fields[0]: fields[3] for fields in (
+        line.split("\t") for line in
+        (out / "forms.tsv").read_text().splitlines()[1:])}
+    assert ranks == {"sysA": printed[0], "sysB": printed[1], "_overall_": ""}
+
+
+def test_correlate_counts_a_system_named_system(tmp_path, capsys):
+    # Only the first line of a leaderboard TSV is its header; a run tagged
+    # `system` is a row like any other.
+    write_pipeline_inputs(tmp_path)
+    runs = tmp_path / "runs"
+    (runs / "sysA.run").unlink()
+    (runs / "system.run").write_text(RUN_A.replace("sysA", "system"))
+    (runs / "sysC.run").write_text(RUN_B.replace("sysB", "sysC")
+                                   .replace("pA2", "pA1"))
+    out = tmp_path / "out"
+    run_pipeline(tmp_path, out)
+    board = out / "leaderboard.tsv"
+    assert [line.split("\t")[0] for line in board.read_text().splitlines()
+            ].count("system") == 2
+    capsys.readouterr()
+    assert main(["correlate", "--a", str(board), "--b", str(board)]) == 0
+    assert "n\t3" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_write_leaves_a_new_file_the_umask_mode(tmp_path, umask, mode):
+    # The mode `open(path, "w")` leaves, not the temporary file's 0600.
+    path = tmp_path / "out.txt"
+    old = os.umask(umask)
+    try:
+        atomic_write(path, "x")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert path.read_text() == "x"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_atomic_write_keeps_an_existing_files_mode(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old")
+    path.chmod(0o640)
+    old = os.umask(0o077)
+    try:
+        atomic_write(path, "new")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert path.read_text() == "new"
 
 
 @pytest.mark.parametrize("command, flag, value, bound", [

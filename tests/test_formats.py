@@ -286,7 +286,15 @@ class TestPassages:
 class TestOfficialRanks:
     def test_numbers_numeric_strings_and_null(self, tmp_path):
         doc = {"a": 1, "b": 2.5, "c": "3", "d": None}
-        assert load_official_ranks(write_json(tmp_path, doc)) == doc
+        ranks = load_official_ranks(write_json(tmp_path, doc))
+        assert ranks == {"a": 1.0, "b": 2.5, "c": 3.0, "d": None}
+        assert [type(r) for r in ranks.values()] == [float] * 3 + [type(None)]
+
+    def test_integer_too_large_for_a_float_rejected(self, tmp_path):
+        path = write_json(tmp_path, {"a": 10 ** 400})
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: official rank of 'a' must be a number or null")):
+            load_official_ranks(path)
 
     def test_word_rank_rejected(self, tmp_path):
         path = write_json(tmp_path, {"a": "first"})
@@ -302,6 +310,12 @@ class TestLeaderboardScores:
         path.write_text("system\tscore\tstd_error\tofficial_rank\n"
                         "_overall_\t1.0\t0.0\t\nsysA\t0.5\t0.1\t1\n\n")
         assert load_leaderboard_scores(path) == {"sysA": 0.5}
+
+    def test_only_the_first_line_is_a_header(self, tmp_path):
+        path = tmp_path / "lb.tsv"
+        path.write_text("system\tscore\tstd_error\tofficial_rank\n"
+                        "sysB\t0.7\t0.1\t\nsystem\t0.5\t0.1\t\n")
+        assert load_leaderboard_scores(path) == {"sysB": 0.7, "system": 0.5}
 
     def test_bad_score_names_file_and_line(self, tmp_path):
         path = tmp_path / "lb.tsv"
@@ -389,12 +403,40 @@ class TestGradeStore:
         for batch in batches:
             store.append(batch)
             with gzip.GzipFile(filename="", mode="ab", fileobj=expected,
-                               mtime=0) as fh:
+                               compresslevel=6, mtime=0) as fh:
                 for key, row in batch.items():
                     record = dict(zip(GRADE_FIELDS, key + row))
                     fh.write((json.dumps(record, ensure_ascii=False,
                                          sort_keys=True) + "\n").encode())
         assert store.path.read_bytes() == expected.getvalue()
+
+    def test_level_9_store_reads_on_after_an_append(self, tmp_path):
+        # Stores were once written at gzip level 9; every member stands
+        # alone, so an append at today's level reads after it, in order.
+        old = dict([rated("q1", "p1", "qq1", 2), rated("q1", "p2", "qq1", 5)])
+        new = dict([rated("q1", "p1", "qq1", 4), rated("q2", "p3", "qq2", 0)])
+        store = GradeStore(tmp_path / "g.jsonl.gz")
+        with gzip.GzipFile(store.path, mode="wb", compresslevel=9,
+                           mtime=0) as fh:
+            for key, row in old.items():
+                record = dict(zip(GRADE_FIELDS, key + row))
+                fh.write((json.dumps(record, ensure_ascii=False,
+                                     sort_keys=True) + "\n").encode())
+        store.append(new)
+        assert stored_grades(store) == list({**old, **new}.items())
+        with gzip.open(store.path, "rt", encoding="utf-8") as fh:
+            assert [tuple(json.loads(line)[f] for f in GRADE_FIELDS)
+                    for line in fh] == [key + row for batch in (old, new)
+                                        for key, row in batch.items()]
+
+    def test_appends_of_the_same_rows_are_byte_identical(self, tmp_path):
+        rows = dict(rated(f"q{i % 3}", f"p{i}", "qq1", i % 6, "café {x}")
+                    for i in range(50))
+        stores = [GradeStore(tmp_path / f"g{n}.jsonl.gz") for n in range(2)]
+        for store in stores:
+            store.append(rows)
+            store.append(rows)
+        assert stores[0].path.read_bytes() == stores[1].path.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,31 @@ class TestVerifyAnswer:
         assert edit_distance_below(a, b, limit) == expected
         assert edit_distance_below(b, a, limit) == expected
 
+    @pytest.mark.parametrize("scale", [1, 2, 5])
+    @settings(max_examples=300)
+    @given(pair=st.text(alphabet="abcdefgh", max_size=25).flatmap(
+        lambda a: st.tuples(st.just(a), st.permutations(a).map("".join))))
+    def test_anagrams_pass_the_bag_bound_to_the_table(self, scale, pair):
+        # An anagram's bag distance is 0, whatever its edit distance, so
+        # the bag bound settles none of these: the table decides each.
+        a, b = pair
+        limit = scale * 0.2 * len(a)
+        expected = levenshtein(a, b) < limit
+        assert edit_distance_below(a, b, limit) == expected
+        assert edit_distance_below(b, a, limit) == expected
+
+    @pytest.mark.parametrize("scale", [1, 2, 5])
+    @settings(max_examples=300)
+    @given(a=st.text(alphabet="abcde", max_size=25),
+           b=st.text(alphabet="vwxyz", max_size=25))
+    def test_disjoint_alphabets_settled_by_the_bag_bound(self, scale, a, b):
+        # Strings sharing no character: the bag distance is the longer
+        # length, which is also the edit distance.
+        limit = scale * 0.2 * max(len(a), len(b))
+        expected = levenshtein(a, b) < limit
+        assert edit_distance_below(a, b, limit) == expected
+        assert edit_distance_below(b, a, limit) == expected
+
     @pytest.mark.parametrize("a, b, distance", [
         ("", "", 0), ("abc", "", 3), ("kitten", "sitting", 3),
         ("flaw", "lawn", 2), ("epidermi", "dermi", 3), ("abcd", "dcba", 4)])
