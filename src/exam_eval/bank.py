@@ -67,10 +67,10 @@ def _question_id(query_id: str, facet_id: str | None, ordinal: int) -> str:
     return f"{query_id}/{facet_id or 'q'}/{ordinal}"
 
 
-def generate_bank(queries: list[Query], template_name: str,
-                  backend: gateway.Backend, parallelism: int) -> QuestionBank:
+def generate_bank(queries: list[Query], backend: gateway.Backend,
+                  parallelism: int, *, per_facet: bool) -> QuestionBank:
     """Generate a question bank by prompting the backend once per query,
-    or once per query-facet for the facet-focused template.
+    or once per query-facet with the facet-focused template.
 
     Question ids are assigned deterministically as
     `<query_id>/<facet_id or "q">/<ordinal>`. An unparseable completion is
@@ -78,8 +78,6 @@ def generate_bank(queries: list[Query], template_name: str,
     questions and a warning. Prompts go out on `parallelism` workers; the
     bank is the same for every worker count.
     """
-    per_facet = template_name == "question_gen_car"
-
     targets: list[tuple[Query, Facet | None]] = []
     for query in queries:
         if per_facet and not query.facets:
@@ -137,16 +135,18 @@ class BankDiffReport:
     flips: list[LabelFlip] = field(default_factory=list)
 
 
-def diff_banks(old: QuestionBank, new: QuestionBank, old_index: GradeIndex,
-               new_index: GradeIndex) -> BankDiffReport:
-    """Report bank edits and the passages whose binary label they flip.
+def diff_banks(old_index: GradeIndex, new_index: GradeIndex
+               ) -> BankDiffReport:
+    """Report the edits from the old index's bank to the new one's and the
+    passages whose binary label they flip.
 
     Questions are matched by id; an id in both banks with another query
     or text counts as edited. Added or edited questions without a counted
     grade in the new bank are flagged needs-grading. A pair's old label
-    comes from the old bank's index and its new label from the new bank's;
-    both indexes hold the same grades under the same policy.
+    comes from the old index and its new label from the new one; both
+    indexes hold the same grades under the same policy.
     """
+    old, new = old_index.bank, new_index.bank
     old_by_id = old.by_question_id()
     new_by_id = new.by_question_id()
     report = BankDiffReport()

@@ -189,8 +189,8 @@ def generate(queries_path, template, out, endpoint, model, parallelism,
              len(queries), template)
     with contextlib.closing(
             gateway.make_backend(endpoint, model, mock)) as backend:
-        result = bank_mod.generate_bank(queries, f"question_gen_{template}",
-                                        backend, parallelism)
+        result = bank_mod.generate_bank(queries, backend, parallelism,
+                                        per_facet=(template == "car"))
     atomic_write(out, formats.save_question_bank(result))
     click.echo(f"wrote {len(result.all_questions())} questions to {out}")
 
@@ -241,10 +241,9 @@ def grade(bank_path, run_paths, passages_path, qrels_path, mode, store_path,
     texts = formats.load_passages(passages_path)
     judgments = formats.load_qrels(qrels_path) if qrels_path else None
     pool = grading.build_passage_pool(runs, depth, judgments)
-    # The pool is deduplicated; a passage without text, or with empty
-    # text, cannot be graded.
+    # The pool is deduplicated; a passage without text cannot be graded.
     passages_by_query = {
-        query_id: {pid: texts[pid] for pid in pids if texts.get(pid)}
+        query_id: {pid: texts[pid] for pid in pids if pid in texts}
         for query_id, pids in pool.items()}
     missing = (sum(map(len, pool.values()))
                - sum(map(len, passages_by_query.values())))
@@ -288,7 +287,7 @@ def cover(bank_path, run_path, grades_path, policy_text, depth, out):
     run = formats.load_run_file(run_path)
     policy = parse_policy(policy_text)
     per_query = metrics.exam_cover(grading.build_passage_pool([run], depth),
-                                   bank, _grade_index(grades_path, policy, bank))
+                                   _grade_index(grades_path, policy, bank))
     lines = ["query\tcover\n"]
     for query_id in sorted(per_query):
         lines.append(f"{query_id}\t{per_query[query_id]:.4f}\n")
@@ -347,7 +346,7 @@ def leaderboard(bank_path, run_paths, grades_path, policy_text, metric,
     official = (formats.load_official_ranks(official_path)
                 if official_path else None)
     result = metrics.leaderboard(
-        runs, bank, _grade_index(grades_path, policy, bank), metric=metric,
+        runs, _grade_index(grades_path, policy, bank), metric=metric,
         depth=depth, official_ranks=official)
     lines = ["system\tscore\tstd_error\tofficial_rank\n"]
     for row in result.rows:
@@ -426,6 +425,10 @@ def agreement(labels_path, judgments_path, collapse_names, judgment_rel_min,
               min_answers, grades_path, bank_path, policy_text, fmt, out):
     """Inter-annotator agreement tables between labels and judgments."""
     names = [n.strip() for n in collapse_names.split(",") if n.strip()]
+    if not names:
+        raise ContractViolation(
+            f"--collapse {collapse_names!r} names no collapse; give one or "
+            f"more of {', '.join(sorted(_COLLAPSES))}")
     for name in names:
         if name not in _COLLAPSES:
             raise ContractViolation(f"unknown collapse name {name!r}")
@@ -480,7 +483,7 @@ def diff(old_path, new_path, grades_path, policy_text, out):
     new = formats.load_question_bank(new_path)
     policy = parse_policy(policy_text)
     rows = formats.GradeStore(grades_path).read()
-    report = bank_mod.diff_banks(old, new, GradeIndex(rows, policy, old),
+    report = bank_mod.diff_banks(GradeIndex(rows, policy, old),
                                  GradeIndex(rows, policy, new))
     lines = []
     for title, items in (("added", report.added), ("removed", report.removed),

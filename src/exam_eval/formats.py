@@ -80,11 +80,12 @@ def parse_run_file(text: str) -> Run:
 
     Column 2 may be "Q0" or "0"; both appear in the wild. The run tag is
     taken from the first line; differing tags on later lines produce a
-    warning, first tag wins. The score must be a number but is not kept:
-    the rank column orders the run. Queries come back in sorted order,
-    each with its passage ids in rank order. A passage listed twice for a
-    query, or two passages sharing a rank, are rejected at the first line
-    that repeats one.
+    warning, first tag wins. A file without run lines has no tag and is
+    rejected. The score must be a number but is not kept: the rank column
+    orders the run. Queries come back in sorted order, each with its
+    passage ids in rank order. A passage listed twice for a query, or two
+    passages sharing a rank, are rejected at the first line that repeats
+    one.
     """
     by_query: dict[str, list[tuple[str, int]]] = {}
     run_tag: str | None = None
@@ -120,7 +121,9 @@ def parse_run_file(text: str) -> Run:
         if rows is None:
             rows = by_query[qid] = []
         rows.append((docid, rank))
-    run_tag = run_tag or ""
+    if run_tag is None:
+        raise ParseError("no run lines: a run's tag, from its first line, "
+                         "names its leaderboard row")
     passage_of, rank_of = itemgetter(0), itemgetter(1)
     ranked: dict[str, list[str]] = {}
     for qid, rows in by_query.items():
@@ -332,8 +335,8 @@ def load_queries(path: str | Path) -> list[Query]:
 def load_passages(path: str | Path) -> dict[str, str]:
     """Passage texts from a JSON object {passage_id: text}.
 
-    A text is a string or null; a null text reads as no text, so the
-    passage is left out.
+    A text is a string or null; a null or empty text reads as no text, so
+    the passage is left out.
     """
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
@@ -343,7 +346,7 @@ def load_passages(path: str | Path) -> dict[str, str]:
             raise ParseError(
                 f"text of passage {passage_id!r} must be a string or null, "
                 f"got {type(text).__name__}")
-    return {pid: text for pid, text in doc.items() if text is not None}
+    return {pid: text for pid, text in doc.items() if text}
 
 
 @_reader

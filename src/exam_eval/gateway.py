@@ -192,15 +192,16 @@ class Backend(Protocol):
 class HttpBackend:
     """OpenAI-compatible completions client with retry and backoff.
 
-    Auth token, if needed, comes from the EXAM_EVAL_API_KEY environment
-    variable. One prompt per request; batching is intentionally unsupported.
-    The endpoint must be an http:// or https:// URL that names a host, so
-    a malformed one fails before any request instead of being retried.
+    One prompt per request; batching is intentionally unsupported. The
+    endpoint must be an http:// or https:// URL that names a host. The
+    environment is read once, when the client is built: the auth token,
+    if any, from EXAM_EVAL_API_KEY, and the proxy, if any, from HTTP_PROXY
+    or HTTPS_PROXY, unless NO_PROXY covers the endpoint's host. So a
+    malformed endpoint, or a proxy URL that names no host, fails before
+    any request instead of being retried.
 
     Each thread that sends requests keeps one keep-alive connection;
-    `close` closes them all. The proxy, if any, comes from HTTP_PROXY or
-    HTTPS_PROXY, unless NO_PROXY covers the endpoint's host. Redirects
-    are not followed.
+    `close` closes them all. Redirects are not followed.
     """
 
     def __init__(self, endpoint_url: str, model_name: str,
@@ -214,58 +215,55 @@ class HttpBackend:
         self.endpoint_url = endpoint_url
         self.model_name = model_name
         self._sleep = sleep
-        self._connection_class = (
-            http.client.HTTPSConnection if url.scheme == "https"
-            else http.client.HTTPConnection)
+        https = url.scheme == "https"
+        self._connection_class = (http.client.HTTPSConnection if https
+                                  else http.client.HTTPConnection)
+        # The address to connect to, the host and port to tunnel to, and
+        # the request target: of the endpoint, or of the proxy it goes by.
+        origin = (url.hostname, url.port or (443 if https else 80))
+        self._address, self._tunnel = origin, None
+        self._target = urllib.parse.urlunsplit(
+            ("", "", url.path or "/", url.query, ""))
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.hostname):
+            proxy_url = urllib.parse.urlsplit(
+                proxy if "://" in proxy else f"http://{proxy}")
+            if not proxy_url.hostname:
+                raise ContractViolation(
+                    f"{url.scheme} proxy {proxy!r} names no host")
+            self._address = (proxy_url.hostname, proxy_url.port or 80)
+            # https tunnels through the proxy; plain http sends it the
+            # absolute URI.
+            if https:
+                self._tunnel = origin
+            else:
+                self._target = endpoint_url
+        self._headers = {"Content-Type": "application/json"}
+        token = os.environ.get(AUTH_TOKEN_ENV)
+        if token:
+            self._headers["Authorization"] = f"Bearer {token}"
         self._local = threading.local()
         self._opened: list[http.client.HTTPConnection] = []
         self._lock = threading.Lock()
-
-    @functools.cached_property
-    def _route(self) -> tuple[tuple[str, int], tuple[str, int] | None, str]:
-        """(address to connect to, host and port to tunnel to or None,
-        request target): the endpoint itself, or the proxy that the
-        environment names for it. Read at the first request, so that a
-        command that sends none does not scan the environment."""
-        url = urllib.parse.urlsplit(self.endpoint_url)
-        https = url.scheme == "https"
-        origin = (url.hostname, url.port or (443 if https else 80))
-        path = urllib.parse.urlunsplit(
-            ("", "", url.path or "/", url.query, ""))
-        proxy = urllib.request.getproxies().get(url.scheme)
-        if not proxy or urllib.request.proxy_bypass(url.hostname):
-            return origin, None, path
-        proxy_url = urllib.parse.urlsplit(
-            proxy if "://" in proxy else f"http://{proxy}")
-        if not proxy_url.hostname:
-            raise ContractViolation(
-                f"{url.scheme} proxy {proxy!r} names no host")
-        address = (proxy_url.hostname, proxy_url.port or 80)
-        # https tunnels through the proxy; plain http sends it the
-        # absolute URI.
-        return ((address, origin, path) if https
-                else (address, None, self.endpoint_url))
 
     def _connection(self) -> http.client.HTTPConnection:
         """This thread's connection; it connects on its first request."""
         conn = getattr(self._local, "connection", None)
         if conn is None:
-            address, tunnel, _ = self._route
             conn = self._local.connection = self._connection_class(
-                *address, timeout=TIMEOUT_S)
-            if tunnel:
-                conn.set_tunnel(*tunnel)
+                *self._address, timeout=TIMEOUT_S)
+            if self._tunnel:
+                conn.set_tunnel(*self._tunnel)
             with self._lock:
                 self._opened.append(conn)
         return conn
 
-    def _post(self, body: bytes, headers: dict[str, str]
-              ) -> tuple[http.client.HTTPResponse, bytes]:
+    def _post(self, body: bytes) -> tuple[http.client.HTTPResponse, bytes]:
         """One POST of the body: the response and its body, read in full."""
         conn = self._connection()
         reused = conn.sock is not None
         try:
-            conn.request("POST", self._route[2], body, headers)
+            conn.request("POST", self._target, body, self._headers)
             response = conn.getresponse()
             return response, response.read()
         # RemoteDisconnected is a ConnectionResetError.
@@ -278,13 +276,9 @@ class HttpBackend:
             raise
         # The server closed the idle keep-alive connection: sending once
         # more, on a fresh connection, spends no retry.
-        return self._post(body, headers)
+        return self._post(body)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        headers = {"Content-Type": "application/json"}
-        token = os.environ.get(AUTH_TOKEN_ENV)
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
         body = json.dumps({
             "model": self.model_name,
             "prompt": request.prompt,
@@ -296,9 +290,9 @@ class HttpBackend:
         start = time.monotonic()
         for attempt in range(attempts):
             if attempt:
-                self._sleep(min(2.0 ** (attempt - 1), 30.0))
+                self._sleep(2.0 ** (attempt - 1))
             try:
-                resp, reply = self._post(body, headers)
+                resp, reply = self._post(body)
             except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue

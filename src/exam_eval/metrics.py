@@ -13,7 +13,6 @@ from .model import (
     GradeIndex,
     OVERALL_SYSTEM,
     Qrels,
-    QuestionBank,
     Run,
 )
 
@@ -28,14 +27,16 @@ class UndefinedResult(ValueError):
 # Coverage score
 
 
-def exam_cover(passages_by_query: dict[str, list[str]], bank: QuestionBank,
+def exam_cover(passages_by_query: dict[str, list[str]],
                index: GradeIndex) -> dict[str, float]:
-    """Per query with questions, the share of them that its pooled passages
-    (a run's top k, or the union of several runs') answer correctly.
+    """Per query with questions in the index's bank, the share of them that
+    its pooled passages (a run's top k, or the union of several runs')
+    answer correctly.
 
     A passage without a counted grade answers nothing; their number is
     logged as a coverage gap.
     """
+    bank = index.bank
     per_query: dict[str, float] = {}
     gaps = 0
     for query_id in bank.query_ids:
@@ -207,7 +208,7 @@ def _std_error(per_query: dict[str, float]) -> float:
     return math.sqrt(var) / math.sqrt(n)
 
 
-def leaderboard(runs: list[Run], bank: QuestionBank, index: GradeIndex,
+def leaderboard(runs: list[Run], index: GradeIndex,
                 metric: str = "cover", depth: int = 20,
                 official_ranks: dict[str, float | None] | None = None
                 ) -> LeaderboardResult:
@@ -225,7 +226,7 @@ def leaderboard(runs: list[Run], bank: QuestionBank, index: GradeIndex,
     for system, pooled in [*((run.run_tag, [run]) for run in runs),
                            (OVERALL_SYSTEM, runs)]:
         pool = grading.build_passage_pool(pooled, depth)
-        per_query = (exam_cover(pool, bank, index) if metric == "cover"
+        per_query = (exam_cover(pool, index) if metric == "cover"
                      else precision_at_k(pool, qrels, depth))
         rows.append(LeaderboardRow(
             system=system,

@@ -149,17 +149,18 @@ class GradeIndex:
     question id.
 
     Metrics read grades through an index built once per command from
-    decoded store rows (see `GradeRow`) and the bank being scored. A grade
-    counts when it is of the policy's mode and its question is in the bank
-    under the grade's own query; every other grade counts nowhere. Only a
-    counted grade's outcome is kept: the verdict in qa_verified mode, the
-    rating in self_rated mode. A pair is in the index when it has a counted
-    grade.
+    decoded store rows (see `GradeRow`) and the bank being scored, kept as
+    `bank`. A grade counts when it is of the policy's mode and its question
+    is in the bank under the grade's own query; every other grade counts
+    nowhere. Only a counted grade's outcome is kept: the verdict in
+    qa_verified mode, the rating in self_rated mode. A pair is in the index
+    when it has a counted grade.
     """
 
     def __init__(self, rows: Mapping[GradeKey, GradeRow], policy: GradePolicy,
                  bank: QuestionBank):
         self.policy = policy
+        self.bank = bank
         mode = policy.mode
         slot = 1 if mode == QA_VERIFIED else 2
         query_of = {q.question_id: q.query_id for q in bank.all_questions()}

@@ -125,7 +125,7 @@ def test_criterion_3_metric_oracles():
         run, rows = random_run(rng, n_queries, n_passages)
         policy = GradePolicy(SELF_RATED, min_rating=min_rating)
         expected = brute_force_cover(rows, bank, grades, policy, depth)
-        actual = exam_cover(build_passage_pool([run], depth), bank,
+        actual = exam_cover(build_passage_pool([run], depth),
                             grade_index(grades, policy, bank))
         assert actual == pytest.approx(expected)
 
@@ -184,17 +184,17 @@ def test_criterion_4_invariant_suite():
         for min_rating in (1, 4):
             index = grade_index(
                 grades, GradePolicy(SELF_RATED, min_rating=min_rating), bank)
-            assert exam_cover(pool, bank, index)["q1"] \
-                >= exam_cover(shorter, bank, index)["q1"]
-            assert exam_cover(pool, bank, index)["q1"] >= exam_cover(
-                build_passage_pool([longer], rng.randint(1, 10)), bank,
+            assert exam_cover(pool, index)["q1"] \
+                >= exam_cover(shorter, index)["q1"]
+            assert exam_cover(pool, index)["q1"] >= exam_cover(
+                build_passage_pool([longer], rng.randint(1, 10)),
                 index)["q1"]
         strict = grade_index(grades, GradePolicy(SELF_RATED, min_rating=4),
                              bank)
         lenient = grade_index(grades, GradePolicy(SELF_RATED, min_rating=1),
                               bank)
-        assert exam_cover(pool, bank, strict)["q1"] \
-            <= exam_cover(pool, bank, lenient)["q1"]
+        assert exam_cover(pool, strict)["q1"] \
+            <= exam_cover(pool, lenient)["q1"]
 
     # Binary/graded label consistency.
     for _ in range(200):

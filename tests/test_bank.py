@@ -52,25 +52,24 @@ class TestGenerateBank:
     def test_fixed_list_yields_ten_per_query(self):
         queries = [Query("q1", "topic one"), Query("q2", "topic two")]
         backend = RecordingBackend({"default": ten_questions()})
-        bank = generate_bank(queries, "question_gen_dl", backend, 1)
+        bank = generate_bank(queries, backend, 1, per_facet=False)
         assert len(bank.questions_for("q1")) == 10
         assert len(bank.questions_for("q2")) == 10
         assert len(backend.request_log) == 2
 
     def test_deterministic_question_ids(self):
         queries = [Query("q1", "topic")]
-        template = "question_gen_dl"
-        bank_a = generate_bank(queries, template,
-                               MockBackend({"default": ten_questions()}), 1)
-        bank_b = generate_bank(queries, template,
-                               MockBackend({"default": ten_questions()}), 1)
+        bank_a = generate_bank(queries, MockBackend(
+            {"default": ten_questions()}), 1, per_facet=False)
+        bank_b = generate_bank(queries, MockBackend(
+            {"default": ten_questions()}), 1, per_facet=False)
         assert [q.question_id for q in bank_a.questions_for("q1")] \
             == [q.question_id for q in bank_b.questions_for("q1")] \
             == [f"q1/q/{i}" for i in range(10)]
 
     def test_facet_template_fans_out_per_facet(self, skin_query):
         backend = MockBackend({"default": '["F?"]'})
-        bank = generate_bank([skin_query], "question_gen_car", backend, 1)
+        bank = generate_bank([skin_query], backend, 1, per_facet=True)
         [question] = bank.questions_for(skin_query.query_id)
         assert question.facet_id == "structure-of-the-skin"
         assert question.question_id.endswith("/structure-of-the-skin/0")
@@ -78,8 +77,8 @@ class TestGenerateBank:
 
     def test_garbage_retries_once_then_warns(self, caplog):
         backend = RecordingBackend({"default": "garbage"})
-        bank = generate_bank([Query("q1", "t")], "question_gen_dl",
-                             backend, 1)
+        bank = generate_bank([Query("q1", "t")], backend, 1,
+                             per_facet=False)
         assert bank.questions_for("q1") == ()
         assert len(backend.request_log) == 2
         assert any("no questions parsed" in r.message for r in caplog.records)
@@ -109,8 +108,8 @@ class TestGenerateBank:
         for parallelism in (1, 4):
             flaky.add("q5/f0")
             threads.clear()
-            banks.append(generate_bank(
-                queries, "question_gen_car", Backend(responses), parallelism))
+            banks.append(generate_bank(queries, Backend(responses),
+                                       parallelism, per_facet=True))
             thread_counts.append(len(threads))
         assert thread_counts[0] == 1 and thread_counts[1] > 1
         serial, parallel = banks
@@ -131,7 +130,7 @@ class TestDiffBanks:
 
     def diff(self, old, new, grades):
         policy = GradePolicy(SELF_RATED, min_rating=4)
-        return diff_banks(old, new, grade_index(grades, policy, old),
+        return diff_banks(grade_index(grades, policy, old),
                           grade_index(grades, policy, new))
 
     def test_identical_banks_empty_diff(self):

@@ -28,7 +28,7 @@ from exam_eval.model import (
     QuestionBank,
     SELF_RATED,
 )
-from conftest import child_env, lock_holder, rated
+from conftest import PROXY_VARIABLES, child_env, lock_holder, rated
 from test_metrics import (
     PASSAGES as RUN_PASSAGES,
     QUERIES as RUN_QUERIES,
@@ -811,6 +811,42 @@ def test_endpoint_without_scheme_exits_one(tmp_path, capsys, monkeypatch):
         assert not store.exists()
 
 
+def test_hostless_proxy_exits_one_before_any_request(tmp_path, capsys,
+                                                     monkeypatch):
+    # The proxy is read when the backend is built: before the store is
+    # created or locked, and even when nothing is left to grade.
+    write_pipeline_inputs(tmp_path)
+    out = tmp_path / "out"
+    run_pipeline(tmp_path, out)
+
+    def request(*args, **kwargs):
+        raise AssertionError("no request may be sent")
+
+    monkeypatch.setattr(http.client.HTTPConnection, "request", request)
+    for name in PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    monkeypatch.setenv("http_proxy", "http://:3128")
+    endpoint = ("--endpoint", "http://127.0.0.1:1/v1/completions")
+    store = tmp_path / "new.jsonl.gz"
+    graded = out / "grades.jsonl.gz"
+    before = graded.read_bytes()
+    capsys.readouterr()
+    for argv in (
+            grade_argv(tmp_path, out / "bank.json", store, "--mode", "rate",
+                       *endpoint),
+            grade_argv(tmp_path, out / "bank.json", graded, "--mode", "rate",
+                       *endpoint),
+            ["generate", "--queries", str(tmp_path / "queries.json"),
+             "--template", "dl", "--out", str(out / "bank2.json"),
+             *endpoint]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err \
+            == "error: http proxy 'http://:3128' names no host\n"
+    assert not store.exists() and not (out / "bank2.json").exists()
+    assert graded.read_bytes() == before
+
+
 @pytest.mark.parametrize("gold_answer", ["", 42],
                          ids=["empty-gold", "numeric-gold"])
 def test_bad_gold_answer_exits_one_before_grading(tmp_path, capsys,
@@ -927,10 +963,18 @@ def test_bad_input_error_names_its_file(tmp_path, capsys):
       "--collapse", "lenient,bogus"], "unknown collapse name 'bogus'"),
     (["agreement", "--collapse", "bogus", "--min-answers", "1"],
      "unknown collapse name 'bogus'"),
+    (["agreement", "--labels", "{out}/exam.qrels", "--collapse", ""],
+     "--collapse '' names no collapse; give one or more of binary, graded, "
+     "lenient, strict"),
+    (["agreement", "--labels", "{out}/exam.qrels", "--collapse", " , "],
+     "--collapse ' , ' names no collapse"),
+    (["agreement", "--collapse", ",", "--min-answers", "1"],
+     "--collapse ',' names no collapse"),
 ], ids=["template", "metric", "min-answers-sweep", "graded-qa",
         "min-answers-sweep-not-int", "min-rating", "min-rating-not-int",
         "min-answers-not-int", "generate-max-input-tokens", "collapse",
-        "collapse-without-labels"])
+        "collapse-without-labels", "collapse-empty", "collapse-blank-names",
+        "collapse-empty-without-labels"])
 def test_bad_flag_value_exits_one(tmp_path, capsys, argv, message):
     write_pipeline_inputs(tmp_path)
     out = tmp_path / "out"
@@ -988,18 +1032,21 @@ def one_question_argv(root, store):
                       str(root / "grade_mock.json"))
 
 
-@pytest.mark.parametrize("tag, message", [
-    ("sysA", "run tag 'sysA' is already the tag of {runs}/sysA.run"),
-    ("_overall_", "run tag '_overall_' is already the tag of the pooled "
-                  "row"),
-], ids=["repeated", "pooled-row"])
+@pytest.mark.parametrize("text, message", [
+    (RUN_B.replace("sysB", "sysA"),
+     "run tag 'sysA' is already the tag of {runs}/sysA.run"),
+    (RUN_B.replace("sysB", "_overall_"),
+     "run tag '_overall_' is already the tag of the pooled row"),
+    ("", "no run lines: a run's tag, from its first line, names its "
+         "leaderboard row"),
+], ids=["repeated", "pooled-row", "no-run-lines"])
 def test_run_tag_names_one_leaderboard_row(tmp_path, capsys, completions,
-                                           tag, message):
+                                           text, message):
     write_pipeline_inputs(tmp_path)
     out = tmp_path / "out"
     run_pipeline(tmp_path, out)
     runs = tmp_path / "runs"
-    (runs / "sysC.run").write_text(RUN_B.replace("sysB", tag))
+    (runs / "sysC.run").write_text(text)
     sent = len(completions)
     capsys.readouterr()
     for argv in (grade_argv(tmp_path, out / "bank.json", tmp_path / "g.gz",
@@ -1160,19 +1207,29 @@ def pipeline_inputs(draw):
         for q in RUN_QUERIES})
     untexted = draw(st.sets(st.sampled_from(RUN_PASSAGES), max_size=2))
     texts = {p: f"text of {p}" for p in RUN_PASSAGES if p not in untexted}
-    ratings = draw(st.dictionaries(
-        st.builds("{}/q/{}/{}".format, st.sampled_from(RUN_QUERIES),
-                  st.integers(0, 2), st.sampled_from(RUN_PASSAGES)),
-        st.sampled_from("012345")))
+    # Ratings take a few values and official grades as many, so that the
+    # graded agreement table is often square and larger than 2x2, where
+    # its overall kappa differs from its first row's.
+    levels = draw(st.integers(3, 4))
+    rating_values = draw(st.lists(st.sampled_from("012345"), min_size=levels,
+                                  max_size=levels, unique=True))
+    keys = [f"{q}/q/{i}/{p}" for q in RUN_QUERIES for i in range(3)
+            for p in RUN_PASSAGES]
+    ratings = dict(zip(keys, draw(st.lists(
+        st.sampled_from(rating_values), min_size=len(keys),
+        max_size=len(keys)))))
     policy_text = (f"rate:{draw(st.integers(1, 5))}"
                    + draw(st.sampled_from(["", "+min-answers=2"])))
     pairs = [(q, p) for q in RUN_QUERIES for p in RUN_PASSAGES]
+    # A grade of 0 may be spelled -2, which reads as 0.
+    official_values = draw(st.lists(
+        st.sampled_from([draw(st.sampled_from([0, -2])), 1, 2, 3]),
+        min_size=levels, max_size=levels, unique=True))
     official = {pair: grade for pair, grade in zip(pairs, draw(st.lists(
-        st.sampled_from([None, -2, 0, 1, 2, 3]), min_size=len(pairs),
+        st.sampled_from([*official_values, None]), min_size=len(pairs),
         max_size=len(pairs)))) if grade is not None}
-    return (runs, bank, draw(bank_edits(bank)), texts,
-            {"default": "0", **ratings}, policy_text, draw(st.integers(1, 6)),
-            official, draw(st.integers(1, 3)))
+    return (runs, bank, draw(bank_edits(bank)), texts, ratings, policy_text,
+            draw(st.integers(1, 6)), official, draw(st.integers(1, 3)))
 
 
 def std_error(scores):
@@ -1257,8 +1314,7 @@ def test_pipeline_outputs_match_oracles(inputs):
               for q, pids in brute_force_pool(rows.values(), depth).items()
               for p in pids if p in texts
               for question in bank.questions_for(q)
-              for answer in [fixture.get(f"{question.question_id}/{p}",
-                                         fixture["default"])]]
+              for answer in [fixture[f"{question.question_id}/{p}"]]]
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "runs").mkdir()

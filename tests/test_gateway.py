@@ -213,11 +213,13 @@ class TestHttpBackend:
     def test_exhausted_retries_surface_error(self, completion_server,
                                              http_backend):
         completion_server.replies += [(503, "", {})] * 4
-        backend = http_backend()
+        slept = []
+        backend = http_backend(sleep=slept.append)
         with pytest.raises(BackendError) as excinfo:
             backend.complete(CompletionRequest.of("some prompt text"))
         assert "some prompt" in str(excinfo.value)
         assert len(completion_server.received) == 4
+        assert slept == [1.0, 2.0, 4.0]
 
     def test_client_error_fails_fast(self, completion_server, http_backend):
         completion_server.replies.append((400, "bad request", {}))
@@ -392,7 +394,7 @@ class TestHttpBackend:
         monkeypatch.setenv("http_proxy", "http://:3128")
         with pytest.raises(ContractViolation, match=re.escape(
                 "http proxy 'http://:3128' names no host")):
-            HttpBackend(ENDPOINT, "m").complete(CompletionRequest.of("p"))
+            make_backend(ENDPOINT, "m")
 
     def test_no_proxy_host_is_reached_directly(self, completion_server,
                                                http_backend, monkeypatch):

@@ -306,7 +306,7 @@ class TestAgainstOracles:
         bank, grades, runs, rows, policy, depth = inputs
         index = grade_index(grades, policy, bank)
         for run, ranked in zip(runs, rows):
-            result = exam_cover(build_passage_pool([run], depth), bank, index)
+            result = exam_cover(build_passage_pool([run], depth), index)
             assert result == pytest.approx(
                 brute_force_cover(ranked, bank, grades, policy, depth))
 
@@ -328,7 +328,7 @@ class TestAgainstOracles:
     @settings(max_examples=100, deadline=None)
     def test_leaderboard_cover_rows(self, inputs):
         bank, grades, runs, rows, policy, depth = inputs
-        result = leaderboard(runs, bank, grade_index(grades, policy, bank),
+        result = leaderboard(runs, grade_index(grades, policy, bank),
                              metric="cover", depth=depth)
         scores = {r.system: r.score for r in result.rows}
         assert scores[OVERALL_SYSTEM] == pytest.approx(mean(
@@ -343,7 +343,7 @@ class TestAgainstOracles:
         # P@k with k = depth, over the pool of every top-depth passage.
         bank, grades, runs, rows, policy, depth = inputs
         index = grade_index(grades, policy, bank)
-        result = leaderboard(runs, bank, index, metric="p_at_k", depth=depth)
+        result = leaderboard(runs, index, metric="p_at_k", depth=depth)
         scores = {r.system: r.score for r in result.rows}
         qrels = brute_force_qrels(grades, bank, policy)
         assert build_qrels(index) == qrels
@@ -360,7 +360,7 @@ class TestAgainstOracles:
     def test_diff_banks(self, data, inputs):
         bank, grades, _, _, policy, _ = inputs
         new = data.draw(bank_edits(bank))
-        report = diff_banks(bank, new, grade_index(grades, policy, bank),
+        report = diff_banks(grade_index(grades, policy, bank),
                             grade_index(grades, policy, new))
         lines = [f"{title}\t{qid}\n" for title in (
             "added", "removed", "edited", "needs_grading")
@@ -382,7 +382,7 @@ class TestExamCover:
                   rated("q1", "p1", "q1/q/1", 4),
                   rated("q1", "p2", "q1/q/1", 5),
                   rated("q1", "p2", "q1/q/2", 5)]
-        result = exam_cover({"q1": ["p1", "p2"]}, bank,
+        result = exam_cover({"q1": ["p1", "p2"]},
                             grade_index(grades, LENIENT, bank))
         assert result == pytest.approx({"q1": 0.6})
         assert metrics.mean(result) == pytest.approx(0.6)
@@ -390,21 +390,21 @@ class TestExamCover:
     def test_nothing_answerable(self):
         bank = simple_bank()
         grades = [rated("q1", "p1", "q1/q/0", 0)]
-        result = exam_cover({"q1": ["p1"]}, bank,
+        result = exam_cover({"q1": ["p1"]},
                             grade_index(grades, LENIENT, bank))
         assert result == {"q1": 0.0}
 
     def test_everything_answerable(self):
         bank = simple_bank()
         grades = [rated("q1", "p1", f"q1/q/{i}", 5) for i in range(5)]
-        result = exam_cover({"q1": ["p1"]}, bank,
+        result = exam_cover({"q1": ["p1"]},
                             grade_index(grades, LENIENT, bank))
         assert result == {"q1": 1.0}
 
     def test_missing_grades_counted_not_correct(self, caplog):
         bank = simple_bank()
         grades = [rated("q1", "p1", "q1/q/0", 5)]
-        result = exam_cover({"q1": ["p1", "p-ungraded"]}, bank,
+        result = exam_cover({"q1": ["p1", "p-ungraded"]},
                             grade_index(grades, LENIENT, bank))
         assert result == pytest.approx({"q1": 0.2})
         assert caplog.messages == [
@@ -414,7 +414,7 @@ class TestExamCover:
         bank = QuestionBank({"q1": simple_bank().questions_for("q1"),
                              "q2": ()})
         grades = [rated("q1", "p1", f"q1/q/{i}", 5) for i in range(5)]
-        result = exam_cover({"q1": ["p1"], "q2": ["p2"]}, bank,
+        result = exam_cover({"q1": ["p1"], "q2": ["p2"]},
                             grade_index(grades, LENIENT, bank))
         assert result == {"q1": 1.0}
         assert metrics.mean(result) == 1.0
@@ -427,10 +427,10 @@ class TestExamCover:
         longer = make_run("sys", [("q1", f"p{i}") for i in range(10)])
         for policy in (LENIENT, GradePolicy(SELF_RATED, min_rating=4)):
             index = grade_index(grades, policy, bank)
-            a = exam_cover(build_passage_pool([longer], 5), bank, index)
-            b = exam_cover(build_passage_pool([longer], 10), bank, index)
+            a = exam_cover(build_passage_pool([longer], 5), index)
+            b = exam_cover(build_passage_pool([longer], 10), index)
             assert b["q1"] >= a["q1"]
-            shallow = exam_cover(build_passage_pool([longer], 3), bank, index)
+            shallow = exam_cover(build_passage_pool([longer], 3), index)
             assert a["q1"] >= shallow["q1"]
 
     def test_threshold_monotonicity(self):
@@ -439,10 +439,9 @@ class TestExamCover:
         grades = [rated("q1", f"p{i}", f"q1/q/{j}", rng.randint(0, 5))
                   for i in range(8) for j in range(6)]
         passages = {"q1": [f"p{i}" for i in range(8)]}
-        strict = exam_cover(passages, bank, grade_index(
+        strict = exam_cover(passages, grade_index(
             grades, GradePolicy(SELF_RATED, min_rating=4), bank))
-        lenient = exam_cover(passages, bank,
-                             grade_index(grades, LENIENT, bank))
+        lenient = exam_cover(passages, grade_index(grades, LENIENT, bank))
         assert strict["q1"] <= lenient["q1"]
 
 
@@ -837,51 +836,51 @@ class TestLeaderboard:
                                   for p in ("pA", "pB")])
         run_b = make_run("sysB", [(q, p) for q in ("q1", "q2")
                                   for p in ("pC", "pB")])
-        return bank, grade_index(grades, LENIENT, bank), [run_a, run_b]
+        return grade_index(grades, LENIENT, bank), [run_a, run_b]
 
     def test_dominant_system_ranks_first(self):
-        bank, index, runs = self.fixture()
-        result = leaderboard(runs, bank, index)
+        index, runs = self.fixture()
+        result = leaderboard(runs, index)
         order = [r.system for r in result.rows]
         assert order.index("sysA") < order.index("sysB")
 
     def test_overall_dominates_cover(self):
-        bank, index, runs = self.fixture()
-        result = leaderboard(runs, bank, index)
+        index, runs = self.fixture()
+        result = leaderboard(runs, index)
         overall = next(r for r in result.rows if r.system == OVERALL_SYSTEM)
         for row in result.rows:
             assert overall.score >= row.score
 
     def test_overall_dominates_p_at_k(self):
-        bank, index, runs = self.fixture()
-        result = leaderboard(runs, bank, index, metric="p_at_k", depth=2)
+        index, runs = self.fixture()
+        result = leaderboard(runs, index, metric="p_at_k", depth=2)
         overall = next(r for r in result.rows if r.system == OVERALL_SYSTEM)
         for row in result.rows:
             assert overall.score >= row.score
 
     def test_tied_systems_ordered_by_name(self):
-        bank, index, runs = self.fixture()
+        index, runs = self.fixture()
         twin = make_run("sysA2", [(query_id, passage_id)
                                   for query_id, passage_ids
                                   in runs[0].by_query.items()
                                   for passage_id in passage_ids])
-        result = leaderboard(runs + [twin], bank, index)
+        result = leaderboard(runs + [twin], index)
         rows = {r.system: r for r in result.rows}
         assert rows["sysA"].score == rows["sysA2"].score
         order = [r.system for r in result.rows]
         assert order.index("sysA") < order.index("sysA2")
 
     def test_correlation_undefined_below_three(self):
-        bank, index, runs = self.fixture()
-        result = leaderboard(runs, bank, index,
+        index, runs = self.fixture()
+        result = leaderboard(runs, index,
                              official_ranks={"sysA": 1, "sysB": 2})
         assert result.correlation is None
 
     def test_correlation_excludes_overall_and_unranked(self):
-        bank, index, runs = self.fixture()
+        index, runs = self.fixture()
         third = make_run("sysC", [(q, "pC") for q in ("q1", "q2")])
         fourth = make_run("sysD", [(q, "pB") for q in ("q1", "q2")])
-        result = leaderboard(runs + [third, fourth], bank, index,
+        result = leaderboard(runs + [third, fourth], index,
                              official_ranks={"sysA": 1, "sysB": 4,
                                              "sysC": 3, "sysD": 2})
         assert result.correlation is not None
