@@ -439,17 +439,23 @@ _DECODER = json.JSONDecoder()
 _REQUIRED_FIELDS = _GRADE_FIELDS[:4]
 _ALL_FIELDS = frozenset(_GRADE_FIELDS)
 _get_fields = itemgetter(*_GRADE_FIELDS)
+# JSON's whitespace, the only characters the decoder allows around a value;
+# `str.isspace` also takes U+2028, U+0085, \x0b and the like.
+_JSON_SPACE = " \t\r\n"
 
 
 def _decode_grade(line: str, line_no: int) -> tuple[GradeKey, GradeRow]:
     """One store line as its key and row.
 
     The record's shape is checked here, its fields by `check_grade`, the
-    rule `append` applies too.
+    rule `append` applies too. Every error a store line can raise is worded
+    here.
     """
     try:
         record = _DECODER.decode(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Besides JSONDecodeError, a number over the int digit limit raises
+        # ValueError and deep nesting RecursionError.
         raise ParseError(f"invalid JSON: {exc}", line_no) from None
     if type(record) is not dict:
         raise ParseError(
@@ -465,14 +471,12 @@ def _decode_grade(line: str, line_no: int) -> tuple[GradeKey, GradeRow]:
             raise ParseError(f"missing grade fields {missing}", line_no)
         record = {"answer_text": None, "verified": None, "rating": None,
                   **record}
-    query_id, passage_id, question_id, mode, answer_text, verified, rating \
-        = _get_fields(record)
+    fields = _get_fields(record)
     try:
-        check_grade(query_id, passage_id, question_id, mode, verified, rating)
-    except (ContractViolation, TypeError) as exc:
+        check_grade(*fields)
+    except ContractViolation as exc:
         raise ParseError(str(exc), line_no) from None
-    return ((query_id, passage_id, question_id, mode),
-            (answer_text, verified, rating))
+    return fields[:4], fields[4:]
 
 
 class GradeStore:
@@ -506,10 +510,8 @@ class GradeStore:
         a bad row raises `ContractViolation` and nothing is written. No rows
         leave an existing store's bytes as they are and create an empty
         store where there was none, one that `read` returns as empty."""
-        for (query_id, passage_id, question_id, mode), (_, verified, rating) \
-                in rows.items():
-            check_grade(query_id, passage_id, question_id, mode, verified,
-                        rating)
+        for key, row in rows.items():
+            check_grade(*key, *row)
         # The batch goes to the compressor in one write; the bytes are
         # those of writing its lines one at a time.
         data = "".join(_grade_to_json(key, row) + "\n"
@@ -527,20 +529,39 @@ class GradeStore:
         """Every stored grade as key -> (answer_text, verified, rating),
         deduplicated last-writer-wins, in first-seen key order.
 
-        Lines are decoded one at a time as the gzip stream is read; a bad
-        line raises `ParseError` with its line number, and a damaged file
-        raises `ParseError` naming the store as corrupt.
+        Lines are decoded one at a time as the gzip stream is read, each on
+        its own. A line that the JSON scanner reads, from its first
+        character, as an object with exactly the seven fields, followed by
+        nothing but JSON whitespace, needs only `check_grade`: the lines
+        `append` writes all take this path. Every other line (blank,
+        padded, missing optional fields, or bad) goes to `_decode_grade`,
+        which decodes it exactly and words its error. A bad line raises
+        `ParseError` with its line number, and a damaged file raises
+        `ParseError` naming the store as corrupt.
         """
         rows: dict[GradeKey, GradeRow] = {}
         if not self.path.exists():
             return rows
+        scan = _DECODER.scan_once
         try:
             with gzip.open(self.path, "rt", encoding="utf-8") as fh:
                 for line_no, line in enumerate(fh, start=1):
-                    if line.isspace():
-                        continue
-                    key, row = _decode_grade(line, line_no)
-                    rows[key] = row
+                    try:
+                        record, end = scan(line, 0)
+                    except (StopIteration, ValueError, RecursionError):
+                        record = None
+                    if (type(record) is dict and record.keys() == _ALL_FIELDS
+                            and not line[end:].strip(_JSON_SPACE)):
+                        fields = _get_fields(record)
+                        try:
+                            check_grade(*fields)
+                        except ContractViolation:
+                            _decode_grade(line, line_no)   # words the error
+                            raise
+                        rows[fields[:4]] = fields[4:]
+                    elif not line.isspace():
+                        key, row = _decode_grade(line, line_no)
+                        rows[key] = row
         except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
             raise ParseError(f"corrupt grade store {self.path}: {exc}") from None
         return rows

@@ -98,25 +98,36 @@ class Run:
 
 
 def check_grade(query_id: str, passage_id: str, question_id: str,
-                mode: str, verified: bool | None, rating: int | None) -> None:
-    """The rule for a grade's fields.
+                mode: str, answer_text: str | None, verified: bool | None,
+                rating: int | None) -> None:
+    """The rule for a grade's fields, taken in the store's field order.
 
-    The three ids are strings. A qa_verified grade carries a verdict and no
-    rating; a self_rated grade carries a rating in [0, 5] and no verdict.
-    Rows appended to the store and lines decoded from it are both checked
-    here, so the store never holds a grade that reading rejects.
+    The three ids are strings and the answer text is a string or None. A
+    qa_verified grade carries a bool verdict and no rating; a self_rated
+    grade carries an int rating in [0, 5] (a bool is not a rating) and no
+    verdict. Rows appended to the store and lines decoded from it are both
+    checked here, so the store never holds a grade that reading rejects.
     """
     if not type(query_id) is type(passage_id) is type(question_id) is str:
         raise ContractViolation(
             "query_id, passage_id and question_id must be strings")
+    if answer_text is not None and type(answer_text) is not str:
+        raise ContractViolation(
+            f"answer_text must be a string or null, got {answer_text!r}")
     if mode == QA_VERIFIED:
         if verified is None or rating is not None:
             raise ContractViolation(
                 "qa_verified grade needs `verified` and no `rating`")
+        if type(verified) is not bool:
+            raise ContractViolation(
+                f"verified must be true or false, got {verified!r}")
     elif mode == SELF_RATED:
         if rating is None or verified is not None:
             raise ContractViolation(
                 "self_rated grade needs `rating` and no `verified`")
+        if type(rating) is not int:
+            raise ContractViolation(
+                f"rating must be an integer, got {rating!r}")
         if not 0 <= rating <= 5:
             raise ContractViolation(
                 f"rating must be in [0, 5], got {rating}")

@@ -7,11 +7,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exam_eval.formats import (
     GradeStore,
     ParseError,
+    _decode_grade,
     load_leaderboard_scores,
     load_official_ranks,
     load_passages,
@@ -482,11 +483,28 @@ class TestGradeStoreDecode:
         (store_line(verified=True), "self_rated grade needs `rating`"),
         (store_line(mode=QA_VERIFIED, rating=None),
          "qa_verified grade needs `verified`"),
+        (store_line(rating=True), "rating must be an integer, got True"),
+        (store_line(rating=4.5), "rating must be an integer, got 4.5"),
+        (store_line(rating="4"), "rating must be an integer, got '4'"),
+        (store_line(mode=QA_VERIFIED, verified="no", rating=None),
+         "verified must be true or false, got 'no'"),
+        (store_line(mode=QA_VERIFIED, verified=1, rating=None),
+         "verified must be true or false, got 1"),
+        (store_line(answer_text=["x"]),
+         r"answer_text must be a string or null, got \['x'\]"),
+        (GOOD_LINES[0] + "\u2028", "invalid JSON: Extra data"),
+        (GOOD_LINES[0] + "\x0b", "invalid JSON: Extra data"),
+        ('{"rating": ' + "9" * 5000 + "}", "invalid JSON: Exceeds"),
+        ("[" * 100_000, "invalid JSON: maximum recursion depth"),
     ], ids=["invalid-json", "two-objects", "split-object", "array",
             "unknown-field", "missing-query-id", "list-query-id",
             "int-question-id",
             "unknown-mode",
-            "rating-6", "rating-and-verified", "qa-without-verified"])
+            "rating-6", "rating-and-verified", "qa-without-verified",
+            "bool-rating", "float-rating", "string-rating",
+            "string-verified", "int-verified", "list-answer-text",
+            "trailing-u2028", "trailing-vertical-tab", "huge-int",
+            "deep-nesting"])
     def test_bad_line_reports_its_number(self, tmp_path, bad, message):
         path = tmp_path / "g.jsonl.gz"
         # The split object's second half is line 6, after the bad line 5.
@@ -519,9 +537,15 @@ class TestGradeStoreDecode:
         {"query_id": ["q1"]}, {"passage_id": None}, {"question_id": 7},
         {"mode": "vibes"}, {"rating": 6}, {"verified": True},
         {"mode": QA_VERIFIED, "rating": None},
+        {"rating": True}, {"rating": 4.5}, {"rating": "4"},
+        {"mode": QA_VERIFIED, "verified": "no", "rating": None},
+        {"mode": QA_VERIFIED, "verified": 1, "rating": None},
+        {"answer_text": ["x"]},
     ], ids=["list-query-id", "null-passage-id", "int-question-id",
             "unknown-mode", "rating-6", "rating-and-verified",
-            "qa-without-verified"])
+            "qa-without-verified", "bool-rating", "float-rating",
+            "string-rating", "string-verified", "int-verified",
+            "list-answer-text"])
     def test_grade_rejects_what_reading_rejects(self, tmp_path, fields):
         # `append` checks every row first, so no store can hold a line that
         # reading rejects for its fields, and a bad batch writes nothing.
@@ -602,3 +626,86 @@ def test_store_round_trip_matches_oracle(batches):
             assert build_qrels(index, graded=True) \
                 == build_qrels(oracle, graded=True)
         assert exam_cover(passages, index) == exam_cover(passages, oracle)
+
+
+# Values that break the type or range of most fields.
+BAD_VALUES = st.sampled_from([True, 4.5, "no", 6, ["x"], 1, None])
+
+
+@st.composite
+def store_lines(draw):
+    """One store line without its line ending: a record as `append` writes
+    it, one altered in its layout or fields, or no record at all."""
+    # Mostly good lines, so that about half the drawn stores read cleanly.
+    kind = draw(st.sampled_from(
+        ["canonical"] * 20 + ["padded"] * 2 + ["missing"] * 2
+        + ["trailing"] * 2 + ["unknown", "bad-value", "split", "other"]))
+    if kind == "other":
+        return draw(st.sampled_from(
+            ["", " ", "\t", "[1]", "3", '"s"', "null", "{}", "{", "}"]))
+    key, row = draw(grades())
+    record = dict(zip(GRADE_FIELDS, key + row))
+    if kind == "missing":
+        for field in draw(st.sets(st.sampled_from(GRADE_FIELDS[4:]),
+                                  min_size=1)):
+            del record[field]
+    elif kind == "unknown":
+        record["extra"] = 1
+    elif kind == "bad-value":
+        record[draw(st.sampled_from(GRADE_FIELDS))] = draw(BAD_VALUES)
+    line = json.dumps(record, sort_keys=draw(st.booleans()),
+                      ensure_ascii=draw(st.booleans()))
+    if kind == "padded":
+        line = draw(st.sampled_from([" ", "\t", "  "])) + line \
+            + draw(st.sampled_from(["", " ", "\t "]))
+    elif kind == "trailing":
+        line += draw(st.sampled_from(["\u2028", "\x85", "\x0b", "\xa0"]))
+    elif kind == "split":
+        cut = draw(st.integers(1, len(line) - 1))
+        line = line[:cut] + "\n" + line[cut:]
+    return line
+
+
+def read_line_by_line(data: bytes):
+    """The store's rows, or its `ParseError`, by `_decode_grade` on every
+    line that is not blank."""
+    rows = {}
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    for line_no, line in enumerate(lines, start=1):
+        if line.isspace():
+            continue
+        try:
+            key, row = _decode_grade(line, line_no)
+        except ParseError as exc:
+            return exc
+        rows[key] = row
+    return rows
+
+
+@settings(deadline=None)
+# A character after the object on a last line without a newline: the
+# object's end is then one short of the line's end, as for "}\n".
+@example(lines=[GOOD_LINES[0] + "\x85"], endings=["\n"] * 8,
+         last_newline=False)
+@given(lines=st.lists(store_lines(), max_size=8),
+       endings=st.lists(st.sampled_from(["\n", "\r\n"]), min_size=8,
+                        max_size=8),
+       last_newline=st.booleans())
+def test_store_read_matches_line_by_line_oracle(lines, endings,
+                                                last_newline):
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if lines and not last_newline:
+        text = text[:-len(endings[len(lines) - 1])]
+    data = text.encode("utf-8")
+    expected = read_line_by_line(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.jsonl.gz"
+        path.write_bytes(gzip.compress(data))
+        if isinstance(expected, ParseError):
+            with pytest.raises(ParseError) as excinfo:
+                GradeStore(path).read()
+            assert (str(excinfo.value), excinfo.value.line_no) \
+                == (str(expected), expected.line_no)
+        else:
+            assert list(GradeStore(path).read().items()) \
+                == list(expected.items())

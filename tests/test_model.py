@@ -45,23 +45,29 @@ class TestPolicyIsCorrect:
 class TestGradeInvariant:
     @given(
         mode=st.sampled_from([QA_VERIFIED, SELF_RATED]),
-        verified=st.none() | st.booleans(),
-        rating=st.none() | st.integers(-1, 6),
+        answer_text=st.none() | st.sampled_from(["", "4", ["x"], 4]),
+        verified=st.none() | st.booleans() | st.sampled_from([0, 1, "no"]),
+        rating=(st.none() | st.integers(-1, 6)
+                | st.sampled_from([True, False, 4.5, 4.0, "4"])),
     )
-    def test_all_mode_field_combinations(self, mode, verified, rating):
+    def test_all_mode_field_combinations(self, mode, answer_text, verified,
+                                         rating):
         valid = (
-            (mode == QA_VERIFIED and verified is not None and rating is None)
-            or (mode == SELF_RATED and rating is not None
-                and 0 <= rating <= 5 and verified is None))
+            (answer_text is None or type(answer_text) is str)
+            and ((mode == QA_VERIFIED and type(verified) is bool
+                  and rating is None)
+                 or (mode == SELF_RATED and type(rating) is int
+                     and 0 <= rating <= 5 and verified is None)))
         if valid:
-            check_grade("q", "p", "qq", mode, verified, rating)
+            check_grade("q", "p", "qq", mode, answer_text, verified, rating)
         else:
             with pytest.raises(ContractViolation):
-                check_grade("q", "p", "qq", mode, verified, rating)
+                check_grade("q", "p", "qq", mode, answer_text, verified,
+                            rating)
 
     def test_unknown_mode(self):
         with pytest.raises(ContractViolation):
-            check_grade("q", "p", "qq", "vibes", None, 3)
+            check_grade("q", "p", "qq", "vibes", None, None, 3)
 
 
 # The model types are plain values and check nothing themselves. Their
