@@ -306,11 +306,9 @@ def cover(bank_path, run_path, grades_path, policy_text, depth, out):
 def qrels(bank_path, grades_path, policy_text, graded, out):
     """Derive a qrels file from stored grades."""
     bank = formats.load_question_bank(bank_path)
-    policy = parse_policy(policy_text)
-    if graded and policy.mode != SELF_RATED:
-        raise ContractViolation("--graded needs a rate:<min_rating> policy")
-    labels = metrics.build_qrels(_grade_index(grades_path, policy, bank),
-                                 graded=graded)
+    labels = metrics.build_qrels(
+        _grade_index(grades_path, parse_policy(policy_text), bank),
+        graded=graded)
     _emit(formats.write_qrels(labels), out)
 
 

@@ -399,7 +399,7 @@ def load_leaderboard_scores(path: str | Path) -> dict[str, float]:
     """Each system's score from a leaderboard TSV, as `leaderboard` writes
     it; a first line whose first field is `system` is the header, and it
     and the `_overall_` row are skipped. A later `system` row is a system
-    of that name."""
+    of that name. A system listed twice is rejected at its second row."""
     scores: dict[str, float] = {}
     for line_no, line in enumerate(Path(path).read_text().splitlines(),
                                    start=1):
@@ -407,6 +407,8 @@ def load_leaderboard_scores(path: str | Path) -> dict[str, float]:
         if (len(fields) < 2 or fields[0] == OVERALL_SYSTEM
                 or (line_no == 1 and fields[0] == "system")):
             continue
+        if fields[0] in scores:
+            raise ParseError(f"duplicate system {fields[0]!r}", line_no)
         try:
             scores[fields[0]] = float(fields[1])
         except ValueError:

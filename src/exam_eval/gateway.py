@@ -67,22 +67,9 @@ SELF_RATING_PROMPT = (
     "Context: {context}"
 )
 
-PROMPT_TEMPLATES = {
-    "question_gen_dl": QUESTION_GEN_DL,
-    "question_gen_car": QUESTION_GEN_CAR,
-    "qa": QA_PROMPT,
-    "self_rating": SELF_RATING_PROMPT,
-}
-
-
-def render(name: str, **bindings: str) -> str:
-    """Substitute every `{name}` of the named template in one pass.
-
-    `str.format` never rescans what it inserts, so bound values that
-    contain braces (JSON, LaTeX, code) come through verbatim.
-    """
-    return PROMPT_TEMPLATES[name].format(**bindings)
-
+# Each renderer substitutes every field of its template in one
+# `str.format` pass, which never rescans what it inserts, so bound values
+# that contain braces (JSON, LaTeX, code) come through verbatim.
 
 def render_question_gen_prompt(query: Query, facet: Facet | None = None) -> str:
     """Render the question-generation prompt for a query (and facet).
@@ -91,17 +78,17 @@ def render_question_gen_prompt(query: Query, facet: Facet | None = None) -> str:
     must be called without one.
     """
     if facet is None:
-        return render("question_gen_dl", query_title=query.title)
-    return render("question_gen_car", query_title=query.title,
-                  query_subtopic=facet.title)
+        return QUESTION_GEN_DL.format(query_title=query.title)
+    return QUESTION_GEN_CAR.format(query_title=query.title,
+                                   query_subtopic=facet.title)
 
 
 def render_qa_prompt(question: str, context: str) -> str:
-    return render("qa", question=question, context=context)
+    return QA_PROMPT.format(question=question, context=context)
 
 
 def render_self_rating_prompt(question: str, context: str) -> str:
-    return render("self_rating", question=question, context=context)
+    return SELF_RATING_PROMPT.format(question=question, context=context)
 
 
 # ---------------------------------------------------------------------------
@@ -117,14 +104,16 @@ class BudgetExceeded(ValueError):
 
 
 @functools.lru_cache(maxsize=1024)
-def _fixed_tokens(template_name: str, question: str) -> int:
-    """Token count of the prompt with an empty context: one per question."""
-    return token_count(render(template_name, question=question, context=""))
+def _fixed_tokens(render: Callable[[str, str], str], question: str) -> int:
+    """Token count of the prompt with an empty context: one per renderer
+    and question."""
+    return token_count(render(question, ""))
 
 
 def truncate_context(question: str, context: str, budget: int,
-                     template_name: str = "qa") -> str:
-    """Shorten the context so the rendered prompt fits the token budget.
+                     render: Callable[[str, str], str]) -> str:
+    """Shorten the context so the prompt that `render` makes of the
+    question and context fits the token budget.
 
     The context keeps its longest whitespace-token prefix for which the
     whole prompt fits; the returned context is that character prefix,
@@ -137,7 +126,7 @@ def truncate_context(question: str, context: str, budget: int,
     spans the boundary and the prompt's whitespace-token count is the
     empty-context count plus the context's own.
     """
-    fixed = _fixed_tokens(template_name, question)
+    fixed = _fixed_tokens(render, question)
     if fixed > budget:
         raise BudgetExceeded(
             f"question and template alone need {fixed} tokens, "

@@ -178,14 +178,9 @@ def grade_pair(question: ExamQuestion, passage_id: str, text: str,
                backend: gateway.Backend) -> tuple[GradeKey, GradeRow]:
     """Grade one (question, passage) pair with a single completion request,
     as the store's key and row."""
-    if mode == QA_VERIFIED:
-        template_name, render = "qa", gateway.render_qa_prompt
-    else:
-        template_name = "self_rating"
-        render = gateway.render_self_rating_prompt
-
-    context = gateway.truncate_context(
-        question.text, text, budget, template_name=template_name)
+    render = (gateway.render_qa_prompt if mode == QA_VERIFIED
+              else gateway.render_self_rating_prompt)
+    context = gateway.truncate_context(question.text, text, budget, render)
     prompt = render(question.text, context)
     request = gateway.CompletionRequest.of(
         prompt,

@@ -14,6 +14,7 @@ from .model import (
     OVERALL_SYSTEM,
     Qrels,
     Run,
+    SELF_RATED,
 )
 
 log = logging.getLogger(__name__)
@@ -64,8 +65,11 @@ def build_qrels(index: GradeIndex, graded: bool = False) -> Qrels:
 
     Covers every pooled passage that has grades, so systems whose passages
     went through the grading pipeline never hit unjudged holes. Pairs come
-    sorted.
+    sorted. Graded labels are self-ratings, so they need a self_rated
+    policy.
     """
+    if graded and index.policy.mode != SELF_RATED:
+        raise ContractViolation("--graded needs a rate:<min_rating> policy")
     return {pair: index.label(*pair, graded) for pair in index.pairs()}
 
 

@@ -329,6 +329,13 @@ class TestLeaderboardScores:
                 f"{path}: line 3: bad score 'high' for 'sysB'")):
             load_leaderboard_scores(path)
 
+    def test_repeated_system_names_file_and_line(self, tmp_path):
+        path = tmp_path / "lb.tsv"
+        path.write_text("system\tscore\nA\t0.5\nB\t0.3\nA\t0.1\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: line 4: duplicate system 'A'")):
+            load_leaderboard_scores(path)
+
 
 class TestGradeStore:
     def test_append_read(self, tmp_path):

@@ -16,9 +16,9 @@ from exam_eval.gateway import (
     CompletionRequest,
     HttpBackend,
     MockBackend,
-    PROMPT_TEMPLATES,
+    QA_PROMPT,
+    SELF_RATING_PROMPT,
     make_backend,
-    render,
     render_qa_prompt,
     render_question_gen_prompt,
     render_self_rating_prompt,
@@ -88,21 +88,20 @@ BRACES_TEXT = ('config: {config} then {"key": [1, 2]} and '
                '\\frac{a}{b} {question} {context}')
 
 
-@pytest.mark.parametrize("template_name, render", [
-    ("qa", render_qa_prompt), ("self_rating", render_self_rating_prompt)])
+@pytest.mark.parametrize(
+    "render", [render_qa_prompt, render_self_rating_prompt],
+    ids=["qa-render_qa_prompt", "self_rating-render_self_rating_prompt"])
 class TestBracesRenderVerbatim:
-    def test_short_context(self, template_name, render):
+    def test_short_context(self, render):
         question = "What does {config} hold?"
-        out = truncate_context(question, BRACES_TEXT, 512,
-                               template_name=template_name)
+        out = truncate_context(question, BRACES_TEXT, 512, render)
         assert out == BRACES_TEXT
         prompt = render(question, out)
         assert prompt.endswith(f"Question: {question}\nContext: {BRACES_TEXT}")
 
-    def test_truncated_context(self, template_name, render):
+    def test_truncated_context(self, render):
         context = " ".join([BRACES_TEXT] * 100)
-        out = truncate_context("A?", context, 128,
-                               template_name=template_name)
+        out = truncate_context("A?", context, 128, render)
         assert context.startswith(out) and len(out) < len(context)
         prompt = render("A?", out)
         assert prompt.endswith(f"Context: {out}")
@@ -111,11 +110,12 @@ class TestBracesRenderVerbatim:
 
 class TestTruncation:
     def test_short_context_untouched(self):
-        assert truncate_context("A?", "short context", 512) == "short context"
+        assert truncate_context("A?", "short context", 512,
+                                render_qa_prompt) == "short context"
 
     def test_long_context_fits_budget(self):
         context = " ".join(f"tok{i}" for i in range(1000))
-        out = truncate_context("A?", context, 512)
+        out = truncate_context("A?", context, 512, render_qa_prompt)
         assert context.startswith(out)
         prompt = render_qa_prompt("A?", out)
         assert token_count(prompt) <= 512
@@ -125,30 +125,27 @@ class TestTruncation:
     def test_question_intact_under_truncation(self):
         context = " ".join(f"tok{i}" for i in range(1000))
         question = "What is the airspeed velocity of an unladen swallow?"
-        out = truncate_context(question, context, 128)
+        out = truncate_context(question, context, 128, render_qa_prompt)
         assert question in render_qa_prompt(question, out)
 
     def test_oversized_question_is_hard_error(self):
         question = " ".join(f"word{i}" for i in range(600))
         with pytest.raises(BudgetExceeded):
-            truncate_context(question, "ctx", 512)
+            truncate_context(question, "ctx", 512, render_qa_prompt)
 
 
 def test_context_field_is_last_and_follows_whitespace():
     # truncate_context counts the prompt's tokens as the empty-context
     # count plus the context's own, which holds only for such templates.
-    bodies = [b for b in PROMPT_TEMPLATES.values() if "{context}" in b]
-    assert len(bodies) == 2
-    for body in bodies:
+    for body in (QA_PROMPT, SELF_RATING_PROMPT):
         head, field, tail = body.rpartition("{context}")
         assert field and tail == "" and "{context}" not in head
         assert head[-1].isspace()
 
 
-def longest_fitting_prefix(question, context, budget, template_name):
+def longest_fitting_prefix(question, context, budget, render):
     """Brute force: render and count the prompt for every token prefix."""
-    fits = lambda c: token_count(
-        render(template_name, question=question, context=c)) <= budget
+    fits = lambda c: token_count(render(question, c)) <= budget
     if not fits(""):
         raise BudgetExceeded(budget)
     if fits(context):
@@ -170,22 +167,21 @@ questions = st.lists(st.sampled_from(WORDS + WHITESPACE), min_size=1,
                      max_size=8).map("".join)
 
 
-@pytest.mark.parametrize("template_name", ["qa", "self_rating"])
+@pytest.mark.parametrize("render", [render_qa_prompt,
+                                    render_self_rating_prompt],
+                         ids=["qa", "self_rating"])
 @given(question=questions, context=contexts, data=st.data())
-def test_truncation_matches_brute_force(template_name, question, context,
-                                        data):
-    fixed = token_count(render(template_name, question=question, context=""))
+def test_truncation_matches_brute_force(render, question, context, data):
+    fixed = token_count(render(question, ""))
     budget = fixed - 1 + data.draw(
         st.integers(0, len(context.split()) + 2), label="slack")
     try:
-        expected = longest_fitting_prefix(question, context, budget,
-                                          template_name)
+        expected = longest_fitting_prefix(question, context, budget, render)
     except BudgetExceeded:
         with pytest.raises(BudgetExceeded):
-            truncate_context(question, context, budget, template_name)
+            truncate_context(question, context, budget, render)
         return
-    assert truncate_context(question, context, budget,
-                            template_name) == expected
+    assert truncate_context(question, context, budget, render) == expected
 
 
 MALFORMED_BODIES = ["not json", "{}", '{"choices": []}',

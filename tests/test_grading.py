@@ -340,22 +340,29 @@ class TestGradeCorpus:
 @pytest.mark.parametrize("mode", [QA_VERIFIED, SELF_RATED])
 def test_braces_passage_is_graded(tmp_path, mode):
     # Braces in a passage or question are text, not template placeholders.
+    # A passage far over the budget is cut for the template that is sent.
+    long_text = " ".join(f"{{w{i}}}" for i in range(2000))
     bank = QuestionBank({"q1": (
         ExamQuestion("q1/q/0", "q1", "What does {config} set?",
                      gold_answer="the {config} block"),)})
     passages = {"q1": {
         "p-braces": 'It sets {config} = {"depth": 20} here.',
-        "p-plain": "plain text"}}
+        "p-plain": "plain text",
+        "p-long": long_text}}
     backend = RecordingBackend({"q1/q/0/p-braces": "5: the {config} block",
                                 "default": "0"})
     store = GradeStore(tmp_path / "g.jsonl.gz")
     summary = grade_corpus(bank, passages, mode, store, backend, 512, 1)
-    assert summary.graded == 2 and not summary.failures
+    assert summary.graded == 3 and not summary.failures
     prompts = {r.metadata["passage_id"]: r.prompt
                for r in backend.request_log}
     assert prompts["p-braces"].endswith(
         'Question: What does {config} set?\n'
         'Context: It sets {config} = {"depth": 20} here.')
+    assert len(prompts["p-long"].split()) == 512
+    head, _, cut = prompts["p-long"].rpartition("Context: ")
+    assert head.endswith("Question: What does {config} set?\n")
+    assert cut and long_text.startswith(cut)
     by_pid = {key[1]: row for key, row in stored_grades(store)}
     if mode == QA_VERIFIED:
         assert by_pid["p-braces"][1] is True

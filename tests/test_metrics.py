@@ -29,6 +29,7 @@ from exam_eval.model import (
     ContractViolation,
     ExamQuestion,
     GradePolicy,
+    QA_VERIFIED,
     QuestionBank,
     SELF_RATED,
 )
@@ -510,6 +511,16 @@ class TestBuildQrels:
         bank = simple_bank()
         grades = [rated("q1", "p1", "other-bank/q/0", 5)]
         assert build_qrels(grade_index(grades, LENIENT, bank)) == {}
+
+    def test_graded_needs_self_rated_policy(self):
+        # A qa verdict is no rating: graded labels under a qa policy would
+        # be the verdicts themselves.
+        index = grade_index([verified("q1", "p1", "q1/q/0", True)],
+                            GradePolicy(QA_VERIFIED), simple_bank())
+        with pytest.raises(ContractViolation, match="--graded needs a "
+                           "rate:<min_rating> policy"):
+            build_qrels(index, graded=True)
+        assert build_qrels(index) == {("q1", "p1"): 1}
 
 
 # ---------------------------------------------------------------------------
