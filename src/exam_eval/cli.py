@@ -99,7 +99,8 @@ def atomic_write(path: str | Path, text: str) -> None:
 def read_config_file(path: str) -> dict[str, str]:
     """Simple `key = value` config format; '#' starts a comment line."""
     values: dict[str, str] = {}
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
+    text = Path(path).read_text(encoding="utf-8")
+    for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

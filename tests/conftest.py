@@ -5,12 +5,14 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from email.message import Message
 
 import pytest
+from hypothesis import Phase, settings, strategies as st
 
-from exam_eval.formats import GradeStore
+import oracles
+from exam_eval.formats import GradeStore, parse_run_file
 from exam_eval.gateway import (
     CompletionRequest,
     CompletionResponse,
@@ -21,12 +23,19 @@ from exam_eval.model import (
     ExamQuestion,
     Facet,
     GradeIndex,
+    GradePolicy,
     QA_VERIFIED,
     Query,
     QuestionBank,
     Run,
     SELF_RATED,
 )
+
+# `tests/mutants.py` runs under this profile: a caught mutant fails at its
+# first failing example, which is not shrunk, and no example is saved.
+settings.register_profile(
+    "mutants", phases=[p for p in Phase if p is not Phase.shrink],
+    database=None)
 
 # The skin-anatomy worked example used throughout the suite: one judged
 # passage, one hand-authored question with a gold answer, one generated
@@ -115,6 +124,121 @@ def grade_index(grades, policy, bank):
 def stored_grades(store: GradeStore) -> list:
     """Every grade the store reads back, as (key, row) pairs."""
     return list(store.read().items())
+
+
+# ---------------------------------------------------------------------------
+# Drawn inputs for the oracle and invariant checks
+
+QUERY_IDS = ("q0", "q1", "q2")
+PASSAGE_IDS = tuple(f"p{i}" for i in range(8))
+
+
+@st.composite
+def run_files(draw, tag):
+    """A run file as text: random passages and gapped ranks per query,
+    lines in random order."""
+    lines = []
+    for query_id in QUERY_IDS:
+        pids = draw(st.lists(st.sampled_from(PASSAGE_IDS), min_size=1,
+                             unique=True))
+        ranks = draw(st.lists(st.integers(1, 99), min_size=len(pids),
+                              max_size=len(pids), unique=True))
+        lines += [f"{query_id} Q0 {p} {r} {1.0 / r:.4f} {tag}\n"
+                  for p, r in zip(pids, ranks)]
+    return "".join(draw(st.permutations(lines)))
+
+
+@st.composite
+def scoring_inputs(draw):
+    """A bank, grades, 1-3 parsed runs with their rows as the oracles read
+    them, a self-rated policy and a depth."""
+    # A query may end up with no questions. Question index 4 is never in
+    # the bank, and a misfiled grade is of another query's question: both
+    # must count nowhere.
+    bank = QuestionBank({q: tuple(
+        ExamQuestion(f"{q}/q/{i}", q, f"Q{i}?")
+        for i in range(draw(st.integers(0, 4)))) for q in QUERY_IDS})
+    pair_keys = st.tuples(st.sampled_from(QUERY_IDS),
+                          st.sampled_from(PASSAGE_IDS), st.integers(0, 4))
+    ratings = draw(st.dictionaries(pair_keys, st.integers(0, 5), max_size=60))
+    verdicts = draw(st.dictionaries(pair_keys, st.booleans(), max_size=10))
+    misfiled = draw(st.dictionaries(
+        st.tuples(pair_keys, st.sampled_from(QUERY_IDS)), st.integers(0, 5),
+        max_size=10))
+    grades = [rated(q, p, f"{q}/q/{i}", r) for (q, p, i), r in ratings.items()]
+    grades += [verified(q, p, f"{q}/q/{i}", v)
+               for (q, p, i), v in verdicts.items()]
+    grades += [rated(q, p, f"{other}/q/{i}", r)
+               for ((q, p, i), other), r in misfiled.items() if other != q]
+    texts = [draw(run_files(f"sys{i}"))
+             for i in range(draw(st.integers(1, 3)))]
+    policy = GradePolicy(SELF_RATED, min_rating=draw(st.integers(1, 5)),
+                         min_answers=draw(st.integers(1, 2)))
+    return (bank, grades, list(map(parse_run_file, texts)),
+            list(map(oracles.run_rows, texts)), policy,
+            draw(st.integers(1, 6)))
+
+
+@st.composite
+def bank_edits(draw, bank):
+    """The bank with one question removed, one reworded, one moved to the
+    end of a drawn query's questions and one added, as far as its
+    questions allow. The added question has index 4, which
+    `scoring_inputs` grades but never puts in a bank; a moved question
+    keeps its id and text."""
+    questions = draw(st.permutations(bank.all_questions()))
+    removed, reworded, moved = questions[:1], questions[1:2], questions[2:3]
+    query_id = draw(st.sampled_from(bank.query_ids))
+    target = draw(st.sampled_from(bank.query_ids))
+    added = ExamQuestion(f"{query_id}/q/4", query_id, "An added question?")
+    return QuestionBank({q: tuple(
+        replace(question, text=f"{question.text} Reworded.")
+        if question in reworded else question
+        for question in qs if question not in removed + moved)
+        + tuple(replace(question, query_id=q)
+                for question in moved if q == target)
+        + ((added,) if q == query_id else ())
+        for q, qs in bank.questions_by_query.items()})
+
+
+@st.composite
+def pipeline_inputs(draw):
+    """Run files, a bank and an edit of it, passage texts, a rating
+    fixture, a policy, a depth, and official judgments with the lowest
+    grade that counts as relevant, over the queries and passages of
+    `run_files`."""
+    runs = {f"sys{i}": draw(run_files(f"sys{i}"))
+            for i in range(draw(st.integers(1, 3)))}
+    # The first query has questions; the others may have none.
+    bank = QuestionBank({q: tuple(
+        ExamQuestion(f"{q}/q/{i}", q, f"Question {i} of {q}?")
+        for i in range(draw(st.integers(q == QUERY_IDS[0], 3))))
+        for q in QUERY_IDS})
+    untexted = draw(st.sets(st.sampled_from(PASSAGE_IDS), max_size=2))
+    texts = {p: f"text of {p}" for p in PASSAGE_IDS if p not in untexted}
+    # Ratings take a few values and official grades as many, so that the
+    # graded agreement table is often square and larger than 2x2, where
+    # its overall kappa differs from its first row's.
+    levels = draw(st.integers(3, 4))
+    rating_values = draw(st.lists(st.sampled_from("012345"), min_size=levels,
+                                  max_size=levels, unique=True))
+    keys = [f"{q}/q/{i}/{p}" for q in QUERY_IDS for i in range(3)
+            for p in PASSAGE_IDS]
+    ratings = dict(zip(keys, draw(st.lists(
+        st.sampled_from(rating_values), min_size=len(keys),
+        max_size=len(keys)))))
+    policy_text = (f"rate:{draw(st.integers(1, 5))}"
+                   + draw(st.sampled_from(["", "+min-answers=2"])))
+    pairs = [(q, p) for q in QUERY_IDS for p in PASSAGE_IDS]
+    # A grade of 0 may be spelled -2, which reads as 0.
+    official_values = draw(st.lists(
+        st.sampled_from([draw(st.sampled_from([0, -2])), 1, 2, 3]),
+        min_size=levels, max_size=levels, unique=True))
+    official = {pair: grade for pair, grade in zip(pairs, draw(st.lists(
+        st.sampled_from([*official_values, None]), min_size=len(pairs),
+        max_size=len(pairs)))) if grade is not None}
+    return (runs, bank, draw(bank_edits(bank)), texts, ratings, policy_text,
+            draw(st.integers(1, 6)), official, draw(st.integers(1, 3)))
 
 
 LOCK_HOLDER = """

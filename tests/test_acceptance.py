@@ -4,12 +4,15 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 summary lines.
 """
 import math
-import random
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import oracles
+from exam_eval.bank import diff_banks
 from exam_eval.formats import parse_qrels, parse_run_file, write_qrels
 from exam_eval.gateway import MockBackend
 from exam_eval.grading import build_passage_pool, grade_pair
@@ -18,42 +21,20 @@ from exam_eval.metrics import (
     cohens_kappa,
     exam_cover,
     kendall_tau,
+    leaderboard,
     precision_at_k,
     spearman,
 )
 from exam_eval.model import (
-    ExamQuestion,
-    GradePolicy,
-    QA_VERIFIED,
-    QuestionBank,
-    SELF_RATED,
-)
-from conftest import grade_index, make_run, rated
+    GradePolicy, OVERALL_SYSTEM, QA_VERIFIED, SELF_RATED)
+from conftest import (
+    PASSAGE_IDS, QUERY_IDS, bank_edits, grade_index, run_files,
+    scoring_inputs)
 from test_cli import ARTIFACTS, run_pipeline, write_pipeline_inputs
-from test_metrics import (
-    brute_force_cover,
-    brute_force_precision,
-    oracle_kendall_tau_b,
-    oracle_spearman,
-    pair_label,
-    run_rows,
-)
 
 
 def report(n, text):
     print(f"\nACCEPTANCE {n}: PASS - {text}")
-
-
-def random_run(rng, n_queries, n_passages):
-    """A run of random passages per query with its lines shuffled: the
-    parsed run, and its rows as the oracles read them."""
-    lines = [f"q{qi} Q0 p{pi} {rank} 0 sys\n"
-             for qi in range(n_queries)
-             for rank, pi in enumerate(rng.sample(
-                 range(n_passages), rng.randint(1, n_passages)), start=1)]
-    rng.shuffle(lines)
-    text = "".join(lines)
-    return parse_run_file(text), run_rows(text)
 
 
 # ---------------------------------------------------------------------------
@@ -102,141 +83,140 @@ def test_criterion_2_worked_example(tqa_question, generated_question,
 
 
 def test_criterion_3_metric_oracles():
-    rng = random.Random(20240824)
-    start = time.monotonic()
+    @given(scoring_inputs(), st.data())
+    def scores(inputs, data):
+        bank, grades, runs, rows, policy, depth = inputs
+        index = grade_index(grades, policy, bank)
+        labels = oracles.qrels(grades, bank, policy)
+        assert build_qrels(index) == labels
+        assert build_qrels(index, graded=True) \
+            == oracles.qrels(grades, bank, policy, graded=True)
+        for run, ranked in zip(runs, rows):
+            assert exam_cover(build_passage_pool([run], depth), index) \
+                == pytest.approx(oracles.cover(
+                    oracles.pool([ranked], depth), bank, grades, policy))
 
-    for trial in range(400):
-        n_queries = rng.randint(1, 10)
-        n_questions = rng.randint(1, 6)
-        n_passages = rng.randint(1, 12)
-        depth = rng.randint(1, 10)
-        min_rating = rng.randint(1, 5)
-        bank = QuestionBank({
-            f"q{qi}": tuple(
-                ExamQuestion(f"q{qi}/q/{i}", f"q{qi}", f"Q{i}?")
-                for i in range(n_questions))
-            for qi in range(n_queries)})
-        grades = [
-            rated(f"q{qi}", f"p{pi}", f"q{qi}/q/{i}", rng.randint(0, 5))
-            for qi in range(n_queries)
-            for pi in range(n_passages)
-            for i in range(n_questions)
-            if rng.random() < 0.8]
-        run, rows = random_run(rng, n_queries, n_passages)
-        policy = GradePolicy(SELF_RATED, min_rating=min_rating)
-        expected = brute_force_cover(rows, bank, grades, policy, depth)
-        actual = exam_cover(build_passage_pool([run], depth),
-                            grade_index(grades, policy, bank))
-        assert actual == pytest.approx(expected)
+        # Each leaderboard row scores its own pool, `_overall_` the union.
+        pools = {**{run.run_tag: oracles.pool([ranked], depth)
+                    for run, ranked in zip(runs, rows)},
+                 OVERALL_SYSTEM: oracles.pool(rows, depth)}
+        for metric, score in (
+                ("cover", lambda pooled: oracles.cover(
+                    pooled, bank, grades, policy)),
+                ("p_at_k", lambda pooled: oracles.precision(
+                    pooled, labels, depth))):
+            result = leaderboard(runs, index, metric=metric, depth=depth)
+            expected = {system: score(pooled)
+                        for system, pooled in pools.items()}
+            assert {r.system: r.score for r in result.rows} \
+                == pytest.approx({system: oracles.mean(s)
+                                  for system, s in expected.items()})
+            assert {r.system: r.std_error for r in result.rows} \
+                == pytest.approx({system: oracles.std_error(s)
+                                  for system, s in expected.items()})
 
-    for trial in range(400):
-        n_queries = rng.randint(1, 10)
-        n_passages = rng.randint(1, 15)
-        k = rng.randint(1, 10)
-        judged = {
-            (f"q{qi}", f"p{pi}"): rng.randint(-2, 4)
-            for qi in range(n_queries)
-            for pi in range(n_passages)
-            if rng.random() < 0.7}
+        # A bank edit's report: the edits, then the labels they flip.
+        new = data.draw(bank_edits(bank))
+        edits = diff_banks(index, grade_index(grades, policy, new))
+        lines = [f"{title}\t{qid}\n" for title in (
+            "added", "removed", "edited", "needs_grading")
+            for qid in getattr(edits, title)]
+        lines += [f"flip\t{f.query_id}\t{f.passage_id}\t"
+                  f"{f.old_label}->{f.new_label}\n" for f in edits.flips]
+        assert lines == oracles.diff(bank, new, grades, policy)
+
+    @given(run_files("sys"), st.dictionaries(st.tuples(
+        st.sampled_from(QUERY_IDS[:2]), st.sampled_from(PASSAGE_IDS)),
+        st.integers(-2, 3)), st.integers(1, 8))
+    def precision(text, judged, k):
+        # Judgments as trec_eval reads them, negative grades included.
         qrels = parse_qrels(write_qrels(judged))
-        run, rows = random_run(rng, n_queries, n_passages)
-        expected = brute_force_precision(rows, judged, k)
-        actual = precision_at_k(build_passage_pool([run], k), qrels, k)
-        assert actual == pytest.approx(expected)
+        assert precision_at_k(
+            build_passage_pool([parse_run_file(text)], k), qrels, k) \
+            == pytest.approx(oracles.precision(
+                oracles.pool([oracles.run_rows(text)], k), judged, k))
 
-    for trial in range(300):
-        n = rng.randint(3, 8)
-        with_ties = rng.random() < 0.5
-        draw = (lambda: float(rng.randint(0, 4))) if with_ties \
-            else (lambda: rng.random())
-        a = [draw() for _ in range(n)]
-        b = [draw() for _ in range(n)]
-        if len(set(a)) < 2 or len(set(b)) < 2:
-            continue
+    @given(st.data())
+    def correlations(data):
+        # 3-8 systems, scored from five values (ties) or from [0, 1].
+        n = data.draw(st.integers(3, 8))
+        values = data.draw(st.sampled_from(
+            [st.integers(0, 4).map(float), st.floats(0, 1)]))
+        a, b = (data.draw(st.lists(values, min_size=n, max_size=n))
+                for _ in "ab")
+        assume(len(set(a)) > 1 and len(set(b)) > 1)
         scores_a = {f"s{i}": v for i, v in enumerate(a)}
         scores_b = {f"s{i}": v for i, v in enumerate(b)}
         assert spearman(scores_a, scores_b) == pytest.approx(
-            oracle_spearman(a, b), abs=1e-12)
+            oracles.oracle_spearman(a, b), abs=1e-12)
         assert kendall_tau(scores_a, scores_b) == pytest.approx(
-            oracle_kendall_tau_b(a, b), abs=1e-12)
+            oracles.oracle_kendall_tau_b(a, b), abs=1e-12)
 
-    elapsed = time.monotonic() - start
-    assert elapsed < 30
-    report(3, f"1100 random instances match brute-force oracles "
-              f"({elapsed:.1f}s)")
+    start = time.monotonic()
+    checks = ((scores, 400), (precision, 400), (correlations, 300))
+    for check, examples in checks:
+        settings(max_examples=examples, deadline=None)(check)()
+    report(3, f"{sum(n for _, n in checks)} random instances match "
+              f"brute-force oracles ({time.monotonic() - start:.1f}s)")
 
 
 def test_criterion_4_invariant_suite():
-    rng = random.Random(99)
+    @given(scoring_inputs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def check(inputs, data):
+        bank, grades, runs, _, policy, depth = inputs
+        index = grade_index(grades, policy, bank)
 
-    # Cover monotonicity in passages and depth; threshold monotonicity.
-    for _ in range(50):
-        n_questions = rng.randint(1, 6)
-        bank = QuestionBank({"q1": tuple(
-            ExamQuestion(f"q1/q/{i}", "q1", f"Q{i}?")
-            for i in range(n_questions))})
-        grades = [rated("q1", f"p{pi}", f"q1/q/{i}", rng.randint(0, 5))
-                  for pi in range(10) for i in range(n_questions)]
-        prefix = rng.randint(1, 9)
-        shorter = {"q1": [f"p{i}" for i in range(prefix)]}
-        longer = make_run("s", [("q1", f"p{i}") for i in range(10)])
-        pool = build_passage_pool([longer], 20)
-        for min_rating in (1, 4):
-            index = grade_index(
-                grades, GradePolicy(SELF_RATED, min_rating=min_rating), bank)
-            assert exam_cover(pool, index)["q1"] \
-                >= exam_cover(shorter, index)["q1"]
-            assert exam_cover(pool, index)["q1"] >= exam_cover(
-                build_passage_pool([longer], rng.randint(1, 10)),
-                index)["q1"]
-        strict = grade_index(grades, GradePolicy(SELF_RATED, min_rating=4),
-                             bank)
-        lenient = grade_index(grades, GradePolicy(SELF_RATED, min_rating=1),
-                              bank)
-        assert exam_cover(pool, strict)["q1"] \
-            <= exam_cover(pool, lenient)["q1"]
+        # Cover is monotone in depth, in the runs pooled and in the
+        # threshold.
+        deeper_pool = build_passage_pool(runs, depth + 1)
+        pooled = exam_cover(build_passage_pool(runs, depth), index)
+        deeper = exam_cover(deeper_pool, index)
+        lenient = exam_cover(deeper_pool, grade_index(
+            grades, replace(policy, min_rating=1), bank))
+        for run in runs:
+            own = exam_cover(build_passage_pool([run], depth), index)
+            for query_id, score in own.items():
+                assert score <= pooled[query_id] <= deeper[query_id] \
+                    <= lenient[query_id]
 
-    # Binary/graded label consistency.
-    for _ in range(200):
-        ratings = [rng.randint(0, 5) for _ in range(rng.randint(1, 6))]
-        threshold = rng.randint(1, 5)
-        policy = GradePolicy(SELF_RATED, min_rating=threshold)
-        assert (pair_label(ratings, policy) == 1) \
-            == (pair_label(ratings, policy, graded=True) >= threshold)
+        # A pair's binary label is 1 iff its graded label reaches the
+        # threshold, when one passing question suffices.
+        one = grade_index(grades, replace(policy, min_answers=1), bank)
+        graded = build_qrels(one, graded=True)
+        assert build_qrels(one) == {
+            pair: int(label >= policy.min_rating)
+            for pair, label in graded.items()}
 
-    # Qrels round-trip byte stability.
-    for _ in range(50):
-        labels = {(f"q{rng.randint(0, 5)}", f"p{i}"): rng.randint(0, 5)
-                  for i in range(rng.randint(0, 30))}
-        text = write_qrels(labels)
+        # Qrels round-trip byte-stably, in any insertion order.
+        text = write_qrels(graded)
         assert write_qrels(parse_qrels(text)) == text
-        items = list(labels.items())
-        rng.shuffle(items)
-        assert write_qrels(dict(items)) == text
+        assert write_qrels(dict(data.draw(
+            st.permutations(list(graded.items()))))) == text
 
-    # Kappa invariance under simultaneous row+column permutation.
-    for _ in range(20):
-        size = rng.randint(2, 4)
-        counts = [[rng.randint(0, 40) + (10 if r == c else 0)
-                   for c in range(size)] for r in range(size)]
-        base = cohens_kappa(counts).overall
-        perm = list(range(size))
-        rng.shuffle(perm)
-        permuted = [[counts[r][c] for c in perm] for r in perm]
-        assert cohens_kappa(permuted).overall == pytest.approx(base, abs=1e-12)
+        # Kappa is invariant under one permutation of rows and columns.
+        size = data.draw(st.integers(2, 4))
+        counts = data.draw(st.lists(
+            st.lists(st.integers(0, 40), min_size=size, max_size=size),
+            min_size=size, max_size=size))
+        counts = [[c + 10 * (r == i) for i, c in enumerate(row)]
+                  for r, row in enumerate(counts)]
+        perm = data.draw(st.permutations(range(size)))
+        assert cohens_kappa([[counts[r][c] for c in perm] for r in perm]) \
+            .overall == pytest.approx(cohens_kappa(counts).overall, abs=1e-12)
 
-    # Correlation invariance under strictly monotone transforms.
-    for _ in range(50):
-        n = rng.randint(3, 8)
-        a = {f"s{i}": float(v) for i, v in
-             enumerate(rng.sample(range(-50, 50), n))}
-        b = {f"s{i}": float(rng.randint(-50, 50)) for i in range(n)}
-        transformed = {k: 2.5 * v + math.exp(v / 100) for k, v in a.items()}
-        assert spearman(a, b) == pytest.approx(
-            spearman(transformed, b), abs=1e-12)
-        assert kendall_tau(a, b) == pytest.approx(
-            kendall_tau(transformed, b), abs=1e-12)
+        # Correlations are invariant under strictly monotone transforms.
+        ints = data.draw(st.lists(st.integers(-50, 50), min_size=3,
+                                  max_size=8, unique=True))
+        a = {f"s{i}": float(v) for i, v in enumerate(ints)}
+        b = {s: float(data.draw(st.integers(-50, 50))) for s in a}
+        transformed = {s: 2.5 * v + math.exp(v / 100) for s, v in a.items()}
+        for statistic in (spearman, kendall_tau):
+            reference = statistic(a, b)
+            assert statistic(transformed, b) == pytest.approx(
+                reference, abs=1e-12, nan_ok=True)
 
+    check()
     report(4, "monotonicity, label consistency, round-trip, and "
               "permutation invariants hold")
 
@@ -249,6 +229,9 @@ def test_criterion_5_end_to_end_determinism(tmp_path):
         assert (tmp_path / "first" / name).read_bytes() \
             == (tmp_path / "second" / name).read_bytes(), \
             f"{name} differs between identical runs"
+    # No lock or temporary file is left behind.
+    assert sorted(p.name for p in (tmp_path / "first").iterdir()) \
+        == sorted(ARTIFACTS)
     lines = (tmp_path / "first" / "leaderboard.tsv").read_text().splitlines()
     systems = [line.split("\t")[0] for line in lines[1:]]
     assert systems.index("sysA") < systems.index("sysB"), \

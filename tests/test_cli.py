@@ -14,7 +14,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, given, settings
 
 from exam_eval.cli import (
     atomic_write, cli, main, parse_policy, read_config_file)
@@ -28,23 +28,9 @@ from exam_eval.model import (
     QuestionBank,
     SELF_RATED,
 )
-from conftest import PROXY_VARIABLES, child_env, lock_holder, rated
-from test_metrics import (
-    PASSAGES as RUN_PASSAGES,
-    QUERIES as RUN_QUERIES,
-    bank_edits,
-    brute_force_cover,
-    brute_force_diff,
-    brute_force_pool,
-    brute_force_pooled_cover,
-    brute_force_pooled_precision,
-    brute_force_precision,
-    brute_force_qrels,
-    mean,
-    numpy_kappa,
-    run_files,
-    run_rows,
-)
+import oracles
+from conftest import (
+    PROXY_VARIABLES, child_env, lock_holder, pipeline_inputs, rated)
 
 
 class TestParsePolicy:
@@ -88,10 +74,7 @@ def test_help_exits_zero():
 
 @pytest.mark.parametrize("depth", ["0", "-1"])
 @pytest.mark.parametrize("command", ["grade", "cover", "leaderboard"])
-def test_depth_below_one_rejected(tmp_path, capsys, command, depth):
-    write_pipeline_inputs(tmp_path)
-    out = tmp_path / "out"
-    run_pipeline(tmp_path, out)
+def test_depth_below_one_rejected(tmp_path, capsys, command, depth, out):
     store = tmp_path / "new.jsonl.gz"
     inputs = {
         "grade": ["--runs", str(tmp_path / "runs"),
@@ -112,10 +95,7 @@ def test_depth_below_one_rejected(tmp_path, capsys, command, depth):
     assert not store.exists()
 
 
-def test_unknown_config_key_rejected(tmp_path, capsys):
-    write_pipeline_inputs(tmp_path)
-    out = tmp_path / "out"
-    run_pipeline(tmp_path, out)
+def test_unknown_config_key_rejected(tmp_path, capsys, out):
     conf = tmp_path / "exam.conf"
     conf.write_text("colapse = binary\n")
     capsys.readouterr()
@@ -177,10 +157,7 @@ def test_readme_names_exactly_the_cli_options():
         "official-rank-false", "official-rank-nan-string",
         "official-rank-nan", "official-rank-inf-string"])
 def test_malformed_json_input_exits_one(tmp_path, capsys, name, content,
-                                        message):
-    write_pipeline_inputs(tmp_path)
-    out = tmp_path / "out"
-    run_pipeline(tmp_path, out)
+                                        message, out):
     bad = tmp_path / f"bad_{name}.json"
     bad.write_text(json.dumps(content))
     argv = {
@@ -202,10 +179,7 @@ def test_malformed_json_input_exits_one(tmp_path, capsys, name, content,
     assert line.startswith("error: ") and message in line
 
 
-def test_official_ranks_numeric_strings_and_null_accepted(tmp_path):
-    write_pipeline_inputs(tmp_path)
-    out = tmp_path / "out"
-    run_pipeline(tmp_path, out)
+def test_official_ranks_numeric_strings_and_null_accepted(tmp_path, out):
     official = tmp_path / "official_mixed.json"
     official.write_text(json.dumps({"sysA": "1", "sysB": None}))
     assert main(["leaderboard", "--bank", str(out / "bank.json"),
@@ -224,12 +198,9 @@ def test_official_ranks_numeric_strings_and_null_accepted(tmp_path):
     ({"sysA": "1.0", "sysB": 2}, ("1", "2")),
     ({"sysA": 2.5, "sysB": "1e0"}, ("2.5", "1")),
     ({"sysA": "0.25", "sysB": 3e1}, ("0.25", "30"))])
-def test_official_ranks_print_in_one_form(tmp_path, content, printed):
+def test_official_ranks_print_in_one_form(tmp_path, content, printed, out):
     # An integral rank prints as an integer, any other in its shortest
     # form, however the JSON file spells it.
-    write_pipeline_inputs(tmp_path)
-    out = tmp_path / "out"
-    run_pipeline(tmp_path, out)
     official = tmp_path / "official_forms.json"
     official.write_text(json.dumps(content))
     assert main(["leaderboard", "--bank", str(out / "bank.json"),
@@ -259,7 +230,8 @@ def test_correlate_counts_a_system_named_system(tmp_path, capsys):
             ].count("system") == 2
     capsys.readouterr()
     assert main(["correlate", "--a", str(board), "--b", str(board)]) == 0
-    assert "n\t3" in capsys.readouterr().out.splitlines()
+    assert capsys.readouterr().out \
+        == "spearman\t1.0000\nkendall\t1.0000\nn\t3\n"
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
@@ -294,10 +266,7 @@ def test_atomic_write_keeps_an_existing_files_mode(tmp_path):
     ("grade", "--parallelism", "0", "x>=1"),
     ("grade", "--max-input-tokens", "32", "x>=64")])
 def test_backend_flag_ranges_rejected(tmp_path, capsys, command, flag,
-                                      value, bound):
-    write_pipeline_inputs(tmp_path)
-    out = tmp_path / "out"
-    run_pipeline(tmp_path, out)
+                                      value, bound, out):
     target = tmp_path / "new_output"
     argv = {
         "generate": ["generate", "--queries", str(tmp_path / "queries.json"),
@@ -329,12 +298,9 @@ print(json.dumps(seen))
 """
 
 
-def test_cli_import_leaves_scipy_unloaded(tmp_path):
+def test_cli_import_leaves_scipy_unloaded(tmp_path, out):
     # Statistics are plain Python: numpy and scipy are test-only, and
     # importing either would cost most of the CLI's start-up time.
-    write_pipeline_inputs(tmp_path)
-    out = tmp_path / "out"
-    run_pipeline(tmp_path, out)
     (tmp_path / "runs" / "sysC.run").write_text(
         "q1 Q0 pA2 1 9.0 sysC\nq2 Q0 pA2 1 9.0 sysC\n")
     (tmp_path / "official.json").write_text(
@@ -378,6 +344,44 @@ def test_corrupt_store_reported(tmp_path, capsys, data):
                  str(store_path), "--policy", "rate:4"]) == 1
     assert f"error: corrupt grade store {store_path}" \
         in capsys.readouterr().err
+
+
+RUN_MAIN = ("import sys; from exam_eval.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+
+
+def test_non_ascii_text_round_trips_in_any_locale(tmp_path):
+    # Every file is read as UTF-8, as it is written, whatever the locale's
+    # encoding: here ASCII.
+    inputs = {
+        "queries.json": [{"query_id": "q1", "title": "La peau humaine"}],
+        "generate.json": {"default": '["Qu\'est-ce que l\'épiderme ?"]'},
+        "passages.json": {"pé": "L'épiderme protège le corps."},
+        "rate.json": {"default": "5: réponse complète"},
+    }
+    for name, doc in inputs.items():
+        (tmp_path / name).write_text(json.dumps(doc, ensure_ascii=False),
+                                     encoding="utf-8")
+    (tmp_path / "runs").mkdir()
+    (tmp_path / "runs" / "sys.run").write_text("q1 Q0 pé 1 1.0 tég\n",
+                                               encoding="utf-8")
+    env = dict(child_env(), LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="0")
+    for argv in (
+            ["generate", "--queries", str(tmp_path / "queries.json"),
+             "--template", "dl", "--mock", str(tmp_path / "generate.json"),
+             "--out", str(tmp_path / "bank.json")],
+            ["grade", "--bank", str(tmp_path / "bank.json"),
+             "--runs", str(tmp_path / "runs"),
+             "--passages", str(tmp_path / "passages.json"), "--mode", "rate",
+             "--mock", str(tmp_path / "rate.json"),
+             "--store", str(tmp_path / "grades.jsonl.gz")]):
+        done = subprocess.run([sys.executable, "-c", RUN_MAIN, *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+    assert GradeStore(tmp_path / "grades.jsonl.gz").read() == {
+        ("q1", "pé", "q1/q/0", SELF_RATED): ("5: réponse complète", None, 5)}
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +450,15 @@ def run_pipeline(root, out):
         assert main(step) == 0, f"step failed: {step[0]}"
 
 
+@pytest.fixture
+def out(tmp_path):
+    """The mock pipeline run in `tmp_path`: its inputs there and its
+    artifacts in `tmp_path / "out"`, which is returned."""
+    write_pipeline_inputs(tmp_path)
+    run_pipeline(tmp_path, tmp_path / "out")
+    return tmp_path / "out"
+
+
 ARTIFACTS = ["bank.json", "grades.jsonl.gz", "exam.qrels",
              "leaderboard.tsv", "agreement.tsv"]
 
@@ -468,37 +481,7 @@ class TestPipeline:
             f"string, got 7\n")
         assert not store.exists()
 
-    def test_end_to_end_and_determinism(self, tmp_path):
-        write_pipeline_inputs(tmp_path)
-        run_pipeline(tmp_path, tmp_path / "out1")
-        run_pipeline(tmp_path, tmp_path / "out2")
-        for name in ARTIFACTS:
-            a = (tmp_path / "out1" / name).read_bytes()
-            b = (tmp_path / "out2" / name).read_bytes()
-            assert a == b, f"{name} differs between runs"
-        # No lock or temporary file is left behind.
-        assert sorted(p.name for p in (tmp_path / "out1").iterdir()) \
-            == sorted(ARTIFACTS)
-
-    def test_dominant_system_ranked_first(self, tmp_path):
-        write_pipeline_inputs(tmp_path)
-        run_pipeline(tmp_path, tmp_path / "out")
-        lines = (tmp_path / "out" / "leaderboard.tsv").read_text().splitlines()
-        systems = [line.split("\t")[0] for line in lines[1:]]
-        assert systems.index("sysA") < systems.index("sysB")
-
-    def test_qrels_output_is_parseable_and_binary(self, tmp_path):
-        write_pipeline_inputs(tmp_path)
-        run_pipeline(tmp_path, tmp_path / "out")
-        from exam_eval.formats import parse_qrels
-        by_pid = parse_qrels((tmp_path / "out" / "exam.qrels").read_text())
-        assert by_pid[("q1", "pA1")] == 1
-        assert by_pid[("q1", "pB1")] == 0
-
-    def test_grade_rerun_is_idempotent(self, tmp_path, capsys):
-        write_pipeline_inputs(tmp_path)
-        out = tmp_path / "out"
-        run_pipeline(tmp_path, out)
+    def test_grade_rerun_is_idempotent(self, tmp_path, capsys, out):
         before = (out / "grades.jsonl.gz").read_bytes()
         assert main([
             "grade", "--bank", str(out / "bank.json"),
@@ -509,66 +492,7 @@ class TestPipeline:
         assert (out / "grades.jsonl.gz").read_bytes() == before
         assert "graded 0 pairs" in capsys.readouterr().out
 
-    def test_cover_subcommand(self, tmp_path, capsys):
-        write_pipeline_inputs(tmp_path)
-        out = tmp_path / "out"
-        run_pipeline(tmp_path, out)
-        assert main([
-            "cover", "--bank", str(out / "bank.json"),
-            "--run", str(tmp_path / "runs" / "sysA.run"),
-            "--grades", str(out / "grades.jsonl.gz"),
-            "--policy", "rate:4"]) == 0
-        text = capsys.readouterr().out
-        assert "mean\t1.0000" in text
-
-    def test_leaderboard_p_at_k(self, tmp_path):
-        write_pipeline_inputs(tmp_path)
-        out = tmp_path / "out"
-        run_pipeline(tmp_path, out)
-        assert main([
-            "leaderboard", "--bank", str(out / "bank.json"),
-            "--runs", str(tmp_path / "runs"),
-            "--grades", str(out / "grades.jsonl.gz"),
-            "--policy", "rate:4", "--metric", "p_at_k", "--depth", "2",
-            "--out", str(out / "lb_p.tsv")]) == 0
-        rows = {line.split("\t")[0]: line.split("\t")[1] for line in
-                (out / "lb_p.tsv").read_text().splitlines()[1:]}
-        # Only pA1 is relevant: sysA ranks it first for both queries.
-        assert rows == {"sysA": "0.5000", "_overall_": "0.5000",
-                        "sysB": "0.0000"}
-
-    def test_correlate_subcommand(self, tmp_path, capsys):
-        write_pipeline_inputs(tmp_path)
-        out = tmp_path / "out"
-        run_pipeline(tmp_path, out)
-        lb = out / "leaderboard.tsv"
-        # A leaderboard correlates perfectly with itself (2 systems is too
-        # few, so extend with a third synthetic row).
-        extended = out / "extended.tsv"
-        extended.write_text(lb.read_text() + "sysC\t0.1000\t0.0\t\n")
-        assert main(["correlate", "--a", str(extended),
-                     "--b", str(extended)]) == 0
-        assert "spearman\t1.0000" in capsys.readouterr().out
-
-    def test_diff_subcommand(self, tmp_path, capsys):
-        write_pipeline_inputs(tmp_path)
-        out = tmp_path / "out"
-        run_pipeline(tmp_path, out)
-        bank_text = (out / "bank.json").read_text()
-        edited = json.loads(bank_text)
-        edited["queries"][0]["questions"].pop()
-        (out / "bank2.json").write_text(json.dumps(edited))
-        assert main([
-            "diff", "--old", str(out / "bank.json"),
-            "--new", str(out / "bank2.json"),
-            "--grades", str(out / "grades.jsonl.gz"),
-            "--policy", "rate:4"]) == 0
-        assert "removed\tq1/q/1" in capsys.readouterr().out
-
-    def test_config_file_supplies_defaults(self, tmp_path, capsys):
-        write_pipeline_inputs(tmp_path)
-        out = tmp_path / "out"
-        run_pipeline(tmp_path, out)
+    def test_config_file_supplies_defaults(self, tmp_path, capsys, out):
         conf = tmp_path / "exam.conf"
         conf.write_text(f"policy = rate:4\n"
                         f"bank = {out / 'bank.json'}\n"
@@ -578,10 +502,7 @@ class TestPipeline:
             "--run", str(tmp_path / "runs" / "sysA.run")]) == 0
         assert "mean\t1.0000" in capsys.readouterr().out
 
-    def test_config_keys_reach_every_option(self, tmp_path, capsys):
-        write_pipeline_inputs(tmp_path)
-        out = tmp_path / "out"
-        run_pipeline(tmp_path, out)
+    def test_config_keys_reach_every_option(self, tmp_path, capsys, out):
         runs = tmp_path / "runs"
         conf = tmp_path / "exam.conf"
         # Long option names, with - or _, or the parameter's own name.
@@ -602,21 +523,6 @@ class TestPipeline:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert sorted(row.split("\t")[0] for row in rows) \
             == ["_overall_", "sysA", "sysB"]
-
-    def test_agreement_min_answers_sweep(self, tmp_path):
-        write_pipeline_inputs(tmp_path)
-        out = tmp_path / "out"
-        run_pipeline(tmp_path, out)
-        assert main([
-            "agreement", "--judgments", str(out / "exam.qrels"),
-            "--min-answers", "1,2",
-            "--grades", str(out / "grades.jsonl.gz"),
-            "--bank", str(out / "bank.json"),
-            "--policy", "rate:4",
-            "--out", str(out / "sweep.tsv")]) == 0
-        text = (out / "sweep.tsv").read_text()
-        assert "binary-min-answers-1" in text
-        assert "binary-min-answers-2" in text
 
     def test_missing_input_file_exits_one(self, tmp_path):
         assert main(["cover", "--bank", str(tmp_path / "nope.json"),
@@ -672,11 +578,8 @@ class TestPipeline:
             in capsys.readouterr().out
         assert not skip_log.exists()
 
-    def test_empty_passage_text_dropped(self, tmp_path, capsys, caplog):
+    def test_empty_passage_text_dropped(self, tmp_path, capsys, caplog, out):
         # An empty text cannot be graded; the other passages still are.
-        write_pipeline_inputs(tmp_path)
-        out = tmp_path / "out"
-        run_pipeline(tmp_path, out)
         passages = tmp_path / "passages_empty.json"
         passages.write_text(json.dumps({**PASSAGES, "pB1": ""}))
         store = tmp_path / "grades.jsonl.gz"
@@ -771,10 +674,7 @@ def test_null_passage_text_is_dropped(tmp_path, capsys, caplog):
 @pytest.mark.parametrize("text, kind", [(7, "int"), (["alpha"], "list"),
                                         ({"t": "alpha"}, "dict")])
 def test_non_string_passage_text_exits_one(tmp_path, capsys, completions,
-                                           text, kind):
-    write_pipeline_inputs(tmp_path)
-    out = tmp_path / "out"
-    run_pipeline(tmp_path, out)
+                                           text, kind, out):
     passages = tmp_path / "passages.json"
     passages.write_text(json.dumps({**PASSAGES, "pB1": text}))
     store = tmp_path / "new.jsonl.gz"
@@ -789,10 +689,7 @@ def test_non_string_passage_text_exits_one(tmp_path, capsys, completions,
     assert completions == [] and not store.exists()
 
 
-def test_endpoint_without_scheme_exits_one(tmp_path, capsys, monkeypatch):
-    write_pipeline_inputs(tmp_path)
-    out = tmp_path / "out"
-    run_pipeline(tmp_path, out)
+def test_endpoint_without_scheme_exits_one(tmp_path, capsys, monkeypatch, out):
 
     def request(*args, **kwargs):
         raise AssertionError("no request may be sent")
@@ -812,12 +709,9 @@ def test_endpoint_without_scheme_exits_one(tmp_path, capsys, monkeypatch):
 
 
 def test_hostless_proxy_exits_one_before_any_request(tmp_path, capsys,
-                                                     monkeypatch):
+                                                     monkeypatch, out):
     # The proxy is read when the backend is built: before the store is
     # created or locked, and even when nothing is left to grade.
-    write_pipeline_inputs(tmp_path)
-    out = tmp_path / "out"
-    run_pipeline(tmp_path, out)
 
     def request(*args, **kwargs):
         raise AssertionError("no request may be sent")
@@ -907,10 +801,7 @@ def test_non_string_mock_response_exits_one(tmp_path, capsys, completions,
     assert completions == [] and not bank.exists()
 
 
-def test_bad_input_error_names_its_file(tmp_path, capsys):
-    write_pipeline_inputs(tmp_path)
-    out = tmp_path / "out"
-    run_pipeline(tmp_path, out)
+def test_bad_input_error_names_its_file(tmp_path, capsys, out):
     runs = tmp_path / "runs"
     (runs / "sysB.run").write_text("q1 Q0 pB1 1 9.0 sysB\nq1 Q0 pA2 two 8.0 "
                                    "sysB\n")
@@ -975,10 +866,7 @@ def test_bad_input_error_names_its_file(tmp_path, capsys):
         "min-answers-not-int", "generate-max-input-tokens", "collapse",
         "collapse-without-labels", "collapse-empty", "collapse-blank-names",
         "collapse-empty-without-labels"])
-def test_bad_flag_value_exits_one(tmp_path, capsys, argv, message):
-    write_pipeline_inputs(tmp_path)
-    out = tmp_path / "out"
-    run_pipeline(tmp_path, out)
+def test_bad_flag_value_exits_one(tmp_path, capsys, argv, message, out):
     argv = [arg.format(out=out) for arg in argv]
     inputs = {
         "generate": ["--queries", str(tmp_path / "queries.json"),
@@ -1041,10 +929,7 @@ def one_question_argv(root, store):
          "leaderboard row"),
 ], ids=["repeated", "pooled-row", "no-run-lines"])
 def test_run_tag_names_one_leaderboard_row(tmp_path, capsys, completions,
-                                           text, message):
-    write_pipeline_inputs(tmp_path)
-    out = tmp_path / "out"
-    run_pipeline(tmp_path, out)
+                                           text, message, out):
     runs = tmp_path / "runs"
     (runs / "sysC.run").write_text(text)
     sent = len(completions)
@@ -1192,59 +1077,10 @@ def test_coverage_gaps_logged_per_scored_pool(tmp_path, capsys, caplog):
 # the brute-force oracles to the 4 decimals it prints.
 
 
-@st.composite
-def pipeline_inputs(draw):
-    """Run files, a bank and an edit of it, passage texts, a rating
-    fixture, a policy, a depth, and official judgments with the lowest
-    grade that counts as relevant, over the queries and passages of the
-    oracles' run files."""
-    runs = {f"sys{i}": draw(run_files(f"sys{i}"))
-            for i in range(draw(st.integers(1, 3)))}
-    # The first query has questions; the others may have none.
-    bank = QuestionBank({q: tuple(
-        ExamQuestion(f"{q}/q/{i}", q, f"Question {i} of {q}?")
-        for i in range(draw(st.integers(q == RUN_QUERIES[0], 3))))
-        for q in RUN_QUERIES})
-    untexted = draw(st.sets(st.sampled_from(RUN_PASSAGES), max_size=2))
-    texts = {p: f"text of {p}" for p in RUN_PASSAGES if p not in untexted}
-    # Ratings take a few values and official grades as many, so that the
-    # graded agreement table is often square and larger than 2x2, where
-    # its overall kappa differs from its first row's.
-    levels = draw(st.integers(3, 4))
-    rating_values = draw(st.lists(st.sampled_from("012345"), min_size=levels,
-                                  max_size=levels, unique=True))
-    keys = [f"{q}/q/{i}/{p}" for q in RUN_QUERIES for i in range(3)
-            for p in RUN_PASSAGES]
-    ratings = dict(zip(keys, draw(st.lists(
-        st.sampled_from(rating_values), min_size=len(keys),
-        max_size=len(keys)))))
-    policy_text = (f"rate:{draw(st.integers(1, 5))}"
-                   + draw(st.sampled_from(["", "+min-answers=2"])))
-    pairs = [(q, p) for q in RUN_QUERIES for p in RUN_PASSAGES]
-    # A grade of 0 may be spelled -2, which reads as 0.
-    official_values = draw(st.lists(
-        st.sampled_from([draw(st.sampled_from([0, -2])), 1, 2, 3]),
-        min_size=levels, max_size=levels, unique=True))
-    official = {pair: grade for pair, grade in zip(pairs, draw(st.lists(
-        st.sampled_from([*official_values, None]), min_size=len(pairs),
-        max_size=len(pairs)))) if grade is not None}
-    return (runs, bank, draw(bank_edits(bank)), texts, ratings, policy_text,
-            draw(st.integers(1, 6)), official, draw(st.integers(1, 3)))
-
-
-def std_error(scores):
-    n = len(scores)
-    if n < 2:
-        return 0.0
-    m = mean(scores)
-    return math.sqrt(sum((v - m) ** 2 for v in scores.values())
-                     / (n - 1) / n)
-
-
 def cover_tsv(scores):
     return ("query\tcover\n"
             + "".join(f"{q}\t{scores[q]:.4f}\n" for q in sorted(scores))
-            + f"mean\t{mean(scores):.4f}\n")
+            + f"mean\t{oracles.mean(scores):.4f}\n")
 
 
 def agreement_tsv(name, labels, judgments, label_min, judgment_rel_min,
@@ -1254,26 +1090,19 @@ def agreement_tsv(name, labels, judgments, label_min, judgment_rel_min,
     ("" without one). A side keeps each of its values apart without a
     threshold, and splits them at the threshold with one. The label
     values are those the labels hold unless given."""
-    def groups(values, threshold):
-        ordered = sorted(set(values), reverse=True)
-        if threshold is None:
-            return [[v] for v in ordered]
-        return [g for g in ([v for v in ordered if v >= threshold],
-                            [v for v in ordered if v < threshold]) if g]
-
-    rows = groups(labels.values() if label_values is None else label_values,
-                  label_min)
-    cols = groups(judgments.values(),
-                  None if label_min is None else judgment_rel_min)
+    rows = oracles.groups(
+        labels.values() if label_values is None else label_values, label_min)
+    cols = oracles.groups(judgments.values(),
+                          None if label_min is None else judgment_rel_min)
     common = labels.keys() & judgments.keys()
     counts = [[sum(labels[k] in row and judgments[k] in col for k in common)
                for col in cols] for row in rows]
     kappas, kappa_line = [""] * len(rows), ""
-    if len(rows) == len(cols):
-        overall, per_row = numpy_kappa(counts)
-        if overall is not None and None not in per_row:
-            kappas = [f"{k:.3f}" for k in per_row]
-            kappa_line = f"{name}: kappa={overall:.3f}\n"
+    kappa = oracles.kappa(counts) if len(rows) == len(cols) else None
+    if kappa:
+        overall, per_row = kappa
+        kappas = [f"{k:.3f}" for k in per_row]
+        kappa_line = f"{name}: kappa={overall:.3f}\n"
     name_of = "+".join
     lines = [["label", *(name_of(map(str, col)) for col in cols), "total",
               "kappa"]]
@@ -1295,8 +1124,8 @@ def test_agreement_prints_each_overall_kappa(tmp_path, capsys):
     assert main(["agreement", "--labels", str(tmp_path / "labels.qrels"),
                  "--judgments", str(tmp_path / "judgments.qrels"),
                  "--collapse", "graded,strict,lenient"]) == 0
-    graded, _ = numpy_kappa(counts)
-    lenient, _ = numpy_kappa([[11, 2], [1, 6]])
+    graded, _ = oracles.kappa(counts)
+    lenient, _ = oracles.kappa([[11, 2], [1, 6]])
     # No label reaches 4, so the strict table has one row and no kappa.
     assert capsys.readouterr().err == (f"graded: kappa={graded:.3f}\n"
                                        f"lenient: kappa={lenient:.3f}\n")
@@ -1311,10 +1140,10 @@ def test_pipeline_outputs_match_oracles(inputs):
     (runs, bank, new_bank, texts, fixture, policy_text, depth, official,
      rel_min) = inputs
     policy = parse_policy(policy_text)
-    rows = {tag: run_rows(text) for tag, text in runs.items()}
+    rows = {tag: oracles.run_rows(text) for tag, text in runs.items()}
     # Every pooled passage with text, against each question of its query.
     grades = [rated(q, p, question.question_id, int(answer), answer)
-              for q, pids in brute_force_pool(rows.values(), depth).items()
+              for q, pids in oracles.pool(rows.values(), depth).items()
               for p in pids if p in texts
               for question in bank.questions_for(q)
               for answer in [fixture[f"{question.question_id}/{p}"]]]
@@ -1344,7 +1173,8 @@ def test_pipeline_outputs_match_oracles(inputs):
         depth_flag = ["--depth", str(depth)]
         out = root / "out.tsv"
 
-        covers = {tag: brute_force_cover(ranked, bank, grades, policy, depth)
+        covers = {tag: oracles.cover(oracles.pool([ranked], depth), bank,
+                                     grades, policy)
                   for tag, ranked in rows.items()}
         for tag, scores in covers.items():
             assert main(["cover", *scoring, *depth_flag, "--run",
@@ -1357,8 +1187,8 @@ def test_pipeline_outputs_match_oracles(inputs):
                          "--out", str(root / "exam.qrels")]) == 0
             assert (root / "exam.qrels").read_text() == "".join(
                 f"{q} 0 {p} {label}\n" for (q, p), label in sorted(
-                    brute_force_qrels(grades, bank, policy, graded).items()))
-        labels = brute_force_qrels(grades, bank, policy)
+                    oracles.qrels(grades, bank, policy, graded).items()))
+        labels = oracles.qrels(grades, bank, policy)
 
         # exam.qrels holds the graded labels now.
         (root / "official.qrels").write_text("".join(
@@ -1375,13 +1205,13 @@ def test_pipeline_outputs_match_oracles(inputs):
             assert exit_code == 1
         else:
             assert exit_code == 0
-            graded_labels = brute_force_qrels(grades, bank, policy, True)
+            graded_labels = oracles.qrels(grades, bank, policy, True)
             tables = [agreement_tsv(name, graded_labels, judgments,
                                     label_min, rel_min)
                       for name, label_min in (("graded", None),
                                               ("lenient", 1), ("strict", 4))]
             tables += [agreement_tsv(
-                f"binary-min-answers-{n}", brute_force_qrels(
+                f"binary-min-answers-{n}", oracles.qrels(
                     grades, bank, replace(policy, min_answers=n)),
                 judgments, 1, rel_min, label_values={0, 1}) for n in (1, 2)]
             assert out.read_text() == "\n".join(t for t, _ in tables)
@@ -1392,17 +1222,17 @@ def test_pipeline_outputs_match_oracles(inputs):
                      "--grades", str(stores[0]), "--policy", policy_text,
                      "--out", str(out)]) == 0
         assert out.read_text() == "".join(
-            brute_force_diff(bank, new_bank, grades, policy)
+            oracles.diff(bank, new_bank, grades, policy)
             or ["no differences\n"])
 
+        pools = {**{tag: oracles.pool([ranked], depth)
+                    for tag, ranked in rows.items()},
+                 "_overall_": oracles.pool(rows.values(), depth)}
         expected = {
-            "cover": {**covers, "_overall_": brute_force_pooled_cover(
-                rows.values(), bank, grades, policy, depth)},
-            "p_at_k": {
-                **{tag: brute_force_precision(ranked, labels, depth)
-                   for tag, ranked in rows.items()},
-                "_overall_": brute_force_pooled_precision(
-                    rows.values(), labels, depth, depth)},
+            "cover": {system: oracles.cover(pooled, bank, grades, policy)
+                      for system, pooled in pools.items()},
+            "p_at_k": {system: oracles.precision(pooled, labels, depth)
+                       for system, pooled in pools.items()},
         }
         for metric, per_system in expected.items():
             assert main(["leaderboard", *scoring, *depth_flag,
@@ -1413,7 +1243,8 @@ def test_pipeline_outputs_match_oracles(inputs):
             # Two systems that tie in exact arithmetic may differ in the
             # last bit of a float, so only the printed order is checked.
             assert sorted(body) == sorted(
-                f"{system}\t{mean(s):.4f}\t{std_error(s):.4f}\t\n"
+                f"{system}\t{oracles.mean(s):.4f}\t"
+                f"{oracles.std_error(s):.4f}\t\n"
                 for system, s in per_system.items())
             printed = [float(line.split("\t")[1]) for line in body]
             assert printed == sorted(printed, reverse=True)

@@ -588,11 +588,14 @@ ANSWER_TEXTS = st.none() | st.lists(st.sampled_from(
      "é", "日本"]), max_size=6).map("".join)
 
 
+GRADE_KEYS = st.tuples(st.sampled_from(["q1", "q2"]),
+                       st.sampled_from(["p1", "p2", "p3"]),
+                       st.sampled_from(["q1/a", "q1/b", "q2/a", "off-bank"]))
+
+
 @st.composite
-def grades(draw):
-    key = (draw(st.sampled_from(["q1", "q2"])),
-           draw(st.sampled_from(["p1", "p2", "p3"])),
-           draw(st.sampled_from(["q1/a", "q1/b", "q2/a", "off-bank"])))
+def grades(draw, keys=GRADE_KEYS):
+    key = draw(keys)
     mode = draw(st.sampled_from([QA_VERIFIED, SELF_RATED]))
     if mode == QA_VERIFIED:
         return verified(*key, draw(st.booleans()), draw(ANSWER_TEXTS))
@@ -650,7 +653,10 @@ def store_lines(draw):
     if kind == "other":
         return draw(st.sampled_from(
             ["", " ", "\t", "[1]", "3", '"s"', "null", "{}", "{", "}"]))
-    key, row = draw(grades())
+    # Two keys (four with the mode), so that a key often repeats across
+    # lines that take the fast path and lines that do not.
+    key, row = draw(grades(st.sampled_from([("q1", "p1", "q1/a"),
+                                            ("q2", "p2", "off-bank")])))
     record = dict(zip(GRADE_FIELDS, key + row))
     if kind == "missing":
         for field in draw(st.sets(st.sampled_from(GRADE_FIELDS[4:]),
@@ -694,6 +700,10 @@ def read_line_by_line(data: bytes):
 # object's end is then one short of the line's end, as for "}\n".
 @example(lines=[GOOD_LINES[0] + "\x85"], endings=["\n"] * 8,
          last_newline=False)
+# A key on the fast path, then again on the slow path (a padded line):
+# the later row wins on either path.
+@example(lines=[store_line(), " " + store_line(rating=2)],
+         endings=["\n"] * 8, last_newline=True)
 @given(lines=st.lists(store_lines(), max_size=8),
        endings=st.lists(st.sampled_from(["\n", "\r\n"]), min_size=8,
                         max_size=8),
