@@ -1,6 +1,9 @@
 """Command-line interface: one subcommand per pipeline stage.
 
 Orchestration only; every computation lives in the library modules.
+Each command imports the library modules it calls, so that `--help` loads
+none of them, and no command but `generate` and `grade` loads the HTTP
+client.
 Output files other than the grade store, which is appended in place, are
 written atomically (temp file + rename), so none is ever left partial.
 """
@@ -16,9 +19,8 @@ from pathlib import Path
 
 import click
 
-from . import bank as bank_mod
-from . import formats, gateway, grading, metrics
 from .model import (
+    BackendError,
     ContractViolation,
     GradeIndex,
     GradePolicy,
@@ -67,6 +69,7 @@ def _grade_index(grades_path: str, policy: GradePolicy,
                  bank: QuestionBank) -> GradeIndex:
     """The store's grades that count for the bank under the policy, read
     once for a command."""
+    from . import formats
     return GradeIndex(formats.GradeStore(grades_path).read(), policy, bank)
 
 
@@ -99,7 +102,7 @@ def atomic_write(path: str | Path, text: str) -> None:
 def read_config_file(path: str) -> dict[str, str]:
     """Simple `key = value` config format; '#' starts a comment line."""
     values: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -185,6 +188,8 @@ def cli(ctx, config_path, verbose):
 def generate(queries_path, template, out, endpoint, model, parallelism,
              mock):
     """Generate a question bank from queries."""
+    from . import bank as bank_mod
+    from . import formats, gateway
     queries = formats.load_queries(queries_path)
     log.info("generating bank for %d queries (%s template)",
              len(queries), template)
@@ -200,6 +205,7 @@ def _load_runs(run_paths: tuple[str, ...]) -> list:
     """The run files named, and those in the directories named. A run tag
     names the run's leaderboard row, so no two runs share one and none
     takes the pooled row's."""
+    from . import formats
     runs, file_of = [], {OVERALL_SYSTEM: "the pooled row"}
     for path in run_paths:
         p = Path(path)
@@ -237,6 +243,7 @@ def _load_runs(run_paths: tuple[str, ...]) -> list:
 def grade(bank_path, run_paths, passages_path, qrels_path, mode, store_path,
           depth, endpoint, model, max_input_tokens, parallelism, mock):
     """Grade pooled passages against the question bank."""
+    from . import formats, gateway, grading
     bank = formats.load_question_bank(bank_path)
     runs = _load_runs(run_paths)
     texts = formats.load_passages(passages_path)
@@ -284,6 +291,7 @@ def grade(bank_path, run_paths, passages_path, qrels_path, mode, store_path,
               help="Output TSV; stdout when omitted.")
 def cover(bank_path, run_path, grades_path, policy_text, depth, out):
     """Per-query coverage scores and their mean for one run."""
+    from . import formats, grading, metrics
     bank = formats.load_question_bank(bank_path)
     run = formats.load_run_file(run_path)
     policy = parse_policy(policy_text)
@@ -306,6 +314,7 @@ def cover(bank_path, run_path, grades_path, policy_text, depth, out):
 @click.option("--out", default=None, type=click.Path())
 def qrels(bank_path, grades_path, policy_text, graded, out):
     """Derive a qrels file from stored grades."""
+    from . import formats, metrics
     bank = formats.load_question_bank(bank_path)
     labels = metrics.build_qrels(
         _grade_index(grades_path, parse_policy(policy_text), bank),
@@ -339,6 +348,7 @@ def _rank_text(rank: float | None) -> str:
 def leaderboard(bank_path, run_paths, grades_path, policy_text, metric,
                 depth, official_path, out):
     """Score all runs, including the pooled _overall_ row."""
+    from . import formats, metrics
     bank = formats.load_question_bank(bank_path)
     runs = _load_runs(run_paths)
     policy = parse_policy(policy_text)
@@ -364,6 +374,7 @@ def leaderboard(bank_path, run_paths, grades_path, policy_text, metric,
 @click.option("--b", "path_b", required=True, type=click.Path(exists=True))
 def correlate(path_a, path_b):
     """Rank correlation between two leaderboard TSVs."""
+    from . import formats, metrics
     stats = metrics.correlation_stats(formats.load_leaderboard_scores(path_a),
                                       formats.load_leaderboard_scores(path_b))
     click.echo(f"spearman\t{stats.spearman:.4f}")
@@ -423,6 +434,7 @@ def _format_table_text(table: metrics.ConfusionTable) -> str:
 def agreement(labels_path, judgments_path, collapse_names, judgment_rel_min,
               min_answers, grades_path, bank_path, policy_text, fmt, out):
     """Inter-annotator agreement tables between labels and judgments."""
+    from . import formats, metrics
     names = [n.strip() for n in collapse_names.split(",") if n.strip()]
     if not names:
         raise ContractViolation(
@@ -478,6 +490,8 @@ def agreement(labels_path, judgments_path, collapse_names, judgment_rel_min,
 @click.option("--out", default=None, type=click.Path())
 def diff(old_path, new_path, grades_path, policy_text, out):
     """Show bank edits and the passages whose labels they flip."""
+    from . import bank as bank_mod
+    from . import formats
     old = formats.load_question_bank(old_path)
     new = formats.load_question_bank(new_path)
     policy = parse_policy(policy_text)
@@ -517,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:   # ContractViolation, formats.ParseError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (gateway.BackendError, OSError) as exc:
+    except (BackendError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BACKEND_IO
 

@@ -155,7 +155,7 @@ def _repeated_row(text: str, run_tag: str) -> ParseError:
 
 @_reader
 def load_run_file(path: str | Path) -> Run:
-    return parse_run_file(Path(path).read_text(encoding="utf-8"))
+    return parse_run_file(Path(path).read_text(encoding="utf-8-sig"))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,7 @@ def write_qrels(qrels: Qrels) -> str:
 
 @_reader
 def load_qrels(path: str | Path) -> Qrels:
-    return parse_qrels(Path(path).read_text(encoding="utf-8"))
+    return parse_qrels(Path(path).read_text(encoding="utf-8-sig"))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +268,7 @@ def parse_question_bank(text: str) -> QuestionBank:
 
 @_reader
 def load_question_bank(path: str | Path) -> QuestionBank:
-    return parse_question_bank(Path(path).read_text(encoding="utf-8"))
+    return parse_question_bank(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def save_question_bank(bank: QuestionBank) -> str:
@@ -304,7 +304,7 @@ def load_queries(path: str | Path) -> list[Query]:
     Query ids and titles, and facet ids and titles, are non-empty strings;
     query ids are unique, and so are a query's facet ids.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if not _objects_with(doc, ("query_id", "title")):
         raise ParseError(
             "expected a JSON list of objects with 'query_id' and 'title'")
@@ -338,7 +338,7 @@ def load_passages(path: str | Path) -> dict[str, str]:
     A text is a string or null; a null or empty text reads as no text, so
     the passage is left out.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if not isinstance(doc, dict):
         raise ParseError("expected a JSON object mapping passage_id to text")
     for passage_id, text in doc.items():
@@ -353,7 +353,7 @@ def load_passages(path: str | Path) -> dict[str, str]:
 def load_mock_fixture(path: str | Path) -> dict[str, str]:
     """Canned completions from a JSON object {request key: completion};
     every completion is a string."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if not isinstance(doc, dict):
         raise ParseError(
             "expected a JSON object mapping request keys to completions")
@@ -370,7 +370,7 @@ def load_official_ranks(path: str | Path) -> dict[str, float | None]:
     """A JSON object mapping system name to official rank: a finite number,
     a numeric string, or null for an unranked system. Each rank is read as
     a float, whichever way the file spells it."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     if not isinstance(doc, dict):
         raise ParseError(
             "expected a JSON object mapping system name to official rank")
@@ -401,7 +401,7 @@ def load_leaderboard_scores(path: str | Path) -> dict[str, float]:
     and the `_overall_` row are skipped. A later `system` row is a system
     of that name. A system listed twice is rejected at its second row."""
     scores: dict[str, float] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     for line_no, line in enumerate(text.splitlines(), start=1):
         fields = line.split("\t")
         if (len(fields) < 2 or fields[0] == OVERALL_SYSTEM

@@ -6,20 +6,17 @@ real inference, or a deterministic mock for tests and fixture pipelines.
 from __future__ import annotations
 
 import functools
-import http.client
 import json
 import logging
 import os
 import threading
 import time
 import urllib.parse
-import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from . import formats
-from .model import ContractViolation, Facet, Query
+from .model import BackendError, ContractViolation, Facet, Query
 
 log = logging.getLogger(__name__)
 
@@ -168,10 +165,6 @@ class CompletionResponse:
     latency: float
 
 
-class BackendError(RuntimeError):
-    """A completion could not be obtained after all retries."""
-
-
 class Backend(Protocol):
     def complete(self, request: CompletionRequest) -> CompletionResponse: ...
 
@@ -191,10 +184,16 @@ class HttpBackend:
 
     Each thread that sends requests keeps one keep-alive connection;
     `close` closes them all. Redirects are not followed.
+
+    `http.client` and `urllib.request` (which load `email` and `ssl`) are
+    imported where a client uses them, so that a command that builds no
+    client does not load them.
     """
 
     def __init__(self, endpoint_url: str, model_name: str,
                  sleep: Callable[[float], None] = time.sleep):
+        import http.client
+        import urllib.request
         url = urllib.parse.urlsplit(endpoint_url)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ContractViolation(
@@ -249,6 +248,7 @@ class HttpBackend:
 
     def _post(self, body: bytes) -> tuple[http.client.HTTPResponse, bytes]:
         """One POST of the body: the response and its body, read in full."""
+        import http.client
         conn = self._connection()
         reused = conn.sock is not None
         try:
@@ -268,6 +268,7 @@ class HttpBackend:
         return self._post(body)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
+        import http.client
         body = json.dumps({
             "model": self.model_name,
             "prompt": request.prompt,
@@ -363,6 +364,7 @@ def map_ordered(fn: Callable, items: list, parallelism: int) -> list:
     """`fn` of every item, in item order; on `parallelism` worker threads
     when that is above 1."""
     if parallelism > 1 and items:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]

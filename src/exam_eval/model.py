@@ -29,6 +29,10 @@ class ContractViolation(ValueError):
     """An operation was called with arguments that break its contract."""
 
 
+class BackendError(RuntimeError):
+    """A completion could not be obtained after all retries."""
+
+
 @dataclass(frozen=True)
 class Facet:
     facet_id: str

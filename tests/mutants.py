@@ -41,6 +41,7 @@ PIPELINE = "tests/test_cli.py::test_pipeline_outputs_match_oracles"
 STORE_READ = ("tests/test_formats.py::"
               "test_store_read_matches_line_by_line_oracle")
 VERIFY = "tests/test_grading.py::TestVerifyAnswer"
+MODULES = "tests/test_cli.py::test_commands_load_only_the_modules_they_run"
 
 MUTANTS = (
     Mutant("pool depth + 1", "grading.py", "run.top_k(query_id, depth)",
@@ -108,10 +109,21 @@ MUTANTS = (
     Mutant("standard error divided by n instead of n - 1", "metrics.py",
            "/ (n - 1)", "/ n", A3),
     Mutant("the question-bank reader in the locale's encoding", "formats.py",
-           'parse_question_bank(Path(path).read_text(encoding="utf-8"))',
+           'parse_question_bank(Path(path).read_text(encoding="utf-8-sig"))',
            "parse_question_bank(Path(path).read_text())",
            "tests/test_cli.py::"
            "test_non_ascii_text_round_trips_in_any_locale"),
+    Mutant("the run reader keeping a byte-order mark", "formats.py",
+           'parse_run_file(Path(path).read_text(encoding="utf-8-sig"))',
+           'parse_run_file(Path(path).read_text(encoding="utf-8"))',
+           "tests/test_formats.py::test_byte_order_mark_is_skipped[run]"),
+    Mutant("the HTTP client imported with the gateway", "gateway.py",
+           "import functools\nimport json\n",
+           "import functools\nimport http.client\nimport json\n", MODULES),
+    Mutant("the metrics imported with the CLI", "cli.py",
+           "import click\n\nfrom .model import (",
+           "import click\n\nfrom . import metrics\nfrom .model import (",
+           MODULES),
 )
 
 

@@ -286,26 +286,41 @@ def test_backend_flag_ranges_rejected(tmp_path, capsys, command, flag,
 
 
 # Imports the CLI, runs each command given as JSON argv lists, and prints
-# the heavy modules loaded after the import and after each command.
-HEAVY_MODULES_PROBE = """
+# each exit code with the `exam_eval` modules and the watched modules
+# loaded then; the first entry is the import's.
+MODULES_PROBE = """
 import json, sys
 from exam_eval.cli import main
-heavy = lambda: [m for m in ("numpy", "scipy") if m in sys.modules]
-seen = [heavy()]
+watched = json.loads(sys.argv[2])
+loaded = lambda: [m for m in sorted(sys.modules)
+                  if m.startswith("exam_eval.") or m in watched]
+seen = [[None, loaded()]]
 for argv in json.loads(sys.argv[1]):
-    seen.append([main(argv)] + heavy())
+    seen.append([main(argv), loaded()])
 print(json.dumps(seen))
 """
+# Statistics are plain Python: numpy and scipy are test-only, and
+# importing either would cost most of the CLI's start-up time.
+HEAVY_MODULES = ("numpy", "scipy")
+# The HTTP client and what it loads; only `generate` and `grade` need it.
+NETWORK_MODULES = ("http.client", "urllib.request", "ssl", "email",
+                   "concurrent.futures")
 
 
-def test_cli_import_leaves_scipy_unloaded(tmp_path, out):
-    # Statistics are plain Python: numpy and scipy are test-only, and
-    # importing either would cost most of the CLI's start-up time.
+def test_commands_load_only_the_modules_they_run(tmp_path, out):
     (tmp_path / "runs" / "sysC.run").write_text(
         "q1 Q0 pA2 1 9.0 sysC\nq2 Q0 pA2 1 9.0 sysC\n")
     (tmp_path / "official.json").write_text(
         json.dumps({"sysA": 1, "sysB": 3, "sysC": 2}))
-    commands = [
+    helps = [["--help"], *([name, "--help"] for name in sorted(cli.commands))]
+    scoring = [
+        ["cover", "--bank", str(out / "bank.json"),
+         "--run", str(tmp_path / "runs" / "sysC.run"),
+         "--grades", str(out / "grades.jsonl.gz"), "--policy", "rate:4",
+         "--out", str(out / "cover3.tsv")],
+        ["qrels", "--bank", str(out / "bank.json"),
+         "--grades", str(out / "grades.jsonl.gz"), "--policy", "rate:4",
+         "--out", str(out / "exam3.qrels")],
         ["leaderboard", "--bank", str(out / "bank.json"),
          "--runs", str(tmp_path / "runs"),
          "--grades", str(out / "grades.jsonl.gz"), "--policy", "rate:4",
@@ -315,12 +330,24 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path, out):
         ["agreement", "--labels", str(out / "exam.qrels"),
          "--judgments", str(out / "exam.qrels"),
          "--collapse", "graded,lenient,strict,binary"],
+        ["diff", "--old", str(out / "bank.json"),
+         "--new", str(out / "bank.json"),
+         "--grades", str(out / "grades.jsonl.gz"), "--policy", "rate:4"],
     ]
     probe = subprocess.run(
-        [sys.executable, "-c", HEAVY_MODULES_PROBE, json.dumps(commands)],
+        [sys.executable, "-c", MODULES_PROBE, json.dumps(helps + scoring),
+         json.dumps(HEAVY_MODULES + NETWORK_MODULES)],
         capture_output=True, text=True, env=child_env(), timeout=60,
         check=True)
-    assert json.loads(probe.stdout.splitlines()[-1]) == [[], [0], [0], [0]]
+    seen = json.loads(probe.stdout.splitlines()[-1])
+    # The import and every `--help` load no library module.
+    cli_only = ["exam_eval.cli", "exam_eval.model"]
+    assert seen[:1 + len(helps)] == ([[None, cli_only]]
+                                     + [[0, cli_only]] * len(helps))
+    # No scoring command loads the HTTP client, numpy or scipy.
+    for argv, (rc, loaded) in zip(scoring, seen[1 + len(helps):]):
+        assert [rc, [m for m in loaded if not m.startswith("exam_eval.")]] \
+            == [0, []], argv[0]
     # sysB and sysC tie on score: tau-b and average ranks at work. The
     # strict table has one row (no label reaches 4), so it has no kappa.
     assert probe.stderr == ("spearman=0.8660 kendall=0.8165 n=3\n"

@@ -16,7 +16,10 @@ from exam_eval.formats import (
     load_leaderboard_scores,
     load_official_ranks,
     load_passages,
+    load_qrels,
     load_queries,
+    load_question_bank,
+    load_run_file,
     parse_qrels,
     parse_question_bank,
     parse_run_file,
@@ -229,6 +232,21 @@ class TestQuestionBank:
             "query_id": "q1", "questions": [
                 {"question_id": "x", "text": "A?", "gold_answer": None}]}]}))
         assert bank.questions_for("q1")[0].gold_answer is None
+
+
+@pytest.mark.parametrize("load, text", [
+    (load_run_file, "q1 Q0 d1 1 2.0 runA\nq1 Q0 d2 2 1.0 runA\n"),
+    (load_qrels, "q1 0 d1 1\nq1 0 d2 0\n"),
+    (load_question_bank, '{"queries": [{"query_id": "q1", "questions": '
+                         '[{"question_id": "x", "text": "A?"}]}]}'),
+], ids=["run", "qrels", "bank"])
+def test_byte_order_mark_is_skipped(tmp_path, load, text):
+    # Some Windows tools start a UTF-8 file with the mark EF BB BF; read
+    # as text, it would join the first line's query id.
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load(marked) == load(plain)
 
 
 def write_json(tmp_path, doc):
