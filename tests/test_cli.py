@@ -119,6 +119,79 @@ def test_readme_names_exactly_the_cli_options():
     assert documented - {"--no-build-isolation"} == options
 
 
+# The usage surface: exit codes and the words of each usage error, for
+# argv given on the command line and through `--config`. `{out}` is the
+# pipeline's output folder and `{tmp}` its input folder.
+COVER = ["cover", "--bank", "{out}/bank.json", "--run", "{tmp}/runs/sysA.run",
+         "--grades", "{out}/grades.jsonl.gz", "--policy", "rate:4"]
+BOARD = ["leaderboard", "--bank", "{out}/bank.json",
+         "--grades", "{out}/grades.jsonl.gz", "--policy", "rate:4"]
+BOTH_RUNS = "{tmp}/runs/sysA.run {tmp}/runs/sysB.run"
+SUMMARIES = {
+    "generate": "Generate a question bank from queries.",
+    "grade": "Grade pooled passages against the question bank.",
+    "cover": "Per-query coverage scores and their mean for one run.",
+    "qrels": "Derive a qrels file from stored grades.",
+    "leaderboard": "Score all runs, including the pooled _overall_ row.",
+    "correlate": "Rank correlation between two leaderboard TSVs.",
+    "agreement": "Inter-annotator agreement tables between labels and",
+    "diff": "Show bank edits and the passages whose labels they flip.",
+}
+
+
+@pytest.mark.parametrize("argv, config, code, stream, fragment", [
+    ([], None, 1, "err", "Exam-style evaluation of retrieval system"),
+    (["frobnicate"], None, 1, "err", "No such command 'frobnicate'."),
+    ([*COVER, "--bogus"], None, 1, "err", "No such option '--bogus'"),
+    ([*COVER, "--dep", "5"], None, 1, "err", "No such option '--dep'"),
+    (COVER[:1] + COVER[3:], None, 1, "err", "Missing option '--bank'."),
+    (["cover", "--bank"], None, 1, "err",
+     "Option '--bank' requires an argument."),
+    (["qrels", "--bank", "{out}/bank.json", "--graded=1"], None, 1, "err",
+     "Option '--graded' does not take a value."),
+    ([*BOARD, "--runs", "{tmp}/runs", "--metric", "p20"], None, 1, "err",
+     "Invalid value for '--metric': 'p20' is not one of 'cover', 'p_at_k'."),
+    ([*COVER, "--depth", "x"], None, 1, "err",
+     "Invalid value for '--depth': 'x' is not a valid integer range."),
+    ([*COVER, "--depth", "0"], None, 1, "err",
+     "Invalid value for '--depth': 0 is not in the range x>=1."),
+    ([*COVER, "--depth", "-1"], None, 1, "err",
+     "Invalid value for '--depth': -1 is not in the range x>=1."),
+    (["cover", "--bank", "{tmp}/nope.json", *COVER[3:]], None, 1, "err",
+     "Invalid value for '--bank': Path '{tmp}/nope.json' does not exist."),
+    (COVER[:1] + COVER[3:], "bank = {out}/bank.json", 0, "out",
+     "mean\t1.0000"),
+    ([*COVER, "--depth", "3"], "depth = 0", 0, "out", "mean\t1.0000"),
+    (COVER, "depth = 0", 1, "err",
+     "Invalid value for '--depth': 0 is not in the range x>=1."),
+    ([*COVER, "--depth", "0", "--depth", "3"], None, 0, "out",
+     "mean\t1.0000"),
+    ([*COVER, "--depth", "3", "--depth", "0"], None, 1, "err",
+     "Invalid value for '--depth': 0 is not in the range x>=1."),
+    ([*BOARD, "--runs", "{tmp}/runs/sysA.run", "--runs",
+      "{tmp}/runs/sysB.run"], None, 0, "out", "\nsysA\t1.0000"),
+    (BOARD, f"runs = {BOTH_RUNS}", 0, "out", "\nsysB\t0.0000"),
+    *(([name, "--help"], None, 0, "out", summary)
+      for name, summary in SUMMARIES.items()),
+], ids=["no-command", "unknown-command", "unknown-option", "prefix",
+        "missing-required", "no-value", "flag-value", "bad-choice",
+        "non-integer", "depth-0", "depth-minus-1", "missing-path",
+        "required-by-config", "flag-over-config", "config-checked",
+        "last-value-wins", "last-value-checked", "runs-repeated",
+        "runs-in-config", *(f"help-{name}" for name in SUMMARIES)])
+def test_usage_surface(tmp_path, capsys, out, argv, config, code, stream,
+                       fragment):
+    fill = lambda text: text.format(out=out, tmp=tmp_path)
+    head = []
+    if config is not None:
+        (tmp_path / "exam.conf").write_text(fill(config) + "\n")
+        head = ["--config", str(tmp_path / "exam.conf")]
+    capsys.readouterr()
+    assert main(head + list(map(fill, argv))) == code
+    captured = capsys.readouterr()
+    assert fill(fragment) in getattr(captured, stream)
+
+
 
 @pytest.mark.parametrize("name, content, message", [
     ("bank", {"queries": [["q1"]]}, "'queries' must be a list of objects"),
