@@ -1,49 +1,37 @@
 """Command-line interface: one subcommand per pipeline stage.
 
 Orchestration only; every computation lives in the library modules.
-Each command imports the library modules it calls, so that `--help` loads
-none of them, and no command but `generate` and `grade` loads the HTTP
-client.
+The module itself loads only the standard library, and each command
+imports the library modules it calls, so `--help` loads no other
+`exam_eval` module, and no command but `generate` and `grade` loads the
+HTTP client.
 Output files other than the grade store, which is appended in place, are
 written atomically (temp file + rename), so none is ever left partial.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
-import json
-import logging
+import functools
 import os
 import re
 import sys
 from pathlib import Path
 
-import click
-
-from .model import (
-    BackendError,
-    ContractViolation,
-    GradeIndex,
-    GradePolicy,
-    OVERALL_SYSTEM,
-    QA_VERIFIED,
-    QuestionBank,
-    SELF_RATED,
-)
-
-log = logging.getLogger("exam_eval")
-
+PROG = "exam-eval"
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_BACKEND_IO = 2
 
 
-_POLICY = re.compile(r"(?:qa|rate:([0-9]+))(?:\+min-answers=([0-9]+))?")
+_POLICY_GRAMMAR = r"(?:qa|rate:([0-9]+))(?:\+min-answers=([0-9]+))?"
 
 
 def parse_policy(text: str) -> GradePolicy:
     """Policy grammar: `qa` | `rate:<min_rating>`, optional `+min-answers=<n>`,
     with min_rating in [1, 5] and min_answers at least 1."""
-    match = _POLICY.fullmatch(text)
+    from .model import QA_VERIFIED, SELF_RATED, ContractViolation, GradePolicy
+    match = re.fullmatch(_POLICY_GRAMMAR, text)
     if match is None:
         raise ContractViolation(
             f"bad policy {text!r}; expected 'qa' or 'rate:<min_rating>', "
@@ -61,6 +49,7 @@ def parse_policy(text: str) -> GradePolicy:
 
 def _min_answers(n: int) -> int:
     if n < 1:
+        from .model import ContractViolation
         raise ContractViolation(f"min_answers must be >= 1, got {n}")
     return n
 
@@ -70,6 +59,7 @@ def _grade_index(grades_path: str, policy: GradePolicy,
     """The store's grades that count for the bank under the policy, read
     once for a command."""
     from . import formats
+    from .model import GradeIndex
     return GradeIndex(formats.GradeStore(grades_path).read(), policy, bank)
 
 
@@ -99,9 +89,156 @@ def atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
+# ---------------------------------------------------------------------------
+# Options: one table of commands and options, from which the parsers, the
+# config keys and the help are built.
+
+
+class UsageError(Exception):
+    """A command line or config value that the command does not take.
+    It prints under the usage of `command`, or of the top level."""
+
+    def __init__(self, message: str, command: str | None = None):
+        super().__init__(message)
+        self.command = command
+
+    def show(self) -> None:
+        prog = f"{PROG} {self.command}" if self.command else PROG
+        usage = "[OPTIONS]" if self.command else "[OPTIONS] COMMAND [ARGS]..."
+        print(f"Usage: {prog} {usage}\nTry '{prog} --help' for help.\n\n"
+              f"Error: {self}", file=sys.stderr)
+
+
+# A flag's value in a config file.
+_BOOLEANS = {**dict.fromkeys(("1", "true", "t", "yes", "y", "on"), True),
+             **dict.fromkeys(("0", "false", "f", "no", "n", "off", ""), False)}
+
+
+class Option:
+    """A long option: the parameter it fills, the kind of value it takes,
+    and its value when neither the command line nor the config file gives
+    one. Kinds: `text`, `int` (at least `minimum`, if given), `choice` (one
+    of `choices`), `flag`, `file` (an existing file), `path` (an existing
+    file or directory) and `out` (a file to write, not a directory). A
+    `multiple` option is repeatable; a config file lists its values
+    separated by whitespace."""
+
+    def __init__(self, flag: str, dest: str, kind: str = "text", *,
+                 required: bool = False, default=None,
+                 multiple: bool = False, choices: tuple[str, ...] = (),
+                 minimum: int | None = None, short: str | None = None,
+                 help: str = ""):
+        self.flag, self.dest, self.kind = flag, dest, kind
+        self.required, self.multiple = required, multiple
+        self.default = False if kind == "flag" else default
+        self.choices, self.minimum, self.help = choices, minimum, help
+        self.flags = (short, flag) if short else (flag,)
+        # Its config key; its `dest` may stand for it.
+        self.name = flag[2:].replace("-", "_")
+
+    def resolve(self, given, config_text: str | None):
+        """The value from the command line, else from the config file,
+        else the default. A value from either source is checked."""
+        if given is None and config_text is not None:
+            given = config_text.split() if self.multiple else config_text
+        if given is None or given == []:
+            if self.required:
+                raise UsageError(f"Missing option '{self.flag}'.")
+            return self.default
+        if self.multiple:
+            return tuple(map(self.convert, given))
+        return given if given is True else self.convert(given)
+
+    def convert(self, text: str):
+        """The value that the text stands for, or a UsageError that says
+        why it stands for none."""
+        def invalid(reason: str) -> UsageError:
+            return UsageError(f"Invalid value for '{self.flag}': {reason}")
+        kind = self.kind
+        if kind == "int":
+            try:
+                number = int(text)
+            except ValueError:
+                range_ = "" if self.minimum is None else " range"
+                raise invalid(
+                    f"{text!r} is not a valid integer{range_}.") from None
+            if self.minimum is not None and number < self.minimum:
+                raise invalid(
+                    f"{number} is not in the range x>={self.minimum}.")
+            return number
+        if kind == "choice" and text not in self.choices:
+            raise invalid(f"{text!r} is not one of "
+                          f"{', '.join(map(repr, self.choices))}.")
+        if kind == "flag":
+            state = _BOOLEANS.get(text.strip().lower())
+            if state is None:
+                raise invalid(f"{text!r} is not a valid boolean. Recognized "
+                              f"values: {', '.join(sorted(_BOOLEANS))}")
+            return state
+        if kind in ("file", "path"):
+            if not os.path.exists(text):
+                raise invalid(f"Path {text!r} does not exist.")
+            if not os.access(text, os.R_OK):
+                raise invalid(f"Path {text!r} is not readable.")
+        if kind in ("file", "out") and os.path.isdir(text):
+            raise invalid(f"File {text!r} is a directory.")
+        return text
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        """Adds the option to the parser, which keeps its text unchecked."""
+        notes = []
+        if self.required:
+            notes.append("required")
+        if self.default not in (None, "", False):
+            notes.append(f"default: {self.default}")
+        if self.minimum is not None:
+            notes.append(f"x>={self.minimum}")
+        if self.multiple:
+            notes.append("repeatable")
+        text = f"{self.help} [{'; '.join(notes)}]" if notes else self.help
+        if self.kind == "flag":
+            action = {"action": "store_true"}
+        else:
+            metavar = ({"int": "N", "text": "TEXT"}.get(self.kind, "PATH")
+                       if not self.choices
+                       else f"{{{','.join(self.choices)}}}")
+            action = {"action": "append" if self.multiple else "store",
+                      "metavar": metavar}
+        parser.add_argument(*self.flags, dest=self.dest, default=None,
+                            help=text.strip(), **action)
+
+
+# The top level's own options; neither is a config key.
+GLOBAL_OPTIONS = (
+    Option("--config", "config_path", "file",
+           help="Key-value file supplying flag defaults."),
+    Option("--verbose", "verbose", "flag", short="-v", help="Debug logging."),
+)
+# Each subcommand's function and options, in help order; `command` fills it.
+COMMANDS: dict[str, tuple] = {}
+
+
+def command(*options: Option):
+    """Registers the function as the subcommand of its own name."""
+    def register(fn):
+        COMMANDS[fn.__name__] = (fn, options)
+        return fn
+    return register
+
+
 def read_config_file(path: str) -> dict[str, str]:
-    """Simple `key = value` config format; '#' starts a comment line."""
+    """Simple `key = value` config format; '#' starts a comment line.
+
+    A key is an option's long name, with `_` or `-`, or its parameter's
+    name, and is returned as the long name with `_` for `-`. A key that
+    names no option of any command, or an option set twice under any of
+    its names, is an error.
+    """
+    from .model import ContractViolation
+    names = {key: option.name for _, options in COMMANDS.values()
+             for option in options for key in (option.name, option.dest)}
     values: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     text = Path(path).read_text(encoding="utf-8-sig")
     for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -111,94 +248,133 @@ def read_config_file(path: str) -> dict[str, str]:
             raise ContractViolation(
                 f"{path}:{line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        key = names.get(key, key)
+        if key in line_of:
+            raise ContractViolation(
+                f"{path}: config key {key!r} is set twice, on lines "
+                f"{line_of[key]} and {line_no}")
+        values[key], line_of[key] = value.strip(), line_no
+    unused = set(values) - set(names.values())
+    if unused:
+        keys = ", ".join(map(repr, sorted(unused)))
+        raise ContractViolation(
+            f"{path}: unknown config key {keys}: it names no option "
+            f"of any command")
     return values
+
+
+@functools.cache
+def _parser(name: str | None) -> argparse.ArgumentParser:
+    """The parser of the named command, or of the top level for None. Each
+    is built once per process, on first use, and never changed after."""
+    if name is None:
+        options, usage = GLOBAL_OPTIONS, "[OPTIONS] COMMAND [ARGS]..."
+        listing = "".join(f"  {command:<13}{fn.__doc__}\n"
+                          for command, (fn, _) in sorted(COMMANDS.items()))
+        text = dict(description="Exam-style evaluation of retrieval system "
+                                "responses.", epilog=f"commands:\n{listing}")
+    else:
+        fn, options = COMMANDS[name]
+        usage, text = "[OPTIONS]", dict(description=fn.__doc__)
+    # A prefix of an option is no option: `--dep` is not `--depth`. Help
+    # prints as written, so it needs no `textwrap`.
+    parser = argparse.ArgumentParser(
+        prog=f"{PROG} {name}" if name else PROG, usage=f"%(prog)s {usage}",
+        formatter_class=argparse.RawTextHelpFormatter, add_help=False,
+        allow_abbrev=False, exit_on_error=False, **text)
+    for option in options:
+        option.add_to(parser)
+    parser.add_argument("--help", action="store_true",
+                        help="Show this message and exit.")
+    if name is None:
+        parser.add_argument("args", nargs=argparse.REMAINDER,
+                            help=argparse.SUPPRESS)
+    return parser
+
+
+def _no_such(what: str, name: str, choices) -> str:
+    import difflib
+    message = f"No such {what} {name!r}."
+    close = difflib.get_close_matches(name, choices)
+    if len(close) == 1:
+        return f"{message} Did you mean {close[0]!r}?"
+    if close:
+        return (f"{message} (Did you mean one of: "
+                f"{', '.join(map(repr, sorted(close)))}?)")
+    return message
+
+
+def _parse(parser: argparse.ArgumentParser, options: tuple[Option, ...],
+           argv: list[str]) -> tuple[argparse.Namespace, list[str]]:
+    """The options argv gives, as strings, and its other arguments. An
+    option that is not one of `options`, or a value missing or given to a
+    flag, is a UsageError."""
+    try:
+        given, extra = parser.parse_known_args(argv)
+    except argparse.ArgumentError as exc:
+        flag = exc.argument_name.split("/")[-1]
+        if any(o.flag == flag and o.kind != "flag" for o in options):
+            reason = "requires an argument"
+        else:
+            reason = "does not take a value"
+        raise UsageError(f"Option '{flag}' {reason}.") from None
+    for arg in extra:
+        if arg == "--":     # what follows is arguments, not options
+            break
+        if arg.startswith("-") and arg != "-":
+            flags = [flag for o in options for flag in o.flags]
+            raise UsageError(_no_such("option", arg.partition("=")[0],
+                                      [*flags, "--help"]))
+    return given, [arg for arg in extra if arg != "--"]
+
+
+# ---------------------------------------------------------------------------
+# Commands
 
 
 # The options of every command that talks to a backend, in help order.
 _BACKEND_OPTIONS = (
-    ("--endpoint", dict(default="", help="Inference endpoint URL.")),
-    ("--model", dict(default="", help="Model name for the backend.")),
-    ("--parallelism", dict(default=1, show_default=True,
-                           type=click.IntRange(min=1),
-                           help="Concurrent completion workers.")),
-    ("--mock", dict(default=None, type=click.Path(exists=True),
-                    help="Scripted-response fixture; skips the HTTP "
-                         "backend.")),
+    Option("--endpoint", "endpoint", default="",
+           help="Inference endpoint URL."),
+    Option("--model", "model", default="", help="Model name for the backend."),
+    Option("--parallelism", "parallelism", "int", default=1, minimum=1,
+           help="Concurrent completion workers."),
+    Option("--mock", "mock", "file",
+           help="Scripted-response fixture; skips the HTTP backend."),
 )
+# Options that several commands share.
+_BANK = Option("--bank", "bank_path", "file", required=True)
+_RUNS = Option("--runs", "run_paths", "path", required=True, multiple=True,
+               help="Run file or directory of run files.")
+_GRADES = Option("--grades", "grades_path", "file", required=True)
+_POLICY = Option("--policy", "policy_text", required=True)
+_DEPTH = Option("--depth", "depth", "int", default=20, minimum=1)
+_OUT = Option("--out", "out", "out", help="Output file; stdout when omitted.")
 
 
-def backend_options(fn):
-    for flag, settings in _BACKEND_OPTIONS:
-        fn = click.option(flag, **settings)(fn)
-    return fn
-
-
-def _default_map(config_path: str) -> dict[str, dict]:
-    """click's default_map from a config file's values, per command.
-
-    A config key is a long option name, with `_` for `-`; the parameter's
-    own name is accepted too. Each command takes the keys of its own
-    options; a repeatable option takes a whitespace-separated list. A key
-    that names no option of any command is an error.
-    """
-    values = read_config_file(config_path)
-    default_map = {}
-    unused = set(values)
-    for name, command in cli.commands.items():
-        params = {key: param for param in command.params
-                  for key in (param.name, *(opt.lstrip("-").replace("-", "_")
-                                            for opt in param.opts))}
-        default_map[name] = {
-            params[key].name: (tuple(value.split()) if params[key].multiple
-                               else value)
-            for key, value in values.items() if key in params}
-        unused -= params.keys()
-    if unused:
-        keys = ", ".join(map(repr, sorted(unused)))
-        raise ContractViolation(
-            f"{config_path}: unknown config key {keys}: it names no option "
-            f"of any command")
-    return default_map
-
-
-@click.group()
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None, help="Key-value file supplying flag defaults.")
-@click.option("-v", "--verbose", is_flag=True, help="Debug logging.")
-@click.pass_context
-def cli(ctx, config_path, verbose):
-    """Exam-style evaluation of retrieval system responses."""
-    logging.basicConfig(
-        level=logging.DEBUG if verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s")
-    if config_path:
-        ctx.default_map = _default_map(config_path)
-    log.debug("resolved defaults: %s", ctx.default_map)
-
-
-@cli.command()
-@click.option("--queries", "queries_path", required=True,
-              type=click.Path(exists=True), help="JSON query list.")
-@click.option("--template", type=click.Choice(["dl", "car"]), required=True,
-              help="dl: per query; car: per query-facet.")
-@click.option("--out", required=True, type=click.Path(),
-              help="Output bank JSON.")
-@backend_options
+@command(
+    Option("--queries", "queries_path", "file", required=True,
+           help="JSON query list."),
+    Option("--template", "template", "choice", choices=("dl", "car"),
+           required=True, help="dl: per query; car: per query-facet."),
+    Option("--out", "out", "out", required=True, help="Output bank JSON."),
+    *_BACKEND_OPTIONS)
 def generate(queries_path, template, out, endpoint, model, parallelism,
              mock):
     """Generate a question bank from queries."""
+    import logging
     from . import bank as bank_mod
     from . import formats, gateway
     queries = formats.load_queries(queries_path)
-    log.info("generating bank for %d queries (%s template)",
-             len(queries), template)
+    logging.getLogger("exam_eval").info(
+        "generating bank for %d queries (%s template)", len(queries), template)
     with contextlib.closing(
             gateway.make_backend(endpoint, model, mock)) as backend:
         result = bank_mod.generate_bank(queries, backend, parallelism,
                                         per_facet=(template == "car"))
     atomic_write(out, formats.save_question_bank(result))
-    click.echo(f"wrote {len(result.all_questions())} questions to {out}")
+    print(f"wrote {len(result.all_questions())} questions to {out}")
 
 
 def _load_runs(run_paths: tuple[str, ...]) -> list:
@@ -206,6 +382,7 @@ def _load_runs(run_paths: tuple[str, ...]) -> list:
     names the run's leaderboard row, so no two runs share one and none
     takes the pooled row's."""
     from . import formats
+    from .model import OVERALL_SYSTEM, ContractViolation
     runs, file_of = [], {OVERALL_SYSTEM: "the pooled row"}
     for path in run_paths:
         p = Path(path)
@@ -223,27 +400,26 @@ def _load_runs(run_paths: tuple[str, ...]) -> list:
     return runs
 
 
-@cli.command()
-@click.option("--bank", "bank_path", required=True, type=click.Path(exists=True))
-@click.option("--runs", "run_paths", multiple=True, required=True,
-              type=click.Path(exists=True),
-              help="Run file or directory of run files; repeatable.")
-@click.option("--passages", "passages_path", required=True,
-              type=click.Path(exists=True),
-              help="JSON object mapping passage_id to text.")
-@click.option("--qrels", "qrels_path", default=None, type=click.Path(exists=True),
-              help="Official judgments whose passages join the pool.")
-@click.option("--mode", type=click.Choice(["qa", "rate"]), required=True)
-@click.option("--store", "store_path", required=True, type=click.Path())
-@click.option("--depth", default=20, show_default=True,
-              type=click.IntRange(min=1))
-@click.option("--max-input-tokens", default=512, show_default=True,
-              type=click.IntRange(min=64), help="Prompt token budget.")
-@backend_options
+@command(
+    _BANK, _RUNS,
+    Option("--passages", "passages_path", "file", required=True,
+           help="JSON object mapping passage_id to text."),
+    Option("--qrels", "qrels_path", "file",
+           help="Official judgments whose passages join the pool."),
+    Option("--mode", "mode", "choice", choices=("qa", "rate"), required=True),
+    Option("--store", "store_path", "out", required=True),
+    _DEPTH,
+    Option("--max-input-tokens", "max_input_tokens", "int", default=512,
+           minimum=64, help="Prompt token budget."),
+    *_BACKEND_OPTIONS)
 def grade(bank_path, run_paths, passages_path, qrels_path, mode, store_path,
           depth, endpoint, model, max_input_tokens, parallelism, mock):
     """Grade pooled passages against the question bank."""
+    import json
+    import logging
     from . import formats, gateway, grading
+    from .model import QA_VERIFIED, SELF_RATED
+    log = logging.getLogger("exam_eval")
     bank = formats.load_question_bank(bank_path)
     runs = _load_runs(run_paths)
     texts = formats.load_passages(passages_path)
@@ -274,21 +450,13 @@ def grade(bank_path, run_paths, passages_path, qrels_path, mode, store_path,
         log.warning("skip-log written to %s", skip_log)
     else:
         skip_log.unlink(missing_ok=True)
-    click.echo(f"graded {summary.graded} pairs "
-               f"({summary.skipped_existing} already in store, "
-               f"{len(summary.failures)} failed) in {summary.duration:.1f}s")
+    print(f"graded {summary.graded} pairs "
+          f"({summary.skipped_existing} already in store, "
+          f"{len(summary.failures)} failed) in {summary.duration:.1f}s")
 
 
-@cli.command()
-@click.option("--bank", "bank_path", required=True, type=click.Path(exists=True))
-@click.option("--run", "run_path", required=True, type=click.Path(exists=True))
-@click.option("--grades", "grades_path", required=True,
-              type=click.Path(exists=True))
-@click.option("--policy", "policy_text", required=True)
-@click.option("--depth", default=20, show_default=True,
-              type=click.IntRange(min=1))
-@click.option("--out", default=None, type=click.Path(),
-              help="Output TSV; stdout when omitted.")
+@command(_BANK, Option("--run", "run_path", "file", required=True), _GRADES,
+         _POLICY, _DEPTH, _OUT)
 def cover(bank_path, run_path, grades_path, policy_text, depth, out):
     """Per-query coverage scores and their mean for one run."""
     from . import formats, grading, metrics
@@ -304,14 +472,10 @@ def cover(bank_path, run_path, grades_path, policy_text, depth, out):
     _emit("".join(lines), out)
 
 
-@cli.command()
-@click.option("--bank", "bank_path", required=True, type=click.Path(exists=True))
-@click.option("--grades", "grades_path", required=True,
-              type=click.Path(exists=True))
-@click.option("--policy", "policy_text", required=True)
-@click.option("--graded", is_flag=True,
-              help="Emit 0-5 max self-ratings instead of binary labels.")
-@click.option("--out", default=None, type=click.Path())
+@command(_BANK, _GRADES, _POLICY,
+         Option("--graded", "graded", "flag",
+                help="Emit 0-5 max self-ratings instead of binary labels."),
+         _OUT)
 def qrels(bank_path, grades_path, policy_text, graded, out):
     """Derive a qrels file from stored grades."""
     from . import formats, metrics
@@ -330,21 +494,13 @@ def _rank_text(rank: float | None) -> str:
     return str(int(rank)) if rank.is_integer() else str(rank)
 
 
-@cli.command()
-@click.option("--bank", "bank_path", required=True, type=click.Path(exists=True))
-@click.option("--runs", "run_paths", multiple=True, required=True,
-              type=click.Path(exists=True))
-@click.option("--grades", "grades_path", required=True,
-              type=click.Path(exists=True))
-@click.option("--policy", "policy_text", required=True)
-@click.option("--metric", type=click.Choice(["cover", "p_at_k"]),
-              default="cover", show_default=True)
-@click.option("--depth", default=20, show_default=True,
-              type=click.IntRange(min=1))
-@click.option("--official", "official_path", default=None,
-              type=click.Path(exists=True),
-              help="JSON object mapping system name to official rank.")
-@click.option("--out", default=None, type=click.Path())
+@command(_BANK, _RUNS, _GRADES, _POLICY,
+         Option("--metric", "metric", "choice", choices=("cover", "p_at_k"),
+                default="cover"),
+         _DEPTH,
+         Option("--official", "official_path", "file",
+                help="JSON object mapping system name to official rank."),
+         _OUT)
 def leaderboard(bank_path, run_paths, grades_path, policy_text, metric,
                 depth, official_path, out):
     """Score all runs, including the pooled _overall_ row."""
@@ -364,22 +520,20 @@ def leaderboard(bank_path, run_paths, grades_path, policy_text, metric,
                      f"{row.std_error:.4f}\t{rank}\n")
     _emit("".join(lines), out)
     if result.correlation:
-        click.echo(f"spearman={result.correlation.spearman:.4f} "
-                   f"kendall={result.correlation.kendall:.4f} "
-                   f"n={result.correlation.n}", err=True)
+        print(f"spearman={result.correlation.spearman:.4f} "
+              f"kendall={result.correlation.kendall:.4f} "
+              f"n={result.correlation.n}", file=sys.stderr)
 
 
-@cli.command()
-@click.option("--a", "path_a", required=True, type=click.Path(exists=True))
-@click.option("--b", "path_b", required=True, type=click.Path(exists=True))
+@command(Option("--a", "path_a", "file", required=True),
+         Option("--b", "path_b", "file", required=True))
 def correlate(path_a, path_b):
     """Rank correlation between two leaderboard TSVs."""
     from . import formats, metrics
     stats = metrics.correlation_stats(formats.load_leaderboard_scores(path_a),
                                       formats.load_leaderboard_scores(path_b))
-    click.echo(f"spearman\t{stats.spearman:.4f}")
-    click.echo(f"kendall\t{stats.kendall:.4f}")
-    click.echo(f"n\t{stats.n}")
+    print(f"spearman\t{stats.spearman:.4f}\nkendall\t{stats.kendall:.4f}\n"
+          f"n\t{stats.n}")
 
 
 # Each collapse's lowest label counted as relevant; graded keeps every
@@ -412,29 +566,29 @@ def _format_table_text(table: metrics.ConfusionTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-@cli.command()
-@click.option("--labels", "labels_path", default=None,
-              type=click.Path(exists=True),
-              help="Exam-derived qrels (labels side of the join).")
-@click.option("--judgments", "judgments_path", required=True,
-              type=click.Path(exists=True), help="Official qrels.")
-@click.option("--collapse", "collapse_names", default="graded,lenient,strict",
-              show_default=True, help="Comma-separated collapse names.")
-@click.option("--judgment-rel-min", default=1, show_default=True,
-              help="Lowest judgment grade counted as relevant.")
-@click.option("--min-answers", "min_answers", default=None,
-              help="Comma-separated sweep values; needs --grades/--bank/--policy.")
-@click.option("--grades", "grades_path", default=None,
-              type=click.Path(exists=True))
-@click.option("--bank", "bank_path", default=None, type=click.Path(exists=True))
-@click.option("--policy", "policy_text", default=None)
-@click.option("--format", "fmt", type=click.Choice(["tsv", "table"]),
-              default="tsv", show_default=True)
-@click.option("--out", default=None, type=click.Path())
+@command(
+    Option("--labels", "labels_path", "file",
+           help="Exam-derived qrels (labels side of the join)."),
+    Option("--judgments", "judgments_path", "file", required=True,
+           help="Official qrels."),
+    Option("--collapse", "collapse_names", default="graded,lenient,strict",
+           help="Comma-separated collapse names."),
+    Option("--judgment-rel-min", "judgment_rel_min", "int", default=1,
+           help="Lowest judgment grade counted as relevant."),
+    Option("--min-answers", "min_answers",
+           help="Comma-separated sweep values; needs --grades, --bank and "
+                "--policy."),
+    Option("--grades", "grades_path", "file"),
+    Option("--bank", "bank_path", "file"),
+    Option("--policy", "policy_text"),
+    Option("--format", "fmt", "choice", choices=("tsv", "table"),
+           default="tsv"),
+    _OUT)
 def agreement(labels_path, judgments_path, collapse_names, judgment_rel_min,
               min_answers, grades_path, bank_path, policy_text, fmt, out):
     """Inter-annotator agreement tables between labels and judgments."""
     from . import formats, metrics
+    from .model import ContractViolation
     names = [n.strip() for n in collapse_names.split(",") if n.strip()]
     if not names:
         raise ContractViolation(
@@ -477,21 +631,18 @@ def agreement(labels_path, judgments_path, collapse_names, judgment_rel_min,
     _emit("\n".join(map(render, tables)), out)
     for table in tables:
         if table.kappa_overall is not None:
-            click.echo(f"{table.name}: kappa={table.kappa_overall:.3f}",
-                       err=True)
+            print(f"{table.name}: kappa={table.kappa_overall:.3f}",
+                  file=sys.stderr)
 
 
-@cli.command()
-@click.option("--old", "old_path", required=True, type=click.Path(exists=True))
-@click.option("--new", "new_path", required=True, type=click.Path(exists=True))
-@click.option("--grades", "grades_path", required=True,
-              type=click.Path(exists=True))
-@click.option("--policy", "policy_text", required=True)
-@click.option("--out", default=None, type=click.Path())
+@command(Option("--old", "old_path", "file", required=True),
+         Option("--new", "new_path", "file", required=True), _GRADES, _POLICY,
+         _OUT)
 def diff(old_path, new_path, grades_path, policy_text, out):
     """Show bank edits and the passages whose labels they flip."""
     from . import bank as bank_mod
     from . import formats
+    from .model import GradeIndex
     old = formats.load_question_bank(old_path)
     new = formats.load_question_bank(new_path)
     policy = parse_policy(policy_text)
@@ -514,24 +665,79 @@ def _emit(text: str, out: str | None) -> None:
     if out:
         atomic_write(out, text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+
+
+def _run(argv: list[str]) -> int:
+    """Parse argv, then run its command; the config file fills the options
+    that argv leaves out."""
+    top = _parser(None)
+    given, _ = _parse(top, GLOBAL_OPTIONS, argv)
+    if given.help:
+        top.print_help()
+        return EXIT_OK
+    top_values = {option.dest: option.resolve(getattr(given, option.dest),
+                                              None)
+                  for option in GLOBAL_OPTIONS}
+    config_path = top_values["config_path"]
+    if not given.args:
+        if argv:
+            raise UsageError("Missing command.")
+        top.print_help(sys.stderr)
+        return EXIT_VALIDATION
+    name, *args = given.args
+    if name not in COMMANDS:
+        raise UsageError(_no_such("command", name, COMMANDS))
+    run, options = COMMANDS[name]
+    try:
+        parser = _parser(name)
+        given, extra = _parse(parser, options, args)
+        if given.help:
+            parser.print_help()
+            return EXIT_OK
+        config = read_config_file(config_path) if config_path else {}
+        # Options are checked in the order argv names them, then the rest.
+        first = {}
+        for i, arg in enumerate(args):
+            first.setdefault(arg.partition("=")[0], i)
+        values = {option.dest: option.resolve(getattr(given, option.dest),
+                                              config.get(option.name))
+                  for option in sorted(options, key=lambda option: first.get(
+                      option.flag, len(args)))}
+        if extra:
+            plural = "s" if len(extra) > 1 else ""
+            raise UsageError(f"Got unexpected extra argument{plural} "
+                             f"({' '.join(extra)})")
+    except UsageError as exc:
+        exc.command = name
+        raise
+    import logging
+    logging.basicConfig(
+        level=logging.DEBUG if top_values["verbose"] else logging.INFO,
+        format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("exam_eval").debug("resolved defaults: %s", config)
+    run(**values)
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cli.main(args=argv, standalone_mode=False)
-        return EXIT_OK
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.ClickException as exc:
-        exc.show(file=sys.stderr)
+        return _run(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        exc.show()
         return EXIT_VALIDATION
-    except click.Abort:
+    except (EOFError, KeyboardInterrupt):     # aborted: end the line
+        print(file=sys.stderr)
         return EXIT_VALIDATION
     except ValueError as exc:   # ContractViolation, formats.ParseError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (BackendError, OSError) as exc:
+    except (OSError, RuntimeError) as exc:
+        # A BackendError is a RuntimeError; any other is a bug.
+        if not isinstance(exc, OSError):
+            from .model import BackendError
+            if not isinstance(exc, BackendError):
+                raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BACKEND_IO
 

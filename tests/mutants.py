@@ -42,6 +42,7 @@ STORE_READ = ("tests/test_formats.py::"
               "test_store_read_matches_line_by_line_oracle")
 VERIFY = "tests/test_grading.py::TestVerifyAnswer"
 MODULES = "tests/test_cli.py::test_commands_load_only_the_modules_they_run"
+USAGE = "tests/test_cli.py::test_usage_surface"
 
 MUTANTS = (
     Mutant("pool depth + 1", "grading.py", "run.top_k(query_id, depth)",
@@ -121,9 +122,24 @@ MUTANTS = (
            "import functools\nimport json\n",
            "import functools\nimport http.client\nimport json\n", MODULES),
     Mutant("the metrics imported with the CLI", "cli.py",
-           "import click\n\nfrom .model import (",
-           "import click\n\nfrom . import metrics\nfrom .model import (",
+           "from pathlib import Path\n",
+           "from pathlib import Path\n\nfrom . import metrics\n", MODULES),
+    Mutant("the model imported with the CLI", "cli.py",
+           "from pathlib import Path\n",
+           "from pathlib import Path\n\nfrom .model import OVERALL_SYSTEM\n",
            MODULES),
+    Mutant("logging imported with the CLI", "cli.py", "import functools\n",
+           "import functools\nimport logging\n", MODULES),
+    Mutant("option prefixes accepted", "cli.py", "allow_abbrev=False",
+           "allow_abbrev=True", f"{USAGE}[prefix]"),
+    Mutant("a config value that skips its option's check", "cli.py",
+           "given = config_text.split() if self.multiple else config_text",
+           "return config_text.split() if self.multiple else config_text",
+           f"{USAGE}[config-checked]"),
+    Mutant("a directory accepted for a file option", "cli.py",
+           'if kind in ("file", "out") and os.path.isdir(text):',
+           'if kind == "out" and os.path.isdir(text):',
+           "tests/test_cli.py::test_file_options_reject_a_directory"),
 )
 
 

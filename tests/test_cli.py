@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import gzip
 import http.client
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import Phase, given, settings
 
 from exam_eval.cli import (
-    atomic_write, cli, main, parse_policy, read_config_file)
+    COMMANDS, GLOBAL_OPTIONS, atomic_write, main, parse_policy,
+    read_config_file)
 from exam_eval.formats import GradeStore, ParseError, save_question_bank
 from exam_eval.gateway import MockBackend
 from exam_eval.model import (
@@ -112,11 +114,13 @@ def test_readme_names_exactly_the_cli_options():
     # pip's flag is the only other long option the README shows.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme))
-    params = [*cli.params, *(param for command in cli.commands.values()
-                             for param in command.params)]
-    options = {opt for param in params for opt in param.opts
-               if opt.startswith("--")}
-    assert documented - {"--no-build-isolation"} == options
+    options = [*GLOBAL_OPTIONS, *(option for _, command_options
+                                  in COMMANDS.values()
+                                  for option in command_options)]
+    flags = {flag for option in options for flag in option.flags
+             if flag.startswith("--")}
+    # Every parser has --help besides the table's options.
+    assert documented - {"--no-build-isolation"} == flags | {"--help"}
 
 
 # The usage surface: exit codes and the words of each usage error, for
@@ -190,6 +194,53 @@ def test_usage_surface(tmp_path, capsys, out, argv, config, code, stream,
     assert main(head + list(map(fill, argv))) == code
     captured = capsys.readouterr()
     assert fill(fragment) in getattr(captured, stream)
+
+
+def test_file_options_reject_a_directory(tmp_path, capsys):
+    # Every path option but --runs names a file, so a directory is a
+    # usage mistake, reported before any file is read or written.
+    (tmp_path / "runs").mkdir()
+    runs = str(tmp_path / "runs")
+    options = [(name, option) for name, (_, command_options)
+               in COMMANDS.items() for option in command_options]
+    assert {option.flag for _, option in options
+            if option.kind == "path"} == {"--runs"}
+    checked = 0
+    for name, option in options:
+        if option.kind in ("file", "out"):
+            capsys.readouterr()
+            assert main([name, option.flag, runs]) == 1, option.flag
+            assert (f"Invalid value for '{option.flag}': File {runs!r} is "
+                    f"a directory.") in capsys.readouterr().err
+            checked += 1
+    assert checked == 30
+    assert main(["--config", runs, "cover"]) == 1
+    assert (f"Invalid value for '--config': File {runs!r} is a directory."
+            in capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runs"]
+    assert list((tmp_path / "runs").iterdir()) == []
+
+
+@pytest.mark.parametrize("text, key", [
+    ("policy = qa\npolicy = rate:4\n", "policy"),
+    ("max-input-tokens = 64\n# budget\nmax_input_tokens = 128\n",
+     "max_input_tokens"),
+    ("bank = a.json\nbank_path = b.json\n", "bank"),
+    ("format = tsv\nfmt = table\n", "format"),
+], ids=["repeated", "dash-and-underscore", "parameter-name", "fmt"])
+def test_config_key_given_twice_rejected(tmp_path, capsys, out, text, key):
+    conf = tmp_path / "exam.conf"
+    conf.write_text(text)
+    message = (f"{conf}: config key {key!r} is set twice, on lines 1 and "
+               f"{text.count(chr(10))}")
+    with pytest.raises(ContractViolation) as raised:
+        read_config_file(conf)
+    assert str(raised.value) == message
+    capsys.readouterr()
+    assert main(["--config", str(conf), "qrels", "--bank",
+                 str(out / "bank.json"), "--grades",
+                 str(out / "grades.jsonl.gz"), "--policy", "rate:4"]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 
@@ -358,23 +409,27 @@ def test_backend_flag_ranges_rejected(tmp_path, capsys, command, flag,
     assert not target.exists()
 
 
-# Imports the CLI, runs each command given as JSON argv lists, and prints
-# each exit code with the `exam_eval` modules and the watched modules
-# loaded then; the first entry is the import's.
+# Imports the CLI, runs each command given as a line of tab-separated
+# arguments, and prints each exit code with the `exam_eval` modules and
+# the watched modules loaded then; the first entry is the import's. It
+# imports nothing itself, since `json` is one of the watched modules.
 MODULES_PROBE = """
-import json, sys
+import sys
 from exam_eval.cli import main
-watched = json.loads(sys.argv[2])
+watched = sys.argv[2].split()
 loaded = lambda: [m for m in sorted(sys.modules)
                   if m.startswith("exam_eval.") or m in watched]
 seen = [[None, loaded()]]
-for argv in json.loads(sys.argv[1]):
-    seen.append([main(argv), loaded()])
-print(json.dumps(seen))
+for line in sys.argv[1].splitlines():
+    seen.append([main(line.split("\\t")), loaded()])
+print(repr(seen))
 """
 # Statistics are plain Python: numpy and scipy are test-only, and
 # importing either would cost most of the CLI's start-up time.
 HEAVY_MODULES = ("numpy", "scipy")
+# What the commands load but `--help` must not: the CLI's start-up is
+# argparse and the few stdlib modules the interpreter has loaded anyway.
+START_UP_MODULES = ("click", "logging", "json", "dataclasses")
 # The HTTP client and what it loads; only `generate` and `grade` need it.
 NETWORK_MODULES = ("http.client", "urllib.request", "ssl", "email",
                    "concurrent.futures")
@@ -385,7 +440,7 @@ def test_commands_load_only_the_modules_they_run(tmp_path, out):
         "q1 Q0 pA2 1 9.0 sysC\nq2 Q0 pA2 1 9.0 sysC\n")
     (tmp_path / "official.json").write_text(
         json.dumps({"sysA": 1, "sysB": 3, "sysC": 2}))
-    helps = [["--help"], *([name, "--help"] for name in sorted(cli.commands))]
+    helps = [["--help"], *([name, "--help"] for name in sorted(COMMANDS))]
     scoring = [
         ["cover", "--bank", str(out / "bank.json"),
          "--run", str(tmp_path / "runs" / "sysC.run"),
@@ -408,19 +463,21 @@ def test_commands_load_only_the_modules_they_run(tmp_path, out):
          "--grades", str(out / "grades.jsonl.gz"), "--policy", "rate:4"],
     ]
     probe = subprocess.run(
-        [sys.executable, "-c", MODULES_PROBE, json.dumps(helps + scoring),
-         json.dumps(HEAVY_MODULES + NETWORK_MODULES)],
+        [sys.executable, "-c", MODULES_PROBE,
+         "\n".join("\t".join(argv) for argv in helps + scoring),
+         " ".join(HEAVY_MODULES + NETWORK_MODULES + START_UP_MODULES)],
         capture_output=True, text=True, env=child_env(), timeout=60,
         check=True)
-    seen = json.loads(probe.stdout.splitlines()[-1])
-    # The import and every `--help` load no library module.
-    cli_only = ["exam_eval.cli", "exam_eval.model"]
+    seen = ast.literal_eval(probe.stdout.splitlines()[-1])
+    # The import and every `--help` load no library module, and none of
+    # the start-up modules.
+    cli_only = ["exam_eval.cli"]
     assert seen[:1 + len(helps)] == ([[None, cli_only]]
                                      + [[0, cli_only]] * len(helps))
-    # No scoring command loads the HTTP client, numpy or scipy.
+    # No scoring command loads the HTTP client, numpy, scipy or click.
+    unwanted = HEAVY_MODULES + NETWORK_MODULES + ("click",)
     for argv, (rc, loaded) in zip(scoring, seen[1 + len(helps):]):
-        assert [rc, [m for m in loaded if not m.startswith("exam_eval.")]] \
-            == [0, []], argv[0]
+        assert [rc, [m for m in loaded if m in unwanted]] == [0, []], argv[0]
     # sysB and sysC tie on score: tau-b and average ranks at work. The
     # strict table has one row (no label reaches 4), so it has no kappa.
     assert probe.stderr == ("spearman=0.8660 kendall=0.8165 n=3\n"
