@@ -374,7 +374,7 @@ def generate(queries_path, template, out, endpoint, model, parallelism,
         result = bank_mod.generate_bank(queries, backend, parallelism,
                                         per_facet=(template == "car"))
     atomic_write(out, formats.save_question_bank(result))
-    print(f"wrote {len(result.all_questions())} questions to {out}")
+    _echo(f"wrote {len(result.all_questions())} questions to {out}\n")
 
 
 def _load_runs(run_paths: tuple[str, ...]) -> list:
@@ -450,9 +450,9 @@ def grade(bank_path, run_paths, passages_path, qrels_path, mode, store_path,
         log.warning("skip-log written to %s", skip_log)
     else:
         skip_log.unlink(missing_ok=True)
-    print(f"graded {summary.graded} pairs "
+    _echo(f"graded {summary.graded} pairs "
           f"({summary.skipped_existing} already in store, "
-          f"{len(summary.failures)} failed) in {summary.duration:.1f}s")
+          f"{len(summary.failures)} failed) in {summary.duration:.1f}s\n")
 
 
 @command(_BANK, Option("--run", "run_path", "file", required=True), _GRADES,
@@ -532,8 +532,8 @@ def correlate(path_a, path_b):
     from . import formats, metrics
     stats = metrics.correlation_stats(formats.load_leaderboard_scores(path_a),
                                       formats.load_leaderboard_scores(path_b))
-    print(f"spearman\t{stats.spearman:.4f}\nkendall\t{stats.kendall:.4f}\n"
-          f"n\t{stats.n}")
+    _echo(f"spearman\t{stats.spearman:.4f}\nkendall\t{stats.kendall:.4f}\n"
+          f"n\t{stats.n}\n")
 
 
 # Each collapse's lowest label counted as relevant; graded keeps every
@@ -665,7 +665,17 @@ def _emit(text: str, out: str | None) -> None:
     if out:
         atomic_write(out, text)
     else:
+        _echo(text)
+
+
+def _echo(text: str) -> None:
+    """Writes to stdout, in UTF-8 where the locale's encoding cannot
+    spell the text, as every output file is written."""
+    try:
         sys.stdout.write(text)
+    except UnicodeEncodeError:
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
 
 
 def _run(argv: list[str]) -> int:

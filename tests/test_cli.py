@@ -539,6 +539,16 @@ def test_non_ascii_text_round_trips_in_any_locale(tmp_path):
         assert done.returncode == 0, done.stderr
     assert GradeStore(tmp_path / "grades.jsonl.gz").read() == {
         ("q1", "pé", "q1/q/0", SELF_RATED): ("5: réponse complète", None, 5)}
+    # What a command prints is UTF-8 too, where ASCII cannot spell it.
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_MAIN, "leaderboard",
+         "--bank", str(tmp_path / "bank.json"),
+         "--runs", str(tmp_path / "runs"),
+         "--grades", str(tmp_path / "grades.jsonl.gz"), "--policy", "rate:4"],
+        capture_output=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode("utf-8").splitlines()[2] \
+        == "tég\t1.0000\t0.0000\t"
 
 
 # ---------------------------------------------------------------------------
