@@ -98,9 +98,7 @@ class UsageError(Exception):
     """A command line or config value that the command does not take.
     It prints under the usage of `command`, or of the top level."""
 
-    def __init__(self, message: str, command: str | None = None):
-        super().__init__(message)
-        self.command = command
+    command: str | None = None
 
     def show(self) -> None:
         prog = f"{PROG} {self.command}" if self.command else PROG
