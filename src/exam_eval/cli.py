@@ -37,7 +37,9 @@ def parse_policy(text: str) -> GradePolicy:
             f"bad policy {text!r}; expected 'qa' or 'rate:<min_rating>', "
             f"optionally followed by '+min-answers=<n>'")
     min_rating, min_answers = match.groups()
-    min_answers = _min_answers(int(min_answers or 1))
+    min_answers = int(min_answers or 1)
+    if min_answers < 1:
+        raise ContractViolation(f"min_answers must be >= 1, got {min_answers}")
     if min_rating is None:
         return GradePolicy(mode=QA_VERIFIED, min_answers=min_answers)
     if not 1 <= int(min_rating) <= 5:
@@ -45,13 +47,6 @@ def parse_policy(text: str) -> GradePolicy:
             f"min_rating must be in [1, 5], got {int(min_rating)}")
     return GradePolicy(mode=SELF_RATED, min_rating=int(min_rating),
                        min_answers=min_answers)
-
-
-def _min_answers(n: int) -> int:
-    if n < 1:
-        from .model import ContractViolation
-        raise ContractViolation(f"min_answers must be >= 1, got {n}")
-    return n
 
 
 def _grade_index(grades_path: str, policy: GradePolicy,
@@ -116,22 +111,25 @@ class Option:
     """A long option: the parameter it fills, the kind of value it takes,
     and its value when neither the command line nor the config file gives
     one. Kinds: `text`, `int` (at least `minimum`, if given), `choice` (one
-    of `choices`), `flag`, `file` (an existing file), `path` (an existing
-    file or directory) and `out` (a file to write, not a directory). A
-    `multiple` option is repeatable; a config file lists its values
-    separated by whitespace."""
+    of `choices`), `flag`, `policy` (a grade policy, as `parse_policy`
+    reads it), `file` (an existing file), `path` (an existing file or
+    directory) and `out` (a file to write, not a directory). A `multiple`
+    option is repeatable; a config file lists its values separated by
+    whitespace. A `listed` option takes one value, a comma-separated list
+    whose items are each of its kind. Either gives its values as a
+    tuple."""
 
     def __init__(self, flag: str, dest: str, kind: str = "text", *,
                  required: bool = False, default=None,
-                 multiple: bool = False, choices: tuple[str, ...] = (),
-                 minimum: int | None = None, short: str | None = None,
-                 help: str = ""):
+                 multiple: bool = False, listed: bool = False,
+                 choices: tuple[str, ...] = (), minimum: int | None = None,
+                 short: str | None = None, help: str = ""):
         self.flag, self.dest, self.kind = flag, dest, kind
-        self.required, self.multiple = required, multiple
+        self.required, self.multiple, self.listed = required, multiple, listed
         self.default = False if kind == "flag" else default
         self.choices, self.minimum, self.help = choices, minimum, help
         self.flags = (short, flag) if short else (flag,)
-        # Its config key; its `dest` may stand for it.
+        # Its config key, with `_` for `-`.
         self.name = flag[2:].replace("-", "_")
 
     def resolve(self, given, config_text: str | None):
@@ -143,7 +141,9 @@ class Option:
             if self.required:
                 raise UsageError(f"Missing option '{self.flag}'.")
             return self.default
-        if self.multiple:
+        if self.listed:
+            given = [item.strip() for item in given.split(",")]
+        if self.multiple or self.listed:
             return tuple(map(self.convert, given))
         return given if given is True else self.convert(given)
 
@@ -170,9 +170,15 @@ class Option:
         if kind == "flag":
             state = _BOOLEANS.get(text.strip().lower())
             if state is None:
+                values = ", ".join(map(repr, sorted(_BOOLEANS)))
                 raise invalid(f"{text!r} is not a valid boolean. Recognized "
-                              f"values: {', '.join(sorted(_BOOLEANS))}")
+                              f"values: {values}.")
             return state
+        if kind == "policy":
+            try:
+                return parse_policy(text)
+            except ValueError as exc:   # ContractViolation
+                raise invalid(f"{exc}.") from None
         if kind in ("file", "path"):
             if not os.path.exists(text):
                 raise invalid(f"Path {text!r} does not exist.")
@@ -188,7 +194,8 @@ class Option:
         if self.required:
             notes.append("required")
         if self.default not in (None, "", False):
-            notes.append(f"default: {self.default}")
+            default = ",".join(self.default) if self.listed else self.default
+            notes.append(f"default: {default}")
         if self.minimum is not None:
             notes.append(f"x>={self.minimum}")
         if self.multiple:
@@ -197,9 +204,11 @@ class Option:
         if self.kind == "flag":
             action = {"action": "store_true"}
         else:
-            metavar = ({"int": "N", "text": "TEXT"}.get(self.kind, "PATH")
-                       if not self.choices
-                       else f"{{{','.join(self.choices)}}}")
+            metavar = (f"{{{','.join(self.choices)}}}" if self.choices else
+                       {"int": "N", "text": "TEXT",
+                        "policy": "POLICY"}.get(self.kind, "PATH"))
+            if self.listed:
+                metavar += "[,...]"
             action = {"action": "append" if self.multiple else "store",
                       "metavar": metavar}
         parser.add_argument(*self.flags, dest=self.dest, default=None,
@@ -227,14 +236,13 @@ def command(*options: Option):
 def read_config_file(path: str) -> dict[str, str]:
     """Simple `key = value` config format; '#' starts a comment line.
 
-    A key is an option's long name, with `_` or `-`, or its parameter's
-    name, and is returned as the long name with `_` for `-`. A key that
-    names no option of any command, or an option set twice under any of
-    its names, is an error.
+    A key is an option's long name, with `_` or `-`, and is returned with
+    `_` for `-`. A key that names no option of any command, or an option
+    set twice under either spelling, is an error.
     """
     from .model import ContractViolation
-    names = {key: option.name for _, options in COMMANDS.values()
-             for option in options for key in (option.name, option.dest)}
+    names = {option.name for _, options in COMMANDS.values()
+             for option in options}
     values: dict[str, str] = {}
     line_of: dict[str, int] = {}
     text = Path(path).read_text(encoding="utf-8-sig")
@@ -247,13 +255,12 @@ def read_config_file(path: str) -> dict[str, str]:
                 f"{path}:{line_no}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        key = names.get(key, key)
         if key in line_of:
             raise ContractViolation(
                 f"{path}: config key {key!r} is set twice, on lines "
                 f"{line_of[key]} and {line_no}")
         values[key], line_of[key] = value.strip(), line_no
-    unused = set(values) - set(names.values())
+    unused = set(values) - names
     if unused:
         keys = ", ".join(map(repr, sorted(unused)))
         raise ContractViolation(
@@ -346,7 +353,7 @@ _BANK = Option("--bank", "bank_path", "file", required=True)
 _RUNS = Option("--runs", "run_paths", "path", required=True, multiple=True,
                help="Run file or directory of run files.")
 _GRADES = Option("--grades", "grades_path", "file", required=True)
-_POLICY = Option("--policy", "policy_text", required=True)
+_POLICY = Option("--policy", "policy", "policy", required=True)
 _DEPTH = Option("--depth", "depth", "int", default=20, minimum=1)
 _OUT = Option("--out", "out", "out", help="Output file; stdout when omitted.")
 
@@ -455,12 +462,11 @@ def grade(bank_path, run_paths, passages_path, qrels_path, mode, store_path,
 
 @command(_BANK, Option("--run", "run_path", "file", required=True), _GRADES,
          _POLICY, _DEPTH, _OUT)
-def cover(bank_path, run_path, grades_path, policy_text, depth, out):
+def cover(bank_path, run_path, grades_path, policy, depth, out):
     """Per-query coverage scores and their mean for one run."""
     from . import formats, grading, metrics
     bank = formats.load_question_bank(bank_path)
     run = formats.load_run_file(run_path)
-    policy = parse_policy(policy_text)
     per_query = metrics.exam_cover(grading.build_passage_pool([run], depth),
                                    _grade_index(grades_path, policy, bank))
     lines = ["query\tcover\n"]
@@ -474,13 +480,12 @@ def cover(bank_path, run_path, grades_path, policy_text, depth, out):
          Option("--graded", "graded", "flag",
                 help="Emit 0-5 max self-ratings instead of binary labels."),
          _OUT)
-def qrels(bank_path, grades_path, policy_text, graded, out):
+def qrels(bank_path, grades_path, policy, graded, out):
     """Derive a qrels file from stored grades."""
     from . import formats, metrics
     bank = formats.load_question_bank(bank_path)
-    labels = metrics.build_qrels(
-        _grade_index(grades_path, parse_policy(policy_text), bank),
-        graded=graded)
+    labels = metrics.build_qrels(_grade_index(grades_path, policy, bank),
+                                 graded=graded)
     _emit(formats.write_qrels(labels), out)
 
 
@@ -499,13 +504,12 @@ def _rank_text(rank: float | None) -> str:
          Option("--official", "official_path", "file",
                 help="JSON object mapping system name to official rank."),
          _OUT)
-def leaderboard(bank_path, run_paths, grades_path, policy_text, metric,
-                depth, official_path, out):
+def leaderboard(bank_path, run_paths, grades_path, policy, metric, depth,
+                official_path, out):
     """Score all runs, including the pooled _overall_ row."""
     from . import formats, metrics
     bank = formats.load_question_bank(bank_path)
     runs = _load_runs(run_paths)
-    policy = parse_policy(policy_text)
     official = (formats.load_official_ranks(official_path)
                 if official_path else None)
     result = metrics.leaderboard(
@@ -569,62 +573,44 @@ def _format_table_text(table: metrics.ConfusionTable) -> str:
            help="Exam-derived qrels (labels side of the join)."),
     Option("--judgments", "judgments_path", "file", required=True,
            help="Official qrels."),
-    Option("--collapse", "collapse_names", default="graded,lenient,strict",
-           help="Comma-separated collapse names."),
+    Option("--collapse", "collapses", "choice", listed=True,
+           choices=tuple(_COLLAPSES), default=("graded", "lenient", "strict"),
+           help="Collapse names."),
     Option("--judgment-rel-min", "judgment_rel_min", "int", default=1,
            help="Lowest judgment grade counted as relevant."),
-    Option("--min-answers", "min_answers",
-           help="Comma-separated sweep values; needs --grades, --bank and "
-                "--policy."),
+    Option("--min-answers", "min_answers", "int", listed=True, minimum=1,
+           help="Sweep values; needs --grades, --bank and --policy."),
     Option("--grades", "grades_path", "file"),
     Option("--bank", "bank_path", "file"),
-    Option("--policy", "policy_text"),
+    Option("--policy", "policy", "policy"),
     Option("--format", "fmt", "choice", choices=("tsv", "table"),
            default="tsv"),
     _OUT)
-def agreement(labels_path, judgments_path, collapse_names, judgment_rel_min,
-              min_answers, grades_path, bank_path, policy_text, fmt, out):
+def agreement(labels_path, judgments_path, collapses, judgment_rel_min,
+              min_answers, grades_path, bank_path, policy, fmt, out):
     """Inter-annotator agreement tables between labels and judgments."""
+    if min_answers and not (grades_path and bank_path and policy):
+        raise UsageError(
+            "--min-answers requires --grades, --bank and --policy.")
+    if not (labels_path or min_answers):
+        raise UsageError(
+            "Nothing to do: supply --labels, --min-answers or both.")
     from . import formats, metrics
-    from .model import ContractViolation
-    names = [n.strip() for n in collapse_names.split(",") if n.strip()]
-    if not names:
-        raise ContractViolation(
-            f"--collapse {collapse_names!r} names no collapse; give one or "
-            f"more of {', '.join(sorted(_COLLAPSES))}")
-    for name in names:
-        if name not in _COLLAPSES:
-            raise ContractViolation(f"unknown collapse name {name!r}")
     official = formats.load_qrels(judgments_path)
     tables: list[metrics.ConfusionTable] = []
 
     if labels_path:
         labels = formats.load_qrels(labels_path)
-        for name in names:
+        for name in collapses:
             tables.append(metrics.confusion_table(
                 name, labels, official, _COLLAPSES[name], judgment_rel_min))
 
     if min_answers:
-        if not (grades_path and bank_path and policy_text):
-            raise ContractViolation(
-                "--min-answers requires --grades, --bank, and --policy")
-        try:
-            values = tuple(map(int, min_answers.split(",")))
-        except ValueError:
-            raise ContractViolation(
-                f"bad --min-answers {min_answers!r}; expected "
-                f"comma-separated integers, such as 1,2,5") from None
-        for n in values:
-            _min_answers(n)
-        policy = parse_policy(policy_text)
         bank = formats.load_question_bank(bank_path)
         tables += metrics.min_answers_sweep(
-            _grade_index(grades_path, policy, bank), official, values,
+            _grade_index(grades_path, policy, bank), official, min_answers,
             judgment_rel_min)
 
-    if not tables:
-        raise ContractViolation(
-            "nothing to do: supply --labels and/or --min-answers")
     render = _format_table_tsv if fmt == "tsv" else _format_table_text
     _emit("\n".join(map(render, tables)), out)
     for table in tables:
@@ -636,14 +622,13 @@ def agreement(labels_path, judgments_path, collapse_names, judgment_rel_min,
 @command(Option("--old", "old_path", "file", required=True),
          Option("--new", "new_path", "file", required=True), _GRADES, _POLICY,
          _OUT)
-def diff(old_path, new_path, grades_path, policy_text, out):
+def diff(old_path, new_path, grades_path, policy, out):
     """Show bank edits and the passages whose labels they flip."""
     from . import bank as bank_mod
     from . import formats
     from .model import GradeIndex
     old = formats.load_question_bank(old_path)
     new = formats.load_question_bank(new_path)
-    policy = parse_policy(policy_text)
     rows = formats.GradeStore(grades_path).read()
     report = bank_mod.diff_banks(GradeIndex(rows, policy, old),
                                  GradeIndex(rows, policy, new))
@@ -716,15 +701,15 @@ def _run(argv: list[str]) -> int:
             plural = "s" if len(extra) > 1 else ""
             raise UsageError(f"Got unexpected extra argument{plural} "
                              f"({' '.join(extra)})")
-    except UsageError as exc:
+        import logging
+        logging.basicConfig(
+            level=logging.DEBUG if top_values["verbose"] else logging.INFO,
+            format="%(levelname)s %(name)s: %(message)s")
+        logging.getLogger("exam_eval").debug("resolved defaults: %s", config)
+        run(**values)
+    except UsageError as exc:   # an option's, or the command's own
         exc.command = name
         raise
-    import logging
-    logging.basicConfig(
-        level=logging.DEBUG if top_values["verbose"] else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s")
-    logging.getLogger("exam_eval").debug("resolved defaults: %s", config)
-    run(**values)
     return EXIT_OK
 
 

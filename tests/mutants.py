@@ -43,6 +43,8 @@ STORE_READ = ("tests/test_formats.py::"
 VERIFY = "tests/test_grading.py::TestVerifyAnswer"
 MODULES = "tests/test_cli.py::test_commands_load_only_the_modules_they_run"
 USAGE = "tests/test_cli.py::test_usage_surface"
+BEFORE_INPUT = ("tests/test_cli.py::"
+                "test_option_values_checked_before_input_is_read")
 
 MUTANTS = (
     Mutant("pool depth + 1", "grading.py", "run.top_k(query_id, depth)",
@@ -140,6 +142,20 @@ MUTANTS = (
            'if kind in ("file", "out") and os.path.isdir(text):',
            'if kind == "out" and os.path.isdir(text):',
            "tests/test_cli.py::test_file_options_reject_a_directory"),
+    Mutant("a list item left unchecked", "cli.py",
+           "return tuple(map(self.convert, given))",
+           "return (self.convert(given[0]), *given[1:])",
+           f"{BEFORE_INPUT}[argv-agreement-min-answers]"),
+    Mutant("--policy passed through unconverted", "cli.py",
+           "return parse_policy(text)", "return text",
+           f"{BEFORE_INPUT}[argv-cover]"),
+    Mutant("a config boolean accepted unchecked", "cli.py",
+           "state = _BOOLEANS.get(text.strip().lower())",
+           "state = _BOOLEANS.get(text.strip().lower(), True)",
+           f"{USAGE}[flag-by-config-checked]"),
+    Mutant("atomic_write leaving its temporary file", "cli.py",
+           "os.unlink(tmp)", "pass", "tests/test_cli.py::"
+           "test_atomic_write_removes_its_temporary_file_on_failure"),
 )
 
 

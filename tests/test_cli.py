@@ -59,21 +59,6 @@ def test_config_file_parsing(tmp_path):
     assert read_config_file(path) == {"depth": "10", "policy": "rate:4"}
 
 
-def test_unknown_subcommand_exits_one(capsys):
-    assert main(["frobnicate"]) == 1
-    assert "No such command" in capsys.readouterr().err
-
-
-def test_missing_required_flag_exits_one(capsys):
-    assert main(["cover"]) == 1
-    err = capsys.readouterr().err
-    assert "--bank" in err or "Missing option" in err
-
-
-def test_help_exits_zero():
-    assert main(["--help"]) == 0
-
-
 @pytest.mark.parametrize("depth", ["0", "-1"])
 @pytest.mark.parametrize("command", ["grade", "cover", "leaderboard"])
 def test_depth_below_one_rejected(tmp_path, capsys, command, depth, out):
@@ -98,16 +83,19 @@ def test_depth_below_one_rejected(tmp_path, capsys, command, depth, out):
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys, out):
+    # A key is a long option name, so the parameter that an option fills
+    # (`bank_path` for --bank, `fmt` for --format) names none.
     conf = tmp_path / "exam.conf"
-    conf.write_text("colapse = binary\n")
-    capsys.readouterr()
-    assert main(["--config", str(conf), "agreement",
-                 "--labels", str(out / "exam.qrels"),
-                 "--judgments", str(out / "exam.qrels")]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (f"error: {conf}: unknown config key 'colapse': "
-                            f"it names no option of any command\n")
+    for key in ("colapse", "bank_path", "fmt"):
+        conf.write_text(f"{key} = binary\n")
+        capsys.readouterr()
+        assert main(["--config", str(conf), "agreement",
+                     "--labels", str(out / "exam.qrels"),
+                     "--judgments", str(out / "exam.qrels")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {conf}: unknown config key {key!r}: "
+                                f"it names no option of any command\n")
 
 
 def test_readme_names_exactly_the_cli_options():
@@ -129,6 +117,8 @@ def test_readme_names_exactly_the_cli_options():
 COVER = ["cover", "--bank", "{out}/bank.json", "--run", "{tmp}/runs/sysA.run",
          "--grades", "{out}/grades.jsonl.gz", "--policy", "rate:4"]
 BOARD = ["leaderboard", "--bank", "{out}/bank.json",
+         "--grades", "{out}/grades.jsonl.gz", "--policy", "rate:4"]
+QRELS = ["qrels", "--bank", "{out}/bank.json",
          "--grades", "{out}/grades.jsonl.gz", "--policy", "rate:4"]
 BOTH_RUNS = "{tmp}/runs/sysA.run {tmp}/runs/sysB.run"
 SUMMARIES = {
@@ -175,6 +165,24 @@ SUMMARIES = {
     ([*BOARD, "--runs", "{tmp}/runs/sysA.run", "--runs",
       "{tmp}/runs/sysB.run"], None, 0, "out", "\nsysA\t1.0000"),
     (BOARD, f"runs = {BOTH_RUNS}", 0, "out", "\nsysB\t0.0000"),
+    (["-v"], None, 1, "err", "Error: Missing command.\n"),
+    ([*COVER, "extra1", "extra2"], None, 1, "err",
+     "Error: Got unexpected extra arguments (extra1 extra2)\n"),
+    ([*COVER, "extra1"], None, 1, "err",
+     "Error: Got unexpected extra argument (extra1)\n"),
+    ([*COVER, "--", "--depth"], None, 1, "err",
+     "Error: Got unexpected extra argument (--depth)\n"),
+    (COVER, "depth 5", 1, "err",
+     "error: {tmp}/exam.conf:1: expected 'key = value'\n"),
+    (["covr"], None, 1, "err",
+     "Error: No such command 'covr'. Did you mean 'cover'?\n"),
+    (["--help"], None, 0, "out", "Exam-style evaluation of retrieval system"),
+    (QRELS, "graded = yes", 0, "out", "q1 0 pA1 5\n"),
+    (QRELS, "graded = false", 0, "out", "q1 0 pA1 1\n"),
+    (QRELS, "graded = maybe", 1, "err",
+     "Error: Invalid value for '--graded': 'maybe' is not a valid boolean. "
+     "Recognized values: '', '0', '1', 'f', 'false', 'n', 'no', 'off', "
+     "'on', 't', 'true', 'y', 'yes'.\n"),
     *(([name, "--help"], None, 0, "out", summary)
       for name, summary in SUMMARIES.items()),
 ], ids=["no-command", "unknown-command", "unknown-option", "prefix",
@@ -182,7 +190,11 @@ SUMMARIES = {
         "non-integer", "depth-0", "depth-minus-1", "missing-path",
         "required-by-config", "flag-over-config", "config-checked",
         "last-value-wins", "last-value-checked", "runs-repeated",
-        "runs-in-config", *(f"help-{name}" for name in SUMMARIES)])
+        "runs-in-config", "verbose-without-command", "extra-arguments",
+        "extra-argument", "option-after-double-dash",
+        "config-line-without-equals", "mistyped-command", "help",
+        "flag-by-config", "flag-off-by-config", "flag-by-config-checked",
+        *(f"help-{name}" for name in SUMMARIES)])
 def test_usage_surface(tmp_path, capsys, out, argv, config, code, stream,
                        fragment):
     fill = lambda text: text.format(out=out, tmp=tmp_path)
@@ -225,9 +237,7 @@ def test_file_options_reject_a_directory(tmp_path, capsys):
     ("policy = qa\npolicy = rate:4\n", "policy"),
     ("max-input-tokens = 64\n# budget\nmax_input_tokens = 128\n",
      "max_input_tokens"),
-    ("bank = a.json\nbank_path = b.json\n", "bank"),
-    ("format = tsv\nfmt = table\n", "format"),
-], ids=["repeated", "dash-and-underscore", "parameter-name", "fmt"])
+], ids=["repeated", "dash-and-underscore"])
 def test_config_key_given_twice_rejected(tmp_path, capsys, out, text, key):
     conf = tmp_path / "exam.conf"
     conf.write_text(text)
@@ -370,6 +380,15 @@ def test_atomic_write_leaves_a_new_file_the_umask_mode(tmp_path, umask, mode):
     assert stat.S_IMODE(path.stat().st_mode) == mode
     assert path.read_text() == "x"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_atomic_write_removes_its_temporary_file_on_failure(tmp_path):
+    # A file cannot replace a directory, so the rename fails.
+    (tmp_path / "out").mkdir()
+    with pytest.raises(IsADirectoryError):
+        atomic_write(tmp_path / "out", "x")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_atomic_write_keeps_an_existing_files_mode(tmp_path):
@@ -672,9 +691,9 @@ class TestPipeline:
     def test_config_keys_reach_every_option(self, tmp_path, capsys, out):
         runs = tmp_path / "runs"
         conf = tmp_path / "exam.conf"
-        # Long option names, with - or _, or the parameter's own name.
+        # Long option names, with - or _.
         conf.write_text(f"judgments = {out / 'exam.qrels'}\n"
-                        f"collapse = binary\nfmt = table\n"
+                        f"collapse = binary\nformat = table\n"
                         f"judgment-rel-min = 1\n"
                         f"runs = {runs / 'sysA.run'} {runs / 'sysB.run'}\n"
                         f"bank = {out / 'bank.json'}\n"
@@ -999,15 +1018,19 @@ def test_bad_input_error_names_its_file(tmp_path, capsys, out):
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+BAD_COLLAPSE = ("Invalid value for '--collapse': {!r} is not one of "
+                "'graded', 'lenient', 'binary', 'strict'.")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["generate", "--template", "qa"], "'--template': 'qa' is not one of"),
     (["leaderboard", "--metric", "p20"], "'--metric': 'p20' is not one of"),
-    (["agreement", "--min-answers", "1,0"], "min_answers must be >= 1, got 0"),
+    (["agreement", "--min-answers", "1,0"],
+     "Invalid value for '--min-answers': 0 is not in the range x>=1."),
     (["qrels", "--graded", "--policy", "qa"],
      "--graded needs a rate:<min_rating> policy"),
     (["agreement", "--min-answers", "1,x"],
-     "bad --min-answers '1,x'; expected comma-separated integers, such as "
-     "1,2,5"),
+     "Invalid value for '--min-answers': 'x' is not a valid integer range."),
     (["cover", "--policy", "rate:6"], "min_rating must be in [1, 5], got 6"),
     (["cover", "--policy", "rate:x"],
      "bad policy 'rate:x'; expected 'qa' or 'rate:<min_rating>', "
@@ -1018,16 +1041,15 @@ def test_bad_input_error_names_its_file(tmp_path, capsys, out):
     (["generate", "--template", "dl", "--max-input-tokens", "100"],
      "No such option"),
     (["agreement", "--labels", "{out}/exam.qrels",
-      "--collapse", "lenient,bogus"], "unknown collapse name 'bogus'"),
+      "--collapse", "lenient,bogus"], BAD_COLLAPSE.format("bogus")),
     (["agreement", "--collapse", "bogus", "--min-answers", "1"],
-     "unknown collapse name 'bogus'"),
+     BAD_COLLAPSE.format("bogus")),
     (["agreement", "--labels", "{out}/exam.qrels", "--collapse", ""],
-     "--collapse '' names no collapse; give one or more of binary, graded, "
-     "lenient, strict"),
+     BAD_COLLAPSE.format("")),
     (["agreement", "--labels", "{out}/exam.qrels", "--collapse", " , "],
-     "--collapse ' , ' names no collapse"),
+     BAD_COLLAPSE.format("")),
     (["agreement", "--collapse", ",", "--min-answers", "1"],
-     "--collapse ',' names no collapse"),
+     BAD_COLLAPSE.format("")),
 ], ids=["template", "metric", "min-answers-sweep", "graded-qa",
         "min-answers-sweep-not-int", "min-rating", "min-rating-not-int",
         "min-answers-not-int", "generate-max-input-tokens", "collapse",
@@ -1058,6 +1080,53 @@ def test_bad_flag_value_exits_one(tmp_path, capsys, argv, message, out):
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
     assert not (out / "bank2.json").exists()
+
+
+# Every input named is malformed, so an error about anything but the
+# options would show that an input was read first.
+@pytest.mark.parametrize("argv, message", [
+    (["cover", "--bank", "{bad}", "--run", "{bad}", "--grades", "{bad}",
+      "--policy", "rate:9"],
+     "Invalid value for '--policy': min_rating must be in [1, 5], got 9."),
+    (["qrels", "--bank", "{bad}", "--grades", "{bad}", "--policy", "rate:x"],
+     "Invalid value for '--policy': bad policy 'rate:x'; expected 'qa' or "
+     "'rate:<min_rating>', optionally followed by '+min-answers=<n>'."),
+    (["leaderboard", "--bank", "{bad}", "--runs", "{bad}", "--grades", "{bad}",
+      "--policy", "qa+min-answers=0"],
+     "Invalid value for '--policy': min_answers must be >= 1, got 0."),
+    (["diff", "--old", "{bad}", "--new", "{bad}", "--grades", "{bad}",
+      "--policy", "rate:0"],
+     "Invalid value for '--policy': min_rating must be in [1, 5], got 0."),
+    (["agreement", "--judgments", "{bad}", "--labels", "{bad}",
+      "--collapse", "lenient,bogus"], BAD_COLLAPSE.format("bogus")),
+    (["agreement", "--judgments", "{bad}", "--grades", "{bad}",
+      "--bank", "{bad}", "--policy", "rate:4", "--min-answers", "1,x"],
+     "Invalid value for '--min-answers': 'x' is not a valid integer range."),
+    (["agreement", "--judgments", "{bad}", "--grades", "{bad}",
+      "--bank", "{bad}", "--min-answers", "2", "--policy", "rate:9"],
+     "Invalid value for '--policy': min_rating must be in [1, 5], got 9."),
+    (["agreement", "--judgments", "{bad}", "--labels", "{bad}",
+      "--min-answers", "1"],
+     "--min-answers requires --grades, --bank and --policy."),
+    (["agreement", "--judgments", "{bad}"],
+     "Nothing to do: supply --labels, --min-answers or both."),
+], ids=["cover", "qrels", "leaderboard", "diff", "agreement-collapse",
+        "agreement-min-answers", "agreement-policy",
+        "agreement-min-answers-alone", "agreement-nothing-to-do"])
+@pytest.mark.parametrize("source", ["argv", "config"])
+def test_option_values_checked_before_input_is_read(tmp_path, capsys, argv,
+                                                    message, source):
+    bad = tmp_path / "bad"
+    bad.write_text("not an input\n")
+    argv = [arg.format(bad=bad) for arg in argv]
+    head = []
+    if source == "config":     # the last option and its value
+        (tmp_path / "exam.conf").write_text(f"{argv[-2][2:]} = {argv[-1]}\n")
+        argv, head = argv[:-2], ["--config", str(tmp_path / "exam.conf")]
+    assert main([*head, *argv]) == 1
+    assert capsys.readouterr() == ("", (
+        f"Usage: exam-eval {argv[0]} [OPTIONS]\n"
+        f"Try 'exam-eval {argv[0]} --help' for help.\n\nError: {message}\n"))
 
 
 def test_grade_with_nothing_to_grade_leaves_an_empty_store(tmp_path, capsys):

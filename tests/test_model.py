@@ -9,7 +9,6 @@ from exam_eval.formats import (
     ParseError,
     load_queries,
     parse_question_bank,
-    parse_run_file,
 )
 from exam_eval.model import (
     ContractViolation,
@@ -111,22 +110,6 @@ def test_question_bank_rejects_duplicates_and_mismatched_keys():
                                               "text": "A?"}]},
             {"query_id": "q2", "questions": [{"question_id": "qq1",
                                               "text": "B?"}]}]}))
-
-
-def test_run_rank_and_duplicate_validation():
-    with pytest.raises(ParseError, match="rank must be >= 1"):
-        parse_run_file("q1 Q0 p1 0 1.0 t\n")
-    with pytest.raises(ParseError, match="passage 'p1' listed twice"):
-        parse_run_file("q1 Q0 p1 1 2.0 t\nq1 Q0 p1 2 1.0 t\n")
-    # Rows out of rank order are sorted, not rejected.
-    run = parse_run_file("q1 Q0 p1 2 2.0 t\nq1 Q0 p2 1 1.0 t\n")
-    assert run.by_query == {"q1": ["p2", "p1"]}
-
-
-def test_run_rejects_rank_below_one():
-    with pytest.raises(ParseError, match="rank must be >= 1") as excinfo:
-        parse_run_file("q1 Q0 p1 0 1.0 t\n")
-    assert excinfo.value.line_no == 1
 
 
 def test_policy_and_cover_config_bounds():
