@@ -245,7 +245,10 @@ def read_config_file(path: str) -> dict[str, str]:
              for option in options}
     values: dict[str, str] = {}
     line_of: dict[str, int] = {}
-    text = Path(path).read_text(encoding="utf-8-sig")
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ContractViolation(f"{path}: {exc}") from None
     for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):

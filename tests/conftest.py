@@ -1,5 +1,6 @@
 import contextlib
 import http.server
+import itertools
 import json
 import os
 import subprocess
@@ -131,6 +132,9 @@ def stored_grades(store: GradeStore) -> list:
 
 QUERY_IDS = ("q0", "q1", "q2")
 PASSAGE_IDS = tuple(f"p{i}" for i in range(8))
+PAIR_KEYS = tuple(itertools.product(QUERY_IDS, PASSAGE_IDS, range(5)))
+# A grade's key and the query whose question it grades.
+MISFILED_KEYS = tuple(itertools.product(PAIR_KEYS, QUERY_IDS))
 
 
 @st.composite
@@ -139,10 +143,12 @@ def run_files(draw, tag):
     lines in random order."""
     lines = []
     for query_id in QUERY_IDS:
-        pids = draw(st.lists(st.sampled_from(PASSAGE_IDS), min_size=1,
-                             unique=True))
-        ranks = draw(st.lists(st.integers(1, 99), min_size=len(pids),
-                              max_size=len(pids), unique=True))
+        # The first passages of a permutation, ranked by drawn gaps: few
+        # draws per query.
+        pids = draw(st.permutations(PASSAGE_IDS))[
+            :draw(st.integers(1, len(PASSAGE_IDS)))]
+        ranks = itertools.accumulate(draw(st.lists(
+            st.integers(1, 12), min_size=len(pids), max_size=len(pids))))
         lines += [f"{query_id} Q0 {p} {r} {1.0 / r:.4f} {tag}\n"
                   for p, r in zip(pids, ranks)]
     return "".join(draw(st.permutations(lines)))
@@ -158,13 +164,12 @@ def scoring_inputs(draw):
     bank = QuestionBank({q: tuple(
         ExamQuestion(f"{q}/q/{i}", q, f"Q{i}?")
         for i in range(draw(st.integers(0, 4)))) for q in QUERY_IDS})
-    pair_keys = st.tuples(st.sampled_from(QUERY_IDS),
-                          st.sampled_from(PASSAGE_IDS), st.integers(0, 4))
+    # A key is one draw of all (query, passage, question index) triples.
+    pair_keys = st.sampled_from(PAIR_KEYS)
     ratings = draw(st.dictionaries(pair_keys, st.integers(0, 5), max_size=60))
     verdicts = draw(st.dictionaries(pair_keys, st.booleans(), max_size=10))
     misfiled = draw(st.dictionaries(
-        st.tuples(pair_keys, st.sampled_from(QUERY_IDS)), st.integers(0, 5),
-        max_size=10))
+        st.sampled_from(MISFILED_KEYS), st.integers(0, 5), max_size=10))
     grades = [rated(q, p, f"{q}/q/{i}", r) for (q, p, i), r in ratings.items()]
     grades += [verified(q, p, f"{q}/q/{i}", v)
                for (q, p, i), v in verdicts.items()]

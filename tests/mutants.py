@@ -6,10 +6,14 @@ tests that must then fail. Run it, with the test dependencies, as
 Each mutant is applied to a copy of `src/`, `tests/`, `pyproject.toml` and
 `README.md` (tests read the README) in a temporary directory, as many at
 once as there are CPUs. The script exits 1 when a mutant survives, when a
-selection does not run, or when a row's old text does not occur exactly
-once in its file; `tests/test_suite.py` checks the last in tier-1.
+selection does not run, when a row's old text does not occur exactly once
+in its file, or when a row's selection names a test file, class or
+function that does not exist; `tests/test_suite.py` checks the last two in
+tier-1.
 """
+import ast
 import concurrent.futures
+import functools
 import os
 import shutil
 import subprocess
@@ -45,6 +49,9 @@ MODULES = "tests/test_cli.py::test_commands_load_only_the_modules_they_run"
 USAGE = "tests/test_cli.py::test_usage_surface"
 BEFORE_INPUT = ("tests/test_cli.py::"
                 "test_option_values_checked_before_input_is_read")
+CORPUS = "tests/test_grading.py::TestGradeCorpus"
+HTTP = "tests/test_gateway.py::TestHttpBackend"
+PORTER = "tests/test_porter.py::test_matches_reference_with_suffixes"
 
 MUTANTS = (
     Mutant("pool depth + 1", "grading.py", "run.top_k(query_id, depth)",
@@ -156,11 +163,95 @@ MUTANTS = (
     Mutant("atomic_write leaving its temporary file", "cli.py",
            "os.unlink(tmp)", "pass", "tests/test_cli.py::"
            "test_atomic_write_removes_its_temporary_file_on_failure"),
+    Mutant("a config file that is not UTF-8 reported without its name",
+           "cli.py", 'raise ContractViolation(f"{path}: {exc}") from None',
+           "raise", "tests/test_cli.py::test_bad_input_error_names_its_file"),
+    Mutant("a null official rank rejected", "formats.py",
+           "if rank is None:        # unranked",
+           "if rank is None and False:",
+           "tests/test_cli.py::test_official_ranks_print_in_one_form"),
+    Mutant("an empty batch appended as an empty gzip member", "formats.py",
+           "if data:", "if True:",
+           f"{CORPUS}::test_resume_skips_complete_store"),
+    Mutant("a word for an official rank reported without the file's name",
+           "formats.py", "except (TypeError, ValueError, OverflowError):",
+           "except (TypeError, OverflowError):", "tests/test_cli.py::"
+           "test_malformed_json_input_exits_one[official-rank-word]"),
+    Mutant("a missing input file left to the command to find", "cli.py",
+           "if not os.path.exists(text):", "if False:",
+           f"{USAGE}[missing-path]"),
+    Mutant("a backend error aborting the corpus", "grading.py",
+           "except (gateway.BackendError, gateway.BudgetExceeded) as exc:",
+           "except gateway.BudgetExceeded as exc:",
+           f"{CORPUS}::test_failures_go_to_skip_log"),
+    Mutant("a question over budget aborting the corpus", "grading.py",
+           "except (gateway.BackendError, gateway.BudgetExceeded) as exc:",
+           "except gateway.BackendError as exc:",
+           f"{CORPUS}::test_question_over_budget_is_skip_logged"),
+    Mutant("a question without a gold answer sent to the backend",
+           "grading.py",
+           "if mode == QA_VERIFIED and not question.supports_verification:",
+           "if mode == QA_VERIFIED and False:",
+           f"{CORPUS}::test_question_without_gold_answer_sends_no_request"),
+    Mutant("a pair already in the store graded again", "grading.py",
+           "mode) in existing:", "mode) in ():",
+           f"{CORPUS}::test_resume_skips_complete_store"),
+    Mutant("a 5xx reply not retried", "gateway.py",
+           "if resp.status in (429, 500, 502, 503, 504):",
+           "if resp.status == 429:",
+           f"{HTTP}::test_exhausted_retries_surface_error"),
+    Mutant("a malformed 200 reply retried", "gateway.py",
+           "except (ValueError, LookupError, TypeError) as exc:",
+           "except (ValueError, LookupError, TypeError) as exc:\n"
+           "                    last_error = exc\n"
+           "                    continue",
+           f"{HTTP}::test_malformed_reply_fails_fast"),
+    Mutant("a step-2 suffix missing from its gate", "porter.py",
+           "_STEP2_SUFFIXES = tuple(suffix for suffix, _ in _STEP2)",
+           "_STEP2_SUFFIXES = tuple(suffix for suffix, _ in _STEP2[:-1])",
+           PORTER),
+    Mutant("a step-3 suffix missing from its gate", "porter.py",
+           "_STEP3_SUFFIXES = tuple(suffix for suffix, _ in _STEP3)",
+           "_STEP3_SUFFIXES = tuple(suffix for suffix, _ in _STEP3[1:])",
+           PORTER),
+    Mutant("_has_vowel ignoring y", "porter.py",
+           ' or "y" in stem[1:]', "", PORTER),
+    Mutant("_measure counting a leading y as a vowel", "porter.py",
+           '(ch == "y" and i > 0 and not vowel)', '(ch == "y" and not vowel)',
+           PORTER),
+    Mutant("step 4 taking -ion after any letter but s", "porter.py",
+           'stem_part.endswith(("s", "t"))', 'stem_part.endswith("s")',
+           PORTER),
 )
 
 
+@functools.cache
+def _statements(path: str) -> list | None:
+    """The top-level statements of a test file, or None where there is none."""
+    file = ROOT / path
+    return ast.parse(file.read_text(encoding="utf-8")).body \
+        if file.is_file() else None
+
+
+def _missing_test(node_id: str) -> str | None:
+    """The first part of a pytest node id (its file, then classes and a
+    function; a parameter id is not checked) that names nothing, or None."""
+    path, *names = node_id.split("[")[0].split("::")
+    scope = _statements(path)
+    if scope is None:
+        return path
+    for name in names:
+        found = [node for node in scope if isinstance(
+            node, (ast.ClassDef, ast.FunctionDef)) and node.name == name]
+        if not found:
+            return name
+        scope = found[0].body
+    return None
+
+
 def table_errors() -> list[str]:
-    """A line for each row whose old text does not occur exactly once."""
+    """A line for each row whose old text does not occur exactly once, and
+    for each test a row selects that does not exist."""
     errors = []
     for mutant in MUTANTS:
         source = ROOT / "src" / "exam_eval" / mutant.file
@@ -168,6 +259,11 @@ def table_errors() -> list[str]:
         if count != 1:
             errors.append(f"{mutant.name}: old text occurs {count} times in "
                           f"{source.relative_to(ROOT)}")
+        for node_id in mutant.selection.split():
+            missing = _missing_test(node_id)
+            if missing:
+                errors.append(f"{mutant.name}: {node_id} selects no test: "
+                              f"{missing} does not exist")
     return errors
 
 

@@ -63,21 +63,15 @@ def test_config_file_parsing(tmp_path):
 @pytest.mark.parametrize("command", ["grade", "cover", "leaderboard"])
 def test_depth_below_one_rejected(tmp_path, capsys, command, depth, out):
     store = tmp_path / "new.jsonl.gz"
-    inputs = {
-        "grade": ["--runs", str(tmp_path / "runs"),
-                  "--passages", str(tmp_path / "passages.json"),
-                  "--mode", "rate", "--store", str(store),
-                  "--mock", str(tmp_path / "grade_mock.json")],
-        "cover": ["--run", str(tmp_path / "runs" / "sysA.run"),
-                  "--grades", str(out / "grades.jsonl.gz"),
-                  "--policy", "rate:4"],
-        "leaderboard": ["--runs", str(tmp_path / "runs"),
-                        "--grades", str(out / "grades.jsonl.gz"),
-                        "--policy", "rate:4"],
+    argv = {
+        "grade": grade_argv(tmp_path, out / "bank.json", store),
+        "cover": ["cover", *scoring_argv(out),
+                  "--run", str(tmp_path / "runs" / "sysA.run")],
+        "leaderboard": ["leaderboard", *scoring_argv(out),
+                        "--runs", str(tmp_path / "runs")],
     }[command]
     capsys.readouterr()
-    assert main([command, "--bank", str(out / "bank.json"), *inputs,
-                 "--depth", depth]) == 1
+    assert main([*argv, "--depth", depth]) == 1
     assert "--depth" in capsys.readouterr().err
     assert not store.exists()
 
@@ -247,101 +241,24 @@ def test_config_key_given_twice_rejected(tmp_path, capsys, out, text, key):
         read_config_file(conf)
     assert str(raised.value) == message
     capsys.readouterr()
-    assert main(["--config", str(conf), "qrels", "--bank",
-                 str(out / "bank.json"), "--grades",
-                 str(out / "grades.jsonl.gz"), "--policy", "rate:4"]) == 1
+    assert main(["--config", str(conf), "qrels", *scoring_argv(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
-
-
-
-@pytest.mark.parametrize("name, content, message", [
-    ("bank", {"queries": [["q1"]]}, "'queries' must be a list of objects"),
-    ("bank", {"queries": {"query_id": "q1"}},
-     "'queries' must be a list of objects"),
-    ("bank", {"queries": [{"query_id": "q1", "questions": ["What?"]}]},
-     "questions of query 'q1' must be a list of objects"),
-    ("queries", [{"title": "topic one"}], "with 'query_id' and 'title'"),
-    ("queries", [{"query_id": "q1"}], "with 'query_id' and 'title'"),
-    ("queries", {"query_id": "q1", "title": "t"},
-     "with 'query_id' and 'title'"),
-    ("queries", [{"query_id": "q1", "title": "t", "facets": [{"title": "f"}]}],
-     "facets of query 'q1' must be a list of objects"),
-    ("official", ["sysA", "sysB"],
-     "expected a JSON object mapping system name to official rank"),
-    ("official", {"sysA": 1, "sysB": [2]},
-     "official rank of 'sysB' must be a number or null, got [2]"),
-    ("official", {"sysA": 1, "sysB": {"rank": 2}},
-     "official rank of 'sysB' must be a number or null"),
-    ("official", {"sysA": 1, "sysB": "second"},
-     "official rank of 'sysB' must be a number or null, got 'second'"),
-    ("official", {"sysA": 1, "sysB": True},
-     "official rank of 'sysB' must be a number or null, got True"),
-    ("official", {"sysA": False, "sysB": 2},
-     "official rank of 'sysA' must be a number or null, got False"),
-    ("official", {"sysA": 1, "sysB": "NaN"},
-     "official rank of 'sysB' must be a number or null, got 'NaN'"),
-    ("official", {"sysA": 1, "sysB": math.nan},
-     "official rank of 'sysB' must be a number or null, got nan"),
-    ("official", {"sysA": "inf", "sysB": 2},
-     "official rank of 'sysA' must be a number or null, got 'inf'"),
-], ids=["queries-of-lists", "queries-object", "question-string",
-        "query-without-id", "query-without-title", "queries-object-file",
-        "facet-without-id", "official-list", "official-rank-list",
-        "official-rank-object", "official-rank-word", "official-rank-true",
-        "official-rank-false", "official-rank-nan-string",
-        "official-rank-nan", "official-rank-inf-string"])
-def test_malformed_json_input_exits_one(tmp_path, capsys, name, content,
-                                        message, out):
-    bad = tmp_path / f"bad_{name}.json"
-    bad.write_text(json.dumps(content))
-    argv = {
-        "bank": ["cover", "--bank", str(bad),
-                 "--run", str(tmp_path / "runs" / "sysA.run"),
-                 "--grades", str(out / "grades.jsonl.gz"),
-                 "--policy", "rate:4"],
-        "queries": ["generate", "--queries", str(bad), "--template", "car",
-                    "--mock", str(tmp_path / "gen_mock.json"),
-                    "--out", str(out / "bank2.json")],
-        "official": ["leaderboard", "--bank", str(out / "bank.json"),
-                     "--runs", str(tmp_path / "runs"),
-                     "--grades", str(out / "grades.jsonl.gz"),
-                     "--policy", "rate:4", "--official", str(bad)],
-    }[name]
-    capsys.readouterr()
-    assert main(argv) == 1
-    [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: ") and message in line
-
-
-def test_official_ranks_numeric_strings_and_null_accepted(tmp_path, out):
-    official = tmp_path / "official_mixed.json"
-    official.write_text(json.dumps({"sysA": "1", "sysB": None}))
-    assert main(["leaderboard", "--bank", str(out / "bank.json"),
-                 "--runs", str(tmp_path / "runs"),
-                 "--grades", str(out / "grades.jsonl.gz"),
-                 "--policy", "rate:4", "--official", str(official),
-                 "--out", str(out / "mixed.tsv")]) == 0
-    ranks = {fields[0]: fields[3] for fields in (
-        line.split("\t") for line in
-        (out / "mixed.tsv").read_text().splitlines()[1:])}
-    assert ranks == {"sysA": "1", "sysB": "", "_overall_": ""}
 
 
 @pytest.mark.parametrize("content, printed", [
     ({"sysA": 1.0, "sysB": "2"}, ("1", "2")),
     ({"sysA": "1.0", "sysB": 2}, ("1", "2")),
     ({"sysA": 2.5, "sysB": "1e0"}, ("2.5", "1")),
-    ({"sysA": "0.25", "sysB": 3e1}, ("0.25", "30"))])
+    ({"sysA": "0.25", "sysB": 3e1}, ("0.25", "30")),
+    ({"sysA": "1", "sysB": None}, ("1", ""))])
 def test_official_ranks_print_in_one_form(tmp_path, content, printed, out):
     # An integral rank prints as an integer, any other in its shortest
-    # form, however the JSON file spells it.
+    # form, however the JSON file spells it; a null rank prints as nothing.
     official = tmp_path / "official_forms.json"
     official.write_text(json.dumps(content))
-    assert main(["leaderboard", "--bank", str(out / "bank.json"),
-                 "--runs", str(tmp_path / "runs"),
-                 "--grades", str(out / "grades.jsonl.gz"),
-                 "--policy", "rate:4", "--official", str(official),
-                 "--out", str(out / "forms.tsv")]) == 0
+    assert main(["leaderboard", *scoring_argv(out),
+                 "--runs", str(tmp_path / "runs"), "--official",
+                 str(official), "--out", str(out / "forms.tsv")]) == 0
     ranks = {fields[0]: fields[3] for fields in (
         line.split("\t") for line in
         (out / "forms.tsv").read_text().splitlines()[1:])}
@@ -415,11 +332,7 @@ def test_backend_flag_ranges_rejected(tmp_path, capsys, command, flag,
         "generate": ["generate", "--queries", str(tmp_path / "queries.json"),
                      "--template", "dl", "--mock",
                      str(tmp_path / "gen_mock.json"), "--out", str(target)],
-        "grade": ["grade", "--bank", str(out / "bank.json"),
-                  "--runs", str(tmp_path / "runs"),
-                  "--passages", str(tmp_path / "passages.json"),
-                  "--mode", "rate", "--mock", str(tmp_path / "grade_mock.json"),
-                  "--store", str(target)],
+        "grade": grade_argv(tmp_path, out / "bank.json", target),
     }[command]
     capsys.readouterr()
     assert main([*argv, flag, value]) == 1
@@ -461,16 +374,10 @@ def test_commands_load_only_the_modules_they_run(tmp_path, out):
         json.dumps({"sysA": 1, "sysB": 3, "sysC": 2}))
     helps = [["--help"], *([name, "--help"] for name in sorted(COMMANDS))]
     scoring = [
-        ["cover", "--bank", str(out / "bank.json"),
-         "--run", str(tmp_path / "runs" / "sysC.run"),
-         "--grades", str(out / "grades.jsonl.gz"), "--policy", "rate:4",
-         "--out", str(out / "cover3.tsv")],
-        ["qrels", "--bank", str(out / "bank.json"),
-         "--grades", str(out / "grades.jsonl.gz"), "--policy", "rate:4",
-         "--out", str(out / "exam3.qrels")],
-        ["leaderboard", "--bank", str(out / "bank.json"),
-         "--runs", str(tmp_path / "runs"),
-         "--grades", str(out / "grades.jsonl.gz"), "--policy", "rate:4",
+        ["cover", *scoring_argv(out), "--run",
+         str(tmp_path / "runs" / "sysC.run"), "--out", str(out / "cover.tsv")],
+        ["qrels", *scoring_argv(out), "--out", str(out / "exam3.qrels")],
+        ["leaderboard", *scoring_argv(out), "--runs", str(tmp_path / "runs"),
          "--official", str(tmp_path / "official.json"),
          "--out", str(out / "lb3.tsv")],
         ["correlate", "--a", str(out / "lb3.tsv"), "--b", str(out / "lb3.tsv")],
@@ -514,10 +421,8 @@ def test_corrupt_store_reported(tmp_path, capsys, data):
     store_path.write_bytes(data)
     with pytest.raises(ParseError, match="corrupt grade store"):
         GradeStore(store_path).read()
-    bank_path = tmp_path / "bank.json"
-    bank_path.write_text(save_question_bank(QuestionBank({})))
-    assert main(["qrels", "--bank", str(bank_path), "--grades",
-                 str(store_path), "--policy", "rate:4"]) == 1
+    (tmp_path / "bank.json").write_text(save_question_bank(QuestionBank({})))
+    assert main(["qrels", *scoring_argv(tmp_path)]) == 1
     assert f"error: corrupt grade store {store_path}" \
         in capsys.readouterr().err
 
@@ -561,9 +466,7 @@ def test_non_ascii_text_round_trips_in_any_locale(tmp_path):
     # What a command prints is UTF-8 too, where ASCII cannot spell it.
     done = subprocess.run(
         [sys.executable, "-c", RUN_MAIN, "leaderboard",
-         "--bank", str(tmp_path / "bank.json"),
-         "--runs", str(tmp_path / "runs"),
-         "--grades", str(tmp_path / "grades.jsonl.gz"), "--policy", "rate:4"],
+         *scoring_argv(tmp_path), "--runs", str(tmp_path / "runs")],
         capture_output=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.decode("utf-8").splitlines()[2] \
@@ -636,6 +539,23 @@ def run_pipeline(root, out):
         assert main(step) == 0, f"step failed: {step[0]}"
 
 
+def grade_argv(root, bank, store, *extra, mode="rate",
+               mock="grade_mock.json"):
+    """`grade` of the runs and passages in `root`, with the mock fixture
+    `root / mock` unless that is None."""
+    backend = ["--mock", str(root / mock)] if mock else []
+    return ["grade", "--bank", str(bank), "--runs", str(root / "runs"),
+            "--passages", str(root / "passages.json"), "--mode", mode,
+            *backend, *extra, "--store", str(store)]
+
+
+def scoring_argv(folder):
+    """The options of a scoring command on `bank.json` and
+    `grades.jsonl.gz` in `folder`, under the policy rate:4."""
+    return ["--bank", str(folder / "bank.json"),
+            "--grades", str(folder / "grades.jsonl.gz"), "--policy", "rate:4"]
+
+
 @pytest.fixture
 def out(tmp_path):
     """The mock pipeline run in `tmp_path`: its inputs there and its
@@ -650,43 +570,17 @@ ARTIFACTS = ["bank.json", "grades.jsonl.gz", "exam.qrels",
 
 
 class TestPipeline:
-    def test_bank_with_int_ids_writes_no_store(self, tmp_path, capsys):
+    def test_bank_with_int_ids_writes_no_store(self, tmp_path, capsys,
+                                               completions):
         # Reading rejects non-string ids, so grading must not store them.
         write_pipeline_inputs(tmp_path)
         bank = tmp_path / "bank.json"
         bank.write_text(json.dumps({"queries": [{"query_id": "q1", "questions": [
             {"question_id": 7, "text": "First question?"}]}]}))
         store = tmp_path / "grades.jsonl.gz"
-        assert main([
-            "grade", "--bank", str(bank), "--runs", str(tmp_path / "runs"),
-            "--passages", str(tmp_path / "passages.json"),
-            "--mode", "rate", "--mock", str(tmp_path / "grade_mock.json"),
-            "--store", str(store)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {bank}: question_id in query 'q1' must be a non-empty "
-            f"string, got 7\n")
-        assert not store.exists()
-
-    def test_grade_rerun_is_idempotent(self, tmp_path, capsys, out):
-        before = (out / "grades.jsonl.gz").read_bytes()
-        assert main([
-            "grade", "--bank", str(out / "bank.json"),
-            "--runs", str(tmp_path / "runs"),
-            "--passages", str(tmp_path / "passages.json"),
-            "--mode", "rate", "--mock", str(tmp_path / "grade_mock.json"),
-            "--store", str(out / "grades.jsonl.gz")]) == 0
-        assert (out / "grades.jsonl.gz").read_bytes() == before
-        assert "graded 0 pairs" in capsys.readouterr().out
-
-    def test_config_file_supplies_defaults(self, tmp_path, capsys, out):
-        conf = tmp_path / "exam.conf"
-        conf.write_text(f"policy = rate:4\n"
-                        f"bank = {out / 'bank.json'}\n"
-                        f"grades = {out / 'grades.jsonl.gz'}\n")
-        assert main([
-            "--config", str(conf), "cover",
-            "--run", str(tmp_path / "runs" / "sysA.run")]) == 0
-        assert "mean\t1.0000" in capsys.readouterr().out
+        assert_rejected(capsys, completions, grade_argv(tmp_path, bank, store),
+                        f"{bank}: question_id in query 'q1' must be a "
+                        f"non-empty string, got 7", store)
 
     def test_config_keys_reach_every_option(self, tmp_path, capsys, out):
         runs = tmp_path / "runs"
@@ -710,12 +604,6 @@ class TestPipeline:
         assert sorted(row.split("\t")[0] for row in rows) \
             == ["_overall_", "sysA", "sysB"]
 
-    def test_missing_input_file_exits_one(self, tmp_path):
-        assert main(["cover", "--bank", str(tmp_path / "nope.json"),
-                     "--run", str(tmp_path / "nope.run"),
-                     "--grades", str(tmp_path / "nope.gz"),
-                     "--policy", "rate:4"]) == 1
-
     def test_question_without_gold_answer_is_skip_logged(self, tmp_path,
                                                          capsys):
         write_pipeline_inputs(tmp_path)
@@ -724,12 +612,8 @@ class TestPipeline:
             ExamQuestion("q1/q/1", "q1", "And this?"))})
         (tmp_path / "bank.json").write_text(save_question_bank(bank))
         store = tmp_path / "grades.jsonl.gz"
-        assert main([
-            "grade", "--bank", str(tmp_path / "bank.json"),
-            "--runs", str(tmp_path / "runs"),
-            "--passages", str(tmp_path / "passages.json"),
-            "--mode", "qa", "--mock", str(tmp_path / "grade_mock.json"),
-            "--store", str(store)]) == 0
+        assert main(grade_argv(tmp_path, tmp_path / "bank.json", store,
+                               mode="qa")) == 0
         assert "graded 3 pairs (0 already in store, 3 failed)" \
             in capsys.readouterr().out
         pool = ["pA1", "pA2", "pB1"]
@@ -746,11 +630,8 @@ class TestPipeline:
         write_pipeline_inputs(tmp_path)
         bank_path, store = tmp_path / "bank.json", tmp_path / "grades.jsonl.gz"
         skip_log = tmp_path / "grades.jsonl.skipped.jsonl"
-        grade = ["grade", "--bank", str(bank_path),
-                 "--runs", str(tmp_path / "runs" / "sysA.run"),
-                 "--passages", str(tmp_path / "passages.json"),
-                 "--mode", "qa", "--mock", str(tmp_path / "grade_mock.json"),
-                 "--store", str(store)]
+        (tmp_path / "runs" / "sysB.run").unlink()
+        grade = grade_argv(tmp_path, bank_path, store, mode="qa")
         for gold_answer in (None, "alpha"):
             bank = QuestionBank({"q1": (ExamQuestion(
                 "q1/q/0", "q1", "What is it?", gold_answer=gold_answer),)})
@@ -766,15 +647,11 @@ class TestPipeline:
 
     def test_empty_passage_text_dropped(self, tmp_path, capsys, caplog, out):
         # An empty text cannot be graded; the other passages still are.
-        passages = tmp_path / "passages_empty.json"
-        passages.write_text(json.dumps({**PASSAGES, "pB1": ""}))
+        (tmp_path / "passages.json").write_text(
+            json.dumps({**PASSAGES, "pB1": ""}))
         store = tmp_path / "grades.jsonl.gz"
         capsys.readouterr()
-        assert main([
-            "grade", "--bank", str(out / "bank.json"),
-            "--runs", str(tmp_path / "runs"), "--passages", str(passages),
-            "--mode", "rate", "--mock", str(tmp_path / "grade_mock.json"),
-            "--store", str(store)]) == 0
+        assert main(grade_argv(tmp_path, out / "bank.json", store)) == 0
         assert "graded 8 pairs (0 already in store, 0 failed)" \
             in capsys.readouterr().out
         assert "2 pooled passages have no text and were dropped" \
@@ -794,12 +671,8 @@ class TestPipeline:
             for q in ("q1", "q2")})
         (tmp_path / "bank.json").write_text(save_question_bank(bank))
         store = tmp_path / "grades.jsonl.gz"
-        assert main([
-            "grade", "--bank", str(tmp_path / "bank.json"),
-            "--runs", str(tmp_path / "runs"),
-            "--passages", str(tmp_path / "passages.json"),
-            "--mode", "qa", "--mock", str(tmp_path / "grade_mock.json"),
-            "--max-input-tokens", "64", "--store", str(store)]) == 0
+        assert main(grade_argv(tmp_path, tmp_path / "bank.json", store,
+                               "--max-input-tokens", "64", mode="qa")) == 0
         assert "graded 9 pairs (0 already in store, 3 failed)" \
             in capsys.readouterr().out
         pool = ["pA1", "pA2", "pB1"]
@@ -834,10 +707,15 @@ def completions(monkeypatch):
     return sent
 
 
-def grade_argv(root, bank, store, *extra):
-    return ["grade", "--bank", str(bank), "--runs", str(root / "runs"),
-            "--passages", str(root / "passages.json"), *extra,
-            "--store", str(store)]
+def assert_rejected(capsys, completions, argv, error, *unwritten):
+    """`main(argv)` exits 1 and prints nothing but `error: <error>`,
+    having sent no completion request and written none of `unwritten`."""
+    completions.clear()
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert completions == []
+    assert not any(path.exists() for path in unwritten)
 
 
 def test_null_passage_text_is_dropped(tmp_path, capsys, caplog):
@@ -848,8 +726,7 @@ def test_null_passage_text_is_dropped(tmp_path, capsys, caplog):
     (tmp_path / "passages.json").write_text(
         json.dumps({**PASSAGES, "pA1": None}))
     store = tmp_path / "grades.jsonl.gz"
-    assert main(grade_argv(tmp_path, bank, store, "--mode", "rate", "--mock",
-                           str(tmp_path / "grade_mock.json"))) == 0
+    assert main(grade_argv(tmp_path, bank, store)) == 0
     assert "graded 2 pairs (0 already in store, 0 failed)" \
         in capsys.readouterr().out
     assert "2 pooled passages have no text and were dropped" \
@@ -864,23 +741,21 @@ def test_non_string_passage_text_exits_one(tmp_path, capsys, completions,
     passages = tmp_path / "passages.json"
     passages.write_text(json.dumps({**PASSAGES, "pB1": text}))
     store = tmp_path / "new.jsonl.gz"
-    capsys.readouterr()
-    completions.clear()
-    assert main(grade_argv(tmp_path, out / "bank.json", store, "--mode",
-                           "rate", "--mock",
-                           str(tmp_path / "grade_mock.json"))) == 1
-    assert capsys.readouterr().err == (
-        f"error: {passages}: text of passage 'pB1' must be a string or "
-        f"null, got {kind}\n")
-    assert completions == [] and not store.exists()
+    assert_rejected(capsys, completions, grade_argv(
+        tmp_path, out / "bank.json", store), f"{passages}: text of passage "
+        f"'pB1' must be a string or null, got {kind}", store)
 
 
-def test_endpoint_without_scheme_exits_one(tmp_path, capsys, monkeypatch, out):
-
+@pytest.fixture
+def no_http_request(monkeypatch):
+    """Fails the test at any HTTP request."""
     def request(*args, **kwargs):
         raise AssertionError("no request may be sent")
-
     monkeypatch.setattr(http.client.HTTPConnection, "request", request)
+
+
+def test_endpoint_without_scheme_exits_one(tmp_path, capsys, no_http_request,
+                                           out):
     store = tmp_path / "new.jsonl.gz"
     capsys.readouterr()
     for endpoint, message in (
@@ -888,21 +763,16 @@ def test_endpoint_without_scheme_exits_one(tmp_path, capsys, monkeypatch, out):
              "endpoint 'localhost:1/v1/completions' is not an http:// or "
              "https:// URL naming a host"),
             ("", "no backend: give --endpoint or --mock")):
-        assert main(grade_argv(tmp_path, out / "bank.json", store, "--mode",
-                               "rate", "--endpoint", endpoint)) == 1
+        assert main(grade_argv(tmp_path, out / "bank.json", store,
+                               "--endpoint", endpoint, mock=None)) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not store.exists()
 
 
-def test_hostless_proxy_exits_one_before_any_request(tmp_path, capsys,
-                                                     monkeypatch, out):
+def test_hostless_proxy_exits_one_before_any_request(
+        tmp_path, capsys, monkeypatch, no_http_request, out):
     # The proxy is read when the backend is built: before the store is
     # created or locked, and even when nothing is left to grade.
-
-    def request(*args, **kwargs):
-        raise AssertionError("no request may be sent")
-
-    monkeypatch.setattr(http.client.HTTPConnection, "request", request)
     for name in PROXY_VARIABLES:
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.upper(), raising=False)
@@ -913,10 +783,10 @@ def test_hostless_proxy_exits_one_before_any_request(tmp_path, capsys,
     before = graded.read_bytes()
     capsys.readouterr()
     for argv in (
-            grade_argv(tmp_path, out / "bank.json", store, "--mode", "rate",
-                       *endpoint),
-            grade_argv(tmp_path, out / "bank.json", graded, "--mode", "rate",
-                       *endpoint),
+            grade_argv(tmp_path, out / "bank.json", store, *endpoint,
+                       mock=None),
+            grade_argv(tmp_path, out / "bank.json", graded, *endpoint,
+                       mock=None),
             ["generate", "--queries", str(tmp_path / "queries.json"),
              "--template", "dl", "--out", str(out / "bank2.json"),
              *endpoint]):
@@ -939,12 +809,9 @@ def test_bad_gold_answer_exits_one_before_grading(tmp_path, capsys,
         {"question_id": "q1/q/1", "text": "And this?",
          "gold_answer": gold_answer}]}]}))
     store = tmp_path / "grades.jsonl.gz"
-    assert main(grade_argv(tmp_path, bank, store, "--mode", "qa", "--mock",
-                           str(tmp_path / "grade_mock.json"))) == 1
-    assert capsys.readouterr().err == (
-        f"error: {bank}: gold_answer of question 'q1/q/1' must be a "
-        f"non-empty string, got {gold_answer!r}\n")
-    assert completions == [] and not store.exists()
+    assert_rejected(capsys, completions, grade_argv(
+        tmp_path, bank, store, mode="qa"), f"{bank}: gold_answer of question "
+        f"'q1/q/1' must be a non-empty string, got {gold_answer!r}", store)
 
 
 @pytest.mark.parametrize("queries, message", [
@@ -963,11 +830,10 @@ def test_generate_rejects_bad_queries_before_any_request(
     path = tmp_path / "queries.json"
     path.write_text(json.dumps(queries))
     bank = tmp_path / "bank.json"
-    assert main(["generate", "--queries", str(path), "--template", "dl",
-                 "--mock", str(tmp_path / "gen_mock.json"),
-                 "--out", str(bank)]) == 1
-    assert capsys.readouterr().err == f"error: {path}: {message}\n"
-    assert completions == [] and not bank.exists()
+    assert_rejected(capsys, completions, [
+        "generate", "--queries", str(path), "--template", "dl",
+        "--mock", str(tmp_path / "gen_mock.json"), "--out", str(bank)],
+        f"{path}: {message}", bank)
 
 
 @pytest.mark.parametrize("value, kind", [(None, "null"), (4, "int")],
@@ -978,16 +844,66 @@ def test_non_string_mock_response_exits_one(tmp_path, capsys, completions,
     fixture = tmp_path / "fix.json"
     fixture.write_text(json.dumps({"q1": "['Q?']", "default": value}))
     bank = tmp_path / "bank.json"
-    assert main(["generate", "--queries", str(tmp_path / "queries.json"),
-                 "--template", "dl", "--mock", str(fixture),
-                 "--out", str(bank)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: {fixture}: mock response 'default' must be a string, "
-        f"got {kind}\n")
-    assert completions == [] and not bank.exists()
+    assert_rejected(capsys, completions, [
+        "generate", "--queries", str(tmp_path / "queries.json"),
+        "--template", "dl", "--mock", str(fixture), "--out", str(bank)],
+        f"{fixture}: mock response 'default' must be a string, got {kind}",
+        bank)
 
 
-def test_bad_input_error_names_its_file(tmp_path, capsys, out):
+@pytest.mark.parametrize("name, content, message", [
+    ("bank", {"queries": [["q1"]]},
+     "question bank 'queries' must be a list of objects"),
+    ("bank", {"queries": {"query_id": "q1"}},
+     "question bank 'queries' must be a list of objects"),
+    ("bank", {"queries": [{"query_id": "q1", "questions": ["What?"]}]},
+     "questions of query 'q1' must be a list of objects"),
+    *(("queries", queries, "expected a JSON list of objects with 'query_id' "
+       "and 'title'") for queries in ([{"title": "topic one"}],
+                                      [{"query_id": "q1"}],
+                                      {"query_id": "q1", "title": "t"})),
+    ("queries", [{"query_id": "q1", "title": "t", "facets": [{"title": "f"}]}],
+     "facets of query 'q1' must be a list of objects with 'facet_id' and "
+     "'title'"),
+    ("official", ["sysA", "sysB"],
+     "expected a JSON object mapping system name to official rank"),
+    *(("official", ranks, f"official rank of {name!r} must be a number or "
+       f"null, got {ranks[name]!r}") for name, ranks in (
+        ("sysB", {"sysA": 1, "sysB": [2]}),
+        ("sysB", {"sysA": 1, "sysB": {"rank": 2}}),
+        ("sysB", {"sysA": 1, "sysB": "second"}),
+        ("sysB", {"sysA": 1, "sysB": True}),
+        ("sysA", {"sysA": False, "sysB": 2}),
+        ("sysB", {"sysA": 1, "sysB": "NaN"}),
+        ("sysB", {"sysA": 1, "sysB": math.nan}),
+        ("sysA", {"sysA": "inf", "sysB": 2}))),
+], ids=["queries-of-lists", "queries-object", "question-string",
+        "query-without-id", "query-without-title", "queries-object-file",
+        "facet-without-id", "official-list", "official-rank-list",
+        "official-rank-object", "official-rank-word", "official-rank-true",
+        "official-rank-false", "official-rank-nan-string",
+        "official-rank-nan", "official-rank-inf-string"])
+def test_malformed_json_input_exits_one(tmp_path, capsys, completions, name,
+                                        content, message, out):
+    bad = tmp_path / f"bad_{name}.json"
+    bad.write_text(json.dumps(content))
+    argv = {
+        "bank": ["cover", "--bank", str(bad),
+                 "--run", str(tmp_path / "runs" / "sysA.run"),
+                 "--grades", str(out / "grades.jsonl.gz"),
+                 "--policy", "rate:4"],
+        "queries": ["generate", "--queries", str(bad), "--template", "car",
+                    "--mock", str(tmp_path / "gen_mock.json"),
+                    "--out", str(out / "bank2.json")],
+        "official": ["leaderboard", *scoring_argv(out), "--runs",
+                     str(tmp_path / "runs"), "--official", str(bad)],
+    }[name]
+    assert_rejected(capsys, completions, argv, f"{bad}: {message}",
+                    out / "bank2.json")
+
+
+def test_bad_input_error_names_its_file(tmp_path, capsys, completions,
+                                        out):
     runs = tmp_path / "runs"
     (runs / "sysB.run").write_text("q1 Q0 pB1 1 9.0 sysB\nq1 Q0 pA2 two 8.0 "
                                    "sysB\n")
@@ -996,10 +912,11 @@ def test_bad_input_error_names_its_file(tmp_path, capsys, out):
     bad_bank = tmp_path / "bad_bank.json"
     bad_bank.write_text(json.dumps({"queries": [{"query_id": "q1",
                                                  "questions": [{}]}]}))
+    bad_config = tmp_path / "bad.conf"
+    bad_config.write_bytes(b"depth = 1\n\xff\n")
     grades = str(out / "grades.jsonl.gz")
     cases = [
-        (["leaderboard", "--bank", str(out / "bank.json"),
-          "--runs", str(runs), "--grades", grades, "--policy", "rate:4"],
+        (["leaderboard", *scoring_argv(out), "--runs", str(runs)],
          f"{runs / 'sysB.run'}: line 2: invalid literal for int() with "
          f"base 10: 'two'"),
         (["agreement", "--labels", str(out / "exam.qrels"),
@@ -1010,12 +927,13 @@ def test_bad_input_error_names_its_file(tmp_path, capsys, out):
           "--policy", "rate:4"],
          f"{bad_bank}: question_id in query 'q1' must be a non-empty "
          f"string, got None"),
+        (["--config", str(bad_config), "qrels", "--bank", str(bad_bank),
+          "--grades", grades, "--policy", "rate:4"],
+         f"{bad_config}: 'utf-8' codec can't decode byte 0xff in position "
+         f"10: invalid start byte"),
     ]
-    capsys.readouterr()
     for argv, message in cases:
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert_rejected(capsys, completions, argv, message)
 
 
 BAD_COLLAPSE = ("Invalid value for '--collapse': {!r} is not one of "
@@ -1061,14 +979,9 @@ def test_bad_flag_value_exits_one(tmp_path, capsys, argv, message, out):
         "generate": ["--queries", str(tmp_path / "queries.json"),
                      "--mock", str(tmp_path / "gen_mock.json"),
                      "--out", str(out / "bank2.json")],
-        "leaderboard": ["--bank", str(out / "bank.json"),
-                        "--runs", str(tmp_path / "runs"),
-                        "--grades", str(out / "grades.jsonl.gz"),
-                        "--policy", "rate:4"],
-        "agreement": ["--judgments", str(out / "exam.qrels"),
-                      "--grades", str(out / "grades.jsonl.gz"),
-                      "--bank", str(out / "bank.json"),
-                      "--policy", "rate:4"],
+        "leaderboard": [*scoring_argv(out), "--runs", str(tmp_path / "runs")],
+        "agreement": [*scoring_argv(out),
+                      "--judgments", str(out / "exam.qrels")],
         "qrels": ["--bank", str(out / "bank.json"),
                   "--grades", str(out / "grades.jsonl.gz")],
         "cover": ["--bank", str(out / "bank.json"),
@@ -1134,16 +1047,11 @@ def test_grade_with_nothing_to_grade_leaves_an_empty_store(tmp_path, capsys):
     bank = tmp_path / "bank.json"
     bank.write_text(save_question_bank(QuestionBank({"q1": ()})))
     store = tmp_path / "grades.jsonl.gz"
-    assert main(["grade", "--bank", str(bank),
-                 "--runs", str(tmp_path / "runs"),
-                 "--passages", str(tmp_path / "passages.json"),
-                 "--mode", "rate", "--mock", str(tmp_path / "grade_mock.json"),
-                 "--store", str(store)]) == 0
+    assert main(grade_argv(tmp_path, bank, store)) == 0
     assert GradeStore(store).read() == {}
     capsys.readouterr()
-    assert main(["cover", "--bank", str(bank),
-                 "--run", str(tmp_path / "runs" / "sysA.run"),
-                 "--grades", str(store), "--policy", "rate:4"]) == 0
+    assert main(["cover", *scoring_argv(tmp_path),
+                 "--run", str(tmp_path / "runs" / "sysA.run")]) == 0
     assert capsys.readouterr().out == "query\tcover\nmean\t0.0000\n"
 
 
@@ -1152,8 +1060,7 @@ def one_question_argv(root, store):
     bank = root / "bank.json"
     bank.write_text(save_question_bank(QuestionBank({"q1": (
         ExamQuestion("q1/q/0", "q1", "What is it?"),)})))
-    return grade_argv(root, bank, store, "--mode", "rate", "--mock",
-                      str(root / "grade_mock.json"))
+    return grade_argv(root, bank, store)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -1170,13 +1077,8 @@ def test_run_tag_names_one_leaderboard_row(tmp_path, capsys, completions,
     (runs / "sysC.run").write_text(text)
     sent = len(completions)
     capsys.readouterr()
-    for argv in (grade_argv(tmp_path, out / "bank.json", tmp_path / "g.gz",
-                            "--mode", "rate",
-                            "--mock", str(tmp_path / "grade_mock.json")),
-                 ["leaderboard", "--bank", str(out / "bank.json"),
-                  "--runs", str(runs),
-                  "--grades", str(out / "grades.jsonl.gz"),
-                  "--policy", "rate:4"]):
+    for argv in (grade_argv(tmp_path, out / "bank.json", tmp_path / "g.gz"),
+                 ["leaderboard", *scoring_argv(out), "--runs", str(runs)]):
         assert main(argv) == 1, argv[0]
         assert capsys.readouterr().err == (
             f"error: {runs}/sysC.run: {message.format(runs=runs)}\n")
@@ -1244,9 +1146,7 @@ def test_grades_count_only_for_questions_of_their_own_query(tmp_path, capsys,
         f"q1 Q0 p{i} {i} {1 / i:.2f} sys\n" for i in range(1, 5)))
     paths["official.qrels"].write_text(
         "q1 0 p1 1\nq1 0 p2 1\nq1 0 p3 0\nq1 0 p4 1\n")
-    scoring = ["--bank", str(paths["bank.json"]),
-               "--grades", str(paths["grades.jsonl.gz"]),
-               "--policy", "rate:4"]
+    scoring = scoring_argv(tmp_path)
     commands = [
         (["cover", *scoring, "--run", str(paths["sys.run"])],
          "query\tcover\nq1\t1.0000\nq2\t0.0000\nmean\t0.5000\n"),
@@ -1282,9 +1182,7 @@ def test_coverage_gaps_logged_per_scored_pool(tmp_path, capsys, caplog):
         (runs / f"{tag}.run").write_text("".join(
             f"q1 Q0 {pid} {rank} {1 / rank:.2f} {tag}\n"
             for rank, pid in enumerate(pids, 1)))
-    scoring = ["--bank", str(tmp_path / "bank.json"),
-               "--grades", str(tmp_path / "grades.jsonl.gz"),
-               "--policy", "rate:4"]
+    scoring = scoring_argv(tmp_path)
     gap = "coverage gap: {} pooled passages have no grades".format
     commands = [
         (["cover", *scoring, "--run", str(runs / "sysA.run")],

@@ -237,12 +237,14 @@ class TestGradeCorpus:
         store = GradeStore(tmp_path / "g.jsonl.gz")
         grade_corpus(bank, passages, SELF_RATED, store,
                      MockBackend({"default": "3"}), 512, 1)
+        before = store.path.read_bytes()
         backend = RecordingBackend({"default": "3"})
         summary = grade_corpus(bank, passages, SELF_RATED, store, backend,
                                512, 1)
         assert summary.graded == 0
         assert summary.skipped_existing == 24
         assert backend.request_log == []
+        assert store.path.read_bytes() == before
 
     def test_failures_go_to_skip_log(self, tmp_path):
         bank, passages = self.bank_and_passages()

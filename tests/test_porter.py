@@ -212,17 +212,14 @@ SUFFIXES = [
     "ize", "e", "ll",
 ]
 # Tokens of `normalize_answer`: lowercase letters, digits and apostrophes.
-words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz'0", max_size=12)
+# Half are drawn without a, e, i, o or u, where the rules for "y" as a
+# vowel decide the stem.
+words = (st.text(alphabet="abcdefghijklmnopqrstuvwxyz'0", max_size=12)
+         | st.text(alphabet="bcdlrsty", max_size=8))
 
 
-@settings(max_examples=1000)
-@given(words)
-def test_matches_reference(word):
-    assert stem(word) == reference_stem(word)
-
-
-@settings(max_examples=1000)
-@given(words, st.lists(st.sampled_from(SUFFIXES), min_size=1, max_size=3))
+@settings(max_examples=300)
+@given(words, st.lists(st.sampled_from(SUFFIXES), max_size=3))
 def test_matches_reference_with_suffixes(word, suffixes):
     word += "".join(suffixes)
     assert stem(word) == reference_stem(word)
