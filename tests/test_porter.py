@@ -218,6 +218,12 @@ words = (st.text(alphabet="abcdefghijklmnopqrstuvwxyz'0", max_size=12)
          | st.text(alphabet="bcdlrsty", max_size=8))
 
 
+@settings(max_examples=200)
+@given(words)
+def test_matches_reference(word):
+    assert stem(word) == reference_stem(word)
+
+
 @settings(max_examples=300)
 @given(words, st.lists(st.sampled_from(SUFFIXES), max_size=3))
 def test_matches_reference_with_suffixes(word, suffixes):
