@@ -117,14 +117,19 @@ class Option:
     option is repeatable; a config file lists its values separated by
     whitespace. A `listed` option takes one value, a comma-separated list
     whose items are each of its kind. Either gives its values as a
-    tuple."""
+    tuple. An option that `needs` another plays no part without it, and
+    naming it on the command line without that one is a usage error; a
+    config value is not, since config keys fill every command's
+    options."""
 
     def __init__(self, flag: str, dest: str, kind: str = "text", *,
                  required: bool = False, default=None,
                  multiple: bool = False, listed: bool = False,
                  choices: tuple[str, ...] = (), minimum: int | None = None,
-                 short: str | None = None, help: str = ""):
+                 short: str | None = None, needs: Option | None = None,
+                 help: str = ""):
         self.flag, self.dest, self.kind = flag, dest, kind
+        self.needs = needs
         self.required, self.multiple, self.listed = required, multiple, listed
         self.default = False if kind == "flag" else default
         self.choices, self.minimum, self.help = choices, minimum, help
@@ -571,6 +576,11 @@ def _format_table_text(table: metrics.ConfusionTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+_MIN_ANSWERS = Option("--min-answers", "min_answers", "int", listed=True,
+                      minimum=1, help="Sweep values; needs --grades, --bank "
+                      "and --policy.")
+
+
 @command(
     Option("--labels", "labels_path", "file",
            help="Exam-derived qrels (labels side of the join)."),
@@ -581,11 +591,10 @@ def _format_table_text(table: metrics.ConfusionTable) -> str:
            help="Collapse names."),
     Option("--judgment-rel-min", "judgment_rel_min", "int", default=1,
            help="Lowest judgment grade counted as relevant."),
-    Option("--min-answers", "min_answers", "int", listed=True, minimum=1,
-           help="Sweep values; needs --grades, --bank and --policy."),
-    Option("--grades", "grades_path", "file"),
-    Option("--bank", "bank_path", "file"),
-    Option("--policy", "policy", "policy"),
+    _MIN_ANSWERS,
+    Option("--grades", "grades_path", "file", needs=_MIN_ANSWERS),
+    Option("--bank", "bank_path", "file", needs=_MIN_ANSWERS),
+    Option("--policy", "policy", "policy", needs=_MIN_ANSWERS),
     Option("--format", "fmt", "choice", choices=("tsv", "table"),
            default="tsv"),
     _OUT)
@@ -700,6 +709,11 @@ def _run(argv: list[str]) -> int:
                                               config.get(option.name))
                   for option in sorted(options, key=lambda option: first.get(
                       option.flag, len(args)))}
+        for option in options:
+            if (option.needs and getattr(given, option.dest) is not None
+                    and not values[option.needs.dest]):
+                raise UsageError(
+                    f"{option.flag} requires {option.needs.flag}.")
         if extra:
             plural = "s" if len(extra) > 1 else ""
             raise UsageError(f"Got unexpected extra argument{plural} "

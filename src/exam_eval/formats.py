@@ -12,6 +12,7 @@ import gzip
 import json
 import logging
 import math
+import re
 import zlib
 from collections.abc import Iterator
 from operator import itemgetter
@@ -425,25 +426,44 @@ _GRADE_FIELDS = ("query_id", "passage_id", "question_id", "mode",
                  "answer_text", "verified", "rating")
 
 
-# One encoder for every line: `json.dumps` with these options builds a new
-# one per call.
-_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 # zlib's and gzip(1)'s default level: Python's gzip defaults to 9, which
 # costs several times the CPU per append for a store about 2 % smaller.
 _COMPRESSLEVEL = 6
 
+# The one layout `append` writes: the bytes of
+# `json.JSONEncoder(ensure_ascii=False, sort_keys=True)` on the record.
+_LINE = ('{"answer_text": %s, "mode": %s, "passage_id": %s, "query_id": %s, '
+         '"question_id": %s, "rating": %s, "verified": %s}')
+_quote = json.encoder.encode_basestring
+_LITERALS = {None: "null", True: "true", False: "false"}
+
 
 def _grade_to_json(key: GradeKey, row: GradeRow) -> str:
-    return _encode(dict(zip(_GRADE_FIELDS, key + row)))
+    query_id, passage_id, question_id, mode = key
+    answer_text, verified, rating = row
+    return _LINE % (
+        "null" if answer_text is None else _quote(answer_text), _quote(mode),
+        _quote(passage_id), _quote(query_id), _quote(question_id),
+        "null" if rating is None else int.__repr__(rating),
+        _LITERALS[verified])
 
+
+# That layout read back. The answer is any JSON string; the ids are strings
+# that need no escape, so that their text is their value.
+_ID = r'"([^"\\\x00-\x1f]*)"'
+_CANONICAL_LINE = re.compile(
+    r'\{"answer_text": (?:null|"([^"\\\x00-\x1f]*'
+    r'(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*)"), '
+    r'"mode": "(self_rated|qa_verified)", '
+    rf'"passage_id": {_ID}, "query_id": {_ID}, "question_id": {_ID}, '
+    r'"rating": (?:([0-5])|null), "verified": (?:(true|false)|null)\}\n?\Z')
+_RATINGS = {None: None, **{str(n): n for n in range(6)}}
+_VERDICTS = {None: None, "true": True, "false": False}
 
 _DECODER = json.JSONDecoder()
 _REQUIRED_FIELDS = _GRADE_FIELDS[:4]
 _ALL_FIELDS = frozenset(_GRADE_FIELDS)
 _get_fields = itemgetter(*_GRADE_FIELDS)
-# JSON's whitespace, the only characters the decoder allows around a value;
-# `str.isspace` also takes U+2028, U+0085, \x0b and the like.
-_JSON_SPACE = " \t\r\n"
 
 
 def _decode_grade(line: str, line_no: int) -> tuple[GradeKey, GradeRow]:
@@ -532,38 +552,43 @@ class GradeStore:
         deduplicated last-writer-wins, in first-seen key order.
 
         Lines are decoded one at a time as the gzip stream is read, each on
-        its own. A line that the JSON scanner reads, from its first
-        character, as an object with exactly the seven fields, followed by
-        nothing but JSON whitespace, needs only `check_grade`: the lines
-        `append` writes all take this path. Every other line (blank,
-        padded, missing optional fields, or bad) goes to `_decode_grade`,
-        which decodes it exactly and words its error. A bad line raises
+        its own. A line in the layout `append` writes, with ids that need no
+        JSON escape, matches `_CANONICAL_LINE`, whose groups are the fields'
+        text; only an answer that holds an escape is decoded, in place, by
+        the JSON string scanner. Every other line (blank, padded, in another
+        key order, with escaped ids, missing optional fields, or bad) goes
+        to `_decode_grade`, which reads any JSON layout by the same rules
+        and words every error, a matched line's too. A bad line raises
         `ParseError` with its line number, and a damaged file raises
         `ParseError` naming the store as corrupt.
         """
         rows: dict[GradeKey, GradeRow] = {}
         if not self.path.exists():
             return rows
-        scan = _DECODER.scan_once
+        canonical = _CANONICAL_LINE.match
+        scanstring = json.decoder.scanstring
         try:
             with gzip.open(self.path, "rt", encoding="utf-8") as fh:
                 for line_no, line in enumerate(fh, start=1):
-                    try:
-                        record, end = scan(line, 0)
-                    except (StopIteration, ValueError, RecursionError):
-                        record = None
-                    if (type(record) is dict and record.keys() == _ALL_FIELDS
-                            and not line[end:].strip(_JSON_SPACE)):
-                        fields = _get_fields(record)
+                    match = canonical(line)
+                    if match is None:
+                        if line.isspace():
+                            continue
+                        key, row = _decode_grade(line, line_no)
+                    else:
+                        (answer_text, mode, passage_id, query_id,
+                         question_id, rating, verified) = match.groups()
+                        if answer_text and "\\" in answer_text:
+                            answer_text = scanstring(line, match.start(1))[0]
+                        key = (query_id, passage_id, question_id, mode)
+                        row = (answer_text, _VERDICTS[verified],
+                               _RATINGS[rating])
                         try:
-                            check_grade(*fields)
+                            check_grade(*key, *row)
                         except ContractViolation:
                             _decode_grade(line, line_no)   # words the error
                             raise
-                        rows[fields[:4]] = fields[4:]
-                    elif not line.isspace():
-                        key, row = _decode_grade(line, line_no)
-                        rows[key] = row
+                    rows[key] = row
         except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
             raise ParseError(f"corrupt grade store {self.path}: {exc}") from None
         return rows

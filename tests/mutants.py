@@ -44,6 +44,8 @@ A3 = "tests/test_acceptance.py::test_criterion_3_metric_oracles"
 PIPELINE = "tests/test_cli.py::test_pipeline_outputs_match_oracles"
 STORE_READ = ("tests/test_formats.py::"
               "test_store_read_matches_line_by_line_oracle")
+CANONICAL = ("tests/test_formats.py::"
+             "test_canonical_line_decodes_as_the_json_decoder")
 VERIFY = "tests/test_grading.py::TestVerifyAnswer"
 MODULES = "tests/test_cli.py::test_commands_load_only_the_modules_they_run"
 USAGE = "tests/test_cli.py::test_usage_surface"
@@ -66,13 +68,8 @@ MUTANTS = (
     Mutant("pooled P@k not capped at k", "metrics.py",
            "min(k, sum(1 for pid in pids", "max(0, sum(1 for pid in pids",
            PIPELINE),
-    Mutant("first writer wins on the fast path of GradeStore.read",
-           "formats.py", "rows[fields[:4]] = fields[4:]",
-           "rows.setdefault(fields[:4], fields[4:])",
-           "tests/test_formats.py::test_store_round_trip_matches_oracle"),
-    Mutant("first writer wins on the slow path of GradeStore.read",
-           "formats.py", "rows[key] = row", "rows.setdefault(key, row)",
-           STORE_READ),
+    Mutant("first writer wins in GradeStore.read", "formats.py",
+           "rows[key] = row", "rows.setdefault(key, row)", STORE_READ),
     Mutant("verdict and rating slots swapped", "model.py",
            "slot = 1 if mode == QA_VERIFIED else 2",
            "slot = 2 if mode == QA_VERIFIED else 1", A3),
@@ -98,11 +95,19 @@ MUTANTS = (
            "(OSError, EOFError, zlib.error, UnicodeDecodeError)",
            "(OSError, EOFError, UnicodeDecodeError)",
            "tests/test_cli.py::test_corrupt_store_reported"),
-    Mutant("the fast path's tail check done with str.strip()", "formats.py",
-           "line[end:].strip(_JSON_SPACE)", "line[end:].strip()", STORE_READ),
-    Mutant("no key-set check on the fast path", "formats.py",
-           "type(record) is dict and record.keys() == _ALL_FIELDS",
-           "type(record) is dict", STORE_READ),
+    Mutant("control characters allowed in the id class", "formats.py",
+           r"""_ID = r'"([^"\\\x00-\x1f]*)"'""", r"""_ID = r'"([^"\\]*)"'""",
+           CANONICAL),
+    Mutant("\\Z dropped from the canonical line", "formats.py",
+           r"\}\n?\Z')", r"\}\n?')", CANONICAL),
+    Mutant("[0-5] widened to [0-9] for a canonical rating", "formats.py",
+           "(?:([0-5])|null)", "(?:([0-9])|null)", CANONICAL),
+    Mutant("an escaped answer stored as its raw text", "formats.py",
+           "answer_text = scanstring(line, match.start(1))[0]", "pass",
+           CANONICAL),
+    Mutant("an id written without encode_basestring", "formats.py",
+           "_quote(passage_id)", """'"%s"' % passage_id""",
+           "tests/test_formats.py::test_line_layout_is_the_json_encoders"),
     Mutant("truncation with the qa template in both modes", "grading.py",
            "truncate_context(question.text, text, budget, render)",
            "truncate_context(question.text, text, budget, "
@@ -222,6 +227,9 @@ MUTANTS = (
     Mutant("step 4 taking -ion after any letter but s", "porter.py",
            'stem_part.endswith(("s", "t"))', 'stem_part.endswith("s")',
            PORTER),
+    Mutant("an e added after a consonant, vowel, y ending", "porter.py",
+           'word[-1] not in "wxy"', 'word[-1] not in "wx"',
+           "tests/test_porter.py::test_classic_examples"),
 )
 
 

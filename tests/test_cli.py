@@ -114,6 +114,8 @@ BOARD = ["leaderboard", "--bank", "{out}/bank.json",
          "--grades", "{out}/grades.jsonl.gz", "--policy", "rate:4"]
 QRELS = ["qrels", "--bank", "{out}/bank.json",
          "--grades", "{out}/grades.jsonl.gz", "--policy", "rate:4"]
+AGREE = ["agreement", "--labels", "{out}/exam.qrels",
+         "--judgments", "{out}/exam.qrels"]
 BOTH_RUNS = "{tmp}/runs/sysA.run {tmp}/runs/sysB.run"
 SUMMARIES = {
     "generate": "Generate a question bank from queries.",
@@ -177,6 +179,10 @@ SUMMARIES = {
      "Error: Invalid value for '--graded': 'maybe' is not a valid boolean. "
      "Recognized values: '', '0', '1', 'f', 'false', 'n', 'no', 'off', "
      "'on', 't', 'true', 'y', 'yes'.\n"),
+    ([*AGREE, "--grades", "{out}/grades.jsonl.gz"], None, 1, "err",
+     "Error: --grades requires --min-answers.\n"),
+    (AGREE, "grades = {out}/grades.jsonl.gz\nbank = {out}/bank.json\n"
+     "policy = qa", 0, "out", "# lenient\n"),
     *(([name, "--help"], None, 0, "out", summary)
       for name, summary in SUMMARIES.items()),
 ], ids=["no-command", "unknown-command", "unknown-option", "prefix",
@@ -188,6 +194,7 @@ SUMMARIES = {
         "extra-argument", "option-after-double-dash",
         "config-line-without-equals", "mistyped-command", "help",
         "flag-by-config", "flag-off-by-config", "flag-by-config-checked",
+        "needed-option-missing", "needed-option-missing-by-config",
         *(f"help-{name}" for name in SUMMARIES)])
 def test_usage_surface(tmp_path, capsys, out, argv, config, code, stream,
                        fragment):

@@ -12,7 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 from exam_eval.formats import (
     GradeStore,
     ParseError,
+    _CANONICAL_LINE,
     _decode_grade,
+    _grade_to_json,
     load_leaderboard_scores,
     load_official_ranks,
     load_passages,
@@ -605,12 +607,12 @@ GRADE_KEYS = st.tuples(st.sampled_from(["q1", "q2"]),
 
 
 @st.composite
-def grades(draw, keys=GRADE_KEYS):
+def grades(draw, keys=GRADE_KEYS, answers=ANSWER_TEXTS):
     key = draw(keys)
     mode = draw(st.sampled_from([QA_VERIFIED, SELF_RATED]))
     if mode == QA_VERIFIED:
-        return verified(*key, draw(st.booleans()), draw(ANSWER_TEXTS))
-    return rated(*key, draw(st.integers(0, 5)), draw(ANSWER_TEXTS))
+        return verified(*key, draw(st.booleans()), draw(answers))
+    return rated(*key, draw(st.integers(0, 5)), draw(answers))
 
 
 ROUND_TRIP_BANK = QuestionBank({
@@ -649,6 +651,80 @@ def test_store_round_trip_matches_oracle(batches):
         assert exam_cover(passages, index) == exam_cover(passages, oracle)
 
 
+# Text with every character JSON must escape, and some that look as if
+# they must: DEL, NEL, U+2028 and a character outside the BMP.
+TRICKY_TEXT = st.lists(st.sampled_from(
+    ['"', "\\", *map(chr, range(0x20)), "\x7f", "\x85", "\u2028",
+     "\U0001f600", "/", "a", "é"]), max_size=6).map("".join)
+
+
+@given(grades(st.tuples(TRICKY_TEXT, TRICKY_TEXT, TRICKY_TEXT),
+              st.none() | TRICKY_TEXT))
+def test_line_layout_is_the_json_encoders(grade):
+    key, row = grade
+    assert _grade_to_json(key, row) == json.dumps(
+        dict(zip(GRADE_FIELDS, key + row)), ensure_ascii=False,
+        sort_keys=True)
+
+
+# The text of a string without line breaks, which would split the line.
+RAW_TEXT = TRICKY_TEXT.map(lambda text: re.sub("[\r\n]", "", text))
+MOSTLY_FALSE = st.sampled_from([False] * 7 + [True])
+# Values that break the layout or the rules, by field.
+UNUSUAL = {"answer_text": RAW_TEXT, "mode": st.just("vibes"),
+           "passage_id": RAW_TEXT, "query_id": RAW_TEXT,
+           "question_id": RAW_TEXT,
+           "rating": st.sampled_from([6, 9, -1, 4.5, "4", True, None, 3]),
+           "verified": st.sampled_from([1, "true", None, True])}
+
+
+@st.composite
+def canonical_lines(draw):
+    """A store line with its fields in sorted order, and whether it is as
+    `append` writes it: a drawn grade in that layout, with now and then a
+    field's value swapped for an unusual one, written as JSON or as raw
+    text between quotes, and now and then text after the object."""
+    key, row = draw(grades(
+        st.tuples(*[st.sampled_from(["q1", "", "é\x7f\x85\u2028\U0001f600"])]
+                  * 3), st.none() | TRICKY_TEXT))
+    record = dict(zip(GRADE_FIELDS, key + row))
+    tokens, usual = [], True
+    for name in sorted(record):
+        value = json.dumps(record[name], ensure_ascii=False)
+        if draw(MOSTLY_FALSE):
+            usual = False
+            value = draw(UNUSUAL[name])
+            value = (f'"{value}"' if type(value) is str and draw(st.booleans())
+                     else json.dumps(value, ensure_ascii=draw(st.booleans())))
+        tokens.append(f'"{name}": {value}')
+    tail = draw(st.sampled_from(["\n"] * 3 + ["", " ", "x", "\x85", "}"]))
+    return "{" + ", ".join(tokens) + "}" + tail, usual and tail in ("", "\n")
+
+
+@settings(deadline=None)
+# A rating past 5 in that layout, which `check_grade` rejects.
+@example(drawn=(json.dumps(json.loads(store_line(rating=7)), sort_keys=True),
+                False))
+@given(canonical_lines())
+def test_canonical_line_decodes_as_the_json_decoder(drawn):
+    # Lines that `_CANONICAL_LINE` matches read as `_decode_grade` reads
+    # them, rows and errors alike; what `append` writes always matches.
+    line, usual = drawn
+    assert _CANONICAL_LINE.match(line) or not usual
+    try:
+        expected = [_decode_grade(line, 1)]
+    except ParseError as exc:
+        expected = exc
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.jsonl.gz"
+        path.write_bytes(gzip.compress(line.encode("utf-8")))
+        if isinstance(expected, ParseError):
+            with pytest.raises(ParseError, match=re.escape(str(expected))):
+                GradeStore(path).read()
+        else:
+            assert list(GradeStore(path).read().items()) == expected
+
+
 # Values that break the type or range of most fields.
 BAD_VALUES = st.sampled_from([True, 4.5, "no", 6, ["x"], 1, None])
 
@@ -664,10 +740,12 @@ def store_lines(draw):
     if kind == "other":
         return draw(st.sampled_from(
             ["", " ", "\t", "[1]", "3", '"s"', "null", "{}", "{", "}"]))
-    # Two keys (four with the mode), so that a key often repeats across
-    # lines that take the fast path and lines that do not.
-    key, row = draw(grades(st.sampled_from([("q1", "p1", "q1/a"),
-                                            ("q2", "p2", "off-bank")])))
+    # Three keys (six with the mode), so that a key often repeats across
+    # lines that take the fast path and lines that do not; the third has
+    # ids that need escapes, so even its canonical lines take the slow one.
+    key, row = draw(grades(st.sampled_from([
+        ("q1", "p1", "q1/a"), ("q2", "p2", "off-bank"),
+        ('q"3', "p\\3", "q3\t/\x1f")])))
     record = dict(zip(GRADE_FIELDS, key + row))
     if kind == "missing":
         for field in draw(st.sets(st.sampled_from(GRADE_FIELDS[4:]),

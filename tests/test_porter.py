@@ -163,6 +163,9 @@ CLASSIC = {
     "troubled": "troubl", "sized": "size", "hopping": "hop", "tanned": "tan",
     "falling": "fall", "hissing": "hiss", "fizzed": "fizz",
     "failing": "fail", "filing": "file",
+    # No e is added after a stem that ends consonant, vowel, w, x or y
+    "playing": "plai", "played": "plai", "toying": "toi", "boxing": "box",
+    "snowed": "snow",
     # Step 1c
     "happy": "happi", "sky": "sky",
     # Step 2
