@@ -40,7 +40,7 @@ def parse_question_list(completion: str) -> list[str]:
             if isinstance(parsed, (list, tuple)):
                 candidates = [str(item) for item in parsed
                               if isinstance(item, str)]
-        except (ValueError, SyntaxError):
+        except (ValueError, SyntaxError, TypeError):
             pass
 
     if not candidates:

@@ -54,12 +54,33 @@ BEFORE_INPUT = ("tests/test_cli.py::"
 CORPUS = "tests/test_grading.py::TestGradeCorpus"
 HTTP = "tests/test_gateway.py::TestHttpBackend"
 PORTER = "tests/test_porter.py::test_matches_reference_with_suffixes"
+RUNS = "tests/test_formats.py::TestRunParsing"
+RUN_LOOP = "tests/test_formats.py::test_run_file_parse_matches_line_loop"
 
 MUTANTS = (
     Mutant("pool depth + 1", "grading.py", "run.top_k(query_id, depth)",
            "run.top_k(query_id, depth + 1)", A3),
     Mutant("unsorted ranks", "formats.py", "rows.sort(key=rank_of)", "pass",
            A3),
+    Mutant("a bad column-2 literal read by query column", "formats.py",
+           ' or literal not in ("Q0", "0")', "", RUN_LOOP),
+    Mutant("a second run tag read by query column", "formats.py",
+           "tag != run_tag or ", "",
+           f"{RUNS}::test_inconsistent_tag_keeps_first"),
+    Mutant("a query's lines read by column when split by another's",
+           "formats.py", "if qid in columns:", "if False:", RUN_LOOP),
+    Mutant("a query's column left in file order", "formats.py",
+           "passages = [by_rank[rank] for rank in ascending]", "pass",
+           f"{RUNS}::test_out_of_order_ranks_sorted"),
+    Mutant("a repeated passage read by query column", "formats.py",
+           "\n                or len(set(passages)) != len(passages)", "",
+           RUN_LOOP),
+    Mutant("a rank below 1 read by query column", "formats.py",
+           "ascending[0] < 1 or ", "",
+           f"{RUNS}::test_rank_zero_carries_line_number"),
+    Mutant("scores left unconverted by query column", "formats.py",
+           "list(map(float, score_texts))", "pass",
+           f"{RUNS}::test_malformed_line_carries_number"),
     Mutant("no bank-question filter in GradeIndex", "model.py",
            "row_mode == mode and query_of.get(question_id) == query_id",
            "row_mode == mode", A3),
@@ -88,6 +109,10 @@ MUTANTS = (
            "kappa={table.kappa_overall:.3f}",
            "kappa={table.kappa_per_row[0]:.3f}",
            "tests/test_cli.py::test_agreement_prints_each_overall_kappa"),
+    Mutant("an unhashable literal ending generate", "bank.py",
+           "except (ValueError, SyntaxError, TypeError):",
+           "except (ValueError, SyntaxError):",
+           "tests/test_bank.py::TestParseQuestionList"),
     Mutant("diff_banks comparing text only", "bank.py",
            "(old_by_id[qid].query_id, old_by_id[qid].text)",
            "(new_by_id[qid].query_id, old_by_id[qid].text)", A3),

@@ -40,6 +40,11 @@ class TestParseQuestionList:
     def test_garbage_yields_empty(self):
         assert parse_question_list("no questions") == []
 
+    def test_unhashable_literal_falls_through_to_numbered_lines(self):
+        # `ast.literal_eval` raises TypeError for a set holding a list.
+        assert parse_question_list("1. What is tea?\n[{[1]}]") \
+            == ["What is tea?"]
+
     def test_deduplication_preserves_order(self):
         assert parse_question_list('["B?", "A?", "B?"]') == ["B?", "A?"]
 

@@ -1,6 +1,7 @@
 import gzip
 import io
 import json
+import logging
 import re
 import signal
 import tempfile
@@ -15,6 +16,7 @@ from exam_eval.formats import (
     _CANONICAL_LINE,
     _decode_grade,
     _grade_to_json,
+    _parse_lines,
     load_leaderboard_scores,
     load_official_ranks,
     load_passages,
@@ -128,6 +130,77 @@ class TestRunParsing:
         run = parse_run_file("q1 Q0 pA 1 2.0 one\nq1 Q0 pB 2 1.0 two\n")
         assert run.run_tag == "one"
         assert any("run tag" in r.message for r in caplog.records)
+
+
+# A fault a run line may carry, as (column, text), or a dropped field for
+# column None. Column 2 "0", the ranks "+2" and "٣" and the score "nan" are
+# no fault; rank "2" and passage "pA" are one only where they repeat in
+# their query.
+RUN_LINE_FAULTS = st.sampled_from([
+    (1, "0"), (1, "Q1"), (2, "pA"), (3, "+2"), (3, "٣"), (3, "0"),
+    (3, "-1"), (3, "1.5"), (3, "2"), (4, "nan"), (4, "x"), (5, "other"),
+    (None, None)])
+
+
+@st.composite
+def run_texts(draw):
+    """A run file's text, mostly good lines: each query's lines together,
+    its ranks in any order, or all lines shuffled across queries. One line
+    in eight carries a fault, a query may end in a blank line, and lines
+    end in any break that `str.splitlines` knows."""
+    lines = []
+    for qid in draw(st.lists(st.sampled_from(["q1", "q2", "q3"]),
+                             unique=True, max_size=3)):
+        passages = draw(st.permutations(["pA", "pB", "pC", "pD"]))[
+            :draw(st.integers(1, 4))]
+        for passage, rank in zip(passages,
+                                 draw(st.permutations(range(1, 6)))):
+            fields = [qid, "Q0", passage, str(rank), "1.5", "sys"]
+            if draw(st.integers(0, 7)) == 0:
+                column, text = draw(RUN_LINE_FAULTS)
+                if column is None:
+                    del fields[draw(st.integers(0, 5))]
+                else:
+                    fields[column] = text
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])).join(fields))
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(["", " \t"])))
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n", "\r", "\x0b"]))
+                   for line in lines)
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def parsed(parse, arg):
+    """What `parse(arg)` gives: the run's tag with its queries and passages
+    in order, or the error's text and line number; and the messages it
+    logged, in order."""
+    logger, handler = logging.getLogger("exam_eval.formats"), _Messages()
+    logger.addHandler(handler)
+    try:
+        run = parse(arg)
+        outcome = (run.run_tag, list(run.by_query.items()))
+    except ParseError as exc:
+        outcome = (str(exc), exc.line_no)
+    finally:
+        logger.removeHandler(handler)
+    return outcome, handler.messages
+
+
+@settings(deadline=None, max_examples=300)
+@given(run_texts())
+def test_run_file_parse_matches_line_loop(text):
+    assert parsed(parse_run_file, text) \
+        == parsed(_parse_lines, text.splitlines())
 
 
 class TestQrels:
