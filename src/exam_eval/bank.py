@@ -29,7 +29,8 @@ def parse_question_list(completion: str) -> list[str]:
     Tries, in order: a bracketed Python-style list of quoted strings;
     numbered or bulleted lines; bare lines ending in '?'. Results are
     trimmed, deduplicated, and kept in source order. An empty list is a
-    legal outcome.
+    legal outcome. Brackets nested too deep for Python's parser (it raises
+    RecursionError or MemoryError, by version) count as no list.
     """
     candidates: list[str] = []
 
@@ -40,7 +41,8 @@ def parse_question_list(completion: str) -> list[str]:
             if isinstance(parsed, (list, tuple)):
                 candidates = [str(item) for item in parsed
                               if isinstance(item, str)]
-        except (ValueError, SyntaxError, TypeError):
+        except (ValueError, SyntaxError, TypeError, RecursionError,
+                MemoryError):
             pass
 
     if not candidates:

@@ -35,9 +35,12 @@ log = logging.getLogger(__name__)
 # Answer verification
 
 
+_TOKEN = re.compile(r"[a-z0-9']+")
+
+
 def normalize_answer(text: str) -> str:
     """Lowercase, drop stopwords, Porter-stem, rejoin with single spaces."""
-    tokens = re.findall(r"[a-z0-9']+", text.lower())
+    tokens = _TOKEN.findall(text.lower())
     return " ".join(stem(t) for t in tokens if t not in STOPWORDS)
 
 
@@ -50,19 +53,35 @@ def _gold_form(gold: str) -> str:
 def edit_distance_below(a: str, b: str, limit: float) -> bool:
     """Whether the character-level edit distance of a and b is below limit.
 
-    A distance below limit is at most k = ceil(limit) - 1, and the cheapest
-    edit path of cost k or less never leaves the band |i - j| <= k of the
-    edit-distance table. So only the band is filled, a length gap over k
-    fails at once, and the check stops at the first row whose band holds
-    nothing at or below k: no later row can go lower.
+    A distance below limit is at most k = ceil(limit) - 1, so a length gap
+    over k fails at once.
 
-    Before the table, the bag distance max(|A - B|, |B - A|) of the two
-    strings' character multisets A and B settles most pairs: an insertion,
-    deletion or substitution changes each side of the multiset difference
-    by at most one, so the bag distance never exceeds the edit distance,
-    and a bag distance over k fails at once (Bartolini, Ciaccia & Patella,
-    SPIRE 2002). With a the longer string, |A - B| - |B - A| = |a| - |b|
-    >= 0, so the bag distance is |A - B|.
+    Before any distance is computed, the bag distance max(|A - B|, |B - A|)
+    of the two strings' character multisets A and B settles most pairs: an
+    insertion, deletion or substitution changes each side of the multiset
+    difference by at most one, so the bag distance never exceeds the edit
+    distance, and a bag distance over k fails at once (Bartolini, Ciaccia &
+    Patella, SPIRE 2002). With a the longer string, |A - B| - |B - A| =
+    |a| - |b| >= 0, so the bag distance is |A - B|.
+
+    The distance itself comes from the bit-parallel form of the
+    edit-distance table (Myers, "A fast bit-vector algorithm for
+    approximate string matching based on dynamic programming", J. ACM
+    46(3), 1999), in the global-distance form that Hyyrö explains
+    ("Explaining and extending the bit-parallel approximate string matching
+    algorithm of Myers", 2001). The table has a row per character of b, the
+    shorter string, and a column per character of a. A column is held as
+    two bit vectors over its m rows: pv marks the rows whose value is one
+    more than the row above, mv those one less. Reading the next character
+    of a derives the horizontal steps ph and mh from them with a few integer
+    operations, and from those the next column; Python's ints hold vectors
+    of any m. The carry of 1 shifted into ph is the first row's step,
+    D[0][j] = j, which makes the distance global rather than the best match
+    of b inside a. The last row's value, `score`, moves with the top bit of
+    ph and mh. Each character of a still to read can lower it by at most
+    one, so the check fails once score exceeds k by more than that count.
+    Bits above row m only ever carry upward, so masking pv to m rows changes
+    no answer; it stops the vectors from growing by a bit per character.
     """
     k = math.ceil(limit) - 1
     if len(a) < len(b):
@@ -75,29 +94,35 @@ def edit_distance_below(a: str, b: str, limit: float) -> bool:
         extra = a.count(c) - b.count(c)
         if extra > 0:
             bag_distance += extra
-    if bag_distance > k:
-        return False
-    far = k + 1                 # any cell outside the band is at least this
-    previous = [j if j <= k else far for j in range(m + 1)]
-    for i, ca in enumerate(a, start=1):
-        current = [far] * (m + 1)
-        if i <= k:
-            current[0] = i
-        lo, hi = max(i - k, 1), min(i + k, m)
-        best = left = current[lo - 1]
-        for j in range(lo, hi + 1):
-            cost = previous[j - 1] + (ca != b[j - 1])
-            if previous[j] + 1 < cost:
-                cost = previous[j] + 1
-            if left + 1 < cost:
-                cost = left + 1
-            current[j] = left = cost
-            if cost < best:
-                best = cost
-        if best > k:
+            if bag_distance > k:
+                return False
+    if not m:
+        return n <= k
+    peq: dict[str, int] = {}        # character -> the rows of b it is in
+    bit = 1
+    for c in b:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    mask, top = bit - 1, bit >> 1
+    pv, mv, score = mask, 0, m
+    remaining = n
+    for c in a:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        remaining -= 1
+        if score - remaining > k:
             return False
-        previous = current
-    return previous[m] <= k
+        ph = ph << 1 | 1
+        pv = (mh << 1 | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score <= k
 
 
 def verify_answer(predicted: str, gold: str) -> bool:
@@ -112,10 +137,9 @@ def verify_answer(predicted: str, gold: str) -> bool:
     a, b = normalize_answer(predicted), _gold_form(gold)
     if not b:
         a, b = predicted, gold
-    longer = max(len(a), len(b))
-    if longer == 0:
+    if a == b:                  # distance 0: a match, two empty ones too
         return True
-    return edit_distance_below(a, b, 0.2 * longer)
+    return edit_distance_below(a, b, 0.2 * max(len(a), len(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +157,7 @@ UNANSWERABLE_PHRASES = (
 )
 
 _STANDALONE_DIGIT = re.compile(r"(?<!\d)([0-5])(?!\d)")
+_NO = re.compile(r"\bno\b")
 
 
 def parse_self_rating(completion: str) -> int:
@@ -148,7 +173,7 @@ def parse_self_rating(completion: str) -> int:
     lowered = completion.lower()
     if any(p in lowered for p in UNANSWERABLE_PHRASES):
         return 0
-    if re.search(r"\bno\b", lowered):
+    if _NO.search(lowered):
         return 0
     return 1
 

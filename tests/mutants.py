@@ -110,9 +110,12 @@ MUTANTS = (
            "kappa={table.kappa_per_row[0]:.3f}",
            "tests/test_cli.py::test_agreement_prints_each_overall_kappa"),
     Mutant("an unhashable literal ending generate", "bank.py",
-           "except (ValueError, SyntaxError, TypeError):",
-           "except (ValueError, SyntaxError):",
+           "SyntaxError, TypeError, ", "SyntaxError, ",
            "tests/test_bank.py::TestParseQuestionList"),
+    Mutant("brackets too deep to parse ending generate", "bank.py",
+           "TypeError, RecursionError,\n                MemoryError)",
+           "TypeError)", "tests/test_cli.py::"
+           "test_generate_reads_brackets_too_deep_to_parse_as_no_list"),
     Mutant("diff_banks comparing text only", "bank.py",
            "(old_by_id[qid].query_id, old_by_id[qid].text)",
            "(new_by_id[qid].query_id, old_by_id[qid].text)", A3),
@@ -140,9 +143,15 @@ MUTANTS = (
            "tests/test_grading.py::test_braces_passage_is_graded"),
     Mutant(">= for > in the bag-distance bound", "grading.py",
            "if bag_distance > k:", "if bag_distance >= k:", VERIFY),
-    Mutant("an edit-distance band one cell narrower", "grading.py",
-           "lo, hi = max(i - k, 1), min(i + k, m)",
-           "lo, hi = max(i - k + 1, 1), min(i + k, m)", VERIFY),
+    Mutant("the first row's carry dropped from the distance", "grading.py",
+           "ph = ph << 1 | 1", "ph = ph << 1", VERIFY),
+    Mutant("the distance read one row above the last", "grading.py",
+           "top = bit - 1, bit >> 1", "top = bit - 1, bit >> 2", VERIFY),
+    Mutant(">= for > in the distance's early exit", "grading.py",
+           "if score - remaining > k:", "if score - remaining >= k:", VERIFY),
+    Mutant("equal answers rejected", "grading.py",
+           "return True\n    return edit_distance_below(",
+           "return False\n    return edit_distance_below(", VERIFY),
     Mutant("Kendall tau-b ignoring ties", "metrics.py",
            "math.sqrt((pairs - tied_a) * (pairs - tied_b))", "pairs",
            "tests/test_metrics.py::test_correlations_match_scipy"),

@@ -6,7 +6,8 @@ This module uses only the standard library and imports nothing from
 the store's (key, row) pairs, and a bank and a self-rated policy are read
 only through their attributes: `questions_by_query` of questions with a
 `question_id`, `query_id` and `text`, and `mode`, `min_rating` and
-`min_answers`.
+`min_answers`. The answer check takes the program's normalizer as an
+argument.
 """
 import itertools
 import math
@@ -193,3 +194,27 @@ def groups(values, threshold):
         return [[v] for v in ordered]
     return [g for g in ([v for v in ordered if v >= threshold],
                         [v for v in ordered if v < threshold]) if g]
+
+
+def levenshtein(a, b):
+    """The edit distance by the full table: each insertion, deletion or
+    substitution of a character costs 1."""
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(min(previous[j] + 1, current[j - 1] + 1,
+                               previous[j - 1] + (ca != cb)))
+        previous = current
+    return previous[-1]
+
+
+def reference_verify(predicted, gold, normalize):
+    """The qa rule: the normalized answers match when their edit distance
+    is under 20 % of the longer one's length. A gold answer that normalizes
+    to nothing compares the raw strings."""
+    a, b = normalize(predicted), normalize(gold)
+    if not b:
+        a, b = predicted, gold
+    longer = max(len(a), len(b))
+    return longer == 0 or levenshtein(a, b) < 0.2 * longer

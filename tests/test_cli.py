@@ -20,7 +20,8 @@ from hypothesis import Phase, given, settings
 from exam_eval.cli import (
     COMMANDS, GLOBAL_OPTIONS, atomic_write, main, parse_policy,
     read_config_file)
-from exam_eval.formats import GradeStore, ParseError, save_question_bank
+from exam_eval.formats import (
+    GradeStore, ParseError, load_question_bank, save_question_bank)
 from exam_eval.gateway import MockBackend
 from exam_eval.model import (
     ContractViolation,
@@ -841,6 +842,24 @@ def test_generate_rejects_bad_queries_before_any_request(
         "generate", "--queries", str(path), "--template", "dl",
         "--mock", str(tmp_path / "gen_mock.json"), "--out", str(bank)],
         f"{path}: {message}", bank)
+
+
+def test_generate_reads_brackets_too_deep_to_parse_as_no_list(tmp_path):
+    # Unary operators nested this deep make Python's literal parser raise
+    # RecursionError, MemoryError or ValueError, depending on its version;
+    # each completion falls through to its numbered lines.
+    write_pipeline_inputs(tmp_path)
+    fixture = tmp_path / "deep.json"
+    fixture.write_text(json.dumps({
+        "q1": "1. Why tea?\n[" + "-" * 3000 + "1]",
+        "q2": "1. Why coffee?\n[" + "-" * 10000 + "1]"}))
+    bank = tmp_path / "bank.json"
+    assert main(["generate", "--queries", str(tmp_path / "queries.json"),
+                 "--template", "dl", "--mock", str(fixture),
+                 "--out", str(bank)]) == 0
+    assert {query_id: [q.text for q in questions] for query_id, questions
+            in load_question_bank(bank).questions_by_query.items()} \
+        == {"q1": ["Why tea?"], "q2": ["Why coffee?"]}
 
 
 @pytest.mark.parametrize("value, kind", [(None, "null"), (4, "int")],

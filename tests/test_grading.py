@@ -25,6 +25,7 @@ from exam_eval.model import (
     SELF_RATED,
 )
 from conftest import RecordingBackend, make_run, stored_grades
+from oracles import levenshtein, reference_verify
 
 
 class TestNormalizeAnswer:
@@ -39,31 +40,6 @@ class TestNormalizeAnswer:
         assert normalize_answer("a the of") == ""
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Full-table edit distance: the reference for the banded check."""
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + (ca != cb)))
-        previous = current
-    return previous[-1]
-
-
-def reference_verify(predicted: str, gold: str) -> bool:
-    """`verify_answer` with the full-table distance."""
-    a, b = normalize_answer(predicted), normalize_answer(gold)
-    if not b:
-        a, b = predicted, gold
-    longer = max(len(a), len(b))
-    return longer == 0 or levenshtein(a, b) < 0.2 * longer
-
-
 # Small alphabets make near matches common; words make stems and stopwords.
 near_text = st.text(alphabet="abcde", max_size=25)
 answer_text = st.lists(
@@ -71,6 +47,39 @@ answer_text = st.lists(
                      "epidermis", "dermis", "outer", "cells", "cell", "x1",
                      "don't", "ABC", "abd", "-", ",", " "]),
     max_size=8).map(" ".join)
+
+
+def edited_pairs(alphabet, **size):
+    """Pairs of a drawn text and that text after a few drawn
+    single-character edits, both over `alphabet`."""
+    def edits_of(text):
+        def apply(edits):
+            chars = list(text)
+            for op, at, c in edits:
+                if op == 0:
+                    chars.insert(at, c)
+                elif at < len(chars):
+                    chars[at:at + 1] = [] if op == 1 else [c]
+            return text, "".join(chars)
+        edit = st.tuples(st.integers(0, 2), st.integers(0, len(text)),
+                         st.sampled_from(alphabet))
+        return st.lists(edit, max_size=max(2, len(text) // 3)).map(apply)
+    return st.text(alphabet=alphabet, **size).flatmap(edits_of)
+
+
+# Pairs for the distance check: near strings; anagrams, which the bag
+# bound cannot settle; strings sharing no character, which it settles;
+# strings longer than 64 characters, so the bit vectors pass a machine
+# word; and text with an astral character and a combining mark.
+distance_pairs = st.one_of(
+    st.tuples(near_text, near_text),
+    st.text(alphabet="abcdefgh", max_size=25).flatmap(
+        lambda a: st.tuples(st.just(a), st.permutations(a).map("".join))),
+    st.tuples(st.text(alphabet="abcde", max_size=25),
+              st.text(alphabet="vwxyz", max_size=25)),
+    edited_pairs("abcd", min_size=65, max_size=160),
+    edited_pairs("a\u00e9\U0001f600\u0301 ", max_size=25),
+)
 
 
 class TestVerifyAnswer:
@@ -101,36 +110,11 @@ class TestVerifyAnswer:
         assert levenshtein(a, b) == levenshtein(b, a)
         assert levenshtein(a, b) <= max(len(a), len(b))
 
-    @pytest.mark.parametrize("scale", [1, 2, 5])
-    @settings(max_examples=300)
-    @given(a=near_text, b=near_text)
-    def test_banded_check_matches_full_table(self, scale, a, b):
-        # The 20 % rule's limit and wider ones, whose bands reach further.
-        limit = scale * 0.2 * max(len(a), len(b))
-        expected = levenshtein(a, b) < limit
-        assert edit_distance_below(a, b, limit) == expected
-        assert edit_distance_below(b, a, limit) == expected
-
-    @pytest.mark.parametrize("scale", [1, 2, 5])
-    @settings(max_examples=300)
-    @given(pair=st.text(alphabet="abcdefgh", max_size=25).flatmap(
-        lambda a: st.tuples(st.just(a), st.permutations(a).map("".join))))
-    def test_anagrams_pass_the_bag_bound_to_the_table(self, scale, pair):
-        # An anagram's bag distance is 0, whatever its edit distance, so
-        # the bag bound settles none of these: the table decides each.
+    @settings(max_examples=400)
+    @given(pair=distance_pairs, scale=st.sampled_from([1, 2, 5]))
+    def test_distance_check_matches_full_table(self, pair, scale):
+        # The 20 % rule's limit and wider ones, in both argument orders.
         a, b = pair
-        limit = scale * 0.2 * len(a)
-        expected = levenshtein(a, b) < limit
-        assert edit_distance_below(a, b, limit) == expected
-        assert edit_distance_below(b, a, limit) == expected
-
-    @pytest.mark.parametrize("scale", [1, 2, 5])
-    @settings(max_examples=300)
-    @given(a=st.text(alphabet="abcde", max_size=25),
-           b=st.text(alphabet="vwxyz", max_size=25))
-    def test_disjoint_alphabets_settled_by_the_bag_bound(self, scale, a, b):
-        # Strings sharing no character: the bag distance is the longer
-        # length, which is also the edit distance.
         limit = scale * 0.2 * max(len(a), len(b))
         expected = levenshtein(a, b) < limit
         assert edit_distance_below(a, b, limit) == expected
@@ -149,12 +133,12 @@ class TestVerifyAnswer:
     @given(answer_text, answer_text.filter(bool))
     def test_matches_full_table_reference(self, predicted, gold):
         assert verify_answer(predicted, gold) == reference_verify(
-            predicted, gold)
+            predicted, gold, normalize_answer)
 
     @given(near_text, near_text.filter(bool))
     def test_near_strings_match_full_table_reference(self, predicted, gold):
         assert verify_answer(predicted, gold) == reference_verify(
-            predicted, gold)
+            predicted, gold, normalize_answer)
 
 
 class TestParseSelfRating:
@@ -324,7 +308,8 @@ class TestGradeCorpus:
         expected = {
             (qid[:2], pid, qid, QA_VERIFIED): (
                 responses[f"{qid}/{pid}"],
-                reference_verify(responses[f"{qid}/{pid}"], gold), None)
+                reference_verify(responses[f"{qid}/{pid}"], gold,
+                                 normalize_answer), None)
             for qid, gold in golds.items()
             for pid in (f"p{qid[1]}{j}" for j in range(4))}
         assert store.read() == expected
