@@ -67,16 +67,10 @@ def edited_pairs(alphabet, **size):
     return st.text(alphabet=alphabet, **size).flatmap(edits_of)
 
 
-# Pairs for the distance check: near strings; anagrams, which the bag
-# bound cannot settle; strings sharing no character, which it settles;
-# strings longer than 64 characters, so the bit vectors pass a machine
-# word; and text with an astral character and a combining mark.
-distance_pairs = st.one_of(
-    st.tuples(near_text, near_text),
-    st.text(alphabet="abcdefgh", max_size=25).flatmap(
-        lambda a: st.tuples(st.just(a), st.permutations(a).map("".join))),
-    st.tuples(st.text(alphabet="abcde", max_size=25),
-              st.text(alphabet="vwxyz", max_size=25)),
+# Pairs past the short-string cases: strings longer than 64 characters, so
+# the bit vectors pass a machine word, and text with an astral character
+# and a combining mark.
+long_and_astral_pairs = st.one_of(
     edited_pairs("abcd", min_size=65, max_size=160),
     edited_pairs("a\u00e9\U0001f600\u0301 ", max_size=25),
 )
@@ -110,10 +104,44 @@ class TestVerifyAnswer:
         assert levenshtein(a, b) == levenshtein(b, a)
         assert levenshtein(a, b) <= max(len(a), len(b))
 
-    @settings(max_examples=400)
-    @given(pair=distance_pairs, scale=st.sampled_from([1, 2, 5]))
-    def test_distance_check_matches_full_table(self, pair, scale):
+    @pytest.mark.parametrize("scale", [1, 2, 5])
+    @settings(max_examples=300)
+    @given(a=near_text, b=near_text)
+    def test_banded_check_matches_full_table(self, scale, a, b):
         # The 20 % rule's limit and wider ones, in both argument orders.
+        limit = scale * 0.2 * max(len(a), len(b))
+        expected = levenshtein(a, b) < limit
+        assert edit_distance_below(a, b, limit) == expected
+        assert edit_distance_below(b, a, limit) == expected
+
+    @pytest.mark.parametrize("scale", [1, 2, 5])
+    @settings(max_examples=300)
+    @given(pair=st.text(alphabet="abcdefgh", max_size=25).flatmap(
+        lambda a: st.tuples(st.just(a), st.permutations(a).map("".join))))
+    def test_anagrams_pass_the_bag_bound_to_the_table(self, scale, pair):
+        # An anagram's bag distance is 0, whatever its edit distance, so
+        # the bag bound settles none of these: the table decides each.
+        a, b = pair
+        limit = scale * 0.2 * len(a)
+        expected = levenshtein(a, b) < limit
+        assert edit_distance_below(a, b, limit) == expected
+        assert edit_distance_below(b, a, limit) == expected
+
+    @pytest.mark.parametrize("scale", [1, 2, 5])
+    @settings(max_examples=300)
+    @given(a=st.text(alphabet="abcde", max_size=25),
+           b=st.text(alphabet="vwxyz", max_size=25))
+    def test_disjoint_alphabets_settled_by_the_bag_bound(self, scale, a, b):
+        # Strings sharing no character: the bag distance is the longer
+        # length, which is also the edit distance.
+        limit = scale * 0.2 * max(len(a), len(b))
+        expected = levenshtein(a, b) < limit
+        assert edit_distance_below(a, b, limit) == expected
+        assert edit_distance_below(b, a, limit) == expected
+
+    @settings(max_examples=300)
+    @given(pair=long_and_astral_pairs, scale=st.sampled_from([1, 2, 5]))
+    def test_long_and_astral_pairs_match_full_table(self, pair, scale):
         a, b = pair
         limit = scale * 0.2 * max(len(a), len(b))
         expected = levenshtein(a, b) < limit
