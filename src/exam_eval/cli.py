@@ -49,13 +49,25 @@ def parse_policy(text: str) -> GradePolicy:
                        min_answers=min_answers)
 
 
-def _grade_index(grades_path: str, policy: GradePolicy,
-                 bank: QuestionBank) -> GradeIndex:
-    """The store's grades that count for the bank under the policy, read
-    once for a command."""
+def _grade_index(grades_path: str, policy: GradePolicy, bank: QuestionBank,
+                 bank_path: str, rows=None) -> GradeIndex:
+    """The grades that count for the bank under the policy, of the store's
+    `rows` or of the store read once for a command. One warning names the
+    store, the bank, and how many grades do not count for each reason."""
     from . import formats
     from .model import GradeIndex
-    return GradeIndex(formats.GradeStore(grades_path).read(), policy, bank)
+    rows = formats.GradeStore(grades_path).read() if rows is None else rows
+    index = GradeIndex(rows, policy, bank)
+    if any(index.uncounted):
+        import logging
+        reasons = (f"not {policy.mode}", "of a question not in the bank",
+                   "of a question the bank files under another query")
+        logging.getLogger("exam_eval").warning(
+            "%d of %d grades in %s do not count for %s: %s",
+            sum(index.uncounted), len(rows), grades_path, bank_path,
+            ", ".join(f"{n} {reason}" for n, reason
+                      in zip(index.uncounted, reasons) if n))
+    return index
 
 
 def atomic_write(path: str | Path, text: str) -> None:
@@ -475,8 +487,9 @@ def cover(bank_path, run_path, grades_path, policy, depth, out):
     from . import formats, grading, metrics
     bank = formats.load_question_bank(bank_path)
     run = formats.load_run_file(run_path)
-    per_query = metrics.exam_cover(grading.build_passage_pool([run], depth),
-                                   _grade_index(grades_path, policy, bank))
+    per_query = metrics.exam_cover(
+        grading.build_passage_pool([run], depth),
+        _grade_index(grades_path, policy, bank, bank_path))
     lines = ["query\tcover\n"]
     for query_id in sorted(per_query):
         lines.append(f"{query_id}\t{per_query[query_id]:.4f}\n")
@@ -492,8 +505,8 @@ def qrels(bank_path, grades_path, policy, graded, out):
     """Derive a qrels file from stored grades."""
     from . import formats, metrics
     bank = formats.load_question_bank(bank_path)
-    labels = metrics.build_qrels(_grade_index(grades_path, policy, bank),
-                                 graded=graded)
+    labels = metrics.build_qrels(
+        _grade_index(grades_path, policy, bank, bank_path), graded=graded)
     _emit(formats.write_qrels(labels), out)
 
 
@@ -521,8 +534,8 @@ def leaderboard(bank_path, run_paths, grades_path, policy, metric, depth,
     official = (formats.load_official_ranks(official_path)
                 if official_path else None)
     result = metrics.leaderboard(
-        runs, _grade_index(grades_path, policy, bank), metric=metric,
-        depth=depth, official_ranks=official)
+        runs, _grade_index(grades_path, policy, bank, bank_path),
+        metric=metric, depth=depth, official_ranks=official)
     lines = ["system\tscore\tstd_error\tofficial_rank\n"]
     for row in result.rows:
         rank = _rank_text(row.official_rank)
@@ -620,8 +633,8 @@ def agreement(labels_path, judgments_path, collapses, judgment_rel_min,
     if min_answers:
         bank = formats.load_question_bank(bank_path)
         tables += metrics.min_answers_sweep(
-            _grade_index(grades_path, policy, bank), official, min_answers,
-            judgment_rel_min)
+            _grade_index(grades_path, policy, bank, bank_path), official,
+            min_answers, judgment_rel_min)
 
     render = _format_table_tsv if fmt == "tsv" else _format_table_text
     _emit("\n".join(map(render, tables)), out)
@@ -638,12 +651,12 @@ def diff(old_path, new_path, grades_path, policy, out):
     """Show bank edits and the passages whose labels they flip."""
     from . import bank as bank_mod
     from . import formats
-    from .model import GradeIndex
     old = formats.load_question_bank(old_path)
     new = formats.load_question_bank(new_path)
     rows = formats.GradeStore(grades_path).read()
-    report = bank_mod.diff_banks(GradeIndex(rows, policy, old),
-                                 GradeIndex(rows, policy, new))
+    report = bank_mod.diff_banks(
+        _grade_index(grades_path, policy, old, old_path, rows),
+        _grade_index(grades_path, policy, new, new_path, rows))
     lines = []
     for title, items in (("added", report.added), ("removed", report.removed),
                          ("edited", report.edited),

@@ -84,129 +84,108 @@ def parse_run_file(text: str) -> Run:
     warning, first tag wins. A file without run lines has no tag and is
     rejected. The score must be a number but is not kept: the rank column
     orders the run. Queries come back in sorted order, each with its
-    passage ids in rank order. A passage listed twice for a query, or two
-    passages sharing a rank, are rejected at the first line that repeats
-    one.
+    passage ids in rank order. Lines may come in any order.
 
-    A file as tools write it, one tag and each query's lines together, is
-    read by query column: one pass over the lines collects each query's
-    passage, rank and score texts, and each query's columns are then
-    converted and checked at once. Any other file (a fault, a second tag,
-    or a query whose lines are split by another query's) goes to
-    `_parse_lines`, the line loop, which gives the same `Run` and is the
-    one place that words every error and warning.
+    One pass collects each query's passage, rank and score texts, wherever
+    its lines are, and each query's columns are then converted and checked
+    at once. On any fault, `_first_fault` words the error for the first
+    faulty line in file order, a line that repeats a passage or a rank of
+    its query included.
     """
     columns: dict[str, tuple[list[str], list[str], list[str]]] = {}
     run_tag = qid = None
+    second_tag = False
     lines = text.splitlines()
-    for fields in map(str.split, lines):
-        if len(fields) != 6:
-            if fields:
-                return _parse_lines(lines)
-            continue
-        line_qid, literal, docid, rank_s, score_s, tag = fields
-        if line_qid != qid:
-            qid = line_qid
-            if qid in columns:      # the query's lines are not together
-                return _parse_lines(lines)
-            passages, rank_texts, score_texts = columns[qid] = ([], [], [])
-            if run_tag is None:
-                run_tag = tag
-        if tag != run_tag or literal not in ("Q0", "0"):
-            return _parse_lines(lines)
-        passages.append(docid)
-        rank_texts.append(rank_s)
-        score_texts.append(score_s)
-    if run_tag is None:
-        return _parse_lines(lines)
-    by_query: dict[str, list[str]] = {}
-    for qid in sorted(columns):
-        passages, rank_texts, score_texts = columns[qid]
-        try:
+    try:    # every fault raises ValueError
+        for fields in map(str.split, lines):
+            if len(fields) != 6:
+                if fields:
+                    raise ValueError
+                continue
+            line_qid, literal, docid, rank_s, score_s, tag = fields
+            if line_qid != qid:
+                qid = line_qid
+                column = columns.get(qid)
+                if column is None:
+                    column = columns[qid] = ([], [], [])
+                    if run_tag is None:
+                        run_tag = tag
+                passages, rank_texts, score_texts = column
+            if tag != run_tag or literal not in ("Q0", "0"):
+                if literal not in ("Q0", "0"):
+                    raise ValueError
+                second_tag = True
+            passages.append(docid)
+            rank_texts.append(rank_s)
+            score_texts.append(score_s)
+        if run_tag is None:
+            raise ValueError
+        by_query: dict[str, list[str]] = {}
+        for qid in sorted(columns):
+            passages, rank_texts, score_texts = columns[qid]
             ranks = list(map(int, rank_texts))
             list(map(float, score_texts))
-        except ValueError:
-            return _parse_lines(lines)
-        ascending = sorted(ranks)
-        if (ascending[0] < 1 or len(set(ranks)) != len(ranks)
-                or len(set(passages)) != len(passages)):
-            return _parse_lines(lines)
-        if ascending != ranks:
-            by_rank = dict(zip(ranks, passages))
-            passages = [by_rank[rank] for rank in ascending]
-        by_query[qid] = passages
+            ascending = sorted(ranks)
+            if (ascending[0] < 1 or len(set(ranks)) != len(ranks)
+                    or len(set(passages)) != len(passages)):
+                raise ValueError
+            if ascending != ranks:
+                by_rank = dict(zip(ranks, passages))
+                passages = [by_rank[rank] for rank in ascending]
+            by_query[qid] = passages
+    except ValueError:
+        raise _first_fault(lines) or AssertionError(
+            "the line walk found no fault the column pass found") from None
+    if second_tag:
+        for line_no, fields in enumerate(map(str.split, lines), 1):
+            if fields and fields[5] != run_tag:
+                log.warning(_TAG_DIFFERS, line_no, fields[5], run_tag)
     return Run(run_tag, by_query)
 
 
-def _parse_lines(lines: list[str]) -> Run:
-    """`parse_run_file` one line at a time, for any file's lines: the
-    reference that raises every `ParseError` and logs every warning. It
-    takes the lines already split, since splitting a long file again
-    costs a tenth of this loop."""
-    by_query: dict[str, list[tuple[str, int]]] = {}
-    run_tag: str | None = None
-    for line_no, line in enumerate(lines, start=1):
-        fields = line.split()
+_TAG_DIFFERS = "line %d: run tag %r differs from %r; keeping the first"
+
+
+def _first_fault(lines: list[str]) -> ParseError | None:
+    """The error for the first faulty one of a run file's lines, after a
+    warning for each earlier line whose tag differs from the first line's;
+    None when no line is faulty. A file without run lines is faulty."""
+    seen: set[tuple[str, str | int]] = set()     # (qid, docid), (qid, rank)
+    run_tag = None
+    for line_no, fields in enumerate(map(str.split, lines), 1):
         if not fields:
             continue
         if len(fields) != 6:
-            raise ParseError(
+            return ParseError(
                 f"expected 6 whitespace-separated fields, got {len(fields)}",
                 line_no)
         qid, literal, docid, rank_s, score_s, tag = fields
         if literal not in ("Q0", "0"):
-            raise ParseError(
+            return ParseError(
                 f"expected 'Q0' or '0' in column 2, got {literal!r}", line_no)
         try:
             rank = int(rank_s)
             float(score_s)
         except ValueError as exc:
-            raise ParseError(str(exc), line_no) from None
+            return ParseError(str(exc), line_no)
         if rank < 1:
-            raise ParseError(
+            return ParseError(
                 f"rank must be >= 1, got {rank} for ({qid}, {docid})",
                 line_no)
+        for what, value in (("passage", docid), ("rank", rank)):
+            if (qid, value) in seen:
+                return ParseError(
+                    f"{what} {value!r} listed twice for query {qid!r} "
+                    f"in run {run_tag!r}", line_no)
+            seen.add((qid, value))
         if tag != run_tag:
             if run_tag is None:
                 run_tag = tag
             else:
-                log.warning(
-                    "line %d: run tag %r differs from %r; keeping the first",
-                    line_no, tag, run_tag)
-        rows = by_query.get(qid)
-        if rows is None:
-            rows = by_query[qid] = []
-        rows.append((docid, rank))
-    if run_tag is None:
-        raise ParseError("no run lines: a run's tag, from its first line, "
-                         "names its leaderboard row")
-    passage_of, rank_of = itemgetter(0), itemgetter(1)
-    ranked: dict[str, list[str]] = {}
-    for qid, rows in by_query.items():
-        rows.sort(key=rank_of)
-        passage_ids = ranked[qid] = list(map(passage_of, rows))
-        if (len(set(passage_ids)) != len(rows)
-                or len(set(map(rank_of, rows))) != len(rows)):
-            raise _repeated_row(lines, run_tag)
-    return Run(run_tag, {qid: ranked[qid] for qid in sorted(ranked)})
-
-
-def _repeated_row(lines: list[str], run_tag: str) -> ParseError:
-    """The error for the first line in the file that repeats a passage or
-    a rank of its own query; looked up only once the file is known to
-    hold one."""
-    seen: set[tuple[str, str, str | int]] = set()
-    for line_no, line in enumerate(lines, start=1):
-        fields = line.split()
-        if not fields:
-            continue
-        qid = fields[0]
-        for what, value in (("passage", fields[2]), ("rank", int(fields[3]))):
-            if (qid, what, value) in seen:
-                return ParseError(
-                    f"{what} {value!r} listed twice for query {qid!r} "
-                    f"in run {run_tag!r}", line_no)
-            seen.add((qid, what, value))
+                log.warning(_TAG_DIFFERS, line_no, tag, run_tag)
+    return None if run_tag else ParseError(
+        "no run lines: a run's tag, from its first line, names its "
+        "leaderboard row")
 
 
 @_reader
@@ -623,7 +602,8 @@ class GradeStore:
         canonical = _CANONICAL_LINE.match
         scanstring = json.decoder.scanstring
         try:
-            with gzip.open(self.path, "rt", encoding="utf-8") as fh:
+            with gzip.open(self.path, "rt", encoding="utf-8",
+                           newline="\n") as fh:
                 for line_no, line in enumerate(fh, start=1):
                     match = canonical(line)
                     if match is None:

@@ -56,25 +56,37 @@ HTTP = "tests/test_gateway.py::TestHttpBackend"
 PORTER = "tests/test_porter.py::test_matches_reference_with_suffixes"
 RUNS = "tests/test_formats.py::TestRunParsing"
 RUN_LOOP = "tests/test_formats.py::test_run_file_parse_matches_line_loop"
+STORE_DECODE = "tests/test_formats.py::TestGradeStoreDecode"
+SHUFFLED_TAGS = (f"{RUNS}::"
+                 "test_second_tag_in_a_shuffled_file_warns_per_line_in_order")
 
 MUTANTS = (
     Mutant("pool depth + 1", "grading.py", "run.top_k(query_id, depth)",
            "run.top_k(query_id, depth + 1)", A3),
-    Mutant("unsorted ranks", "formats.py", "rows.sort(key=rank_of)", "pass",
-           A3),
     Mutant("a bad column-2 literal read by query column", "formats.py",
            ' or literal not in ("Q0", "0")', "", RUN_LOOP),
     Mutant("a second run tag read by query column", "formats.py",
            "tag != run_tag or ", "",
            f"{RUNS}::test_inconsistent_tag_keeps_first"),
-    Mutant("a query's lines read by column when split by another's",
-           "formats.py", "if qid in columns:", "if False:", RUN_LOOP),
+    Mutant("a split query's second block replacing its first",
+           "formats.py", "column = columns.get(qid)", "column = None",
+           SHUFFLED_TAGS),
     Mutant("a query's column left in file order", "formats.py",
            "passages = [by_rank[rank] for rank in ascending]", "pass",
            f"{RUNS}::test_out_of_order_ranks_sorted"),
     Mutant("a repeated passage read by query column", "formats.py",
-           "\n                or len(set(passages)) != len(passages)", "",
+           "\n                    or len(set(passages)) != len(passages)", "",
            RUN_LOOP),
+    Mutant("repeat tracking dropped from the walk", "formats.py",
+           "seen.add((qid, value))", "pass",
+           f"{RUNS}::test_duplicate_pair_rejected"),
+    Mutant("the second-tag warning loop skipped", "formats.py",
+           "if second_tag:", "if False:",
+           SHUFFLED_TAGS),
+    Mutant("no guard for a fault the walk does not find", "formats.py",
+           "raise _first_fault(lines) or AssertionError(",
+           "raise _first_fault(lines) or (",
+           f"{RUNS}::test_pass_and_walk_disagreeing_is_an_assertion_error"),
     Mutant("a rank below 1 read by query column", "formats.py",
            "ascending[0] < 1 or ", "",
            f"{RUNS}::test_rank_zero_carries_line_number"),
@@ -119,6 +131,10 @@ MUTANTS = (
     Mutant("diff_banks comparing text only", "bank.py",
            "(old_by_id[qid].query_id, old_by_id[qid].text)",
            "(new_by_id[qid].query_id, old_by_id[qid].text)", A3),
+    Mutant("grade-store lines split at a CR", "formats.py",
+           'encoding="utf-8",\n                           newline="\\n")',
+           'encoding="utf-8")', f"{STORE_READ} {STORE_DECODE}::"
+           "test_raw_carriage_return_is_json_whitespace"),
     Mutant("no zlib.error catch", "formats.py",
            "(OSError, EOFError, zlib.error, UnicodeDecodeError)",
            "(OSError, EOFError, UnicodeDecodeError)",

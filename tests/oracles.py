@@ -15,11 +15,31 @@ import math
 
 def run_rows(text):
     """Each query's (passage, rank) rows of a run file, in file order: the
-    oracles rank them themselves instead of reading a parsed run."""
+    oracles rank them themselves instead of reading a parsed run.
+
+    A text that is no run raises ValueError with the number of its first
+    faulty line: one with other than 6 fields, column 2 other than "Q0" or
+    "0", a rank that is no integer of at least 1, a score that is no
+    number, or a passage or a rank its query already has. A text without
+    run lines raises it with None. Blank lines are skipped."""
     rows = {}
-    for line in text.splitlines():
-        query_id, _, passage_id, rank, _, _ = line.split()
-        rows.setdefault(query_id, []).append((passage_id, int(rank)))
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        try:
+            query_id, column_2, passage_id, rank, score, _ = fields
+            rank = int(rank)
+            float(score)
+        except ValueError:
+            raise ValueError(line_no) from None
+        ranked = rows.setdefault(query_id, [])
+        if (column_2 not in ("Q0", "0") or rank < 1
+                or any(p == passage_id or r == rank for p, r in ranked)):
+            raise ValueError(line_no)
+        ranked.append((passage_id, rank))
+    if not rows:
+        raise ValueError(None)
     return rows
 
 

@@ -1192,6 +1192,33 @@ def test_grades_count_only_for_questions_of_their_own_query(tmp_path, capsys,
         assert main(argv) == 0
         assert capsys.readouterr().out == expected, argv[0]
     assert "coverage gap: 2 pooled passages have no grades" in caplog.messages
+    # diff warns once per bank.
+    store = paths["grades.jsonl.gz"]
+    assert caplog.messages[-2:] == [
+        f"2 of 4 grades in {store} do not count for {paths['bank.json']}: "
+        f"1 of a question not in the bank, 1 of a question the bank files "
+        f"under another query",
+        f"2 of 4 grades in {store} do not count for {paths['new.json']}: "
+        f"2 of a question the bank files under another query"]
+
+
+def test_grades_that_do_not_count_are_logged(tmp_path, capsys, caplog):
+    # A store of self-ratings scored under the qa policy: no grade counts,
+    # and the qrels file is empty. Under rate:4 every grade counts.
+    golden = Path(__file__).parent / "golden"
+    bank, store = golden / "bank.json", tmp_path / "grades.jsonl.gz"
+    store.write_bytes(gzip.compress(
+        (golden / "grades_rate.jsonl").read_bytes()))
+    out = tmp_path / "exam.qrels"
+    argv = ["qrels", "--bank", str(bank), "--grades", str(store),
+            "--out", str(out), "--policy"]
+    assert main([*argv, "qa"]) == 0
+    assert out.read_bytes() == b""
+    assert caplog.messages == [f"12 of 12 grades in {store} do not count "
+                               f"for {bank}: 12 not qa_verified"]
+    caplog.clear()
+    assert main([*argv, "rate:4"]) == 0
+    assert out.read_bytes() and caplog.messages == []
 
 
 def test_coverage_gaps_logged_per_scored_pool(tmp_path, capsys, caplog):

@@ -5,18 +5,21 @@ import logging
 import re
 import signal
 import tempfile
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from exam_eval import formats
 from exam_eval.formats import (
     GradeStore,
     ParseError,
     _CANONICAL_LINE,
+    _TAG_DIFFERS,
     _decode_grade,
+    _first_fault,
     _grade_to_json,
-    _parse_lines,
     load_leaderboard_scores,
     load_official_ranks,
     load_passages,
@@ -42,6 +45,7 @@ from exam_eval.model import (
     QuestionBank,
     SELF_RATED,
 )
+import oracles
 from conftest import (
     grade_index,
     lock_holder,
@@ -131,6 +135,31 @@ class TestRunParsing:
         assert run.run_tag == "one"
         assert any("run tag" in r.message for r in caplog.records)
 
+    def test_repeat_before_a_later_malformed_line_reported_at_the_repeat(
+            self):
+        with pytest.raises(ParseError, match="line 2: passage 'pA' listed "
+                           "twice for query 'q1' in run 's'"):
+            parse_run_file("q1 Q0 pA 1 1.0 s\nq1 Q0 pA 2 1.0 s\n"
+                           "q1 Q0 pB x 1.0 s\n")
+
+    def test_second_tag_in_a_shuffled_file_warns_per_line_in_order(self):
+        outcome, messages = parsed(parse_run_file, (
+            "q2 Q0 pB 2 1.0 one\nq1 Q0 pA 3 1.0 two\nq2 Q0 pA 1 1.0 one\n"
+            "\nq1 Q0 pC 1 1.0 three\nq1 Q0 pB 2 1.0 one\n"))
+        assert outcome == ("one", [("q1", ["pC", "pB", "pA"]),
+                                   ("q2", ["pA", "pB"])])
+        assert messages == [
+            "line 2: run tag 'two' differs from 'one'; keeping the first",
+            "line 5: run tag 'three' differs from 'one'; keeping the first"]
+
+    def test_pass_and_walk_disagreeing_is_an_assertion_error(
+            self, monkeypatch):
+        # The column pass raises the walk's error; were the two to
+        # disagree on a fault, it says so instead of raising None.
+        monkeypatch.setattr(formats, "_first_fault", lambda lines: None)
+        with pytest.raises(AssertionError, match="line walk found no fault"):
+            parse_run_file("q1 Q0 pA 0 1.0 s\n")
+
 
 # A fault a run line may carry, as (column, text), or a dropped field for
 # column None. Column 2 "0", the ranks "+2" and "٣" and the score "nan" are
@@ -199,8 +228,26 @@ def parsed(parse, arg):
 @settings(deadline=None, max_examples=300)
 @given(run_texts())
 def test_run_file_parse_matches_line_loop(text):
-    assert parsed(parse_run_file, text) \
-        == parsed(_parse_lines, text.splitlines())
+    """The parse against `oracles.run_rows`. A run is the oracle's rows,
+    ranked here, with a warning for each line whose tag differs from the
+    first line's, and `_first_fault` finds no fault in it; any other text
+    is rejected at the oracle's first faulty line."""
+    try:
+        rows = oracles.run_rows(text)
+    except ValueError as exc:
+        with pytest.raises(ParseError) as excinfo:
+            parse_run_file(text)
+        assert excinfo.value.line_no == exc.args[0]
+        return
+    run_tag, lines = text.split()[5], text.splitlines()
+    assert parsed(parse_run_file, text) == (
+        (run_tag, [(query_id, [p for p, _ in sorted(rows[query_id],
+                                                    key=itemgetter(1))])
+                   for query_id in sorted(rows)]),
+        [_TAG_DIFFERS % (line_no, fields[5], run_tag)
+         for line_no, fields in enumerate(map(str.split, lines), 1)
+         if fields and fields[5] != run_tag])
+    assert _first_fault(lines) is None
 
 
 class TestQrels:
@@ -618,6 +665,16 @@ class TestGradeStoreDecode:
             GradeStore(path).read()
         assert excinfo.value.line_no == 5
 
+    def test_raw_carriage_return_is_json_whitespace(self, tmp_path):
+        # Lines end at "\n" only: a CR inside a record, or before its
+        # "\n", is whitespace to the JSON decoder.
+        path = tmp_path / "g.jsonl.gz"
+        write_store_lines(path, ['{"query_id": "q1",\r"passage_id": "p1", '
+                                 '"question_id": "x", "mode": "self_rated", '
+                                 '"rating": 3}', GOOD_LINES[0] + "\r"])
+        assert list(GradeStore(path).read()) \
+            == [("q1", "p1", "x", SELF_RATED), ("q1", "p0", "qq1", SELF_RATED)]
+
     def test_last_line_without_newline(self, tmp_path):
         path = tmp_path / "g.jsonl.gz"
         path.write_bytes(gzip.compress(GOOD_LINES[0].encode()))
@@ -831,8 +888,10 @@ def store_lines(draw):
     line = json.dumps(record, sort_keys=draw(st.booleans()),
                       ensure_ascii=draw(st.booleans()))
     if kind == "padded":
-        line = draw(st.sampled_from([" ", "\t", "  "])) + line \
-            + draw(st.sampled_from(["", " ", "\t "]))
+        # A CR is JSON whitespace too, and ends no line.
+        line = draw(st.sampled_from([" ", "\t", "  ", "\r"])) + "{" \
+            + draw(st.sampled_from(["", "\r", " \r"])) + line[1:] \
+            + draw(st.sampled_from(["", " ", "\t ", "\r"]))
     elif kind == "trailing":
         line += draw(st.sampled_from(["\u2028", "\x85", "\x0b", "\xa0"]))
     elif kind == "split":
@@ -845,7 +904,8 @@ def read_line_by_line(data: bytes):
     """The store's rows, or its `ParseError`, by `_decode_grade` on every
     line that is not blank."""
     rows = {}
-    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                             newline="\n")
     for line_no, line in enumerate(lines, start=1):
         if line.isspace():
             continue

@@ -12,12 +12,16 @@ from exam_eval.formats import (
 )
 from exam_eval.model import (
     ContractViolation,
+    ExamQuestion,
+    GradeIndex,
     GradePolicy,
     QA_VERIFIED,
+    QuestionBank,
     SELF_RATED,
     check_grade,
     passes,
 )
+from conftest import rated, verified
 
 
 class TestPolicyIsCorrect:
@@ -119,3 +123,17 @@ def test_policy_and_cover_config_bounds():
     with pytest.raises(ContractViolation,
                        match="min_answers must be >= 1, got 0"):
         parse_policy("qa+min-answers=0")
+
+
+@pytest.mark.parametrize("grade, uncounted", [
+    (verified("q1", "p1", "q1/a", True), [1, 0, 0]),
+    (rated("q1", "p1", "off-bank", 5), [0, 1, 0]),
+    (rated("q1", "p1", "q2/b", 5), [0, 0, 1]),
+    (rated("q1", "p1", "q1/a", 5), [0, 0, 0]),
+], ids=["other-mode", "not-in-bank", "other-query", "counted"])
+def test_grades_that_do_not_count_are_counted_by_reason(grade, uncounted):
+    bank = QuestionBank({"q1": (ExamQuestion("q1/a", "q1", "A?"),),
+                         "q2": (ExamQuestion("q2/b", "q2", "B?"),)})
+    index = GradeIndex(dict([grade]), GradePolicy(SELF_RATED), bank)
+    assert index.uncounted == uncounted
+    assert index.pairs() == ([] if any(uncounted) else [("q1", "p1")])
