@@ -58,15 +58,13 @@ def _grade_index(grades_path: str, policy: GradePolicy, bank: QuestionBank,
     from .model import GradeIndex
     rows = formats.GradeStore(grades_path).read() if rows is None else rows
     index = GradeIndex(rows, policy, bank)
-    if any(index.uncounted):
+    if any(index.uncounted.values()):
         import logging
-        reasons = (f"not {policy.mode}", "of a question not in the bank",
-                   "of a question the bank files under another query")
         logging.getLogger("exam_eval").warning(
             "%d of %d grades in %s do not count for %s: %s",
-            sum(index.uncounted), len(rows), grades_path, bank_path,
-            ", ".join(f"{n} {reason}" for n, reason
-                      in zip(index.uncounted, reasons) if n))
+            sum(index.uncounted.values()), len(rows), grades_path, bank_path,
+            ", ".join(f"{n} {reason}"
+                      for reason, n in index.uncounted.items() if n))
     return index
 
 

@@ -90,7 +90,8 @@ def parse_run_file(text: str) -> Run:
     its lines are, and each query's columns are then converted and checked
     at once. On any fault, `_first_fault` words the error for the first
     faulty line in file order, a line that repeats a passage or a rank of
-    its query included.
+    its query included. A file with a second tag is walked by
+    `_first_fault` too, which logs its tag warnings in line order.
     """
     columns: dict[str, tuple[list[str], list[str], list[str]]] = {}
     run_tag = qid = None
@@ -134,16 +135,10 @@ def parse_run_file(text: str) -> Run:
                 passages = [by_rank[rank] for rank in ascending]
             by_query[qid] = passages
     except ValueError:
-        raise _first_fault(lines) or AssertionError(
-            "the line walk found no fault the column pass found") from None
+        raise _first_fault(lines) from None
     if second_tag:
-        for line_no, fields in enumerate(map(str.split, lines), 1):
-            if fields and fields[5] != run_tag:
-                log.warning(_TAG_DIFFERS, line_no, fields[5], run_tag)
+        _first_fault(lines)
     return Run(run_tag, by_query)
-
-
-_TAG_DIFFERS = "line %d: run tag %r differs from %r; keeping the first"
 
 
 def _first_fault(lines: list[str]) -> ParseError | None:
@@ -182,7 +177,8 @@ def _first_fault(lines: list[str]) -> ParseError | None:
             if run_tag is None:
                 run_tag = tag
             else:
-                log.warning(_TAG_DIFFERS, line_no, tag, run_tag)
+                log.warning("line %d: run tag %r differs from %r; "
+                            "keeping the first", line_no, tag, run_tag)
     return None if run_tag else ParseError(
         "no run lines: a run's tag, from its first line, names its "
         "leaderboard row")

@@ -169,9 +169,10 @@ class GradeIndex:
     is in the bank under the grade's own query; every other grade counts
     nowhere. Only a counted grade's outcome is kept: the verdict in
     qa_verified mode, the rating in self_rated mode. A pair is in the index
-    when it has a counted grade. `uncounted` counts every other grade by
-    why it does not count: of the other mode, of a question not in the
-    bank, and of a question the bank files under another query.
+    when it has a counted grade. `uncounted` maps why a grade does not
+    count to how many do not, in this order: of the other mode, of a
+    question not in the bank, and of a question the bank files under
+    another query.
     """
 
     def __init__(self, rows: Mapping[GradeKey, GradeRow], policy: GradePolicy,
@@ -182,7 +183,9 @@ class GradeIndex:
         slot = 1 if mode == QA_VERIFIED else 2
         query_of = {q.question_id: q.query_id for q in bank.all_questions()}
         by_pair: dict[tuple[str, str], dict[str, bool | int]] = {}
-        self.uncounted = uncounted = [0, 0, 0]
+        reasons = (f"not {mode}", "of a question not in the bank",
+                   "of a question the bank files under another query")
+        self.uncounted = uncounted = dict.fromkeys(reasons, 0)
         for (query_id, passage_id, question_id, row_mode), row in rows.items():
             if row_mode == mode and query_of.get(question_id) == query_id:
                 by_question = by_pair.get((query_id, passage_id))
@@ -190,8 +193,9 @@ class GradeIndex:
                     by_question = by_pair[query_id, passage_id] = {}
                 by_question[question_id] = row[slot]
             else:
-                uncounted[0 if row_mode != mode else
-                          1 if question_id not in query_of else 2] += 1
+                reason = reasons[0 if row_mode != mode else
+                                 1 if question_id not in query_of else 2]
+                uncounted[reason] += 1
         self._by_pair = by_pair
 
     def __contains__(self, pair: tuple[str, str]) -> bool:

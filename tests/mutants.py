@@ -80,13 +80,11 @@ MUTANTS = (
     Mutant("repeat tracking dropped from the walk", "formats.py",
            "seen.add((qid, value))", "pass",
            f"{RUNS}::test_duplicate_pair_rejected"),
-    Mutant("the second-tag warning loop skipped", "formats.py",
+    Mutant("the second-tag walk skipped", "formats.py",
            "if second_tag:", "if False:",
            SHUFFLED_TAGS),
-    Mutant("no guard for a fault the walk does not find", "formats.py",
-           "raise _first_fault(lines) or AssertionError(",
-           "raise _first_fault(lines) or (",
-           f"{RUNS}::test_pass_and_walk_disagreeing_is_an_assertion_error"),
+    Mutant("a rank below 1 the walk does not find", "formats.py",
+           "        if rank < 1:", "        if rank < 0:", RUN_LOOP),
     Mutant("a rank below 1 read by query column", "formats.py",
            "ascending[0] < 1 or ", "",
            f"{RUNS}::test_rank_zero_carries_line_number"),

@@ -11,12 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from exam_eval import formats
 from exam_eval.formats import (
     GradeStore,
     ParseError,
     _CANONICAL_LINE,
-    _TAG_DIFFERS,
     _decode_grade,
     _first_fault,
     _grade_to_json,
@@ -152,14 +150,6 @@ class TestRunParsing:
             "line 2: run tag 'two' differs from 'one'; keeping the first",
             "line 5: run tag 'three' differs from 'one'; keeping the first"]
 
-    def test_pass_and_walk_disagreeing_is_an_assertion_error(
-            self, monkeypatch):
-        # The column pass raises the walk's error; were the two to
-        # disagree on a fault, it says so instead of raising None.
-        monkeypatch.setattr(formats, "_first_fault", lambda lines: None)
-        with pytest.raises(AssertionError, match="line walk found no fault"):
-            parse_run_file("q1 Q0 pA 0 1.0 s\n")
-
 
 # A fault a run line may carry, as (column, text), or a dropped field for
 # column None. Column 2 "0", the ranks "+2" and "٣" and the score "nan" are
@@ -229,25 +219,51 @@ def parsed(parse, arg):
 @given(run_texts())
 def test_run_file_parse_matches_line_loop(text):
     """The parse against `oracles.run_rows`. A run is the oracle's rows,
-    ranked here, with a warning for each line whose tag differs from the
-    first line's, and `_first_fault` finds no fault in it; any other text
-    is rejected at the oracle's first faulty line."""
+    ranked here, and `_first_fault` finds no fault in it; any other text is
+    rejected at the oracle's first faulty line, with the repeat wording
+    when that line alone is a run. Either way a warning is logged for each
+    line before the first faulty one whose tag differs from the first
+    line's, in line order."""
+    lines = text.splitlines()
     try:
-        rows = oracles.run_rows(text)
+        rows, fault_no = oracles.run_rows(text), None
     except ValueError as exc:
-        with pytest.raises(ParseError) as excinfo:
-            parse_run_file(text)
-        assert excinfo.value.line_no == exc.args[0]
+        rows, fault_no = None, exc.args[0]
+    good = [(line_no, fields)
+            for line_no, fields in enumerate(map(str.split, lines), 1)
+            if fields and (fault_no is None or line_no < fault_no)]
+    run_tag = good[0][1][5] if good else None
+    outcome, messages = parsed(parse_run_file, text)
+    assert messages == [
+        f"line {line_no}: run tag {fields[5]!r} differs from {run_tag!r}; "
+        "keeping the first"
+        for line_no, fields in good if fields[5] != run_tag]
+    if rows is not None:
+        assert outcome == (run_tag, [
+            (query_id, [p for p, _ in sorted(rows[query_id],
+                                             key=itemgetter(1))])
+            for query_id in sorted(rows)])
+        assert _first_fault(lines) is None
         return
-    run_tag, lines = text.split()[5], text.splitlines()
-    assert parsed(parse_run_file, text) == (
-        (run_tag, [(query_id, [p for p, _ in sorted(rows[query_id],
-                                                    key=itemgetter(1))])
-                   for query_id in sorted(rows)]),
-        [_TAG_DIFFERS % (line_no, fields[5], run_tag)
-         for line_no, fields in enumerate(map(str.split, lines), 1)
-         if fields and fields[5] != run_tag])
-    assert _first_fault(lines) is None
+    message, line_no = outcome
+    assert line_no == fault_no
+    if fault_no is None:
+        assert message.startswith("no run lines")
+        return
+    assert message.startswith(f"line {fault_no}: ")
+    fields = lines[fault_no - 1].split()
+    try:
+        oracles.run_rows(lines[fault_no - 1])
+    except ValueError:
+        assert "listed twice" not in message
+        return
+    qid, _, docid, rank = fields[:4]
+    earlier = [f for _, f in good if f[0] == qid]
+    what, value = (("passage", repr(docid))
+                   if any(f[2] == docid for f in earlier)
+                   else ("rank", int(rank)))
+    assert message == (f"line {fault_no}: {what} {value} listed twice for "
+                       f"query {qid!r} in run {run_tag!r}")
 
 
 class TestQrels:

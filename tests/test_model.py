@@ -125,15 +125,18 @@ def test_policy_and_cover_config_bounds():
         parse_policy("qa+min-answers=0")
 
 
-@pytest.mark.parametrize("grade, uncounted", [
+@pytest.mark.parametrize("grade, counts", [
     (verified("q1", "p1", "q1/a", True), [1, 0, 0]),
     (rated("q1", "p1", "off-bank", 5), [0, 1, 0]),
     (rated("q1", "p1", "q2/b", 5), [0, 0, 1]),
     (rated("q1", "p1", "q1/a", 5), [0, 0, 0]),
 ], ids=["other-mode", "not-in-bank", "other-query", "counted"])
-def test_grades_that_do_not_count_are_counted_by_reason(grade, uncounted):
+def test_grades_that_do_not_count_are_counted_by_reason(grade, counts):
     bank = QuestionBank({"q1": (ExamQuestion("q1/a", "q1", "A?"),),
                          "q2": (ExamQuestion("q2/b", "q2", "B?"),)})
     index = GradeIndex(dict([grade]), GradePolicy(SELF_RATED), bank)
-    assert index.uncounted == uncounted
-    assert index.pairs() == ([] if any(uncounted) else [("q1", "p1")])
+    reasons = ["not self_rated", "of a question not in the bank",
+               "of a question the bank files under another query"]
+    assert index.uncounted == dict(zip(reasons, counts))
+    assert list(index.uncounted) == reasons
+    assert index.pairs() == ([] if any(counts) else [("q1", "p1")])
