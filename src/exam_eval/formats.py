@@ -12,6 +12,7 @@ import gzip
 import json
 import logging
 import math
+import os
 import re
 import zlib
 from collections.abc import Iterator
@@ -478,17 +479,28 @@ def _grade_to_json(key: GradeKey, row: GradeRow) -> str:
         _LITERALS[verified])
 
 
-# That layout read back. The answer is any JSON string; the ids are strings
-# that need no escape, so that their text is their value.
+# That layout read back. The answer is null or any JSON string, taken with
+# its quotes; the ids are strings that need no escape, so that their text is
+# their value.
 _ID = r'"([^"\\\x00-\x1f]*)"'
-_CANONICAL_LINE = re.compile(
-    r'\{"answer_text": (?:null|"([^"\\\x00-\x1f]*'
-    r'(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*)"), '
+_LINE_PATTERN = (
+    r'\{"answer_text": (null|"[^"\\\x00-\x1f]*'
+    r'(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*"), '
     r'"mode": "(self_rated|qa_verified)", '
     rf'"passage_id": {_ID}, "query_id": {_ID}, "question_id": {_ID}, '
-    r'"rating": (?:([0-5])|null), "verified": (?:(true|false)|null)\}\n?\Z')
-_RATINGS = {None: None, **{str(n): n for n in range(6)}}
-_VERDICTS = {None: None, "true": True, "false": False}
+    r'"rating": (?:([0-5])|null), "verified": (?:(true|false)|null)\}')
+_CANONICAL_LINE = re.compile(_LINE_PATTERN + r'\n?\Z')
+# Every line of a text that is in that layout, with its "\n"; no match can
+# span two lines, for no group takes a control character.
+_CANONICAL_LINES = re.compile(r"(?m)^" + _LINE_PATTERN + r"\n")
+# A group that did not take part reads as "".
+_RATINGS = {"": None, **{str(n): n for n in range(6)}}
+_VERDICTS = {"": None, "true": True, "false": False}
+# Lines end at "\n" only; the last may have no ending.
+_LINES = re.compile(r".*\n|.+")
+
+# The most text `read` decompresses and decodes at a time.
+_CHUNK = 1 << 16
 
 _DECODER = json.JSONDecoder()
 _REQUIRED_FIELDS = _GRADE_FIELDS[:4]
@@ -531,16 +543,148 @@ def _decode_grade(line: str, line_no: int) -> tuple[GradeKey, GradeRow]:
     return fields[:4], fields[4:]
 
 
+def _add_matched(rows: dict[GradeKey, GradeRow], found) -> bool:
+    """Add the rows of `_CANONICAL_LINES` matches' groups, in order, each
+    checked by `check_grade`; False at the first row that fails the check.
+    Only an answer that holds an escape is decoded, by the JSON string
+    scanner."""
+    scanstring = json.decoder.scanstring
+    try:
+        for (answer_text, mode, passage_id, query_id, question_id, rating,
+             verified) in found:
+            if answer_text == "null":
+                answer_text = None
+            elif "\\" in answer_text:
+                answer_text = scanstring(answer_text, 1)[0]
+            else:
+                answer_text = answer_text[1:-1]
+            verified, rating = _VERDICTS[verified], _RATINGS[rating]
+            check_grade(query_id, passage_id, question_id, mode, answer_text,
+                        verified, rating)
+            rows[query_id, passage_id, question_id, mode] = (
+                answer_text, verified, rating)
+    except ContractViolation:
+        return False
+    return True
+
+
+def _add_lines(rows: dict[GradeKey, GradeRow], text: str,
+               line_no: int) -> None:
+    """Add the rows of `text`, whose first line is line `line_no` of the
+    store, one line at a time. A line that `_CANONICAL_LINE` matches and
+    whose row passes its check is read by its groups; a blank line is
+    skipped, and every other line goes to `_decode_grade`, which reads any
+    JSON layout by the same rules and words every error."""
+    canonical = _CANONICAL_LINE.match
+    for line_no, line in enumerate(_LINES.findall(text), line_no):
+        match = canonical(line)
+        if match is None or not _add_matched(rows, [match.groups("")]):
+            if not line.isspace():
+                key, row = _decode_grade(line, line_no)
+                rows[key] = row
+
+
+class _TornTail(Exception):
+    """The last gzip member, at byte offset `args[0]`, ends before its
+    end-of-stream marker."""
+
+
+def _member(view: memoryview, start: int) -> Iterator[bytes]:
+    """The text of the gzip member at byte `start`, at most `_CHUNK` bytes
+    at a time; returns the offset of the byte after it. A member that ends
+    before the data does raises `_TornTail`, and a broken one `zlib.error`.
+    """
+    member = zlib.decompressobj(31)
+    end = start                 # of the input fed to the member
+    while not member.eof:
+        tail = member.unconsumed_tail
+        if not tail and end < len(view):
+            tail = view[end:end + _CHUNK]
+            end += len(tail)
+        out = member.decompress(tail, _CHUNK)
+        if out:
+            yield out
+        elif not tail:
+            raise _TornTail(start)
+    return end - len(member.unused_data)
+
+
+def _ends(view: memoryview, start: int) -> bool:
+    """Whether an intact gzip member starts at byte `start`."""
+    try:
+        for _ in _member(view, start):
+            pass
+    except (_TornTail, zlib.error):
+        return False
+    return True
+
+
+def _inflate(data: bytes) -> Iterator[bytes]:
+    """The text of the gzip members in `data`, at most `_CHUNK` bytes at a
+    time, as `gzip` reads it: zero padding after a member is skipped. A
+    last member that ends early raises `_TornTail`. A broken member raises
+    `zlib.error`, and so do bytes after a member that do not start one and
+    a member that does not end before an intact one that starts after it.
+    """
+    view = memoryview(data)
+    start = 0
+    while start < len(data):
+        try:
+            start = yield from _member(view, start)
+        except _TornTail:
+            later = data.find(b"\x1f\x8b", start + 1)
+            while later != -1 and not _ends(view, later):
+                later = data.find(b"\x1f\x8b", later + 1)
+            if later != -1:
+                raise zlib.error(
+                    f"the gzip member at byte {start} does not end, but "
+                    f"the one at byte {later} does") from None
+            raise
+        while start < len(data) and not data[start]:
+            start += 1
+
+
+def _read_rows(data: bytes) -> dict[GradeKey, GradeRow]:
+    """The rows of a store's bytes, read a chunk of whole lines at a time.
+
+    A chunk is decoded once. When `_CANONICAL_LINES` matches every line in
+    it and every matched row passes its check, its rows are read from the
+    matches' groups; any other chunk is read again by `_add_lines`, which
+    words the error of a bad line at its line number in the store. A line
+    may span chunks and members."""
+    rows: dict[GradeKey, GradeRow] = {}
+    findall = _CANONICAL_LINES.findall
+    line_no = 1                 # of the chunk's first line
+    carry = b""                 # the start of a line that spans chunks
+    for out in _inflate(data):
+        end = out.rfind(b"\n") + 1
+        if not end:
+            carry += out
+            continue
+        text = (carry + out[:end]).decode("utf-8")
+        carry = out[end:]
+        lines = text.count("\n")
+        found = findall(text)
+        if len(found) != lines or not _add_matched(rows, found):
+            _add_lines(rows, text, line_no)
+        line_no += lines
+    if carry:
+        _add_lines(rows, carry.decode("utf-8"), line_no)
+    return rows
+
+
 class GradeStore:
     """Path-backed append-only grade log, one JSON object per gzip line.
 
-    A writer holds `locked()`; a reader takes no lock, and during an
-    append it can report the store as corrupt. Duplicate (query, passage,
-    question, mode) keys resolve last-writer-wins on read.
+    Each `append` writes one gzip member, the unit of commit: `read` keeps
+    a member's rows once the member has ended. A writer holds `locked()`;
+    a reader takes no lock. Duplicate (query, passage, question, mode)
+    keys resolve last-writer-wins on read.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self._torn_at: int | None = None    # found by the last `read`
 
     @contextlib.contextmanager
     def locked(self) -> Iterator[None]:
@@ -559,9 +703,12 @@ class GradeStore:
 
     def append(self, rows: dict[GradeKey, GradeRow]) -> None:
         """Write the rows, in order, after checking each with `check_grade`;
-        a bad row raises `ContractViolation` and nothing is written. No rows
-        leave an existing store's bytes as they are and create an empty
-        store where there was none, one that `read` returns as empty."""
+        a bad row raises `ContractViolation` and nothing is written. A torn
+        last member that the last `read` found is cut off first, so a
+        writer holds `locked()` from that read to the append. The rows are
+        one gzip member, on disk (`os.fsync`) when `append` returns. No rows
+        leave an intact store's bytes as they are and create an empty store
+        where there was none, one that `read` returns as empty."""
         for key, row in rows.items():
             check_grade(*key, *row)
         # The batch goes to the compressor in one write; the bytes are
@@ -569,6 +716,9 @@ class GradeStore:
         data = "".join(_grade_to_json(key, row) + "\n"
                        for key, row in rows.items()).encode("utf-8")
         with open(self.path, "ab") as raw:
+            if self._torn_at is not None:
+                raw.truncate(self._torn_at)
+                self._torn_at = None
             if data:
                 # mtime=0 and no embedded filename keep the bytes
                 # deterministic for identical grade sequences.
@@ -576,50 +726,47 @@ class GradeStore:
                                    compresslevel=_COMPRESSLEVEL,
                                    mtime=0) as fh:
                     fh.write(data)
+                raw.flush()
+                os.fsync(raw.fileno())
 
     def read(self) -> dict[GradeKey, GradeRow]:
         """Every stored grade as key -> (answer_text, verified, rating),
         deduplicated last-writer-wins, in first-seen key order.
 
-        Lines are decoded one at a time as the gzip stream is read, each on
-        its own. A line in the layout `append` writes, with ids that need no
-        JSON escape, matches `_CANONICAL_LINE`, whose groups are the fields'
-        text; only an answer that holds an escape is decoded, in place, by
-        the JSON string scanner. Every other line (blank, padded, in another
-        key order, with escaped ids, missing optional fields, or bad) goes
-        to `_decode_grade`, which reads any JSON layout by the same rules
-        and words every error, a matched line's too. A bad line raises
-        `ParseError` with its line number, and a damaged file raises
-        `ParseError` naming the store as corrupt.
+        The file is read once and its gzip members walked in turn, at most
+        `_CHUNK` bytes of text at a time (`_read_rows`). A last member that
+        ends before its end-of-stream marker is a torn write: its rows are
+        dropped, with one warning that names the store and the member's
+        byte offset. A bad line raises `ParseError` with its line number.
+        Any other damage (a bad CRC or deflate stream, bytes after a member
+        that do not start one, a member that does not end before an intact
+        one starts, text that is not UTF-8) raises `ParseError` naming the
+        store as corrupt.
         """
-        rows: dict[GradeKey, GradeRow] = {}
+        self._torn_at = None
         if not self.path.exists():
-            return rows
-        canonical = _CANONICAL_LINE.match
-        scanstring = json.decoder.scanstring
+            return {}
+        data = self.path.read_bytes()
         try:
-            with gzip.open(self.path, "rt", encoding="utf-8",
-                           newline="\n") as fh:
-                for line_no, line in enumerate(fh, start=1):
-                    match = canonical(line)
-                    if match is None:
-                        if line.isspace():
-                            continue
-                        key, row = _decode_grade(line, line_no)
-                    else:
-                        (answer_text, mode, passage_id, query_id,
-                         question_id, rating, verified) = match.groups()
-                        if answer_text and "\\" in answer_text:
-                            answer_text = scanstring(line, match.start(1))[0]
-                        key = (query_id, passage_id, question_id, mode)
-                        row = (answer_text, _VERDICTS[verified],
-                               _RATINGS[rating])
-                        try:
-                            check_grade(*key, *row)
-                        except ContractViolation:
-                            _decode_grade(line, line_no)   # words the error
-                            raise
-                    rows[key] = row
-        except (OSError, EOFError, zlib.error, UnicodeDecodeError) as exc:
+            return self._rows(data)
+        except (zlib.error, UnicodeDecodeError) as exc:
             raise ParseError(f"corrupt grade store {self.path}: {exc}") from None
-        return rows
+
+    def _rows(self, data: bytes) -> dict[GradeKey, GradeRow]:
+        """The rows of the store's bytes, those of a torn last member
+        dropped. Lines are read before their member's CRC is checked, so a
+        bad line is reported only once the rest of the file is seen to be
+        intact: damage or a tear after it explains it."""
+        try:
+            try:
+                return _read_rows(data)
+            except ParseError:
+                for _ in _inflate(data):
+                    pass
+                raise
+        except _TornTail as torn:
+            self._torn_at, = torn.args
+            log.warning("grade store %s: the gzip member at byte %d "
+                        "ends early, as an interrupted write leaves it; "
+                        "its grades are dropped", self.path, self._torn_at)
+            return _read_rows(data[:self._torn_at])

@@ -101,6 +101,39 @@ MUTANTS = (
            PIPELINE),
     Mutant("first writer wins in GradeStore.read", "formats.py",
            "rows[key] = row", "rows.setdefault(key, row)", STORE_READ),
+    Mutant("first writer wins on the matched-chunk path", "formats.py",
+           "rows[query_id, passage_id, question_id, mode] = (\n"
+           "                answer_text, verified, rating)",
+           "rows.setdefault((query_id, passage_id, question_id, mode), (\n"
+           "                answer_text, verified, rating))",
+           "tests/test_formats.py::test_store_round_trip_matches_oracle"),
+    Mutant("a chunk with an unmatched line read by its matches", "formats.py",
+           "if len(found) != lines or not _add_matched(rows, found):",
+           "if not _add_matched(rows, found):", STORE_READ),
+    Mutant("a line's start dropped at a chunk edge", "formats.py",
+           'text = (carry + out[:end]).decode("utf-8")',
+           'text = out[:end].decode("utf-8")', STORE_READ),
+    Mutant("zero padding after a member read as corrupt", "formats.py",
+           "while start < len(data) and not data[start]:", "while False:",
+           STORE_READ),
+    Mutant("a torn member's rows kept", "formats.py",
+           "raise _TornTail(start)", "return end", "tests/test_formats.py::"
+           "test_torn_last_member_is_dropped_with_one_warning"),
+    Mutant("a member that runs into an intact one read as torn",
+           "formats.py", "if later != -1:", "if False:",
+           "tests/test_formats.py::"
+           "test_member_that_runs_into_an_intact_one_is_corrupt"),
+    Mutant("a bad line reported before the damage that explains it",
+           "formats.py", "for _ in _inflate(data):\n                    pass\n",
+           "", "tests/test_formats.py::"
+           "test_bad_line_that_damage_explains_is_corrupt"),
+    Mutant("a torn member left before the next append", "formats.py",
+           "raw.truncate(self._torn_at)", "pass",
+           f"{CORPUS}::test_torn_store_regrades_the_torn_batch"),
+    Mutant("diff reads the store once per bank", "cli.py",
+           "_grade_index(grades_path, policy, new, new_path, rows))",
+           "_grade_index(grades_path, policy, new, new_path))",
+           "tests/test_golden.py::test_each_step_does_its_costly_work_once"),
     Mutant("verdict and rating slots swapped", "model.py",
            "slot = 1 if mode == QA_VERIFIED else 2",
            "slot = 2 if mode == QA_VERIFIED else 1", A3),
@@ -130,22 +163,24 @@ MUTANTS = (
            "(old_by_id[qid].query_id, old_by_id[qid].text)",
            "(new_by_id[qid].query_id, old_by_id[qid].text)", A3),
     Mutant("grade-store lines split at a CR", "formats.py",
-           'encoding="utf-8",\n                           newline="\\n")',
-           'encoding="utf-8")', f"{STORE_READ} {STORE_DECODE}::"
+           "_LINES.findall(text)", "text.splitlines(True)",
+           f"{STORE_READ} {STORE_DECODE}::"
            "test_raw_carriage_return_is_json_whitespace"),
     Mutant("no zlib.error catch", "formats.py",
-           "(OSError, EOFError, zlib.error, UnicodeDecodeError)",
-           "(OSError, EOFError, UnicodeDecodeError)",
+           "except (zlib.error, UnicodeDecodeError) as exc:",
+           "except UnicodeDecodeError as exc:",
            "tests/test_cli.py::test_corrupt_store_reported"),
     Mutant("control characters allowed in the id class", "formats.py",
            r"""_ID = r'"([^"\\\x00-\x1f]*)"'""", r"""_ID = r'"([^"\\]*)"'""",
            CANONICAL),
     Mutant("\\Z dropped from the canonical line", "formats.py",
-           r"\}\n?\Z')", r"\}\n?')", CANONICAL),
+           r"_LINE_PATTERN + r'\n?\Z')", r"_LINE_PATTERN + r'\n?')",
+           CANONICAL),
     Mutant("[0-5] widened to [0-9] for a canonical rating", "formats.py",
            "(?:([0-5])|null)", "(?:([0-9])|null)", CANONICAL),
     Mutant("an escaped answer stored as its raw text", "formats.py",
-           "answer_text = scanstring(line, match.start(1))[0]", "pass",
+           "answer_text = scanstring(answer_text, 1)[0]",
+           "answer_text = answer_text[1:-1]",
            CANONICAL),
     Mutant("an id written without encode_basestring", "formats.py",
            "_quote(passage_id)", """'"%s"' % passage_id""",

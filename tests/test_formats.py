@@ -7,10 +7,12 @@ import signal
 import tempfile
 from operator import itemgetter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from exam_eval import formats
 from exam_eval.formats import (
     GradeStore,
     ParseError,
@@ -933,34 +935,166 @@ def read_line_by_line(data: bytes):
     return rows
 
 
+
+
+
+def read_with_messages(store):
+    """What `store.read()` gives, as the list of its rows or the text and
+    line number of its error, and the messages it logged, in order."""
+    logger, handler = logging.getLogger("exam_eval.formats"), _Messages()
+    logger.addHandler(handler)
+    try:
+        outcome = list(store.read().items())
+    except ParseError as exc:
+        outcome = (str(exc), exc.line_no)
+    finally:
+        logger.removeHandler(handler)
+    return outcome, handler.messages
+
+
+def append_batches(store, batches) -> list[int]:
+    """Append each batch, and the byte offset at which each member starts."""
+    starts = []
+    for batch in batches:
+        starts.append(store.path.stat().st_size if store.path.exists() else 0)
+        store.append(dict(batch))
+    return starts
+
+
+CHUNKS = st.integers(1, 200) | st.just(formats._CHUNK)
+BATCHES = st.lists(st.lists(grades(), min_size=1, max_size=6), min_size=1,
+                   max_size=4)
+
+
 @settings(deadline=None)
 # A character after the object on a last line without a newline: the
 # object's end is then one short of the line's end, as for "}\n".
 @example(lines=[GOOD_LINES[0] + "\x85"], endings=["\n"] * 8,
-         last_newline=False)
+         last_newline=False, batches=[], cuts=[], padding=[0] * 7,
+         chunk=formats._CHUNK)
 # A key on the fast path, then again on the slow path (a padded line):
 # the later row wins on either path.
 @example(lines=[store_line(), " " + store_line(rating=2)],
-         endings=["\n"] * 8, last_newline=True)
+         endings=["\n"] * 8, last_newline=True, batches=[], cuts=[],
+         padding=[0] * 7, chunk=formats._CHUNK)
 @given(lines=st.lists(store_lines(), max_size=8),
        endings=st.lists(st.sampled_from(["\n", "\r\n"]), min_size=8,
                         max_size=8),
-       last_newline=st.booleans())
-def test_store_read_matches_line_by_line_oracle(lines, endings,
-                                                last_newline):
+       last_newline=st.booleans(),
+       batches=st.lists(st.lists(grades(), min_size=1, max_size=4),
+                        max_size=3),
+       cuts=st.lists(st.integers(0, 2000), max_size=3),
+       padding=st.lists(st.integers(0, 2), min_size=7, max_size=7),
+       chunk=CHUNKS)
+def test_store_read_matches_line_by_line_oracle(lines, endings, last_newline,
+                                                batches, cuts, padding,
+                                                chunk):
+    # Members that `append` wrote, then the drawn lines cut into members at
+    # drawn bytes, inside a line or a character too; zero padding after
+    # any member; text decompressed `chunk` bytes at a time. Rows and
+    # errors are those of gzip's one stream read line by line.
     text = "".join(line + end for line, end in zip(lines, endings))
     if lines and not last_newline:
         text = text[:-len(endings[len(lines) - 1])]
     data = text.encode("utf-8")
-    expected = read_line_by_line(data)
+    cuts = sorted(cut % (len(data) + 1) for cut in cuts)
+    zeros = iter(padding)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "g.jsonl.gz"
-        path.write_bytes(gzip.compress(data))
-        if isinstance(expected, ParseError):
-            with pytest.raises(ParseError) as excinfo:
-                GradeStore(path).read()
-            assert (str(excinfo.value), excinfo.value.line_no) \
-                == (str(expected), expected.line_no)
+        store = GradeStore(Path(tmp) / "g.jsonl.gz")
+        for batch in batches:
+            store.append(dict(batch))
+            with open(store.path, "ab") as fh:
+                fh.write(bytes(next(zeros)))
+        with open(store.path, "ab") as fh:
+            for start, end in zip([0, *cuts], [*cuts, len(data)]):
+                fh.write(gzip.compress(data[start:end], mtime=0)
+                         + bytes(next(zeros)))
+        expected = read_line_by_line(gzip.decompress(store.path.read_bytes()))
+        with mock.patch.object(formats, "_CHUNK", chunk):
+            outcome, messages = read_with_messages(store)
+    assert messages == []
+    if isinstance(expected, ParseError):
+        assert outcome == (str(expected), expected.line_no)
+    else:
+        assert outcome == list(expected.items())
+
+
+
+@settings(deadline=None)
+@given(batches=BATCHES, chunk=CHUNKS, data=st.data())
+def test_torn_last_member_is_dropped_with_one_warning(batches, chunk, data):
+    # A write cut short at any byte of its member: the earlier batches
+    # read as they were written, and one warning names the member.
+    with tempfile.TemporaryDirectory() as tmp:
+        store = GradeStore(Path(tmp) / "g.jsonl.gz")
+        start = append_batches(store, batches)[-1]
+        stored = store.path.read_bytes()
+        store.path.write_bytes(stored[:data.draw(
+            st.integers(start + 1, len(stored) - 1))])
+        with mock.patch.object(formats, "_CHUNK", chunk):
+            outcome, messages = read_with_messages(store)
+    assert outcome == list(dict(
+        grade for batch in batches[:-1] for grade in batch).items())
+    assert messages == [
+        f"grade store {store.path}: the gzip member at byte {start} ends "
+        f"early, as an interrupted write leaves it; its grades are dropped"]
+
+
+@settings(deadline=None)
+@given(batches=BATCHES.filter(lambda batches: len(batches) > 1),
+       data=st.data())
+def test_damaged_complete_member_is_corrupt(batches, data):
+    # A byte of a member's deflate data or trailer changed, or bytes cut
+    # from a member that another follows, is damage and not a torn write.
+    # (A last member whose deflate data is damaged can end early, as a
+    # torn one does; its trailer is checked.)
+    with tempfile.TemporaryDirectory() as tmp:
+        store = GradeStore(Path(tmp) / "g.jsonl.gz")
+        starts = append_batches(store, batches)
+        stored = bytearray(store.path.read_bytes())
+        ends = [*starts[1:], len(stored)]
+        index = data.draw(st.integers(0, len(starts) - 1))
+        start, end = starts[index], ends[index]
+        if index < len(starts) - 1 and data.draw(st.booleans()):
+            cut = data.draw(st.integers(start + 1, end - 1))
+            del stored[cut:data.draw(st.integers(cut + 1, end))]
         else:
-            assert list(GradeStore(path).read().items()) \
-                == list(expected.items())
+            # After the 10-byte header; a last member's trailer only.
+            first = start + 10 if index < len(starts) - 1 else end - 8
+            stored[data.draw(st.integers(first, end - 1))] ^= 0xFF
+        store.path.write_bytes(stored)
+        outcome, messages = read_with_messages(store)
+    assert outcome[0].startswith(f"corrupt grade store {store.path}: ")
+    assert messages == []
+
+
+def test_member_that_runs_into_an_intact_one_is_corrupt(tmp_path):
+    # A stored (level 0) block cut short copies the next member's bytes as
+    # its own and then runs out, as a torn last member does; the intact
+    # member after it shows that it is damage. That member holds no "\n",
+    # so no text is decoded before the walk runs out.
+    text = "".join(line + "\n" for line in GOOD_LINES).encode()
+    member = gzip.compress(text, compresslevel=0, mtime=0)[:-200]
+    later = gzip.compress(GOOD_LINES[1].encode(), compresslevel=0, mtime=0)
+    assert len(later) < 200 and b"\n" not in later
+    path = tmp_path / "g.jsonl.gz"
+    path.write_bytes(member + later)
+    assert read_with_messages(GradeStore(path)) == (
+        (f"corrupt grade store {path}: the gzip member at byte 0 does not "
+         f"end, but the one at byte {len(member)} does", None), [])
+
+
+def test_bad_line_that_damage_explains_is_corrupt(tmp_path):
+    # A changed byte of a stored block's text makes a bad line, and the
+    # member's CRC, checked after its lines are read (in chunks smaller
+    # than the member), shows the damage.
+    text = "".join(line + "\n" for line in GOOD_LINES).encode()
+    member = bytearray(gzip.compress(text, compresslevel=0, mtime=0))
+    member[member.index(b'"query_id"')] ^= 1
+    path = tmp_path / "g.jsonl.gz"
+    path.write_bytes(bytes(member) + gzip.compress(text, mtime=0))
+    with mock.patch.object(formats, "_CHUNK", 200):
+        outcome = read_with_messages(GradeStore(path))
+    assert outcome == (
+        (f"corrupt grade store {path}: Error -3 while decompressing data: "
+         f"incorrect data check", None), [])

@@ -15,11 +15,13 @@ import json
 import logging
 import re
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from exam_eval import formats, gateway
 from exam_eval.cli import main
 from test_cli import write_pipeline_inputs
 
@@ -169,9 +171,70 @@ def run_golden_pipeline(root: Path) -> dict[str, bytes]:
             for name, data in outputs.items()}
 
 
+def _stored_keys(path: str | None) -> set[tuple]:
+    """The keys of a grade store, read without `GradeStore.read`."""
+    if path is None or not Path(path).exists():
+        return set()
+    return {tuple(json.loads(line)[field] for field in (
+                "query_id", "passage_id", "question_id", "mode"))
+            for line in gzip.decompress(Path(path).read_bytes()).splitlines()}
+
+
+# The functions whose calls a step's cost depends on, by their count's name.
+COUNTED = {"read": (formats.GradeStore, "read"),
+           "append": (formats.GradeStore, "append"),
+           "parse_run_file": (formats, "parse_run_file"),
+           "complete": (gateway.MockBackend, "complete")}
+
+
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
-    return run_golden_pipeline(tmp_path_factory.mktemp("golden"))
+def pipeline(tmp_path_factory):
+    """The pipeline's outputs, and for each step its argv, how many times
+    it called each `COUNTED` function, and how many keys it added to its
+    grade store."""
+    steps, cli_main = [], main
+
+    def count(name, call):
+        def counted(*args, **kwargs):
+            steps[-1][1][name] += 1
+            return call(*args, **kwargs)
+        return counted
+
+    def step(argv):
+        store = argv[argv.index("--store") + 1] if "--store" in argv else None
+        before = _stored_keys(store)
+        steps.append((argv, Counter(), 0))
+        code = cli_main(argv)
+        steps[-1] = steps[-1][:2] + (len(_stored_keys(store) - before),)
+        return code
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, (owner, attr) in COUNTED.items():
+            patch.setattr(owner, attr, count(name, getattr(owner, attr)))
+        patch.setattr(sys.modules[__name__], "main", step)
+        outputs = run_golden_pipeline(tmp_path_factory.mktemp("golden"))
+    return outputs, steps
+
+
+@pytest.fixture(scope="module")
+def outputs(pipeline):
+    return pipeline[0]
+
+
+def test_each_step_does_its_costly_work_once(pipeline):
+    # Promises that need no clock: a command reads its grade store once
+    # and each run file once; `grade` appends once and requests each pair
+    # it grades once.
+    for argv, calls, added in pipeline[1]:
+        runs = (len(list(Path(argv[argv.index("--runs") + 1]).iterdir()))
+                if "--runs" in argv else int("--run" in argv))
+        expected = Counter(read=int("--grades" in argv or "--store" in argv),
+                           parse_run_file=runs)
+        if argv[0] == "grade":
+            expected.update(append=1, complete=added)
+        elif argv[0] == "generate":
+            del calls["complete"]       # one request per query, not a pair
+        assert calls == expected, argv
 
 
 def test_every_output_has_a_golden_file(outputs):

@@ -267,6 +267,33 @@ class TestGradeCorpus:
         assert backend.request_log == []
         assert store.path.read_bytes() == before
 
+    def test_torn_store_regrades_the_torn_batch(self, tmp_path):
+        # A second `grade` cut short inside its member: the next `grade`
+        # requests exactly that batch's pairs, cuts the torn member off and
+        # leaves the store an untorn run leaves; the one after requests
+        # nothing.
+        bank, passages = self.bank_and_passages()
+        store = GradeStore(tmp_path / "g.jsonl.gz")
+        grade_corpus(bank, {"q1": passages["q1"]}, SELF_RATED, store,
+                     MockBackend({"default": "3"}), 512, 1)
+        start = store.path.stat().st_size
+        grade_corpus(bank, passages, SELF_RATED, store,
+                     MockBackend({"default": "3"}), 512, 1)
+        untorn = store.path.read_bytes()
+        for cut in (start + 1, (start + len(untorn)) // 2, len(untorn) - 1):
+            store.path.write_bytes(untorn[:cut])
+            backend = RecordingBackend({"default": "3"})
+            summary = grade_corpus(bank, passages, SELF_RATED, store,
+                                   backend, 512, 1)
+            assert sorted((r.metadata["question_id"], r.metadata["passage_id"])
+                          for r in backend.request_log) == [
+                (f"q2/q/{i}", f"r{j}") for i in range(3) for j in range(4)]
+            assert (summary.graded, summary.skipped_existing) == (12, 12)
+            assert store.path.read_bytes() == untorn
+            backend = RecordingBackend({"default": "3"})
+            grade_corpus(bank, passages, SELF_RATED, store, backend, 512, 1)
+            assert backend.request_log == []
+
     def test_failures_go_to_skip_log(self, tmp_path):
         bank, passages = self.bank_and_passages()
         store = GradeStore(tmp_path / "g.jsonl.gz")
