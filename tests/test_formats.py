@@ -201,20 +201,27 @@ class _Messages(logging.Handler):
         self.messages.append(record.getMessage())
 
 
-def parsed(parse, arg):
-    """What `parse(arg)` gives: the run's tag with its queries and passages
-    in order, or the error's text and line number; and the messages it
-    logged, in order."""
+def logged(call):
+    """What `call()` gives, or its `ParseError`'s text and line number; and
+    the messages it logged, in order."""
     logger, handler = logging.getLogger("exam_eval.formats"), _Messages()
     logger.addHandler(handler)
     try:
-        run = parse(arg)
-        outcome = (run.run_tag, list(run.by_query.items()))
+        outcome = call()
     except ParseError as exc:
         outcome = (str(exc), exc.line_no)
     finally:
         logger.removeHandler(handler)
     return outcome, handler.messages
+
+
+def parsed(parse, arg):
+    """What `parse(arg)` gives, as the run's tag with its queries and
+    passages in order, and what it logged (`logged`)."""
+    def outcome():
+        run = parse(arg)
+        return run.run_tag, list(run.by_query.items())
+    return logged(outcome)
 
 
 @settings(deadline=None, max_examples=300)
@@ -935,21 +942,10 @@ def read_line_by_line(data: bytes):
     return rows
 
 
-
-
-
 def read_with_messages(store):
-    """What `store.read()` gives, as the list of its rows or the text and
-    line number of its error, and the messages it logged, in order."""
-    logger, handler = logging.getLogger("exam_eval.formats"), _Messages()
-    logger.addHandler(handler)
-    try:
-        outcome = list(store.read().items())
-    except ParseError as exc:
-        outcome = (str(exc), exc.line_no)
-    finally:
-        logger.removeHandler(handler)
-    return outcome, handler.messages
+    """What `store.read()` gives, as the list of its rows, and what it
+    logged (`logged`)."""
+    return logged(lambda: list(store.read().items()))
 
 
 def append_batches(store, batches) -> list[int]:
@@ -1017,7 +1013,6 @@ def test_store_read_matches_line_by_line_oracle(lines, endings, last_newline,
         assert outcome == (str(expected), expected.line_no)
     else:
         assert outcome == list(expected.items())
-
 
 
 @settings(deadline=None)
