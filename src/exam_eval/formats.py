@@ -489,7 +489,6 @@ _LINE_PATTERN = (
     r'"mode": "(self_rated|qa_verified)", '
     rf'"passage_id": {_ID}, "query_id": {_ID}, "question_id": {_ID}, '
     r'"rating": (?:([0-5])|null), "verified": (?:(true|false)|null)\}')
-_CANONICAL_LINE = re.compile(_LINE_PATTERN + r'\n?\Z')
 # Every line of a text that is in that layout, with its "\n"; no match can
 # span two lines, for no group takes a control character.
 _CANONICAL_LINES = re.compile(r"(?m)^" + _LINE_PATTERN + r"\n")
@@ -571,17 +570,12 @@ def _add_matched(rows: dict[GradeKey, GradeRow], found) -> bool:
 def _add_lines(rows: dict[GradeKey, GradeRow], text: str,
                line_no: int) -> None:
     """Add the rows of `text`, whose first line is line `line_no` of the
-    store, one line at a time. A line that `_CANONICAL_LINE` matches and
-    whose row passes its check is read by its groups; a blank line is
-    skipped, and every other line goes to `_decode_grade`, which reads any
-    JSON layout by the same rules and words every error."""
-    canonical = _CANONICAL_LINE.match
+    store, one line at a time by `_decode_grade`, which reads any JSON
+    layout and words every error; a blank line is skipped."""
     for line_no, line in enumerate(_LINES.findall(text), line_no):
-        match = canonical(line)
-        if match is None or not _add_matched(rows, [match.groups("")]):
-            if not line.isspace():
-                key, row = _decode_grade(line, line_no)
-                rows[key] = row
+        if not line.isspace():
+            key, row = _decode_grade(line, line_no)
+            rows[key] = row
 
 
 class _TornTail(Exception):
@@ -684,7 +678,9 @@ class GradeStore:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._torn_at: int | None = None    # found by the last `read`
+        # The torn member's offset and the file's size, as the last `read`
+        # found them.
+        self._torn: tuple[int, int] | None = None
 
     @contextlib.contextmanager
     def locked(self) -> Iterator[None]:
@@ -705,7 +701,9 @@ class GradeStore:
         """Write the rows, in order, after checking each with `check_grade`;
         a bad row raises `ContractViolation` and nothing is written. A torn
         last member that the last `read` found is cut off first, so a
-        writer holds `locked()` from that read to the append. The rows are
+        writer holds `locked()` from that read to the append; a file whose
+        size has changed since that read raises `ContractViolation`. The
+        rows are
         one gzip member, on disk (`os.fsync`) when `append` returns. No rows
         leave an intact store's bytes as they are and create an empty store
         where there was none, one that `read` returns as empty."""
@@ -716,9 +714,15 @@ class GradeStore:
         data = "".join(_grade_to_json(key, row) + "\n"
                        for key, row in rows.items()).encode("utf-8")
         with open(self.path, "ab") as raw:
-            if self._torn_at is not None:
-                raw.truncate(self._torn_at)
-                self._torn_at = None
+            if self._torn is not None:
+                torn_at, size = self._torn
+                if os.fstat(raw.fileno()).st_size != size:
+                    raise ContractViolation(
+                        f"grade store {self.path} changed after it was "
+                        f"read; its torn member at byte {torn_at} is left "
+                        f"as it is")
+                raw.truncate(torn_at)
+                self._torn = None
             if data:
                 # mtime=0 and no embedded filename keep the bytes
                 # deterministic for identical grade sequences.
@@ -743,7 +747,7 @@ class GradeStore:
         one starts, text that is not UTF-8) raises `ParseError` naming the
         store as corrupt.
         """
-        self._torn_at = None
+        self._torn = None
         if not self.path.exists():
             return {}
         data = self.path.read_bytes()
@@ -765,8 +769,9 @@ class GradeStore:
                     pass
                 raise
         except _TornTail as torn:
-            self._torn_at, = torn.args
+            torn_at, = torn.args
+            self._torn = torn_at, len(data)
             log.warning("grade store %s: the gzip member at byte %d "
                         "ends early, as an interrupted write leaves it; "
-                        "its grades are dropped", self.path, self._torn_at)
-            return _read_rows(data[:self._torn_at])
+                        "its grades are dropped", self.path, torn_at)
+            return _read_rows(data[:torn_at])

@@ -16,7 +16,7 @@ from exam_eval import formats
 from exam_eval.formats import (
     GradeStore,
     ParseError,
-    _CANONICAL_LINE,
+    _CANONICAL_LINES,
     _decode_grade,
     _first_fault,
     _grade_to_json,
@@ -862,17 +862,18 @@ def canonical_lines(draw):
                 False))
 @given(canonical_lines())
 def test_canonical_line_decodes_as_the_json_decoder(drawn):
-    # Lines that `_CANONICAL_LINE` matches read as `_decode_grade` reads
+    # Lines that `_CANONICAL_LINES` matches read as `_decode_grade` reads
     # them, rows and errors alike; what `append` writes always matches.
     line, usual = drawn
-    assert _CANONICAL_LINE.match(line) or not usual
+    stored = line.removesuffix("\n") + "\n"
+    assert _CANONICAL_LINES.fullmatch(stored) or not usual
     try:
         expected = [_decode_grade(line, 1)]
     except ParseError as exc:
         expected = exc
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "g.jsonl.gz"
-        path.write_bytes(gzip.compress(line.encode("utf-8")))
+        path.write_bytes(gzip.compress(stored.encode("utf-8")))
         if isinstance(expected, ParseError):
             with pytest.raises(ParseError, match=re.escape(str(expected))):
                 GradeStore(path).read()
@@ -1082,7 +1083,10 @@ def test_member_that_runs_into_an_intact_one_is_corrupt(tmp_path):
 def test_bad_line_that_damage_explains_is_corrupt(tmp_path):
     # A changed byte of a stored block's text makes a bad line, and the
     # member's CRC, checked after its lines are read (in chunks smaller
-    # than the member), shows the damage.
+    # than the member), shows the damage. At the full chunk size, a changed
+    # byte in the deflate data of a member that `append` wrote can make a
+    # bad line too, when the stream runs on into the next member
+    # (`test_damaged_complete_member_is_corrupt` finds such bytes).
     text = "".join(line + "\n" for line in GOOD_LINES).encode()
     member = bytearray(gzip.compress(text, compresslevel=0, mtime=0))
     member[member.index(b'"query_id"')] ^= 1
@@ -1093,3 +1097,21 @@ def test_bad_line_that_damage_explains_is_corrupt(tmp_path):
     assert outcome == (
         (f"corrupt grade store {path}: Error -3 while decompressing data: "
          f"incorrect data check", None), [])
+
+
+def test_append_leaves_a_torn_member_the_file_outgrew(tmp_path):
+    # A torn member that was still being written when `read` saw it, and
+    # has since ended, is not cut off: `append` raises and writes nothing.
+    store = GradeStore(tmp_path / "g.jsonl.gz")
+    store.append(dict([rated("q1", "p1", "qq1", 3)]))
+    start = store.path.stat().st_size
+    store.append(dict([rated("q1", "p2", "qq1", 4)]))
+    whole = store.path.read_bytes()
+    store.path.write_bytes(whole[:-5])
+    logged(store.read)
+    store.path.write_bytes(whole)
+    with pytest.raises(ContractViolation, match=re.escape(
+            f"grade store {store.path} changed after it was read; its torn "
+            f"member at byte {start} is left as it is")):
+        store.append(dict([rated("q2", "p3", "qq2", 1)]))
+    assert store.path.read_bytes() == whole
