@@ -13,7 +13,7 @@ import threading
 import time
 import urllib.parse
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable, Iterable, Protocol
 
 from . import formats
 from .model import BackendError, ContractViolation, Facet, Query
@@ -107,8 +107,35 @@ def _fixed_tokens(render: Callable[[str, str], str], question: str) -> int:
     return token_count(render(question, ""))
 
 
+# `(low, start)`: a context split after its first `low` tokens, and the
+# offset at which the rest begins (see `split_context`).
+ContextSplit = tuple[int, int | None]
+
+
+def smallest_allowance(questions: Iterable[str], budget: int,
+                       render: Callable[[str, str], str]) -> int:
+    """The fewest context tokens that the budget leaves beside any of the
+    questions that fit it: the `low` at which `split_context` splits a
+    context once for all of them. 0 when none fits, as then no context is
+    cut."""
+    return min((budget - fixed for fixed in
+                (_fixed_tokens(render, question) for question in questions)
+                if fixed <= budget), default=0)
+
+
+def split_context(context: str, low: int) -> ContextSplit:
+    """`(low, start)`: `start` is the offset at which the context's token
+    `low + 1` begins, or None when it has no more than `low` tokens."""
+    # Splitting stops after `low` tokens; the rest of the context, from
+    # token `low + 1`, comes back whole as the last part.
+    parts = context.split(None, low)
+    return low, (len(context) - len(parts[-1]) if len(parts) > low
+                 else None)
+
+
 def truncate_context(question: str, context: str, budget: int,
-                     render: Callable[[str, str], str]) -> str:
+                     render: Callable[[str, str], str],
+                     split: ContextSplit | None = None) -> str:
     """Shorten the context so the prompt that `render` makes of the
     question and context fits the token budget.
 
@@ -121,7 +148,20 @@ def truncate_context(question: str, context: str, budget: int,
     The cut is computed, not searched for: in the grading templates
     `{context}` is the last field and follows whitespace, so no token
     spans the boundary and the prompt's whitespace-token count is the
-    empty-context count plus the context's own.
+    empty-context count plus the context's own. So the context keeps
+    `keep = budget - fixed` tokens, where `fixed` is the empty-context
+    count.
+
+    The cut can start from a split shared by every question asked of the
+    context: `split` is `split_context(context, low)` for a `low` of at
+    most this question's `keep`, such as the `smallest_allowance` of the
+    questions. A `low` above `keep` raises ContractViolation. Without
+    `split`, the context is split at `keep` itself. From `(low, start)`:
+    a None `start` keeps the whole context; a `low` equal to `keep` cuts
+    at `start`; otherwise the rest of the context from `start` is split
+    at `keep - low` more tokens, and the context is cut where the token
+    after those begins, or kept whole when the rest has no more tokens
+    than that. The cut drops the whitespace before it.
     """
     fixed = _fixed_tokens(render, question)
     if fixed > budget:
@@ -129,12 +169,16 @@ def truncate_context(question: str, context: str, budget: int,
             f"question and template alone need {fixed} tokens, "
             f"budget is {budget}")
     keep = budget - fixed
-    # Splitting stops after the kept tokens; the rest of the context, from
-    # the first token that must go, comes back whole as the last part.
-    parts = context.split(None, keep)
-    if len(parts) <= keep:
-        return context
-    return context[:len(context) - len(parts[-1])].rstrip()
+    low, start = split_context(context, keep) if split is None else split
+    if low > keep:
+        raise ContractViolation(
+            f"context split after {low} tokens, but the question leaves "
+            f"room for {keep}")
+    if start is not None and low < keep:
+        extra = keep - low
+        more = context[start:].split(None, extra)
+        start = len(context) - len(more[-1]) if len(more) > extra else None
+    return context if start is None else context[:start].rstrip()
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +213,16 @@ class Backend(Protocol):
     def complete(self, request: CompletionRequest) -> CompletionResponse: ...
 
     def close(self) -> None: ...
+
+
+def _delay_seconds(retry_after: str | None) -> float | None:
+    """The delay that a Retry-After header gives in seconds (RFC 9110,
+    section 10.2.3), at most TIMEOUT_S; None for an HTTP-date, a value
+    that does not parse, or no header."""
+    value = (retry_after or "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(float(value), TIMEOUT_S)
 
 
 class HttpBackend:
@@ -277,10 +331,13 @@ class HttpBackend:
         }).encode()
         attempts = MAX_RETRIES + 1
         last_error: Exception | None = None
+        retry_after: float | None = None
         start = time.monotonic()
         for attempt in range(attempts):
             if attempt:
-                self._sleep(2.0 ** (attempt - 1))
+                self._sleep(2.0 ** (attempt - 1) if retry_after is None
+                            else retry_after)
+                retry_after = None
             try:
                 resp, reply = self._post(body)
             except (OSError, http.client.HTTPException) as exc:
@@ -303,6 +360,8 @@ class HttpBackend:
             if resp.status in (429, 500, 502, 503, 504):
                 last_error = BackendError(
                     f"HTTP {resp.status} from {self.endpoint_url}")
+                if resp.status in (429, 503):
+                    retry_after = _delay_seconds(resp.getheader("Retry-After"))
                 continue
             if 300 <= resp.status < 400:
                 raise BackendError(

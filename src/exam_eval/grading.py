@@ -12,6 +12,7 @@ import math
 import re
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import gateway
 from .formats import GradeStore
@@ -198,14 +199,22 @@ class GradingSummary:
     duration: float = 0.0
 
 
+def _renderer(mode: str) -> Callable[[str, str], str]:
+    """The prompt renderer of a grading mode."""
+    return (gateway.render_qa_prompt if mode == QA_VERIFIED
+            else gateway.render_self_rating_prompt)
+
+
 def grade_pair(question: ExamQuestion, passage_id: str, text: str,
-               mode: str, budget: int,
-               backend: gateway.Backend) -> tuple[GradeKey, GradeRow]:
+               mode: str, budget: int, backend: gateway.Backend,
+               split: gateway.ContextSplit | None = None
+               ) -> tuple[GradeKey, GradeRow]:
     """Grade one (question, passage) pair with a single completion request,
-    as the store's key and row."""
-    render = (gateway.render_qa_prompt if mode == QA_VERIFIED
-              else gateway.render_self_rating_prompt)
-    context = gateway.truncate_context(question.text, text, budget, render)
+    as the store's key and row. `split`, if given, is the passage's
+    `gateway.split_context` shared by the questions of its query."""
+    render = _renderer(mode)
+    context = gateway.truncate_context(question.text, text, budget, render,
+                                       split)
     prompt = render(question.text, context)
     request = gateway.CompletionRequest.of(
         prompt,
@@ -257,15 +266,18 @@ def grade_corpus(bank: QuestionBank,
     corpus. The store is locked (`GradeStore.locked`) before it is read, so
     a store that cannot be written fails before any completion is requested.
     """
-    def run_one(item: tuple[ExamQuestion, str, str]
+    def sendable(question: ExamQuestion) -> bool:
+        return mode != QA_VERIFIED or question.supports_verification
+
+    def run_one(item: tuple[ExamQuestion, str, str, gateway.ContextSplit]
                 ) -> tuple[GradeKey, GradeRow] | SkipEntry:
-        question, passage_id, text = item
-        if mode == QA_VERIFIED and not question.supports_verification:
+        question, passage_id, text, split = item
+        if not sendable(question):
             return SkipEntry(question.query_id, passage_id,
                              question.question_id, "no gold answer")
         try:
             return grade_pair(question, passage_id, text, mode, budget,
-                              backend)
+                              backend, split)
         except (gateway.BackendError, gateway.BudgetExceeded) as exc:
             return SkipEntry(question.query_id, passage_id,
                              question.question_id, str(exc))
@@ -275,15 +287,28 @@ def grade_corpus(bank: QuestionBank,
         summary = GradingSummary()
         start = time.monotonic()
 
-        work: list[tuple[ExamQuestion, str, str]] = []
+        # Each passage is split once per query, at the smallest context
+        # allowance of the questions sent with it, and every question
+        # finishes its own cut from that split (`gateway.truncate_context`).
+        work: list[tuple[ExamQuestion, str, str, gateway.ContextSplit]] = []
         for query_id, texts in passages_by_query.items():
+            missing = []
             for question in bank.questions_for(query_id):
-                for passage_id, text in texts.items():
+                for passage_id in texts:
                     if (query_id, passage_id, question.question_id,
                             mode) in existing:
                         summary.skipped_existing += 1
                     else:
-                        work.append((question, passage_id, text))
+                        missing.append((question, passage_id))
+            low = gateway.smallest_allowance(
+                (question.text for question, _ in missing
+                 if sendable(question)), budget, _renderer(mode))
+            splits: dict[str, gateway.ContextSplit] = {}
+            for question, passage_id in missing:
+                text = texts[passage_id]
+                if passage_id not in splits:
+                    splits[passage_id] = gateway.split_context(text, low)
+                work.append((question, passage_id, text, splits[passage_id]))
 
         results = gateway.map_ordered(run_one, work, parallelism)
 

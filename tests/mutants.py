@@ -57,6 +57,10 @@ PORTER = "tests/test_porter.py::test_matches_reference_with_suffixes"
 RUNS = "tests/test_formats.py::TestRunParsing"
 RUN_LOOP = "tests/test_formats.py::test_run_file_parse_matches_line_loop"
 STORE_DECODE = "tests/test_formats.py::TestGradeStoreDecode"
+SHARED_SPLIT = "tests/test_gateway.py::test_shared_split_matches_brute_force"
+SHARED_CUT = ("tests/test_grading.py::"
+              "test_prompts_cut_from_a_shared_split_are_each_questions_own_cut")
+COSTLY_ONCE = "tests/test_golden.py::test_each_step_does_its_costly_work_once"
 SHUFFLED_TAGS = (f"{RUNS}::"
                  "test_second_tag_in_a_shuffled_file_warns_per_line_in_order")
 
@@ -136,8 +140,7 @@ MUTANTS = (
            "test_append_leaves_a_torn_member_the_file_outgrew"),
     Mutant("diff reads the store once per bank", "cli.py",
            "_grade_index(grades_path, policy, new, new_path, rows))",
-           "_grade_index(grades_path, policy, new, new_path))",
-           "tests/test_golden.py::test_each_step_does_its_costly_work_once"),
+           "_grade_index(grades_path, policy, new, new_path))", COSTLY_ONCE),
     Mutant("verdict and rating slots swapped", "model.py",
            "slot = 1 if mode == QA_VERIFIED else 2",
            "slot = 2 if mode == QA_VERIFIED else 1", A3),
@@ -187,10 +190,29 @@ MUTANTS = (
            "_quote(passage_id)", """'"%s"' % passage_id""",
            "tests/test_formats.py::test_line_layout_is_the_json_encoders"),
     Mutant("truncation with the qa template in both modes", "grading.py",
-           "truncate_context(question.text, text, budget, render)",
+           "truncate_context(question.text, text, budget, render,",
            "truncate_context(question.text, text, budget, "
-           "gateway.render_qa_prompt)",
+           "gateway.render_qa_prompt,",
            "tests/test_grading.py::test_braces_passage_is_graded"),
+    Mutant("the rest of a shared split cut one token short", "gateway.py",
+           "extra = keep - low", "extra = keep - low - 1",
+           f"{SHARED_SPLIT} {SHARED_CUT}"),
+    Mutant("the shared split taken at the largest allowance", "gateway.py",
+           "return min((budget - fixed", "return max((budget - fixed",
+           f"{SHARED_SPLIT} {SHARED_CUT}"),
+    Mutant("a question over the budget counted in the shared split",
+           "gateway.py", "\n                if fixed <= budget), default=0)",
+           "), default=0)", f"{SHARED_SPLIT} {SHARED_CUT}"),
+    Mutant("a passage's split kept for the next query", "grading.py",
+           "splits: dict[str, gateway.ContextSplit] = {}",
+           'splits = locals().get("splits", {})', SHARED_CUT),
+    Mutant("the passage split once per question", "grading.py",
+           "if passage_id not in splits:", "if True:", COSTLY_ONCE),
+    Mutant("the allowance taken over every question of the query",
+           "grading.py", "question.text for question, _ in missing\n"
+           "                 if sendable(question)",
+           "question.text for question in bank.questions_for(query_id)",
+           COSTLY_ONCE),
     Mutant(">= for > in the bag-distance bound", "grading.py",
            "if bag_distance > k:", "if bag_distance >= k:", VERIFY),
     Mutant("the first row's carry dropped from the distance", "grading.py",
@@ -279,12 +301,20 @@ MUTANTS = (
            f"{CORPUS}::test_question_over_budget_is_skip_logged"),
     Mutant("a question without a gold answer sent to the backend",
            "grading.py",
-           "if mode == QA_VERIFIED and not question.supports_verification:",
-           "if mode == QA_VERIFIED and False:",
+           "if not sendable(question):", "if False:",
            f"{CORPUS}::test_question_without_gold_answer_sends_no_request"),
     Mutant("a pair already in the store graded again", "grading.py",
            "mode) in existing:", "mode) in ():",
            f"{CORPUS}::test_resume_skips_complete_store"),
+    Mutant("a Retry-After header ignored", "gateway.py",
+           'retry_after = _delay_seconds(resp.getheader("Retry-After"))',
+           "pass", f"{HTTP}::test_retry_after_in_seconds_replaces_the_backoff"),
+    Mutant("a Retry-After delay not capped", "gateway.py",
+           "return min(float(value), TIMEOUT_S)", "return float(value)",
+           f"{HTTP}::test_retry_after_in_seconds_replaces_the_backoff"),
+    Mutant("a Retry-After delay kept for the next retry", "gateway.py",
+           "                retry_after = None\n", "",
+           f"{HTTP}::test_retry_after_in_seconds_replaces_the_backoff"),
     Mutant("a 5xx reply not retried", "gateway.py",
            "if resp.status in (429, 500, 502, 503, 504):",
            "if resp.status == 429:",

@@ -6,7 +6,7 @@ import sys
 import urllib.parse
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from exam_eval.formats import GradeStore, ParseError, load_queries
 from exam_eval.gateway import (
@@ -22,6 +22,8 @@ from exam_eval.gateway import (
     render_qa_prompt,
     render_question_gen_prompt,
     render_self_rating_prompt,
+    smallest_allowance,
+    split_context,
     token_count,
     truncate_context,
 )
@@ -184,6 +186,53 @@ def test_truncation_matches_brute_force(render, question, context, data):
     assert truncate_context(question, context, budget, render) == expected
 
 
+@pytest.mark.parametrize("render", [render_qa_prompt,
+                                    render_self_rating_prompt],
+                         ids=["qa", "self_rating"])
+@given(context=contexts, questions=st.lists(questions, min_size=1,
+                                            max_size=5),
+       pick=st.integers(0, 4), slack=st.integers(-1, 62))
+# A question that keeps no context token, and one that keeps two more than
+# the shared split, beside a question over the budget; a context of
+# whitespace alone.
+@example(context="tok x\u3000{} tok", questions=["x", "tok tok tok", "x x x x"],
+         pick=0, slack=0)
+@example(context="tok x\u3000{} tok", questions=["x", "tok tok tok", "x x x x"],
+         pick=1, slack=0)
+@example(context=" \t\u2028 ", questions=["x", "tok tok"], pick=0, slack=0)
+def test_shared_split_matches_brute_force(render, context, questions, pick,
+                                          slack):
+    # One split of the context, at the smallest allowance of the questions
+    # that fit, finishes every question's own cut; the budget is drawn
+    # around one question's fixed tokens, so others may be over it.
+    budget = token_count(render(questions[pick % len(questions)], "")) + slack
+    split = split_context(context, smallest_allowance(questions, budget,
+                                                      render))
+    for question in questions:
+        try:
+            expected = longest_fitting_prefix(question, context, budget,
+                                              render)
+        except BudgetExceeded:
+            with pytest.raises(BudgetExceeded):
+                truncate_context(question, context, budget, render, split)
+            continue
+        assert truncate_context(question, context, budget, render,
+                                split) == expected
+
+
+def test_split_past_the_allowance_is_a_contract_violation():
+    context = " ".join(f"tok{i}" for i in range(600))
+    keep = 512 - token_count(render_qa_prompt("A?", ""))
+    assert truncate_context("A?", context, 512, render_qa_prompt,
+                            split_context(context, keep)) \
+        == truncate_context("A?", context, 512, render_qa_prompt)
+    with pytest.raises(ContractViolation, match=re.escape(
+            f"context split after {keep + 1} tokens, but the question "
+            f"leaves room for {keep}")):
+        truncate_context("A?", context, 512, render_qa_prompt,
+                         split_context(context, keep + 1))
+
+
 MALFORMED_BODIES = ["not json", "{}", '{"choices": []}',
                     '{"choices": [{"text": null}]}']
 
@@ -216,6 +265,31 @@ class TestHttpBackend:
         assert "some prompt" in str(excinfo.value)
         assert len(completion_server.received) == 4
         assert slept == [1.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize("replies, expected", [
+        ([(429, "3")], [3]),
+        ([(503, "999")], [60]),
+        ([(503, " 0 ")], [0]),
+        ([(429, "3"), (500, None)], [3, 2.0]),
+        ([(500, "3")], [1.0]),
+        ([(429, "Wed, 21 Oct 2015 07:28:00 GMT")], [1.0]),
+        ([(503, "-3")], [1.0]),
+        ([(503, "2.5")], [1.0]),
+        ([(429, "\uff13")], [1.0]),
+    ], ids=["seconds", "capped", "zero", "backoff-after-a-retry-after",
+            "not-429-or-503", "http-date", "negative", "fraction",
+            "non-ascii-digit"])
+    def test_retry_after_in_seconds_replaces_the_backoff(
+            self, completion_server, http_backend, replies, expected):
+        # RFC 9110, section 10.2.3: delay-seconds is 1*DIGIT; an HTTP-date
+        # or anything else leaves the backoff of 1, 2 and 4 s.
+        completion_server.replies += [
+            (status, "", {} if value is None else {"Retry-After": value})
+            for status, value in replies] + [ok_reply("hi")]
+        slept = []
+        backend = http_backend(sleep=slept.append)
+        assert backend.complete(CompletionRequest.of("p")).text == "hi"
+        assert slept == expected
 
     def test_client_error_fails_fast(self, completion_server, http_backend):
         completion_server.replies.append((400, "bad request", {}))

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from exam_eval import formats, gateway
+from exam_eval import formats, gateway, grading, model
 from exam_eval.cli import main
 from test_cli import write_pipeline_inputs
 
@@ -180,32 +180,52 @@ def _stored_keys(path: str | None) -> set[tuple]:
             for line in gzip.decompress(Path(path).read_bytes()).splitlines()}
 
 
-# The functions whose calls a step's cost depends on, by their count's name.
+def _skip_logged(path: str | None) -> set[tuple]:
+    """The (query, passage) pairs of a grade store's skip-log."""
+    log_path = path and Path(path).with_suffix(".skipped.jsonl")
+    if not log_path or not log_path.exists():
+        return set()
+    return {(entry["query_id"], entry["passage_id"]) for entry in
+            map(json.loads, log_path.read_text().splitlines())}
+
+
+# The functions whose calls a step's cost depends on, by their count's name;
+# `Run.top_k` is counted by run tag and query.
 COUNTED = {"read": (formats.GradeStore, "read"),
            "append": (formats.GradeStore, "append"),
            "parse_run_file": (formats, "parse_run_file"),
-           "complete": (gateway.MockBackend, "complete")}
+           "complete": (gateway.MockBackend, "complete"),
+           "build_passage_pool": (grading, "build_passage_pool"),
+           "split_context": (gateway, "split_context"),
+           "top_k": (model.Run, "top_k")}
 
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """The pipeline's outputs, and for each step its argv, how many times
-    it called each `COUNTED` function, and how many keys it added to its
-    grade store."""
+    it called each `COUNTED` function and missed `gateway._fixed_tokens`'s
+    cache, the keys it added to its grade store, and the (query, passage)
+    pairs it skip-logged."""
     steps, cli_main = [], main
 
     def count(name, call):
         def counted(*args, **kwargs):
-            steps[-1][1][name] += 1
+            key = ((name, args[0].run_tag, args[1]) if name == "top_k"
+                   else name)
+            steps[-1][1][key] += 1
             return call(*args, **kwargs)
         return counted
 
     def step(argv):
         store = argv[argv.index("--store") + 1] if "--store" in argv else None
         before = _stored_keys(store)
-        steps.append((argv, Counter(), 0))
+        steps.append((argv, Counter()))
+        # Each command runs in a process of its own.
+        gateway._fixed_tokens.cache_clear()
         code = cli_main(argv)
-        steps[-1] = steps[-1][:2] + (len(_stored_keys(store) - before),)
+        steps[-1][1]["_fixed_tokens"] = \
+            gateway._fixed_tokens.cache_info().misses
+        steps[-1] += (_stored_keys(store) - before, _skip_logged(store))
         return code
 
     with pytest.MonkeyPatch.context() as patch:
@@ -221,22 +241,49 @@ def outputs(pipeline):
     return pipeline[0]
 
 
+def _runs_and_queries(argv: list[str]) -> tuple[int, Counter]:
+    """How many run files a command reads, and a `top_k` count of one for
+    each of their (run tag, query) pairs, read without `parse_run_file`."""
+    if "--runs" in argv:
+        paths = list(Path(argv[argv.index("--runs") + 1]).iterdir())
+    else:
+        paths = [Path(argv[argv.index("--run") + 1])] if "--run" in argv \
+            else []
+    pairs = {(columns[5], columns[0]) for path in paths
+             for columns in map(str.split, path.read_text().splitlines())}
+    return len(paths), Counter({("top_k", *pair): 1 for pair in pairs})
+
+
 def test_each_step_does_its_costly_work_once(pipeline):
     # Promises that need no clock: a command reads its grade store once
-    # and each run file once; `grade` appends once and requests each pair
-    # it grades once.
-    for argv, calls, added in pipeline[1]:
-        runs = (len(list(Path(argv[argv.index("--runs") + 1]).iterdir()))
-                if "--runs" in argv else int("--run" in argv))
+    # and each run file once, builds each pool once, and takes each run's
+    # top passages once per query and pool. `grade` appends once, requests
+    # each pair it grades once, renders each question's prompt without
+    # context once, and splits each passage with a pair to grade once.
+    for argv, calls, added, skipped in pipeline[1]:
+        runs, top_k = _runs_and_queries(argv)
         expected = Counter(read=int("--grades" in argv or "--store" in argv),
                            parse_run_file=runs)
         if argv[0] == "grade":
-            expected.update(append=1, complete=added)
+            bank = json.loads(Path(argv[argv.index("--bank") + 1]).read_text())
+            text_of = {q["question_id"]: q["text"] for entry in bank["queries"]
+                       for q in entry["questions"]}
+            expected.update(
+                append=1, complete=len(added), build_passage_pool=1,
+                _fixed_tokens=len({text_of[key[2]] for key in added}),
+                split_context=len({key[:2] for key in added} | skipped))
+            expected.update(top_k)
+        elif argv[0] == "cover":
+            expected.update(build_passage_pool=1)
+            expected.update(top_k)
+        elif argv[0] == "leaderboard":
+            # A pool per run's row and one for the `_overall_` row, which
+            # takes every run's top passages again.
+            expected.update(build_passage_pool=runs + 1)
+            expected.update(top_k + top_k)
         elif argv[0] == "generate":
             del calls["complete"]       # one request per query, not a pair
-        assert calls == expected, argv
-
-
+        assert +calls == expected, argv
 def test_every_output_has_a_golden_file(outputs):
     assert sorted(outputs) == sorted(p.name for p in GOLDEN.glob("*"))
 

@@ -7,7 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from exam_eval import grading
 from exam_eval.formats import GradeStore
-from exam_eval.gateway import BackendError, MockBackend
+from exam_eval.gateway import (
+    BackendError,
+    MockBackend,
+    render_qa_prompt,
+    render_self_rating_prompt,
+    token_count,
+    truncate_context,
+)
 from exam_eval.grading import (
     build_passage_pool,
     edit_distance_below,
@@ -421,6 +428,50 @@ def test_braces_passage_is_graded(tmp_path, mode):
     else:
         assert by_pid["p-braces"][2] == 5
         assert by_pid["p-plain"][2] == 0
+
+
+@pytest.mark.parametrize("mode", [QA_VERIFIED, SELF_RATED])
+def test_prompts_cut_from_a_shared_split_are_each_questions_own_cut(tmp_path,
+                                                                   mode):
+    # Questions of four lengths, one over the budget, asked of passages far
+    # under, near and over it; both queries have passages of the same ids
+    # but different texts, so a split of one query's passage must not be
+    # used for the other's.
+    def words(n, stem, sep=" "):
+        return sep.join(f"{stem}{i}" for i in range(n))
+
+    bank = QuestionBank({query_id: tuple(
+        ExamQuestion(f"{query_id}/q/{i}", query_id, words(n, "w") + "?",
+                     gold_answer="gold")
+        for i, n in enumerate((1, 3, 9, 120))) for query_id in ("q1", "q2")})
+    passages = {
+        "q1": {"p0": "", "p1": words(20, "a"), "p2": words(110, "b"),
+               "p3": words(400, "c")},
+        "q2": {"p0": words(30, "dd", "\t"), "p1": words(105, "e", "\n "),
+               "p2": " ", "p3": words(300, "ffff", "\u3000")}}
+    render = (render_qa_prompt if mode == QA_VERIFIED
+              else render_self_rating_prompt)
+    budget = 128
+    backend = RecordingBackend({"default": "4"})
+    summary = grade_corpus(bank, passages, mode,
+                           GradeStore(tmp_path / "g.jsonl.gz"), backend,
+                           budget, 1)
+    questions = {q.question_id: q.text for query_id in bank.query_ids
+                 for q in bank.questions_for(query_id)}
+    fitting = [qid for qid, text in questions.items()
+               if token_count(render(text, "")) <= budget]
+    assert [(r.metadata["question_id"], r.metadata["passage_id"])
+            for r in backend.request_log] \
+        == [(qid, pid) for qid in fitting for pid in passages[qid[:2]]]
+    assert {(f.question_id, f.passage_id) for f in summary.failures} \
+        == {(qid, pid) for qid in questions.keys() - set(fitting)
+            for pid in passages[qid[:2]]}
+    for request in backend.request_log:
+        question = questions[request.metadata["question_id"]]
+        text = passages[request.metadata["query_id"]][
+            request.metadata["passage_id"]]
+        assert request.prompt == render(question, truncate_context(
+            question, text, budget, render))
 
 
 class TestPassagePool:
