@@ -195,10 +195,10 @@ def test_truncation_matches_brute_force(render, question, context, data):
 # A question that keeps no context token, and one that keeps two more than
 # the shared split, beside a question over the budget; a context of
 # whitespace alone.
-@example(context="tok x\u3000{} tok", questions=["x", "tok tok tok", "x x x x"],
-         pick=0, slack=0)
-@example(context="tok x\u3000{} tok", questions=["x", "tok tok tok", "x x x x"],
-         pick=1, slack=0)
+@example(context="tok x\u3000{} tok",
+         questions=["x", "tok tok tok", "x x x x"], pick=0, slack=0)
+@example(context="tok x\u3000{} tok",
+         questions=["x", "tok tok tok", "x x x x"], pick=1, slack=0)
 @example(context=" \t\u2028 ", questions=["x", "tok tok"], pick=0, slack=0)
 def test_shared_split_matches_brute_force(render, context, questions, pick,
                                           slack):

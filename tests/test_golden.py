@@ -284,6 +284,8 @@ def test_each_step_does_its_costly_work_once(pipeline):
         elif argv[0] == "generate":
             del calls["complete"]       # one request per query, not a pair
         assert +calls == expected, argv
+
+
 def test_every_output_has_a_golden_file(outputs):
     assert sorted(outputs) == sorted(p.name for p in GOLDEN.glob("*"))
 
