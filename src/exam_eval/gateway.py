@@ -100,7 +100,7 @@ class BudgetExceeded(ValueError):
     """Template plus question alone exceed the token budget."""
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.cache
 def _fixed_tokens(render: Callable[[str, str], str], question: str) -> int:
     """Token count of the prompt with an empty context: one per renderer
     and question."""

@@ -140,7 +140,11 @@ MISFILED_KEYS = tuple(itertools.product(PAIR_KEYS, QUERY_IDS))
 @st.composite
 def run_files(draw, tag):
     """A run file as text: random passages and gapped ranks per query,
-    lines in random order."""
+    lines in random order. Its scores fall as the rank grows, are all
+    equal, or grow with it: a run ordered by score, not by rank, differs
+    from the oracles' runs."""
+    score = draw(st.sampled_from([lambda rank: 1.0 / rank, lambda rank: 1.0,
+                                  float]))
     lines = []
     for query_id in QUERY_IDS:
         # The first passages of a permutation, ranked by drawn gaps: few
@@ -149,7 +153,7 @@ def run_files(draw, tag):
             :draw(st.integers(1, len(PASSAGE_IDS)))]
         ranks = itertools.accumulate(draw(st.lists(
             st.integers(1, 12), min_size=len(pids), max_size=len(pids))))
-        lines += [f"{query_id} Q0 {p} {r} {1.0 / r:.4f} {tag}\n"
+        lines += [f"{query_id} Q0 {p} {r} {score(r):.4f} {tag}\n"
                   for p, r in zip(pids, ranks)]
     return "".join(draw(st.permutations(lines)))
 

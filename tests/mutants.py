@@ -344,6 +344,16 @@ MUTANTS = (
     Mutant("an e added after a consonant, vowel, y ending", "porter.py",
            'word[-1] not in "wxy"', 'word[-1] not in "wx"',
            "tests/test_porter.py::test_classic_examples"),
+    Mutant("the empty-context token count cached for 1,024 questions",
+           "gateway.py", "@functools.cache\ndef _fixed_tokens",
+           "@functools.lru_cache(maxsize=1024)\ndef _fixed_tokens",
+           f"{CORPUS}::test_each_question_text_is_rendered_once_in_any_bank"),
+    Mutant("the cut made without a split one token late", "gateway.py",
+           "split_context(context, keep) if split is None",
+           "split_context(context, keep + 1) if split is None", SHARED_SPLIT),
+    Mutant("a choice value left unchecked", "cli.py",
+           'if kind == "choice" and text not in self.choices:', "if False:",
+           f"{BEFORE_INPUT}[argv-agreement-collapse]"),
 )
 
 
@@ -389,9 +399,10 @@ def table_errors() -> list[str]:
     return errors
 
 
-def run(mutant: Mutant) -> tuple[str, float, str]:
-    """The outcome ("caught", "survived" or "error"), the seconds the
-    selection took, and pytest's output."""
+def run(mutant: Mutant, pytest_args) -> tuple[str, float, str]:
+    """Pytest, with `pytest_args`, on a copy of the tree with the mutant
+    applied: the outcome ("caught", "survived" or "error"), the seconds it
+    took, and pytest's output."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp)
         for name in COPIED:
@@ -410,8 +421,8 @@ def run(mutant: Mutant) -> tuple[str, float, str]:
         start = time.monotonic()
         try:
             done = subprocess.run(
-                [sys.executable, "-m", "pytest", *PYTEST_ARGS,
-                 *mutant.selection.split()], cwd=copy, env=env,
+                [sys.executable, "-m", "pytest", *pytest_args], cwd=copy,
+                env=env,
                 capture_output=True, text=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return "error", TIMEOUT_S, f"timed out after {TIMEOUT_S} s"
@@ -421,6 +432,12 @@ def run(mutant: Mutant) -> tuple[str, float, str]:
     return outcome, time.monotonic() - start, done.stdout + done.stderr
 
 
+def workers() -> int:
+    """How many mutants run at once: one per CPU this process may use."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+
+
 def main() -> int:
     errors = table_errors()
     for error in errors:
@@ -428,18 +445,17 @@ def main() -> int:
     if errors:
         return 1
     start = time.monotonic()
-    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count())
     missed = 0
-    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-        for mutant, (outcome, seconds, output) in zip(
-                MUTANTS, pool.map(run, MUTANTS)):
+    with concurrent.futures.ThreadPoolExecutor(workers()) as pool:
+        for mutant, (outcome, seconds, output) in zip(MUTANTS, pool.map(
+                lambda m: run(m, (*PYTEST_ARGS, *m.selection.split())),
+                MUTANTS)):
             print(f"{outcome:<9}{seconds:6.1f} s  {mutant.name}", flush=True)
             if outcome != "caught":
                 missed += 1
                 print(*output.splitlines()[-15:], sep="\n")
     print(f"{len(MUTANTS) - missed} of {len(MUTANTS)} mutants caught in "
-          f"{time.monotonic() - start:.0f} s with {workers} workers")
+          f"{time.monotonic() - start:.0f} s with {workers()} workers")
     return 1 if missed else 0
 
 

@@ -742,16 +742,144 @@ def test_null_passage_text_is_dropped(tmp_path, capsys, caplog):
     assert {key[1] for key in GradeStore(store).read()} == {"pA2", "pB1"}
 
 
+@pytest.fixture
+def reject(tmp_path, capsys, completions, out):
+    """`reject(name, content, argv, message)` writes `content` (JSON, or
+    the text or bytes given) to the file `name` in `tmp_path` and checks
+    that `argv` exits 1 with `error: <file>: <message>` before any request,
+    writing no new bank or store (`assert_rejected`). `{bad}` in `argv` is
+    the file, `{tmp}` the folder of the pipeline's inputs and `{out}` that
+    of its artifacts."""
+    def check(name, content, argv, message):
+        bad = tmp_path / name
+        if isinstance(content, bytes):
+            bad.write_bytes(content)
+        else:
+            bad.write_text(content if isinstance(content, str)
+                           else json.dumps(content))
+        fill = lambda text: text.format(bad=bad, tmp=tmp_path, out=out)
+        assert_rejected(capsys, completions, list(map(fill, argv)),
+                        f"{bad}: {message}", out / "bank2.json",
+                        tmp_path / "new.jsonl.gz")
+    return check
+
+
+# A command that reads the bad file `{bad}`, by what the file holds.
+READING = {
+    "passages": ["grade", "--bank", "{out}/bank.json", "--runs", "{tmp}/runs",
+                 "--passages", "{bad}", "--mode", "rate",
+                 "--mock", "{tmp}/grade_mock.json",
+                 "--store", "{tmp}/new.jsonl.gz"],
+    "bank": ["grade", "--bank", "{bad}", "--runs", "{tmp}/runs",
+             "--passages", "{tmp}/passages.json", "--mode", "qa",
+             "--mock", "{tmp}/grade_mock.json",
+             "--store", "{tmp}/new.jsonl.gz"],
+    "queries": ["generate", "--queries", "{bad}", "--template", "car",
+                "--mock", "{tmp}/gen_mock.json", "--out", "{out}/bank2.json"],
+    "mock": ["generate", "--queries", "{tmp}/queries.json", "--template", "dl",
+             "--mock", "{bad}", "--out", "{out}/bank2.json"],
+    "scored-bank": ["cover", "--bank", "{bad}",
+                    "--grades", "{out}/grades.jsonl.gz", "--policy", "rate:4",
+                    "--run", "{tmp}/runs/sysA.run"],
+    "official": ["leaderboard", "--bank", "{out}/bank.json",
+                 "--grades", "{out}/grades.jsonl.gz", "--policy", "rate:4",
+                 "--runs", "{tmp}/runs", "--official", "{bad}"],
+}
+
+
 @pytest.mark.parametrize("text, kind", [(7, "int"), (["alpha"], "list"),
                                         ({"t": "alpha"}, "dict")])
-def test_non_string_passage_text_exits_one(tmp_path, capsys, completions,
-                                           text, kind, out):
-    passages = tmp_path / "passages.json"
-    passages.write_text(json.dumps({**PASSAGES, "pB1": text}))
-    store = tmp_path / "new.jsonl.gz"
-    assert_rejected(capsys, completions, grade_argv(
-        tmp_path, out / "bank.json", store), f"{passages}: text of passage "
-        f"'pB1' must be a string or null, got {kind}", store)
+def test_non_string_passage_text_exits_one(reject, text, kind):
+    reject("passages.json", {**PASSAGES, "pB1": text}, READING["passages"],
+           f"text of passage 'pB1' must be a string or null, got {kind}")
+
+
+@pytest.mark.parametrize("gold_answer", ["", 42],
+                         ids=["empty-gold", "numeric-gold"])
+def test_bad_gold_answer_exits_one_before_grading(reject, gold_answer):
+    reject("bank.json", {"queries": [{"query_id": "q1", "questions": [
+        {"question_id": "q1/q/0", "text": "What is it?",
+         "gold_answer": "alpha"},
+        {"question_id": "q1/q/1", "text": "And this?",
+         "gold_answer": gold_answer}]}]}, READING["bank"],
+        f"gold_answer of question 'q1/q/1' must be a non-empty string, got "
+        f"{gold_answer!r}")
+
+
+@pytest.mark.parametrize("queries, message", [
+    ([{"query_id": "q1", "title": "topic one"},
+      {"query_id": "q2", "title": ""}],
+     "title of query 'q2' must be a non-empty string, got ''"),
+    ([{"query_id": 1, "title": "topic one"}],
+     "query_id must be a non-empty string, got 1"),
+    ([{"query_id": "q1", "title": "first"},
+      {"query_id": "q1", "title": "second"}],
+     "duplicate query_id 'q1'"),
+], ids=["empty-title", "int-query-id", "repeated-query-id"])
+def test_generate_rejects_bad_queries_before_any_request(reject, queries,
+                                                         message):
+    reject("queries.json", queries, READING["queries"], message)
+
+
+@pytest.mark.parametrize("value, kind", [(None, "null"), (4, "int")],
+                         ids=["null", "int"])
+def test_non_string_mock_response_exits_one(reject, value, kind):
+    reject("fix.json", {"q1": "['Q?']", "default": value}, READING["mock"],
+           f"mock response 'default' must be a string, got {kind}")
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("scored-bank", {"queries": [["q1"]]},
+     "question bank 'queries' must be a list of objects"),
+    ("scored-bank", {"queries": {"query_id": "q1"}},
+     "question bank 'queries' must be a list of objects"),
+    ("scored-bank", {"queries": [{"query_id": "q1", "questions": ["What?"]}]},
+     "questions of query 'q1' must be a list of objects"),
+    *(("queries", queries, "expected a JSON list of objects with 'query_id' "
+       "and 'title'") for queries in ([{"title": "topic one"}],
+                                      [{"query_id": "q1"}],
+                                      {"query_id": "q1", "title": "t"})),
+    ("queries", [{"query_id": "q1", "title": "t", "facets": [{"title": "f"}]}],
+     "facets of query 'q1' must be a list of objects with 'facet_id' and "
+     "'title'"),
+    ("official", ["sysA", "sysB"],
+     "expected a JSON object mapping system name to official rank"),
+    *(("official", ranks, f"official rank of {name!r} must be a number or "
+       f"null, got {ranks[name]!r}") for name, ranks in (
+        ("sysB", {"sysA": 1, "sysB": [2]}),
+        ("sysB", {"sysA": 1, "sysB": {"rank": 2}}),
+        ("sysB", {"sysA": 1, "sysB": "second"}),
+        ("sysB", {"sysA": 1, "sysB": True}),
+        ("sysA", {"sysA": False, "sysB": 2}),
+        ("sysB", {"sysA": 1, "sysB": "NaN"}),
+        ("sysB", {"sysA": 1, "sysB": math.nan}),
+        ("sysA", {"sysA": "inf", "sysB": 2}))),
+], ids=["queries-of-lists", "queries-object", "question-string",
+        "query-without-id", "query-without-title", "queries-object-file",
+        "facet-without-id", "official-list", "official-rank-list",
+        "official-rank-object", "official-rank-word", "official-rank-true",
+        "official-rank-false", "official-rank-nan-string",
+        "official-rank-nan", "official-rank-inf-string"])
+def test_malformed_json_input_exits_one(reject, name, content, message):
+    reject(f"bad_{name}.json", content, READING[name], message)
+
+
+def test_bad_input_error_names_its_file(reject):
+    scored = READING["official"][1:7]       # bank, grades and policy
+    reject("runs/sysB.run", "q1 Q0 pB1 1 9.0 sysB\nq1 Q0 pA2 two 8.0 sysB\n",
+           ["leaderboard", *scored, "--runs", "{tmp}/runs"],
+           "line 2: invalid literal for int() with base 10: 'two'")
+    reject("bad.qrels", "q1 0 pA1 1\nq1 0 pA2\n",
+           ["agreement", "--labels", "{out}/exam.qrels", "--judgments",
+            "{bad}"], "line 2: expected 4 whitespace-separated fields, got 3")
+    reject("bad_bank.json", {"queries": [{"query_id": "q1",
+                                          "questions": [{}]}]},
+           ["qrels", *READING["scored-bank"][1:7]],
+           "question_id in query 'q1' must be a non-empty string, got None")
+    reject("bad.conf", b"depth = 1\n\xff\n",
+           ["--config", "{bad}", "qrels", *scored],
+           "'utf-8' codec can't decode byte 0xff in position 10: invalid "
+           "start byte")
 
 
 @pytest.fixture
@@ -805,45 +933,6 @@ def test_hostless_proxy_exits_one_before_any_request(
     assert graded.read_bytes() == before
 
 
-@pytest.mark.parametrize("gold_answer", ["", 42],
-                         ids=["empty-gold", "numeric-gold"])
-def test_bad_gold_answer_exits_one_before_grading(tmp_path, capsys,
-                                                   completions, gold_answer):
-    write_pipeline_inputs(tmp_path)
-    bank = tmp_path / "bank.json"
-    bank.write_text(json.dumps({"queries": [{"query_id": "q1", "questions": [
-        {"question_id": "q1/q/0", "text": "What is it?",
-         "gold_answer": "alpha"},
-        {"question_id": "q1/q/1", "text": "And this?",
-         "gold_answer": gold_answer}]}]}))
-    store = tmp_path / "grades.jsonl.gz"
-    assert_rejected(capsys, completions, grade_argv(
-        tmp_path, bank, store, mode="qa"), f"{bank}: gold_answer of question "
-        f"'q1/q/1' must be a non-empty string, got {gold_answer!r}", store)
-
-
-@pytest.mark.parametrize("queries, message", [
-    ([{"query_id": "q1", "title": "topic one"},
-      {"query_id": "q2", "title": ""}],
-     "title of query 'q2' must be a non-empty string, got ''"),
-    ([{"query_id": 1, "title": "topic one"}],
-     "query_id must be a non-empty string, got 1"),
-    ([{"query_id": "q1", "title": "first"},
-      {"query_id": "q1", "title": "second"}],
-     "duplicate query_id 'q1'"),
-], ids=["empty-title", "int-query-id", "repeated-query-id"])
-def test_generate_rejects_bad_queries_before_any_request(
-        tmp_path, capsys, completions, queries, message):
-    write_pipeline_inputs(tmp_path)
-    path = tmp_path / "queries.json"
-    path.write_text(json.dumps(queries))
-    bank = tmp_path / "bank.json"
-    assert_rejected(capsys, completions, [
-        "generate", "--queries", str(path), "--template", "dl",
-        "--mock", str(tmp_path / "gen_mock.json"), "--out", str(bank)],
-        f"{path}: {message}", bank)
-
-
 def test_generate_reads_brackets_too_deep_to_parse_as_no_list(tmp_path):
     # Unary operators nested this deep make Python's literal parser raise
     # RecursionError, MemoryError or ValueError, depending on its version;
@@ -862,110 +951,12 @@ def test_generate_reads_brackets_too_deep_to_parse_as_no_list(tmp_path):
         == {"q1": ["Why tea?"], "q2": ["Why coffee?"]}
 
 
-@pytest.mark.parametrize("value, kind", [(None, "null"), (4, "int")],
-                         ids=["null", "int"])
-def test_non_string_mock_response_exits_one(tmp_path, capsys, completions,
-                                            value, kind):
-    write_pipeline_inputs(tmp_path)
-    fixture = tmp_path / "fix.json"
-    fixture.write_text(json.dumps({"q1": "['Q?']", "default": value}))
-    bank = tmp_path / "bank.json"
-    assert_rejected(capsys, completions, [
-        "generate", "--queries", str(tmp_path / "queries.json"),
-        "--template", "dl", "--mock", str(fixture), "--out", str(bank)],
-        f"{fixture}: mock response 'default' must be a string, got {kind}",
-        bank)
-
-
-@pytest.mark.parametrize("name, content, message", [
-    ("bank", {"queries": [["q1"]]},
-     "question bank 'queries' must be a list of objects"),
-    ("bank", {"queries": {"query_id": "q1"}},
-     "question bank 'queries' must be a list of objects"),
-    ("bank", {"queries": [{"query_id": "q1", "questions": ["What?"]}]},
-     "questions of query 'q1' must be a list of objects"),
-    *(("queries", queries, "expected a JSON list of objects with 'query_id' "
-       "and 'title'") for queries in ([{"title": "topic one"}],
-                                      [{"query_id": "q1"}],
-                                      {"query_id": "q1", "title": "t"})),
-    ("queries", [{"query_id": "q1", "title": "t", "facets": [{"title": "f"}]}],
-     "facets of query 'q1' must be a list of objects with 'facet_id' and "
-     "'title'"),
-    ("official", ["sysA", "sysB"],
-     "expected a JSON object mapping system name to official rank"),
-    *(("official", ranks, f"official rank of {name!r} must be a number or "
-       f"null, got {ranks[name]!r}") for name, ranks in (
-        ("sysB", {"sysA": 1, "sysB": [2]}),
-        ("sysB", {"sysA": 1, "sysB": {"rank": 2}}),
-        ("sysB", {"sysA": 1, "sysB": "second"}),
-        ("sysB", {"sysA": 1, "sysB": True}),
-        ("sysA", {"sysA": False, "sysB": 2}),
-        ("sysB", {"sysA": 1, "sysB": "NaN"}),
-        ("sysB", {"sysA": 1, "sysB": math.nan}),
-        ("sysA", {"sysA": "inf", "sysB": 2}))),
-], ids=["queries-of-lists", "queries-object", "question-string",
-        "query-without-id", "query-without-title", "queries-object-file",
-        "facet-without-id", "official-list", "official-rank-list",
-        "official-rank-object", "official-rank-word", "official-rank-true",
-        "official-rank-false", "official-rank-nan-string",
-        "official-rank-nan", "official-rank-inf-string"])
-def test_malformed_json_input_exits_one(tmp_path, capsys, completions, name,
-                                        content, message, out):
-    bad = tmp_path / f"bad_{name}.json"
-    bad.write_text(json.dumps(content))
-    argv = {
-        "bank": ["cover", "--bank", str(bad),
-                 "--run", str(tmp_path / "runs" / "sysA.run"),
-                 "--grades", str(out / "grades.jsonl.gz"),
-                 "--policy", "rate:4"],
-        "queries": ["generate", "--queries", str(bad), "--template", "car",
-                    "--mock", str(tmp_path / "gen_mock.json"),
-                    "--out", str(out / "bank2.json")],
-        "official": ["leaderboard", *scoring_argv(out), "--runs",
-                     str(tmp_path / "runs"), "--official", str(bad)],
-    }[name]
-    assert_rejected(capsys, completions, argv, f"{bad}: {message}",
-                    out / "bank2.json")
-
-
-def test_bad_input_error_names_its_file(tmp_path, capsys, completions,
-                                        out):
-    runs = tmp_path / "runs"
-    (runs / "sysB.run").write_text("q1 Q0 pB1 1 9.0 sysB\nq1 Q0 pA2 two 8.0 "
-                                   "sysB\n")
-    bad_qrels = tmp_path / "bad.qrels"
-    bad_qrels.write_text("q1 0 pA1 1\nq1 0 pA2\n")
-    bad_bank = tmp_path / "bad_bank.json"
-    bad_bank.write_text(json.dumps({"queries": [{"query_id": "q1",
-                                                 "questions": [{}]}]}))
-    bad_config = tmp_path / "bad.conf"
-    bad_config.write_bytes(b"depth = 1\n\xff\n")
-    grades = str(out / "grades.jsonl.gz")
-    cases = [
-        (["leaderboard", *scoring_argv(out), "--runs", str(runs)],
-         f"{runs / 'sysB.run'}: line 2: invalid literal for int() with "
-         f"base 10: 'two'"),
-        (["agreement", "--labels", str(out / "exam.qrels"),
-          "--judgments", str(bad_qrels)],
-         f"{bad_qrels}: line 2: expected 4 whitespace-separated fields, "
-         f"got 3"),
-        (["qrels", "--bank", str(bad_bank), "--grades", grades,
-          "--policy", "rate:4"],
-         f"{bad_bank}: question_id in query 'q1' must be a non-empty "
-         f"string, got None"),
-        (["--config", str(bad_config), "qrels", "--bank", str(bad_bank),
-          "--grades", grades, "--policy", "rate:4"],
-         f"{bad_config}: 'utf-8' codec can't decode byte 0xff in position "
-         f"10: invalid start byte"),
-    ]
-    for argv, message in cases:
-        assert_rejected(capsys, completions, argv, message)
-
-
 BAD_COLLAPSE = ("Invalid value for '--collapse': {!r} is not one of "
                 "'graded', 'lenient', 'binary', 'strict'.")
 
 
+# A non-integer --min-answers item, rate:x and a bad --collapse name beside
+# --labels are rows of `test_option_values_checked_before_input_is_read`.
 @pytest.mark.parametrize("argv, message", [
     (["generate", "--template", "qa"], "'--template': 'qa' is not one of"),
     (["leaderboard", "--metric", "p20"], "'--metric': 'p20' is not one of"),
@@ -973,19 +964,12 @@ BAD_COLLAPSE = ("Invalid value for '--collapse': {!r} is not one of "
      "Invalid value for '--min-answers': 0 is not in the range x>=1."),
     (["qrels", "--graded", "--policy", "qa"],
      "--graded needs a rate:<min_rating> policy"),
-    (["agreement", "--min-answers", "1,x"],
-     "Invalid value for '--min-answers': 'x' is not a valid integer range."),
     (["cover", "--policy", "rate:6"], "min_rating must be in [1, 5], got 6"),
-    (["cover", "--policy", "rate:x"],
-     "bad policy 'rate:x'; expected 'qa' or 'rate:<min_rating>', "
-     "optionally followed by '+min-answers=<n>'"),
     (["cover", "--policy", "rate:4+min-answers=two"],
      "bad policy 'rate:4+min-answers=two'; expected 'qa' or "
      "'rate:<min_rating>'"),
     (["generate", "--template", "dl", "--max-input-tokens", "100"],
      "No such option"),
-    (["agreement", "--labels", "{out}/exam.qrels",
-      "--collapse", "lenient,bogus"], BAD_COLLAPSE.format("bogus")),
     (["agreement", "--collapse", "bogus", "--min-answers", "1"],
      BAD_COLLAPSE.format("bogus")),
     (["agreement", "--labels", "{out}/exam.qrels", "--collapse", ""],
@@ -995,8 +979,7 @@ BAD_COLLAPSE = ("Invalid value for '--collapse': {!r} is not one of "
     (["agreement", "--collapse", ",", "--min-answers", "1"],
      BAD_COLLAPSE.format("")),
 ], ids=["template", "metric", "min-answers-sweep", "graded-qa",
-        "min-answers-sweep-not-int", "min-rating", "min-rating-not-int",
-        "min-answers-not-int", "generate-max-input-tokens", "collapse",
+        "min-rating", "min-answers-not-int", "generate-max-input-tokens",
         "collapse-without-labels", "collapse-empty", "collapse-blank-names",
         "collapse-empty-without-labels"])
 def test_bad_flag_value_exits_one(tmp_path, capsys, argv, message, out):
@@ -1297,6 +1280,46 @@ def agreement_tsv(name, labels, judgments, label_min, judgment_rel_min,
                str(sum(counts[i])), kappas[i]] for i, row in enumerate(rows)]
     table = "".join("\t".join(line) + "\n" for line in lines)
     return f"# {name}\n{table}", kappa_line
+
+
+def test_generated_responses_are_scored_as_passages(tmp_path, completions):
+    # README's recipe: each system's response to a query is the passage
+    # `<system>/<query_id>`, which the system's run ranks first, one line
+    # per query. Text past --max-input-tokens never reaches the grader.
+    bank = QuestionBank({q: tuple(ExamQuestion(f"{q}/q/{i}", q, f"Q{i}?")
+                                  for i in range(2)) for q in ("q1", "q2")})
+    responses = {"sysA/q1": "an answer", "sysA/q2": "another answer",
+                 "sysB/q1": "filler " * 80 + "past-the-budget",
+                 "sysB/q2": "a third answer"}
+    fixture = {"q1/q/0/sysA/q1": "5: yes", "q1/q/1/sysA/q1": "3: partly",
+               "q2/q/1/sysA/q2": "4: mostly", "q1/q/1/sysB/q1": "4: mostly"}
+    (tmp_path / "runs").mkdir()
+    for system in ("sysA", "sysB"):
+        (tmp_path / "runs" / f"{system}.run").write_text(
+            f"q1 Q0 {system}/q1 1 1.0 {system}\n"
+            f"q2 Q0 {system}/q2 1 1.0 {system}\n")
+    (tmp_path / "passages.json").write_text(json.dumps(responses))
+    (tmp_path / "mock.json").write_text(json.dumps({**fixture,
+                                                    "default": "0: no"}))
+    (tmp_path / "bank.json").write_text(save_question_bank(bank))
+    assert main(grade_argv(tmp_path, tmp_path / "bank.json",
+                           tmp_path / "grades.jsonl.gz", "--max-input-tokens",
+                           "128", mock="mock.json")) == 0
+    assert len(completions) == 8
+    assert all(len(r.prompt.split()) <= 128
+               and "past-the-budget" not in r.prompt for r in completions)
+    grades = [rated(pid[-2:], pid, qid, int(answer[0]), answer)
+              for pid in responses for question in bank.questions_for(pid[-2:])
+              for qid in [question.question_id]
+              for answer in [fixture.get(f"{qid}/{pid}", "0: no")]]
+    for system in ("sysA", "sysB"):
+        run = tmp_path / "runs" / f"{system}.run"
+        scores = oracles.cover(oracles.pool([oracles.run_rows(
+            run.read_text())], 1), bank, grades, parse_policy("rate:4"))
+        assert scores == {"q1": 0.5, "q2": 0.5 * (system == "sysA")}
+        assert main(["cover", *scoring_argv(tmp_path), "--run", str(run),
+                     "--out", str(tmp_path / "cover.tsv")]) == 0
+        assert (tmp_path / "cover.tsv").read_text() == cover_tsv(scores)
 
 
 def test_agreement_prints_each_overall_kappa(tmp_path, capsys):

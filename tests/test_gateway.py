@@ -172,23 +172,6 @@ questions = st.lists(st.sampled_from(WORDS + WHITESPACE), min_size=1,
 @pytest.mark.parametrize("render", [render_qa_prompt,
                                     render_self_rating_prompt],
                          ids=["qa", "self_rating"])
-@given(question=questions, context=contexts, data=st.data())
-def test_truncation_matches_brute_force(render, question, context, data):
-    fixed = token_count(render(question, ""))
-    budget = fixed - 1 + data.draw(
-        st.integers(0, len(context.split()) + 2), label="slack")
-    try:
-        expected = longest_fitting_prefix(question, context, budget, render)
-    except BudgetExceeded:
-        with pytest.raises(BudgetExceeded):
-            truncate_context(question, context, budget, render)
-        return
-    assert truncate_context(question, context, budget, render) == expected
-
-
-@pytest.mark.parametrize("render", [render_qa_prompt,
-                                    render_self_rating_prompt],
-                         ids=["qa", "self_rating"])
 @given(context=contexts, questions=st.lists(questions, min_size=1,
                                             max_size=5),
        pick=st.integers(0, 4), slack=st.integers(-1, 62))
@@ -202,9 +185,10 @@ def test_truncation_matches_brute_force(render, question, context, data):
 @example(context=" \t\u2028 ", questions=["x", "tok tok"], pick=0, slack=0)
 def test_shared_split_matches_brute_force(render, context, questions, pick,
                                           slack):
-    # One split of the context, at the smallest allowance of the questions
-    # that fit, finishes every question's own cut; the budget is drawn
-    # around one question's fixed tokens, so others may be over it.
+    # Each question's cut, made alone or finished from one split of the
+    # context at the smallest allowance of the questions that fit, is the
+    # longest prefix that fits; the budget is drawn around one question's
+    # fixed tokens, so others may be over it.
     budget = token_count(render(questions[pick % len(questions)], "")) + slack
     split = split_context(context, smallest_allowance(questions, budget,
                                                       render))
@@ -213,9 +197,13 @@ def test_shared_split_matches_brute_force(render, context, questions, pick,
             expected = longest_fitting_prefix(question, context, budget,
                                               render)
         except BudgetExceeded:
-            with pytest.raises(BudgetExceeded):
-                truncate_context(question, context, budget, render, split)
+            for shared in ((), (split,)):
+                with pytest.raises(BudgetExceeded):
+                    truncate_context(question, context, budget, render,
+                                     *shared)
             continue
+        assert truncate_context(question, context, budget, render) \
+            == expected
         assert truncate_context(question, context, budget, render,
                                 split) == expected
 

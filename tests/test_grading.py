@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exam_eval import grading
+from exam_eval import gateway, grading
 from exam_eval.formats import GradeStore
 from exam_eval.gateway import (
     BackendError,
@@ -83,6 +83,15 @@ long_and_astral_pairs = st.one_of(
 )
 
 
+def check_distance(a, b, scale):
+    """`edit_distance_below` at `scale` times the 20 % rule's limit for the
+    pair, in both argument orders, against the full table."""
+    limit = scale * 0.2 * max(len(a), len(b))
+    expected = levenshtein(a, b) < limit
+    assert edit_distance_below(a, b, limit) == expected
+    assert edit_distance_below(b, a, limit) == expected
+
+
 class TestVerifyAnswer:
     def test_exact_match(self):
         assert verify_answer("epidermis", "epidermis")
@@ -112,48 +121,33 @@ class TestVerifyAnswer:
         assert levenshtein(a, b) <= max(len(a), len(b))
 
     @pytest.mark.parametrize("scale", [1, 2, 5])
-    @settings(max_examples=300)
+    @settings(max_examples=100)
     @given(a=near_text, b=near_text)
     def test_banded_check_matches_full_table(self, scale, a, b):
-        # The 20 % rule's limit and wider ones, in both argument orders.
-        limit = scale * 0.2 * max(len(a), len(b))
-        expected = levenshtein(a, b) < limit
-        assert edit_distance_below(a, b, limit) == expected
-        assert edit_distance_below(b, a, limit) == expected
+        check_distance(a, b, scale)
 
     @pytest.mark.parametrize("scale", [1, 2, 5])
-    @settings(max_examples=300)
+    @settings(max_examples=100)
     @given(pair=st.text(alphabet="abcdefgh", max_size=25).flatmap(
         lambda a: st.tuples(st.just(a), st.permutations(a).map("".join))))
     def test_anagrams_pass_the_bag_bound_to_the_table(self, scale, pair):
         # An anagram's bag distance is 0, whatever its edit distance, so
         # the bag bound settles none of these: the table decides each.
-        a, b = pair
-        limit = scale * 0.2 * len(a)
-        expected = levenshtein(a, b) < limit
-        assert edit_distance_below(a, b, limit) == expected
-        assert edit_distance_below(b, a, limit) == expected
+        check_distance(*pair, scale)
 
     @pytest.mark.parametrize("scale", [1, 2, 5])
-    @settings(max_examples=300)
+    @settings(max_examples=100)
     @given(a=st.text(alphabet="abcde", max_size=25),
            b=st.text(alphabet="vwxyz", max_size=25))
     def test_disjoint_alphabets_settled_by_the_bag_bound(self, scale, a, b):
         # Strings sharing no character: the bag distance is the longer
         # length, which is also the edit distance.
-        limit = scale * 0.2 * max(len(a), len(b))
-        expected = levenshtein(a, b) < limit
-        assert edit_distance_below(a, b, limit) == expected
-        assert edit_distance_below(b, a, limit) == expected
+        check_distance(a, b, scale)
 
-    @settings(max_examples=300)
+    @settings(max_examples=100)
     @given(pair=long_and_astral_pairs, scale=st.sampled_from([1, 2, 5]))
     def test_long_and_astral_pairs_match_full_table(self, pair, scale):
-        a, b = pair
-        limit = scale * 0.2 * max(len(a), len(b))
-        expected = levenshtein(a, b) < limit
-        assert edit_distance_below(a, b, limit) == expected
-        assert edit_distance_below(b, a, limit) == expected
+        check_distance(*pair, scale)
 
     @pytest.mark.parametrize("a, b, distance", [
         ("", "", 0), ("abc", "", 3), ("kitten", "sitting", 3),
@@ -377,6 +371,21 @@ class TestGradeCorpus:
         assert store.read() == expected
         assert any(row[1] for row in expected.values())
         assert not all(row[1] for row in expected.values())
+
+    def test_each_question_text_is_rendered_once_in_any_bank(self,
+                                                             tmp_path):
+        # Every query's allowance is taken before any pair is graded, so a
+        # bounded cache of empty-context prompts would lose the first
+        # questions of a bank larger than it before their pairs are cut.
+        bank = QuestionBank({f"q{i}": (ExamQuestion(
+            f"q{i}/q/0", f"q{i}", f"Question {i}?"),) for i in range(1100)})
+        passages = {f"q{i}": {"p": "text"} for i in range(1100)}
+        gateway._fixed_tokens.cache_clear()
+        summary = grade_corpus(bank, passages, SELF_RATED,
+                               GradeStore(tmp_path / "g.jsonl.gz"),
+                               MockBackend({"default": "3"}), 512, 1)
+        assert summary.graded == 1100
+        assert gateway._fixed_tokens.cache_info().misses == 1100
 
     def test_question_over_budget_is_skip_logged(self, tmp_path):
         bank, passages = self.bank_and_passages()

@@ -44,39 +44,40 @@ LENIENT = GradePolicy(SELF_RATED, min_rating=1)
 # Coverage
 
 
+def checked_cover(pooled, grades, bank):
+    """`exam_cover` of the pool under `LENIENT`, once it matches
+    `oracles.cover`."""
+    result = exam_cover(pooled, grade_index(grades, LENIENT, bank))
+    assert result == pytest.approx(oracles.cover(
+        {q: set(pids) for q, pids in pooled.items()}, bank, grades, LENIENT))
+    return result
+
+
+# Worked examples of the scores: each is checked against the oracles of
+# criterion 3 (`test_acceptance.py`) too.
 class TestExamCover:
     def test_union_of_two_passages(self):
         # |Q|=5; p1 answers {q0,q1}, p2 answers {q1,q2} -> 3/5.
-        bank = simple_bank()
         grades = [rated("q1", "p1", "q1/q/0", 5),
                   rated("q1", "p1", "q1/q/1", 4),
                   rated("q1", "p2", "q1/q/1", 5),
                   rated("q1", "p2", "q1/q/2", 5)]
-        result = exam_cover({"q1": ["p1", "p2"]},
-                            grade_index(grades, LENIENT, bank))
-        assert result == pytest.approx({"q1": 0.6})
-        assert metrics.mean(result) == pytest.approx(0.6)
+        assert checked_cover({"q1": ["p1", "p2"]}, grades, simple_bank()) \
+            == pytest.approx({"q1": 0.6})
 
     def test_nothing_answerable(self):
-        bank = simple_bank()
-        grades = [rated("q1", "p1", "q1/q/0", 0)]
-        result = exam_cover({"q1": ["p1"]},
-                            grade_index(grades, LENIENT, bank))
-        assert result == {"q1": 0.0}
+        assert checked_cover({"q1": ["p1"]}, [rated("q1", "p1", "q1/q/0", 0)],
+                             simple_bank()) == {"q1": 0.0}
 
     def test_everything_answerable(self):
-        bank = simple_bank()
         grades = [rated("q1", "p1", f"q1/q/{i}", 5) for i in range(5)]
-        result = exam_cover({"q1": ["p1"]},
-                            grade_index(grades, LENIENT, bank))
-        assert result == {"q1": 1.0}
+        assert checked_cover({"q1": ["p1"]}, grades, simple_bank()) \
+            == {"q1": 1.0}
 
     def test_missing_grades_counted_not_correct(self, caplog):
-        bank = simple_bank()
-        grades = [rated("q1", "p1", "q1/q/0", 5)]
-        result = exam_cover({"q1": ["p1", "p-ungraded"]},
-                            grade_index(grades, LENIENT, bank))
-        assert result == pytest.approx({"q1": 0.2})
+        assert checked_cover({"q1": ["p1", "p-ungraded"]},
+                             [rated("q1", "p1", "q1/q/0", 5)], simple_bank()) \
+            == pytest.approx({"q1": 0.2})
         assert caplog.messages == [
             "coverage gap: 1 pooled passages have no grades"]
 
@@ -84,8 +85,7 @@ class TestExamCover:
         bank = QuestionBank({"q1": simple_bank().questions_for("q1"),
                              "q2": ()})
         grades = [rated("q1", "p1", f"q1/q/{i}", 5) for i in range(5)]
-        result = exam_cover({"q1": ["p1"], "q2": ["p2"]},
-                            grade_index(grades, LENIENT, bank))
+        result = checked_cover({"q1": ["p1"], "q2": ["p2"]}, grades, bank)
         assert result == {"q1": 1.0}
         assert metrics.mean(result) == 1.0
 
@@ -93,13 +93,26 @@ class TestExamCover:
 # Relevance labels and qrels
 
 
+def checked_qrels(grades, policy=LENIENT, graded=False):
+    """`build_qrels` of the grades for `simple_bank()`, once it matches
+    `oracles.qrels`."""
+    bank = simple_bank()
+    labels = build_qrels(grade_index(grades, policy, bank), graded=graded)
+    assert labels == oracles.qrels(grades, bank, policy, graded)
+    return labels
+
+
 def pair_label(ratings, policy, graded=False):
     """The label of one pair whose grades give question i rating
-    ratings[i]."""
+    ratings[i], once it matches `oracles.qrels` (0 for a pair without
+    one)."""
     bank = simple_bank(n=len(ratings))
     grades = [rated("q1", "p1", f"q1/q/{i}", r)
               for i, r in enumerate(ratings)]
-    return grade_index(grades, policy, bank).label("q1", "p1", graded)
+    label = grade_index(grades, policy, bank).label("q1", "p1", graded)
+    assert label == oracles.qrels(grades, bank, policy, graded).get(
+        ("q1", "p1"), 0)
+    return label
 
 
 class TestRelevanceLabels:
@@ -116,34 +129,27 @@ class TestRelevanceLabels:
     def test_no_grades_graded_zero(self):
         assert pair_label([], LENIENT, graded=True) == 0
 
+
 class TestBuildQrels:
     def test_binary_rows(self):
-        bank = simple_bank()
-        grades = [rated("q1", "p1", "q1/q/0", 5),
-                  rated("q1", "p2", "q1/q/0", 0)]
-        labels = build_qrels(grade_index(grades, LENIENT, bank))
-        assert labels == {("q1", "p1"): 1, ("q1", "p2"): 0}
+        assert checked_qrels([rated("q1", "p1", "q1/q/0", 5),
+                              rated("q1", "p2", "q1/q/0", 0)]) \
+            == {("q1", "p1"): 1, ("q1", "p2"): 0}
 
     def test_graded_carries_ratings(self):
-        bank = simple_bank()
-        grades = [rated("q1", "p1", "q1/q/0", 3)]
-        labels = build_qrels(grade_index(grades, LENIENT, bank), graded=True)
-        assert labels == {("q1", "p1"): 3}
+        assert checked_qrels([rated("q1", "p1", "q1/q/0", 3)], graded=True) \
+            == {("q1", "p1"): 3}
 
     def test_new_question_changes_only_affected_rows(self):
-        bank = simple_bank()
         grades = [rated("q1", "p1", "q1/q/0", 0),
                   rated("q1", "p2", "q1/q/0", 0)]
-        before = build_qrels(grade_index(grades, LENIENT, bank))
-        grades.append(rated("q1", "p1", "q1/q/1", 5))
-        after = build_qrels(grade_index(grades, LENIENT, bank))
-        changed = set(after.items()) - set(before.items())
-        assert changed == {(("q1", "p1"), 1)}
+        before = checked_qrels(grades)
+        after = checked_qrels(grades + [rated("q1", "p1", "q1/q/1", 5)])
+        assert set(after.items()) - set(before.items()) \
+            == {(("q1", "p1"), 1)}
 
     def test_unknown_questions_ignored(self):
-        bank = simple_bank()
-        grades = [rated("q1", "p1", "other-bank/q/0", 5)]
-        assert build_qrels(grade_index(grades, LENIENT, bank)) == {}
+        assert checked_qrels([rated("q1", "p1", "other-bank/q/0", 5)]) == {}
 
     def test_graded_needs_self_rated_policy(self):
         # A qa verdict is no rating: graded labels under a qa policy would
@@ -160,26 +166,31 @@ class TestBuildQrels:
 # Precision@k
 
 
+def checked_precision(pooled, qrels, k):
+    """`precision_at_k` of the pool, once it matches `oracles.precision`."""
+    result = precision_at_k(pooled, qrels, k)
+    assert result == pytest.approx(oracles.precision(pooled, qrels, k))
+    return result
+
+
 class TestPrecisionAtK:
     def test_all_relevant(self):
         qrels = {("q1", f"p{i}"): 1 for i in range(20)}
         passages = {"q1": [f"p{i}" for i in range(20)]}
-        assert precision_at_k(passages, qrels, 20) == {"q1": 1.0}
+        assert checked_precision(passages, qrels, 20) == {"q1": 1.0}
 
     def test_half_relevant(self):
         qrels = {("q1", f"p{i}"): 1 if i < 10 else 0 for i in range(20)}
         passages = {"q1": [f"p{i}" for i in range(20)]}
-        assert precision_at_k(passages, qrels, 20) == {"q1": 0.5}
+        assert checked_precision(passages, qrels, 20) == {"q1": 0.5}
 
     def test_unjudged_counts_nonrelevant(self):
-        qrels = {("q1", "p0"): 1}
-        assert precision_at_k({"q1": ["p0", "p-unjudged"]}, qrels, 2) \
-            == {"q1": 0.5}
+        assert checked_precision({"q1": ["p0", "p-unjudged"]},
+                                 {("q1", "p0"): 1}, 2) == {"q1": 0.5}
 
     def test_unjudged_query_skipped(self):
-        qrels = {("q1", "p0"): 1}
-        assert precision_at_k({"q1": ["p0"], "q2": ["p0"]}, qrels, 1) \
-            == {"q1": 1.0}
+        assert checked_precision({"q1": ["p0"], "q2": ["p0"]},
+                                 {("q1", "p0"): 1}, 1) == {"q1": 1.0}
 
 
 # ---------------------------------------------------------------------------
