@@ -23,19 +23,38 @@ from .model import (
 log = logging.getLogger(__name__)
 
 
+# A plain list: quoted strings with no escape, separated by commas, with
+# an optional trailing comma, and spaces, tabs or newlines around items and
+# commas. An item holds no backslash, no quote of its own kind, no control
+# character but tab and no surrogate, so its value is the text between its
+# quotes, as `ast.literal_eval` reads it.
+_ITEM = (r"'([^'\\\x00-\x08\x0a-\x1f\ud800-\udfff]*)'"
+         r'|"([^"\\\x00-\x08\x0a-\x1f\ud800-\udfff]*)"')
+_SPACE = r"[ \t\n]*"
+_PLAIN_LIST = re.compile(
+    rf"\[{_SPACE}(?:(?:{_ITEM}){_SPACE}(?:,{_SPACE}(?:{_ITEM}){_SPACE})*"
+    rf"(?:,{_SPACE})?)?\]")
+_ITEMS = re.compile(_ITEM)
+
+
 def parse_question_list(completion: str) -> list[str]:
     """Extract a question list from a model completion.
 
     Tries, in order: a bracketed Python-style list of quoted strings;
     numbered or bulleted lines; bare lines ending in '?'. Results are
     trimmed, deduplicated, and kept in source order. An empty list is a
-    legal outcome. Brackets nested too deep for Python's parser (it raises
-    RecursionError or MemoryError, by version) count as no list.
+    legal outcome. A bracket text that is a plain list is read by its
+    items; any other is read by `ast.literal_eval`. Brackets nested too
+    deep for Python's parser (it raises RecursionError or MemoryError, by
+    version) count as no list.
     """
     candidates: list[str] = []
 
     bracket = re.search(r"\[.*\]", completion, re.DOTALL)
-    if bracket:
+    if bracket and _PLAIN_LIST.fullmatch(bracket.group(0)):
+        candidates = [single or double for single, double
+                      in _ITEMS.findall(bracket.group(0))]
+    elif bracket:
         try:
             parsed = ast.literal_eval(bracket.group(0))
             if isinstance(parsed, (list, tuple)):

@@ -442,6 +442,14 @@ def grade(bank_path, run_paths, passages_path, qrels_path, mode, store_path,
     import logging
     from . import formats, gateway, grading
     from .model import QA_VERIFIED, SELF_RATED
+    grade_mode = QA_VERIFIED if mode == "qa" else SELF_RATED
+    # A question takes at least one token beside its mode's template.
+    template = gateway.token_count(grading.renderer(grade_mode)("", ""))
+    if max_input_tokens <= template:
+        raise UsageError(
+            f"Invalid value for '--max-input-tokens': {max_input_tokens} "
+            f"leaves no token for a question beside the {mode} template's "
+            f"{template}.")
     log = logging.getLogger("exam_eval")
     bank = formats.load_question_bank(bank_path)
     runs = _load_runs(run_paths)
@@ -457,7 +465,6 @@ def grade(bank_path, run_paths, passages_path, qrels_path, mode, store_path,
     if missing:
         log.warning("%d pooled passages have no text and were dropped",
                     missing)
-    grade_mode = QA_VERIFIED if mode == "qa" else SELF_RATED
     store = formats.GradeStore(store_path)
     with contextlib.closing(
             gateway.make_backend(endpoint, model, mock)) as backend:

@@ -66,6 +66,11 @@ def _objects_with(value, keys: tuple[str, ...] = ()) -> bool:
         isinstance(v, dict) and all(k in v for k in keys) for v in value)
 
 
+# A string as a JSON string: the C function `json.dumps` itself calls with
+# `ensure_ascii=False`.
+_quote = json.encoder.encode_basestring
+
+
 def _text(value, what: str) -> str:
     """A field that must be a non-empty string."""
     if type(value) is not str or not value:
@@ -264,7 +269,8 @@ def parse_question_bank(text: str) -> QuestionBank:
 
     Query ids are non-empty strings, unique in the bank; question ids are
     non-empty strings, unique across the bank. A question's text is a
-    non-empty string, and its gold answer a non-empty string or null.
+    non-empty string, and its facet id and gold answer are each a
+    non-empty string or null.
     """
     doc = json.loads(text)
     if not isinstance(doc, dict) or "queries" not in doc:
@@ -287,13 +293,19 @@ def parse_question_bank(text: str) -> QuestionBank:
             if question_id in question_ids:
                 raise ParseError(f"duplicate question_id {question_id!r}")
             question_ids.add(question_id)
+            # `_text` words the error, and its message is built only then:
+            # a facet-focused bank gives every question a facet id.
+            facet_id = q.get("facet_id")
+            if facet_id is not None and (type(facet_id) is not str
+                                         or not facet_id):
+                _text(facet_id, f"facet_id of question {question_id!r}")
             gold_answer = q.get("gold_answer")
             if gold_answer is not None:
                 _text(gold_answer, f"gold_answer of question {question_id!r}")
             questions.append(ExamQuestion(
                 question_id, query_id,
                 _text(q.get("text"), f"text of question {question_id!r}"),
-                q.get("facet_id"), gold_answer))
+                facet_id, gold_answer))
         by_query[query_id] = tuple(questions)
     return QuestionBank(by_query)
 
@@ -303,25 +315,32 @@ def load_question_bank(path: str | Path) -> QuestionBank:
     return parse_question_bank(Path(path).read_text(encoding="utf-8-sig"))
 
 
+# The one layout `save_question_bank` writes: the bytes of
+# `json.dumps(doc, indent=2, ensure_ascii=False)` on the bank's document,
+# for every bank whose fields are strings, or None for a facet id or gold
+# answer, as in each bank that `parse_question_bank` returns.
+_BANK_QUERY = '\n    {\n      "query_id": %s,\n      "questions": %s\n    }'
+_BANK_QUESTION = ('\n        {\n          "question_id": %s,\n'
+                  '          "text": %s,\n          "facet_id": %s,\n'
+                  '          "gold_answer": %s\n        }')
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON list of rendered items, each of which starts on a line of its
+    own, with the closing bracket on a line at `indent`; `[]` when empty."""
+    return f"[{','.join(items)}\n{indent}]" if items else "[]"
+
+
 def save_question_bank(bank: QuestionBank) -> str:
-    doc = {
-        "queries": [
-            {
-                "query_id": query_id,
-                "questions": [
-                    {
-                        "question_id": q.question_id,
-                        "text": q.text,
-                        "facet_id": q.facet_id,
-                        "gold_answer": q.gold_answer,
-                    }
-                    for q in questions
-                ],
-            }
-            for query_id, questions in bank.questions_by_query.items()
-        ]
-    }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    queries = [
+        _BANK_QUERY % (_quote(query_id), _json_list([
+            _BANK_QUESTION % (
+                _quote(q.question_id), _quote(q.text),
+                "null" if q.facet_id is None else _quote(q.facet_id),
+                "null" if q.gold_answer is None else _quote(q.gold_answer))
+            for q in questions], "      "))
+        for query_id, questions in bank.questions_by_query.items()]
+    return '{\n  "queries": %s\n}\n' % _json_list(queries, "  ")
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +484,6 @@ _COMPRESSLEVEL = 6
 # `json.JSONEncoder(ensure_ascii=False, sort_keys=True)` on the record.
 _LINE = ('{"answer_text": %s, "mode": %s, "passage_id": %s, "query_id": %s, '
          '"question_id": %s, "rating": %s, "verified": %s}')
-_quote = json.encoder.encode_basestring
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 

@@ -199,7 +199,7 @@ class GradingSummary:
     duration: float = 0.0
 
 
-def _renderer(mode: str) -> Callable[[str, str], str]:
+def renderer(mode: str) -> Callable[[str, str], str]:
     """The prompt renderer of a grading mode."""
     return (gateway.render_qa_prompt if mode == QA_VERIFIED
             else gateway.render_self_rating_prompt)
@@ -212,7 +212,7 @@ def grade_pair(question: ExamQuestion, passage_id: str, text: str,
     """Grade one (question, passage) pair with a single completion request,
     as the store's key and row. `split`, if given, is the passage's
     `gateway.split_context` shared by the questions of its query."""
-    render = _renderer(mode)
+    render = renderer(mode)
     context = gateway.truncate_context(question.text, text, budget, render,
                                        split)
     prompt = render(question.text, context)
@@ -302,7 +302,7 @@ def grade_corpus(bank: QuestionBank,
                         missing.append((question, passage_id))
             low = gateway.smallest_allowance(
                 (question.text for question, _ in missing
-                 if sendable(question)), budget, _renderer(mode))
+                 if sendable(question)), budget, renderer(mode))
             splits: dict[str, gateway.ContextSplit] = {}
             for question, passage_id in missing:
                 text = texts[passage_id]

@@ -61,6 +61,10 @@ SHARED_SPLIT = "tests/test_gateway.py::test_shared_split_matches_brute_force"
 SHARED_CUT = ("tests/test_grading.py::"
               "test_prompts_cut_from_a_shared_split_are_each_questions_own_cut")
 COSTLY_ONCE = "tests/test_golden.py::test_each_step_does_its_costly_work_once"
+LIST_READER = ("tests/test_bank.py::TestParseQuestionList::"
+               "test_matches_the_literal_eval_reader")
+BANK_TEXT = ("tests/test_formats.py::TestQuestionBank::"
+             "test_round_trip_byte_identical")
 SHUFFLED_TAGS = (f"{RUNS}::"
                  "test_second_tag_in_a_shuffled_file_warns_per_line_in_order")
 
@@ -354,6 +358,19 @@ MUTANTS = (
     Mutant("a choice value left unchecked", "cli.py",
            'if kind == "choice" and text not in self.choices:', "if False:",
            f"{BEFORE_INPUT}[argv-agreement-collapse]"),
+    Mutant("a plain-list item that may hold a backslash", "bank.py",
+           r"""_ITEM = (r"'([^'\\\x00""", r"""_ITEM = (r"'([^'\x00""",
+           LIST_READER),
+    Mutant("a CR read as a plain list's space", "bank.py",
+           r'_SPACE = r"[ \t\n]*"', r'_SPACE = r"[ \t\n\r]*"', LIST_READER),
+    Mutant("a bank's empty list not written as []", "formats.py",
+           'if items else "[]"', 'if True else "[]"', BANK_TEXT),
+    Mutant("a facet id written unquoted", "formats.py",
+           "else _quote(q.facet_id)", "else q.facet_id", BANK_TEXT),
+    Mutant("a budget that only the template fits accepted", "cli.py",
+           "if max_input_tokens <= template:",
+           "if max_input_tokens < template:",
+           f"{BEFORE_INPUT}[argv-grade-budget]"),
 )
 
 

@@ -6,11 +6,15 @@ This module uses only the standard library and imports nothing from
 the store's (key, row) pairs, and a bank and a self-rated policy are read
 only through their attributes: `questions_by_query` of questions with a
 `question_id`, `query_id` and `text`, and `mode`, `min_rating` and
-`min_answers`. The answer check takes the program's normalizer as an
+`min_answers`. A bank's file also reads each question's `facet_id` and
+`gold_answer`. The answer check takes the program's normalizer as an
 argument.
 """
+import ast
 import itertools
+import json
 import math
+import re
 
 
 def run_rows(text):
@@ -238,3 +242,67 @@ def reference_verify(predicted, gold, normalize):
         a, b = predicted, gold
     longer = max(len(a), len(b))
     return longer == 0 or levenshtein(a, b) < 0.2 * longer
+
+
+def bank_text(bank):
+    """A bank's file: the JSON encoder's indent-2 text of its document."""
+    return json.dumps({"queries": [
+        {"query_id": query_id, "questions": [
+            {"question_id": q.question_id, "text": q.text,
+             "facet_id": q.facet_id, "gold_answer": q.gold_answer}
+            for q in questions]}
+        for query_id, questions in bank.questions_by_query.items()]},
+        indent=2, ensure_ascii=False) + "\n"
+
+
+def question_list(completion):
+    """The questions of a model completion, with every bracket text read by
+    `ast.literal_eval`: the strings of a list or tuple from the first "[" to
+    the last "]"; else the numbered or bulleted lines; else the lines ending
+    in "?". Each is trimmed of spaces and quotes; empties and repeats go."""
+    candidates = []
+    bracket = re.search(r"\[.*\]", completion, re.DOTALL)
+    if bracket:
+        try:
+            parsed = ast.literal_eval(bracket.group(0))
+        except (ValueError, SyntaxError, TypeError, RecursionError,
+                MemoryError):
+            parsed = None
+        if isinstance(parsed, (list, tuple)):
+            candidates = [item for item in parsed if isinstance(item, str)]
+    if not candidates:
+        candidates = [m.group(1) for m in map(
+            re.compile(r"\s*(?:\d+[.)]|[-*•])\s+(.*)").match,
+            completion.splitlines()) if m]
+    if not candidates:
+        candidates = [line for line in completion.splitlines()
+                      if line.strip().endswith("?")]
+    out = []
+    for c in candidates:
+        c = c.strip().strip("\"'").strip()
+        if c and c not in out:
+            out.append(c)
+    return out
+
+
+def plain_list(text):
+    """The item values of a plain list, or None for any other text: "[",
+    items in single or double quotes separated by commas, an optional comma
+    after the last item, then "]", with spaces, tabs and newlines around
+    items and commas. An item holds no backslash, no quote of its own kind,
+    no control character but tab and no surrogate."""
+    if not text.startswith("["):
+        return None
+    items, rest = [], text[1:].lstrip(" \t\n")
+    while rest[:1] in ("'", '"'):
+        end = rest.find(rest[0], 1)
+        if end == -1 or any(c == "\\" or (c < " " and c != "\t")
+                            or "\ud800" <= c <= "\udfff"
+                            for c in rest[1:end]):
+            return None
+        items.append(rest[1:end])
+        rest = rest[end + 1:].lstrip(" \t\n")
+        if rest[:1] != ",":
+            break
+        rest = rest[1:].lstrip(" \t\n")
+    return items if rest == "]" else None

@@ -1,5 +1,11 @@
+import ast
+import re
 import threading
 import time
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from exam_eval.bank import (
     BankDiffReport,
@@ -17,10 +23,56 @@ from exam_eval.model import (
     QuestionBank,
     SELF_RATED,
 )
+import oracles
 from conftest import RecordingBackend, grade_index, rated
+
+# Characters that a plain list's item may hold, and those on which Python's
+# reading of a list turns; an item holds at most one of the latter.
+ITEM_CHARACTERS = ["a", "n", "é", "\U0001f600", " ", "\t", "#", ",", "[", "]",
+                   "?"]
+ODD_CHARACTERS = ["\\", "\\", "'", '"', "\n", "\r", "\x0c", "\x00", "\ud800"]
+SPACES = ["", " ", "\t", "\n", " \n\t", "\r", "\x0c"]
+
+
+@st.composite
+def completions(draw):
+    """Prose, then "[", quoted items each followed by a space and a comma,
+    no comma or two, then "]" and more prose."""
+    parts = [draw(st.sampled_from(["", "Here:\n", "1. A?\n"])), "["]
+    for _ in range(draw(st.integers(0, 4))):
+        quote = draw(st.sampled_from("'\""))
+        text = "".join(draw(st.lists(st.sampled_from(ITEM_CHARACTERS),
+                                     max_size=4)))
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(ODD_CHARACTERS)) + text[at:]
+        parts += [draw(st.sampled_from(SPACES)), quote, text, quote,
+                  draw(st.sampled_from(SPACES)),
+                  draw(st.sampled_from([",", ",", "", ",,"]))]
+    parts += [draw(st.sampled_from(SPACES)), "]",
+              draw(st.sampled_from(["", "\n- B?", " ok"]))]
+    return "".join(parts)
 
 
 class TestParseQuestionList:
+    @pytest.mark.filterwarnings("ignore:invalid escape sequence")
+    @settings(max_examples=300)
+    @given(completion=completions())
+    def test_matches_the_literal_eval_reader(self, completion):
+        # A bracket text in the plain-list grammar is read by its items,
+        # which are what `ast.literal_eval` makes of it; any other bracket
+        # text is read by `ast.literal_eval` itself.
+        expected = oracles.question_list(completion)
+        bracket = re.search(r"\[.*\]", completion, re.DOTALL)
+        text = bracket.group(0) if bracket else None
+        items = None if text is None else oracles.plain_list(text)
+        if items is not None:
+            assert ast.literal_eval(text) == items
+        with mock.patch.object(ast, "literal_eval",
+                               wraps=ast.literal_eval) as literal_eval:
+            assert parse_question_list(completion) == expected
+        assert literal_eval.call_count == (text is not None and items is None)
+
     def test_canonical_python_list(self):
         assert parse_question_list('["A?", "B?"]') == ["A?", "B?"]
 

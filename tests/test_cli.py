@@ -1032,9 +1032,14 @@ def test_bad_flag_value_exits_one(tmp_path, capsys, argv, message, out):
      "--min-answers requires --grades, --bank and --policy."),
     (["agreement", "--judgments", "{bad}"],
      "Nothing to do: supply --labels, --min-answers or both."),
+    (["grade", "--bank", "{bad}", "--runs", "{bad}", "--passages", "{bad}",
+      "--store", "{bad}", "--mode", "rate", "--max-input-tokens", "91"],
+     "Invalid value for '--max-input-tokens': 91 leaves no token for a "
+     "question beside the rate template's 91."),
 ], ids=["cover", "qrels", "leaderboard", "diff", "agreement-collapse",
         "agreement-min-answers", "agreement-policy",
-        "agreement-min-answers-alone", "agreement-nothing-to-do"])
+        "agreement-min-answers-alone", "agreement-nothing-to-do",
+        "grade-budget"])
 @pytest.mark.parametrize("source", ["argv", "config"])
 def test_option_values_checked_before_input_is_read(tmp_path, capsys, argv,
                                                     message, source):

@@ -9,6 +9,7 @@ rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
+import ast
 import gzip
 import io
 import json
@@ -195,6 +196,8 @@ COUNTED = {"read": (formats.GradeStore, "read"),
            "append": (formats.GradeStore, "append"),
            "parse_run_file": (formats, "parse_run_file"),
            "complete": (gateway.MockBackend, "complete"),
+           "save_question_bank": (formats, "save_question_bank"),
+           "literal_eval": (ast, "literal_eval"),
            "build_passage_pool": (grading, "build_passage_pool"),
            "split_context": (gateway, "split_context"),
            "top_k": (model.Run, "top_k")}
@@ -260,6 +263,8 @@ def test_each_step_does_its_costly_work_once(pipeline):
     # top passages once per query and pool. `grade` appends once, requests
     # each pair it grades once, renders each question's prompt without
     # context once, and splits each passage with a pair to grade once.
+    # `generate` requests each prompt once, writes its bank once, and reads
+    # the golden completions, plain lists, without `ast.literal_eval`.
     for argv, calls, added, skipped in pipeline[1]:
         runs, top_k = _runs_and_queries(argv)
         expected = Counter(read=int("--grades" in argv or "--store" in argv),
@@ -282,7 +287,9 @@ def test_each_step_does_its_costly_work_once(pipeline):
             expected.update(build_passage_pool=runs + 1)
             expected.update(top_k + top_k)
         elif argv[0] == "generate":
-            del calls["complete"]       # one request per query, not a pair
+            queries = json.loads(
+                Path(argv[argv.index("--queries") + 1]).read_text())
+            expected.update(complete=len(queries), save_question_bank=1)
         assert +calls == expected, argv
 
 

@@ -138,11 +138,18 @@ class TestVerifyAnswer:
     @pytest.mark.parametrize("scale", [1, 2, 5])
     @settings(max_examples=100)
     @given(a=st.text(alphabet="abcde", max_size=25),
-           b=st.text(alphabet="vwxyz", max_size=25))
-    def test_disjoint_alphabets_settled_by_the_bag_bound(self, scale, a, b):
+           b=st.text(alphabet="vwxyz", max_size=25),
+           over=st.floats(0, 1, exclude_min=True))
+    def test_disjoint_alphabets_settled_by_the_bag_bound(self, scale, a, b,
+                                                         over):
         # Strings sharing no character: the bag distance is the longer
-        # length, which is also the edit distance.
+        # length n, which is also the edit distance. The 20 % rule's
+        # limits lie below n; a limit in (n, n + 1] allows exactly n.
         check_distance(a, b, scale)
+        limit = max(len(a), len(b)) + over
+        expected = levenshtein(a, b) < limit
+        assert edit_distance_below(a, b, limit) == expected
+        assert edit_distance_below(b, a, limit) == expected
 
     @settings(max_examples=100)
     @given(pair=long_and_astral_pairs, scale=st.sampled_from([1, 2, 5]))
