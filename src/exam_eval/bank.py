@@ -9,6 +9,8 @@ from __future__ import annotations
 import ast
 import logging
 import re
+import threading
+import warnings
 from dataclasses import dataclass, field
 
 from . import gateway
@@ -35,6 +37,10 @@ _PLAIN_LIST = re.compile(
     rf"\[{_SPACE}(?:(?:{_ITEM}){_SPACE}(?:,{_SPACE}(?:{_ITEM}){_SPACE})*"
     rf"(?:,{_SPACE})?)?\]")
 _ITEMS = re.compile(_ITEM)
+# `warnings.catch_warnings` swaps the process's filter list and puts it
+# back, so two of `generate`'s workers in it at once could leave one's
+# filter in place for good.
+_QUIET = threading.Lock()
 
 
 def parse_question_list(completion: str) -> list[str]:
@@ -56,7 +62,12 @@ def parse_question_list(completion: str) -> list[str]:
                       in _ITEMS.findall(bracket.group(0))]
     elif bracket:
         try:
-            parsed = ast.literal_eval(bracket.group(0))
+            # Python warns of what it finds odd in the text it compiles,
+            # such as the invalid escape in ['What is \d?']: a fault of the
+            # completion, not of this program.
+            with _QUIET, warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                parsed = ast.literal_eval(bracket.group(0))
             if isinstance(parsed, (list, tuple)):
                 candidates = [str(item) for item in parsed
                               if isinstance(item, str)]

@@ -26,10 +26,12 @@ from .model import (
     GradeKey,
     GradeRow,
     OVERALL_SYSTEM,
+    QA_VERIFIED,
     Qrels,
     Query,
     QuestionBank,
     Run,
+    SELF_RATED,
     check_grade,
 )
 
@@ -294,13 +296,15 @@ def parse_question_bank(text: str) -> QuestionBank:
                 raise ParseError(f"duplicate question_id {question_id!r}")
             question_ids.add(question_id)
             # `_text` words the error, and its message is built only then:
-            # a facet-focused bank gives every question a facet id.
+            # a facet-focused bank gives every question a facet id, and a
+            # qa bank every question a gold answer.
             facet_id = q.get("facet_id")
             if facet_id is not None and (type(facet_id) is not str
                                          or not facet_id):
                 _text(facet_id, f"facet_id of question {question_id!r}")
             gold_answer = q.get("gold_answer")
-            if gold_answer is not None:
+            if gold_answer is not None and (type(gold_answer) is not str
+                                            or not gold_answer):
                 _text(gold_answer, f"gold_answer of question {question_id!r}")
             questions.append(ExamQuestion(
                 question_id, query_id,
@@ -497,20 +501,25 @@ def _grade_to_json(key: GradeKey, row: GradeRow) -> str:
         _LITERALS[verified])
 
 
-# That layout read back. The answer is null or any JSON string, taken with
-# its quotes; the ids are strings that need no escape, so that their text is
-# their value.
+# That layout read back, for the grades that `check_grade` accepts. The
+# answer is null or any JSON string, taken with its quotes; the ids are
+# strings that need no escape, so that their text is their value. The
+# `rated` group takes part in a self_rated line, which must then carry a
+# rating in [0, 5] and a null verdict; a qa_verified line a null rating and
+# a verdict.
 _ID = r'"([^"\\\x00-\x1f]*)"'
 _LINE_PATTERN = (
     r'\{"answer_text": (null|"[^"\\\x00-\x1f]*'
     r'(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})[^"\\\x00-\x1f]*)*"), '
-    r'"mode": "(self_rated|qa_verified)", '
+    r'"mode": "(?:(?P<rated>self_rated)|qa_verified)", '
     rf'"passage_id": {_ID}, "query_id": {_ID}, "question_id": {_ID}, '
-    r'"rating": (?:([0-5])|null), "verified": (?:(true|false)|null)\}')
+    r'"rating": (?(rated)([0-5])|null), '
+    r'"verified": (?(rated)null|(true|false))\}')
 # Every line of a text that is in that layout, with its "\n"; no match can
 # span two lines, for no group takes a control character.
 _CANONICAL_LINES = re.compile(r"(?m)^" + _LINE_PATTERN + r"\n")
-# A group that did not take part reads as "".
+# A group's text as its value; a group that did not take part reads as "".
+_MODES = {"self_rated": SELF_RATED, "": QA_VERIFIED}
 _RATINGS = {"": None, **{str(n): n for n in range(6)}}
 _VERDICTS = {"": None, "true": True, "false": False}
 # Lines end at "\n" only; the last may have no ending.
@@ -560,29 +569,17 @@ def _decode_grade(line: str, line_no: int) -> tuple[GradeKey, GradeRow]:
     return fields[:4], fields[4:]
 
 
-def _add_matched(rows: dict[GradeKey, GradeRow], found) -> bool:
-    """Add the rows of `_CANONICAL_LINES` matches' groups, in order, each
-    checked by `check_grade`; False at the first row that fails the check.
-    Only an answer that holds an escape is decoded, by the JSON string
-    scanner."""
-    scanstring = json.decoder.scanstring
-    try:
-        for (answer_text, mode, passage_id, query_id, question_id, rating,
-             verified) in found:
-            if answer_text == "null":
-                answer_text = None
-            elif "\\" in answer_text:
-                answer_text = scanstring(answer_text, 1)[0]
-            else:
-                answer_text = answer_text[1:-1]
-            verified, rating = _VERDICTS[verified], _RATINGS[rating]
-            check_grade(query_id, passage_id, question_id, mode, answer_text,
-                        verified, rating)
-            rows[query_id, passage_id, question_id, mode] = (
-                answer_text, verified, rating)
-    except ContractViolation:
-        return False
-    return True
+def _add_matched(rows: dict[GradeKey, GradeRow], found: list) -> None:
+    """Add the rows of `_CANONICAL_LINES` matches' groups, in order, a
+    column at a time; a key read twice keeps its first place and its last
+    row. The answers, each null or a JSON string, are decoded as one JSON
+    array."""
+    answers, rated, passage_ids, query_ids, question_ids, ratings, verdicts = (
+        zip(*found))
+    rows.update(zip(
+        zip(query_ids, passage_ids, question_ids, map(_MODES.get, rated)),
+        zip(_DECODER.decode(f"[{','.join(answers)}]"),
+            map(_VERDICTS.get, verdicts), map(_RATINGS.get, ratings))))
 
 
 def _add_lines(rows: dict[GradeKey, GradeRow], text: str,
@@ -660,10 +657,10 @@ def _read_rows(data: bytes) -> dict[GradeKey, GradeRow]:
     """The rows of a store's bytes, read a chunk of whole lines at a time.
 
     A chunk is decoded once. When `_CANONICAL_LINES` matches every line in
-    it and every matched row passes its check, its rows are read from the
-    matches' groups; any other chunk is read again by `_add_lines`, which
-    words the error of a bad line at its line number in the store. A line
-    may span chunks and members."""
+    it, its rows are read from the matches' groups, which hold a valid
+    grade by construction; any other chunk is read again by `_add_lines`,
+    which words the error of a bad line at its line number in the store. A
+    line may span chunks and members."""
     rows: dict[GradeKey, GradeRow] = {}
     findall = _CANONICAL_LINES.findall
     line_no = 1                 # of the chunk's first line
@@ -677,7 +674,9 @@ def _read_rows(data: bytes) -> dict[GradeKey, GradeRow]:
         carry = out[end:]
         lines = text.count("\n")
         found = findall(text)
-        if len(found) != lines or not _add_matched(rows, found):
+        if len(found) == lines:
+            _add_matched(rows, found)
+        else:
             _add_lines(rows, text, line_no)
         line_no += lines
     if carry:
@@ -756,7 +755,11 @@ class GradeStore:
         deduplicated last-writer-wins, in first-seen key order.
 
         The file is read once and its gzip members walked in turn, at most
-        `_CHUNK` bytes of text at a time (`_read_rows`). A last member that
+        `_CHUNK` bytes of text at a time (`_read_rows`). A chunk whose lines
+        are all valid grades in the layout `append` writes is read from one
+        regex pass, with no call per line; a chunk with a line in any other
+        layout, or whose mode, rating and verdict disagree, is read by the
+        general JSON decoder, which words the error. A last member that
         ends before its end-of-stream marker is a torn write: its rows are
         dropped, with one warning that names the store and the member's
         byte offset. A bad line raises `ParseError` with its line number.

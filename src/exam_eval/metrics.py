@@ -360,8 +360,7 @@ def min_answers_sweep(index: GradeIndex, official: Qrels,
     """Binary agreement tables, `binary-min-answers-<n>`, for a sweep of
     min_answers thresholds; the index's own min_answers is not used."""
     # Each pair's correct questions are counted once for all values.
-    n_correct = [(query_id, passage_id,
-                  len(index.correct(query_id, passage_id)))
+    n_correct = [(query_id, passage_id, index.n_correct(query_id, passage_id))
                  for query_id, passage_id in index.pairs()]
     return [confusion_table(
         f"binary-min-answers-{n}",

@@ -6,7 +6,8 @@ reader in `formats` has checked; no I/O and no inference happens here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import compress
+from typing import Callable, Mapping
 
 
 QA_VERIFIED = "qa_verified"
@@ -151,12 +152,15 @@ class GradePolicy:
     min_answers: int = 1
 
 
-def passes(outcome: bool | int, policy: GradePolicy) -> bool:
-    """The pass rule: a qa_verified verdict passes when true, a self_rated
-    rating when it reaches the policy's `min_rating`."""
+def passes(policy: GradePolicy) -> Callable[[bool | int], bool]:
+    """The pass rule, as a predicate on an outcome: a qa_verified verdict
+    passes when true, a self_rated rating when it reaches the policy's
+    `min_rating`. The predicate is a builtin, so that mapping it over
+    outcomes makes no Python call per outcome; a rating is an int, as
+    `check_grade` has it."""
     if policy.mode == QA_VERIFIED:
-        return bool(outcome)
-    return outcome >= policy.min_rating
+        return bool
+    return policy.min_rating.__le__
 
 
 class GradeIndex:
@@ -197,6 +201,7 @@ class GradeIndex:
                                  1 if question_id not in query_of else 2]
                 uncounted[reason] += 1
         self._by_pair = by_pair
+        self._passes = passes(policy)
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
         return pair in self._by_pair
@@ -213,8 +218,14 @@ class GradeIndex:
     def correct(self, query_id: str, passage_id: str) -> set[str]:
         """The questions the passage answers correctly under the policy."""
         by_question = self._by_pair.get((query_id, passage_id), {})
-        policy = self.policy
-        return {qid for qid, o in by_question.items() if passes(o, policy)}
+        return set(compress(by_question,
+                            map(self._passes, by_question.values())))
+
+    def n_correct(self, query_id: str, passage_id: str) -> int:
+        """How many questions the passage answers correctly under the
+        policy."""
+        return sum(map(self._passes,
+                       self._by_pair.get((query_id, passage_id), {}).values()))
 
     def label(self, query_id: str, passage_id: str,
               graded: bool = False) -> int:
@@ -222,7 +233,7 @@ class GradeIndex:
         `min_answers` questions correctly. Graded, under a self_rated
         policy: the highest self-rating, 0 without one."""
         if graded:
-            return max(self._by_pair.get((query_id, passage_id), {}).values(),
-                       default=0)
-        return int(len(self.correct(query_id, passage_id))
+            by_question = self._by_pair.get((query_id, passage_id))
+            return max(by_question.values()) if by_question else 0
+        return int(self.n_correct(query_id, passage_id)
                    >= self.policy.min_answers)

@@ -110,14 +110,11 @@ MUTANTS = (
     Mutant("first writer wins in GradeStore.read", "formats.py",
            "rows[key] = row", "rows.setdefault(key, row)", STORE_READ),
     Mutant("first writer wins on the matched-chunk path", "formats.py",
-           "rows[query_id, passage_id, question_id, mode] = (\n"
-           "                answer_text, verified, rating)",
-           "rows.setdefault((query_id, passage_id, question_id, mode), (\n"
-           "                answer_text, verified, rating))",
+           "rows.update(zip(\n",
+           "rows.update((key, rows.get(key, row)) for key, row in zip(\n",
            "tests/test_formats.py::test_store_round_trip_matches_oracle"),
     Mutant("a chunk with an unmatched line read by its matches", "formats.py",
-           "if len(found) != lines or not _add_matched(rows, found):",
-           "if not _add_matched(rows, found):", STORE_READ),
+           "if len(found) == lines:", "if found:", STORE_READ),
     Mutant("a line's start dropped at a chunk edge", "formats.py",
            'text = (carry + out[:end]).decode("utf-8")',
            'text = out[:end].decode("utf-8")', STORE_READ),
@@ -152,8 +149,8 @@ MUTANTS = (
            "int(count > n)", "tests/test_metrics.py::"
            "TestAgreementTables::test_min_answers_sweep_shapes"),
     Mutant("> for >= in passes", "model.py",
-           "return outcome >= policy.min_rating",
-           "return outcome > policy.min_rating",
+           "return policy.min_rating.__le__",
+           "return policy.min_rating.__lt__",
            "tests/test_acceptance.py::test_criterion_4_invariant_suite"),
     Mutant("strict collapse at 3", "cli.py", '"strict": 4}', '"strict": 3}',
            PIPELINE),
@@ -185,10 +182,11 @@ MUTANTS = (
            r"""_ID = r'"([^"\\\x00-\x1f]*)"'""", r"""_ID = r'"([^"\\]*)"'""",
            CANONICAL),
     Mutant("[0-5] widened to [0-9] for a canonical rating", "formats.py",
-           "(?:([0-5])|null)", "(?:([0-9])|null)", CANONICAL),
+           "(?(rated)([0-5])|null)", "(?(rated)([0-9])|null)", CANONICAL),
     Mutant("an escaped answer stored as its raw text", "formats.py",
-           "answer_text = scanstring(answer_text, 1)[0]",
-           "answer_text = answer_text[1:-1]",
+           """_DECODER.decode(f"[{','.join(answers)}]")""",
+           """[None if answer == "null" else answer[1:-1]
+            for answer in answers]""",
            CANONICAL),
     Mutant("an id written without encode_basestring", "formats.py",
            "_quote(passage_id)", """'"%s"' % passage_id""",
@@ -371,6 +369,18 @@ MUTANTS = (
            "if max_input_tokens <= template:",
            "if max_input_tokens < template:",
            f"{BEFORE_INPUT}[argv-grade-budget]"),
+    Mutant("a self_rated line read with a null rating", "formats.py",
+           "(?(rated)([0-5])|null)", "(?(rated)null|([0-5]))", CANONICAL),
+    Mutant("a qa_verified line read with a null verdict", "formats.py",
+           "(?(rated)null|(true|false))", "(?(rated)(true|false)|null)",
+           CANONICAL),
+    Mutant("the column-wise add keeping a chunk's first writer", "formats.py",
+           "zip(*found)", "zip(*found[::-1])",
+           "tests/test_formats.py::test_store_round_trip_matches_oracle"),
+    Mutant("a completion's compile warning let through", "bank.py",
+           'warnings.simplefilter("ignore")', "pass",
+           "tests/test_bank.py::TestParseQuestionList::"
+           "test_invalid_escape_read_without_a_warning"),
 )
 
 

@@ -3,7 +3,7 @@ for the tests to compare `exam_eval` against.
 
 This module uses only the standard library and imports nothing from
 `exam_eval`. A run is its rows as `run_rows` splits the file, grades are
-the store's (key, row) pairs, and a bank and a self-rated policy are read
+the store's (key, row) pairs, and a bank and a policy are read
 only through their attributes: `questions_by_query` of questions with a
 `question_id`, `query_id` and `text`, and `mode`, `min_rating` and
 `min_answers`. A bank's file also reads each question's `facet_id` and
@@ -60,22 +60,31 @@ def pool(rows_of_runs, depth):
 
 
 def counted(grades, bank, policy):
-    """Each counted grade's (query, passage, question, rating): of the
+    """Each counted grade's (query, passage, question, outcome): of the
     policy's mode, with a question the bank files under the grade's own
-    query."""
-    return [(q, p, qid, rating)
-            for (q, p, qid, mode), (_, _, rating) in grades
+    query. The outcome is the verdict of a qa_verified grade, the rating
+    of a self_rated one."""
+    return [(q, p, qid, verdict if mode == "qa_verified" else rating)
+            for (q, p, qid, mode), (_, verdict, rating) in grades
             if mode == policy.mode and qid in {
                 question.question_id
                 for question in bank.questions_by_query.get(q, ())}]
 
 
+def passed(outcome, policy):
+    """A verdict passes when it is true, a rating when it reaches
+    `min_rating`."""
+    if policy.mode == "qa_verified":
+        return outcome is True
+    return outcome >= policy.min_rating
+
+
 def cover(pooled, bank, grades, policy):
     """Per query with questions: the share of them that some pooled
-    passage answers with a rating of at least `min_rating`."""
-    answered = {(q, qid) for q, p, qid, rating
+    passage answers with an outcome that passes."""
+    answered = {(q, qid) for q, p, qid, outcome
                 in counted(grades, bank, policy)
-                if p in pooled.get(q, ()) and rating >= policy.min_rating}
+                if p in pooled.get(q, ()) and passed(outcome, policy)}
     return {q: sum((q, question.question_id) in answered
                    for question in questions) / len(questions)
             for q, questions in bank.questions_by_query.items() if questions}
@@ -93,16 +102,16 @@ def precision(pooled, judged, k):
 
 def qrels(grades, bank, policy, graded=False):
     """A label per pair with a counted grade: 1 when at least
-    `min_answers` of its ratings reach `min_rating`, else 0; or the
-    highest rating when `graded`."""
-    ratings = {}
-    for q, p, _, rating in counted(grades, bank, policy):
-        ratings.setdefault((q, p), []).append(rating)
+    `min_answers` of its outcomes pass, else 0; or the highest rating
+    when `graded`."""
+    outcomes = {}
+    for q, p, _, outcome in counted(grades, bank, policy):
+        outcomes.setdefault((q, p), []).append(outcome)
     if graded:
-        return {pair: max(rs) for pair, rs in ratings.items()}
-    return {pair: int(sum(r >= policy.min_rating for r in rs)
+        return {pair: max(os) for pair, os in outcomes.items()}
+    return {pair: int(sum(passed(o, policy) for o in os)
                       >= policy.min_answers)
-            for pair, rs in ratings.items()}
+            for pair, os in outcomes.items()}
 
 
 def diff(old, new, grades, policy):

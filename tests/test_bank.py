@@ -2,6 +2,7 @@ import ast
 import re
 import threading
 import time
+import warnings
 from unittest import mock
 
 import pytest
@@ -99,6 +100,14 @@ class TestParseQuestionList:
 
     def test_deduplication_preserves_order(self):
         assert parse_question_list('["B?", "A?", "B?"]') == ["B?", "A?"]
+
+    def test_invalid_escape_read_without_a_warning(self):
+        # Python 3.11 warns of the escape with a DeprecationWarning, 3.12
+        # and later with a SyntaxWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parse_question_list(r"['What is \d?', 'x?']") \
+                == [r"What is \d?", "x?"]
 
 
 def ten_questions():

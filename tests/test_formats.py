@@ -836,19 +836,32 @@ UNUSUAL = {"answer_text": RAW_TEXT, "mode": st.just("vibes"),
            "question_id": RAW_TEXT,
            "rating": st.sampled_from([6, 9, -1, 4.5, "4", True, None, 3]),
            "verified": st.sampled_from([1, "true", None, True])}
+# A rating and a verdict that break each mode's rule, in the layout's own
+# values: a self_rated grade with a verdict or no rating, a qa_verified one
+# with a rating or no verdict.
+RULE_BREAKING = {
+    SELF_RATED: st.tuples(st.none() | st.integers(0, 5), st.booleans())
+    | st.just((None, None)),
+    QA_VERIFIED: st.tuples(st.integers(0, 5), st.none() | st.booleans())
+    | st.just((None, None))}
 
 
 @st.composite
 def canonical_lines(draw):
     """A store line with its fields in sorted order, and whether it is as
     `append` writes it: a drawn grade in that layout, with now and then a
-    field's value swapped for an unusual one, written as JSON or as raw
-    text between quotes, and now and then text after the object."""
+    rating and verdict that break its mode's rule, now and then a field's
+    value swapped for an unusual one, written as JSON or as raw text
+    between quotes, and now and then text after the object."""
     key, row = draw(grades(
         st.tuples(*[st.sampled_from(["q1", "", "é\x7f\x85\u2028\U0001f600"])]
                   * 3), st.none() | TRICKY_TEXT))
     record = dict(zip(GRADE_FIELDS, key + row))
-    tokens, usual = [], True
+    usual = not draw(MOSTLY_FALSE)
+    if not usual:
+        record["rating"], record["verified"] = draw(
+            RULE_BREAKING[record["mode"]])
+    tokens = []
     for name in sorted(record):
         value = json.dumps(record[name], ensure_ascii=False)
         if draw(MOSTLY_FALSE):

@@ -1,10 +1,12 @@
 import math
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from exam_eval import metrics
+from exam_eval.bank import diff_banks
 from exam_eval.metrics import (
     UndefinedResult,
     build_qrels,
@@ -28,7 +30,16 @@ from exam_eval.model import (
     SELF_RATED,
 )
 import oracles
-from conftest import grade_index, make_run, rated, verified
+from conftest import (
+    PASSAGE_IDS,
+    QUERY_IDS,
+    bank_edits,
+    grade_index,
+    make_run,
+    rated,
+    scoring_inputs,
+    verified,
+)
 
 
 def simple_bank(query_id="q1", n=5):
@@ -160,6 +171,39 @@ class TestBuildQrels:
                            "rate:<min_rating> policy"):
             build_qrels(index, graded=True)
         assert build_qrels(index) == {("q1", "p1"): 1}
+
+
+@settings(deadline=None)
+@given(scoring_inputs(), st.data())
+def test_labels_match_the_oracle_under_either_mode(inputs, data):
+    # Every caller of a pair's label, under a qa policy and a self-rated
+    # one: the qrels, the min_answers sweep and the labels a bank edit
+    # flips.
+    bank, grades, _, _, policy, _ = inputs
+    if data.draw(st.booleans()):
+        policy = GradePolicy(QA_VERIFIED, min_answers=policy.min_answers)
+    index = grade_index(grades, policy, bank)
+    assert build_qrels(index) == oracles.qrels(grades, bank, policy)
+    if policy.mode == SELF_RATED:
+        assert build_qrels(index, graded=True) \
+            == oracles.qrels(grades, bank, policy, graded=True)
+
+    official = {(q, p): data.draw(st.integers(0, 3))
+                for q in QUERY_IDS for p in PASSAGE_IDS}
+    values = (1, 2, 3)
+    if build_qrels(index):
+        assert min_answers_sweep(index, official, values) == [
+            confusion_table(f"binary-min-answers-{n}", oracles.qrels(
+                grades, bank, replace(policy, min_answers=n)),
+                official, 1, label_values=frozenset({0, 1}))
+            for n in values]
+
+    new = data.draw(bank_edits(bank))
+    flips = diff_banks(index, grade_index(grades, policy, new)).flips
+    assert [f"flip\t{f.query_id}\t{f.passage_id}\t"
+            f"{f.old_label}->{f.new_label}\n" for f in flips] == [
+        line for line in oracles.diff(bank, new, grades, policy)
+        if line.startswith("flip\t")]
 
 
 # ---------------------------------------------------------------------------

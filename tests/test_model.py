@@ -26,22 +26,22 @@ from conftest import rated, verified
 
 class TestPolicyIsCorrect:
     def test_strict_rating_at_threshold(self):
-        assert passes(4, GradePolicy(SELF_RATED, min_rating=4))
+        assert passes(GradePolicy(SELF_RATED, min_rating=4))(4)
 
     def test_zero_rating_below_any_threshold(self):
-        assert not passes(0, GradePolicy(SELF_RATED, min_rating=1))
+        assert not passes(GradePolicy(SELF_RATED, min_rating=1))(0)
 
     def test_verified_passthrough(self):
-        assert passes(True, GradePolicy(QA_VERIFIED))
-        assert not passes(False, GradePolicy(QA_VERIFIED))
+        assert passes(GradePolicy(QA_VERIFIED))(True)
+        assert not passes(GradePolicy(QA_VERIFIED))(False)
 
     @given(rating=st.integers(0, 5), lo=st.integers(1, 5), hi=st.integers(1, 5))
     def test_monotone_in_min_rating(self, rating, lo, hi):
         # Lowering min_rating never turns a true into a false.
         if lo > hi:
             lo, hi = hi, lo
-        strict = passes(rating, GradePolicy(SELF_RATED, min_rating=hi))
-        lenient = passes(rating, GradePolicy(SELF_RATED, min_rating=lo))
+        strict = passes(GradePolicy(SELF_RATED, min_rating=hi))(rating)
+        lenient = passes(GradePolicy(SELF_RATED, min_rating=lo))(rating)
         assert not strict or lenient
 
 
