@@ -255,13 +255,14 @@ def read_config_file(path: str) -> dict[str, str]:
     `_` for `-`. A key that names no option of any command, or an option
     set twice under either spelling, is an error.
     """
+    from . import formats
     from .model import ContractViolation
     names = {option.name for _, options in COMMANDS.values()
              for option in options}
     values: dict[str, str] = {}
     line_of: dict[str, int] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = formats.read_text(path)
     except UnicodeDecodeError as exc:
         raise ContractViolation(f"{path}: {exc}") from None
     for line_no, line in enumerate(text.splitlines(), 1):

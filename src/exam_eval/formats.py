@@ -61,6 +61,11 @@ def _reader(load):
     return named
 
 
+def read_text(path: str | Path) -> str:
+    """An input file's text: UTF-8, a leading byte-order mark skipped."""
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
 def _objects_with(value, keys: tuple[str, ...] = ()) -> bool:
     """Whether a decoded JSON value is a list of objects that each hold
     `keys`."""
@@ -84,26 +89,26 @@ def _text(value, what: str) -> str:
 # TREC run files
 
 
-def parse_run_file(text: str) -> Run:
+def parse_run_file(text: str, path: str | Path = "<string>") -> Run:
     """Parse a 6-column TREC run file: qid Q0 docid rank score tag.
 
     Column 2 may be "Q0" or "0"; both appear in the wild. The run tag is
-    taken from the first line; differing tags on later lines produce a
-    warning, first tag wins. A file without run lines has no tag and is
-    rejected. The score must be a number but is not kept: the rank column
-    orders the run. Queries come back in sorted order, each with its
-    passage ids in rank order. Lines may come in any order.
+    taken from the first line and kept; a file whose other lines carry
+    another tag logs one warning, which names the file, `path`, and counts
+    those lines. A file without run lines has no tag and is rejected. The
+    score must be a number but is not kept: the rank column orders the
+    run. Queries come back in sorted order, each with its passage ids in
+    rank order. Lines may come in any order.
 
     One pass collects each query's passage, rank and score texts, wherever
     its lines are, and each query's columns are then converted and checked
     at once. On any fault, `_first_fault` words the error for the first
     faulty line in file order, a line that repeats a passage or a rank of
-    its query included. A file with a second tag is walked by
-    `_first_fault` too, which logs its tag warnings in line order.
+    its query included, and no tag warning is logged.
     """
     columns: dict[str, tuple[list[str], list[str], list[str]]] = {}
     run_tag = qid = None
-    second_tag = False
+    other_tags = 0
     lines = text.splitlines()
     try:    # every fault raises ValueError
         for fields in map(str.split, lines):
@@ -123,7 +128,7 @@ def parse_run_file(text: str) -> Run:
             if tag != run_tag or literal not in ("Q0", "0"):
                 if literal not in ("Q0", "0"):
                     raise ValueError
-                second_tag = True
+                other_tags += 1
             passages.append(docid)
             rank_texts.append(rank_s)
             score_texts.append(score_s)
@@ -144,15 +149,15 @@ def parse_run_file(text: str) -> Run:
             by_query[qid] = passages
     except ValueError:
         raise _first_fault(lines) from None
-    if second_tag:
-        _first_fault(lines)
+    if other_tags:
+        log.warning("%s: keeping run tag %r, the first line's; lines with "
+                    "another tag: %d", path, run_tag, other_tags)
     return Run(run_tag, by_query)
 
 
 def _first_fault(lines: list[str]) -> ParseError | None:
-    """The error for the first faulty one of a run file's lines, after a
-    warning for each earlier line whose tag differs from the first line's;
-    None when no line is faulty. A file without run lines is faulty."""
+    """The error for the first faulty one of a run file's lines; None when
+    no line is faulty. A file without run lines is faulty."""
     seen: set[tuple[str, str | int]] = set()     # (qid, docid), (qid, rank)
     run_tag = None
     for line_no, fields in enumerate(map(str.split, lines), 1):
@@ -181,12 +186,8 @@ def _first_fault(lines: list[str]) -> ParseError | None:
                     f"{what} {value!r} listed twice for query {qid!r} "
                     f"in run {run_tag!r}", line_no)
             seen.add((qid, value))
-        if tag != run_tag:
-            if run_tag is None:
-                run_tag = tag
-            else:
-                log.warning("line %d: run tag %r differs from %r; "
-                            "keeping the first", line_no, tag, run_tag)
+        if run_tag is None:
+            run_tag = tag
     return None if run_tag else ParseError(
         "no run lines: a run's tag, from its first line, names its "
         "leaderboard row")
@@ -194,7 +195,7 @@ def _first_fault(lines: list[str]) -> ParseError | None:
 
 @_reader
 def load_run_file(path: str | Path) -> Run:
-    return parse_run_file(Path(path).read_text(encoding="utf-8-sig"))
+    return parse_run_file(read_text(path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +245,7 @@ def write_qrels(qrels: Qrels) -> str:
 
 @_reader
 def load_qrels(path: str | Path) -> Qrels:
-    return parse_qrels(Path(path).read_text(encoding="utf-8-sig"))
+    return parse_qrels(read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +317,7 @@ def parse_question_bank(text: str) -> QuestionBank:
 
 @_reader
 def load_question_bank(path: str | Path) -> QuestionBank:
-    return parse_question_bank(Path(path).read_text(encoding="utf-8-sig"))
+    return parse_question_bank(read_text(path))
 
 
 # The one layout `save_question_bank` writes: the bytes of
@@ -359,7 +360,7 @@ def load_queries(path: str | Path) -> list[Query]:
     Query ids and titles, and facet ids and titles, are non-empty strings;
     query ids are unique, and so are a query's facet ids.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    doc = json.loads(read_text(path))
     if not _objects_with(doc, ("query_id", "title")):
         raise ParseError(
             "expected a JSON list of objects with 'query_id' and 'title'")
@@ -393,7 +394,7 @@ def load_passages(path: str | Path) -> dict[str, str]:
     A text is a string or null; a null or empty text reads as no text, so
     the passage is left out.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    doc = json.loads(read_text(path))
     if not isinstance(doc, dict):
         raise ParseError("expected a JSON object mapping passage_id to text")
     for passage_id, text in doc.items():
@@ -408,7 +409,7 @@ def load_passages(path: str | Path) -> dict[str, str]:
 def load_mock_fixture(path: str | Path) -> dict[str, str]:
     """Canned completions from a JSON object {request key: completion};
     every completion is a string."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    doc = json.loads(read_text(path))
     if not isinstance(doc, dict):
         raise ParseError(
             "expected a JSON object mapping request keys to completions")
@@ -425,7 +426,7 @@ def load_official_ranks(path: str | Path) -> dict[str, float | None]:
     """A JSON object mapping system name to official rank: a finite number,
     a numeric string, or null for an unranked system. Each rank is read as
     a float, whichever way the file spells it."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    doc = json.loads(read_text(path))
     if not isinstance(doc, dict):
         raise ParseError(
             "expected a JSON object mapping system name to official rank")
@@ -452,16 +453,20 @@ def load_official_ranks(path: str | Path) -> dict[str, float | None]:
 @_reader
 def load_leaderboard_scores(path: str | Path) -> dict[str, float]:
     """Each system's score from a leaderboard TSV, as `leaderboard` writes
-    it; a first line whose first field is `system` is the header, and it
-    and the `_overall_` row are skipped. A later `system` row is a system
-    of that name. A system listed twice is rejected at its second row."""
+    it; a first line whose first field is `system` is the header, and it,
+    the `_overall_` row and blank lines are skipped. A later `system` row
+    is a system of that name. Any other line without a tab, and a system
+    listed twice at its second row, are rejected."""
     scores: dict[str, float] = {}
-    text = Path(path).read_text(encoding="utf-8-sig")
+    text = read_text(path)
     for line_no, line in enumerate(text.splitlines(), start=1):
         fields = line.split("\t")
-        if (len(fields) < 2 or fields[0] == OVERALL_SYSTEM
+        if (not line.strip() or fields[0] == OVERALL_SYSTEM
                 or (line_no == 1 and fields[0] == "system")):
             continue
+        if len(fields) < 2:
+            raise ParseError(f"expected a system and its score separated "
+                             f"by a tab, got {line!r}", line_no)
         if fields[0] in scores:
             raise ParseError(f"duplicate system {fields[0]!r}", line_no)
         try:

@@ -66,7 +66,8 @@ LIST_READER = ("tests/test_bank.py::TestParseQuestionList::"
 BANK_TEXT = ("tests/test_formats.py::TestQuestionBank::"
              "test_round_trip_byte_identical")
 SHUFFLED_TAGS = (f"{RUNS}::"
-                 "test_second_tag_in_a_shuffled_file_warns_per_line_in_order")
+                 "test_second_tag_in_a_shuffled_file_warns_once")
+UNWALKED_TAGS = f"{RUNS}::test_second_tag_read_without_the_fault_walk"
 
 MUTANTS = (
     Mutant("pool depth + 1", "grading.py", "run.top_k(query_id, depth)",
@@ -88,9 +89,11 @@ MUTANTS = (
     Mutant("repeat tracking dropped from the walk", "formats.py",
            "seen.add((qid, value))", "pass",
            f"{RUNS}::test_duplicate_pair_rejected"),
-    Mutant("the second-tag walk skipped", "formats.py",
-           "if second_tag:", "if False:",
-           SHUFFLED_TAGS),
+    Mutant("a second run tag never counted", "formats.py",
+           "other_tags += 1", "pass", UNWALKED_TAGS),
+    Mutant("the second-tag warning without the file's name", "formats.py",
+           '"another tag: %d", path,', '"another tag: %d", "<string>",',
+           UNWALKED_TAGS),
     Mutant("a rank below 1 the walk does not find", "formats.py",
            "        if rank < 1:", "        if rank < 0:", RUN_LOOP),
     Mutant("a rank below 1 read by query column", "formats.py",
@@ -231,14 +234,13 @@ MUTANTS = (
            "tests/test_metrics.py::test_correlations_match_scipy"),
     Mutant("standard error divided by n instead of n - 1", "metrics.py",
            "/ (n - 1)", "/ n", A3),
-    Mutant("the question-bank reader in the locale's encoding", "formats.py",
-           'parse_question_bank(Path(path).read_text(encoding="utf-8-sig"))',
-           "parse_question_bank(Path(path).read_text())",
+    Mutant("input text read in the locale's encoding", "formats.py",
+           'return Path(path).read_text(encoding="utf-8-sig")',
+           "return Path(path).read_text()",
            "tests/test_cli.py::"
            "test_non_ascii_text_round_trips_in_any_locale"),
-    Mutant("the run reader keeping a byte-order mark", "formats.py",
-           'parse_run_file(Path(path).read_text(encoding="utf-8-sig"))',
-           'parse_run_file(Path(path).read_text(encoding="utf-8"))',
+    Mutant("input text read keeping a byte-order mark", "formats.py",
+           'encoding="utf-8-sig"', 'encoding="utf-8"',
            "tests/test_formats.py::test_byte_order_mark_is_skipped[run]"),
     Mutant("the HTTP client imported with the gateway", "gateway.py",
            "import functools\nimport json\n",
@@ -377,6 +379,11 @@ MUTANTS = (
     Mutant("the column-wise add keeping a chunk's first writer", "formats.py",
            "zip(*found)", "zip(*found[::-1])",
            "tests/test_formats.py::test_store_round_trip_matches_oracle"),
+    Mutant("a leaderboard row without a tab skipped", "formats.py",
+           "if (not line.strip() or fields[0] == OVERALL_SYSTEM",
+           "if (len(fields) < 2 or fields[0] == OVERALL_SYSTEM",
+           "tests/test_formats.py::TestLeaderboardScores::"
+           "test_row_without_a_tab_names_file_and_line"),
     Mutant("a completion's compile warning let through", "bank.py",
            'warnings.simplefilter("ignore")', "pass",
            "tests/test_bank.py::TestParseQuestionList::"

@@ -121,6 +121,13 @@ NO_RUN_LINES = ("no run lines: a run's tag, from its first line, names its "
                 "leaderboard row")
 
 
+def tag_warning(path, run_tag, count):
+    """The one warning of a run file that is read, whose `count` lines
+    carry a tag other than `run_tag`, the first line's."""
+    return (f"{path}: keeping run tag {run_tag!r}, the first line's; "
+            f"lines with another tag: {count}")
+
+
 def fault_wording(fields, earlier, run_tag):
     """The error for a run line's first fault, as `oracles.run_rows` lists
     the faults; `earlier` holds the fields of the lines before it."""
@@ -148,9 +155,9 @@ def checked_parse(text):
     logged. Both are first checked against `oracles.run_rows`: a run is the
     oracle's rows, ranked here, its `top_k` their prefixes, and
     `_first_fault` finds no fault in it; any other text is rejected at the
-    oracle's first faulty line, worded by `fault_wording`. Either way a
-    warning is logged for each line before the first faulty one whose tag
-    differs from the first line's, in line order."""
+    oracle's first faulty line, worded by `fault_wording`. A run whose
+    lines carry a tag other than the first line's logs `tag_warning`, once;
+    a rejected text logs nothing."""
     lines = text.splitlines()
     try:
         rows, fault_no = oracles.run_rows(text), None
@@ -161,10 +168,9 @@ def checked_parse(text):
             if fields and (fault_no is None or line_no < fault_no)]
     run_tag = good[0][1][5] if good else None
     run, messages = logged(lambda: parse_run_file(text))
-    assert messages == [
-        f"line {line_no}: run tag {fields[5]!r} differs from {run_tag!r}; "
-        "keeping the first"
-        for line_no, fields in good if fields[5] != run_tag]
+    others = sum(fields[5] != run_tag for _, fields in good)
+    assert messages == ([tag_warning("<string>", run_tag, others)]
+                        if rows is not None and others else [])
     if rows is None:
         assert run == (NO_RUN_LINES if fault_no is None else
                        f"line {fault_no}: " + fault_wording(
@@ -254,8 +260,8 @@ class TestRunParsing:
 
     def test_inconsistent_tag_keeps_first(self):
         assert checked_parse("q1 Q0 pA 1 2.0 one\nq1 Q0 pB 2 1.0 two\n") \
-            == (("one", [("q1", ["pA", "pB"])]), [
-                "line 2: run tag 'two' differs from 'one'; keeping the first"])
+            == (("one", [("q1", ["pA", "pB"])]),
+                [tag_warning("<string>", "one", 1)])
 
     def test_repeat_before_a_later_malformed_line_reported_at_the_repeat(
             self):
@@ -263,13 +269,28 @@ class TestRunParsing:
                              "q1 Q0 pB x 1.0 s\n") == (
             "line 2: passage 'pA' listed twice for query 'q1' in run 's'", [])
 
-    def test_second_tag_in_a_shuffled_file_warns_per_line_in_order(self):
+    def test_second_tag_in_a_shuffled_file_warns_once(self):
         assert checked_parse(
             "q2 Q0 pB 2 1.0 one\nq1 Q0 pA 3 1.0 two\nq2 Q0 pA 1 1.0 one\n"
             "\nq1 Q0 pC 1 1.0 three\nq1 Q0 pB 2 1.0 one\n") == (
             ("one", [("q1", ["pC", "pB", "pA"]), ("q2", ["pA", "pB"])]),
-            [f"line {n}: run tag {tag!r} differs from 'one'; keeping the first"
-             for n, tag in ((2, "two"), (5, "three"))])
+            [tag_warning("<string>", "one", 2)])
+
+    def test_second_tag_read_without_the_fault_walk(self, tmp_path,
+                                                    monkeypatch):
+        # A file without a fault is read by the column pass alone, however
+        # many of its lines carry another tag; its warning names the file.
+        def walk(lines):
+            raise AssertionError("a good run file walked for a fault")
+        path = tmp_path / "shuffled.run"
+        path.write_text(
+            "q2 Q0 pB 2 1.0 one\nq1 Q0 pA 3 1.0 two\nq3 Q0 pA 1 1.0 three\n"
+            "q2 Q0 pA 1 1.0 one\nq1 Q0 pC 1 1.0 two\nq1 Q0 pB 2 1.0 one\n")
+        monkeypatch.setattr(formats, "_first_fault", walk)
+        run, messages = logged(lambda: load_run_file(path))
+        assert (run.run_tag, list(run.by_query.items())) == ("one", [
+            ("q1", ["pC", "pB", "pA"]), ("q2", ["pA", "pB"]), ("q3", ["pA"])])
+        assert messages == [tag_warning(path, "one", 3)]
 
 
 class TestQrels:
@@ -512,6 +533,17 @@ class TestLeaderboardScores:
         path.write_text("system\tscore\nsysA\t0.5\nsysB\thigh\n")
         with pytest.raises(ParseError, match=re.escape(
                 f"{path}: line 3: bad score 'high' for 'sysB'")):
+            load_leaderboard_scores(path)
+
+    def test_row_without_a_tab_names_file_and_line(self, tmp_path):
+        # A row written with a space for its tab is rejected, not skipped;
+        # only blank lines are skipped.
+        path = tmp_path / "lb.tsv"
+        path.write_text("system\tscore\nsysB\t0.7\n \nsysA 0.5\n"
+                        "sysC\t0.3\nsysD\t0.1\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: line 4: expected a system and its score separated "
+                f"by a tab, got 'sysA 0.5'")):
             load_leaderboard_scores(path)
 
     def test_repeated_system_names_file_and_line(self, tmp_path):
